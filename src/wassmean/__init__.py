@@ -2,7 +2,6 @@
 geodesics, barycenters, Kronecker/Hadamard products, positive linear maps,
 and a Loewner-order verification suite for the identities relating them."""
 
-from ._kernels import BACKEND
 from .barycenter import (
     Ensemble,
     SolverBreakdownError,
@@ -47,6 +46,9 @@ from .products import (
 from .reports import CheckReport
 
 __version__ = "0.1.0"
+
+# The kernel implementation, recorded by benchmark runs; numpy is the only one.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -1,36 +1,15 @@
 """Hot numeric kernels: spectral matrix functions, the two-variable geometric
 mean, the Bures-Wasserstein trace gap, and the barycenter fixed-point loop.
 
-Every kernel exists twice with identical semantics: a pure-numpy function
-(``*_np``) and a numba-jitted twin compiled from the same source. The module
-attribute picked at import time decides which one the rest of the package
-calls; set ``WASSMEAN_BACKEND=numpy`` to force the fallback, ``numba`` to
-require the jit (default: numba when importable). All kernels take and return
-C-contiguous complex128 arrays and already-symmetrized Hermitian input.
+Every kernel works on stacks: an argument is one (m, m) matrix or an
+(n, m, m) stack, a second argument broadcasts against the first, and one
+batched ``eigh`` serves the whole stack, so per-call LAPACK overhead is paid
+once per stack rather than once per matrix. Kernels do no validation: they
+take C-contiguous complex128 arrays of already-symmetrized Hermitian matrices
+and return arrays of the broadcast shape.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-    from numba.extending import register_jitable
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-    def register_jitable(func=None, **kwargs):
-        if func is None:
-            return lambda f: f
-        return func
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 # Solver status codes shared with barycenter.py.
 SOLVE_CONVERGED = 0
@@ -38,86 +17,87 @@ SOLVE_MAX_ITER = 1
 SOLVE_BREAKDOWN = 2
 
 
-@register_jitable
-def _sym(a):
-    """Hermitian part (a + a*) / 2; kills round-off asymmetry."""
-    return (a + a.conj().T) * 0.5
+def _adjoint(a):
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2).conj()
 
 
-@register_jitable
+def hermitianize(a):
+    """Hermitian part (a + a*) / 2 of a matrix or of each matrix in a stack;
+    kills round-off asymmetry."""
+    return (a + _adjoint(a)) * 0.5
+
+
+def weighted_sum(weights, stack):
+    """sum_j weights[j] * stack[j], accumulated in index order."""
+    return (weights[:, None, None] * stack).sum(axis=0)
+
+
 def _fro(a):
     return np.sqrt(np.sum(np.abs(a) ** 2))
 
 
-@register_jitable
-def _spd_power(a, t):
-    """a**t for Hermitian positive definite a via eigendecomposition."""
-    w, v = np.linalg.eigh(a)
-    return _sym((v * w**t) @ v.conj().T)
+def _from_spectrum(v, f):
+    """v diag(f) v* for eigenvectors v and spectrum values f (stack-aware)."""
+    return hermitianize((v * f[..., None, :]) @ _adjoint(v))
 
 
-@register_jitable
-def _gm_pair(a, b):
-    """Geometric mean a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2}."""
+def spd_power(a, t):
+    """a**t for Hermitian positive definite a (or each matrix of a stack)
+    via eigendecomposition."""
     w, v = np.linalg.eigh(a)
+    return _from_spectrum(v, w**t)
+
+
+def _roots(w, v):
+    """a^{1/2} and a^{-1/2} from the eigendecomposition (w, v) of a."""
     sw = np.sqrt(w)
-    rs = _sym((v * sw) @ v.conj().T)
-    ris = _sym((v * (1.0 / sw)) @ v.conj().T)
-    mid = _spd_power(_sym(ris @ b @ ris), 0.5)
-    return _sym(rs @ mid @ rs)
+    return _from_spectrum(v, sw), _from_spectrum(v, 1.0 / sw)
 
 
-def spd_power_np(a, t):
-    """Matrix power of an SPD matrix (spectral route)."""
-    return _spd_power(a, t)
+def geometric_mean(a, b):
+    """Geometric mean a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2} of SPD
+    matrices, ``b`` broadcast against ``a``."""
+    rs, ris = _roots(*np.linalg.eigh(a))
+    mid = spd_power(hermitianize(ris @ b @ ris), 0.5)
+    return hermitianize(rs @ mid @ rs)
 
 
-def geometric_mean_np(a, b):
-    """Two-variable geometric mean of SPD matrices."""
-    return _gm_pair(a, b)
-
-
-def bw_gap_np(a, b):
+def bw_gap(a, b):
     """tr((a+b)/2) - tr((a^{1/2} b a^{1/2})^{1/2}), the squared distance
-    before non-negativity clamping."""
-    rs = _spd_power(a, 0.5)
-    w = np.linalg.eigvalsh(_sym(rs @ b @ rs))
-    tr_cross = 0.0
-    for i in range(w.shape[0]):
-        if w[i] > 0.0:
-            tr_cross += np.sqrt(w[i])
-    tr_ab = 0.0
-    for i in range(a.shape[0]):
-        tr_ab += a[i, i].real + b[i, i].real
+    before non-negativity clamping; one value per matrix pair, ``b``
+    broadcast against ``a``."""
+    rs = spd_power(a, 0.5)
+    w = np.linalg.eigvalsh(hermitianize(rs @ b @ rs))
+    tr_cross = np.sqrt(np.maximum(w, 0.0)).sum(axis=-1)
+    tr_ab = np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real
     return 0.5 * tr_ab - tr_cross
 
 
-def mean_equation_residual_np(x, mats, weights):
+def mean_equation_residual(x, mats, weights):
     """Frobenius norm of I - sum_j w_j (A_j # x^{-1}), geometric means taken
     directly (independent of the solver's congruence shortcut)."""
-    m = x.shape[0]
-    xinv = _spd_power(x, -1.0)
-    acc = np.zeros((m, m), dtype=np.complex128)
-    for j in range(mats.shape[0]):
-        acc = acc + weights[j] * _gm_pair(mats[j], xinv)
-    return _fro(np.eye(m).astype(np.complex128) - acc)
+    xinv = spd_power(x, -1.0)
+    acc = weighted_sum(weights, geometric_mean(mats, xinv))
+    return _fro(np.eye(x.shape[0], dtype=np.complex128) - acc)
 
 
-def wasserstein_solve_np(mats, weights, x0, max_iter, tol, damped):
-    """Fixed-point loop for the barycenter of ``mats`` under ``weights``.
+def wasserstein_solve(mats, weights, x0, max_iter, tol, damped):
+    """Fixed-point loop for the barycenter of the (n, m, m) stack ``mats``
+    under ``weights``.
 
     Per iterate x the map evaluates s = sum_j w_j (x^{1/2} a_j x^{1/2})^{1/2}
     and k = x^{-1/2} s x^{-1/2} = sum_j w_j (a_j # x^{-1}); the residual is
-    ||I - k||_F. The damped update is x' = k x k (globally convergent); the
-    plain update x' = s is kept for experimentation. Summation order is the
-    matrix index order, fixed for determinism.
+    ||I - k||_F. One ``eigh`` of x and one batched ``eigh`` of the n
+    congruences x^{1/2} a_j x^{1/2} serve an iterate. The damped update is
+    x' = k x k (globally convergent); the plain update x' = s is kept for
+    experimentation. Summation order is the matrix index order, fixed for
+    determinism.
 
     Returns (best iterate, update steps taken, best residual, status) with
     status 0 converged / 1 iteration budget exhausted / 2 loss of positivity.
     """
-    n = mats.shape[0]
-    m = mats.shape[1]
-    eye = np.eye(m).astype(np.complex128)
+    eye = np.eye(mats.shape[1], dtype=np.complex128)
     x = x0.copy()
     best_x = x0.copy()
     best_res = np.inf
@@ -128,13 +108,9 @@ def wasserstein_solve_np(mats, weights, x0, max_iter, tol, damped):
         if w[0] <= 0.0:
             status = SOLVE_BREAKDOWN
             break
-        sw = np.sqrt(w)
-        rs = _sym((v * sw) @ v.conj().T)
-        ris = _sym((v * (1.0 / sw)) @ v.conj().T)
-        s = np.zeros((m, m), dtype=np.complex128)
-        for j in range(n):
-            s = s + weights[j] * _spd_power(_sym(rs @ mats[j] @ rs), 0.5)
-        k = _sym(ris @ s @ ris)
+        rs, ris = _roots(w, v)
+        s = weighted_sum(weights, spd_power(hermitianize(rs @ mats @ rs), 0.5))
+        k = hermitianize(ris @ s @ ris)
         res = _fro(eye - k)
         if res < best_res:
             best_res = res
@@ -144,52 +120,6 @@ def wasserstein_solve_np(mats, weights, x0, max_iter, tol, damped):
             break
         if it == max_iter:
             break
-        if damped:
-            x = _sym(k @ x @ k)
-        else:
-            x = s.copy()
+        x = hermitianize(k @ x @ k) if damped else s
         iters += 1
     return best_x, iters, best_res, status
-
-
-if NUMBA_AVAILABLE:
-    spd_power_jit = njit(cache=True)(spd_power_np)
-    geometric_mean_jit = njit(cache=True)(geometric_mean_np)
-    bw_gap_jit = njit(cache=True)(bw_gap_np)
-    mean_equation_residual_jit = njit(cache=True)(mean_equation_residual_np)
-    wasserstein_solve_jit = njit(cache=True)(wasserstein_solve_np)
-else:  # pragma: no cover
-    spd_power_jit = spd_power_np
-    geometric_mean_jit = geometric_mean_np
-    bw_gap_jit = bw_gap_np
-    mean_equation_residual_jit = mean_equation_residual_np
-    wasserstein_solve_jit = wasserstein_solve_np
-
-
-def _pick_backend():
-    choice = os.environ.get("WASSMEAN_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:  # pragma: no cover
-            raise ImportError("WASSMEAN_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise ValueError(f"WASSMEAN_BACKEND={choice!r}: expected 'numba' or 'numpy'")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    spd_power = spd_power_jit
-    geometric_mean = geometric_mean_jit
-    bw_gap = bw_gap_jit
-    mean_equation_residual = mean_equation_residual_jit
-    wasserstein_solve = wasserstein_solve_jit
-else:
-    spd_power = spd_power_np
-    geometric_mean = geometric_mean_np
-    bw_gap = bw_gap_np
-    mean_equation_residual = mean_equation_residual_np
-    wasserstein_solve = wasserstein_solve_np

@@ -11,6 +11,10 @@ The solver iterates the damped self-map x' = k x k with
 k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, and stops on
 the Frobenius residual ||I - k||_F. The plain update x' = sum_j w_j
 (x^{1/2} A_j x^{1/2})^{1/2} stays available behind ``SolverConfig.damped``.
+
+An ``Ensemble`` validates its matrices once, into an (n, m, m) stack; the
+solver, the diagnostics and the order checks trust that stack and pass it
+whole to the stacked kernels of ``_kernels``.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .bures import bw_distance
+from .bures import _clamped_sqrt, _distance_scale
 from .hermitian import (
     ToleranceConfig,
     frobenius,
@@ -26,9 +30,9 @@ from .hermitian import (
     log_det,
     loewner_leq,
     require_spd,
-    sqrtm,
+    require_spd_stack,
 )
-from .means import arithmetic_mean, validate_weights
+from .means import validate_weights
 from .reports import CheckReport
 
 COMMUTATOR_RTOL = 1e-8
@@ -43,7 +47,7 @@ class Ensemble:
     """Weight vector paired with same-dimension SPD matrices.
 
     ``matrices`` is stored as a C-order (n, m, m) complex128 stack; both
-    fields are validated on construction.
+    fields are validated on construction, the matrices in one batched pass.
     """
 
     weights: np.ndarray
@@ -51,17 +55,7 @@ class Ensemble:
 
     def __post_init__(self):
         w = validate_weights(self.weights)
-        mats = self.matrices
-        if not (isinstance(mats, np.ndarray) and mats.ndim == 3):
-            mats = [require_spd(m, name=f"matrices[{j}]") for j, m in enumerate(mats)]
-            dims = {m.shape[0] for m in mats}
-            if len(dims) != 1:
-                raise ValueError(f"matrices: mixed dimensions {sorted(dims)}")
-            mats = np.ascontiguousarray(np.stack(mats))
-        else:
-            mats = np.ascontiguousarray(
-                np.stack([require_spd(mats[j], name=f"matrices[{j}]") for j in range(mats.shape[0])])
-            )
+        mats = np.ascontiguousarray(require_spd_stack(self.matrices, name="matrices"))
         if mats.shape[0] != w.size:
             raise ValueError(f"count mismatch: {w.size} weights, {mats.shape[0]} matrices")
         object.__setattr__(self, "weights", w)
@@ -121,6 +115,11 @@ class SolverReport:
         }
 
 
+def _mix(weights, stack):
+    """Weighted arithmetic mean of an already-validated stack."""
+    return hermitianize(_k.weighted_sum(weights, stack))
+
+
 def wasserstein_mean(ensemble, config=None):
     """Solve for the Wasserstein mean of ``ensemble``.
 
@@ -131,7 +130,7 @@ def wasserstein_mean(ensemble, config=None):
     if config is None:
         config = SolverConfig()
     if config.init is None:
-        x0 = arithmetic_mean(ensemble.weights, ensemble.matrices)
+        x0 = _mix(ensemble.weights, ensemble.matrices)
     else:
         x0 = require_spd(config.init, name="init")
         if x0.shape[0] != ensemble.dim:
@@ -170,13 +169,16 @@ def residual(x, ensemble):
 
 
 def objective(x, ensemble):
-    """Weighted sum of squared distances sum_j w_j d^2(x, A_j)."""
+    """Weighted sum of squared distances sum_j w_j d^2(x, A_j), with the
+    distance's round-off clamp applied to every term."""
     xm = require_spd(x, name="candidate")
     if xm.shape[0] != ensemble.dim:
         raise ValueError(f"dimension mismatch: {xm.shape[0]} vs {ensemble.dim}")
+    gaps = _k.bw_gap(xm, ensemble.matrices)
+    scales = _distance_scale(xm, ensemble.matrices)
     total = 0.0
-    for j in range(ensemble.size):
-        total += ensemble.weights[j] * bw_distance(xm, ensemble.matrices[j]) ** 2
+    for wj, gap, scale in zip(ensemble.weights, gaps, scales):
+        total += wj * _clamped_sqrt(gap, scale, "distance") ** 2
     return float(total)
 
 
@@ -196,9 +198,7 @@ def commuting_closed_form(ensemble):
                     f"matrices[{i}] and matrices[{j}] do not commute: "
                     f"commutator norm {comm:.3e} > {bound:.3e}"
                 )
-    acc = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
-    for j in range(ensemble.size):
-        acc += ensemble.weights[j] * sqrtm(mats[j])
+    acc = _k.weighted_sum(ensemble.weights, _k.spd_power(mats, 0.5))
     return hermitianize(acc @ acc)
 
 
@@ -208,11 +208,9 @@ def check_bounds(ensemble, x, cfg=None):
         cfg = ToleranceConfig()
     xm = require_spd(x, name="mean")
     eye = np.eye(ensemble.dim, dtype=np.complex128)
-    inv_mix = np.zeros_like(eye)
-    for j in range(ensemble.size):
-        inv_mix += ensemble.weights[j] * _k.spd_power(ensemble.matrices[j], -1.0)
+    inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
     lower = hermitianize(2.0 * eye - inv_mix)
-    upper = arithmetic_mean(ensemble.weights, ensemble.matrices)
+    upper = _mix(ensemble.weights, ensemble.matrices)
     low_res = loewner_leq(lower, xm, cfg)
     up_res = loewner_leq(xm, upper, cfg)
     return CheckReport(

@@ -8,8 +8,10 @@ import numpy as np
 from . import _kernels as _k
 from .hermitian import hermitianize, require_spd
 
-# Round-off this far below zero inside an outer square root is clamped to 0;
-# anything worse is an error.
+# Round-off below zero inside an outer square root is clamped to 0 while it is
+# within this share of the scale of the data (tr((a+b)/2) for a distance);
+# anything worse is an error. At m = 32 to 50 with spectra in [0.5, 100] the
+# round-off stays below 3e-15 of that scale.
 _NEGATIVE_CLAMP = 1e-12
 
 PROB_SUM_TOL = 1e-12
@@ -35,9 +37,17 @@ class GaussianParams:
         object.__setattr__(self, "cov", cov)
 
 
-def _clamped_sqrt(gap, what):
-    if gap < -_NEGATIVE_CLAMP:
-        raise ValueError(f"{what}: squared value {gap:.6e} below -{_NEGATIVE_CLAMP}")
+def _distance_scale(a, b):
+    """tr((a+b)/2), the scale of d^2(a, b); one value per pair for stacks."""
+    return 0.5 * (np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real)
+
+
+def _clamped_sqrt(gap, scale, what):
+    """sqrt(gap), clamping round-off below zero by at most
+    ``_NEGATIVE_CLAMP * scale`` to 0 and raising on anything worse."""
+    floor = _NEGATIVE_CLAMP * scale
+    if gap < -floor:
+        raise ValueError(f"{what}: squared value {gap:.6e} below -{floor:.3e}")
     return float(np.sqrt(max(gap, 0.0)))
 
 
@@ -57,13 +67,14 @@ def bw_distance(a, b):
     -------
     float
         The distance; 0 for equal arguments. Round-off driving the bracket
-        below zero by less than 1e-12 is clamped, anything worse raises.
+        below zero by less than 1e-12 * tr((a+b)/2) is clamped, anything
+        worse raises.
     """
     am = require_spd(a, name="first matrix")
     bm = require_spd(b, name="second matrix")
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return _clamped_sqrt(_k.bw_gap(am, bm), "distance")
+    return _clamped_sqrt(_k.bw_gap(am, bm), _distance_scale(am, bm), "distance")
 
 
 def _cross_sqrt(a, b):
@@ -130,7 +141,8 @@ def gaussian_w2(mu, nu):
         raise ValueError(f"dimension mismatch: {mu.cov.shape} vs {nu.cov.shape}")
     shift = float(np.sum((mu.mean - nu.mean) ** 2))
     trace_term = 2.0 * _k.bw_gap(mu.cov, nu.cov)
-    return _clamped_sqrt(shift + trace_term, "Wasserstein distance")
+    scale = 2.0 * _distance_scale(mu.cov, nu.cov)
+    return _clamped_sqrt(shift + trace_term, scale, "Wasserstein distance")
 
 
 def validate_prob_vector(p, name="probabilities"):

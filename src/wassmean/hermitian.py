@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
+from ._kernels import hermitianize
 
 # Construction rejects matrices with min eigenvalue <= SPD_FLOOR * max(1, ||A||_F).
 SPD_FLOOR = 1e-12
@@ -78,11 +79,6 @@ def frobenius(a):
     return float(np.linalg.norm(a))
 
 
-def hermitianize(a):
-    """Hermitian part (a + a*) / 2."""
-    return (a + a.conj().T) * 0.5
-
-
 def require_hermitian(a, atol=None, name="matrix"):
     """Validate Hermitian symmetry, then return the symmetrized matrix.
 
@@ -116,6 +112,46 @@ def require_spd(a, atol=None, name="matrix"):
             f"(min eigenvalue {min_eig:.3e} <= floor {floor:.3e})"
         )
     return arr
+
+
+def _batched_spd(arr):
+    """The symmetrized stack if every matrix of the (n, m, m) stack passes the
+    checks of ``require_spd``, else None."""
+    if not np.isfinite(arr).all():
+        return None
+    hermitian_gap = np.abs(arr - np.swapaxes(arr, 1, 2).conj()).max(axis=(1, 2))
+    if np.any(hermitian_gap > 1e-12 * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))):
+        return None
+    sym = hermitianize(arr)
+    floor = SPD_FLOOR * np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
+    if np.any(np.linalg.eigvalsh(sym)[:, 0] <= floor):
+        return None
+    return sym
+
+
+def require_spd_stack(mats, name="matrices"):
+    """Validate same-dimension Hermitian positive definite matrices in one
+    batched pass; return them as an (n, m, m) complex128 stack of
+    symmetrized matrices.
+
+    ``mats`` is a sequence of matrices or an (n, m, m) array. Each matrix
+    meets the checks of ``require_spd`` with its own relative tolerances; the
+    first offending matrix is reported by ``require_spd`` as ``name[j]``.
+    """
+    items = [np.asarray(a, dtype=np.complex128) for a in mats]
+    first = items[0] if items else None
+    if first is not None and first.ndim == 2 and first.shape[0] == first.shape[1] > 0:
+        if all(a.shape == first.shape for a in items):
+            sym = _batched_spd(np.stack(items))
+            if sym is not None:
+                return sym
+    # Mixed shapes or a failing matrix: the per-matrix checks, in index
+    # order, name the first offender.
+    validated = [require_spd(a, name=f"{name}[{j}]") for j, a in enumerate(items)]
+    dims = sorted({a.shape[0] for a in validated})
+    if len(dims) != 1:
+        raise ValueError(f"{name}: mixed dimensions {dims}")
+    return np.stack(validated)
 
 
 def eigh(a, name="matrix"):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import hermitianize, require_spd
+from .hermitian import hermitianize, require_spd, require_spd_stack
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -42,15 +42,7 @@ def arithmetic_mean(weights, mats):
     w = validate_weights(weights)
     if len(mats) != w.size:
         raise ValueError(f"count mismatch: {w.size} weights, {len(mats)} matrices")
-    validated = [require_spd(m, name=f"matrices[{j}]") for j, m in enumerate(mats)]
-    dim = validated[0].shape[0]
-    for j, m in enumerate(validated):
-        if m.shape[0] != dim:
-            raise ValueError(f"matrices[{j}]: dimension {m.shape[0]} != {dim}")
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for wj, mj in zip(w, validated):
-        acc += wj * mj
-    return hermitianize(acc)
+    return hermitianize(_k.weighted_sum(w, require_spd_stack(mats, name="matrices")))
 
 
 def kantorovich(p, q):

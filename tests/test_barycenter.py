@@ -11,12 +11,13 @@ from wassmean.barycenter import (
     residual,
     wasserstein_mean,
 )
-from wassmean.bures import geodesic
+from wassmean.bures import bw_distance, geodesic
 from wassmean.hermitian import (
     frobenius,
     hermitianize,
     random_commuting_spds,
     random_spd,
+    require_spd,
 )
 from wassmean.means import arithmetic_mean
 
@@ -117,6 +118,21 @@ def test_objective_zero_at_singleton():
     a = random_spd(3, seed=6, eig_lo=0.5, eig_hi=2.0)
     e = Ensemble(weights=[1.0], matrices=[a])
     assert objective(a, e) <= 1e-9
+
+
+def test_objective_zero_at_singleton_wide_spectrum():
+    # d(x, A)^2 at x = A has round-off beyond an absolute 1e-12 here.
+    a = random_spd(50, seed=8, eig_lo=0.5, eig_hi=100.0)
+    e = Ensemble(weights=[1.0], matrices=[a])
+    assert objective(a, e) <= 1e-12 * np.trace(a).real
+
+
+def test_objective_matches_pairwise_distances():
+    for seed in range(5):
+        e = _ensemble(seed + 70, m=4, n=5, lo=0.1, hi=10.0)
+        x = random_spd(4, seed=seed + 700, eig_lo=0.1, eig_hi=10.0)
+        want = sum(e.weights[j] * bw_distance(x, e.matrices[j]) ** 2 for j in range(e.size))
+        assert objective(x, e) == pytest.approx(want, rel=1e-12)
 
 
 def test_objective_local_minimality():
@@ -301,6 +317,34 @@ def test_ensemble_validation():
         Ensemble(weights=[0.5, 0.5], matrices=[np.eye(2), np.eye(3)])
     with pytest.raises(ValueError, match="positive definite"):
         Ensemble(weights=[1.0], matrices=[np.diag([1.0, -1.0])])
+
+
+def test_ensemble_reports_first_offending_matrix():
+    eye = np.eye(2)
+    indefinite = np.diag([1.0, -1.0])
+    skew = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"matrices\[2\]: not positive definite"):
+        Ensemble(weights=[0.25, 0.25, 0.5], matrices=[eye, eye, indefinite])
+    with pytest.raises(ValueError, match=r"matrices\[1\]: not positive definite"):
+        Ensemble(weights=[0.25, 0.25, 0.5], matrices=[eye, indefinite, skew])
+    with pytest.raises(ValueError, match=r"matrices\[1\]: not Hermitian"):
+        Ensemble(weights=[0.25, 0.25, 0.5], matrices=np.stack([eye, skew, indefinite]))
+    with pytest.raises(ValueError, match=r"matrices\[1\]: not Hermitian"):
+        Ensemble(weights=[0.5, 0.5], matrices=np.stack([eye, skew]))
+    with pytest.raises(ValueError, match=r"matrices\[2\]: entries must be finite"):
+        Ensemble(weights=[0.25, 0.25, 0.5], matrices=[eye, eye, np.full((2, 2), np.nan)])
+    with pytest.raises(ValueError, match=r"matrices\[1\]: expected square"):
+        Ensemble(weights=[0.5, 0.5], matrices=[eye, np.ones((2, 3))])
+
+
+def test_ensemble_stack_equals_per_matrix_validation():
+    # Within the relative Hermitian tolerance, but not exactly Hermitian.
+    mats = [random_spd(4, seed=s, eig_lo=0.5, eig_hi=2.0) for s in range(6)]
+    mats = [a + 1e-14 * np.triu(np.ones((4, 4)), 1) for a in mats]
+    e = Ensemble(weights=np.full(6, 1 / 6), matrices=mats)
+    want = np.stack([require_spd(a) for a in mats])
+    assert np.array_equal(e.matrices, want)
+    assert e.matrices.flags["C_CONTIGUOUS"]
 
 
 def test_solver_config_validation():

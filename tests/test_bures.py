@@ -182,7 +182,25 @@ def test_prob_vector_validation():
 def test_negative_round_off_clamp_policy():
     from wassmean.bures import _clamped_sqrt
 
-    assert _clamped_sqrt(-5e-13, "distance") == 0.0
-    assert _clamped_sqrt(4.0, "distance") == 2.0
+    assert _clamped_sqrt(-5e-13, 1.0, "distance") == 0.0
+    assert _clamped_sqrt(4.0, 1.0, "distance") == 2.0
     with pytest.raises(ValueError, match="below"):
-        _clamped_sqrt(-1e-11, "distance")
+        _clamped_sqrt(-1e-11, 1.0, "distance")
+    # The threshold scales with the data: 1e-12 of the scale.
+    assert _clamped_sqrt(-5e-9, 1e4, "distance") == 0.0
+    with pytest.raises(ValueError, match="below"):
+        _clamped_sqrt(-5e-13, 1e-2, "distance")
+
+
+def test_distance_self_is_zero_on_wide_spectra():
+    # tr(a) ~ 2500 here: round-off in the bracket reaches ~2e-12, past an
+    # absolute 1e-12 clamp, on seeds 8, 15, 16, 17 and 43.
+    for seed in range(48):
+        a = random_spd(50, seed=seed, eig_lo=0.5, eig_hi=100.0)
+        assert bw_distance(a, a) ** 2 <= 1e-12 * np.trace(a).real
+
+
+def test_gaussian_w2_identical_laws_wide_spectrum():
+    a = random_spd(20, seed=1, eig_lo=0.5, eig_hi=100.0)
+    p = GaussianParams(mean=np.zeros(20), cov=a)
+    assert gaussian_w2(p, p) ** 2 <= 2e-12 * np.trace(a).real

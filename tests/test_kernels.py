@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,46 +6,168 @@ from wassmean.hermitian import random_spd
 from wassmean.means import validate_weights
 
 
-def _stack(seeds, m=3):
-    return np.stack([random_spd(m, seed=s, eig_lo=0.5, eig_hi=2.0) for s in seeds])
+def _stack(seeds, m=3, lo=0.5, hi=2.0):
+    return np.stack([random_spd(m, seed=s, eig_lo=lo, eig_hi=hi) for s in seeds])
 
 
-PAIRS = [
-    ("spd_power", k.spd_power_np, k.spd_power_jit),
-    ("geometric_mean", k.geometric_mean_np, k.geometric_mean_jit),
-    ("bw_gap", k.bw_gap_np, k.bw_gap_jit),
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# Loop reference: the per-matrix solver and residual the stacked kernels
+# replaced, one eigh per matrix, kept here as the reference they must match.
+# ---------------------------------------------------------------------------
+
+def _sym(a):
+    return (a + a.conj().T) * 0.5
+
+
+def _fro(a):
+    return np.sqrt(np.sum(np.abs(a) ** 2))
+
+
+def _spd_power(a, t):
+    w, v = np.linalg.eigh(a)
+    return _sym((v * w**t) @ v.conj().T)
+
+
+def _gm_pair(a, b):
+    w, v = np.linalg.eigh(a)
+    sw = np.sqrt(w)
+    rs = _sym((v * sw) @ v.conj().T)
+    ris = _sym((v * (1.0 / sw)) @ v.conj().T)
+    mid = _spd_power(_sym(ris @ b @ ris), 0.5)
+    return _sym(rs @ mid @ rs)
+
+
+def loop_residual(x, mats, weights):
+    m = x.shape[0]
+    xinv = _spd_power(x, -1.0)
+    acc = np.zeros((m, m), dtype=np.complex128)
+    for j in range(mats.shape[0]):
+        acc = acc + weights[j] * _gm_pair(mats[j], xinv)
+    return _fro(np.eye(m).astype(np.complex128) - acc)
+
+
+def loop_solve(mats, weights, x0, max_iter, tol, damped):
+    n = mats.shape[0]
+    m = mats.shape[1]
+    eye = np.eye(m).astype(np.complex128)
+    x = x0.copy()
+    best_x = x0.copy()
+    best_res = np.inf
+    status = k.SOLVE_MAX_ITER
+    iters = 0
+    for it in range(max_iter + 1):
+        w, v = np.linalg.eigh(x)
+        if w[0] <= 0.0:
+            status = k.SOLVE_BREAKDOWN
+            break
+        sw = np.sqrt(w)
+        rs = _sym((v * sw) @ v.conj().T)
+        ris = _sym((v * (1.0 / sw)) @ v.conj().T)
+        s = np.zeros((m, m), dtype=np.complex128)
+        for j in range(n):
+            s = s + weights[j] * _spd_power(_sym(rs @ mats[j] @ rs), 0.5)
+        k_ = _sym(ris @ s @ ris)
+        res = _fro(eye - k_)
+        if res < best_res:
+            best_res = res
+            best_x = x.copy()
+        if res <= tol:
+            status = k.SOLVE_CONVERGED
+            break
+        if it == max_iter:
+            break
+        x = _sym(k_ @ x @ k_) if damped else s.copy()
+        iters += 1
+    return best_x, iters, best_res, status
+
+
+# Fixed seed set: dimensions, ensemble sizes and spectra from well to badly
+# conditioned.
+CASES = [
+    (m, n, lo, hi, seed)
+    for m, n in ((3, 3), (5, 16), (16, 4))
+    for lo, hi in ((0.5, 2.0), (0.05, 20.0), (1e-3, 1e3))
+    for seed in (0, 1)
 ]
 
 
-@pytest.mark.parametrize("name,np_fn,jit_fn", PAIRS, ids=[p[0] for p in PAIRS])
-def test_backend_twins_agree(name, np_fn, jit_fn):
-    a = random_spd(4, seed=1, eig_lo=0.5, eig_hi=2.0)
-    b = random_spd(4, seed=2, eig_lo=0.5, eig_hi=2.0)
-    if name == "spd_power":
-        got_np, got_jit = np_fn(a, 0.5), jit_fn(a, 0.5)
-    else:
-        got_np, got_jit = np_fn(a, b), jit_fn(a, b)
-    assert np.allclose(got_np, got_jit, atol=1e-13)
+def _case(m, n, lo, hi, seed):
+    mats = _stack(range(100 * seed, 100 * seed + n), m=m, lo=lo, hi=hi)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, n)
+    return mats, validate_weights(w / w.sum())
 
 
-def test_residual_twins_agree():
-    mats = _stack([3, 4, 5])
-    w = validate_weights([0.2, 0.3, 0.5])
-    x = random_spd(3, seed=6, eig_lo=0.5, eig_hi=2.0)
-    r_np = k.mean_equation_residual_np(x, mats, w)
-    r_jit = k.mean_equation_residual_jit(x, mats, w)
-    assert r_np == pytest.approx(r_jit, abs=1e-13)
+@pytest.mark.parametrize("m,n,lo,hi,seed", CASES)
+def test_stacked_solver_matches_loop_reference(m, n, lo, hi, seed):
+    mats, w = _case(m, n, lo, hi, seed)
+    x0 = k.weighted_sum(w, mats)
+    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11, True)
+    want = loop_solve(mats, w, x0, 200, 1e-11, True)
+    assert _rel(got[0], want[0]) <= 1e-13
+    assert got[1] == want[1]
+    assert got[3] == want[3] == k.SOLVE_CONVERGED
+    assert got[2] == pytest.approx(want[2], abs=1e-13)
 
 
-def test_solver_twins_agree():
-    mats = _stack([7, 8, 9])
-    w = validate_weights([0.25, 0.25, 0.5])
-    x0 = np.einsum("j,jkl->kl", w, mats)
-    out_np = k.wasserstein_solve_np(mats, w, x0, 200, 1e-11, True)
-    out_jit = k.wasserstein_solve_jit(mats, w, x0, 200, 1e-11, True)
-    assert np.allclose(out_np[0], out_jit[0], atol=1e-12)
-    assert out_np[1] == out_jit[1]
-    assert out_np[3] == out_jit[3] == k.SOLVE_CONVERGED
+def test_stacked_plain_update_matches_loop_reference():
+    mats, w = _case(4, 5, 0.5, 2.0, 3)
+    x0 = k.weighted_sum(w, mats)
+    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11, False)
+    want = loop_solve(mats, w, x0, 200, 1e-11, False)
+    assert _rel(got[0], want[0]) <= 1e-13
+    assert got[1] == want[1]
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("m,n,lo,hi,seed", CASES[::3])
+def test_stacked_residual_matches_loop_reference(m, n, lo, hi, seed):
+    mats, w = _case(m, n, lo, hi, seed)
+    x = random_spd(m, seed=seed + 50, eig_lo=lo, eig_hi=hi)
+    got = k.mean_equation_residual(x, mats, w)
+    want = loop_residual(x, mats, w)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_stacked_kernels_equal_per_matrix_calls():
+    a = _stack(range(20, 25), m=4, lo=0.1, hi=10.0)
+    b = _stack(range(30, 35), m=4, lo=0.1, hi=10.0)
+    x = random_spd(4, seed=40, eig_lo=0.1, eig_hi=10.0)
+    for t in (0.5, -0.5, -1.0, 2.0):
+        stacked = k.spd_power(a, t)
+        for j in range(a.shape[0]):
+            assert _rel(stacked[j], k.spd_power(a[j], t)) <= 1e-14
+    for got, per_pair in (
+        (k.geometric_mean(a, b), lambda j: k.geometric_mean(a[j], b[j])),
+        (k.geometric_mean(a, x), lambda j: k.geometric_mean(a[j], x)),
+        (k.geometric_mean(x, b), lambda j: k.geometric_mean(x, b[j])),
+    ):
+        assert got.shape == a.shape
+        for j in range(a.shape[0]):
+            assert _rel(got[j], per_pair(j)) <= 1e-14
+    for got, per_pair in (
+        (k.bw_gap(a, b), lambda j: k.bw_gap(a[j], b[j])),
+        (k.bw_gap(x, b), lambda j: k.bw_gap(x, b[j])),
+        (k.bw_gap(a, x), lambda j: k.bw_gap(a[j], x)),
+    ):
+        assert got.shape == (a.shape[0],)
+        for j in range(a.shape[0]):
+            assert got[j] == pytest.approx(per_pair(j), rel=1e-13, abs=1e-13)
+
+
+def test_single_matrix_kernels_match_loop_reference():
+    a = random_spd(5, seed=60, eig_lo=0.1, eig_hi=10.0)
+    b = random_spd(5, seed=61, eig_lo=0.1, eig_hi=10.0)
+    assert _rel(k.spd_power(a, 0.5), _spd_power(a, 0.5)) <= 1e-14
+    assert _rel(k.geometric_mean(a, b), _gm_pair(a, b)) <= 1e-14
+    ra = _spd_power(a, 0.5)
+    want_gap = 0.5 * np.trace(a + b).real - np.sum(
+        np.sqrt(np.linalg.eigvalsh(_sym(ra @ b @ ra))))
+    assert k.bw_gap(a, b) == pytest.approx(want_gap, rel=1e-13)
 
 
 def test_solver_bitwise_deterministic():
@@ -60,30 +178,3 @@ def test_solver_bitwise_deterministic():
     second = k.wasserstein_solve(mats, w, x0, 200, 1e-11, True)
     assert np.array_equal(first[0], second[0])
     assert first[1:] == second[1:]
-
-
-def test_backend_attribute_matches_env():
-    assert k.BACKEND in ("numba", "numpy")
-    forced = os.environ.get("WASSMEAN_BACKEND", "").strip().lower()
-    if forced in ("numba", "numpy"):
-        assert k.BACKEND == forced
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, WASSMEAN_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import wassmean; print(wassmean.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_garbage():
-    env = dict(os.environ, WASSMEAN_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import wassmean"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0
-    assert "WASSMEAN_BACKEND" in out.stderr

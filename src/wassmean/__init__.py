@@ -17,11 +17,8 @@ from .barycenter import (
 from .bures import GaussianParams, bw_distance, gaussian_w2, geodesic, hellinger
 from .checks import DEFAULT_CHECKS, SuitePlan, default_plan, run_suite
 from .hermitian import (
-    EigenDecomposition,
     LoewnerResult,
     ToleranceConfig,
-    congruence,
-    eigh,
     hermitianize,
     log_det,
     loewner_leq,
@@ -36,7 +33,6 @@ from .means import arithmetic_mean, geometric_mean, kantorovich, validate_weight
 from .products import (
     PositiveMapSpec,
     ando_map,
-    apply_map,
     ensemble_tensor,
     hadamard,
     kron,
@@ -54,7 +50,6 @@ __all__ = [
     "BACKEND",
     "CheckReport",
     "DEFAULT_CHECKS",
-    "EigenDecomposition",
     "Ensemble",
     "GaussianParams",
     "LoewnerResult",
@@ -65,15 +60,12 @@ __all__ = [
     "SuitePlan",
     "ToleranceConfig",
     "ando_map",
-    "apply_map",
     "arithmetic_mean",
     "bw_distance",
     "check_bounds",
     "check_det_inequality",
     "commuting_closed_form",
-    "congruence",
     "default_plan",
-    "eigh",
     "ensemble_tensor",
     "gaussian_w2",
     "geodesic",

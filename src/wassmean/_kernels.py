@@ -82,17 +82,16 @@ def mean_equation_residual(x, mats, weights):
     return _fro(np.eye(x.shape[0], dtype=np.complex128) - acc)
 
 
-def wasserstein_solve(mats, weights, x0, max_iter, tol, damped):
+def wasserstein_solve(mats, weights, x0, max_iter, tol):
     """Fixed-point loop for the barycenter of the (n, m, m) stack ``mats``
     under ``weights``.
 
     Per iterate x the map evaluates s = sum_j w_j (x^{1/2} a_j x^{1/2})^{1/2}
     and k = x^{-1/2} s x^{-1/2} = sum_j w_j (a_j # x^{-1}); the residual is
     ||I - k||_F. One ``eigh`` of x and one batched ``eigh`` of the n
-    congruences x^{1/2} a_j x^{1/2} serve an iterate. The damped update is
-    x' = k x k (globally convergent); the plain update x' = s is kept for
-    experimentation. Summation order is the matrix index order, fixed for
-    determinism.
+    congruences x^{1/2} a_j x^{1/2} serve an iterate. The update is the
+    damped map x' = k x k, which converges globally. Summation order is the
+    matrix index order, fixed for determinism.
 
     Returns (best iterate, update steps taken, best residual, status) with
     status 0 converged / 1 iteration budget exhausted / 2 loss of positivity.
@@ -120,6 +119,6 @@ def wasserstein_solve(mats, weights, x0, max_iter, tol, damped):
             break
         if it == max_iter:
             break
-        x = hermitianize(k @ x @ k) if damped else s
+        x = hermitianize(k @ x @ k)
         iters += 1
     return best_x, iters, best_res, status

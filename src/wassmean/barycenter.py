@@ -9,8 +9,7 @@ The mean of (w, A_1..A_n) is the unique SPD solution X of
 which is the least-squares barycenter for the Bures-Wasserstein distance.
 The solver iterates the damped self-map x' = k x k with
 k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, and stops on
-the Frobenius residual ||I - k||_F. The plain update x' = sum_j w_j
-(x^{1/2} A_j x^{1/2})^{1/2} stays available behind ``SolverConfig.damped``.
+the Frobenius residual ||I - k||_F.
 
 An ``Ensemble`` validates its matrices once, into an (n, m, m) stack; the
 solver, the diagnostics and the order checks trust that stack and pass it
@@ -75,15 +74,12 @@ class SolverConfig:
     """Fixed-point solver knobs.
 
     ``init`` is the starting iterate (None selects the arithmetic mean, an
-    upper bound of the solution in the Loewner order, so always a safe start);
-    ``damped=False`` switches to the plain self-map update, kept for
-    experimentation only.
+    upper bound of the solution in the Loewner order, so always a safe start).
     """
 
     max_iter: int = 200
     residual_tol: float = 1e-11
     init: np.ndarray | None = None
-    damped: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -143,7 +139,6 @@ def wasserstein_mean(ensemble, config=None):
         x0,
         config.max_iter,
         config.residual_tol,
-        config.damped,
     )
     if status == _k.SOLVE_BREAKDOWN:
         raise SolverBreakdownError(

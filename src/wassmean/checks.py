@@ -5,13 +5,18 @@ Each ``check_*`` function evaluates one inequality or identity on concrete
 inputs and returns a :class:`CheckReport` whose margin is the smallest
 eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities). ``run_suite`` drives every registered check
-over seeded random instances, always including the known equality cases.
+over seeded random instances, always including the known equality cases:
+one generic driver runs each entry of a table that declares the check's
+instances, its equality cases and the call that evaluates them.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _kernels as _k
 from . import barycenter as bc
 from .hermitian import (
     ToleranceConfig,
@@ -26,7 +31,7 @@ from .hermitian import (
     require_spd,
     sqrtm,
 )
-from .means import arithmetic_mean, geometric_mean, validate_weights
+from .means import arithmetic_mean, geometric_mean, kantorovich, validate_weights
 from .products import (
     ensemble_tensor,
     hadamard,
@@ -80,18 +85,13 @@ def _solve(ensemble, cfg):
 
 def check_fixed_point_certificate(ensemble, cfg=None, tol=None):
     """Both residual forms of the mean's defining equation at the solved mean."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
     if tol is None:
         tol = ToleranceConfig()
     report = bc.wasserstein_mean(ensemble, cfg)
     eq_res = bc.residual(report.mean, ensemble)
-    acc = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
     root = sqrtm(report.mean)
-    for j in range(ensemble.size):
-        acc += ensemble.weights[j] * sqrtm(
-            hermitianize(root @ ensemble.matrices[j] @ root)
-        )
+    roots = _k.spd_power(hermitianize(root @ ensemble.matrices @ root), 0.5)
+    acc = _k.weighted_sum(ensemble.weights, roots)
     fp_res = frobenius(report.mean - acc) / frobenius(report.mean)
     holds = report.converged and eq_res <= tol.residual_tol and fp_res <= 1e-9
     return CheckReport(
@@ -129,8 +129,6 @@ def check_logdet_concavity(weights, mats, tol=None):
 def check_phi_geometric_mean(a, b, phi, tol=None):
     """Compression of a geometric mean never exceeds the geometric mean of
     the compressions."""
-    if tol is None:
-        tol = ToleranceConfig()
     lhs = phi.apply(geometric_mean(a, b))
     rhs = geometric_mean(phi.apply(a), phi.apply(b))
     res = loewner_leq(lhs, rhs, tol)
@@ -143,60 +141,43 @@ def check_phi_geometric_mean(a, b, phi, tol=None):
     )
 
 
-def check_phi_wass(ensemble, phi, cfg=None, tol=None, explore=False):
+def check_phi_wass(ensemble, phi, cfg=None, tol=None):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
-    if tol is None:
-        tol = ToleranceConfig()
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
     unital_gap = frobenius(phi.apply(np.eye(phi.source_dim, dtype=np.complex128)) - eye_t)
     if unital_gap > 1e-10:
         raise ValueError(f"map is not unital: ||phi(I) - I||_F = {unital_gap:.3e}")
     mean = _solve(ensemble, cfg)
+    inverses = _k.spd_power(ensemble.matrices, -1.0)
     mix_inv = np.zeros_like(eye_t)
     mix = np.zeros_like(eye_t)
     for j in range(ensemble.size):
         wj = ensemble.weights[j]
-        mix_inv += wj * phi.apply(matrix_power(ensemble.matrices[j], -1.0))
+        mix_inv += wj * phi.apply(inverses[j])
         mix += wj * phi.apply(ensemble.matrices[j])
     first = loewner_leq(hermitianize(2.0 * eye_t - mix_inv), phi.apply(mean), tol)
     second = loewner_leq(hermitianize(2.0 * eye_t - mix), phi.apply(matrix_power(mean, -1.0)), tol)
-    details = {
-        "mean_side_margin": first.margin,
-        "inverse_side_margin": second.margin,
-        "map_kind": phi.kind,
-    }
-    if explore:
-        # Side-by-side quantities whose order relation is untested: the
-        # compressed mean vs the mean of the compressions.
-        compressed = bc.Ensemble(
-            weights=ensemble.weights,
-            matrices=[phi.apply(ensemble.matrices[j]) for j in range(ensemble.size)],
-        )
-        details["compressed_mean_vs_mean_of_compressions_gap"] = frobenius(
-            phi.apply(mean) - _solve(compressed, cfg)
-        )
     return CheckReport(
         check_name="phi_wass",
         holds=first.holds and second.holds,
         margin=min(first.margin, second.margin),
         inputs={"dim": ensemble.dim, "count": ensemble.size,
                 "source_dim": phi.source_dim, "target_dim": phi.target_dim},
-        details=details,
+        details={
+            "mean_side_margin": first.margin,
+            "inverse_side_margin": second.margin,
+            "map_kind": phi.kind,
+        },
     )
 
 
 def check_self_duality_gap(ensemble, cfg=None):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
     mean = _solve(ensemble, cfg)
     inverted = bc.Ensemble(
-        weights=ensemble.weights,
-        matrices=[matrix_power(ensemble.matrices[j], -1.0) for j in range(ensemble.size)],
+        weights=ensemble.weights, matrices=_k.spd_power(ensemble.matrices, -1.0)
     )
     mean_of_inverses = _solve(inverted, cfg)
     gap = frobenius(mean_of_inverses - matrix_power(mean, -1.0))
@@ -212,8 +193,6 @@ def check_self_duality_gap(ensemble, cfg=None):
 def check_tensor_identity(a, b, cfg=None):
     """Kronecker product of two means equals the mean of the Kronecker-pair
     ensemble; margin is the negated relative Frobenius error."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
     try:
         mean_a = _solve(a, cfg)
         mean_b = _solve(b, cfg)
@@ -240,10 +219,6 @@ def check_tensor_identity(a, b, cfg=None):
 def check_tensor_arithmetic_bound(a, b, cfg=None, tol=None):
     """Kronecker product of two means below the arithmetic mean of all
     Kronecker pairs."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
-    if tol is None:
-        tol = ToleranceConfig()
     lhs = kron(_solve(a, cfg), _solve(b, cfg))
     tensored = ensemble_tensor(a, b)
     rhs = arithmetic_mean(tensored.weights, tensored.matrices)
@@ -260,10 +235,6 @@ def check_tensor_arithmetic_bound(a, b, cfg=None, tol=None):
 def check_hadamard_arithmetic_bound(a, b, cfg=None, tol=None):
     """Hadamard product of two means below the arithmetic mean of all
     Hadamard pairs."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
-    if tol is None:
-        tol = ToleranceConfig()
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     lhs = hadamard(_solve(a, cfg), _solve(b, cfg))
@@ -287,8 +258,6 @@ def check_hadamard_arithmetic_bound(a, b, cfg=None, tol=None):
 def check_commuting_quadruple(a, b, c, d, tol=None):
     """For commuting pairs (a,b) and (c,d):
     (ab+ba) o (cd+dc) - (a^2+b^2) o (c^2+d^2) <= (a-b)^2 o (c-d)^2 / 2."""
-    if tol is None:
-        tol = ToleranceConfig()
     am, bm = require_spd(a, name="a"), require_spd(b, name="b")
     cm, dm = require_spd(c, name="c"), require_spd(d, name="d")
     for name, (x, y) in {"(a,b)": (am, bm), "(c,d)": (cm, dm)}.items():
@@ -318,8 +287,6 @@ def check_hadamard_inverse(a, b, tol=None):
     """Two-sided bound on the inverse of a Hadamard product:
     (a o b)^{-1} <= a^{-1} o b^{-1} <= K (a o b)^{-1} with K the Kantorovich
     constant of the Kronecker product's spectral edges."""
-    if tol is None:
-        tol = ToleranceConfig()
     am = require_spd(a, name="first matrix")
     bm = require_spd(b, name="second matrix")
     if am.shape != bm.shape:
@@ -327,8 +294,7 @@ def check_hadamard_inverse(a, b, tol=None):
     had_inv = matrix_power(hadamard(am, bm), -1.0)
     inv_had = hadamard(matrix_power(am, -1.0), matrix_power(bm, -1.0))
     eigs = np.linalg.eigvalsh(kron(am, bm))
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    constant = (lam_max + lam_min) ** 2 / (4.0 * lam_max * lam_min)
+    constant = kantorovich(float(eigs[0]), float(eigs[-1]))
     lower = loewner_leq(had_inv, inv_had, tol)
     upper = loewner_leq(inv_had, constant * had_inv, tol)
     return CheckReport(
@@ -357,10 +323,6 @@ def _spectral_box(mats):
 def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
-    if cfg is None:
-        cfg = bc.SolverConfig()
-    if tol is None:
-        tol = ToleranceConfig()
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     x = _solve(a, cfg)
@@ -392,8 +354,6 @@ def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
 def check_jensen_contraction(a, x, p, tol=None):
     """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
     contraction."""
-    if tol is None:
-        tol = ToleranceConfig()
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"power p={p} outside [0, 1]")
     am = require_spd(a, name="matrix")
@@ -423,10 +383,6 @@ def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
     Returns a skipped report (not a failure) when the contraction
     precondition on the means fails.
     """
-    if cfg is None:
-        cfg = bc.SolverConfig()
-    if tol is None:
-        tol = ToleranceConfig()
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     x = _solve(a, cfg)
@@ -504,7 +460,7 @@ class SuitePlan:
         return {"seeds": list(self.seeds), "dims": list(self.dims), "tol": self.tol}
 
 
-def _aggregate(name, plan, reports, extra_details=None):
+def _aggregate(name, plan, reports, extra_details):
     """Fold per-instance reports into one per-check report (worst margin)."""
     live = [r for r in reports if not r.skipped]
     skipped = len(reports) - len(live)
@@ -524,8 +480,7 @@ def _aggregate(name, plan, reports, extra_details=None):
         "worst_details": worst.details,
         "worst_inputs": worst.inputs,
     }
-    if extra_details:
-        details.update(extra_details)
+    details.update(extra_details)
     return CheckReport(
         check_name=name,
         holds=all(r.holds for r in live),
@@ -535,311 +490,244 @@ def _aggregate(name, plan, reports, extra_details=None):
     )
 
 
-def _suite_tol(plan):
-    return ToleranceConfig(loewner_tol=plan.tol, relative=True)
+@dataclass(frozen=True)
+class _Check:
+    """One suite entry.
+
+    ``instances(plan)`` yields the argument tuples of the generic instances
+    and ``equality_cases()`` returns those of the known equality cases;
+    ``evaluate(cfg, tol, *args)`` turns one tuple into a ``CheckReport``.
+    ``evaluate`` names its check function through the module attribute at
+    call time, never through a stored reference, so a rebound attribute is
+    the one that runs. ``finish(report, generic, equality)``, when set, adds
+    check-specific verdicts to the aggregate report.
+    """
+
+    instances: Callable
+    evaluate: Callable
+    equality_cases: Callable = lambda: ()
+    finish: Callable | None = None
 
 
-def _drive_fixed_point(plan):
+def _run_check(name, check, plan):
+    """Evaluate the entry's generic instances, then its equality cases, under
+    the suite tolerance and the default solver config; aggregate them."""
     cfg = bc.SolverConfig()
-    tol = ToleranceConfig()
-    reports = []
+    tol = ToleranceConfig(loewner_tol=plan.tol, relative=True)
+    generic = [check.evaluate(cfg, tol, *args) for args in check.instances(plan)]
+    equality = [check.evaluate(cfg, tol, *args) for args in check.equality_cases()]
+    extra = {}
+    if len(equality) == 1:
+        extra["equality_case_margin"] = equality[0].margin
+    elif equality:
+        extra["equality_case_margins"] = [r.margin for r in equality]
+    report = _aggregate(name, plan, generic + equality, extra)
+    if check.finish is not None:
+        check.finish(report, generic, equality)
+    return report
+
+
+def _spd(m, seed, salt):
+    return random_spd(m, _mix(seed, salt), 0.5, 2.0)
+
+
+def _singleton(a):
+    return bc.Ensemble(weights=[1.0], matrices=[a])
+
+
+def _ensembles(plan, counts, min_dim=1, limit=None):
+    """One random ensemble for each of the first ``limit`` seeds (all when
+    None), of the plan's dimension but at least ``min_dim``, and of size
+    ``counts[seed % len(counts)]``."""
+    for seed in plan.seed_list()[:limit]:
+        m = max(min_dim, plan.dim_for(seed))
+        yield (random_ensemble(m, counts[seed % len(counts)], seed),)
+
+
+def _ensemble_pairs(plan, salts, counts, dim=None, eig_lo=0.5, eig_hi=2.0):
+    """Two random ensembles per seed, one per salt, of size
+    ``counts[seed % len(counts)]`` and of dimension ``dim(seed)`` (the plan's
+    when None)."""
     for seed in plan.seed_list():
-        m = plan.dim_for(seed)
-        n = (2, 3, 5)[seed % 3]
-        reports.append(
-            check_fixed_point_certificate(random_ensemble(m, n, seed), cfg, tol)
-        )
-    # Equality case: the singleton ensemble solves exactly.
-    single = bc.Ensemble(weights=[1.0], matrices=[random_spd(3, _mix(0, 23), 0.5, 2.0)])
-    eq = check_fixed_point_certificate(single, cfg, tol)
-    reports.append(eq)
-    return _aggregate("fixed_point", plan, reports,
-                      {"equality_case_margin": eq.margin})
+        m = plan.dim_for(seed) if dim is None else dim(seed)
+        n = counts[seed % len(counts)]
+        yield tuple(random_ensemble(m, n, _mix(seed, salt), eig_lo, eig_hi) for salt in salts)
 
 
-def _drive_bounds(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        e = random_ensemble(plan.dim_for(seed), (2, 3, 5)[seed % 3], seed)
-        reports.append(bc.check_bounds(e, _solve(e, cfg), tol))
-    # Equality case: the identity singleton makes both bounds tight.
-    eye = np.eye(2, dtype=np.complex128)
-    single = bc.Ensemble(weights=[1.0], matrices=[eye])
-    eq = bc.check_bounds(single, _solve(single, cfg), tol)
-    reports.append(eq)
-    return _aggregate("bounds", plan, reports, {"equality_case_margin": eq.margin})
-
-
-def _drive_det_inequality(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    strict = True
-    for seed in plan.seed_list():
-        e = random_ensemble(plan.dim_for(seed), (2, 3)[seed % 2], seed)
-        rep = bc.check_det_inequality(e, _solve(e, cfg), tol)
-        strict = strict and rep.margin > 1e-10 and not rep.details["equality"]
-        reports.append(rep)
-    # Equality case: a constant ensemble.
-    a = random_spd(3, _mix(1, 29), 0.5, 2.0)
-    const = bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=[a, a, a])
-    eq = bc.check_det_inequality(const, _solve(const, cfg), tol)
-    ok = eq.details["equality"] and eq.details["all_matrices_equal"] and abs(eq.margin) <= 1e-9
-    reports.append(eq)
-    return _aggregate(
-        "det_inequality",
-        plan,
-        reports,
-        {"strict_on_distinct": strict, "equality_case_ok": ok,
-         "equality_case_margin": eq.margin},
-    )
-
-
-def _drive_logdet_concavity(plan):
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        e = random_ensemble(plan.dim_for(seed), (2, 3, 4)[seed % 3], seed)
-        reports.append(check_logdet_concavity(e.weights, e.matrices, tol))
-    a = random_spd(3, _mix(2, 31), 0.5, 2.0)
-    eq = check_logdet_concavity([0.5, 0.5], [a, a], tol)
-    reports.append(eq)
-    return _aggregate("logdet_concavity", plan, reports,
-                      {"equality_case_margin": eq.margin})
-
-
-def _drive_phi_geometric_mean(plan):
-    tol = _suite_tol(plan)
-    reports = []
+def _phi_geometric_mean_instances(plan):
     for seed in plan.seed_list():
         m = max(2, plan.dim_for(seed))
         k = max(1, m - 1 - seed % 2)
-        phi = random_isometry_map(m, k, _mix(seed, 37))
-        a = random_spd(m, _mix(seed, 41), 0.5, 2.0)
-        b = random_spd(m, _mix(seed, 43), 0.5, 2.0)
-        reports.append(check_phi_geometric_mean(a, b, phi, tol))
-    # Equality case: a unitary conjugation commutes with the mean.
-    m = 3
-    phi = random_isometry_map(m, m, _mix(3, 47))
-    a = random_spd(m, _mix(3, 53), 0.5, 2.0)
-    b = random_spd(m, _mix(3, 59), 0.5, 2.0)
-    eq = check_phi_geometric_mean(a, b, phi, tol)
-    reports.append(eq)
-    return _aggregate("phi_geometric_mean", plan, reports,
-                      {"equality_case_margin": eq.margin})
+        yield _spd(m, seed, 41), _spd(m, seed, 43), random_isometry_map(m, k, _mix(seed, 37))
 
 
-def _drive_phi_wass(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    for idx, seed in enumerate(plan.seed_list()):
+def _phi_wass_instances(plan):
+    for seed in plan.seed_list():
         m = max(2, plan.dim_for(seed))
         k = m if seed % 3 == 0 else max(1, m - 1)
         phi = random_isometry_map(m, k, _mix(seed, 61))
-        e = random_ensemble(m, (2, 3)[seed % 2], seed)
-        reports.append(check_phi_wass(e, phi, cfg, tol, explore=idx == 0))
-    return _aggregate("phi_wass", plan, reports)
+        yield random_ensemble(m, (2, 3)[seed % 2], seed), phi
 
 
-def _drive_self_duality_gap(plan):
-    cfg = bc.SolverConfig()
-    seeds = plan.seed_list()[: min(8, len(plan.seed_list()))]
-    reports = []
-    for seed in seeds:
-        e = random_ensemble(max(2, plan.dim_for(seed)), 2 + seed % 2, seed)
-        reports.append(check_self_duality_gap(e, cfg))
-    best = max(reports, key=lambda r: r.details["gap"])
-    agg = _aggregate("self_duality_gap", plan, reports,
-                     {"max_gap": best.details["gap"]})
-    # One demonstrated counterexample suffices; generic instances all show it.
-    agg.holds = any(r.holds for r in reports)
-    return agg
+def _commuting_pair(m, seed, salt):
+    return random_commuting_spds(m, 2, _mix(seed, salt), 0.5, 2.0)
 
 
-def _drive_tensor_identity(plan):
-    cfg = bc.SolverConfig()
-    reports = []
-    for seed in plan.seed_list():
-        n = 2 + seed % 2
-        a = random_ensemble(2, n, _mix(seed, 67))
-        b = random_ensemble(2, n, _mix(seed, 71))
-        reports.append(check_tensor_identity(a, b, cfg))
-    # Equality case: singleton ensembles reproduce the plain Kronecker product.
-    sa = bc.Ensemble(weights=[1.0], matrices=[random_spd(2, _mix(4, 73), 0.5, 2.0)])
-    sb = bc.Ensemble(weights=[1.0], matrices=[random_spd(2, _mix(4, 79), 0.5, 2.0)])
-    eq = check_tensor_identity(sa, sb, cfg)
-    reports.append(eq)
-    return _aggregate("tensor_identity", plan, reports,
-                      {"equality_case_margin": eq.margin})
-
-
-def _drive_tensor_arithmetic_bound(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        n = 2 + seed % 2
-        a = random_ensemble(2, n, _mix(seed, 83))
-        b = random_ensemble(2, n, _mix(seed, 89))
-        reports.append(check_tensor_arithmetic_bound(a, b, cfg, tol))
-    sa = bc.Ensemble(weights=[1.0], matrices=[random_spd(2, _mix(5, 97), 0.5, 2.0)])
-    sb = bc.Ensemble(weights=[1.0], matrices=[random_spd(2, _mix(5, 101), 0.5, 2.0)])
-    eq = check_tensor_arithmetic_bound(sa, sb, cfg, tol)
-    reports.append(eq)
-    return _aggregate("tensor_arithmetic_bound", plan, reports,
-                      {"equality_case_margin": eq.margin})
-
-
-def _drive_hadamard_arithmetic_bound(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        m = plan.dim_for(seed)
-        n = 2 + seed % 2
-        a = random_ensemble(m, n, _mix(seed, 103))
-        b = random_ensemble(m, n, _mix(seed, 107))
-        reports.append(check_hadamard_arithmetic_bound(a, b, cfg, tol))
-    sa = bc.Ensemble(weights=[1.0], matrices=[random_spd(3, _mix(6, 109), 0.5, 2.0)])
-    sb = bc.Ensemble(weights=[1.0], matrices=[random_spd(3, _mix(6, 113), 0.5, 2.0)])
-    eq = check_hadamard_arithmetic_bound(sa, sb, cfg, tol)
-    reports.append(eq)
-    return _aggregate("hadamard_arithmetic_bound", plan, reports,
-                      {"equality_case_margin": eq.margin})
-
-
-def _drive_commuting_quadruple(plan):
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        m = plan.dim_for(seed)
-        a, b = random_commuting_spds(m, 2, _mix(seed, 127), 0.5, 2.0)
-        c, d = random_commuting_spds(m, 2, _mix(seed, 131), 0.5, 2.0)
-        reports.append(check_commuting_quadruple(a, b, c, d, tol))
-    # Equality case: coincident pairs zero out both sides.
-    a, _ = random_commuting_spds(3, 2, _mix(7, 137), 0.5, 2.0)
-    c, _ = random_commuting_spds(3, 2, _mix(7, 139), 0.5, 2.0)
-    eq = check_commuting_quadruple(a, a, c, c, tol)
-    reports.append(eq)
-    return _aggregate("commuting_quadruple", plan, reports,
-                      {"equality_case_margin": eq.margin})
-
-
-def _drive_hadamard_inverse(plan):
-    tol = _suite_tol(plan)
-    reports = []
+def _hadamard_inverse_instances(plan):
     for seed in plan.seed_list():
         m = min(4, plan.dim_for(seed))
-        a = random_spd(m, _mix(seed, 149), 0.5, 2.0)
-        b = random_spd(m, _mix(seed, 151), 0.5, 2.0)
-        reports.append(check_hadamard_inverse(a, b, tol))
-    eye = np.eye(2, dtype=np.complex128)
-    eq = check_hadamard_inverse(eye, eye, tol)
-    reports.append(eq)
-    return _aggregate("hadamard_inverse", plan, reports,
-                      {"equality_case_margin": eq.margin})
+        yield _spd(m, seed, 149), _spd(m, seed, 151)
 
 
-def _drive_kantorovich_hadamard(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        m = min(3, plan.dim_for(seed))
-        n = 2
-        a = random_ensemble(m, n, _mix(seed, 157))
-        b = random_ensemble(m, n, _mix(seed, 163))
-        reports.append(check_kantorovich_hadamard(a, b, cfg, tol))
-    eye = np.eye(2, dtype=np.complex128)
-    si = bc.Ensemble(weights=[1.0], matrices=[eye])
-    eq = check_kantorovich_hadamard(si, si, cfg, tol)
-    reports.append(eq)
-    return _aggregate("kantorovich_hadamard", plan, reports,
-                      {"equality_case_margin": eq.margin})
-
-
-def _drive_jensen_contraction(plan):
-    tol = _suite_tol(plan)
-    reports = []
-    powers = (0.25, 0.5, 0.75)
+def _jensen_instances(plan):
     for seed in plan.seed_list():
         m = plan.dim_for(seed)
-        a = random_spd(m, _mix(seed, 167), 0.5, 2.0)
         scale = 1.0 + (seed % 5) * 0.5
         x = scale * random_unitary(m, _mix(seed, 173))
-        reports.append(check_jensen_contraction(a, x, powers[seed % 3], tol))
-    # Equality cases: p = 1 always, p = 0 for unitary x.
-    a = random_spd(3, _mix(8, 179), 0.5, 2.0)
+        yield _spd(m, seed, 167), x, (0.25, 0.5, 0.75)[seed % 3]
+
+
+def _jensen_equality_cases():
+    # p = 1 always, p = 0 for unitary x.
+    a = _spd(3, 8, 179)
     u = random_unitary(3, _mix(8, 181))
-    eq_one = check_jensen_contraction(a, 2.0 * u, 1.0, tol)
-    eq_zero = check_jensen_contraction(a, u, 0.0, tol)
-    reports.extend([eq_one, eq_zero])
-    return _aggregate(
-        "jensen_contraction",
-        plan,
-        reports,
-        {"equality_case_margins": [eq_one.margin, eq_zero.margin]},
+    return [(a, 2.0 * u, 1.0), (a, u, 0.0)]
+
+
+def _finish_det_inequality(report, generic, equality):
+    eq = equality[0]
+    report.details["strict_on_distinct"] = all(
+        r.margin > 1e-10 and not r.details["equality"] for r in generic
+    )
+    report.details["equality_case_ok"] = (
+        eq.details["equality"] and eq.details["all_matrices_equal"] and abs(eq.margin) <= 1e-9
     )
 
 
-def _drive_sqrt_sum_lower_bound(plan):
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    reports = []
-    for seed in plan.seed_list():
-        m = plan.dim_for(seed)
-        n = 2
-        a = random_ensemble(m, n, _mix(seed, 191), eig_lo=1.0, eig_hi=3.0)
-        b = random_ensemble(m, n, _mix(seed, 193), eig_lo=1.0, eig_hi=3.0)
-        reports.append(check_sqrt_sum_lower_bound(a, b, cfg, tol))
-    eye = np.eye(2, dtype=np.complex128)
-    si = bc.Ensemble(weights=[1.0], matrices=[eye])
-    eq = check_sqrt_sum_lower_bound(si, si, cfg, tol)
-    reports.append(eq)
-    return _aggregate("sqrt_sum_lower_bound", plan, reports,
-                      {"equality_case_margin": eq.margin})
+def _finish_self_duality_gap(report, generic, equality):
+    report.details["max_gap"] = max(r.details["gap"] for r in generic)
+    # One demonstrated counterexample suffices; generic instances all show it.
+    report.holds = any(r.holds for r in generic)
 
 
-def _drive_corrupted_direction(plan):
-    # Test hook: the arithmetic-mean bound asserted in the wrong direction.
-    # Fails on any generic ensemble; never part of the default plan.
-    cfg = bc.SolverConfig()
-    tol = _suite_tol(plan)
-    seed = plan.seeds[0]
-    e = random_ensemble(max(2, plan.dim_for(seed)), 3, seed)
-    mean = _solve(e, cfg)
-    upper = arithmetic_mean(e.weights, e.matrices)
-    res = loewner_leq(upper, mean, tol)
+def _check_reversed_bound(ensemble, cfg, tol):
+    """Test hook: the arithmetic-mean bound asserted in the wrong direction,
+    which fails on any generic ensemble."""
+    upper = arithmetic_mean(ensemble.weights, ensemble.matrices)
+    res = loewner_leq(upper, _solve(ensemble, cfg), tol)
     return CheckReport(
         check_name="corrupted_direction",
         holds=res.holds,
         margin=res.margin,
-        inputs=plan.provenance(),
+        inputs={"dim": ensemble.dim, "count": ensemble.size},
         details={"note": "inequality direction deliberately reversed"},
     )
 
 
-CHECK_REGISTRY = {
-    "fixed_point": _drive_fixed_point,
-    "bounds": _drive_bounds,
-    "det_inequality": _drive_det_inequality,
-    "logdet_concavity": _drive_logdet_concavity,
-    "phi_geometric_mean": _drive_phi_geometric_mean,
-    "phi_wass": _drive_phi_wass,
-    "self_duality_gap": _drive_self_duality_gap,
-    "tensor_identity": _drive_tensor_identity,
-    "tensor_arithmetic_bound": _drive_tensor_arithmetic_bound,
-    "hadamard_arithmetic_bound": _drive_hadamard_arithmetic_bound,
-    "commuting_quadruple": _drive_commuting_quadruple,
-    "hadamard_inverse": _drive_hadamard_inverse,
-    "kantorovich_hadamard": _drive_kantorovich_hadamard,
-    "jensen_contraction": _drive_jensen_contraction,
-    "sqrt_sum_lower_bound": _drive_sqrt_sum_lower_bound,
-    "corrupted_direction": _drive_corrupted_direction,
+_EYE2 = np.eye(2, dtype=np.complex128)
+
+_CHECKS = {
+    "fixed_point": _Check(
+        instances=lambda plan: _ensembles(plan, (2, 3, 5)),
+        evaluate=lambda cfg, tol, e: check_fixed_point_certificate(e, cfg, tol),
+        # The singleton ensemble solves exactly.
+        equality_cases=lambda: [(_singleton(_spd(3, 0, 23)),)],
+    ),
+    "bounds": _Check(
+        instances=lambda plan: _ensembles(plan, (2, 3, 5)),
+        evaluate=lambda cfg, tol, e: bc.check_bounds(e, _solve(e, cfg), tol),
+        # The identity singleton makes both bounds tight.
+        equality_cases=lambda: [(_singleton(_EYE2),)],
+    ),
+    "det_inequality": _Check(
+        instances=lambda plan: _ensembles(plan, (2, 3)),
+        evaluate=lambda cfg, tol, e: bc.check_det_inequality(e, _solve(e, cfg), tol),
+        # A constant ensemble.
+        equality_cases=lambda: [
+            (bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=[_spd(3, 1, 29)] * 3),)
+        ],
+        finish=_finish_det_inequality,
+    ),
+    "logdet_concavity": _Check(
+        instances=lambda plan: ((e.weights, e.matrices) for (e,) in _ensembles(plan, (2, 3, 4))),
+        evaluate=lambda cfg, tol, w, mats: check_logdet_concavity(w, mats, tol),
+        equality_cases=lambda: [([0.5, 0.5], [_spd(3, 2, 31)] * 2)],
+    ),
+    "phi_geometric_mean": _Check(
+        instances=_phi_geometric_mean_instances,
+        evaluate=lambda cfg, tol, a, b, phi: check_phi_geometric_mean(a, b, phi, tol),
+        # A unitary conjugation commutes with the mean.
+        equality_cases=lambda: [
+            (_spd(3, 3, 53), _spd(3, 3, 59), random_isometry_map(3, 3, _mix(3, 47)))
+        ],
+    ),
+    "phi_wass": _Check(
+        instances=_phi_wass_instances,
+        evaluate=lambda cfg, tol, e, phi: check_phi_wass(e, phi, cfg, tol),
+    ),
+    "self_duality_gap": _Check(
+        instances=lambda plan: _ensembles(plan, (2, 3), min_dim=2, limit=8),
+        evaluate=lambda cfg, tol, e: check_self_duality_gap(e, cfg),
+        finish=_finish_self_duality_gap,
+    ),
+    "tensor_identity": _Check(
+        instances=lambda plan: _ensemble_pairs(plan, (67, 71), (2, 3), lambda s: 2),
+        evaluate=lambda cfg, tol, a, b: check_tensor_identity(a, b, cfg),
+        # Singleton ensembles reproduce the plain Kronecker product.
+        equality_cases=lambda: [(_singleton(_spd(2, 4, 73)), _singleton(_spd(2, 4, 79)))],
+    ),
+    "tensor_arithmetic_bound": _Check(
+        instances=lambda plan: _ensemble_pairs(plan, (83, 89), (2, 3), lambda s: 2),
+        evaluate=lambda cfg, tol, a, b: check_tensor_arithmetic_bound(a, b, cfg, tol),
+        equality_cases=lambda: [(_singleton(_spd(2, 5, 97)), _singleton(_spd(2, 5, 101)))],
+    ),
+    "hadamard_arithmetic_bound": _Check(
+        instances=lambda plan: _ensemble_pairs(plan, (103, 107), (2, 3)),
+        evaluate=lambda cfg, tol, a, b: check_hadamard_arithmetic_bound(a, b, cfg, tol),
+        equality_cases=lambda: [(_singleton(_spd(3, 6, 109)), _singleton(_spd(3, 6, 113)))],
+    ),
+    "commuting_quadruple": _Check(
+        instances=lambda plan: (
+            (*_commuting_pair(plan.dim_for(s), s, 127), *_commuting_pair(plan.dim_for(s), s, 131))
+            for s in plan.seed_list()
+        ),
+        evaluate=lambda cfg, tol, a, b, c, d: check_commuting_quadruple(a, b, c, d, tol),
+        # Coincident pairs zero out both sides.
+        equality_cases=lambda: [
+            (_commuting_pair(3, 7, 137)[0],) * 2 + (_commuting_pair(3, 7, 139)[0],) * 2
+        ],
+    ),
+    "hadamard_inverse": _Check(
+        instances=_hadamard_inverse_instances,
+        evaluate=lambda cfg, tol, a, b: check_hadamard_inverse(a, b, tol),
+        equality_cases=lambda: [(_EYE2, _EYE2)],
+    ),
+    "kantorovich_hadamard": _Check(
+        instances=lambda plan: _ensemble_pairs(
+            plan, (157, 163), (2,), lambda s: min(3, plan.dim_for(s))
+        ),
+        evaluate=lambda cfg, tol, a, b: check_kantorovich_hadamard(a, b, cfg, tol),
+        equality_cases=lambda: [(_singleton(_EYE2),) * 2],
+    ),
+    "jensen_contraction": _Check(
+        instances=_jensen_instances,
+        evaluate=lambda cfg, tol, a, x, p: check_jensen_contraction(a, x, p, tol),
+        equality_cases=_jensen_equality_cases,
+    ),
+    "sqrt_sum_lower_bound": _Check(
+        instances=lambda plan: _ensemble_pairs(plan, (191, 193), (2,), eig_lo=1.0, eig_hi=3.0),
+        evaluate=lambda cfg, tol, a, b: check_sqrt_sum_lower_bound(a, b, cfg, tol),
+        equality_cases=lambda: [(_singleton(_EYE2),) * 2],
+    ),
+    # Test hook: fails on any generic ensemble; never part of the default plan.
+    "corrupted_direction": _Check(
+        instances=lambda plan: _ensembles(plan, (3,), min_dim=2, limit=1),
+        evaluate=lambda cfg, tol, e: _check_reversed_bound(e, cfg, tol),
+    ),
 }
+
+# Each value maps a plan to the check's aggregate CheckReport.
+CHECK_REGISTRY = {name: partial(_run_check, name, check) for name, check in _CHECKS.items()}
 
 # "all" in plans and on the CLI expands to these (the hook check is opt-in).
 DEFAULT_CHECKS = tuple(n for n in CHECK_REGISTRY if n != "corrupted_direction")

@@ -16,9 +16,6 @@ from ._kernels import hermitianize
 # Construction rejects matrices with min eigenvalue <= SPD_FLOOR * max(1, ||A||_F).
 SPD_FLOOR = 1e-12
 
-# Condition-number ceiling beyond which a congruence factor counts as singular.
-SINGULAR_COND = 1e14
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -50,17 +47,6 @@ class LoewnerResult:
 
     holds: bool
     margin: float
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Hermitian eigendecomposition a = unitary @ diag(eigenvalues) @ unitary*.
-
-    Eigenvalues are ascending; the factor is unitary to working precision.
-    """
-
-    eigenvalues: np.ndarray
-    unitary: np.ndarray
 
 
 def as_complex_matrix(a, name="matrix"):
@@ -154,38 +140,6 @@ def require_spd_stack(mats, name="matrices"):
     return np.stack(validated)
 
 
-def eigh(a, name="matrix"):
-    """Checked Hermitian eigendecomposition with ascending eigenvalues.
-
-    Raises ``numpy.linalg.LinAlgError`` carrying the matrix norm and dimension
-    when the solver fails or the reconstruction drifts beyond
-    1e-10 * max(1, ||a||_F).
-    """
-    arr = require_hermitian(a, name=name)
-    m = arr.shape[0]
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"{name}: eigensolver failed for dimension {m}, "
-            f"Frobenius norm {frobenius(arr):.6e}: {exc}"
-        ) from exc
-    recon_err = frobenius((v * w) @ v.conj().T - arr)
-    bound = 1e-10 * max(1.0, frobenius(arr))
-    if recon_err > bound:
-        raise np.linalg.LinAlgError(
-            f"{name}: eigendecomposition reconstruction error {recon_err:.3e} "
-            f"exceeds {bound:.3e} (dimension {m}, norm {frobenius(arr):.6e})"
-        )
-    unitary_err = frobenius(v @ v.conj().T - np.eye(m))
-    if unitary_err > 1e-10 * m:
-        raise np.linalg.LinAlgError(
-            f"{name}: eigenvector factor drifted from unitarity by "
-            f"{unitary_err:.3e} (dimension {m})"
-        )
-    return EigenDecomposition(eigenvalues=w, unitary=np.ascontiguousarray(v))
-
-
 def matrix_power(a, t, name="matrix"):
     """a**t for positive definite a, computed spectrally."""
     arr = require_spd(a, name=name)
@@ -220,36 +174,18 @@ def loewner_leq(a, b, cfg=None):
     return LoewnerResult(holds=margin >= -cfg.loewner_tol * scale, margin=margin)
 
 
-def congruence(x, a, name="matrix"):
-    """Congruence transformation x a x*, re-symmetrized.
-
-    Rejects transformation factors whose condition number estimate exceeds
-    ``SINGULAR_COND``.
-    """
-    xm = as_complex_matrix(x, name="factor")
-    am = require_hermitian(a, name=name)
-    if xm.shape[0] != xm.shape[1] or xm.shape[1] != am.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: factor has shape {xm.shape}, "
-            f"matrix is {am.shape[0]}x{am.shape[0]}"
-        )
-    sv = np.linalg.svd(xm, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > SINGULAR_COND:
-        raise ValueError(
-            f"factor is singular to working precision "
-            f"(condition estimate {sv[0] / max(sv[-1], np.finfo(float).tiny):.3e})"
-        )
-    return hermitianize(xm @ am @ xm.conj().T)
-
-
-def random_unitary(m, seed):
-    """Haar-style random unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phases folded in (deterministic per seed)."""
-    rng = np.random.default_rng(seed)
+def _haar_unitary(rng, m):
+    """Haar-distributed unitary drawn from ``rng``: QR of a complex Ginibre
+    matrix with the R-diagonal phases folded in."""
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
-    return np.ascontiguousarray(q * (d / np.abs(d)))
+    return q * (d / np.abs(d))
+
+
+def random_unitary(m, seed):
+    """Haar random unitary, deterministic per seed."""
+    return np.ascontiguousarray(_haar_unitary(np.random.default_rng(seed), m))
 
 
 def random_hermitian(m, seed, scale=1.0):
@@ -265,10 +201,7 @@ def random_spd(m, seed, eig_lo, eig_hi):
     if not (0 < eig_lo <= eig_hi):
         raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    u = q * (d / np.abs(d))
+    u = _haar_unitary(rng, m)
     lam = rng.uniform(eig_lo, eig_hi, m)
     return hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T))
 

@@ -86,8 +86,10 @@ def ensemble_from_json_dict(doc, name="ensemble"):
     mats_doc = doc["matrices"]
     if not isinstance(mats_doc, list) or not mats_doc:
         raise FormatError(f"{name}.matrices: expected a non-empty array")
+    # Hermitian symmetry is checked here at the file tolerance; positive
+    # definiteness once, by Ensemble, over the whole stack.
     mats = [
-        matrix_from_json_dict(m, name=f"{name}.matrices[{j}]")
+        matrix_from_json_dict(m, name=f"{name}.matrices[{j}]", spd=False)
         for j, m in enumerate(mats_doc)
     ]
     try:
@@ -207,15 +209,6 @@ def load_ensemble(path):
 def save_ensemble(path, ensemble):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(ensemble_to_json_dict(ensemble)))
-
-
-def load_map_spec(path):
-    return map_spec_from_json_dict(_load_json(path), name=str(path))
-
-
-def save_map_spec(path, phi):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(map_spec_to_json_dict(phi)))
 
 
 def load_plan(path):

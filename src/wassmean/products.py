@@ -99,11 +99,6 @@ class PositiveMapSpec:
         return hermitianize(v.conj().T @ am @ v)
 
 
-def apply_map(phi, a):
-    """Functional form of ``PositiveMapSpec.apply``."""
-    return phi.apply(a)
-
-
 def ando_map(m):
     """The m^2 -> m diagonal compression with columns e_i (x) e_i.
 

@@ -207,14 +207,6 @@ def test_non_convergence_returns_best_iterate():
     assert np.linalg.eigvalsh(report.mean)[0] > 0
 
 
-def test_plain_iteration_also_converges():
-    e = _ensemble(95)
-    damped = wasserstein_mean(e)
-    plain = wasserstein_mean(e, SolverConfig(damped=False))
-    assert plain.converged
-    assert frobenius(plain.mean - damped.mean) <= 1e-8
-
-
 def test_explicit_init():
     e = _ensemble(97)
     report = wasserstein_mean(e, SolverConfig(init=np.eye(3, dtype=complex)))

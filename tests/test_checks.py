@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wassmean import barycenter
+from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble, SolverConfig
 from wassmean.checks import (
     DEFAULT_CHECKS,
@@ -104,13 +106,6 @@ def test_phi_wass_random_compressions():
         report = check_phi_wass(e, phi)
         assert report.holds
         assert report.margin >= -1e-8
-
-
-def test_phi_wass_exploration_detail():
-    phi = random_isometry_map(3, 2, seed=7)
-    e = random_ensemble(3, 2, 3)
-    report = check_phi_wass(e, phi, explore=True)
-    assert "compressed_mean_vs_mean_of_compressions_gap" in report.details
 
 
 def test_self_duality_gap_on_noncommuting_input():
@@ -398,6 +393,45 @@ def test_run_suite_captures_driver_errors(monkeypatch):
     reports = run_suite(SuitePlan(checks=("bounds",), seeds=(0, 2)))
     assert not reports[0].holds
     assert "synthetic failure" in reports[0].details["error"]
+
+
+# Where each default check's function lives; the suite must look it up there
+# at call time, so that a rebound attribute is the one that runs.
+CHECK_FUNCTIONS = {
+    "fixed_point": (checks_mod, "check_fixed_point_certificate"),
+    "bounds": (barycenter, "check_bounds"),
+    "det_inequality": (barycenter, "check_det_inequality"),
+    "logdet_concavity": (checks_mod, "check_logdet_concavity"),
+    "phi_geometric_mean": (checks_mod, "check_phi_geometric_mean"),
+    "phi_wass": (checks_mod, "check_phi_wass"),
+    "self_duality_gap": (checks_mod, "check_self_duality_gap"),
+    "tensor_identity": (checks_mod, "check_tensor_identity"),
+    "tensor_arithmetic_bound": (checks_mod, "check_tensor_arithmetic_bound"),
+    "hadamard_arithmetic_bound": (checks_mod, "check_hadamard_arithmetic_bound"),
+    "commuting_quadruple": (checks_mod, "check_commuting_quadruple"),
+    "hadamard_inverse": (checks_mod, "check_hadamard_inverse"),
+    "kantorovich_hadamard": (checks_mod, "check_kantorovich_hadamard"),
+    "jensen_contraction": (checks_mod, "check_jensen_contraction"),
+    "sqrt_sum_lower_bound": (checks_mod, "check_sqrt_sum_lower_bound"),
+}
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_suite_calls_rebound_check_functions_once_per_instance(monkeypatch):
+    assert set(CHECK_FUNCTIONS) == set(DEFAULT_CHECKS)
+    counts = dict.fromkeys(CHECK_FUNCTIONS, 0)
+    for name, (module, attr) in CHECK_FUNCTIONS.items():
+        monkeypatch.setattr(module, attr, _counting(counts, name, getattr(module, attr)))
+    reports = run_suite(default_plan(seeds=(0, 10)))
+    assert {r.check_name: r.details["instances"] for r in reports} == counts
+    assert all(r.holds for r in reports)
 
 
 def test_plan_rejects_unknown_check():

@@ -9,6 +9,7 @@ from wassmean.hermitian import frobenius
 from wassmean.io import load_ensemble, matrix_to_json_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write_json(path, payload):
@@ -217,6 +218,15 @@ def test_verify_default_plan_exits_0(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc) == 15
     assert all(r["holds"] and not r["skipped"] for r in doc)
+
+
+def test_verify_all_matches_golden_file(capsys):
+    # Canonical JSON of the whole suite on seeds [0, 50): a change to any
+    # margin, detail key or instance count of any check shows here.
+    code = main(["verify", "--checks", "all", "--seed", "0", "--seed-count", "50"])
+    assert code == 0
+    golden = (GOLDEN / "verify_all_seed0_count50.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
 
 
 def test_verify_plan_file(tmp_path):

@@ -99,6 +99,32 @@ def test_ensemble_rejects_missing_fields_and_naming():
                 {"dim": 2, "re": [[1.0, 0.3], [0.0, 1.0]]},
             ],
         })
+    with pytest.raises(FormatError, match=r"^f\.json\.matrices\[1\]: not positive definite"):
+        ensemble_from_json_dict({
+            "weights": [0.5, 0.5],
+            "matrices": [
+                matrix_to_json_dict(np.eye(2)),
+                {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]},
+            ],
+        }, name="f.json")
+
+
+def test_ensemble_load_runs_one_eigen_solve(tmp_path, monkeypatch):
+    # The loader checks each matrix for symmetry only; Ensemble checks
+    # positive definiteness once, in one batched eigvalsh over the stack.
+    mats = [random_spd(3, seed=s, eig_lo=0.5, eig_hi=2.0) for s in (1, 2, 3)]
+    path = tmp_path / "e.json"
+    save_ensemble(path, Ensemble(weights=[0.2, 0.3, 0.5], matrices=mats))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    load_ensemble(path)
+    assert shapes == [(3, 3, 3)]
 
 
 def test_ensemble_dimension_mismatch_named():

@@ -50,7 +50,7 @@ def loop_residual(x, mats, weights):
     return _fro(np.eye(m).astype(np.complex128) - acc)
 
 
-def loop_solve(mats, weights, x0, max_iter, tol, damped):
+def loop_solve(mats, weights, x0, max_iter, tol):
     n = mats.shape[0]
     m = mats.shape[1]
     eye = np.eye(m).astype(np.complex128)
@@ -80,7 +80,7 @@ def loop_solve(mats, weights, x0, max_iter, tol, damped):
             break
         if it == max_iter:
             break
-        x = _sym(k_ @ x @ k_) if damped else s.copy()
+        x = _sym(k_ @ x @ k_)
         iters += 1
     return best_x, iters, best_res, status
 
@@ -106,22 +106,12 @@ def _case(m, n, lo, hi, seed):
 def test_stacked_solver_matches_loop_reference(m, n, lo, hi, seed):
     mats, w = _case(m, n, lo, hi, seed)
     x0 = k.weighted_sum(w, mats)
-    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11, True)
-    want = loop_solve(mats, w, x0, 200, 1e-11, True)
+    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
+    want = loop_solve(mats, w, x0, 200, 1e-11)
     assert _rel(got[0], want[0]) <= 1e-13
     assert got[1] == want[1]
     assert got[3] == want[3] == k.SOLVE_CONVERGED
     assert got[2] == pytest.approx(want[2], abs=1e-13)
-
-
-def test_stacked_plain_update_matches_loop_reference():
-    mats, w = _case(4, 5, 0.5, 2.0, 3)
-    x0 = k.weighted_sum(w, mats)
-    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11, False)
-    want = loop_solve(mats, w, x0, 200, 1e-11, False)
-    assert _rel(got[0], want[0]) <= 1e-13
-    assert got[1] == want[1]
-    assert got[3] == want[3]
 
 
 @pytest.mark.parametrize("m,n,lo,hi,seed", CASES[::3])
@@ -174,7 +164,7 @@ def test_solver_bitwise_deterministic():
     mats = _stack([10, 11])
     w = validate_weights([0.4, 0.6])
     x0 = np.einsum("j,jkl->kl", w, mats)
-    first = k.wasserstein_solve(mats, w, x0, 200, 1e-11, True)
-    second = k.wasserstein_solve(mats, w, x0, 200, 1e-11, True)
+    first = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
+    second = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
     assert np.array_equal(first[0], second[0])
     assert first[1:] == second[1:]

@@ -6,7 +6,6 @@ from wassmean.hermitian import frobenius, matrix_power, random_spd
 from wassmean.products import (
     PositiveMapSpec,
     ando_map,
-    apply_map,
     ensemble_tensor,
     hadamard,
     kron,
@@ -152,7 +151,7 @@ def test_ensemble_tensor_pairing_tracks_permutation():
 
 
 def test_diagonal_compression_selects_diagonal_blocks():
-    got = apply_map(ando_map(2), np.diag([3.0, 4.0, 6.0, 8.0]).astype(complex))
+    got = ando_map(2).apply(np.diag([3.0, 4.0, 6.0, 8.0]).astype(complex))
     assert np.allclose(got, np.diag([3.0, 8.0]))
 
 

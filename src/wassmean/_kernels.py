@@ -19,7 +19,7 @@ SOLVE_BREAKDOWN = 2
 
 def _adjoint(a):
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2).conj()
+    return a.swapaxes(-1, -2).conj()
 
 
 def hermitianize(a):
@@ -93,12 +93,18 @@ def wasserstein_solve(mats, weights, x0, max_iter, tol):
     damped map x' = k x k, which converges globally. Summation order is the
     matrix index order, fixed for determinism.
 
-    Returns (best iterate, update steps taken, best residual, status) with
-    status 0 converged / 1 iteration budget exhausted / 2 loss of positivity.
+    The congruences' eigenvalues also give the root traces
+    t_j = tr (x^{1/2} a_j x^{1/2})^{1/2}, so d^2(x, a_j) = tr((x + a_j)/2) - t_j
+    at the best iterate costs no further eigen-solve.
+
+    Returns (best iterate, update steps taken, best residual, status, root
+    traces t_j at the best iterate) with status 0 converged / 1 iteration
+    budget exhausted / 2 loss of positivity.
     """
     eye = np.eye(mats.shape[1], dtype=np.complex128)
     x = x0.copy()
     best_x = x0.copy()
+    best_traces = np.full(mats.shape[0], np.nan)
     best_res = np.inf
     status = SOLVE_MAX_ITER
     iters = 0
@@ -108,12 +114,14 @@ def wasserstein_solve(mats, weights, x0, max_iter, tol):
             status = SOLVE_BREAKDOWN
             break
         rs, ris = _roots(w, v)
-        s = weighted_sum(weights, spd_power(hermitianize(rs @ mats @ rs), 0.5))
+        cw, cv = np.linalg.eigh(hermitianize(rs @ mats @ rs))
+        s = weighted_sum(weights, _from_spectrum(cv, cw**0.5))
         k = hermitianize(ris @ s @ ris)
         res = _fro(eye - k)
         if res < best_res:
             best_res = res
             best_x = x.copy()
+            best_traces = np.sqrt(np.maximum(cw, 0.0)).sum(axis=-1)
         if res <= tol:
             status = SOLVE_CONVERGED
             break
@@ -121,4 +129,4 @@ def wasserstein_solve(mats, weights, x0, max_iter, tol):
             break
         x = hermitianize(k @ x @ k)
         iters += 1
-    return best_x, iters, best_res, status
+    return best_x, iters, best_res, status, best_traces

@@ -11,9 +11,15 @@ The solver iterates the damped self-map x' = k x k with
 k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, and stops on
 the Frobenius residual ||I - k||_F.
 
-An ``Ensemble`` validates its matrices once, into an (n, m, m) stack; the
-solver, the diagnostics and the order checks trust that stack and pass it
-whole to the stacked kernels of ``_kernels``.
+An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
+stack; the solver, the diagnostics and the order checks trust that stack and
+pass it whole to the stacked kernels of ``_kernels``.
+
+A solve's ``objective`` comes from the solver's last eigendecomposition: the
+kernel returns the root traces tr (x^{1/2} A_j x^{1/2})^{1/2} of the best
+iterate x, so sum_j w_j d^2(x, A_j) needs no second eigen-pass.
+``objective(x, ensemble)`` stays the independent route, evaluating the
+distances afresh, and ``residual`` the certificate.
 """
 
 from dataclasses import dataclass
@@ -41,12 +47,20 @@ class SolverBreakdownError(RuntimeError):
     """An iterate lost positive definiteness; the run cannot continue."""
 
 
+def _frozen_copy(a):
+    out = np.array(a, order="C")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Weight vector paired with same-dimension SPD matrices.
 
     ``matrices`` is stored as a C-order (n, m, m) complex128 stack; both
-    fields are validated on construction, the matrices in one batched pass.
+    fields are validated on construction, the matrices in one batched pass,
+    and stored as the ensemble's own read-only copies, so an ensemble can be
+    shared without being changed behind its users' backs.
     """
 
     weights: np.ndarray
@@ -54,11 +68,11 @@ class Ensemble:
 
     def __post_init__(self):
         w = validate_weights(self.weights)
-        mats = np.ascontiguousarray(require_spd_stack(self.matrices, name="matrices"))
+        mats = require_spd_stack(self.matrices, name="matrices")
         if mats.shape[0] != w.size:
             raise ValueError(f"count mismatch: {w.size} weights, {mats.shape[0]} matrices")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "weights", _frozen_copy(w))
+        object.__setattr__(self, "matrices", _frozen_copy(mats))
 
     @property
     def size(self):
@@ -121,7 +135,9 @@ def wasserstein_mean(ensemble, config=None):
 
     Non-convergence within the iteration budget returns the best iterate with
     ``converged=False``; loss of positivity raises ``SolverBreakdownError``.
-    Deterministic for fixed inputs (fixed summation order).
+    Deterministic for fixed inputs (fixed summation order). The report's
+    ``objective`` is taken from the root traces the solver returns with its
+    best iterate, under the same round-off clamp as ``objective``.
     """
     if config is None:
         config = SolverConfig()
@@ -133,7 +149,7 @@ def wasserstein_mean(ensemble, config=None):
             raise ValueError(
                 f"init: dimension {x0.shape[0]} does not match ensemble dimension {ensemble.dim}"
             )
-    x, iters, res, status = _k.wasserstein_solve(
+    x, iters, res, status, root_traces = _k.wasserstein_solve(
         ensemble.matrices,
         ensemble.weights,
         x0,
@@ -145,11 +161,12 @@ def wasserstein_mean(ensemble, config=None):
             f"iterate lost positive definiteness after {iters} iterations "
             f"(dimension {ensemble.dim}, {ensemble.size} matrices)"
         )
+    scales = _distance_scale(x, ensemble.matrices)
     return SolverReport(
         mean=x,
         iterations=iters,
         residual=float(res),
-        objective=objective(x, ensemble),
+        objective=_weighted_squared_distances(ensemble.weights, scales - root_traces, scales),
         converged=status == _k.SOLVE_CONVERGED,
     )
 
@@ -165,14 +182,24 @@ def residual(x, ensemble):
 
 def objective(x, ensemble):
     """Weighted sum of squared distances sum_j w_j d^2(x, A_j), with the
-    distance's round-off clamp applied to every term."""
+    distance's round-off clamp applied to every term.
+
+    Evaluates every distance afresh at any candidate ``x``: the route
+    independent of the root traces behind ``SolverReport.objective``."""
     xm = require_spd(x, name="candidate")
     if xm.shape[0] != ensemble.dim:
         raise ValueError(f"dimension mismatch: {xm.shape[0]} vs {ensemble.dim}")
     gaps = _k.bw_gap(xm, ensemble.matrices)
-    scales = _distance_scale(xm, ensemble.matrices)
+    return _weighted_squared_distances(
+        ensemble.weights, gaps, _distance_scale(xm, ensemble.matrices)
+    )
+
+
+def _weighted_squared_distances(weights, gaps, scales):
+    """sum_j w_j d_j^2 from the squared-distance gaps and their scales, each
+    clamped as a distance is."""
     total = 0.0
-    for wj, gap, scale in zip(ensemble.weights, gaps, scales):
+    for wj, gap, scale in zip(weights, gaps, scales):
         total += wj * _clamped_sqrt(gap, scale, "distance") ** 2
     return float(total)
 
@@ -229,8 +256,9 @@ def check_det_inequality(ensemble, x, cfg=None):
         cfg = ToleranceConfig()
     xm = require_spd(x, name="mean")
     margin = log_det(xm)
-    for j in range(ensemble.size):
-        margin -= float(ensemble.weights[j]) * log_det(ensemble.matrices[j])
+    log_dets = np.log(np.linalg.eigvalsh(ensemble.matrices)).sum(axis=-1)
+    for wj, log_det_j in zip(ensemble.weights, log_dets):
+        margin -= float(wj) * float(log_det_j)
     equality = margin <= 1e-9
     all_equal = all(
         frobenius(ensemble.matrices[j] - ensemble.matrices[0]) <= 1e-8

@@ -8,9 +8,14 @@ relative error for identities). ``run_suite`` drives every registered check
 over seeded random instances, always including the known equality cases:
 one generic driver runs each entry of a table that declares the check's
 instances, its equality cases and the call that evaluates them.
+
+Within one ``run_suite`` call each seeded ensemble is built once and solved
+once: checks that draw the same ``random_ensemble`` arguments share the
+ensemble and its solve report through a memo that lives only for that call.
 """
 
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,6 +34,7 @@ from .hermitian import (
     random_spd,
     random_unitary,
     require_spd,
+    require_spd_stack,
     sqrtm,
 )
 from .means import arithmetic_mean, geometric_mean, kantorovich, validate_weights
@@ -43,6 +49,11 @@ from .reports import CheckReport
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
+
+# The memo of the running ``run_suite`` call, None outside one: ensembles keyed
+# by ``random_ensemble``'s arguments, and solve reports keyed by the id of an
+# ensemble that the entry itself keeps alive.
+_SUITE_MEMO = ContextVar("suite_memo", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +73,20 @@ def random_weights(n, seed):
 
 
 def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
-    """Seeded random ensemble; ``commuting=True`` shares one eigenbasis."""
+    """Seeded random ensemble; ``commuting=True`` shares one eigenbasis.
+
+    Inside ``run_suite`` equal arguments return the same (read-only)
+    ensemble."""
+    memo = _SUITE_MEMO.get()
+    if memo is None:
+        return _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting)
+    key = ("ensemble", m, n, seed, eig_lo, eig_hi, commuting)
+    if key not in memo:
+        memo[key] = _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting)
+    return memo[key]
+
+
+def _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting):
     if commuting:
         mats = random_commuting_spds(m, n, _mix(seed, 11), eig_lo, eig_hi)
     else:
@@ -70,8 +94,24 @@ def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
     return bc.Ensemble(weights=random_weights(n, _mix(seed, 17)), matrices=mats)
 
 
+def _mean_report(ensemble, cfg):
+    """``bc.wasserstein_mean(ensemble, cfg)``, solved once per ensemble and
+    config inside ``run_suite``."""
+    memo = _SUITE_MEMO.get()
+    if memo is None:
+        return bc.wasserstein_mean(ensemble, cfg)
+    key = ("solve", id(ensemble), cfg)
+    if key not in memo:
+        report = bc.wasserstein_mean(ensemble, cfg)
+        report.mean.flags.writeable = False
+        # The entry holds the ensemble, so its id cannot be reused while the
+        # memo lives.
+        memo[key] = (ensemble, report)
+    return memo[key][1]
+
+
 def _solve(ensemble, cfg):
-    report = bc.wasserstein_mean(ensemble, cfg)
+    report = _mean_report(ensemble, cfg)
     if not report.converged:
         raise RuntimeError(
             f"barycenter solve did not converge (residual {report.residual:.3e})"
@@ -87,9 +127,10 @@ def check_fixed_point_certificate(ensemble, cfg=None, tol=None):
     """Both residual forms of the mean's defining equation at the solved mean."""
     if tol is None:
         tol = ToleranceConfig()
-    report = bc.wasserstein_mean(ensemble, cfg)
+    report = _mean_report(ensemble, cfg)
     eq_res = bc.residual(report.mean, ensemble)
-    root = sqrtm(report.mean)
+    # The solver's mean is exactly Hermitian and positive definite.
+    root = _k.spd_power(report.mean, 0.5)
     roots = _k.spd_power(hermitianize(root @ ensemble.matrices @ root), 0.5)
     acc = _k.weighted_sum(ensemble.weights, roots)
     fp_res = frobenius(report.mean - acc) / frobenius(report.mean)
@@ -115,7 +156,8 @@ def check_logdet_concavity(weights, mats, tol=None):
         tol = ToleranceConfig()
     w = validate_weights(weights)
     mix = arithmetic_mean(w, mats)
-    margin = log_det(mix) - sum(float(wj) * log_det(m) for wj, m in zip(w, mats))
+    log_dets = np.log(np.linalg.eigvalsh(require_spd_stack(mats))).sum(axis=-1)
+    margin = log_det(mix) - sum(float(wj) * float(ld) for wj, ld in zip(w, log_dets))
     all_equal = all(frobenius(np.asarray(m) - np.asarray(mats[0])) <= 1e-8 for m in mats)
     return CheckReport(
         check_name="logdet_concavity",
@@ -238,13 +280,7 @@ def check_hadamard_arithmetic_bound(a, b, cfg=None, tol=None):
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     lhs = hadamard(_solve(a, cfg), _solve(b, cfg))
-    w = weight_tensor(a.weights, b.weights)
-    rhs = np.zeros((a.dim, a.dim), dtype=np.complex128)
-    idx = 0
-    for i in range(a.size):
-        for j in range(b.size):
-            rhs += w[idx] * hadamard(a.matrices[i], b.matrices[j])
-            idx += 1
+    rhs = _k.weighted_sum(weight_tensor(a.weights, b.weights), _hadamard_pairs(a, b))
     res = loewner_leq(lhs, hermitianize(rhs), tol)
     return CheckReport(
         check_name="hadamard_arithmetic_bound",
@@ -311,13 +347,14 @@ def check_hadamard_inverse(a, b, tol=None):
 
 
 def _spectral_box(mats):
-    lo = np.inf
-    hi = 0.0
-    for m in mats:
-        eigs = np.linalg.eigvalsh(m)
-        lo = min(lo, float(eigs[0]))
-        hi = max(hi, float(eigs[-1]))
-    return lo, hi
+    eigs = np.linalg.eigvalsh(mats)
+    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+
+
+def _hadamard_pairs(a, b):
+    """Stack of all Hadamard pairs A_i o B_j, in ``weight_tensor`` order
+    (second index fastest)."""
+    return (a.matrices[:, None] * b.matrices[None, :]).reshape(-1, a.dim, a.dim)
 
 
 def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
@@ -334,12 +371,8 @@ def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
     )
     xy = hadamard(x, y)
     root = sqrtm(xy)
-    rhs = np.zeros_like(xy)
-    for i in range(a.size):
-        for j in range(b.size):
-            wij = a.weights[i] * b.weights[j]
-            inner = hermitianize(root @ hadamard(a.matrices[i], b.matrices[j]) @ root)
-            rhs += wij * sqrtm(inner)
+    inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
+    rhs = _k.weighted_sum(weight_tensor(a.weights, b.weights), _k.spd_power(inner, 0.5))
     res = loewner_leq(xy, constant * hermitianize(rhs), tol)
     return CheckReport(
         check_name="kantorovich_hadamard",
@@ -403,12 +436,9 @@ def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
     alpha, beta = _spectral_box(a.matrices)
     gamma, delta = _spectral_box(b.matrices)
     constant = 2.0 * np.sqrt(alpha * beta * gamma * delta) / (alpha * gamma + beta * delta)
-    lhs = np.zeros_like(eye)
-    for i in range(a.size):
-        for j in range(b.size):
-            lhs += a.weights[i] * b.weights[j] * sqrtm(
-                hadamard(a.matrices[i], b.matrices[j])
-            )
+    lhs = _k.weighted_sum(
+        weight_tensor(a.weights, b.weights), _k.spd_power(_hadamard_pairs(a, b), 0.5)
+    )
     res = loewner_leq(constant * eye, hermitianize(lhs), tol)
     return CheckReport(
         check_name="sqrt_sum_lower_bound",
@@ -741,20 +771,27 @@ def default_plan(**overrides):
 
 def run_suite(plan):
     """Run every check in the plan; a failing driver is captured in its
-    report rather than aborting the suite. Reports follow plan order."""
+    report rather than aborting the suite. Reports follow plan order.
+
+    Seeded ensembles and their solves are shared between the checks of this
+    call only; the memo is dropped when the call returns."""
     reports = []
-    for name in plan.checks:
-        driver = CHECK_REGISTRY[name]
-        try:
-            reports.append(driver(plan))
-        except Exception as exc:  # noqa: BLE001 - captured per report
-            reports.append(
-                CheckReport(
-                    check_name=name,
-                    holds=False,
-                    margin=-np.inf,
-                    inputs=plan.provenance(),
-                    details={"error": f"{type(exc).__name__}: {exc}"},
+    token = _SUITE_MEMO.set({})
+    try:
+        for name in plan.checks:
+            driver = CHECK_REGISTRY[name]
+            try:
+                reports.append(driver(plan))
+            except Exception as exc:  # noqa: BLE001 - captured per report
+                reports.append(
+                    CheckReport(
+                        check_name=name,
+                        holds=False,
+                        margin=-np.inf,
+                        inputs=plan.provenance(),
+                        details={"error": f"{type(exc).__name__}: {exc}"},
+                    )
                 )
-            )
+    finally:
+        _SUITE_MEMO.reset(token)
     return reports

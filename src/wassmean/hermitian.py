@@ -188,13 +188,6 @@ def random_unitary(m, seed):
     return np.ascontiguousarray(_haar_unitary(np.random.default_rng(seed), m))
 
 
-def random_hermitian(m, seed, scale=1.0):
-    """Random Hermitian matrix with independent Gaussian entries."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    return hermitianize(np.ascontiguousarray(scale * g))
-
-
 def random_spd(m, seed, eig_lo, eig_hi):
     """Random positive definite matrix with spectrum drawn uniformly in
     [eig_lo, eig_hi], conjugated by a seeded random unitary."""

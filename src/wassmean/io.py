@@ -1,5 +1,4 @@
-"""JSON interchange for matrices, ensembles, positive maps, suite plans and
-reports.
+"""JSON interchange for matrices, ensembles, suite plans and reports.
 
 Matrix files are ``{"dim": m, "re": [[...]], "im": [[...]]}`` with ``im``
 optional (zero when absent), row-major, IEEE-754 doubles. Hermitian symmetry
@@ -15,7 +14,6 @@ import numpy as np
 from .barycenter import Ensemble
 from .checks import DEFAULT_CHECKS, SuitePlan
 from .hermitian import require_hermitian, require_spd
-from .products import PositiveMapSpec, ando_map
 
 HERMITIAN_LOAD_ATOL = 1e-12
 
@@ -103,46 +101,6 @@ def ensemble_to_json_dict(ensemble):
         "weights": [float(w) for w in ensemble.weights],
         "matrices": [matrix_to_json_dict(ensemble.matrices[j])
                      for j in range(ensemble.size)],
-    }
-
-
-def map_spec_from_json_dict(doc, name="map"):
-    if not isinstance(doc, dict):
-        raise FormatError(f"{name}: expected an object")
-    kind = doc.get("kind")
-    if kind == "ando":
-        m = doc.get("m")
-        if not isinstance(m, int) or m < 1:
-            raise FormatError(f"{name}.m: expected a positive integer, got {m!r}")
-        return ando_map(m)
-    if kind == "isometry":
-        if "v_re" not in doc:
-            raise FormatError(f"{name}.v_re: missing")
-        v_re = np.asarray(doc["v_re"], dtype=np.float64)
-        if v_re.ndim != 2:
-            raise FormatError(f"{name}.v_re: expected a 2-d grid")
-        if "v_im" in doc and doc["v_im"] is not None:
-            v_im = np.asarray(doc["v_im"], dtype=np.float64)
-            if v_im.shape != v_re.shape:
-                raise FormatError(
-                    f"{name}.v_im: shape {v_im.shape} != v_re shape {v_re.shape}"
-                )
-        else:
-            v_im = np.zeros_like(v_re)
-        try:
-            return PositiveMapSpec(kind="isometry", isometry=v_re + 1j * v_im)
-        except ValueError as exc:
-            raise FormatError(f"{name}: {exc}") from None
-    raise FormatError(f"{name}.kind: expected 'isometry' or 'ando', got {kind!r}")
-
-
-def map_spec_to_json_dict(phi):
-    if phi.kind == "ando":
-        return {"kind": "ando", "m": phi.target_dim}
-    return {
-        "kind": "isometry",
-        "v_re": phi.isometry.real.tolist(),
-        "v_im": phi.isometry.imag.tolist(),
     }
 
 

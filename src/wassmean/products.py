@@ -48,11 +48,14 @@ def ensemble_tensor(a, b):
     Pair order matches ``weight_tensor`` (second index fastest), a frozen
     contract: weights[i*k + j] goes with matrices[i*k + j] = A_i (x) B_j.
     """
-    mats = []
-    for i in range(a.size):
-        for j in range(b.size):
-            mats.append(np.kron(a.matrices[i], b.matrices[j]))
-    return Ensemble(weights=weight_tensor(a.weights, b.weights), matrices=mats)
+    # pairs[i, j, r, p, c, q] = A_i[r, c] * B_j[p, q], which is
+    # (A_i (x) B_j)[r*k + p, c*k + q] for k = b.dim.
+    pairs = a.matrices[:, None, :, None, :, None] * b.matrices[None, :, None, :, None, :]
+    m = a.dim * b.dim
+    return Ensemble(
+        weights=weight_tensor(a.weights, b.weights),
+        matrices=pairs.reshape(a.size * b.size, m, m),
+    )
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,26 @@ def test_objective_zero_at_singleton_wide_spectrum():
     assert objective(a, e) <= 1e-12 * np.trace(a).real
 
 
+def test_solver_objective_matches_independent_route():
+    # The report's objective comes from the solver's own root traces;
+    # objective() evaluates every distance afresh.
+    shapes = ((2, 2, 0.5, 2.0), (3, 5, 0.1, 10.0), (5, 4, 1e-3, 1e3), (8, 3, 1e-3, 1e3))
+    for seed in range(10):
+        for m, n, lo, hi in shapes:
+            e = _ensemble(seed + 900, m=m, n=n, lo=lo, hi=hi)
+            report = wasserstein_mean(e)
+            assert report.converged
+            assert report.objective == pytest.approx(objective(report.mean, e), rel=1e-13, abs=0)
+
+
+def test_solver_objective_zero_at_singleton_wide_spectrum():
+    a = random_spd(6, seed=9, eig_lo=1e-3, eig_hi=1e3)
+    e = Ensemble(weights=[1.0], matrices=[a])
+    report = wasserstein_mean(e)
+    assert report.objective <= 1e-12 * np.trace(a).real
+    assert objective(report.mean, e) <= 1e-12 * np.trace(a).real
+
+
 def test_objective_matches_pairwise_distances():
     for seed in range(5):
         e = _ensemble(seed + 70, m=4, n=5, lo=0.1, hi=10.0)
@@ -337,6 +357,21 @@ def test_ensemble_stack_equals_per_matrix_validation():
     want = np.stack([require_spd(a) for a in mats])
     assert np.array_equal(e.matrices, want)
     assert e.matrices.flags["C_CONTIGUOUS"]
+
+
+def test_ensemble_arrays_are_read_only_copies():
+    w = np.array([0.25, 0.75])
+    mats = np.stack([np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)])
+    e = Ensemble(weights=w, matrices=mats)
+    with pytest.raises(ValueError, match="read-only"):
+        e.matrices[0, 0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        e.weights[0] = 0.5
+    # The caller's arrays stay writeable and are not shared.
+    w[0] = 0.5
+    mats[0, 0, 0] = 5.0
+    assert e.weights[0] == 0.25
+    assert e.matrices[0, 0, 0] == 1.0
 
 
 def test_solver_config_validation():

@@ -434,6 +434,58 @@ def test_suite_calls_rebound_check_functions_once_per_instance(monkeypatch):
     assert all(r.holds for r in reports)
 
 
+def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
+    solved = []
+    solve = barycenter.wasserstein_mean
+
+    def counted(ensemble, config=None):
+        solved.append(ensemble)
+        return solve(ensemble, config)
+
+    monkeypatch.setattr(barycenter, "wasserstein_mean", counted)
+    reports = run_suite(default_plan(seeds=(777, 787)))
+    assert all(r.holds for r in reports)
+    # ``solved`` keeps every ensemble alive, so equal ids are the same object.
+    assert len({id(e) for e in solved}) == len(solved) == 147
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_suite_memo_lives_only_inside_run_suite(monkeypatch):
+    sizes = []
+
+    def peek_then(exc):
+        def driver(plan):
+            sizes.append(len(checks_mod._SUITE_MEMO.get()))
+            raise exc
+
+        return driver
+
+    assert checks_mod._SUITE_MEMO.get() is None
+    monkeypatch.setitem(checks_mod.CHECK_REGISTRY, "bounds", peek_then(RuntimeError("boom")))
+    reports = run_suite(SuitePlan(checks=("fixed_point", "bounds"), seeds=(0, 2)))
+    assert "boom" in reports[1].details["error"]
+    assert checks_mod._SUITE_MEMO.get() is None
+
+    # A driver error the suite does not capture still drops the memo.
+    monkeypatch.setitem(checks_mod.CHECK_REGISTRY, "bounds", peek_then(_Abort()))
+    with pytest.raises(_Abort):
+        run_suite(SuitePlan(checks=("fixed_point", "bounds"), seeds=(0, 2)))
+    assert checks_mod._SUITE_MEMO.get() is None
+    # fixed_point had filled the memo before the failing driver ran.
+    assert sizes[0] > 0 and sizes[1] > 0
+
+
+def test_seeded_ensembles_are_not_shared_outside_run_suite():
+    first, second = random_ensemble(3, 2, 5), random_ensemble(3, 2, 5)
+    assert first is not second
+    assert np.array_equal(first.matrices, second.matrices)
+    report = checks_mod.CHECK_REGISTRY["bounds"](SuitePlan(checks=("bounds",), seeds=(0, 3)))
+    assert report.holds and report.details["instances"] == 4
+
+
 def test_plan_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown checks"):
         SuitePlan(checks=("no_such_check",))

@@ -47,6 +47,14 @@ def test_mean_bundled_fixture(capsys):
     assert np.allclose(doc["mean"]["re"], 2.25 * np.eye(2), atol=1e-9)
 
 
+def test_mean_fixture_matches_golden_file(capsys):
+    # Canonical JSON of ``mean`` on the bundled fixture, byte for byte.
+    code = main(["mean", str(FIXTURES / "two_point_commuting.json")])
+    assert code == 0
+    golden = (GOLDEN / "mean_two_point_commuting.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["mean", "/no/such/file.json"]) == 1
     assert "error:" in capsys.readouterr().err

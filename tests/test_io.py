@@ -13,8 +13,6 @@ from wassmean.io import (
     ensemble_to_json_dict,
     load_ensemble,
     load_matrix,
-    map_spec_from_json_dict,
-    map_spec_to_json_dict,
     matrix_from_json_dict,
     matrix_to_json_dict,
     plan_from_json_dict,
@@ -22,7 +20,6 @@ from wassmean.io import (
     save_ensemble,
     save_matrix,
 )
-from wassmean.products import ando_map, random_isometry_map
 
 
 def test_matrix_round_trip_complex(tmp_path):
@@ -134,25 +131,6 @@ def test_ensemble_dimension_mismatch_named():
     }
     with pytest.raises(FormatError, match="mixed dimensions"):
         ensemble_from_json_dict(doc)
-
-
-def test_map_spec_round_trips():
-    iso = random_isometry_map(4, 2, seed=5)
-    back = map_spec_from_json_dict(map_spec_to_json_dict(iso))
-    assert np.allclose(back.isometry, iso.isometry)
-    diag = ando_map(3)
-    back = map_spec_from_json_dict(map_spec_to_json_dict(diag))
-    assert back.kind == "ando"
-    assert np.array_equal(back.isometry, diag.isometry)
-
-
-def test_map_spec_rejects_bad_kind_and_grid():
-    with pytest.raises(FormatError, match="kind"):
-        map_spec_from_json_dict({"kind": "kraus"})
-    with pytest.raises(FormatError, match="v_re"):
-        map_spec_from_json_dict({"kind": "isometry"})
-    with pytest.raises(FormatError, match=r"\.m"):
-        map_spec_from_json_dict({"kind": "ando", "m": 0})
 
 
 def test_plan_round_trip_and_all_expansion():

@@ -56,6 +56,7 @@ def loop_solve(mats, weights, x0, max_iter, tol):
     eye = np.eye(m).astype(np.complex128)
     x = x0.copy()
     best_x = x0.copy()
+    best_traces = None
     best_res = np.inf
     status = k.SOLVE_MAX_ITER
     iters = 0
@@ -68,13 +69,17 @@ def loop_solve(mats, weights, x0, max_iter, tol):
         rs = _sym((v * sw) @ v.conj().T)
         ris = _sym((v * (1.0 / sw)) @ v.conj().T)
         s = np.zeros((m, m), dtype=np.complex128)
+        traces = np.zeros(n)
         for j in range(n):
-            s = s + weights[j] * _spd_power(_sym(rs @ mats[j] @ rs), 0.5)
+            root = _spd_power(_sym(rs @ mats[j] @ rs), 0.5)
+            traces[j] = np.trace(root).real
+            s = s + weights[j] * root
         k_ = _sym(ris @ s @ ris)
         res = _fro(eye - k_)
         if res < best_res:
             best_res = res
             best_x = x.copy()
+            best_traces = traces
         if res <= tol:
             status = k.SOLVE_CONVERGED
             break
@@ -82,7 +87,7 @@ def loop_solve(mats, weights, x0, max_iter, tol):
             break
         x = _sym(k_ @ x @ k_)
         iters += 1
-    return best_x, iters, best_res, status
+    return best_x, iters, best_res, status, best_traces
 
 
 # Fixed seed set: dimensions, ensemble sizes and spectra from well to badly
@@ -112,6 +117,30 @@ def test_stacked_solver_matches_loop_reference(m, n, lo, hi, seed):
     assert got[1] == want[1]
     assert got[3] == want[3] == k.SOLVE_CONVERGED
     assert got[2] == pytest.approx(want[2], abs=1e-13)
+
+
+@pytest.mark.parametrize("m,n,lo,hi,seed", CASES)
+def test_solver_root_traces_match_loop_reference(m, n, lo, hi, seed):
+    # t_j = tr (x^{1/2} A_j x^{1/2})^{1/2} at the returned best iterate, here
+    # as the trace of each per-matrix root rather than a sum of eigenvalues.
+    mats, w = _case(m, n, lo, hi, seed)
+    x0 = k.weighted_sum(w, mats)
+    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11)[4]
+    want = loop_solve(mats, w, x0, 200, 1e-11)[4]
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_solver_root_traces_belong_to_best_iterate():
+    # An unconverged solve returns its best iterate; the traces must be
+    # those of that iterate.
+    mats, w = _case(5, 16, 1e-3, 1e3, 0)
+    x0 = k.weighted_sum(w, mats)
+    x, _, _, status, traces = k.wasserstein_solve(mats, w, x0, 3, 1e-11)
+    assert status == k.SOLVE_MAX_ITER
+    rs = _spd_power(x, 0.5)
+    want = [np.trace(_spd_power(_sym(rs @ a @ rs), 0.5)).real for a in mats]
+    assert np.max(np.abs(traces - want) / want) <= 1e-13
 
 
 @pytest.mark.parametrize("m,n,lo,hi,seed", CASES[::3])
@@ -167,4 +196,5 @@ def test_solver_bitwise_deterministic():
     first = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
     second = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
     assert np.array_equal(first[0], second[0])
-    assert first[1:] == second[1:]
+    assert first[1:4] == second[1:4]
+    assert np.array_equal(first[4], second[4])

@@ -7,15 +7,21 @@ from .barycenter import (
     SolverBreakdownError,
     SolverConfig,
     SolverReport,
-    check_bounds,
-    check_det_inequality,
     commuting_closed_form,
     objective,
     residual,
     wasserstein_mean,
 )
 from .bures import GaussianParams, bw_distance, gaussian_w2, geodesic, hellinger
-from .checks import DEFAULT_CHECKS, SuitePlan, default_plan, run_suite
+from .checks import (
+    DEFAULT_CHECKS,
+    CheckReport,
+    SuitePlan,
+    check_bounds,
+    check_det_inequality,
+    default_plan,
+    run_suite,
+)
 from .hermitian import (
     LoewnerResult,
     ToleranceConfig,
@@ -39,7 +45,6 @@ from .products import (
     random_isometry_map,
     weight_tensor,
 )
-from .reports import CheckReport
 
 __version__ = "0.1.0"
 

@@ -1,6 +1,6 @@
 """Wasserstein mean of an SPD ensemble: fixed-point solver, residual and
-objective diagnostics, the commuting closed form, and the order/determinant
-consequences of being the minimizer.
+objective diagnostics, and the commuting closed form. The order and
+determinant consequences of being the minimizer are checked in ``checks``.
 
 The mean of (w, A_1..A_n) is the unique SPD solution X of
 
@@ -28,17 +28,8 @@ import numpy as np
 
 from . import _kernels as _k
 from .bures import _clamped_sqrt, _distance_scale
-from .hermitian import (
-    ToleranceConfig,
-    frobenius,
-    hermitianize,
-    log_det,
-    loewner_leq,
-    require_spd,
-    require_spd_stack,
-)
+from .hermitian import frobenius, hermitianize, require_spd, require_spd_stack
 from .means import validate_weights
-from .reports import CheckReport
 
 COMMUTATOR_RTOL = 1e-8
 
@@ -53,14 +44,15 @@ def _frozen_copy(a):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Weight vector paired with same-dimension SPD matrices.
 
     ``matrices`` is stored as a C-order (n, m, m) complex128 stack; both
     fields are validated on construction, the matrices in one batched pass,
     and stored as the ensemble's own read-only copies, so an ensemble can be
-    shared without being changed behind its users' backs.
+    shared without being changed behind its users' backs. Ensembles compare
+    and hash by identity: comparing array fields has no single truth value.
     """
 
     weights: np.ndarray
@@ -223,56 +215,3 @@ def commuting_closed_form(ensemble):
     acc = _k.weighted_sum(ensemble.weights, _k.spd_power(mats, 0.5))
     return hermitianize(acc @ acc)
 
-
-def check_bounds(ensemble, x, cfg=None):
-    """Both order bounds of the mean: 2I - sum_j w_j A_j^{-1} <= x <= sum_j w_j A_j."""
-    if cfg is None:
-        cfg = ToleranceConfig()
-    xm = require_spd(x, name="mean")
-    eye = np.eye(ensemble.dim, dtype=np.complex128)
-    inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
-    lower = hermitianize(2.0 * eye - inv_mix)
-    upper = _mix(ensemble.weights, ensemble.matrices)
-    low_res = loewner_leq(lower, xm, cfg)
-    up_res = loewner_leq(xm, upper, cfg)
-    return CheckReport(
-        check_name="bounds",
-        holds=low_res.holds and up_res.holds,
-        margin=min(low_res.margin, up_res.margin),
-        inputs={"dim": ensemble.dim, "count": ensemble.size,
-                "weights": [float(w) for w in ensemble.weights]},
-        details={"lower_margin": low_res.margin, "upper_margin": up_res.margin},
-    )
-
-
-def check_det_inequality(ensemble, x, cfg=None):
-    """Determinant gap of the mean: log det(x) - sum_j w_j log det(A_j) >= 0,
-    with equality exactly on constant ensembles.
-
-    The equality flag is raised when the log gap is <= 1e-9 and cross-checked
-    against the matrices actually coinciding within 1e-8.
-    """
-    if cfg is None:
-        cfg = ToleranceConfig()
-    xm = require_spd(x, name="mean")
-    margin = log_det(xm)
-    log_dets = np.log(np.linalg.eigvalsh(ensemble.matrices)).sum(axis=-1)
-    for wj, log_det_j in zip(ensemble.weights, log_dets):
-        margin -= float(wj) * float(log_det_j)
-    equality = margin <= 1e-9
-    all_equal = all(
-        frobenius(ensemble.matrices[j] - ensemble.matrices[0]) <= 1e-8
-        for j in range(1, ensemble.size)
-    )
-    return CheckReport(
-        check_name="det_inequality",
-        holds=margin >= -cfg.loewner_tol,
-        margin=float(margin),
-        inputs={"dim": ensemble.dim, "count": ensemble.size,
-                "weights": [float(w) for w in ensemble.weights]},
-        details={
-            "equality": bool(equality),
-            "all_matrices_equal": bool(all_equal),
-            "equality_condition_consistent": bool(equality == all_equal),
-        },
-    )

@@ -77,21 +77,17 @@ def bw_distance(a, b):
     return _clamped_sqrt(_k.bw_gap(am, bm), _distance_scale(am, bm), "distance")
 
 
-def _cross_sqrt(a, b):
-    # (a b)^{1/2} via the similarity a^{1/2} (a^{1/2} b a^{1/2})^{1/2} a^{-1/2}:
-    # principal root with positive spectrum even though a b is not Hermitian.
-    rs = _k.spd_power(a, 0.5)
-    ris = _k.spd_power(a, -0.5)
-    mid = _k.spd_power(hermitianize(rs @ b @ rs), 0.5)
-    return rs @ mid @ ris
-
-
 def geodesic(a, b, t):
     """Point on the Bures-Wasserstein geodesic from ``a`` to ``b``.
 
     .. math::
         a \\diamond_t b = (1-t)^2 a + t^2 b
                           + t(1-t)\\left[(ab)^{1/2} + (ba)^{1/2}\\right]
+                        = M a M, \\quad M = (1-t) I + t T
+
+    with the transport map T = a^{-1/2}(a^{1/2} b a^{1/2})^{1/2} a^{-1/2}
+    (T a T = b), as in Bhatia, Jain and Lim, Expo. Math. 2019. One
+    eigendecomposition of ``a`` gives a^{1/2} and a^{-1/2}.
 
     Parameters
     ----------
@@ -111,8 +107,10 @@ def geodesic(a, b, t):
     bm = require_spd(b, name="second matrix")
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    cross = _cross_sqrt(am, bm) + _cross_sqrt(bm, am)
-    return hermitianize((1 - t) ** 2 * am + t**2 * bm + t * (1 - t) * cross)
+    rs, ris = _k._roots(*np.linalg.eigh(am))
+    transport = hermitianize(ris @ _k.spd_power(hermitianize(rs @ bm @ rs), 0.5) @ ris)
+    step = (1 - t) * np.eye(am.shape[0], dtype=np.complex128) + t * transport
+    return hermitianize(step @ am @ step)
 
 
 def gaussian_w2(mu, nu):

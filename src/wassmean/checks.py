@@ -4,19 +4,19 @@ tensor-product and Hadamard-product properties.
 Each ``check_*`` function evaluates one inequality or identity on concrete
 inputs and returns a :class:`CheckReport` whose margin is the smallest
 eigenvalue of the slack matrix (log-gap for determinant checks, negated
-relative error for identities). ``run_suite`` drives every registered check
+relative error for identities); ``_order_report`` turns a check's Loewner
+comparisons into its report. ``run_suite`` drives every registered check
 over seeded random instances, always including the known equality cases:
 one generic driver runs each entry of a table that declares the check's
 instances, its equality cases and the call that evaluates them.
 
-Within one ``run_suite`` call each seeded ensemble is built once and solved
-once: checks that draw the same ``random_ensemble`` arguments share the
-ensemble and its solve report through a memo that lives only for that call.
+Within one ``run_suite`` call each seeded ensemble is built once and each
+ensemble content solved once, through a memo that lives only for that call.
 """
 
 from collections.abc import Callable
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -45,15 +45,63 @@ from .products import (
     random_isometry_map,
     weight_tensor,
 )
-from .reports import CheckReport
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
 
 # The memo of the running ``run_suite`` call, None outside one: ensembles keyed
-# by ``random_ensemble``'s arguments, and solve reports keyed by the id of an
-# ensemble that the entry itself keeps alive.
+# by ``random_ensemble``'s arguments, and solve reports keyed by the ensemble's
+# weight and matrix bytes and the solver config.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
+
+
+@dataclass
+class CheckReport:
+    """Verdict for one machine-checked inequality or identity.
+
+    ``margin`` is the smallest eigenvalue of the inequality's slack matrix
+    (or the log-determinant gap for determinant checks); ``inputs`` records
+    provenance (seeds, dimensions, weights, tolerances) so a run can be
+    reproduced from its own report; ``details`` breaks down sub-inequalities.
+    A skipped check (failed precondition) is distinct from pass/fail.
+    """
+
+    check_name: str
+    holds: bool
+    margin: float
+    inputs: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
+    skipped: bool = False
+
+    def to_json_dict(self):
+        return {
+            "check_name": self.check_name,
+            "holds": bool(self.holds),
+            "margin": float(self.margin),
+            "inputs": self.inputs,
+            "details": self.details,
+            "skipped": bool(self.skipped),
+        }
+
+
+def _order_report(name, tol, inputs, details, *comparisons):
+    """Report on ``lhs <= rhs`` in the Loewner order for every ``(key, lhs,
+    rhs)`` comparison: it holds when every comparison holds, and its margin is
+    the smallest margin. A comparison with a key (not None) also records its
+    own margin in ``details`` under that key."""
+    results = []
+    for key, lhs, rhs in comparisons:
+        res = loewner_leq(lhs, rhs, tol)
+        if key is not None:
+            details[key] = res.margin
+        results.append(res)
+    return CheckReport(
+        check_name=name,
+        holds=all(r.holds for r in results),
+        margin=min(r.margin for r in results),
+        inputs=inputs,
+        details=details,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,23 +142,21 @@ def _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting):
     return bc.Ensemble(weights=random_weights(n, _mix(seed, 17)), matrices=mats)
 
 
-def _mean_report(ensemble, cfg):
-    """``bc.wasserstein_mean(ensemble, cfg)``, solved once per ensemble and
-    config inside ``run_suite``."""
+def _mean_report(ensemble, cfg=None):
+    """``bc.wasserstein_mean(ensemble, cfg)``, solved once per ensemble
+    content and config inside ``run_suite``."""
     memo = _SUITE_MEMO.get()
     if memo is None:
         return bc.wasserstein_mean(ensemble, cfg)
-    key = ("solve", id(ensemble), cfg)
+    key = ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes(), cfg)
     if key not in memo:
         report = bc.wasserstein_mean(ensemble, cfg)
         report.mean.flags.writeable = False
-        # The entry holds the ensemble, so its id cannot be reused while the
-        # memo lives.
-        memo[key] = (ensemble, report)
-    return memo[key][1]
+        memo[key] = report
+    return memo[key]
 
 
-def _solve(ensemble, cfg):
+def _solve(ensemble, cfg=None):
     report = _mean_report(ensemble, cfg)
     if not report.converged:
         raise RuntimeError(
@@ -149,6 +195,56 @@ def check_fixed_point_certificate(ensemble, cfg=None, tol=None):
     )
 
 
+def check_bounds(ensemble, x, tol=None):
+    """Both order bounds of the mean: 2I - sum_j w_j A_j^{-1} <= x <= sum_j w_j A_j."""
+    xm = require_spd(x, name="mean")
+    eye = np.eye(ensemble.dim, dtype=np.complex128)
+    inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
+    lower = hermitianize(2.0 * eye - inv_mix)
+    upper = hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
+    return _order_report(
+        "bounds", tol,
+        {"dim": ensemble.dim, "count": ensemble.size,
+         "weights": [float(w) for w in ensemble.weights]},
+        {},
+        ("lower_margin", lower, xm),
+        ("upper_margin", xm, upper),
+    )
+
+
+def check_det_inequality(ensemble, x, tol=None):
+    """Determinant gap of the mean: log det(x) - sum_j w_j log det(A_j) >= 0,
+    with equality exactly on constant ensembles.
+
+    The equality flag is raised when the log gap is <= 1e-9 and cross-checked
+    against the matrices actually coinciding within 1e-8.
+    """
+    if tol is None:
+        tol = ToleranceConfig()
+    xm = require_spd(x, name="mean")
+    margin = log_det(xm)
+    log_dets = np.log(np.linalg.eigvalsh(ensemble.matrices)).sum(axis=-1)
+    for wj, log_det_j in zip(ensemble.weights, log_dets):
+        margin -= float(wj) * float(log_det_j)
+    equality = margin <= 1e-9
+    all_equal = all(
+        frobenius(ensemble.matrices[j] - ensemble.matrices[0]) <= 1e-8
+        for j in range(1, ensemble.size)
+    )
+    return CheckReport(
+        check_name="det_inequality",
+        holds=margin >= -tol.loewner_tol,
+        margin=float(margin),
+        inputs={"dim": ensemble.dim, "count": ensemble.size,
+                "weights": [float(w) for w in ensemble.weights]},
+        details={
+            "equality": bool(equality),
+            "all_matrices_equal": bool(all_equal),
+            "equality_condition_consistent": bool(equality == all_equal),
+        },
+    )
+
+
 def check_logdet_concavity(weights, mats, tol=None):
     """log det of a convex combination dominates the combination of log dets,
     with equality exactly when all matrices coincide."""
@@ -173,13 +269,11 @@ def check_phi_geometric_mean(a, b, phi, tol=None):
     the compressions."""
     lhs = phi.apply(geometric_mean(a, b))
     rhs = geometric_mean(phi.apply(a), phi.apply(b))
-    res = loewner_leq(lhs, rhs, tol)
-    return CheckReport(
-        check_name="phi_geometric_mean",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"source_dim": phi.source_dim, "target_dim": phi.target_dim},
-        details={"map_kind": phi.kind},
+    return _order_report(
+        "phi_geometric_mean", tol,
+        {"source_dim": phi.source_dim, "target_dim": phi.target_dim},
+        {"map_kind": phi.kind},
+        (None, lhs, rhs),
     )
 
 
@@ -198,19 +292,14 @@ def check_phi_wass(ensemble, phi, cfg=None, tol=None):
         wj = ensemble.weights[j]
         mix_inv += wj * phi.apply(inverses[j])
         mix += wj * phi.apply(ensemble.matrices[j])
-    first = loewner_leq(hermitianize(2.0 * eye_t - mix_inv), phi.apply(mean), tol)
-    second = loewner_leq(hermitianize(2.0 * eye_t - mix), phi.apply(matrix_power(mean, -1.0)), tol)
-    return CheckReport(
-        check_name="phi_wass",
-        holds=first.holds and second.holds,
-        margin=min(first.margin, second.margin),
-        inputs={"dim": ensemble.dim, "count": ensemble.size,
-                "source_dim": phi.source_dim, "target_dim": phi.target_dim},
-        details={
-            "mean_side_margin": first.margin,
-            "inverse_side_margin": second.margin,
-            "map_kind": phi.kind,
-        },
+    return _order_report(
+        "phi_wass", tol,
+        {"dim": ensemble.dim, "count": ensemble.size,
+         "source_dim": phi.source_dim, "target_dim": phi.target_dim},
+        {"map_kind": phi.kind},
+        ("mean_side_margin", hermitianize(2.0 * eye_t - mix_inv), phi.apply(mean)),
+        ("inverse_side_margin", hermitianize(2.0 * eye_t - mix),
+         phi.apply(matrix_power(mean, -1.0))),
     )
 
 
@@ -264,13 +353,10 @@ def check_tensor_arithmetic_bound(a, b, cfg=None, tol=None):
     lhs = kron(_solve(a, cfg), _solve(b, cfg))
     tensored = ensemble_tensor(a, b)
     rhs = arithmetic_mean(tensored.weights, tensored.matrices)
-    res = loewner_leq(lhs, rhs, tol)
-    return CheckReport(
-        check_name="tensor_arithmetic_bound",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dims": [a.dim, b.dim], "counts": [a.size, b.size]},
-        details={},
+    return _order_report(
+        "tensor_arithmetic_bound", tol,
+        {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
+        (None, lhs, rhs),
     )
 
 
@@ -281,13 +367,10 @@ def check_hadamard_arithmetic_bound(a, b, cfg=None, tol=None):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     lhs = hadamard(_solve(a, cfg), _solve(b, cfg))
     rhs = _k.weighted_sum(weight_tensor(a.weights, b.weights), _hadamard_pairs(a, b))
-    res = loewner_leq(lhs, hermitianize(rhs), tol)
-    return CheckReport(
-        check_name="hadamard_arithmetic_bound",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dim": a.dim, "counts": [a.size, b.size]},
-        details={},
+    return _order_report(
+        "hadamard_arithmetic_bound", tol,
+        {"dim": a.dim, "counts": [a.size, b.size]}, {},
+        (None, lhs, hermitianize(rhs)),
     )
 
 
@@ -309,13 +392,9 @@ def check_commuting_quadruple(a, b, c, d, tol=None):
     diff_ab = am - bm
     diff_cd = cm - dm
     rhs = 0.5 * hadamard(diff_ab @ diff_ab, diff_cd @ diff_cd)
-    res = loewner_leq(hermitianize(lhs), hermitianize(rhs), tol)
-    return CheckReport(
-        check_name="commuting_quadruple",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dim": int(am.shape[0])},
-        details={},
+    return _order_report(
+        "commuting_quadruple", tol, {"dim": int(am.shape[0])}, {},
+        (None, hermitianize(lhs), hermitianize(rhs)),
     )
 
 
@@ -331,18 +410,11 @@ def check_hadamard_inverse(a, b, tol=None):
     inv_had = hadamard(matrix_power(am, -1.0), matrix_power(bm, -1.0))
     eigs = np.linalg.eigvalsh(kron(am, bm))
     constant = kantorovich(float(eigs[0]), float(eigs[-1]))
-    lower = loewner_leq(had_inv, inv_had, tol)
-    upper = loewner_leq(inv_had, constant * had_inv, tol)
-    return CheckReport(
-        check_name="hadamard_inverse",
-        holds=lower.holds and upper.holds,
-        margin=min(lower.margin, upper.margin),
-        inputs={"dim": int(am.shape[0])},
-        details={
-            "lower_margin": lower.margin,
-            "upper_margin": upper.margin,
-            "kantorovich_constant": constant,
-        },
+    return _order_report(
+        "hadamard_inverse", tol, {"dim": int(am.shape[0])},
+        {"kantorovich_constant": constant},
+        ("lower_margin", had_inv, inv_had),
+        ("upper_margin", inv_had, constant * had_inv),
     )
 
 
@@ -373,14 +445,10 @@ def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
     root = sqrtm(xy)
     inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
     rhs = _k.weighted_sum(weight_tensor(a.weights, b.weights), _k.spd_power(inner, 0.5))
-    res = loewner_leq(xy, constant * hermitianize(rhs), tol)
-    return CheckReport(
-        check_name="kantorovich_hadamard",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dim": a.dim, "counts": [a.size, b.size]},
-        details={"constant": constant,
-                 "bounds": [alpha, beta, gamma, delta]},
+    return _order_report(
+        "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
+        {"constant": constant, "bounds": [alpha, beta, gamma, delta]},
+        (None, xy, constant * hermitianize(rhs)),
     )
 
 
@@ -399,13 +467,10 @@ def check_jensen_contraction(a, x, p, tol=None):
         )
     lhs = matrix_power(hermitianize(xm.conj().T @ am @ xm), float(p))
     rhs = hermitianize(xm.conj().T @ matrix_power(am, float(p)) @ xm)
-    res = loewner_leq(lhs, rhs, tol)
-    return CheckReport(
-        check_name="jensen_contraction",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dim": int(am.shape[0]), "p": float(p)},
-        details={"inverse_operator_norm": inv_norm},
+    return _order_report(
+        "jensen_contraction", tol, {"dim": int(am.shape[0]), "p": float(p)},
+        {"inverse_operator_norm": inv_norm},
+        (None, lhs, rhs),
     )
 
 
@@ -439,13 +504,10 @@ def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
     lhs = _k.weighted_sum(
         weight_tensor(a.weights, b.weights), _k.spd_power(_hadamard_pairs(a, b), 0.5)
     )
-    res = loewner_leq(constant * eye, hermitianize(lhs), tol)
-    return CheckReport(
-        check_name="sqrt_sum_lower_bound",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dim": a.dim, "counts": [a.size, b.size]},
-        details={"constant": constant},
+    return _order_report(
+        "sqrt_sum_lower_bound", tol, {"dim": a.dim, "counts": [a.size, b.size]},
+        {"constant": constant},
+        (None, constant * eye, hermitianize(lhs)),
     )
 
 
@@ -526,7 +588,8 @@ class _Check:
 
     ``instances(plan)`` yields the argument tuples of the generic instances
     and ``equality_cases()`` returns those of the known equality cases;
-    ``evaluate(cfg, tol, *args)`` turns one tuple into a ``CheckReport``.
+    ``evaluate(tol, *args)`` turns one tuple into a ``CheckReport``, solving
+    with the default solver config.
     ``evaluate`` names its check function through the module attribute at
     call time, never through a stored reference, so a rebound attribute is
     the one that runs. ``finish(report, generic, equality)``, when set, adds
@@ -541,11 +604,10 @@ class _Check:
 
 def _run_check(name, check, plan):
     """Evaluate the entry's generic instances, then its equality cases, under
-    the suite tolerance and the default solver config; aggregate them."""
-    cfg = bc.SolverConfig()
-    tol = ToleranceConfig(loewner_tol=plan.tol, relative=True)
-    generic = [check.evaluate(cfg, tol, *args) for args in check.instances(plan)]
-    equality = [check.evaluate(cfg, tol, *args) for args in check.equality_cases()]
+    the suite tolerance; aggregate them."""
+    tol = ToleranceConfig(loewner_tol=plan.tol)
+    generic = [check.evaluate(tol, *args) for args in check.instances(plan)]
+    equality = [check.evaluate(tol, *args) for args in check.equality_cases()]
     extra = {}
     if len(equality) == 1:
         extra["equality_case_margin"] = equality[0].margin
@@ -640,17 +702,14 @@ def _finish_self_duality_gap(report, generic, equality):
     report.holds = any(r.holds for r in generic)
 
 
-def _check_reversed_bound(ensemble, cfg, tol):
+def _check_reversed_bound(ensemble, tol):
     """Test hook: the arithmetic-mean bound asserted in the wrong direction,
     which fails on any generic ensemble."""
     upper = arithmetic_mean(ensemble.weights, ensemble.matrices)
-    res = loewner_leq(upper, _solve(ensemble, cfg), tol)
-    return CheckReport(
-        check_name="corrupted_direction",
-        holds=res.holds,
-        margin=res.margin,
-        inputs={"dim": ensemble.dim, "count": ensemble.size},
-        details={"note": "inequality direction deliberately reversed"},
+    return _order_report(
+        "corrupted_direction", tol, {"dim": ensemble.dim, "count": ensemble.size},
+        {"note": "inequality direction deliberately reversed"},
+        (None, upper, _solve(ensemble)),
     )
 
 
@@ -659,19 +718,19 @@ _EYE2 = np.eye(2, dtype=np.complex128)
 _CHECKS = {
     "fixed_point": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
-        evaluate=lambda cfg, tol, e: check_fixed_point_certificate(e, cfg, tol),
+        evaluate=lambda tol, e: check_fixed_point_certificate(e, tol=tol),
         # The singleton ensemble solves exactly.
         equality_cases=lambda: [(_singleton(_spd(3, 0, 23)),)],
     ),
     "bounds": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
-        evaluate=lambda cfg, tol, e: bc.check_bounds(e, _solve(e, cfg), tol),
+        evaluate=lambda tol, e: check_bounds(e, _solve(e), tol),
         # The identity singleton makes both bounds tight.
         equality_cases=lambda: [(_singleton(_EYE2),)],
     ),
     "det_inequality": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3)),
-        evaluate=lambda cfg, tol, e: bc.check_det_inequality(e, _solve(e, cfg), tol),
+        evaluate=lambda tol, e: check_det_inequality(e, _solve(e), tol),
         # A constant ensemble.
         equality_cases=lambda: [
             (bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=[_spd(3, 1, 29)] * 3),)
@@ -680,12 +739,12 @@ _CHECKS = {
     ),
     "logdet_concavity": _Check(
         instances=lambda plan: ((e.weights, e.matrices) for (e,) in _ensembles(plan, (2, 3, 4))),
-        evaluate=lambda cfg, tol, w, mats: check_logdet_concavity(w, mats, tol),
+        evaluate=lambda tol, w, mats: check_logdet_concavity(w, mats, tol),
         equality_cases=lambda: [([0.5, 0.5], [_spd(3, 2, 31)] * 2)],
     ),
     "phi_geometric_mean": _Check(
         instances=_phi_geometric_mean_instances,
-        evaluate=lambda cfg, tol, a, b, phi: check_phi_geometric_mean(a, b, phi, tol),
+        evaluate=lambda tol, a, b, phi: check_phi_geometric_mean(a, b, phi, tol),
         # A unitary conjugation commutes with the mean.
         equality_cases=lambda: [
             (_spd(3, 3, 53), _spd(3, 3, 59), random_isometry_map(3, 3, _mix(3, 47)))
@@ -693,27 +752,27 @@ _CHECKS = {
     ),
     "phi_wass": _Check(
         instances=_phi_wass_instances,
-        evaluate=lambda cfg, tol, e, phi: check_phi_wass(e, phi, cfg, tol),
+        evaluate=lambda tol, e, phi: check_phi_wass(e, phi, tol=tol),
     ),
     "self_duality_gap": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), min_dim=2, limit=8),
-        evaluate=lambda cfg, tol, e: check_self_duality_gap(e, cfg),
+        evaluate=lambda tol, e: check_self_duality_gap(e),
         finish=_finish_self_duality_gap,
     ),
     "tensor_identity": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (67, 71), (2, 3), lambda s: 2),
-        evaluate=lambda cfg, tol, a, b: check_tensor_identity(a, b, cfg),
+        evaluate=lambda tol, a, b: check_tensor_identity(a, b),
         # Singleton ensembles reproduce the plain Kronecker product.
         equality_cases=lambda: [(_singleton(_spd(2, 4, 73)), _singleton(_spd(2, 4, 79)))],
     ),
     "tensor_arithmetic_bound": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (83, 89), (2, 3), lambda s: 2),
-        evaluate=lambda cfg, tol, a, b: check_tensor_arithmetic_bound(a, b, cfg, tol),
+        evaluate=lambda tol, a, b: check_tensor_arithmetic_bound(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_spd(2, 5, 97)), _singleton(_spd(2, 5, 101)))],
     ),
     "hadamard_arithmetic_bound": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (103, 107), (2, 3)),
-        evaluate=lambda cfg, tol, a, b: check_hadamard_arithmetic_bound(a, b, cfg, tol),
+        evaluate=lambda tol, a, b: check_hadamard_arithmetic_bound(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_spd(3, 6, 109)), _singleton(_spd(3, 6, 113)))],
     ),
     "commuting_quadruple": _Check(
@@ -721,7 +780,7 @@ _CHECKS = {
             (*_commuting_pair(plan.dim_for(s), s, 127), *_commuting_pair(plan.dim_for(s), s, 131))
             for s in plan.seed_list()
         ),
-        evaluate=lambda cfg, tol, a, b, c, d: check_commuting_quadruple(a, b, c, d, tol),
+        evaluate=lambda tol, a, b, c, d: check_commuting_quadruple(a, b, c, d, tol),
         # Coincident pairs zero out both sides.
         equality_cases=lambda: [
             (_commuting_pair(3, 7, 137)[0],) * 2 + (_commuting_pair(3, 7, 139)[0],) * 2
@@ -729,30 +788,30 @@ _CHECKS = {
     ),
     "hadamard_inverse": _Check(
         instances=_hadamard_inverse_instances,
-        evaluate=lambda cfg, tol, a, b: check_hadamard_inverse(a, b, tol),
+        evaluate=lambda tol, a, b: check_hadamard_inverse(a, b, tol),
         equality_cases=lambda: [(_EYE2, _EYE2)],
     ),
     "kantorovich_hadamard": _Check(
         instances=lambda plan: _ensemble_pairs(
             plan, (157, 163), (2,), lambda s: min(3, plan.dim_for(s))
         ),
-        evaluate=lambda cfg, tol, a, b: check_kantorovich_hadamard(a, b, cfg, tol),
+        evaluate=lambda tol, a, b: check_kantorovich_hadamard(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_EYE2),) * 2],
     ),
     "jensen_contraction": _Check(
         instances=_jensen_instances,
-        evaluate=lambda cfg, tol, a, x, p: check_jensen_contraction(a, x, p, tol),
+        evaluate=lambda tol, a, x, p: check_jensen_contraction(a, x, p, tol),
         equality_cases=_jensen_equality_cases,
     ),
     "sqrt_sum_lower_bound": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (191, 193), (2,), eig_lo=1.0, eig_hi=3.0),
-        evaluate=lambda cfg, tol, a, b: check_sqrt_sum_lower_bound(a, b, cfg, tol),
+        evaluate=lambda tol, a, b: check_sqrt_sum_lower_bound(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_EYE2),) * 2],
     ),
     # Test hook: fails on any generic ensemble; never part of the default plan.
     "corrupted_direction": _Check(
         instances=lambda plan: _ensembles(plan, (3,), min_dim=2, limit=1),
-        evaluate=lambda cfg, tol, e: _check_reversed_bound(e, cfg, tol),
+        evaluate=lambda tol, e: _check_reversed_bound(e, tol),
     ),
 }
 

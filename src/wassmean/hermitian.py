@@ -21,22 +21,18 @@ SPD_FLOOR = 1e-12
 class ToleranceConfig:
     """Tolerances for Loewner comparisons and residual certificates.
 
-    With ``relative=True`` Loewner margins are compared against
-    ``loewner_tol * max(1, ||A||_F, ||B||_F)``; otherwise against
-    ``loewner_tol`` alone.
+    Loewner margins are compared against
+    ``loewner_tol * max(1, ||A||_F, ||B||_F)``.
     """
 
     loewner_tol: float = 1e-9
     residual_tol: float = 1e-10
-    relative: bool = True
 
     def __post_init__(self):
         if self.loewner_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
 
     def loewner_scale(self, *mats):
-        if not self.relative:
-            return 1.0
         return max(1.0, *(frobenius(m) for m in mats))
 
 

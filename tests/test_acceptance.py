@@ -7,14 +7,14 @@ import numpy as np
 
 from wassmean.barycenter import (
     Ensemble,
-    check_bounds,
-    check_det_inequality,
     commuting_closed_form,
     residual,
     wasserstein_mean,
 )
 from wassmean.bures import bw_distance, geodesic
 from wassmean.checks import (
+    check_bounds,
+    check_det_inequality,
     check_tensor_identity,
     default_plan,
     random_ensemble,
@@ -83,7 +83,7 @@ def test_criterion_2_commuting_closed_form():
 
 
 def test_criterion_3_geometric_mean_properties():
-    tol = ToleranceConfig(loewner_tol=1e-9, relative=True)
+    tol = ToleranceConfig(loewner_tol=1e-9)
     rng = np.random.default_rng(0)
     failures = []
 

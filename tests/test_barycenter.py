@@ -4,14 +4,13 @@ import pytest
 from wassmean.barycenter import (
     Ensemble,
     SolverConfig,
-    check_bounds,
-    check_det_inequality,
     commuting_closed_form,
     objective,
     residual,
     wasserstein_mean,
 )
 from wassmean.bures import bw_distance, geodesic
+from wassmean.checks import check_bounds, check_det_inequality
 from wassmean.hermitian import (
     frobenius,
     hermitianize,
@@ -373,6 +372,17 @@ def test_ensemble_arrays_are_read_only_copies():
     assert e.weights[0] == 0.25
     assert e.matrices[0, 0, 0] == 1.0
 
+
+
+def test_ensembles_compare_and_hash_by_identity():
+    e = Ensemble(weights=[1.0], matrices=[np.eye(2)])
+    other = Ensemble(weights=[1.0], matrices=[2 * np.eye(2)])
+    twin = Ensemble(weights=[1.0], matrices=[np.eye(2)])
+    assert e == e and e != other and e != twin
+    assert e not in [other, twin]
+    assert e in [other, e]
+    assert len({e, other, twin, e}) == 3
+    assert {e: 1}[e] == 1
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):

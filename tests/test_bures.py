@@ -100,6 +100,39 @@ def test_geodesic_commuting_reduction():
         assert frobenius(direct - closed @ closed) <= 1e-10
 
 
+
+def _cross_sqrt(a, b):
+    # (a b)^{1/2} = a^{1/2} (a^{1/2} b a^{1/2})^{1/2} a^{-1/2}.
+    ra, ria = sqrtm(a), np.linalg.inv(sqrtm(a))
+    return ra @ sqrtm(ra @ b @ ra) @ ria
+
+
+def test_geodesic_matches_cross_root_formula():
+    # (1-t)^2 a + t^2 b + t(1-t)[(ab)^{1/2} + (ba)^{1/2}], on spectra up to
+    # [1e-2, 1e2] and on the pair (A, A).
+    for seed in range(12):
+        lo, hi = ((0.5, 2.0), (0.1, 10.0), (1e-2, 1e2))[seed % 3]
+        a = random_spd(6, seed=300 + seed, eig_lo=lo, eig_hi=hi)
+        b = a if seed % 4 == 0 else random_spd(6, seed=400 + seed, eig_lo=lo, eig_hi=hi)
+        cross = _cross_sqrt(a, b) + _cross_sqrt(b, a)
+        for t in (0.25, 0.5, 0.75):
+            want = (1 - t) ** 2 * a + t**2 * b + t * (1 - t) * cross
+            assert frobenius(geodesic(a, b, t) - want) <= 1e-11 * frobenius(want)
+
+
+def test_geodesic_takes_two_eigendecompositions(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    a, b = _pair(7, m=4)
+    geodesic(a, b, 0.3)
+    assert len(calls) == 2
+
 def test_geodesic_rejects_bad_parameter():
     a, b = _pair(6)
     for t in (-0.1, 1.1):

@@ -15,6 +15,11 @@ An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
 stack; the solver, the diagnostics and the order checks trust that stack and
 pass it whole to the stacked kernels of ``_kernels``.
 
+``wasserstein_means`` solves a list of ensembles with one stacked solver
+call per ``matrices.shape``; both it and ``wasserstein_mean`` build their
+reports with one helper, so a batched report equals the single one bit for
+bit.
+
 A solve's ``objective`` comes from the solver's last eigendecomposition: the
 kernel returns the root traces tr (x^{1/2} A_j x^{1/2})^{1/2} of the best
 iterate x, so sum_j w_j d^2(x, A_j) needs no second eigen-pass.
@@ -77,15 +82,12 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver knobs.
-
-    ``init`` is the starting iterate (None selects the arithmetic mean, an
-    upper bound of the solution in the Loewner order, so always a safe start).
-    """
+    """Fixed-point solver knobs. Every solve starts from the arithmetic mean,
+    an upper bound of the solution in the Loewner order, so always a safe
+    start."""
 
     max_iter: int = 200
     residual_tol: float = 1e-11
-    init: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -118,7 +120,8 @@ class SolverReport:
 
 
 def _mix(weights, stack):
-    """Weighted arithmetic mean of an already-validated stack."""
+    """Weighted arithmetic mean of an already-validated stack, or of each
+    ensemble of a stack of ensembles."""
     return hermitianize(_k.weighted_sum(weights, stack))
 
 
@@ -133,21 +136,51 @@ def wasserstein_mean(ensemble, config=None):
     """
     if config is None:
         config = SolverConfig()
-    if config.init is None:
-        x0 = _mix(ensemble.weights, ensemble.matrices)
-    else:
-        x0 = require_spd(config.init, name="init")
-        if x0.shape[0] != ensemble.dim:
-            raise ValueError(
-                f"init: dimension {x0.shape[0]} does not match ensemble dimension {ensemble.dim}"
-            )
-    x, iters, res, status, root_traces = _k.wasserstein_solve(
+    solved = _k.wasserstein_solve(
         ensemble.matrices,
         ensemble.weights,
-        x0,
+        _mix(ensemble.weights, ensemble.matrices),
         config.max_iter,
         config.residual_tol,
     )
+    return _solver_report(ensemble, *solved)
+
+
+def wasserstein_means(ensembles, config=None):
+    """Solve every ensemble of the list, with one stacked solver call per
+    ``matrices.shape``.
+
+    Each report equals ``wasserstein_mean(ensemble, config)`` bit for bit.
+    An entry is None where that solve is left to ``wasserstein_mean``, which
+    raises: the solve broke down, or LAPACK failed on the stack of its shape
+    group (one bad matrix fails the whole stack).
+    """
+    if config is None:
+        config = SolverConfig()
+    groups = {}
+    for i, ensemble in enumerate(ensembles):
+        groups.setdefault(ensemble.matrices.shape, []).append(i)
+    reports = [None] * len(ensembles)
+    for rows in groups.values():
+        weights = np.stack([ensembles[i].weights for i in rows])
+        mats = np.stack([ensembles[i].matrices for i in rows])
+        try:
+            solved = _k.wasserstein_solve(
+                mats, weights, _mix(weights, mats), config.max_iter, config.residual_tol
+            )
+        except np.linalg.LinAlgError:
+            continue
+        for i, *outputs in zip(rows, *solved):
+            try:
+                reports[i] = _solver_report(ensembles[i], *outputs)
+            except SolverBreakdownError:
+                pass
+    return reports
+
+
+def _solver_report(ensemble, x, iters, res, status, root_traces):
+    """The report on one solve from the solver's outputs; the objective comes
+    from the root traces of the best iterate."""
     if status == _k.SOLVE_BREAKDOWN:
         raise SolverBreakdownError(
             f"iterate lost positive definiteness after {iters} iterations "
@@ -156,10 +189,10 @@ def wasserstein_mean(ensemble, config=None):
     scales = _distance_scale(x, ensemble.matrices)
     return SolverReport(
         mean=x,
-        iterations=iters,
+        iterations=int(iters),
         residual=float(res),
         objective=_weighted_squared_distances(ensemble.weights, scales - root_traces, scales),
-        converged=status == _k.SOLVE_CONVERGED,
+        converged=bool(status == _k.SOLVE_CONVERGED),
     )
 
 
@@ -196,6 +229,15 @@ def _weighted_squared_distances(weights, gaps, scales):
     return float(total)
 
 
+def require_commuting(x, y, failure):
+    """Reject a pair whose commutator norm ||xy - yx||_F exceeds
+    ``COMMUTATOR_RTOL`` ||x||_F ||y||_F, with ``failure`` opening the message."""
+    comm = frobenius(x @ y - y @ x)
+    bound = COMMUTATOR_RTOL * frobenius(x) * frobenius(y)
+    if comm > bound:
+        raise ValueError(f"{failure}: commutator norm {comm:.3e} > {bound:.3e}")
+
+
 def commuting_closed_form(ensemble):
     """[sum_j w_j A_j^{1/2}]^2, the mean of a pairwise-commuting ensemble.
 
@@ -205,13 +247,7 @@ def commuting_closed_form(ensemble):
     mats = ensemble.matrices
     for i in range(ensemble.size):
         for j in range(i + 1, ensemble.size):
-            comm = frobenius(mats[i] @ mats[j] - mats[j] @ mats[i])
-            bound = COMMUTATOR_RTOL * frobenius(mats[i]) * frobenius(mats[j])
-            if comm > bound:
-                raise ValueError(
-                    f"matrices[{i}] and matrices[{j}] do not commute: "
-                    f"commutator norm {comm:.3e} > {bound:.3e}"
-                )
+            require_commuting(mats[i], mats[j], f"matrices[{i}] and matrices[{j}] do not commute")
     acc = _k.weighted_sum(ensemble.weights, _k.spd_power(mats, 0.5))
     return hermitianize(acc @ acc)
 

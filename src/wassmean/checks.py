@@ -10,8 +10,16 @@ over seeded random instances, always including the known equality cases:
 one generic driver runs each entry of a table that declares the check's
 instances, its equality cases and the call that evaluates them.
 
-Within one ``run_suite`` call each seeded ensemble is built once and each
-ensemble content solved once, through a memo that lives only for that call.
+``run_suite`` works in three phases over a memo that lives only for that
+call. It first collects: each check's instances and equality cases are
+materialised once (each seeded ensemble built once), and every ensemble they
+will solve is gathered, the derived ones (``_Check.solves``) included. It
+then solves each distinct ensemble content once, with one stacked solver
+call per (n, m, m) shape (``bc.wasserstein_means``). Last it evaluates each
+check through ``CHECK_REGISTRY`` on the materialised cases, whose solves are
+memo hits. A solve left out of the memo (a breakdown) runs alone when its
+check asks for it, and raises there. A registry entry called on its own, and
+the ``check_*`` functions, solve one ensemble at a time.
 """
 
 from collections.abc import Callable
@@ -50,8 +58,9 @@ SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
 
 # The memo of the running ``run_suite`` call, None outside one: ensembles keyed
-# by ``random_ensemble``'s arguments, and solve reports keyed by the ensemble's
-# weight and matrix bytes and the solver config.
+# by ``random_ensemble``'s arguments, solve reports keyed by the ensemble's
+# weight and matrix bytes and the solver config, and each check's materialised
+# cases keyed by its name.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
 
 
@@ -148,12 +157,19 @@ def _mean_report(ensemble, cfg=None):
     memo = _SUITE_MEMO.get()
     if memo is None:
         return bc.wasserstein_mean(ensemble, cfg)
-    key = ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes(), cfg)
+    key = _solve_key(ensemble, cfg)
     if key not in memo:
-        report = bc.wasserstein_mean(ensemble, cfg)
-        report.mean.flags.writeable = False
-        memo[key] = report
+        _memoize(memo, key, bc.wasserstein_mean(ensemble, cfg))
     return memo[key]
+
+
+def _solve_key(ensemble, cfg):
+    return ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes(), cfg)
+
+
+def _memoize(memo, key, report):
+    report.mean.flags.writeable = False
+    memo[key] = report
 
 
 def _solve(ensemble, cfg=None):
@@ -284,22 +300,28 @@ def check_phi_wass(ensemble, phi, cfg=None, tol=None):
     unital_gap = frobenius(phi.apply(np.eye(phi.source_dim, dtype=np.complex128)) - eye_t)
     if unital_gap > 1e-10:
         raise ValueError(f"map is not unital: ||phi(I) - I||_F = {unital_gap:.3e}")
+    if ensemble.dim != phi.source_dim:
+        raise ValueError(
+            f"dimension mismatch: ensemble is {ensemble.dim}x{ensemble.dim}, "
+            f"map expects {phi.source_dim}"
+        )
     mean = _solve(ensemble, cfg)
-    inverses = _k.spd_power(ensemble.matrices, -1.0)
-    mix_inv = np.zeros_like(eye_t)
-    mix = np.zeros_like(eye_t)
-    for j in range(ensemble.size):
-        wj = ensemble.weights[j]
-        mix_inv += wj * phi.apply(inverses[j])
-        mix += wj * phi.apply(ensemble.matrices[j])
+    v = phi.isometry
+
+    def compress(stack):
+        # phi.apply on each matrix of a stack of trusted Hermitian matrices.
+        return hermitianize(v.conj().T @ stack @ v)
+
+    mix_inv = _k.weighted_sum(ensemble.weights, compress(_k.spd_power(ensemble.matrices, -1.0)))
+    mix = _k.weighted_sum(ensemble.weights, compress(ensemble.matrices))
+    phi_mean, phi_mean_inv = compress(np.stack([mean, _k.spd_power(mean, -1.0)]))
     return _order_report(
         "phi_wass", tol,
         {"dim": ensemble.dim, "count": ensemble.size,
          "source_dim": phi.source_dim, "target_dim": phi.target_dim},
         {"map_kind": phi.kind},
-        ("mean_side_margin", hermitianize(2.0 * eye_t - mix_inv), phi.apply(mean)),
-        ("inverse_side_margin", hermitianize(2.0 * eye_t - mix),
-         phi.apply(matrix_power(mean, -1.0))),
+        ("mean_side_margin", hermitianize(2.0 * eye_t - mix_inv), phi_mean),
+        ("inverse_side_margin", hermitianize(2.0 * eye_t - mix), phi_mean_inv),
     )
 
 
@@ -307,10 +329,7 @@ def check_self_duality_gap(ensemble, cfg=None):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
     mean = _solve(ensemble, cfg)
-    inverted = bc.Ensemble(
-        weights=ensemble.weights, matrices=_k.spd_power(ensemble.matrices, -1.0)
-    )
-    mean_of_inverses = _solve(inverted, cfg)
+    mean_of_inverses = _solve(_inverted(ensemble), cfg)
     gap = frobenius(mean_of_inverses - matrix_power(mean, -1.0))
     return CheckReport(
         check_name="self_duality_gap",
@@ -319,6 +338,11 @@ def check_self_duality_gap(ensemble, cfg=None):
         inputs={"dim": ensemble.dim, "count": ensemble.size},
         details={"gap": gap, "threshold": SELF_DUALITY_GAP},
     )
+
+
+def _inverted(ensemble):
+    """The ensemble of the inverses, under the same weights."""
+    return bc.Ensemble(weights=ensemble.weights, matrices=_k.spd_power(ensemble.matrices, -1.0))
 
 
 def check_tensor_identity(a, b, cfg=None):
@@ -379,13 +403,8 @@ def check_commuting_quadruple(a, b, c, d, tol=None):
     (ab+ba) o (cd+dc) - (a^2+b^2) o (c^2+d^2) <= (a-b)^2 o (c-d)^2 / 2."""
     am, bm = require_spd(a, name="a"), require_spd(b, name="b")
     cm, dm = require_spd(c, name="c"), require_spd(d, name="d")
-    for name, (x, y) in {"(a,b)": (am, bm), "(c,d)": (cm, dm)}.items():
-        comm = frobenius(x @ y - y @ x)
-        bound = 1e-8 * frobenius(x) * frobenius(y)
-        if comm > bound:
-            raise ValueError(
-                f"pair {name} does not commute: commutator norm {comm:.3e} > {bound:.3e}"
-            )
+    bc.require_commuting(am, bm, "pair (a,b) does not commute")
+    bc.require_commuting(cm, dm, "pair (c,d) does not commute")
     lhs = hadamard(am @ bm + bm @ am, cm @ dm + dm @ cm) - hadamard(
         am @ am + bm @ bm, cm @ cm + dm @ dm
     )
@@ -589,7 +608,8 @@ class _Check:
     ``instances(plan)`` yields the argument tuples of the generic instances
     and ``equality_cases()`` returns those of the known equality cases;
     ``evaluate(tol, *args)`` turns one tuple into a ``CheckReport``, solving
-    with the default solver config.
+    with the default solver config every ``Ensemble`` among the arguments,
+    and the ensembles ``solves(*args)`` derives from them.
     ``evaluate`` names its check function through the module attribute at
     call time, never through a stored reference, so a rebound attribute is
     the one that runs. ``finish(report, generic, equality)``, when set, adds
@@ -600,14 +620,36 @@ class _Check:
     evaluate: Callable
     equality_cases: Callable = lambda: ()
     finish: Callable | None = None
+    solves: Callable = lambda *args: ()
+
+
+def _cases(name, check, plan):
+    """The entry's generic and equality-case argument tuples, materialised
+    once per ``run_suite`` call."""
+    memo = _SUITE_MEMO.get()
+    key = ("cases", name)
+    if memo is not None and key in memo:
+        return memo[key]
+    cases = list(check.instances(plan)), list(check.equality_cases())
+    if memo is not None:
+        memo[key] = cases
+    return cases
+
+
+def _solved_ensembles(check, cases):
+    """Every ensemble the entry's evaluation of ``cases`` will solve."""
+    for args in (*cases[0], *cases[1]):
+        yield from (arg for arg in args if isinstance(arg, bc.Ensemble))
+        yield from check.solves(*args)
 
 
 def _run_check(name, check, plan):
     """Evaluate the entry's generic instances, then its equality cases, under
     the suite tolerance; aggregate them."""
     tol = ToleranceConfig(loewner_tol=plan.tol)
-    generic = [check.evaluate(tol, *args) for args in check.instances(plan)]
-    equality = [check.evaluate(tol, *args) for args in check.equality_cases()]
+    instances, equality_cases = _cases(name, check, plan)
+    generic = [check.evaluate(tol, *args) for args in instances]
+    equality = [check.evaluate(tol, *args) for args in equality_cases]
     extra = {}
     if len(equality) == 1:
         extra["equality_case_margin"] = equality[0].margin
@@ -758,12 +800,14 @@ _CHECKS = {
         instances=lambda plan: _ensembles(plan, (2, 3), min_dim=2, limit=8),
         evaluate=lambda tol, e: check_self_duality_gap(e),
         finish=_finish_self_duality_gap,
+        solves=lambda e: (_inverted(e),),
     ),
     "tensor_identity": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (67, 71), (2, 3), lambda s: 2),
         evaluate=lambda tol, a, b: check_tensor_identity(a, b),
         # Singleton ensembles reproduce the plain Kronecker product.
         equality_cases=lambda: [(_singleton(_spd(2, 4, 73)), _singleton(_spd(2, 4, 79)))],
+        solves=lambda a, b: (ensemble_tensor(a, b),),
     ),
     "tensor_arithmetic_bound": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (83, 89), (2, 3), lambda s: 2),
@@ -832,11 +876,12 @@ def run_suite(plan):
     """Run every check in the plan; a failing driver is captured in its
     report rather than aborting the suite. Reports follow plan order.
 
-    Seeded ensembles and their solves are shared between the checks of this
+    Seeded ensembles, cases and solves are shared between the checks of this
     call only; the memo is dropped when the call returns."""
     reports = []
     token = _SUITE_MEMO.set({})
     try:
+        _presolve(plan)
         for name in plan.checks:
             driver = CHECK_REGISTRY[name]
             try:
@@ -854,3 +899,26 @@ def run_suite(plan):
     finally:
         _SUITE_MEMO.reset(token)
     return reports
+
+
+def _presolve(plan):
+    """Materialise the cases of the plan's checks into the running memo, then
+    solve every distinct ensemble content they will solve, batched by shape.
+
+    A check whose cases fail to materialise is skipped here: its driver
+    materialises them again and fails in its own report, as it would have.
+    A solve that breaks down stays out of the memo, so it raises alone where
+    its check asks for it."""
+    memo = _SUITE_MEMO.get()
+    pending = {}
+    for name in plan.checks:
+        try:
+            check = _CHECKS[name]
+            cases = _cases(name, check, plan)
+            for ensemble in _solved_ensembles(check, cases):
+                pending.setdefault(_solve_key(ensemble, None), ensemble)
+        except Exception:  # noqa: BLE001 - raised again by the check's driver
+            pass
+    for key, report in zip(pending, bc.wasserstein_means(list(pending.values()))):
+        if report is not None:
+            _memoize(memo, key, report)

@@ -3,11 +3,13 @@ import pytest
 
 from wassmean.barycenter import (
     Ensemble,
+    SolverBreakdownError,
     SolverConfig,
     commuting_closed_form,
     objective,
     residual,
     wasserstein_mean,
+    wasserstein_means,
 )
 from wassmean.bures import bw_distance, geodesic
 from wassmean.checks import check_bounds, check_det_inequality
@@ -226,11 +228,49 @@ def test_non_convergence_returns_best_iterate():
     assert np.linalg.eigvalsh(report.mean)[0] > 0
 
 
-def test_explicit_init():
-    e = _ensemble(97)
-    report = wasserstein_mean(e, SolverConfig(init=np.eye(3, dtype=complex)))
-    assert report.converged
-    assert residual(report.mean, e) <= 1e-10
+def test_negative_congruence_eigenvalue_raises_breakdown(wide_spectrum_mats):
+    e = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+    with pytest.raises(SolverBreakdownError, match="after 12 iterations"):
+        wasserstein_mean(e)
+
+
+def test_batched_means_equal_single_solves(wide_spectrum_mats):
+    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+    # At 12 iterations the 8x8 group holds a converged solve, the breakdown
+    # (at the last iterate) and a solve that runs out.
+    config = SolverConfig(max_iter=12)
+    ensembles = [_ensemble(1), _ensemble(2, m=8, n=6), wide, _ensemble(3),
+                 _ensemble(4, n=2), _ensemble(7, m=8, n=6, lo=0.01, hi=100.0)]
+    reports = wasserstein_means(ensembles, config)
+    assert reports[2] is None
+    for e, got in zip(ensembles, reports):
+        if got is None:
+            continue
+        want = wasserstein_mean(e, config)
+        assert np.array_equal(got.mean, want.mean)
+        assert (got.iterations, got.residual, got.objective, got.converged) == (
+            want.iterations, want.residual, want.objective, want.converged
+        )
+    assert {r.converged for r in reports if r is not None} == {True, False}
+
+
+def test_batched_means_leave_a_failed_stack_to_single_solves(monkeypatch):
+    # One bad matrix fails LAPACK for its whole stack; only that shape group
+    # is left unsolved.
+    from wassmean import _kernels
+
+    solve = _kernels.wasserstein_solve
+
+    def failing_for_2x2(mats, *args):
+        if mats.shape[-1] == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(mats, *args)
+
+    monkeypatch.setattr(_kernels, "wasserstein_solve", failing_for_2x2)
+    ensembles = [_ensemble(1), _ensemble(2, m=2), _ensemble(3), _ensemble(4, m=2)]
+    reports = wasserstein_means(ensembles)
+    assert reports[1] is None and reports[3] is None
+    assert all(r.converged for r in (reports[0], reports[2]))
 
 
 def test_solver_deterministic():
@@ -389,6 +429,3 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
-    e = _ensemble(1)
-    with pytest.raises(ValueError, match="dimension"):
-        wasserstein_mean(e, SolverConfig(init=np.eye(5, dtype=complex)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wassmean import barycenter
+from wassmean import _kernels, barycenter
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble, SolverConfig
 from wassmean.checks import (
@@ -435,19 +435,56 @@ def test_suite_calls_rebound_check_functions_once_per_instance(monkeypatch):
 
 
 def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
-    solved = []
-    solve = barycenter.wasserstein_mean
+    calls = []
+    solve = _kernels.wasserstein_solve
 
-    def counted(ensemble, config=None):
-        solved.append(ensemble)
-        return solve(ensemble, config)
+    def counted(mats, weights, *args):
+        # One solver call per (n, m, m) shape, each content in one call.
+        n, m = mats.shape[-3:-1]
+        calls.append([
+            (w.tobytes(), a.tobytes())
+            for w, a in zip(weights.reshape(-1, n), mats.reshape(-1, n, m, m))
+        ])
+        return solve(mats, weights, *args)
 
-    monkeypatch.setattr(barycenter, "wasserstein_mean", counted)
+    monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
     reports = run_suite(default_plan(seeds=(777, 787)))
     assert all(r.holds for r in reports)
     # Ensembles with equal contents share one solve, even when built apart.
-    contents = [(e.weights.tobytes(), e.matrices.tobytes()) for e in solved]
+    contents = [c for call in calls for c in call]
     assert len(set(contents)) == len(contents) == 145
+    assert len(calls) == 11
+
+
+def test_suite_reports_equal_single_solves_bitwise(monkeypatch):
+    batches = []
+    solve_all = barycenter.wasserstein_means
+
+    def recorded(ensembles, config=None):
+        reports = solve_all(ensembles, config)
+        batches.append((ensembles, reports))
+        return reports
+
+    monkeypatch.setattr(barycenter, "wasserstein_means", recorded)
+    run_suite(default_plan(seeds=(0, 10)))
+    ((ensembles, reports),) = batches
+    assert len(ensembles) > 100 and None not in reports
+    for ensemble, report in zip(ensembles, reports):
+        single = barycenter.wasserstein_mean(ensemble)
+        assert np.array_equal(report.mean, single.mean)
+        assert (report.iterations, report.residual, report.objective, report.converged) == (
+            single.iterations, single.residual, single.objective, single.converged
+        )
+
+
+def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
+    def broken(*args):
+        raise ValueError("no map today")
+
+    monkeypatch.setattr(checks_mod, "random_isometry_map", broken)
+    reports = run_suite(SuitePlan(checks=("phi_wass", "bounds"), seeds=(0, 2)))
+    assert reports[0].details["error"] == "ValueError: no map today"
+    assert reports[1].holds
 
 
 class _Abort(BaseException):

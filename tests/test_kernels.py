@@ -198,3 +198,59 @@ def test_solver_bitwise_deterministic():
     assert np.array_equal(first[0], second[0])
     assert first[1:4] == second[1:4]
     assert np.array_equal(first[4], second[4])
+
+
+# ---------------------------------------------------------------------------
+# Leading ensemble axis: each ensemble of a batch must get exactly the outputs
+# of its own solve.
+# ---------------------------------------------------------------------------
+
+def _assert_batch_matches_singles(mats, weights, max_iter):
+    x0 = k.weighted_sum(weights, mats)
+    batch = k.wasserstein_solve(mats, weights, x0, max_iter, 1e-11)
+    assert [a.shape[0] for a in batch] == [mats.shape[0]] * 5
+    for i in range(mats.shape[0]):
+        x, iters, res, status, traces = k.wasserstein_solve(
+            mats[i], weights[i], x0[i], max_iter, 1e-11
+        )
+        assert np.array_equal(batch[0][i], x)
+        assert batch[1][i] == iters
+        assert batch[2][i] == res or (np.isinf(res) and np.isinf(batch[2][i]))
+        assert batch[3][i] == status
+        assert np.array_equal(batch[4][i], traces, equal_nan=True)
+    return batch[3]
+
+
+# Well to badly conditioned 3x3 ensembles of four: at max_iter 6 the first
+# three converge on the last iterate allowed and the other two run out.
+MIXED_SPECTRA = ((0.5, 2.0, 0), (0.05, 20.0, 1), (0.5, 2.0, 2), (1e-3, 1e3, 3), (0.2, 5.0, 4))
+
+
+@pytest.mark.parametrize("max_iter,statuses", [
+    (200, [k.SOLVE_CONVERGED] * 5),
+    (6, [k.SOLVE_CONVERGED] * 3 + [k.SOLVE_MAX_ITER] * 2),
+    (3, [k.SOLVE_MAX_ITER] * 5),
+])
+def test_batched_solver_equals_single_solves_bitwise(max_iter, statuses):
+    mats = np.stack([
+        _stack(range(100 * seed, 100 * seed + 4), lo=lo, hi=hi)
+        for lo, hi, seed in MIXED_SPECTRA
+    ])
+    weights = np.stack([_case(3, 4, 0.5, 2.0, seed)[1] for seed in range(5)])
+    assert list(_assert_batch_matches_singles(mats, weights, max_iter)) == statuses
+
+
+def test_negative_congruence_eigenvalue_is_a_breakdown(wide_spectrum_mats):
+    w = np.full(6, 1.0 / 6.0)
+    x0 = k.weighted_sum(w, wide_spectrum_mats)
+    _, iters, _, status, _ = k.wasserstein_solve(wide_spectrum_mats, w, x0, 200, 1e-11)
+    assert status == k.SOLVE_BREAKDOWN
+    assert iters == 12
+
+
+def test_breakdown_in_a_batch_leaves_its_group_mates_intact(wide_spectrum_mats):
+    good = [_stack(range(10 * s, 10 * s + 6), m=8, lo=0.05, hi=20.0) for s in range(3)]
+    mats = np.stack([good[0], wide_spectrum_mats, good[1], good[2]])
+    weights = np.full((4, 6), 1.0 / 6.0)
+    statuses = _assert_batch_matches_singles(mats, weights, 200)
+    assert list(statuses) == [k.SOLVE_CONVERGED, k.SOLVE_BREAKDOWN] + [k.SOLVE_CONVERGED] * 2

@@ -12,7 +12,7 @@ from .barycenter import (
     residual,
     wasserstein_mean,
 )
-from .bures import GaussianParams, bw_distance, gaussian_w2, geodesic, hellinger
+from .bures import GaussianParams, bw_distance, gaussian_w2, geodesic
 from .checks import (
     DEFAULT_CHECKS,
     CheckReport,
@@ -76,7 +76,6 @@ __all__ = [
     "geodesic",
     "geometric_mean",
     "hadamard",
-    "hellinger",
     "hermitianize",
     "kantorovich",
     "kron",

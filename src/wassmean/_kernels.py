@@ -56,6 +56,12 @@ def spd_power(a, t):
     return _from_spectrum(v, w**t)
 
 
+def log_det(a):
+    """log det(a) of a positive definite matrix (or of each matrix of a
+    stack) as a sum of eigenvalue logs, with no determinant overflow."""
+    return np.log(np.linalg.eigvalsh(a)).sum(axis=-1)
+
+
 def _roots(w, v):
     """a^{1/2} and a^{-1/2} from the eigendecomposition (w, v) of a."""
     sw = np.sqrt(w)

@@ -1,20 +1,18 @@
-"""Bures-Wasserstein distance, its geodesic, the Gaussian 2-Wasserstein
-closed form, and the Hellinger distance for probability vectors."""
+"""Bures-Wasserstein distance, its geodesic, and the Gaussian 2-Wasserstein
+closed form."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import hermitianize, require_spd
+from .hermitian import hermitianize, require_spd, require_spd_pair
 
 # Round-off below zero inside an outer square root is clamped to 0 while it is
 # within this share of the scale of the data (tr((a+b)/2) for a distance);
 # anything worse is an error. At m = 32 to 50 with spectra in [0.5, 100] the
 # round-off stays below 3e-15 of that scale.
 _NEGATIVE_CLAMP = 1e-12
-
-PROB_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,7 @@ def bw_distance(a, b):
         below zero by less than 1e-12 * tr((a+b)/2) is clamped, anything
         worse raises.
     """
-    am = require_spd(a, name="first matrix")
-    bm = require_spd(b, name="second matrix")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am, bm = require_spd_pair(a, b)
     return _clamped_sqrt(_k.bw_gap(am, bm), _distance_scale(am, bm), "distance")
 
 
@@ -103,10 +98,7 @@ def geodesic(a, b, t):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geodesic parameter t={t} outside [0, 1]")
-    am = require_spd(a, name="first matrix")
-    bm = require_spd(b, name="second matrix")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am, bm = require_spd_pair(a, b)
     rs, ris = _k._roots(*np.linalg.eigh(am))
     transport = hermitianize(ris @ _k.spd_power(hermitianize(rs @ bm @ rs), 0.5) @ ris)
     step = (1 - t) * np.eye(am.shape[0], dtype=np.complex128) + t * transport
@@ -141,28 +133,3 @@ def gaussian_w2(mu, nu):
     trace_term = 2.0 * _k.bw_gap(mu.cov, nu.cov)
     scale = 2.0 * _distance_scale(mu.cov, nu.cov)
     return _clamped_sqrt(shift + trace_term, scale, "Wasserstein distance")
-
-
-def validate_prob_vector(p, name="probabilities"):
-    """Validate a (possibly boundary) probability vector."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name}: expected a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    if np.any(arr < 0):
-        j = int(np.argmin(arr))
-        raise ValueError(f"{name}[{j}] = {arr[j]:.6g} is negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"{name}: sum to {total:.6g}, must be 1 within {PROB_SUM_TOL}")
-    return arr
-
-
-def hellinger(p, q):
-    """Hellinger distance [1/2 sum_i (sqrt(p_i) - sqrt(q_i))^2]^{1/2}."""
-    pv = validate_prob_vector(p, name="first vector")
-    qv = validate_prob_vector(q, name="second vector")
-    if pv.size != qv.size:
-        raise ValueError(f"length mismatch: {pv.size} vs {qv.size}")
-    return float(np.sqrt(0.5 * np.sum((np.sqrt(pv) - np.sqrt(qv)) ** 2)))

@@ -5,21 +5,32 @@ Each ``check_*`` function evaluates one inequality or identity on concrete
 inputs and returns a :class:`CheckReport` whose margin is the smallest
 eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities); ``_order_report`` turns a check's Loewner
-comparisons into its report. ``run_suite`` drives every registered check
-over seeded random instances, always including the known equality cases:
-one generic driver runs each entry of a table that declares the check's
-instances, its equality cases and the call that evaluates them.
+comparisons into its report through one stacked ``loewner_leq_all``.
+
+A check validates each raw argument once, at its entry, then computes on the
+validated arrays with the kernels of ``_kernels`` and plain numpy. Ensembles,
+solved means, compressions and convex combinations are trusted; a derived
+matrix that the positive definite floor could still reject (a Schur product,
+a congruence) keeps its one validation. Seeded matrices come in stacks, one
+per ensemble.
+
+``run_suite`` drives every registered check over seeded random instances,
+always including the known equality cases: one generic driver runs each entry
+of a table that declares the check's instances, its equality cases and the
+call that evaluates them.
 
 ``run_suite`` works in three phases over a memo that lives only for that
 call. It first collects: each check's instances and equality cases are
 materialised once (each seeded ensemble built once), and every ensemble they
-will solve is gathered, the derived ones (``_Check.solves``) included. It
-then solves each distinct ensemble content once, with one stacked solver
-call per (n, m, m) shape (``bc.wasserstein_means``). Last it evaluates each
-check through ``CHECK_REGISTRY`` on the materialised cases, whose solves are
-memo hits. A solve left out of the memo (a breakdown) runs alone when its
-check asks for it, and raises there. A registry entry called on its own, and
-the ``check_*`` functions, solve one ensemble at a time.
+will solve is gathered, the derived ones (``_Check.solves``) included. A
+derived ensemble (Kronecker pairs, inverses) is built once per source
+ensemble or pair and reused by the check that evaluates it. It then solves each
+distinct ensemble content once, with one stacked solver call per (n, m, m)
+shape (``bc.wasserstein_means``). Last it evaluates each check through
+``CHECK_REGISTRY`` on the materialised cases, whose solves are memo hits. A
+solve left out of the memo (a breakdown) runs alone when its check asks for
+it, and raises there. A registry entry called on its own, and the ``check_*``
+functions, build and solve their inputs afresh, one ensemble at a time.
 """
 
 from collections.abc import Callable
@@ -33,32 +44,26 @@ from . import _kernels as _k
 from . import barycenter as bc
 from .hermitian import (
     ToleranceConfig,
+    _random_spds,
+    as_complex_matrix,
     frobenius,
     hermitianize,
-    log_det,
-    loewner_leq,
-    matrix_power,
+    loewner_leq_all,
     random_commuting_spds,
-    random_spd,
     random_unitary,
     require_spd,
+    require_spd_pair,
     require_spd_stack,
-    sqrtm,
 )
-from .means import arithmetic_mean, geometric_mean, kantorovich, validate_weights
-from .products import (
-    ensemble_tensor,
-    hadamard,
-    kron,
-    random_isometry_map,
-    weight_tensor,
-)
+from .means import kantorovich, validate_weights
+from .products import ensemble_tensor, random_isometry_map
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
 
 # The memo of the running ``run_suite`` call, None outside one: ensembles keyed
-# by ``random_ensemble``'s arguments, solve reports keyed by the ensemble's
+# by ``random_ensemble``'s arguments, the derived tensor and inverted ensembles
+# keyed by the ensembles they come from, solve reports keyed by the ensemble's
 # weight and matrix bytes and the solver config, and each check's materialised
 # cases keyed by its name.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
@@ -98,12 +103,10 @@ def _order_report(name, tol, inputs, details, *comparisons):
     rhs)`` comparison: it holds when every comparison holds, and its margin is
     the smallest margin. A comparison with a key (not None) also records its
     own margin in ``details`` under that key."""
-    results = []
-    for key, lhs, rhs in comparisons:
-        res = loewner_leq(lhs, rhs, tol)
+    results = loewner_leq_all([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
+    for (key, _, _), res in zip(comparisons, results):
         if key is not None:
             details[key] = res.margin
-        results.append(res)
     return CheckReport(
         check_name=name,
         holds=all(r.holds for r in results),
@@ -129,26 +132,50 @@ def random_weights(n, seed):
     return w / w.sum()
 
 
+def _shared(key, build):
+    """``build()``, called once per ``key`` inside ``run_suite`` and on every
+    call outside it."""
+    memo = _SUITE_MEMO.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
     """Seeded random ensemble; ``commuting=True`` shares one eigenbasis.
 
     Inside ``run_suite`` equal arguments return the same (read-only)
     ensemble."""
-    memo = _SUITE_MEMO.get()
-    if memo is None:
-        return _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting)
-    key = ("ensemble", m, n, seed, eig_lo, eig_hi, commuting)
-    if key not in memo:
-        memo[key] = _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting)
-    return memo[key]
+    return _shared(
+        ("ensemble", m, n, seed, eig_lo, eig_hi, commuting),
+        lambda: _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting),
+    )
 
 
 def _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting):
     if commuting:
         mats = random_commuting_spds(m, n, _mix(seed, 11), eig_lo, eig_hi)
     else:
-        mats = [random_spd(m, _mix(seed, 13 + j), eig_lo, eig_hi) for j in range(n)]
+        mats = _random_spds(m, [_mix(seed, 13 + j) for j in range(n)], eig_lo, eig_hi)
     return bc.Ensemble(weights=random_weights(n, _mix(seed, 17)), matrices=mats)
+
+
+def _tensor(a, b):
+    """``ensemble_tensor(a, b)``, built once per pair inside ``run_suite``."""
+    return _shared(("tensor", a, b), lambda: ensemble_tensor(a, b))
+
+
+def _inverted(ensemble):
+    """The ensemble of the inverses, under the same weights; built once per
+    ensemble inside ``run_suite``."""
+    return _shared(
+        ("inverted", ensemble),
+        lambda: bc.Ensemble(
+            weights=ensemble.weights, matrices=_k.spd_power(ensemble.matrices, -1.0)
+        ),
+    )
 
 
 def _mean_report(ensemble, cfg=None):
@@ -190,8 +217,8 @@ def check_fixed_point_certificate(ensemble, cfg=None, tol=None):
     if tol is None:
         tol = ToleranceConfig()
     report = _mean_report(ensemble, cfg)
-    eq_res = bc.residual(report.mean, ensemble)
     # The solver's mean is exactly Hermitian and positive definite.
+    eq_res = float(_k.mean_equation_residual(report.mean, ensemble.matrices, ensemble.weights))
     root = _k.spd_power(report.mean, 0.5)
     roots = _k.spd_power(hermitianize(root @ ensemble.matrices @ root), 0.5)
     acc = _k.weighted_sum(ensemble.weights, roots)
@@ -238,9 +265,8 @@ def check_det_inequality(ensemble, x, tol=None):
     if tol is None:
         tol = ToleranceConfig()
     xm = require_spd(x, name="mean")
-    margin = log_det(xm)
-    log_dets = np.log(np.linalg.eigvalsh(ensemble.matrices)).sum(axis=-1)
-    for wj, log_det_j in zip(ensemble.weights, log_dets):
+    margin = float(_k.log_det(xm))
+    for wj, log_det_j in zip(ensemble.weights, _k.log_det(ensemble.matrices)):
         margin -= float(wj) * float(log_det_j)
     equality = margin <= 1e-9
     all_equal = all(
@@ -267,9 +293,12 @@ def check_logdet_concavity(weights, mats, tol=None):
     if tol is None:
         tol = ToleranceConfig()
     w = validate_weights(weights)
-    mix = arithmetic_mean(w, mats)
-    log_dets = np.log(np.linalg.eigvalsh(require_spd_stack(mats))).sum(axis=-1)
-    margin = log_det(mix) - sum(float(wj) * float(ld) for wj, ld in zip(w, log_dets))
+    if len(mats) != w.size:
+        raise ValueError(f"count mismatch: {w.size} weights, {len(mats)} matrices")
+    stack = require_spd_stack(mats, name="matrices")
+    mix = hermitianize(_k.weighted_sum(w, stack))
+    log_dets = _k.log_det(stack)
+    margin = float(_k.log_det(mix)) - sum(float(wj) * float(ld) for wj, ld in zip(w, log_dets))
     all_equal = all(frobenius(np.asarray(m) - np.asarray(mats[0])) <= 1e-8 for m in mats)
     return CheckReport(
         check_name="logdet_concavity",
@@ -283,8 +312,10 @@ def check_logdet_concavity(weights, mats, tol=None):
 def check_phi_geometric_mean(a, b, phi, tol=None):
     """Compression of a geometric mean never exceeds the geometric mean of
     the compressions."""
-    lhs = phi.apply(geometric_mean(a, b))
-    rhs = geometric_mean(phi.apply(a), phi.apply(b))
+    am, bm = require_spd_pair(a, b)
+    phi.require_source_dim(am.shape[0])
+    lhs = phi.compress(_k.geometric_mean(am, bm))
+    rhs = _k.geometric_mean(*phi.compress(np.stack([am, bm])))
     return _order_report(
         "phi_geometric_mean", tol,
         {"source_dim": phi.source_dim, "target_dim": phi.target_dim},
@@ -297,7 +328,7 @@ def check_phi_wass(ensemble, phi, cfg=None, tol=None):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
-    unital_gap = frobenius(phi.apply(np.eye(phi.source_dim, dtype=np.complex128)) - eye_t)
+    unital_gap = frobenius(phi.compress(np.eye(phi.source_dim, dtype=np.complex128)) - eye_t)
     if unital_gap > 1e-10:
         raise ValueError(f"map is not unital: ||phi(I) - I||_F = {unital_gap:.3e}")
     if ensemble.dim != phi.source_dim:
@@ -306,15 +337,10 @@ def check_phi_wass(ensemble, phi, cfg=None, tol=None):
             f"map expects {phi.source_dim}"
         )
     mean = _solve(ensemble, cfg)
-    v = phi.isometry
-
-    def compress(stack):
-        # phi.apply on each matrix of a stack of trusted Hermitian matrices.
-        return hermitianize(v.conj().T @ stack @ v)
-
-    mix_inv = _k.weighted_sum(ensemble.weights, compress(_k.spd_power(ensemble.matrices, -1.0)))
-    mix = _k.weighted_sum(ensemble.weights, compress(ensemble.matrices))
-    phi_mean, phi_mean_inv = compress(np.stack([mean, _k.spd_power(mean, -1.0)]))
+    inverses = _k.spd_power(ensemble.matrices, -1.0)
+    mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(inverses))
+    mix = _k.weighted_sum(ensemble.weights, phi.compress(ensemble.matrices))
+    phi_mean, phi_mean_inv = phi.compress(np.stack([mean, _k.spd_power(mean, -1.0)]))
     return _order_report(
         "phi_wass", tol,
         {"dim": ensemble.dim, "count": ensemble.size,
@@ -330,7 +356,7 @@ def check_self_duality_gap(ensemble, cfg=None):
     check passes when the Frobenius gap exceeds the demonstration threshold."""
     mean = _solve(ensemble, cfg)
     mean_of_inverses = _solve(_inverted(ensemble), cfg)
-    gap = frobenius(mean_of_inverses - matrix_power(mean, -1.0))
+    gap = frobenius(mean_of_inverses - _k.spd_power(mean, -1.0))
     return CheckReport(
         check_name="self_duality_gap",
         holds=gap > SELF_DUALITY_GAP,
@@ -340,18 +366,13 @@ def check_self_duality_gap(ensemble, cfg=None):
     )
 
 
-def _inverted(ensemble):
-    """The ensemble of the inverses, under the same weights."""
-    return bc.Ensemble(weights=ensemble.weights, matrices=_k.spd_power(ensemble.matrices, -1.0))
-
-
 def check_tensor_identity(a, b, cfg=None):
     """Kronecker product of two means equals the mean of the Kronecker-pair
     ensemble; margin is the negated relative Frobenius error."""
     try:
         mean_a = _solve(a, cfg)
         mean_b = _solve(b, cfg)
-        mean_t = _solve(ensemble_tensor(a, b), cfg)
+        mean_t = _solve(_tensor(a, b), cfg)
     except RuntimeError as exc:
         return CheckReport(
             check_name="tensor_identity",
@@ -360,7 +381,7 @@ def check_tensor_identity(a, b, cfg=None):
             inputs={"dims": [a.dim, b.dim], "counts": [a.size, b.size]},
             details={"error": str(exc)},
         )
-    product = kron(mean_a, mean_b)
+    product = np.kron(mean_a, mean_b)
     rel_err = frobenius(product - mean_t) / frobenius(product)
     return CheckReport(
         check_name="tensor_identity",
@@ -374,9 +395,9 @@ def check_tensor_identity(a, b, cfg=None):
 def check_tensor_arithmetic_bound(a, b, cfg=None, tol=None):
     """Kronecker product of two means below the arithmetic mean of all
     Kronecker pairs."""
-    lhs = kron(_solve(a, cfg), _solve(b, cfg))
-    tensored = ensemble_tensor(a, b)
-    rhs = arithmetic_mean(tensored.weights, tensored.matrices)
+    lhs = np.kron(_solve(a, cfg), _solve(b, cfg))
+    tensored = _tensor(a, b)
+    rhs = hermitianize(_k.weighted_sum(tensored.weights, tensored.matrices))
     return _order_report(
         "tensor_arithmetic_bound", tol,
         {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
@@ -389,8 +410,8 @@ def check_hadamard_arithmetic_bound(a, b, cfg=None, tol=None):
     Hadamard pairs."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lhs = hadamard(_solve(a, cfg), _solve(b, cfg))
-    rhs = _k.weighted_sum(weight_tensor(a.weights, b.weights), _hadamard_pairs(a, b))
+    lhs = _solve(a, cfg) * _solve(b, cfg)
+    rhs = _k.weighted_sum(_pair_weights(a, b), _hadamard_pairs(a, b))
     return _order_report(
         "hadamard_arithmetic_bound", tol,
         {"dim": a.dim, "counts": [a.size, b.size]}, {},
@@ -405,12 +426,12 @@ def check_commuting_quadruple(a, b, c, d, tol=None):
     cm, dm = require_spd(c, name="c"), require_spd(d, name="d")
     bc.require_commuting(am, bm, "pair (a,b) does not commute")
     bc.require_commuting(cm, dm, "pair (c,d) does not commute")
-    lhs = hadamard(am @ bm + bm @ am, cm @ dm + dm @ cm) - hadamard(
-        am @ am + bm @ bm, cm @ cm + dm @ dm
-    )
+    if am.shape != cm.shape:
+        raise ValueError(f"shape mismatch: {am.shape} vs {cm.shape}")
+    lhs = (am @ bm + bm @ am) * (cm @ dm + dm @ cm) - (am @ am + bm @ bm) * (cm @ cm + dm @ dm)
     diff_ab = am - bm
     diff_cd = cm - dm
-    rhs = 0.5 * hadamard(diff_ab @ diff_ab, diff_cd @ diff_cd)
+    rhs = 0.5 * ((diff_ab @ diff_ab) * (diff_cd @ diff_cd))
     return _order_report(
         "commuting_quadruple", tol, {"dim": int(am.shape[0])}, {},
         (None, hermitianize(lhs), hermitianize(rhs)),
@@ -421,13 +442,12 @@ def check_hadamard_inverse(a, b, tol=None):
     """Two-sided bound on the inverse of a Hadamard product:
     (a o b)^{-1} <= a^{-1} o b^{-1} <= K (a o b)^{-1} with K the Kantorovich
     constant of the Kronecker product's spectral edges."""
-    am = require_spd(a, name="first matrix")
-    bm = require_spd(b, name="second matrix")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    had_inv = matrix_power(hadamard(am, bm), -1.0)
-    inv_had = hadamard(matrix_power(am, -1.0), matrix_power(bm, -1.0))
-    eigs = np.linalg.eigvalsh(kron(am, bm))
+    am, bm = require_spd_pair(a, b)
+    # The Schur product is validated as the inverse's argument.
+    had_inv = _k.spd_power(require_spd(am * bm, name="matrix"), -1.0)
+    inv_a, inv_b = _k.spd_power(np.stack([am, bm]), -1.0)
+    inv_had = inv_a * inv_b
+    eigs = np.linalg.eigvalsh(np.kron(am, bm))
     constant = kantorovich(float(eigs[0]), float(eigs[-1]))
     return _order_report(
         "hadamard_inverse", tol, {"dim": int(am.shape[0])},
@@ -440,6 +460,11 @@ def check_hadamard_inverse(a, b, tol=None):
 def _spectral_box(mats):
     eigs = np.linalg.eigvalsh(mats)
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+
+
+def _pair_weights(a, b):
+    """Weights of all pairs of two ensembles, in ``weight_tensor`` order."""
+    return np.outer(a.weights, b.weights).ravel()
 
 
 def _hadamard_pairs(a, b):
@@ -460,10 +485,11 @@ def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
     constant = (alpha * gamma + beta * delta) / (
         2.0 * np.sqrt(alpha * beta * gamma * delta)
     )
-    xy = hadamard(x, y)
-    root = sqrtm(xy)
+    xy = x * y
+    # The Schur product of the means is validated as the root's argument.
+    root = _k.spd_power(require_spd(xy, name="matrix"), 0.5)
     inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
-    rhs = _k.weighted_sum(weight_tensor(a.weights, b.weights), _k.spd_power(inner, 0.5))
+    rhs = _k.weighted_sum(_pair_weights(a, b), _k.spd_power(inner, 0.5))
     return _order_report(
         "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
         {"constant": constant, "bounds": [alpha, beta, gamma, delta]},
@@ -473,19 +499,23 @@ def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
 
 def check_jensen_contraction(a, x, p, tol=None):
     """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
-    contraction."""
+    contraction; ``x`` is a finite square matrix of the dimension of ``a``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"power p={p} outside [0, 1]")
     am = require_spd(a, name="matrix")
-    xm = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
+    xm = as_complex_matrix(x, name="x")
+    if xm.shape != am.shape:
+        m = am.shape[0]
+        raise ValueError(f"x: expected a {m}x{m} matrix, the dimension of a, got shape {xm.shape}")
     sv = np.linalg.svd(xm, compute_uv=False)
     inv_norm = 1.0 / float(sv[-1])
     if inv_norm > 1.0 + 1e-12:
         raise ValueError(
             f"inverse is not a contraction: ||x^-1||_op = {inv_norm:.6f} > 1"
         )
-    lhs = matrix_power(hermitianize(xm.conj().T @ am @ xm), float(p))
-    rhs = hermitianize(xm.conj().T @ matrix_power(am, float(p)) @ xm)
+    # The congruence x* a x is validated as the power's argument.
+    lhs = _k.spd_power(require_spd(hermitianize(xm.conj().T @ am @ xm), name="matrix"), float(p))
+    rhs = hermitianize(xm.conj().T @ _k.spd_power(am, float(p)) @ xm)
     return _order_report(
         "jensen_contraction", tol, {"dim": int(am.shape[0]), "p": float(p)},
         {"inverse_operator_norm": inv_norm},
@@ -505,8 +535,7 @@ def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
     x = _solve(a, cfg)
     y = _solve(b, cfg)
     eye = np.eye(a.dim, dtype=np.complex128)
-    pre_x = loewner_leq(eye, x, tol)
-    pre_y = loewner_leq(eye, y, tol)
+    pre_x, pre_y = loewner_leq_all([(eye, x), (eye, y)], tol)
     if not (pre_x.holds and pre_y.holds):
         return CheckReport(
             check_name="sqrt_sum_lower_bound",
@@ -520,9 +549,7 @@ def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
     alpha, beta = _spectral_box(a.matrices)
     gamma, delta = _spectral_box(b.matrices)
     constant = 2.0 * np.sqrt(alpha * beta * gamma * delta) / (alpha * gamma + beta * delta)
-    lhs = _k.weighted_sum(
-        weight_tensor(a.weights, b.weights), _k.spd_power(_hadamard_pairs(a, b), 0.5)
-    )
+    lhs = _k.weighted_sum(_pair_weights(a, b), _k.spd_power(_hadamard_pairs(a, b), 0.5))
     return _order_report(
         "sqrt_sum_lower_bound", tol, {"dim": a.dim, "counts": [a.size, b.size]},
         {"constant": constant},
@@ -626,14 +653,9 @@ class _Check:
 def _cases(name, check, plan):
     """The entry's generic and equality-case argument tuples, materialised
     once per ``run_suite`` call."""
-    memo = _SUITE_MEMO.get()
-    key = ("cases", name)
-    if memo is not None and key in memo:
-        return memo[key]
-    cases = list(check.instances(plan)), list(check.equality_cases())
-    if memo is not None:
-        memo[key] = cases
-    return cases
+    return _shared(
+        ("cases", name), lambda: (list(check.instances(plan)), list(check.equality_cases()))
+    )
 
 
 def _solved_ensembles(check, cases):
@@ -661,8 +683,13 @@ def _run_check(name, check, plan):
     return report
 
 
+def _spds(m, seed, *salts):
+    """Stack of random m x m matrices of spectrum in [0.5, 2], one per salt."""
+    return _random_spds(m, [_mix(seed, salt) for salt in salts], 0.5, 2.0)
+
+
 def _spd(m, seed, salt):
-    return random_spd(m, _mix(seed, salt), 0.5, 2.0)
+    return _spds(m, seed, salt)[0]
 
 
 def _singleton(a):
@@ -692,7 +719,8 @@ def _phi_geometric_mean_instances(plan):
     for seed in plan.seed_list():
         m = max(2, plan.dim_for(seed))
         k = max(1, m - 1 - seed % 2)
-        yield _spd(m, seed, 41), _spd(m, seed, 43), random_isometry_map(m, k, _mix(seed, 37))
+        a, b = _spds(m, seed, 41, 43)
+        yield a, b, random_isometry_map(m, k, _mix(seed, 37))
 
 
 def _phi_wass_instances(plan):
@@ -710,7 +738,7 @@ def _commuting_pair(m, seed, salt):
 def _hadamard_inverse_instances(plan):
     for seed in plan.seed_list():
         m = min(4, plan.dim_for(seed))
-        yield _spd(m, seed, 149), _spd(m, seed, 151)
+        yield tuple(_spds(m, seed, 149, 151))
 
 
 def _jensen_instances(plan):
@@ -747,7 +775,7 @@ def _finish_self_duality_gap(report, generic, equality):
 def _check_reversed_bound(ensemble, tol):
     """Test hook: the arithmetic-mean bound asserted in the wrong direction,
     which fails on any generic ensemble."""
-    upper = arithmetic_mean(ensemble.weights, ensemble.matrices)
+    upper = hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
     return _order_report(
         "corrupted_direction", tol, {"dim": ensemble.dim, "count": ensemble.size},
         {"note": "inequality direction deliberately reversed"},
@@ -807,7 +835,7 @@ _CHECKS = {
         evaluate=lambda tol, a, b: check_tensor_identity(a, b),
         # Singleton ensembles reproduce the plain Kronecker product.
         equality_cases=lambda: [(_singleton(_spd(2, 4, 73)), _singleton(_spd(2, 4, 79)))],
-        solves=lambda a, b: (ensemble_tensor(a, b),),
+        solves=lambda a, b: (_tensor(a, b),),
     ),
     "tensor_arithmetic_bound": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (83, 89), (2, 3), lambda s: 2),

@@ -4,6 +4,16 @@ Matrices are plain C-order ``complex128`` ndarrays. Validation helpers return
 the symmetrized array so downstream spectral routines always see an exactly
 Hermitian input; positive definiteness is enforced against a relative floor
 (the open cone has no boundary members here, they are rejected).
+
+These helpers are the validation boundary: a caller validates each raw
+argument once at its entry and then computes on the returned arrays with the
+trusted kernels of ``_kernels``, never validating the same array again.
+``require_spd_stack`` validates a whole stack in one batched pass, and
+``loewner_leq_all`` compares a whole stack of pairs with one ``eigvalsh``;
+both share one vectorised Hermitian guard. Seeded generation is stacked too:
+``_random_spds`` draws each matrix from its own seeded stream but factors and
+assembles the stack in one batched QR and one batched product, and
+``random_spd`` is its one-seed case.
 """
 
 from dataclasses import dataclass
@@ -96,13 +106,32 @@ def require_spd(a, atol=None, name="matrix"):
     return arr
 
 
+def require_spd_pair(a, b):
+    """Validate two positive definite matrices of one shape, named first and
+    second matrix; return both symmetrized."""
+    am = require_spd(a, name="first matrix")
+    bm = require_spd(b, name="second matrix")
+    if am.shape != bm.shape:
+        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    return am, bm
+
+
+def _hermitian_stack_ok(arr):
+    """Whether every matrix of the (n, m, m) stack passes the finiteness and
+    Hermitian-gap checks of ``require_hermitian``, with its own default
+    tolerance 1e-12 * max(1, ||a||_F)."""
+    if not np.isfinite(arr).all():
+        return False
+    hermitian_gap = np.abs(arr - np.swapaxes(arr, 1, 2).conj()).max(axis=(1, 2))
+    return not np.any(
+        hermitian_gap > 1e-12 * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+    )
+
+
 def _batched_spd(arr):
     """The symmetrized stack if every matrix of the (n, m, m) stack passes the
     checks of ``require_spd``, else None."""
-    if not np.isfinite(arr).all():
-        return None
-    hermitian_gap = np.abs(arr - np.swapaxes(arr, 1, 2).conj()).max(axis=(1, 2))
-    if np.any(hermitian_gap > 1e-12 * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))):
+    if not _hermitian_stack_ok(arr):
         return None
     sym = hermitianize(arr)
     floor = SPD_FLOOR * np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
@@ -116,17 +145,21 @@ def require_spd_stack(mats, name="matrices"):
     batched pass; return them as an (n, m, m) complex128 stack of
     symmetrized matrices.
 
-    ``mats`` is a sequence of matrices or an (n, m, m) array. Each matrix
-    meets the checks of ``require_spd`` with its own relative tolerances; the
-    first offending matrix is reported by ``require_spd`` as ``name[j]``.
+    ``mats`` is a sequence of matrices or an (n, m, m) array; an array is
+    checked as it stands, without a per-matrix copy. Each matrix meets the
+    checks of ``require_spd`` with its own relative tolerances; the first
+    offending matrix is reported by ``require_spd`` as ``name[j]``.
     """
-    items = [np.asarray(a, dtype=np.complex128) for a in mats]
-    first = items[0] if items else None
-    if first is not None and first.ndim == 2 and first.shape[0] == first.shape[1] > 0:
-        if all(a.shape == first.shape for a in items):
-            sym = _batched_spd(np.stack(items))
-            if sym is not None:
-                return sym
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        items = stack = np.asarray(mats, dtype=np.complex128)
+    else:
+        items = [np.asarray(a, dtype=np.complex128) for a in mats]
+        same = items and items[0].ndim == 2 and all(a.shape == items[0].shape for a in items)
+        stack = np.stack(items) if same else None
+    if stack is not None and stack.shape[0] > 0 and stack.shape[1] == stack.shape[2] > 0:
+        sym = _batched_spd(stack)
+        if sym is not None:
+            return sym
     # Mixed shapes or a failing matrix: the per-matrix checks, in index
     # order, name the first offender.
     validated = [require_spd(a, name=f"{name}[{j}]") for j, a in enumerate(items)]
@@ -149,8 +182,7 @@ def sqrtm(a, name="matrix"):
 
 def log_det(a, name="matrix"):
     """log det(a) as a sum of eigenvalue logs (no determinant overflow)."""
-    arr = require_spd(a, name=name)
-    return float(np.sum(np.log(np.linalg.eigvalsh(arr))))
+    return float(_k.log_det(require_spd(a, name=name)))
 
 
 def loewner_leq(a, b, cfg=None):
@@ -170,13 +202,49 @@ def loewner_leq(a, b, cfg=None):
     return LoewnerResult(holds=margin >= -cfg.loewner_tol * scale, margin=margin)
 
 
-def _haar_unitary(rng, m):
-    """Haar-distributed unitary drawn from ``rng``: QR of a complex Ginibre
-    matrix with the R-diagonal phases folded in."""
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def loewner_leq_all(pairs, cfg=None):
+    """``loewner_leq(a, b, cfg)`` for every ``(a, b)`` pair, bit for bit, from
+    one Hermitian guard and one ``eigvalsh`` over the stack of all pairs.
+
+    Pairs of mixed shapes, or a stack that fails the guard, go through
+    ``loewner_leq`` one by one, which raises as it would alone."""
+    if cfg is None:
+        cfg = ToleranceConfig()
+    mats = [np.asarray(m, dtype=np.complex128) for pair in pairs for m in pair]
+    shape = mats[0].shape
+    if len(shape) == 2 and shape[0] == shape[1] > 0 and all(m.shape == shape for m in mats):
+        stack = np.stack(mats)
+        if _hermitian_stack_ok(stack):
+            sym = hermitianize(stack)
+            lhs, rhs = sym[0::2], sym[1::2]
+            margins = np.linalg.eigvalsh(hermitianize(rhs - lhs))[:, 0].tolist()
+            # A non-negative margin holds at any scale.
+            return [
+                LoewnerResult(
+                    holds=margin >= 0 or margin >= -cfg.loewner_tol * cfg.loewner_scale(a, b),
+                    margin=margin,
+                )
+                for margin, a, b in zip(margins, lhs, rhs)
+            ]
+    return [loewner_leq(a, b, cfg) for a, b in pairs]
+
+
+def _ginibre(rng, m):
+    """Complex Ginibre matrix drawn from ``rng``: real, then imaginary parts."""
+    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+
+def _haar_unitaries(g):
+    """Haar-distributed unitary from a complex Ginibre matrix (or each of a
+    stack): its QR factor with the R-diagonal phases folded in."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_unitary(rng, m):
+    """Haar-distributed m x m unitary drawn from ``rng``."""
+    return _haar_unitaries(_ginibre(rng, m))
 
 
 def random_unitary(m, seed):
@@ -184,15 +252,26 @@ def random_unitary(m, seed):
     return np.ascontiguousarray(_haar_unitary(np.random.default_rng(seed), m))
 
 
-def random_spd(m, seed, eig_lo, eig_hi):
-    """Random positive definite matrix with spectrum drawn uniformly in
-    [eig_lo, eig_hi], conjugated by a seeded random unitary."""
+def _random_spds(m, seeds, eig_lo, eig_hi):
+    """(len(seeds), m, m) stack of random positive definite matrices: matrix j
+    has its spectrum drawn uniformly in [eig_lo, eig_hi] and is conjugated by
+    a random unitary, both from the stream ``default_rng(seeds[j])``.
+
+    Each stream is drawn from in the order of a lone ``random_spd``; the
+    QR, the phase fold and the conjugation then run once on the stack."""
     if not (0 < eig_lo <= eig_hi):
         raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
-    rng = np.random.default_rng(seed)
-    u = _haar_unitary(rng, m)
-    lam = rng.uniform(eig_lo, eig_hi, m)
-    return hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u = _haar_unitaries(np.stack([_ginibre(rng, m) for rng in rngs]))
+    lam = np.stack([rng.uniform(eig_lo, eig_hi, m) for rng in rngs])
+    return hermitianize(np.ascontiguousarray((u * lam[:, None, :]) @ _k._adjoint(u)))
+
+
+def random_spd(m, seed, eig_lo, eig_hi):
+    """Random positive definite matrix with spectrum drawn uniformly in
+    [eig_lo, eig_hi], conjugated by a seeded random unitary: the one-seed
+    case of ``_random_spds``."""
+    return _random_spds(m, [seed], eig_lo, eig_hi)[0]
 
 
 def random_commuting_spds(m, count, seed, eig_lo, eig_hi):

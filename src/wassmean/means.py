@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import hermitianize, require_spd, require_spd_stack
+from .hermitian import hermitianize, require_spd_pair, require_spd_stack
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -30,11 +30,7 @@ def geometric_mean(a, b):
     The unique SPD solution X of X a^{-1} X = b; midpoint of the Riemannian
     geodesic between a and b.
     """
-    am = require_spd(a, name="first matrix")
-    bm = require_spd(b, name="second matrix")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return _k.geometric_mean(am, bm)
+    return _k.geometric_mean(*require_spd_pair(a, b))
 
 
 def arithmetic_mean(weights, mats):

@@ -93,13 +93,21 @@ class PositiveMapSpec:
     def apply(self, a):
         """Compression V* a V of a Hermitian matrix; SPD in, SPD out."""
         am = require_hermitian(a, name="matrix")
-        if am.shape[0] != self.source_dim:
+        self.require_source_dim(am.shape[0])
+        return self.compress(am)
+
+    def require_source_dim(self, m):
+        """Reject an m x m matrix that the map cannot compress."""
+        if m != self.source_dim:
             raise ValueError(
-                f"dimension mismatch: matrix is {am.shape[0]}x{am.shape[0]}, "
-                f"map expects {self.source_dim}"
+                f"dimension mismatch: matrix is {m}x{m}, map expects {self.source_dim}"
             )
+
+    def compress(self, a):
+        """V* a V for an already-validated Hermitian matrix or stack of
+        source dimension, without validation."""
         v = self.isometry
-        return hermitianize(v.conj().T @ am @ v)
+        return hermitianize(v.conj().T @ a @ v)
 
 
 def ando_map(m):

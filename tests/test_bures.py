@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from wassmean.bures import (
-    GaussianParams,
-    bw_distance,
-    gaussian_w2,
-    geodesic,
-    hellinger,
-    validate_prob_vector,
-)
+from wassmean.bures import GaussianParams, bw_distance, gaussian_w2, geodesic
 from wassmean.hermitian import frobenius, random_commuting_spds, random_spd, sqrtm
 
 
@@ -174,42 +167,36 @@ def test_gaussian_params_validation():
         GaussianParams(mean=np.zeros(2), cov=np.eye(3))
 
 
+def _hellinger(p, q):
+    # The closed form of bw_distance(diag p, diag q) for probability vectors:
+    # the Hellinger distance [1/2 sum_i (sqrt(p_i) - sqrt(q_i))^2]^{1/2}.
+    return float(np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
+
+
+def _probability_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = rng.uniform(0.05, 1.0, 4)
+        q = rng.uniform(0.05, 1.0, 4)
+        yield p / p.sum(), q / q.sum()
+
+
 def test_hellinger_self_zero():
     p = np.array([0.2, 0.3, 0.5])
-    assert hellinger(p, p) == pytest.approx(0.0)
-
-
-def test_hellinger_disjoint_supports():
-    assert hellinger([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    assert bw_distance(np.diag(p), np.diag(p)) == pytest.approx(0.0)
 
 
 def test_hellinger_range():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        p = rng.uniform(0.05, 1.0, 4)
-        q = rng.uniform(0.05, 1.0, 4)
-        value = hellinger(p / p.sum(), q / q.sum())
+    for p, q in _probability_pairs(1, 20):
+        value = bw_distance(np.diag(p), np.diag(q))
         assert 0.0 <= value <= 1.0
 
 
 def test_hellinger_matches_diagonal_matrix_distance():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        p = rng.uniform(0.05, 1.0, 4)
-        q = rng.uniform(0.05, 1.0, 4)
-        p, q = p / p.sum(), q / q.sum()
+    for p, q in _probability_pairs(2, 10):
         assert bw_distance(np.diag(p), np.diag(q)) == pytest.approx(
-            hellinger(p, q), abs=1e-10
+            _hellinger(p, q), abs=1e-10
         )
-
-
-def test_prob_vector_validation():
-    with pytest.raises(ValueError, match="negative"):
-        validate_prob_vector([0.5, 0.6, -0.1])
-    with pytest.raises(ValueError, match="sum"):
-        validate_prob_vector([0.5, 0.4])
-    with pytest.raises(ValueError, match="length mismatch"):
-        hellinger([1.0], [0.5, 0.5])
 
 
 def test_negative_round_off_clamp_policy():

@@ -538,3 +538,132 @@ def test_default_plan_covers_registry_except_hook():
     plan = default_plan()
     assert set(plan.checks) == set(DEFAULT_CHECKS)
     assert "corrupted_direction" not in plan.checks
+
+
+def _slack_pairs():
+    # Holding, failing, exactly tight and slightly-negative-within-tolerance
+    # comparisons of one shape.
+    a = random_spd(3, seed=1100, eig_lo=0.5, eig_hi=2.0)
+    b = random_spd(3, seed=1101, eig_lo=0.5, eig_hi=2.0)
+    eye = np.eye(3, dtype=complex)
+    return [
+        (a, a + 0.5 * eye),
+        (a + 0.5 * eye, a),
+        (a, b),
+        (b, a),
+        (a, a),
+        (a + 1e-10 * eye, a),
+        (a + 1e-7 * eye, a),
+    ]
+
+
+def test_stacked_order_report_equals_per_pair_loewner_leq_bitwise():
+    from wassmean.hermitian import ToleranceConfig, loewner_leq, loewner_leq_all
+
+    pairs = _slack_pairs()
+    for tol in (None, ToleranceConfig(loewner_tol=1e-8)):
+        singles = [loewner_leq(lhs, rhs, tol) for lhs, rhs in pairs]
+        assert {r.holds for r in singles} == {True, False}
+        assert loewner_leq_all(pairs, tol) == singles
+        report = checks_mod._order_report(
+            "mixed", tol, {}, {}, *((f"k{i}", lhs, rhs) for i, (lhs, rhs) in enumerate(pairs))
+        )
+        assert report.details == {f"k{i}": r.margin for i, r in enumerate(singles)}
+        assert report.margin == min(r.margin for r in singles)
+        assert report.holds is False
+        held = checks_mod._order_report("held", tol, {}, {}, (None, *pairs[0]), (None, *pairs[4]))
+        assert held.holds is True
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+])
+def test_stacked_order_report_raises_like_loewner_leq(bad):
+    from wassmean.hermitian import loewner_leq
+
+    good = np.eye(2, dtype=complex)
+    for lhs, rhs in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError) as single:
+            loewner_leq(lhs, rhs)
+        with pytest.raises(ValueError) as stacked:
+            checks_mod._order_report("x", None, {}, {}, (None, good, good), (None, lhs, rhs))
+        assert str(stacked.value) == str(single.value)
+
+
+_GOOD = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
+_NOT_HERMITIAN = np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex)
+_INDEFINITE = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _raw_argument_calls(bad):
+    # (the name the message gives the argument, the call) for each raw
+    # matrix argument of a check.
+    good = _GOOD
+    e = Ensemble(weights=[0.5, 0.5], matrices=[good, np.eye(2)])
+    phi = random_isometry_map(2, 1, 3)
+    x = 2.0 * random_unitary(2, 4)
+    return [
+        ("mean", lambda: checks_mod.check_bounds(e, bad)),
+        ("mean", lambda: checks_mod.check_det_inequality(e, bad)),
+        ("matrices[1]", lambda: check_logdet_concavity([0.5, 0.5], [good, bad])),
+        ("first matrix", lambda: check_phi_geometric_mean(bad, good, phi)),
+        ("second matrix", lambda: check_phi_geometric_mean(good, bad, phi)),
+        ("a", lambda: check_commuting_quadruple(bad, good, good, good)),
+        ("d", lambda: check_commuting_quadruple(good, good, good, bad)),
+        ("first matrix", lambda: check_hadamard_inverse(bad, good)),
+        ("second matrix", lambda: check_hadamard_inverse(good, bad)),
+        ("matrix", lambda: check_jensen_contraction(bad, x, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (_NOT_HERMITIAN, "not Hermitian at (0,1): |a[0,1] - conj(a[1,0])| = 2.000e-01 > 1.428e-12"),
+    (_INDEFINITE, "not positive definite (min eigenvalue -1.000e+00 <= floor 1.414e-12)"),
+], ids=["not_hermitian", "indefinite"])
+def test_checks_reject_raw_arguments_with_their_messages(bad, problem):
+    # Each raw argument is validated once, at the check's entry, under the
+    # name and with the message it has always had.
+    for name, call in _raw_argument_calls(bad):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name}: {problem}"
+
+
+def test_jensen_validates_x():
+    a = random_spd(3, seed=1, eig_lo=0.5, eig_hi=2.0)
+    u = random_unitary(3, seed=2)
+    # A non-square x has no inverse, so it cannot have a contractive one.
+    with pytest.raises(ValueError, match=r"^x: expected a 3x3 matrix, .* got shape \(3, 2\)"):
+        check_jensen_contraction(a, 2.0 * u[:, :2], 0.5)
+    with_nan = 2.0 * u
+    with_nan[1, 1] = np.nan
+    with pytest.raises(ValueError, match="^x: entries must be finite"):
+        check_jensen_contraction(a, with_nan, 0.5)
+    with pytest.raises(ValueError, match=r"^x: expected a 3x3 matrix, .* got shape \(4, 4\)"):
+        check_jensen_contraction(a, 2.0 * random_unitary(4, seed=3), 0.5)
+
+
+def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):
+    # The Kronecker-pair and inverted ensembles built for the batched solve
+    # are the ones the checks then solve, not rebuilt copies.
+    gathered, asked = [], []
+    solved_ensembles = checks_mod._solved_ensembles
+    mean_report = checks_mod._mean_report
+
+    def gathering(check, cases):
+        for ensemble in solved_ensembles(check, cases):
+            gathered.append(ensemble)
+            yield ensemble
+
+    def asking(ensemble, cfg=None):
+        asked.append(ensemble)
+        return mean_report(ensemble, cfg)
+
+    monkeypatch.setattr(checks_mod, "_solved_ensembles", gathering)
+    monkeypatch.setattr(checks_mod, "_mean_report", asking)
+    plan = SuitePlan(checks=("tensor_identity", "self_duality_gap"), seeds=(0, 4))
+    assert all(r.holds for r in run_suite(plan))
+    # Three solves for each of 5 tensor cases, two for each of 4 ensembles.
+    assert len(asked) == 3 * 5 + 2 * 4
+    assert {id(e) for e in asked} <= {id(e) for e in gathered}

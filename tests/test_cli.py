@@ -228,12 +228,13 @@ def test_verify_default_plan_exits_0(tmp_path):
     assert all(r["holds"] and not r["skipped"] for r in doc)
 
 
-def test_verify_all_matches_golden_file(capsys):
-    # Canonical JSON of the whole suite on seeds [0, 50): a change to any
+@pytest.mark.parametrize("seed, count", [(0, 50), (777, 30)])
+def test_verify_all_matches_golden_file(capsys, seed, count):
+    # Canonical JSON of the whole suite on two seed windows: a change to any
     # margin, detail key or instance count of any check shows here.
-    code = main(["verify", "--checks", "all", "--seed", "0", "--seed-count", "50"])
+    code = main(["verify", "--checks", "all", "--seed", str(seed), "--seed-count", str(count)])
     assert code == 0
-    golden = (GOLDEN / "verify_all_seed0_count50.json").read_bytes()
+    golden = (GOLDEN / f"verify_all_seed{seed}_count{count}.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from wassmean.hermitian import (
     ToleranceConfig,
+    _random_spds,
     frobenius,
     hermitianize,
     log_det,
@@ -13,6 +14,7 @@ from wassmean.hermitian import (
     random_unitary,
     require_hermitian,
     require_spd,
+    require_spd_stack,
     sqrtm,
 )
 
@@ -136,6 +138,45 @@ def test_random_spd_respects_spectrum_range():
     eigs = np.linalg.eigvalsh(random_spd(5, seed=7, eig_lo=0.1, eig_hi=10.0))
     assert eigs[0] >= 0.1 - 1e-12
     assert eigs[-1] <= 10.0 + 1e-12
+
+
+def _reference_spd(m, seed, eig_lo, eig_hi):
+    # One matrix at a time: two normal draws, the QR of the Ginibre matrix with
+    # its R-diagonal phases folded in, then the uniform spectrum.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    u = q * (d / np.abs(d))
+    lam = rng.uniform(eig_lo, eig_hi, m)
+    return hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9])
+def test_stacked_generation_equals_per_matrix_draws_bitwise(m, n):
+    seeds = [1_000_003 * j + 12345 for j in range(n)]
+    reference = np.stack([_reference_spd(m, s, 0.5, 2.0) for s in seeds])
+    stacked = _random_spds(m, seeds, 0.5, 2.0)
+    assert stacked.shape == (n, m, m)
+    assert stacked.tobytes() == reference.tobytes()
+    singles = np.stack([random_spd(m, s, 0.5, 2.0) for s in seeds])
+    assert singles.tobytes() == reference.tobytes()
+
+
+def test_require_spd_stack_takes_an_array_as_it_stands():
+    mats = np.stack([random_spd(3, seed=s, eig_lo=0.5, eig_hi=2.0) for s in range(4)])
+    from_array = require_spd_stack(mats)
+    assert from_array.tobytes() == require_spd_stack(list(mats)).tobytes()
+    assert not np.shares_memory(from_array, mats)
+    bad = mats.copy()
+    bad[2] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match=r"matrices\[2\]: not positive definite"):
+        require_spd_stack(bad)
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        require_spd_stack(np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError, match="expected square matrix"):
+        require_spd_stack(np.ones((2, 3, 2)))
 
 
 def test_random_spd_rejects_bad_range():

@@ -12,7 +12,7 @@ from .barycenter import (
     residual,
     wasserstein_mean,
 )
-from .bures import GaussianParams, bw_distance, gaussian_w2, geodesic
+from .bures import bw_distance, geodesic
 from .checks import (
     DEFAULT_CHECKS,
     CheckReport,
@@ -56,7 +56,6 @@ __all__ = [
     "CheckReport",
     "DEFAULT_CHECKS",
     "Ensemble",
-    "GaussianParams",
     "LoewnerResult",
     "PositiveMapSpec",
     "SolverBreakdownError",
@@ -72,7 +71,6 @@ __all__ = [
     "commuting_closed_form",
     "default_plan",
     "ensemble_tensor",
-    "gaussian_w2",
     "geodesic",
     "geometric_mean",
     "hadamard",

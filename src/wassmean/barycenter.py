@@ -225,7 +225,7 @@ def _weighted_squared_distances(weights, gaps, scales):
     clamped as a distance is."""
     total = 0.0
     for wj, gap, scale in zip(weights, gaps, scales):
-        total += wj * _clamped_sqrt(gap, scale, "distance") ** 2
+        total += wj * _clamped_sqrt(gap, scale) ** 2
     return float(total)
 
 

@@ -1,12 +1,10 @@
-"""Bures-Wasserstein distance, its geodesic, and the Gaussian 2-Wasserstein
-closed form."""
-
-from dataclasses import dataclass
+"""Bures-Wasserstein distance between positive definite matrices and its
+geodesic."""
 
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import hermitianize, require_spd, require_spd_pair
+from .hermitian import hermitianize, require_spd_pair
 
 # Round-off below zero inside an outer square root is clamped to 0 while it is
 # within this share of the scale of the data (tr((a+b)/2) for a distance);
@@ -15,37 +13,17 @@ from .hermitian import hermitianize, require_spd, require_spd_pair
 _NEGATIVE_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussianParams:
-    """A Gaussian law: mean vector and SPD covariance of matching dimension."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.ascontiguousarray(np.asarray(self.mean, dtype=np.float64))
-        if mean.ndim != 1:
-            raise ValueError("mean: expected a 1-d vector")
-        cov = require_spd(self.cov, name="cov")
-        if mean.size != cov.shape[0]:
-            raise ValueError(
-                f"mean length {mean.size} does not match covariance dimension {cov.shape[0]}"
-            )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
 def _distance_scale(a, b):
     """tr((a+b)/2), the scale of d^2(a, b); one value per pair for stacks."""
     return 0.5 * (np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real)
 
 
-def _clamped_sqrt(gap, scale, what):
+def _clamped_sqrt(gap, scale):
     """sqrt(gap), clamping round-off below zero by at most
     ``_NEGATIVE_CLAMP * scale`` to 0 and raising on anything worse."""
     floor = _NEGATIVE_CLAMP * scale
     if gap < -floor:
-        raise ValueError(f"{what}: squared value {gap:.6e} below -{floor:.3e}")
+        raise ValueError(f"distance: squared value {gap:.6e} below -{floor:.3e}")
     return float(np.sqrt(max(gap, 0.0)))
 
 
@@ -69,7 +47,7 @@ def bw_distance(a, b):
         worse raises.
     """
     am, bm = require_spd_pair(a, b)
-    return _clamped_sqrt(_k.bw_gap(am, bm), _distance_scale(am, bm), "distance")
+    return _clamped_sqrt(_k.bw_gap(am, bm), _distance_scale(am, bm))
 
 
 def geodesic(a, b, t):
@@ -103,33 +81,3 @@ def geodesic(a, b, t):
     transport = hermitianize(ris @ _k.spd_power(hermitianize(rs @ bm @ rs), 0.5) @ ris)
     step = (1 - t) * np.eye(am.shape[0], dtype=np.complex128) + t * transport
     return hermitianize(step @ am @ step)
-
-
-def gaussian_w2(mu, nu):
-    """2-Wasserstein distance between Gaussian laws.
-
-    .. math::
-        W_2^2(\\mu, \\nu) = |m_1 - m_2|^2
-            + \\mathrm{tr}\\left[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}\\right]
-
-    Parameters
-    ----------
-    mu, nu : GaussianParams
-        Mean vectors and covariances of matching dimension.
-
-    Returns
-    -------
-    float
-        The distance (not its square). For zero means it equals
-        ``sqrt(2) * bw_distance(A, B)``.
-    """
-    if not isinstance(mu, GaussianParams):
-        mu = GaussianParams(*mu)
-    if not isinstance(nu, GaussianParams):
-        nu = GaussianParams(*nu)
-    if mu.cov.shape != nu.cov.shape:
-        raise ValueError(f"dimension mismatch: {mu.cov.shape} vs {nu.cov.shape}")
-    shift = float(np.sum((mu.mean - nu.mean) ** 2))
-    trace_term = 2.0 * _k.bw_gap(mu.cov, nu.cov)
-    scale = 2.0 * _distance_scale(mu.cov, nu.cov)
-    return _clamped_sqrt(shift + trace_term, scale, "Wasserstein distance")

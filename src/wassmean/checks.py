@@ -7,6 +7,9 @@ eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities); ``_order_report`` turns a check's Loewner
 comparisons into its report through one stacked ``loewner_leq_all``.
 
+A check that needs a mean solves its ensembles with the default
+``SolverConfig``; no check takes a solver configuration.
+
 A check validates each raw argument once, at its entry, then computes on the
 validated arrays with the kernels of ``_kernels`` and plain numpy. Ensembles,
 solved means, compressions and convex combinations are trusted; a derived
@@ -64,8 +67,8 @@ TENSOR_IDENTITY_RTOL = 1e-6
 # The memo of the running ``run_suite`` call, None outside one: ensembles keyed
 # by ``random_ensemble``'s arguments, the derived tensor and inverted ensembles
 # keyed by the ensembles they come from, solve reports keyed by the ensemble's
-# weight and matrix bytes and the solver config, and each check's materialised
-# cases keyed by its name.
+# weight and matrix bytes, and each check's materialised cases keyed by its
+# name.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
 
 
@@ -178,20 +181,20 @@ def _inverted(ensemble):
     )
 
 
-def _mean_report(ensemble, cfg=None):
-    """``bc.wasserstein_mean(ensemble, cfg)``, solved once per ensemble
-    content and config inside ``run_suite``."""
+def _mean_report(ensemble):
+    """``bc.wasserstein_mean(ensemble)``, solved once per ensemble content
+    inside ``run_suite``."""
     memo = _SUITE_MEMO.get()
     if memo is None:
-        return bc.wasserstein_mean(ensemble, cfg)
-    key = _solve_key(ensemble, cfg)
+        return bc.wasserstein_mean(ensemble)
+    key = _solve_key(ensemble)
     if key not in memo:
-        _memoize(memo, key, bc.wasserstein_mean(ensemble, cfg))
+        _memoize(memo, key, bc.wasserstein_mean(ensemble))
     return memo[key]
 
 
-def _solve_key(ensemble, cfg):
-    return ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes(), cfg)
+def _solve_key(ensemble):
+    return ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes())
 
 
 def _memoize(memo, key, report):
@@ -199,8 +202,8 @@ def _memoize(memo, key, report):
     memo[key] = report
 
 
-def _solve(ensemble, cfg=None):
-    report = _mean_report(ensemble, cfg)
+def _solve(ensemble):
+    report = _mean_report(ensemble)
     if not report.converged:
         raise RuntimeError(
             f"barycenter solve did not converge (residual {report.residual:.3e})"
@@ -212,11 +215,11 @@ def _solve(ensemble, cfg=None):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_fixed_point_certificate(ensemble, cfg=None, tol=None):
+def check_fixed_point_certificate(ensemble, tol=None):
     """Both residual forms of the mean's defining equation at the solved mean."""
     if tol is None:
         tol = ToleranceConfig()
-    report = _mean_report(ensemble, cfg)
+    report = _mean_report(ensemble)
     # The solver's mean is exactly Hermitian and positive definite.
     eq_res = float(_k.mean_equation_residual(report.mean, ensemble.matrices, ensemble.weights))
     root = _k.spd_power(report.mean, 0.5)
@@ -255,6 +258,15 @@ def check_bounds(ensemble, x, tol=None):
     )
 
 
+def _log_det_gap(top, weights, stack):
+    """log det(top) - sum_j w_j log det(stack_j), and whether every matrix of
+    the stack equals the first within 1e-8 in Frobenius norm."""
+    log_dets = _k.log_det(stack)
+    gap = float(_k.log_det(top)) - sum(float(wj) * float(ld) for wj, ld in zip(weights, log_dets))
+    all_equal = all(frobenius(m - stack[0]) <= 1e-8 for m in stack[1:])
+    return gap, all_equal
+
+
 def check_det_inequality(ensemble, x, tol=None):
     """Determinant gap of the mean: log det(x) - sum_j w_j log det(A_j) >= 0,
     with equality exactly on constant ensembles.
@@ -265,18 +277,12 @@ def check_det_inequality(ensemble, x, tol=None):
     if tol is None:
         tol = ToleranceConfig()
     xm = require_spd(x, name="mean")
-    margin = float(_k.log_det(xm))
-    for wj, log_det_j in zip(ensemble.weights, _k.log_det(ensemble.matrices)):
-        margin -= float(wj) * float(log_det_j)
+    margin, all_equal = _log_det_gap(xm, ensemble.weights, ensemble.matrices)
     equality = margin <= 1e-9
-    all_equal = all(
-        frobenius(ensemble.matrices[j] - ensemble.matrices[0]) <= 1e-8
-        for j in range(1, ensemble.size)
-    )
     return CheckReport(
         check_name="det_inequality",
         holds=margin >= -tol.loewner_tol,
-        margin=float(margin),
+        margin=margin,
         inputs={"dim": ensemble.dim, "count": ensemble.size,
                 "weights": [float(w) for w in ensemble.weights]},
         details={
@@ -296,14 +302,11 @@ def check_logdet_concavity(weights, mats, tol=None):
     if len(mats) != w.size:
         raise ValueError(f"count mismatch: {w.size} weights, {len(mats)} matrices")
     stack = require_spd_stack(mats, name="matrices")
-    mix = hermitianize(_k.weighted_sum(w, stack))
-    log_dets = _k.log_det(stack)
-    margin = float(_k.log_det(mix)) - sum(float(wj) * float(ld) for wj, ld in zip(w, log_dets))
-    all_equal = all(frobenius(np.asarray(m) - np.asarray(mats[0])) <= 1e-8 for m in mats)
+    margin, all_equal = _log_det_gap(hermitianize(_k.weighted_sum(w, stack)), w, stack)
     return CheckReport(
         check_name="logdet_concavity",
         holds=margin >= -tol.loewner_tol,
-        margin=float(margin),
+        margin=margin,
         inputs={"count": int(w.size)},
         details={"equality": bool(margin <= 1e-10), "all_matrices_equal": all_equal},
     )
@@ -324,7 +327,7 @@ def check_phi_geometric_mean(a, b, phi, tol=None):
     )
 
 
-def check_phi_wass(ensemble, phi, cfg=None, tol=None):
+def check_phi_wass(ensemble, phi, tol=None):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
@@ -336,7 +339,7 @@ def check_phi_wass(ensemble, phi, cfg=None, tol=None):
             f"dimension mismatch: ensemble is {ensemble.dim}x{ensemble.dim}, "
             f"map expects {phi.source_dim}"
         )
-    mean = _solve(ensemble, cfg)
+    mean = _solve(ensemble)
     inverses = _k.spd_power(ensemble.matrices, -1.0)
     mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(inverses))
     mix = _k.weighted_sum(ensemble.weights, phi.compress(ensemble.matrices))
@@ -351,11 +354,11 @@ def check_phi_wass(ensemble, phi, cfg=None, tol=None):
     )
 
 
-def check_self_duality_gap(ensemble, cfg=None):
+def check_self_duality_gap(ensemble):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
-    mean = _solve(ensemble, cfg)
-    mean_of_inverses = _solve(_inverted(ensemble), cfg)
+    mean = _solve(ensemble)
+    mean_of_inverses = _solve(_inverted(ensemble))
     gap = frobenius(mean_of_inverses - _k.spd_power(mean, -1.0))
     return CheckReport(
         check_name="self_duality_gap",
@@ -366,13 +369,13 @@ def check_self_duality_gap(ensemble, cfg=None):
     )
 
 
-def check_tensor_identity(a, b, cfg=None):
+def check_tensor_identity(a, b):
     """Kronecker product of two means equals the mean of the Kronecker-pair
     ensemble; margin is the negated relative Frobenius error."""
     try:
-        mean_a = _solve(a, cfg)
-        mean_b = _solve(b, cfg)
-        mean_t = _solve(_tensor(a, b), cfg)
+        mean_a = _solve(a)
+        mean_b = _solve(b)
+        mean_t = _solve(_tensor(a, b))
     except RuntimeError as exc:
         return CheckReport(
             check_name="tensor_identity",
@@ -392,10 +395,10 @@ def check_tensor_identity(a, b, cfg=None):
     )
 
 
-def check_tensor_arithmetic_bound(a, b, cfg=None, tol=None):
+def check_tensor_arithmetic_bound(a, b, tol=None):
     """Kronecker product of two means below the arithmetic mean of all
     Kronecker pairs."""
-    lhs = np.kron(_solve(a, cfg), _solve(b, cfg))
+    lhs = np.kron(_solve(a), _solve(b))
     tensored = _tensor(a, b)
     rhs = hermitianize(_k.weighted_sum(tensored.weights, tensored.matrices))
     return _order_report(
@@ -405,12 +408,12 @@ def check_tensor_arithmetic_bound(a, b, cfg=None, tol=None):
     )
 
 
-def check_hadamard_arithmetic_bound(a, b, cfg=None, tol=None):
+def check_hadamard_arithmetic_bound(a, b, tol=None):
     """Hadamard product of two means below the arithmetic mean of all
     Hadamard pairs."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lhs = _solve(a, cfg) * _solve(b, cfg)
+    lhs = _solve(a) * _solve(b)
     rhs = _k.weighted_sum(_pair_weights(a, b), _hadamard_pairs(a, b))
     return _order_report(
         "hadamard_arithmetic_bound", tol,
@@ -473,13 +476,13 @@ def _hadamard_pairs(a, b):
     return (a.matrices[:, None] * b.matrices[None, :]).reshape(-1, a.dim, a.dim)
 
 
-def check_kantorovich_hadamard(a, b, cfg=None, tol=None):
+def check_kantorovich_hadamard(a, b, tol=None):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    x = _solve(a, cfg)
-    y = _solve(b, cfg)
+    x = _solve(a)
+    y = _solve(b)
     alpha, beta = _spectral_box(a.matrices)
     gamma, delta = _spectral_box(b.matrices)
     constant = (alpha * gamma + beta * delta) / (
@@ -523,7 +526,7 @@ def check_jensen_contraction(a, x, p, tol=None):
     )
 
 
-def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
+def check_sqrt_sum_lower_bound(a, b, tol=None):
     """When both solved means dominate the identity, the weighted sum of
     Hadamard-pair square roots dominates a Kantorovich-type multiple of I.
 
@@ -532,8 +535,8 @@ def check_sqrt_sum_lower_bound(a, b, cfg=None, tol=None):
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    x = _solve(a, cfg)
-    y = _solve(b, cfg)
+    x = _solve(a)
+    y = _solve(b)
     eye = np.eye(a.dim, dtype=np.complex128)
     pre_x, pre_y = loewner_leq_all([(eye, x), (eye, y)], tol)
     if not (pre_x.holds and pre_y.holds):
@@ -772,17 +775,6 @@ def _finish_self_duality_gap(report, generic, equality):
     report.holds = any(r.holds for r in generic)
 
 
-def _check_reversed_bound(ensemble, tol):
-    """Test hook: the arithmetic-mean bound asserted in the wrong direction,
-    which fails on any generic ensemble."""
-    upper = hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
-    return _order_report(
-        "corrupted_direction", tol, {"dim": ensemble.dim, "count": ensemble.size},
-        {"note": "inequality direction deliberately reversed"},
-        (None, upper, _solve(ensemble)),
-    )
-
-
 _EYE2 = np.eye(2, dtype=np.complex128)
 
 _CHECKS = {
@@ -880,18 +872,13 @@ _CHECKS = {
         evaluate=lambda tol, a, b: check_sqrt_sum_lower_bound(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_EYE2),) * 2],
     ),
-    # Test hook: fails on any generic ensemble; never part of the default plan.
-    "corrupted_direction": _Check(
-        instances=lambda plan: _ensembles(plan, (3,), min_dim=2, limit=1),
-        evaluate=lambda tol, e: _check_reversed_bound(e, tol),
-    ),
 }
 
 # Each value maps a plan to the check's aggregate CheckReport.
 CHECK_REGISTRY = {name: partial(_run_check, name, check) for name, check in _CHECKS.items()}
 
-# "all" in plans and on the CLI expands to these (the hook check is opt-in).
-DEFAULT_CHECKS = tuple(n for n in CHECK_REGISTRY if n != "corrupted_direction")
+# "all" in plans and on the CLI expands to these.
+DEFAULT_CHECKS = tuple(CHECK_REGISTRY)
 
 
 def default_plan(**overrides):
@@ -944,7 +931,7 @@ def _presolve(plan):
             check = _CHECKS[name]
             cases = _cases(name, check, plan)
             for ensemble in _solved_ensembles(check, cases):
-                pending.setdefault(_solve_key(ensemble, None), ensemble)
+                pending.setdefault(_solve_key(ensemble), ensemble)
         except Exception:  # noqa: BLE001 - raised again by the check's driver
             pass
     for key, report in zip(pending, bc.wasserstein_means(list(pending.values()))):

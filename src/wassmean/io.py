@@ -8,6 +8,7 @@ offending field.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -25,6 +26,11 @@ class FormatError(ValueError):
 def dumps_canonical(payload):
     """Stable serialization: sorted keys, fixed separators, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def _is_int(value):
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _real_grid(value, dim, name):
@@ -47,7 +53,7 @@ def matrix_from_json_dict(doc, name="matrix", spd=True):
     if "dim" not in doc:
         raise FormatError(f"{name}.dim: missing")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise FormatError(f"{name}.dim: expected a positive integer, got {dim!r}")
     if "re" not in doc:
         raise FormatError(f"{name}.re: missing")
@@ -115,19 +121,19 @@ def plan_from_json_dict(doc, name="plan"):
     kwargs = {"checks": checks}
     if "seeds" in doc:
         seeds = doc["seeds"]
-        if not (isinstance(seeds, list) and len(seeds) == 2):
-            raise FormatError(f"{name}.seeds: expected [lo, hi]")
+        if not (isinstance(seeds, list) and len(seeds) == 2 and all(map(_is_int, seeds))):
+            raise FormatError(f"{name}.seeds: expected [lo, hi] integers, got {seeds!r}")
         kwargs["seeds"] = tuple(seeds)
     if "dims" in doc:
         dims = doc["dims"]
-        if not (isinstance(dims, list) and dims):
-            raise FormatError(f"{name}.dims: expected a non-empty array")
+        if not (isinstance(dims, list) and dims and all(map(_is_int, dims))):
+            raise FormatError(f"{name}.dims: expected a non-empty array of integers, got {dims!r}")
         kwargs["dims"] = tuple(dims)
     if "tol" in doc:
-        try:
-            kwargs["tol"] = float(doc["tol"])
-        except (TypeError, ValueError):
-            raise FormatError(f"{name}.tol: expected a number, got {doc['tol']!r}") from None
+        tol = doc["tol"]
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
+            raise FormatError(f"{name}.tol: expected a finite number, got {tol!r}")
+        kwargs["tol"] = float(tol)
     try:
         return SuitePlan(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -151,8 +157,8 @@ def _load_json(path):
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
-def load_matrix(path, spd=True):
-    return matrix_from_json_dict(_load_json(path), name=str(path), spd=spd)
+def load_matrix(path):
+    return matrix_from_json_dict(_load_json(path), name=str(path))
 
 
 def save_matrix(path, mat):

@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from wassmean.hermitian import _haar_unitary
+from wassmean import _kernels, checks
+from wassmean.hermitian import _haar_unitary, hermitianize
 
 
 @pytest.fixture
@@ -17,3 +20,24 @@ def wide_spectrum_mats():
         a = (u * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 8))) @ u.conj().T
         mats.append((a + a.conj().T) * 0.5)
     return np.stack(mats)
+
+
+@pytest.fixture
+def reversed_bound_check(monkeypatch):
+    """Register, for one test, a suite entry that asserts the mean's
+    arithmetic-mean bound in the wrong direction (sum_j w_j A_j <= mean),
+    which fails on any generic ensemble; return its name."""
+    name = "reversed_bound"
+
+    def evaluate(tol, e):
+        upper = hermitianize(_kernels.weighted_sum(e.weights, e.matrices))
+        return checks._order_report(
+            name, tol, {"dim": e.dim, "count": e.size}, {}, (None, upper, checks._solve(e))
+        )
+
+    entry = checks._Check(
+        instances=lambda plan: checks._ensembles(plan, (3,), min_dim=2, limit=1),
+        evaluate=evaluate,
+    )
+    monkeypatch.setitem(checks.CHECK_REGISTRY, name, partial(checks._run_check, name, entry))
+    return name

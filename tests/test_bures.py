@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wassmean.bures import GaussianParams, bw_distance, gaussian_w2, geodesic
+from wassmean.bures import bw_distance, geodesic
 from wassmean.hermitian import frobenius, random_commuting_spds, random_spd, sqrtm
 
 
@@ -133,40 +133,6 @@ def test_geodesic_rejects_bad_parameter():
             geodesic(a, b, t)
 
 
-def test_gaussian_w2_self_zero():
-    a, _ = _pair(7)
-    p = GaussianParams(mean=np.zeros(3), cov=a)
-    assert gaussian_w2(p, p) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_gaussian_w2_identical_covariances():
-    a, _ = _pair(8)
-    p = GaussianParams(mean=np.zeros(3), cov=a)
-    q = GaussianParams(mean=np.array([3.0, 0.0, 4.0]), cov=a)
-    assert gaussian_w2(p, q) == pytest.approx(5.0, abs=1e-7)
-
-
-def test_gaussian_w2_scalar_covariances():
-    p = GaussianParams(mean=np.zeros(2), cov=np.eye(2))
-    q = GaussianParams(mean=np.zeros(2), cov=4 * np.eye(2))
-    assert gaussian_w2(p, q) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
-
-def test_gaussian_w2_matches_matrix_distance():
-    for seed in range(10):
-        a, b = _pair(seed + 100)
-        p = GaussianParams(mean=np.zeros(3), cov=a)
-        q = GaussianParams(mean=np.zeros(3), cov=b)
-        assert bw_distance(a, b) == pytest.approx(
-            gaussian_w2(p, q) / np.sqrt(2.0), abs=1e-10
-        )
-
-
-def test_gaussian_params_validation():
-    with pytest.raises(ValueError, match="match"):
-        GaussianParams(mean=np.zeros(2), cov=np.eye(3))
-
-
 def _hellinger(p, q):
     # The closed form of bw_distance(diag p, diag q) for probability vectors:
     # the Hellinger distance [1/2 sum_i (sqrt(p_i) - sqrt(q_i))^2]^{1/2}.
@@ -202,14 +168,14 @@ def test_hellinger_matches_diagonal_matrix_distance():
 def test_negative_round_off_clamp_policy():
     from wassmean.bures import _clamped_sqrt
 
-    assert _clamped_sqrt(-5e-13, 1.0, "distance") == 0.0
-    assert _clamped_sqrt(4.0, 1.0, "distance") == 2.0
+    assert _clamped_sqrt(-5e-13, 1.0) == 0.0
+    assert _clamped_sqrt(4.0, 1.0) == 2.0
     with pytest.raises(ValueError, match="below"):
-        _clamped_sqrt(-1e-11, 1.0, "distance")
+        _clamped_sqrt(-1e-11, 1.0)
     # The threshold scales with the data: 1e-12 of the scale.
-    assert _clamped_sqrt(-5e-9, 1e4, "distance") == 0.0
+    assert _clamped_sqrt(-5e-9, 1e4) == 0.0
     with pytest.raises(ValueError, match="below"):
-        _clamped_sqrt(-5e-13, 1e-2, "distance")
+        _clamped_sqrt(-5e-13, 1e-2)
 
 
 def test_distance_self_is_zero_on_wide_spectra():
@@ -218,9 +184,3 @@ def test_distance_self_is_zero_on_wide_spectra():
     for seed in range(48):
         a = random_spd(50, seed=seed, eig_lo=0.5, eig_hi=100.0)
         assert bw_distance(a, a) ** 2 <= 1e-12 * np.trace(a).real
-
-
-def test_gaussian_w2_identical_laws_wide_spectrum():
-    a = random_spd(20, seed=1, eig_lo=0.5, eig_hi=100.0)
-    p = GaussianParams(mean=np.zeros(20), cov=a)
-    assert gaussian_w2(p, p) ** 2 <= 2e-12 * np.trace(a).real

@@ -107,6 +107,13 @@ def test_mean_rejects_non_hermitian(tmp_path, capsys):
     assert "not Hermitian" in err and "matrices[0]" in err
 
 
+def test_distance_rejects_boolean_dim(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    _write_json(a, {"dim": True, "re": [[1.0]]})
+    assert main(["distance", str(a), str(a)]) == 1
+    assert f"{a}.dim: expected a positive integer, got True" in capsys.readouterr().err
+
+
 def test_distance_identical_files(tmp_path, capsys):
     a = tmp_path / "a.json"
     _write_json(a, matrix_to_json_dict(np.diag([1.0, 2.0])))
@@ -211,9 +218,9 @@ def test_verify_small_plan_passes(tmp_path):
     assert all(r["holds"] for r in doc)
 
 
-def test_verify_corrupted_direction_exits_3(tmp_path):
+def test_verify_failing_check_exits_3(tmp_path, reversed_bound_check):
     out = tmp_path / "report.json"
-    code = main(["verify", "--checks", "corrupted_direction",
+    code = main(["verify", "--checks", reversed_bound_check,
                  "--seed-count", "2", "--out", str(out)])
     assert code == 3
     doc = json.loads(out.read_text())

@@ -59,6 +59,17 @@ def test_matrix_rejects_shape_and_field_errors():
         matrix_from_json_dict({"dim": 1, "re": [[1.0]], "im": [[0.0, 0.0]]})
 
 
+@pytest.mark.parametrize("dim", [True, 2.0, "2"])
+@pytest.mark.parametrize("with_im", [False, True])
+def test_matrix_rejects_non_integer_dim(dim, with_im):
+    # JSON true loads as bool, which Python counts as the int 1.
+    doc = {"dim": dim, "re": [[1.0]]}
+    if with_im:
+        doc["im"] = [[0.0]]
+    with pytest.raises(FormatError, match=r"^m\.dim: expected a positive integer"):
+        matrix_from_json_dict(doc, name="m")
+
+
 def test_matrix_rejects_non_spd_when_required():
     doc = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}
     with pytest.raises(FormatError, match="positive definite"):
@@ -155,6 +166,22 @@ def test_plan_rejects_malformed():
         plan_from_json_dict({"checks": 7})
     with pytest.raises(FormatError, match=r"\.tol"):
         plan_from_json_dict({"checks": "all", "tol": "loose"})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seeds", [0.9, 3.7]),
+    ("seeds", [0, True]),
+    ("seeds", ["0", "3"]),
+    ("dims", [2.9]),
+    ("dims", [2, False]),
+    ("tol", True),
+    ("tol", "1e-8"),
+    ("tol", float("nan")),
+    ("tol", float("inf")),
+])
+def test_plan_rejects_non_integer_ranges_and_non_number_tol(field, value):
+    with pytest.raises(FormatError, match=rf"^p\.{field}: expected"):
+        plan_from_json_dict({"checks": ["bounds"], field: value}, name="p")
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -43,19 +43,14 @@ class SolverBreakdownError(RuntimeError):
     """An iterate lost positive definiteness; the run cannot continue."""
 
 
-def _frozen_copy(a):
-    out = np.array(a, order="C")
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Weight vector paired with same-dimension SPD matrices.
 
     ``matrices`` is stored as a C-order (n, m, m) complex128 stack; both
     fields are validated on construction, the matrices in one batched pass,
-    and stored as the ensemble's own read-only copies, so an ensemble can be
+    and stored read-only: the weights as the ensemble's own copy, the
+    matrices as the fresh stack the validation returns. An ensemble can be
     shared without being changed behind its users' backs. Ensembles compare
     and hash by identity: comparing array fields has no single truth value.
     """
@@ -68,8 +63,10 @@ class Ensemble:
         mats = require_spd_stack(self.matrices, name="matrices")
         if mats.shape[0] != w.size:
             raise ValueError(f"count mismatch: {w.size} weights, {mats.shape[0]} matrices")
-        object.__setattr__(self, "weights", _frozen_copy(w))
-        object.__setattr__(self, "matrices", _frozen_copy(mats))
+        w = w.copy()
+        w.flags.writeable = mats.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "matrices", mats)
 
     @property
     def size(self):
@@ -196,12 +193,19 @@ def _solver_report(ensemble, x, iters, res, status, root_traces):
     )
 
 
-def residual(x, ensemble):
-    """||I - sum_j w_j (A_j # x^{-1})||_F, evaluated with direct geometric
-    means (a route independent of the solver's internal shortcut)."""
+def _require_candidate(x, ensemble):
+    """Validate a candidate mean of ``ensemble``: positive definite, of the
+    ensemble's dimension."""
     xm = require_spd(x, name="candidate")
     if xm.shape[0] != ensemble.dim:
         raise ValueError(f"dimension mismatch: {xm.shape[0]} vs {ensemble.dim}")
+    return xm
+
+
+def residual(x, ensemble):
+    """||I - sum_j w_j (A_j # x^{-1})||_F, evaluated with direct geometric
+    means (a route independent of the solver's internal shortcut)."""
+    xm = _require_candidate(x, ensemble)
     return float(_k.mean_equation_residual(xm, ensemble.matrices, ensemble.weights))
 
 
@@ -211,9 +215,7 @@ def objective(x, ensemble):
 
     Evaluates every distance afresh at any candidate ``x``: the route
     independent of the root traces behind ``SolverReport.objective``."""
-    xm = require_spd(x, name="candidate")
-    if xm.shape[0] != ensemble.dim:
-        raise ValueError(f"dimension mismatch: {xm.shape[0]} vs {ensemble.dim}")
+    xm = _require_candidate(x, ensemble)
     gaps = _k.bw_gap(xm, ensemble.matrices)
     return _weighted_squared_distances(
         ensemble.weights, gaps, _distance_scale(xm, ensemble.matrices)

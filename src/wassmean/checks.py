@@ -5,7 +5,9 @@ Each ``check_*`` function evaluates one inequality or identity on concrete
 inputs and returns a :class:`CheckReport` whose margin is the smallest
 eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities); ``_order_report`` turns a check's Loewner
-comparisons into its report through one stacked ``loewner_leq_all``.
+comparisons into its report through ``hermitian._loewner_verdicts``, the one
+Loewner verdict rule: one ``eigvalsh`` over the stacked slacks of matrices the
+check computed, which it trusts rather than validates again.
 
 A check that needs a mean solves its ensembles with the default
 ``SolverConfig``; no check takes a solver configuration.
@@ -36,10 +38,12 @@ it, and raises there. A registry entry called on its own, and the ``check_*``
 functions, build and solve their inputs afresh, one ensemble at a time.
 """
 
+import math
 from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,11 +51,11 @@ from . import _kernels as _k
 from . import barycenter as bc
 from .hermitian import (
     ToleranceConfig,
+    _loewner_verdicts,
     _random_spds,
     as_complex_matrix,
     frobenius,
     hermitianize,
-    loewner_leq_all,
     random_commuting_spds,
     random_unitary,
     require_spd,
@@ -106,14 +110,16 @@ def _order_report(name, tol, inputs, details, *comparisons):
     rhs)`` comparison: it holds when every comparison holds, and its margin is
     the smallest margin. A comparison with a key (not None) also records its
     own margin in ``details`` under that key."""
-    results = loewner_leq_all([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
+    results = _loewner_verdicts([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
     for (key, _, _), res in zip(comparisons, results):
         if key is not None:
             details[key] = res.margin
+    margins = [r.margin for r in results]
     return CheckReport(
         check_name=name,
         holds=all(r.holds for r in results),
-        margin=min(r.margin for r in results),
+        # min() keeps a NaN margin (a non-finite slack) only when it comes first.
+        margin=math.nan if any(map(math.isnan, margins)) else min(margins),
         inputs=inputs,
         details=details,
     )
@@ -330,15 +336,8 @@ def check_phi_geometric_mean(a, b, phi, tol=None):
 def check_phi_wass(ensemble, phi, tol=None):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
+    phi.require_source_dim(ensemble.dim)
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
-    unital_gap = frobenius(phi.compress(np.eye(phi.source_dim, dtype=np.complex128)) - eye_t)
-    if unital_gap > 1e-10:
-        raise ValueError(f"map is not unital: ||phi(I) - I||_F = {unital_gap:.3e}")
-    if ensemble.dim != phi.source_dim:
-        raise ValueError(
-            f"dimension mismatch: ensemble is {ensemble.dim}x{ensemble.dim}, "
-            f"map expects {phi.source_dim}"
-        )
     mean = _solve(ensemble)
     inverses = _k.spd_power(ensemble.matrices, -1.0)
     mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(inverses))
@@ -538,7 +537,7 @@ def check_sqrt_sum_lower_bound(a, b, tol=None):
     x = _solve(a)
     y = _solve(b)
     eye = np.eye(a.dim, dtype=np.complex128)
-    pre_x, pre_y = loewner_leq_all([(eye, x), (eye, y)], tol)
+    pre_x, pre_y = _loewner_verdicts([(eye, x), (eye, y)], tol)
     if not (pre_x.holds and pre_y.holds):
         return CheckReport(
             check_name="sqrt_sum_lower_bound",
@@ -564,6 +563,24 @@ def check_sqrt_sum_lower_bound(a, b, tol=None):
 # suite runner
 # ---------------------------------------------------------------------------
 
+def _integers(items):
+    # bool counts as an integer in Python; a plan takes it for none.
+    return all(isinstance(v, Integral) and not isinstance(v, bool) for v in items)
+
+
+def _plan_field(name, values, expected, valid):
+    """The plan field ``name`` as a tuple when it is a non-string iterable
+    whose items pass ``valid``; otherwise a ValueError that starts with the
+    field's name."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or isinstance(values, str) or not valid(items):
+        raise ValueError(f"{name}: expected {expected}, got {values!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class SuitePlan:
     """What to run: check names, seed range [lo, hi), base dimensions, and
@@ -575,21 +592,30 @@ class SuitePlan:
     tol: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        lo, hi = (int(s) for s in self.seeds)
+        checks = _plan_field("checks", self.checks, "an array of check names",
+                             lambda v: all(isinstance(c, str) for c in v))
+        lo, hi = _plan_field("seeds", self.seeds, "[lo, hi] integers",
+                             lambda v: len(v) == 2 and _integers(v))
+        dims = _plan_field("dims", self.dims, "a non-empty array of integers",
+                           lambda v: v and _integers(v))
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol):
+            raise ValueError(f"tol: expected a finite number, got {tol!r}")
         if hi <= lo:
             raise ValueError(f"seeds: empty range [{lo}, {hi})")
-        object.__setattr__(self, "seeds", (lo, hi))
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not self.dims or min(self.dims) < 1:
-            raise ValueError("dims must be positive")
-        unknown = [c for c in self.checks if c not in CHECK_REGISTRY]
+        if tol <= 0:
+            raise ValueError("tol: must be positive")
+        if min(dims) < 1:
+            raise ValueError("dims: must be positive")
+        unknown = [c for c in checks if c not in CHECK_REGISTRY]
         if unknown:
             raise ValueError(
-                f"unknown checks {unknown}; known: {sorted(CHECK_REGISTRY)}"
+                f"checks: unknown checks {unknown}; known: {sorted(CHECK_REGISTRY)}"
             )
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "seeds", (int(lo), int(hi)))
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "tol", float(tol))
 
     def seed_list(self):
         return list(range(self.seeds[0], self.seeds[1]))

@@ -7,6 +7,7 @@ input, 2 solver non-convergence, 3 verification failure.
 """
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -137,10 +138,10 @@ def build_parser():
 
     p_mean = sub.add_parser("mean", help="Wasserstein mean of an ensemble file")
     p_mean.add_argument("ensemble", help="ensemble JSON path")
-    p_mean.add_argument("--tol", type=float, default=1e-11,
-                        help="residual tolerance (default: 1e-11)")
-    p_mean.add_argument("--max-iter", type=int, default=200,
-                        help="iteration budget (default: 200)")
+    p_mean.add_argument("--tol", type=float, default=SolverConfig.residual_tol,
+                        help="residual tolerance (default: %(default)s)")
+    p_mean.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                        help="iteration budget (default: %(default)s)")
     add_output_flags(p_mean)
     p_mean.set_defaults(func=cmd_mean)
 
@@ -163,10 +164,11 @@ def build_parser():
     p_gen.add_argument("--m", type=int, required=True, help="matrix dimension")
     p_gen.add_argument("--n", type=int, required=True, help="ensemble size")
     p_gen.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
-    p_gen.add_argument("--eig-lo", type=float, default=0.5,
-                       help="spectrum lower edge (default: 0.5)")
-    p_gen.add_argument("--eig-hi", type=float, default=2.0,
-                       help="spectrum upper edge (default: 2.0)")
+    spectrum = inspect.signature(random_ensemble).parameters
+    p_gen.add_argument("--eig-lo", type=float, default=spectrum["eig_lo"].default,
+                       help="spectrum lower edge (default: %(default)s)")
+    p_gen.add_argument("--eig-hi", type=float, default=spectrum["eig_hi"].default,
+                       help="spectrum upper edge (default: %(default)s)")
     p_gen.add_argument("--commuting", action="store_true",
                        help="share one eigenbasis across the ensemble")
     add_output_flags(p_gen)
@@ -178,12 +180,12 @@ def build_parser():
     p_ver.add_argument("--checks", default="all",
                        help="comma-separated check names, 'all' or 'none' "
                        "(default: all)")
-    p_ver.add_argument("--seed", type=int, default=0,
-                       help="first seed of the range (default: 0)")
-    p_ver.add_argument("--seed-count", type=int, default=50,
-                       help="number of seeds per check (default: 50)")
-    p_ver.add_argument("--tol", type=float, default=1e-8,
-                       help="Loewner margin tolerance (default: 1e-8)")
+    p_ver.add_argument("--seed", type=int, default=SuitePlan.seeds[0],
+                       help="first seed of the range (default: %(default)s)")
+    p_ver.add_argument("--seed-count", type=int, default=SuitePlan.seeds[1] - SuitePlan.seeds[0],
+                       help="number of seeds per check (default: %(default)s)")
+    p_ver.add_argument("--tol", type=float, default=SuitePlan.tol,
+                       help="Loewner margin tolerance (default: %(default)s)")
     add_output_flags(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -7,13 +7,14 @@ Hermitian input; positive definiteness is enforced against a relative floor
 
 These helpers are the validation boundary: a caller validates each raw
 argument once at its entry and then computes on the returned arrays with the
-trusted kernels of ``_kernels``, never validating the same array again.
-``require_spd_stack`` validates a whole stack in one batched pass, and
-``loewner_leq_all`` compares a whole stack of pairs with one ``eigvalsh``;
-both share one vectorised Hermitian guard. Seeded generation is stacked too:
-``_random_spds`` draws each matrix from its own seeded stream but factors and
-assembles the stack in one batched QR and one batched product, and
-``random_spd`` is its one-seed case.
+trusted kernels of ``_kernels``, never validating the same array again. Each
+rule has one implementation: ``_require_stack`` validates a stack in one
+vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix and
+``require_spd_stack`` its n-matrix case; ``_loewner_verdicts`` judges a stack
+of pairs the package computed, and ``loewner_leq`` one validated raw pair.
+Seeded generation is stacked too: ``_random_spds`` draws each matrix from its
+own seeded stream but factors and assembles the stack in one batched QR and
+one batched product, and ``random_spd`` is its one-seed case.
 """
 
 from dataclasses import dataclass
@@ -71,39 +72,74 @@ def frobenius(a):
     return float(np.linalg.norm(a))
 
 
+def _require_stack(arr, label, atol=None, spd=False):
+    """The symmetrized, C-ordered copy of an (n, m, k) complex128 stack,
+    n >= 1, of finite square matrices whose Hermitian gap is at most ``atol``
+    (default 1e-12 * max(1, ||a||_F) per matrix) and, with ``spd``, whose
+    smallest eigenvalue exceeds ``SPD_FLOOR * max(1, ||a||_F)``. Otherwise
+    raises for the first offender in index order, named ``label(j)``."""
+    n, rows, cols = arr.shape
+    if rows == 0 or cols == 0:
+        raise ValueError(f"{label(0)}: empty matrix")
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    not_finite = "entries must be finite (found NaN/Inf)"
+    if not finite[0]:
+        raise ValueError(f"{label(0)}: {not_finite}")
+    if rows != cols:
+        raise ValueError(f"{label(0)}: expected square matrix, got shape {(rows, cols)}")
+    # The rules below run on the matrices before the first non-finite one.
+    k = n if finite.all() else int(finite.argmin())
+    head = arr[:k]
+    if atol is None:
+        limit = 1e-12 * np.maximum(1.0, np.linalg.norm(head, axis=(1, 2)))
+    else:
+        limit = np.full(k, float(atol))
+    gap = np.abs(head - _k._adjoint(head))
+    worst = gap.max(axis=(1, 2))
+    not_hermitian = worst > limit
+    sym = np.ascontiguousarray(hermitianize(head))
+    bad = not_hermitian
+    if spd:
+        floor = SPD_FLOOR * np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
+        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+        bad = not_hermitian | (min_eig <= floor)
+    if bad.any():
+        j = int(bad.argmax())
+        if not_hermitian[j]:
+            r, c = np.unravel_index(int(gap[j].argmax()), (rows, cols))
+            raise ValueError(
+                f"{label(j)}: not Hermitian at ({r},{c}): "
+                f"|a[{r},{c}] - conj(a[{c},{r}])| = {worst[j]:.3e} > {limit[j]:.3e}"
+            )
+        raise ValueError(
+            f"{label(j)}: not positive definite "
+            f"(min eigenvalue {min_eig[j]:.3e} <= floor {floor[j]:.3e})"
+        )
+    if k < n:
+        raise ValueError(f"{label(k)}: {not_finite}")
+    return sym
+
+
 def require_hermitian(a, atol=None, name="matrix"):
     """Validate Hermitian symmetry, then return the symmetrized matrix.
 
     ``atol`` defaults to 1e-12 * max(1, ||a||_F); pass an explicit value to
     pin the absolute file-format tolerance.
     """
-    arr = as_complex_matrix(a, name=name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name}: expected square matrix, got shape {arr.shape}")
-    if atol is None:
-        atol = 1e-12 * max(1.0, frobenius(arr))
-    gap = np.abs(arr - arr.conj().T)
-    worst = float(gap.max())
-    if worst > atol:
-        i, j = np.unravel_index(int(gap.argmax()), gap.shape)
-        raise ValueError(
-            f"{name}: not Hermitian at ({i},{j}): "
-            f"|a[{i},{j}] - conj(a[{j},{i}])| = {worst:.3e} > {atol:.3e}"
-        )
-    return hermitianize(arr)
+    return _require_matrix(a, name, atol, spd=False)
 
 
 def require_spd(a, atol=None, name="matrix"):
     """Validate Hermitian positive definiteness against the relative floor."""
-    arr = require_hermitian(a, atol=atol, name=name)
-    floor = SPD_FLOOR * max(1.0, frobenius(arr))
-    min_eig = float(np.linalg.eigvalsh(arr)[0])
-    if min_eig <= floor:
-        raise ValueError(
-            f"{name}: not positive definite "
-            f"(min eigenvalue {min_eig:.3e} <= floor {floor:.3e})"
-        )
-    return arr
+    return _require_matrix(a, name, atol, spd=True)
+
+
+def _require_matrix(a, name, atol, spd):
+    """The one-matrix case of ``_require_stack``, for a matrix named ``name``."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"{name}: expected a 2-d array, got ndim={arr.ndim}")
+    return _require_stack(arr[None], lambda j: name, atol, spd)[0]
 
 
 def require_spd_pair(a, b):
@@ -116,30 +152,6 @@ def require_spd_pair(a, b):
     return am, bm
 
 
-def _hermitian_stack_ok(arr):
-    """Whether every matrix of the (n, m, m) stack passes the finiteness and
-    Hermitian-gap checks of ``require_hermitian``, with its own default
-    tolerance 1e-12 * max(1, ||a||_F)."""
-    if not np.isfinite(arr).all():
-        return False
-    hermitian_gap = np.abs(arr - np.swapaxes(arr, 1, 2).conj()).max(axis=(1, 2))
-    return not np.any(
-        hermitian_gap > 1e-12 * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
-    )
-
-
-def _batched_spd(arr):
-    """The symmetrized stack if every matrix of the (n, m, m) stack passes the
-    checks of ``require_spd``, else None."""
-    if not _hermitian_stack_ok(arr):
-        return None
-    sym = hermitianize(arr)
-    floor = SPD_FLOOR * np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
-    if np.any(np.linalg.eigvalsh(sym)[:, 0] <= floor):
-        return None
-    return sym
-
-
 def require_spd_stack(mats, name="matrices"):
     """Validate same-dimension Hermitian positive definite matrices in one
     batched pass; return them as an (n, m, m) complex128 stack of
@@ -148,25 +160,19 @@ def require_spd_stack(mats, name="matrices"):
     ``mats`` is a sequence of matrices or an (n, m, m) array; an array is
     checked as it stands, without a per-matrix copy. Each matrix meets the
     checks of ``require_spd`` with its own relative tolerances; the first
-    offending matrix is reported by ``require_spd`` as ``name[j]``.
+    offending matrix is reported as ``name[j]``.
     """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        items = stack = np.asarray(mats, dtype=np.complex128)
+    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[0]:
+        stack = np.asarray(mats, dtype=np.complex128)
     else:
         items = [np.asarray(a, dtype=np.complex128) for a in mats]
-        same = items and items[0].ndim == 2 and all(a.shape == items[0].shape for a in items)
-        stack = np.stack(items) if same else None
-    if stack is not None and stack.shape[0] > 0 and stack.shape[1] == stack.shape[2] > 0:
-        sym = _batched_spd(stack)
-        if sym is not None:
-            return sym
-    # Mixed shapes or a failing matrix: the per-matrix checks, in index
-    # order, name the first offender.
-    validated = [require_spd(a, name=f"{name}[{j}]") for j, a in enumerate(items)]
-    dims = sorted({a.shape[0] for a in validated})
-    if len(dims) != 1:
-        raise ValueError(f"{name}: mixed dimensions {dims}")
-    return np.stack(validated)
+        if len({a.shape for a in items}) != 1 or items[0].ndim != 2:
+            # Each matrix is checked alone, in index order, so the first
+            # offender is named before the mix.
+            dims = {require_spd(a, name=f"{name}[{j}]").shape[0] for j, a in enumerate(items)}
+            raise ValueError(f"{name}: mixed dimensions {sorted(dims)}")
+        stack = np.stack(items)
+    return _require_stack(stack, lambda j: f"{name}[{j}]", spd=True)
 
 
 def matrix_power(a, t, name="matrix"):
@@ -191,42 +197,35 @@ def loewner_leq(a, b, cfg=None):
     The margin is the smallest eigenvalue of b - a; the comparison holds when
     the margin is >= -loewner_tol * scale.
     """
-    if cfg is None:
-        cfg = ToleranceConfig()
     lhs = require_hermitian(a, name="lhs")
     rhs = require_hermitian(b, name="rhs")
     if lhs.shape != rhs.shape:
         raise ValueError(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
-    margin = float(np.linalg.eigvalsh(hermitianize(rhs - lhs))[0])
-    scale = cfg.loewner_scale(lhs, rhs)
-    return LoewnerResult(holds=margin >= -cfg.loewner_tol * scale, margin=margin)
+    return _loewner_verdicts([(lhs, rhs)], cfg)[0]
 
 
-def loewner_leq_all(pairs, cfg=None):
-    """``loewner_leq(a, b, cfg)`` for every ``(a, b)`` pair, bit for bit, from
-    one Hermitian guard and one ``eigvalsh`` over the stack of all pairs.
-
-    Pairs of mixed shapes, or a stack that fails the guard, go through
-    ``loewner_leq`` one by one, which raises as it would alone."""
+def _loewner_verdicts(pairs, cfg=None):
+    """The verdict on ``lhs <= rhs`` for every ``(lhs, rhs)`` pair of trusted
+    Hermitian matrices of one shape, from one ``eigvalsh`` of the slacks. A
+    margin m holds when m >= -loewner_tol * max(1, ||lhs||_F, ||rhs||_F); a
+    slack with a non-finite entry has the margin NaN, which fails."""
     if cfg is None:
         cfg = ToleranceConfig()
-    mats = [np.asarray(m, dtype=np.complex128) for pair in pairs for m in pair]
-    shape = mats[0].shape
-    if len(shape) == 2 and shape[0] == shape[1] > 0 and all(m.shape == shape for m in mats):
-        stack = np.stack(mats)
-        if _hermitian_stack_ok(stack):
-            sym = hermitianize(stack)
-            lhs, rhs = sym[0::2], sym[1::2]
-            margins = np.linalg.eigvalsh(hermitianize(rhs - lhs))[:, 0].tolist()
-            # A non-negative margin holds at any scale.
-            return [
-                LoewnerResult(
-                    holds=margin >= 0 or margin >= -cfg.loewner_tol * cfg.loewner_scale(a, b),
-                    margin=margin,
-                )
-                for margin, a, b in zip(margins, lhs, rhs)
-            ]
-    return [loewner_leq(a, b, cfg) for a, b in pairs]
+    lhs = np.stack([a for a, _ in pairs])
+    rhs = np.stack([b for _, b in pairs])
+    slack = hermitianize(rhs - lhs)
+    # LAPACK can return finite eigenvalues for a matrix with a NaN entry.
+    finite = np.isfinite(slack).all(axis=(1, 2))
+    margins = np.linalg.eigvalsh(np.where(finite[:, None, None], slack, 0.0))[:, 0]
+    margins[~finite] = np.nan
+    # A non-negative margin holds at any scale.
+    return [
+        LoewnerResult(
+            holds=margin >= 0 or margin >= -cfg.loewner_tol * cfg.loewner_scale(a, b),
+            margin=margin,
+        )
+        for margin, a, b in zip(margins.tolist(), lhs, rhs)
+    ]
 
 
 def _ginibre(rng, m):

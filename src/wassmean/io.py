@@ -8,7 +8,6 @@ offending field.
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -114,39 +113,12 @@ def plan_from_json_dict(doc, name="plan"):
     if not isinstance(doc, dict):
         raise FormatError(f"{name}: expected an object")
     checks = doc.get("checks", "all")
-    if checks == "all":
-        checks = list(DEFAULT_CHECKS)
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise FormatError(f"{name}.checks: expected an array of names or 'all'")
-    kwargs = {"checks": checks}
-    if "seeds" in doc:
-        seeds = doc["seeds"]
-        if not (isinstance(seeds, list) and len(seeds) == 2 and all(map(_is_int, seeds))):
-            raise FormatError(f"{name}.seeds: expected [lo, hi] integers, got {seeds!r}")
-        kwargs["seeds"] = tuple(seeds)
-    if "dims" in doc:
-        dims = doc["dims"]
-        if not (isinstance(dims, list) and dims and all(map(_is_int, dims))):
-            raise FormatError(f"{name}.dims: expected a non-empty array of integers, got {dims!r}")
-        kwargs["dims"] = tuple(dims)
-    if "tol" in doc:
-        tol = doc["tol"]
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
-            raise FormatError(f"{name}.tol: expected a finite number, got {tol!r}")
-        kwargs["tol"] = float(tol)
+    kwargs = {"checks": DEFAULT_CHECKS if checks == "all" else checks}
+    kwargs.update((key, doc[key]) for key in ("seeds", "dims", "tol") if key in doc)
     try:
         return SuitePlan(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{name}: {exc}") from None
-
-
-def plan_to_json_dict(plan):
-    return {
-        "checks": list(plan.checks),
-        "seeds": list(plan.seeds),
-        "dims": list(plan.dims),
-        "tol": plan.tol,
-    }
+    except ValueError as exc:
+        raise FormatError(f"{name}.{exc}") from None
 
 
 def _load_json(path):
@@ -161,18 +133,8 @@ def load_matrix(path):
     return matrix_from_json_dict(_load_json(path), name=str(path))
 
 
-def save_matrix(path, mat):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(matrix_to_json_dict(mat)))
-
-
 def load_ensemble(path):
     return ensemble_from_json_dict(_load_json(path), name=str(path))
-
-
-def save_ensemble(path, ensemble):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(ensemble_to_json_dict(ensemble)))
 
 
 def load_plan(path):

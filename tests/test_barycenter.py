@@ -88,6 +88,15 @@ def test_residual_ranks_arithmetic_mean_behind_solution():
     assert residual(arith, e) > residual(report.mean, e)
 
 
+@pytest.mark.parametrize("diagnostic", [residual, objective])
+def test_diagnostics_validate_the_candidate(diagnostic):
+    e = _ensemble(5)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        diagnostic(np.eye(2), e)
+    with pytest.raises(ValueError, match=r"^candidate: not positive definite"):
+        diagnostic(np.diag([1.0, -1.0, 1.0]), e)
+
+
 def test_commuting_closed_form_scalar():
     assert np.allclose(commuting_closed_form(_two_point()), 2.25 * np.eye(2))
 
@@ -252,6 +261,33 @@ def test_batched_means_equal_single_solves(wide_spectrum_mats):
             want.iterations, want.residual, want.objective, want.converged
         )
     assert {r.converged for r in reports if r is not None} == {True, False}
+
+
+def test_batched_means_keep_each_best_iterate_when_only_some_improve(monkeypatch):
+    # An unreachable tolerance runs every solve to its budget. Near the
+    # round-off floor the residuals of the batch stop improving at different
+    # iterates, so the best iterates are updated entry by entry.
+    from wassmean.checks import random_ensemble
+
+    config = SolverConfig(max_iter=60, residual_tol=1e-300)
+    ensembles = [random_ensemble(3, 4, seed) for seed in range(6)]
+    partial_updates = []
+    copyto = np.copyto
+
+    def counted(dst, src, **kwargs):
+        partial_updates.append(dst.shape)
+        copyto(dst, src, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", counted)
+    reports = wasserstein_means(ensembles, config)
+    monkeypatch.undo()
+    assert partial_updates
+    for e, got in zip(ensembles, reports):
+        want = wasserstein_mean(e, config)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert (got.iterations, got.residual, got.objective, got.converged) == (
+            want.iterations, want.residual, want.objective, False
+        )
 
 
 def test_batched_means_leave_a_failed_stack_to_single_solves(monkeypatch):

@@ -101,6 +101,11 @@ def test_phi_wass_unitary_conjugation_scalar_case():
     )
 
 
+def test_phi_wass_rejects_a_map_of_another_source_dimension():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: matrix is 3x3, map expects 2$"):
+        check_phi_wass(random_ensemble(3, 2, 0), random_isometry_map(2, 1, seed=5))
+
+
 def test_phi_wass_random_compressions():
     for seed in range(10):
         phi = random_isometry_map(4, 2, seed=seed + 50)
@@ -543,6 +548,48 @@ def test_plan_rejects_empty_seed_range():
         SuitePlan(checks=("bounds",), seeds=(5, 5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seeds", (0.9, 3.7)),
+    ("seeds", (0, True)),
+    ("seeds", (0, 3, 5)),
+    ("seeds", 5),
+    ("dims", (2.9,)),
+    ("dims", (2, False)),
+    ("dims", ()),
+    ("dims", (0, 2)),
+    ("dims", 3),
+    ("tol", True),
+    ("tol", "1e-8"),
+    ("tol", float("nan")),
+    ("tol", float("inf")),
+    ("tol", 0.0),
+    ("tol", -1e-8),
+    ("checks", 7),
+    ("checks", "bounds"),
+    ("checks", ("bounds", "no_such_check")),
+])
+def test_plan_rejects_each_bad_field_by_name(field, value):
+    # Nothing is truncated or coerced: seeds (0.9, 3.7) used to run [0, 3).
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        SuitePlan(**{"checks": ("bounds",), field: value})
+
+
+def test_plan_takes_numpy_numbers_as_plain_ones():
+    plan = SuitePlan(seeds=(np.int64(1), np.int64(4)), dims=[np.int64(2)], tol=np.float64(1e-7))
+    assert plan.provenance() == {"seeds": [1, 4], "dims": [2], "tol": 1e-7}
+    assert all(type(v) is int for v in (*plan.seeds, *plan.dims)) and type(plan.tol) is float
+
+
+def test_aggregate_of_only_skipped_instances_is_a_skipped_failure():
+    plan = SuitePlan(checks=("sqrt_sum_lower_bound",), seeds=(0, 2))
+    skipped = checks_mod.CheckReport(check_name="x", holds=False, margin=-0.5, skipped=True)
+    report = checks_mod._aggregate("x", plan, [skipped, skipped], {"extra": 1})
+    assert report.skipped and not report.holds
+    assert report.margin == -np.inf
+    assert report.inputs == plan.provenance()
+    assert report.details == {"instances": 2, "skipped_instances": 2}
+
+
 def test_default_plan_covers_registry_except_hook():
     plan = default_plan()
     assert plan.checks == DEFAULT_CHECKS == tuple(checks_mod.CHECK_REGISTRY)
@@ -566,13 +613,13 @@ def _slack_pairs():
 
 
 def test_stacked_order_report_equals_per_pair_loewner_leq_bitwise():
-    from wassmean.hermitian import ToleranceConfig, loewner_leq, loewner_leq_all
+    from wassmean.hermitian import ToleranceConfig, _loewner_verdicts, loewner_leq
 
     pairs = _slack_pairs()
     for tol in (None, ToleranceConfig(loewner_tol=1e-8)):
         singles = [loewner_leq(lhs, rhs, tol) for lhs, rhs in pairs]
         assert {r.holds for r in singles} == {True, False}
-        assert loewner_leq_all(pairs, tol) == singles
+        assert _loewner_verdicts(pairs, tol) == singles
         report = checks_mod._order_report(
             "mixed", tol, {}, {}, *((f"k{i}", lhs, rhs) for i, (lhs, rhs) in enumerate(pairs))
         )
@@ -583,20 +630,20 @@ def test_stacked_order_report_equals_per_pair_loewner_leq_bitwise():
         assert held.holds is True
 
 
-@pytest.mark.parametrize("bad", [
-    np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex),
-    np.array([[np.nan, 0.0], [0.0, 1.0]]),
-])
-def test_stacked_order_report_raises_like_loewner_leq(bad):
-    from wassmean.hermitian import loewner_leq
-
+@pytest.mark.parametrize("nan_at", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+def test_order_report_fails_on_a_nan_slack(nan_at):
+    # The checks pass the matrices they computed without validating them
+    # again; a NaN slack fails with the margin NaN, even where LAPACK returns
+    # finite eigenvalues for it (a NaN on the diagonal of a 2 x 2).
     good = np.eye(2, dtype=complex)
+    bad = good.copy()
+    bad[nan_at] = bad[nan_at[::-1]] = np.nan
     for lhs, rhs in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError) as single:
-            loewner_leq(lhs, rhs)
-        with pytest.raises(ValueError) as stacked:
-            checks_mod._order_report("x", None, {}, {}, (None, good, good), (None, lhs, rhs))
-        assert str(stacked.value) == str(single.value)
+        report = checks_mod._order_report("x", None, {}, {}, ("k", lhs, rhs))
+        assert report.holds is False
+        assert np.isnan(report.margin) and np.isnan(report.details["k"])
+        paired = checks_mod._order_report("x", None, {}, {}, (None, good, good), (None, lhs, rhs))
+        assert paired.holds is False and np.isnan(paired.margin)
 
 
 _GOOD = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassmean.cli import main
+from wassmean.barycenter import SolverConfig
+from wassmean.checks import SuitePlan, random_ensemble
+from wassmean.cli import build_parser, main
 from wassmean.hermitian import frobenius
-from wassmean.io import load_ensemble, matrix_to_json_dict
+from wassmean.io import dumps_canonical, ensemble_to_json_dict, load_ensemble, matrix_to_json_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -296,3 +298,17 @@ def test_full_pipeline(tmp_path):
     assert mean_doc["converged"] is True
     suite_doc = json.loads(report_path.read_text())
     assert all(r["holds"] for r in suite_doc)
+
+
+def test_parser_defaults_are_the_library_defaults(capsys):
+    parser = build_parser()
+    mean = parser.parse_args(["mean", "e.json"])
+    assert (mean.tol, mean.max_iter) == (SolverConfig().residual_tol, SolverConfig().max_iter)
+    verify = parser.parse_args(["verify"])
+    assert ((verify.seed, verify.seed + verify.seed_count), verify.tol) == (
+        SuitePlan().seeds, SuitePlan().tol
+    )
+    # generate without spectrum flags writes the library's default ensemble.
+    assert main(["generate", "--m", "2", "--n", "3", "--seed", "4"]) == 0
+    written = capsys.readouterr().out
+    assert written == dumps_canonical(ensemble_to_json_dict(random_ensemble(2, 3, 4)))

@@ -16,16 +16,17 @@ from wassmean.io import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     plan_from_json_dict,
-    plan_to_json_dict,
-    save_ensemble,
-    save_matrix,
 )
+
+
+def _write(path, doc):
+    path.write_text(dumps_canonical(doc), encoding="utf-8")
 
 
 def test_matrix_round_trip_complex(tmp_path):
     a = random_spd(3, seed=1, eig_lo=0.5, eig_hi=2.0)
     path = tmp_path / "a.json"
-    save_matrix(path, a)
+    _write(path, matrix_to_json_dict(a))
     back = load_matrix(path)
     assert np.allclose(back, a, atol=1e-15)
 
@@ -81,7 +82,7 @@ def test_ensemble_round_trip(tmp_path):
     mats = [random_spd(2, seed=s, eig_lo=0.5, eig_hi=2.0) for s in (1, 2, 3)]
     e = Ensemble(weights=[0.2, 0.3, 0.5], matrices=mats)
     path = tmp_path / "e.json"
-    save_ensemble(path, e)
+    _write(path, ensemble_to_json_dict(e))
     back = load_ensemble(path)
     assert np.allclose(back.weights, e.weights)
     assert np.allclose(back.matrices, e.matrices, atol=1e-15)
@@ -122,7 +123,7 @@ def test_ensemble_load_runs_one_eigen_solve(tmp_path, monkeypatch):
     # positive definiteness once, in one batched eigvalsh over the stack.
     mats = [random_spd(3, seed=s, eig_lo=0.5, eig_hi=2.0) for s in (1, 2, 3)]
     path = tmp_path / "e.json"
-    save_ensemble(path, Ensemble(weights=[0.2, 0.3, 0.5], matrices=mats))
+    _write(path, ensemble_to_json_dict(Ensemble(weights=[0.2, 0.3, 0.5], matrices=mats)))
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -149,7 +150,7 @@ def test_plan_round_trip_and_all_expansion():
     assert plan.seeds == (0, 10)
     assert plan.tol == 1e-7
     assert "bounds" in plan.checks
-    doc = plan_to_json_dict(plan)
+    doc = json.loads(dumps_canonical({"checks": list(plan.checks), **plan.provenance()}))
     again = plan_from_json_dict(doc)
     assert again == SuitePlan(**{
         "checks": plan.checks, "seeds": plan.seeds,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .bures import _clamped_sqrt, _distance_scale
-from .hermitian import frobenius, hermitianize, require_spd, require_spd_stack
+from .hermitian import frobenius, hermitianize, require_positive, require_spd, require_spd_stack
 from .means import validate_weights
 
 COMMUTATOR_RTOL = 1e-8
@@ -87,10 +87,8 @@ class SolverConfig:
     residual_tol: float = 1e-11
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        for name, integer in (("max_iter", True), ("residual_tol", False)):
+            object.__setattr__(self, name, require_positive(getattr(self, name), name, integer))
 
 
 @dataclass(frozen=True)

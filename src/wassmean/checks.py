@@ -43,7 +43,6 @@ from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,14 +55,16 @@ from .hermitian import (
     as_complex_matrix,
     frobenius,
     hermitianize,
+    is_integer,
     random_commuting_spds,
     random_unitary,
+    require_positive,
     require_spd,
     require_spd_pair,
     require_spd_stack,
 )
 from .means import kantorovich, validate_weights
-from .products import ensemble_tensor, random_isometry_map
+from .products import _pair_weights, ensemble_tensor, random_isometry_map
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
@@ -413,7 +414,7 @@ def check_hadamard_arithmetic_bound(a, b, tol=None):
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     lhs = _solve(a) * _solve(b)
-    rhs = _k.weighted_sum(_pair_weights(a, b), _hadamard_pairs(a, b))
+    rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _hadamard_pairs(a, b))
     return _order_report(
         "hadamard_arithmetic_bound", tol,
         {"dim": a.dim, "counts": [a.size, b.size]}, {},
@@ -464,11 +465,6 @@ def _spectral_box(mats):
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
-def _pair_weights(a, b):
-    """Weights of all pairs of two ensembles, in ``weight_tensor`` order."""
-    return np.outer(a.weights, b.weights).ravel()
-
-
 def _hadamard_pairs(a, b):
     """Stack of all Hadamard pairs A_i o B_j, in ``weight_tensor`` order
     (second index fastest)."""
@@ -491,7 +487,7 @@ def check_kantorovich_hadamard(a, b, tol=None):
     # The Schur product of the means is validated as the root's argument.
     root = _k.spd_power(require_spd(xy, name="matrix"), 0.5)
     inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
-    rhs = _k.weighted_sum(_pair_weights(a, b), _k.spd_power(inner, 0.5))
+    rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _k.spd_power(inner, 0.5))
     return _order_report(
         "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
         {"constant": constant, "bounds": [alpha, beta, gamma, delta]},
@@ -551,7 +547,8 @@ def check_sqrt_sum_lower_bound(a, b, tol=None):
     alpha, beta = _spectral_box(a.matrices)
     gamma, delta = _spectral_box(b.matrices)
     constant = 2.0 * np.sqrt(alpha * beta * gamma * delta) / (alpha * gamma + beta * delta)
-    lhs = _k.weighted_sum(_pair_weights(a, b), _k.spd_power(_hadamard_pairs(a, b), 0.5))
+    roots = _k.spd_power(_hadamard_pairs(a, b), 0.5)
+    lhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), roots)
     return _order_report(
         "sqrt_sum_lower_bound", tol, {"dim": a.dim, "counts": [a.size, b.size]},
         {"constant": constant},
@@ -562,11 +559,6 @@ def check_sqrt_sum_lower_bound(a, b, tol=None):
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
-
-def _integers(items):
-    # bool counts as an integer in Python; a plan takes it for none.
-    return all(isinstance(v, Integral) and not isinstance(v, bool) for v in items)
-
 
 def _plan_field(name, values, expected, valid):
     """The plan field ``name`` as a tuple when it is a non-string iterable
@@ -595,18 +587,13 @@ class SuitePlan:
         checks = _plan_field("checks", self.checks, "an array of check names",
                              lambda v: all(isinstance(c, str) for c in v))
         lo, hi = _plan_field("seeds", self.seeds, "[lo, hi] integers",
-                             lambda v: len(v) == 2 and _integers(v))
+                             lambda v: len(v) == 2 and all(map(is_integer, v)))
         dims = _plan_field("dims", self.dims, "a non-empty array of integers",
-                           lambda v: v and _integers(v))
-        tol = self.tol
-        if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol):
-            raise ValueError(f"tol: expected a finite number, got {tol!r}")
+                           lambda v: v and all(map(is_integer, v)))
+        tol = require_positive(self.tol, "tol")
         if hi <= lo:
             raise ValueError(f"seeds: empty range [{lo}, {hi})")
-        if tol <= 0:
-            raise ValueError("tol: must be positive")
-        if min(dims) < 1:
-            raise ValueError("dims: must be positive")
+        dims = tuple(require_positive(d, "dims", integer=True) for d in dims)
         unknown = [c for c in checks if c not in CHECK_REGISTRY]
         if unknown:
             raise ValueError(
@@ -614,8 +601,8 @@ class SuitePlan:
             )
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "seeds", (int(lo), int(hi)))
-        object.__setattr__(self, "dims", tuple(map(int, dims)))
-        object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "tol", tol)
 
     def seed_list(self):
         return list(range(self.seeds[0], self.seeds[1]))

@@ -11,13 +11,16 @@ trusted kernels of ``_kernels``, never validating the same array again. Each
 rule has one implementation: ``_require_stack`` validates a stack in one
 vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix and
 ``require_spd_stack`` its n-matrix case; ``_loewner_verdicts`` judges a stack
-of pairs the package computed, and ``loewner_leq`` one validated raw pair.
+of pairs the package computed, and ``loewner_leq`` one validated raw pair;
+``require_positive`` checks every tolerance and iteration budget.
 Seeded generation is stacked too: ``_random_spds`` draws each matrix from its
 own seeded stream but factors and assembles the stack in one batched QR and
 one batched product, and ``random_spd`` is its one-seed case.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +29,25 @@ from ._kernels import hermitianize
 
 # Construction rejects matrices with min eigenvalue <= SPD_FLOOR * max(1, ||A||_F).
 SPD_FLOOR = 1e-12
+
+
+def is_integer(value):
+    # A bool, which Python counts as an integer, is none here.
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def require_positive(value, name, integer=False):
+    """The one rule for tolerances and iteration budgets: ``value`` as a plain
+    float, or with ``integer`` a plain int, when it is a finite positive number
+    of that kind (a bool is none); otherwise a ValueError starting ``name``."""
+    if integer:
+        if not is_integer(value):
+            raise ValueError(f"{name}: expected an integer, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name}: must be positive")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -40,8 +62,8 @@ class ToleranceConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.loewner_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("loewner_tol", "residual_tol"):
+            object.__setattr__(self, name, require_positive(getattr(self, name), name))
 
     def loewner_scale(self, *mats):
         return max(1.0, *(frobenius(m) for m in mats))
@@ -72,12 +94,12 @@ def frobenius(a):
     return float(np.linalg.norm(a))
 
 
-def _require_stack(arr, label, atol=None, spd=False):
+def _require_stack(arr, label, spd=False):
     """The symmetrized, C-ordered copy of an (n, m, k) complex128 stack,
-    n >= 1, of finite square matrices whose Hermitian gap is at most ``atol``
-    (default 1e-12 * max(1, ||a||_F) per matrix) and, with ``spd``, whose
-    smallest eigenvalue exceeds ``SPD_FLOOR * max(1, ||a||_F)``. Otherwise
-    raises for the first offender in index order, named ``label(j)``."""
+    n >= 1, of finite square matrices whose Hermitian gap is at most
+    1e-12 * max(1, ||a||_F) per matrix and, with ``spd``, whose smallest
+    eigenvalue exceeds ``SPD_FLOOR * max(1, ||a||_F)``. Otherwise raises for
+    the first offender in index order, named ``label(j)``."""
     n, rows, cols = arr.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"{label(0)}: empty matrix")
@@ -90,10 +112,7 @@ def _require_stack(arr, label, atol=None, spd=False):
     # The rules below run on the matrices before the first non-finite one.
     k = n if finite.all() else int(finite.argmin())
     head = arr[:k]
-    if atol is None:
-        limit = 1e-12 * np.maximum(1.0, np.linalg.norm(head, axis=(1, 2)))
-    else:
-        limit = np.full(k, float(atol))
+    limit = 1e-12 * np.maximum(1.0, np.linalg.norm(head, axis=(1, 2)))
     gap = np.abs(head - _k._adjoint(head))
     worst = gap.max(axis=(1, 2))
     not_hermitian = worst > limit
@@ -120,26 +139,23 @@ def _require_stack(arr, label, atol=None, spd=False):
     return sym
 
 
-def require_hermitian(a, atol=None, name="matrix"):
-    """Validate Hermitian symmetry, then return the symmetrized matrix.
-
-    ``atol`` defaults to 1e-12 * max(1, ||a||_F); pass an explicit value to
-    pin the absolute file-format tolerance.
-    """
-    return _require_matrix(a, name, atol, spd=False)
+def require_hermitian(a, name="matrix"):
+    """Validate Hermitian symmetry, to within 1e-12 * max(1, ||a||_F), then
+    return the symmetrized matrix."""
+    return _require_matrix(a, name, spd=False)
 
 
-def require_spd(a, atol=None, name="matrix"):
+def require_spd(a, name="matrix"):
     """Validate Hermitian positive definiteness against the relative floor."""
-    return _require_matrix(a, name, atol, spd=True)
+    return _require_matrix(a, name, spd=True)
 
 
-def _require_matrix(a, name, atol, spd):
+def _require_matrix(a, name, spd):
     """The one-matrix case of ``_require_stack``, for a matrix named ``name``."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-d array, got ndim={arr.ndim}")
-    return _require_stack(arr[None], lambda j: name, atol, spd)[0]
+    return _require_stack(arr[None], lambda j: name, spd)[0]
 
 
 def require_spd_pair(a, b):

@@ -1,10 +1,11 @@
 """JSON interchange for matrices, ensembles, suite plans and reports.
 
 Matrix files are ``{"dim": m, "re": [[...]], "im": [[...]]}`` with ``im``
-optional (zero when absent), row-major, IEEE-754 doubles. Hermitian symmetry
-is validated on load with absolute tolerance 1e-12 and then enforced by
-symmetrization. Validation failures raise :class:`FormatError` naming the
-offending field.
+optional (zero when absent), row-major, IEEE-754 doubles. The loader checks
+only the format of each grid; the library's one validation rule then runs
+once per file (on an ensemble file's whole stack, by ``Ensemble``), so a file
+matrix is Hermitian to within 1e-12 * max(1, ||a||_F), symmetrized and
+positive definite. Failures raise :class:`FormatError` naming the field.
 """
 
 import json
@@ -13,9 +14,7 @@ import numpy as np
 
 from .barycenter import Ensemble
 from .checks import DEFAULT_CHECKS, SuitePlan
-from .hermitian import require_hermitian, require_spd
-
-HERMITIAN_LOAD_ATOL = 1e-12
+from .hermitian import is_integer, require_spd
 
 
 class FormatError(ValueError):
@@ -25,11 +24,6 @@ class FormatError(ValueError):
 def dumps_canonical(payload):
     """Stable serialization: sorted keys, fixed separators, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-
-
-def _is_int(value):
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _real_grid(value, dim, name):
@@ -44,15 +38,14 @@ def _real_grid(value, dim, name):
     return arr
 
 
-def matrix_from_json_dict(doc, name="matrix", spd=True):
-    """Parse one matrix document; ``spd=False`` only enforces Hermitian
-    symmetry (still symmetrizes)."""
+def _matrix_grid(doc, name):
+    """The complex matrix of one matrix document, checked for format only."""
     if not isinstance(doc, dict):
         raise FormatError(f"{name}: expected an object, got {type(doc).__name__}")
     if "dim" not in doc:
         raise FormatError(f"{name}.dim: missing")
     dim = doc["dim"]
-    if not _is_int(dim) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise FormatError(f"{name}.dim: expected a positive integer, got {dim!r}")
     if "re" not in doc:
         raise FormatError(f"{name}.re: missing")
@@ -61,11 +54,13 @@ def matrix_from_json_dict(doc, name="matrix", spd=True):
         im = _real_grid(doc["im"], dim, f"{name}.im")
     else:
         im = np.zeros((dim, dim))
-    mat = re + 1j * im
+    return re + 1j * im
+
+
+def matrix_from_json_dict(doc, name="matrix"):
+    """Parse one positive definite matrix document."""
     try:
-        if spd:
-            return require_spd(mat, atol=HERMITIAN_LOAD_ATOL, name=name)
-        return require_hermitian(mat, atol=HERMITIAN_LOAD_ATOL, name=name)
+        return require_spd(_matrix_grid(doc, name), name=name)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -89,12 +84,8 @@ def ensemble_from_json_dict(doc, name="ensemble"):
     mats_doc = doc["matrices"]
     if not isinstance(mats_doc, list) or not mats_doc:
         raise FormatError(f"{name}.matrices: expected a non-empty array")
-    # Hermitian symmetry is checked here at the file tolerance; positive
-    # definiteness once, by Ensemble, over the whole stack.
-    mats = [
-        matrix_from_json_dict(m, name=f"{name}.matrices[{j}]", spd=False)
-        for j, m in enumerate(mats_doc)
-    ]
+    # Only the format is checked here; Ensemble validates the whole stack once.
+    mats = [_matrix_grid(m, f"{name}.matrices[{j}]") for j, m in enumerate(mats_doc)]
     try:
         return Ensemble(weights=weights, matrices=mats)
     except ValueError as exc:

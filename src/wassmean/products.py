@@ -37,9 +37,15 @@ def hadamard(a, b):
 def weight_tensor(w, u):
     """Product weights (w_1 u_1, ..., w_1 u_k, ..., w_n u_1, ..., w_n u_k):
     lexicographic with the second index fastest."""
-    wv = validate_weights(w, name="first weights")
-    uv = validate_weights(u, name="second weights")
-    return np.ascontiguousarray(np.outer(wv, uv).ravel())
+    return _pair_weights(
+        validate_weights(w, name="first weights"), validate_weights(u, name="second weights")
+    )
+
+
+def _pair_weights(w, u):
+    """``weight_tensor`` of two already-validated weight vectors, without
+    validation: the one owner of the pair order."""
+    return np.outer(w, u).ravel()
 
 
 def ensemble_tensor(a, b):
@@ -53,7 +59,7 @@ def ensemble_tensor(a, b):
     pairs = a.matrices[:, None, :, None, :, None] * b.matrices[None, :, None, :, None, :]
     m = a.dim * b.dim
     return Ensemble(
-        weights=weight_tensor(a.weights, b.weights),
+        weights=_pair_weights(a.weights, b.weights),
         matrices=pairs.reshape(a.size * b.size, m, m),
     )
 
@@ -74,8 +80,8 @@ class PositiveMapSpec:
     def __post_init__(self):
         if self.kind not in ("isometry", "ando"):
             raise ValueError(f"unknown map kind {self.kind!r}")
-        v = np.ascontiguousarray(np.asarray(self.isometry, dtype=np.complex128))
-        if v.ndim != 2 or v.shape[0] < v.shape[1]:
+        v = as_complex_matrix(self.isometry, name="isometry")
+        if v.shape[0] < v.shape[1]:
             raise ValueError(f"isometry: expected a tall s x k matrix, got {v.shape}")
         gram_err = frobenius(v.conj().T @ v - np.eye(v.shape[1]))
         if gram_err > ISOMETRY_TOL:

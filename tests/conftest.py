@@ -2,9 +2,15 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wassmean import _kernels, checks
 from wassmean.hermitian import _haar_unitary, hermitianize
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and writes no files.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -465,3 +465,29 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 0),
+    ("max_iter", -3),
+    ("max_iter", 2.5),
+    ("max_iter", True),
+    ("max_iter", "200"),
+    ("residual_tol", 0.0),
+    ("residual_tol", -1e-11),
+    ("residual_tol", float("inf")),
+    ("residual_tol", float("nan")),
+    ("residual_tol", True),
+    ("residual_tol", "1e-11"),
+])
+def test_solver_config_rejects_each_bad_field_by_name(field, value):
+    # An infinite tolerance would report the arithmetic mean as converged,
+    # and a fractional budget would fail only at solve time.
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_numpy_numbers_as_plain_ones():
+    config = SolverConfig(max_iter=np.int64(7), residual_tol=np.float64(1e-9))
+    assert (config.max_iter, config.residual_tol) == (7, 1e-9)
+    assert type(config.max_iter) is int and type(config.residual_tol) is float

@@ -85,6 +85,15 @@ def test_mean_non_convergence_exit_code(tmp_path, capsys):
     assert doc["converged"] is False
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_mean_rejects_a_non_finite_tol(tmp_path, capsys, tol):
+    # --tol inf would print the arithmetic mean as converged after 0
+    # iterations, and --tol nan would spend the whole budget.
+    code = main(["mean", str(_two_point_file(tmp_path)), "--tol", tol])
+    assert code == 1
+    assert f"residual_tol: expected a finite number, got {tol}" in capsys.readouterr().err
+
+
 def test_mean_rejects_bad_weights(tmp_path, capsys):
     path = tmp_path / "bad.json"
     _write_json(path, {

@@ -223,6 +223,19 @@ def test_tolerance_config_validation():
         ToleranceConfig(residual_tol=-1.0)
 
 
+@pytest.mark.parametrize("field", ["loewner_tol", "residual_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), True, "1e-9"])
+def test_tolerance_config_rejects_each_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        ToleranceConfig(**{field: value})
+
+
+def test_infinite_loewner_tol_cannot_put_5i_below_i():
+    # Under an infinite tolerance, 5I <= I would hold with margin -4.
+    with pytest.raises(ValueError, match="^loewner_tol: expected a finite number"):
+        loewner_leq(5 * np.eye(2), np.eye(2), ToleranceConfig(loewner_tol=float("inf")))
+
+
 def test_unitary_is_unitary():
     u = random_unitary(5, seed=13)
     assert frobenius(u @ u.conj().T - np.eye(5)) <= 1e-12

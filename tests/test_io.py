@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from wassmean import hermitian
 from wassmean.barycenter import Ensemble
 from wassmean.checks import SuitePlan
-from wassmean.hermitian import random_spd
+from wassmean.hermitian import random_spd, require_spd
 from wassmean.io import (
     FormatError,
     dumps_canonical,
@@ -75,7 +76,6 @@ def test_matrix_rejects_non_spd_when_required():
     doc = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}
     with pytest.raises(FormatError, match="positive definite"):
         matrix_from_json_dict(doc)
-    assert matrix_from_json_dict(doc, spd=False) is not None
 
 
 def test_ensemble_round_trip(tmp_path):
@@ -134,6 +134,53 @@ def test_ensemble_load_runs_one_eigen_solve(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     load_ensemble(path)
     assert shapes == [(3, 3, 3)]
+
+
+def test_ensemble_reports_bad_weights_before_a_bad_matrix():
+    # Ensemble checks its weights first, and the loader leaves every matrix
+    # rule to Ensemble.
+    doc = {
+        "weights": [0.5, 0.48],
+        "matrices": [
+            matrix_to_json_dict(np.eye(2)),
+            {"dim": 2, "re": [[1.0, 0.3], [0.0, 1.0]]},
+        ],
+    }
+    with pytest.raises(FormatError, match=r"^f\.json\.weights: sum to 0\.98"):
+        ensemble_from_json_dict(doc, name="f.json")
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_ensemble_load_validates_the_stack_once(tmp_path, monkeypatch, n):
+    mats = [random_spd(3, seed=s, eig_lo=0.5, eig_hi=2.0) for s in range(n)]
+    path = tmp_path / "e.json"
+    _write(path, ensemble_to_json_dict(Ensemble(weights=np.full(n, 1 / n), matrices=mats)))
+    shapes = []
+    require_stack = hermitian._require_stack
+
+    def counted(arr, *args, **kwargs):
+        shapes.append(arr.shape)
+        return require_stack(arr, *args, **kwargs)
+
+    monkeypatch.setattr(hermitian, "_require_stack", counted)
+    load_ensemble(path)
+    assert shapes == [(n, 3, 3)]
+
+
+def test_large_scale_file_matrix_meets_the_relative_hermitian_rule(tmp_path):
+    # Entries of order 2e7 with an asymmetry of 1.09e-11, about 3e-19 of the
+    # norm: the library accepts it, and so must the files.
+    a = np.array([[2e7, 1e4, 0.0], [1e4, 2e7, 0.0], [0.0, 0.0, 2e7]], dtype=complex)
+    a[0, 1] += 1.09e-11
+    assert abs(a[0, 1] - a[1, 0]) > 1e-11
+    expected = require_spd(a)
+    _write(tmp_path / "a.json", matrix_to_json_dict(a))
+    _write(tmp_path / "e.json", {
+        "weights": [0.5, 0.5],
+        "matrices": [matrix_to_json_dict(np.eye(3)), matrix_to_json_dict(a)],
+    })
+    assert np.array_equal(load_matrix(tmp_path / "a.json"), expected)
+    assert np.array_equal(load_ensemble(tmp_path / "e.json").matrices[1], expected)
 
 
 def test_ensemble_dimension_mismatch_named():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wassmean import barycenter, products
 from wassmean.barycenter import Ensemble
 from wassmean.hermitian import frobenius, matrix_power, random_spd
 from wassmean.products import (
@@ -224,3 +225,31 @@ def test_map_spec_rejects_non_isometry():
         PositiveMapSpec(kind="isometry", isometry=2 * np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="kind"):
         PositiveMapSpec(kind="kraus", isometry=np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_map_spec_rejects_a_non_finite_isometry(entry):
+    # ||V*V - I||_F > tol is False for NaN, so the Gram test alone passes it.
+    v = np.eye(3, 2, dtype=complex)
+    v[2, 0] = entry
+    with pytest.raises(ValueError, match="^isometry: entries must be finite"):
+        PositiveMapSpec(kind="isometry", isometry=v)
+
+
+def test_ensemble_tensor_validates_only_the_product_weights(monkeypatch):
+    a = Ensemble(weights=[0.2, 0.8], matrices=[random_spd(2, s, 0.5, 2.0) for s in (1, 2)])
+    b = Ensemble(weights=[0.3, 0.3, 0.4], matrices=[random_spd(2, s, 0.5, 2.0) for s in (3, 4, 5)])
+    names = []
+    validate_weights = barycenter.validate_weights
+
+    def counted(w, name="weights"):
+        names.append(name)
+        return validate_weights(w, name=name)
+
+    for module in (barycenter, products):
+        monkeypatch.setattr(module, "validate_weights", counted)
+    tensored = ensemble_tensor(a, b)
+    assert names == ["weights"]
+    # Bit for bit the weight_tensor order: second index fastest.
+    assert np.array_equal(tensored.weights, weight_tensor(a.weights, b.weights))
+    assert np.array_equal(tensored.weights, np.outer(a.weights, b.weights).ravel())

@@ -95,13 +95,15 @@ def mean_equation_residual(x, mats, weights):
     return _fro(np.eye(x.shape[0], dtype=np.complex128) - acc)
 
 
-def wasserstein_solve(mats, weights, x0, max_iter, tol):
+def wasserstein_solve(mats, weights, max_iter, tol):
     """Fixed-point loop for the barycenter of the (n, m, m) stack ``mats``
-    under ``weights``, or for S such ensembles at once: ``mats`` (S, n, m, m),
-    ``weights`` (S, n) and ``x0`` (S, m, m).
+    under ``weights``, or for S such ensembles at once: ``mats`` (S, n, m, m)
+    and ``weights`` (S, n).
 
-    Per iterate x the map evaluates s = sum_j w_j (x^{1/2} a_j x^{1/2})^{1/2}
-    and k = x^{-1/2} s x^{-1/2} = sum_j w_j (a_j # x^{-1}); the residual is
+    The loop starts from the weighted arithmetic mean, an upper bound of the
+    barycenter in the Loewner order. Per iterate x the map evaluates
+    s = sum_j w_j (x^{1/2} a_j x^{1/2})^{1/2} and
+    k = x^{-1/2} s x^{-1/2} = sum_j w_j (a_j # x^{-1}); the residual is
     ||I - k||_F. One ``eigh`` of x and one batched ``eigh`` of the n
     congruences x^{1/2} a_j x^{1/2} serve an iterate. The update is the
     damped map x' = k x k, which converges globally. Summation order is the
@@ -125,10 +127,11 @@ def wasserstein_solve(mats, weights, x0, max_iter, tol):
     """
     single = mats.ndim == 3
     if single:
-        mats, weights, x0 = mats[None], weights[None], x0[None]
+        mats, weights = mats[None], weights[None]
     count, n, m = mats.shape[:3]
     eye = np.eye(m, dtype=np.complex128)
-    out_x = np.empty_like(x0)
+    x = best_x = hermitianize(weighted_sum(weights, mats))
+    out_x = np.empty_like(x)
     out_iters = np.empty(count, dtype=np.intp)
     out_res = np.empty(count)
     out_status = np.empty(count, dtype=np.intp)
@@ -138,7 +141,6 @@ def wasserstein_solve(mats, weights, x0, max_iter, tol):
     # are kept by reference until some ensemble fails to improve.
     rows = np.arange(count)
     wb = weights[:, :, None, None]
-    x = best_x = x0.copy()
     best_res = np.full(count, np.inf)
     best_traces = np.full((count, n), np.nan)
 

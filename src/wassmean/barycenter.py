@@ -8,8 +8,9 @@ The mean of (w, A_1..A_n) is the unique SPD solution X of
 
 which is the least-squares barycenter for the Bures-Wasserstein distance.
 The solver iterates the damped self-map x' = k x k with
-k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, and stops on
-the Frobenius residual ||I - k||_F.
+k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, which the
+kernel computes from the ensemble itself, and stops on the Frobenius residual
+||I - k||_F.
 
 An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
 stack; the solver, the diagnostics and the order checks trust that stack and
@@ -114,12 +115,6 @@ class SolverReport:
         }
 
 
-def _mix(weights, stack):
-    """Weighted arithmetic mean of an already-validated stack, or of each
-    ensemble of a stack of ensembles."""
-    return hermitianize(_k.weighted_sum(weights, stack))
-
-
 def wasserstein_mean(ensemble, config=None):
     """Solve for the Wasserstein mean of ``ensemble``.
 
@@ -132,11 +127,7 @@ def wasserstein_mean(ensemble, config=None):
     if config is None:
         config = SolverConfig()
     solved = _k.wasserstein_solve(
-        ensemble.matrices,
-        ensemble.weights,
-        _mix(ensemble.weights, ensemble.matrices),
-        config.max_iter,
-        config.residual_tol,
+        ensemble.matrices, ensemble.weights, config.max_iter, config.residual_tol
     )
     return _solver_report(ensemble, *solved)
 
@@ -160,9 +151,7 @@ def wasserstein_means(ensembles, config=None):
         weights = np.stack([ensembles[i].weights for i in rows])
         mats = np.stack([ensembles[i].matrices for i in rows])
         try:
-            solved = _k.wasserstein_solve(
-                mats, weights, _mix(weights, mats), config.max_iter, config.residual_tol
-            )
+            solved = _k.wasserstein_solve(mats, weights, config.max_iter, config.residual_tol)
         except np.linalg.LinAlgError:
             continue
         for i, *outputs in zip(rows, *solved):

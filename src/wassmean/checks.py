@@ -9,8 +9,8 @@ comparisons into its report through ``hermitian._loewner_verdicts``, the one
 Loewner verdict rule: one ``eigvalsh`` over the stacked slacks of matrices the
 check computed, which it trusts rather than validates again.
 
-A check that needs a mean solves its ensembles with the default
-``SolverConfig``; no check takes a solver configuration.
+A check on an ensemble solves the ensemble's mean itself, with the default
+``SolverConfig``; no check takes a mean or a solver configuration.
 
 A check validates each raw argument once, at its entry, then computes on the
 validated arrays with the kernels of ``_kernels`` and plain numpy. Ensembles,
@@ -27,7 +27,7 @@ call that evaluates them.
 ``run_suite`` works in three phases over a memo that lives only for that
 call. It first collects: each check's instances and equality cases are
 materialised once (each seeded ensemble built once), and every ensemble they
-will solve is gathered, the derived ones (``_Check.solves``) included. A
+will solve, as ``_Check.solves`` lists them, is gathered. A
 derived ensemble (Kronecker pairs, inverses) is built once per source
 ensemble or pair and reused by the check that evaluates it. It then solves each
 distinct ensemble content once, with one stacked solver call per (n, m, m)
@@ -61,9 +61,8 @@ from .hermitian import (
     require_positive,
     require_spd,
     require_spd_pair,
-    require_spd_stack,
 )
-from .means import kantorovich, validate_weights
+from .means import kantorovich
 from .products import _pair_weights, ensemble_tensor, random_isometry_map
 
 SELF_DUALITY_GAP = 1e-4
@@ -248,9 +247,9 @@ def check_fixed_point_certificate(ensemble, tol=None):
     )
 
 
-def check_bounds(ensemble, x, tol=None):
-    """Both order bounds of the mean: 2I - sum_j w_j A_j^{-1} <= x <= sum_j w_j A_j."""
-    xm = require_spd(x, name="mean")
+def check_bounds(ensemble, *, tol=None):
+    """Both order bounds of the mean X: 2I - sum_j w_j A_j^{-1} <= X <= sum_j w_j A_j."""
+    mean = _solve(ensemble)
     eye = np.eye(ensemble.dim, dtype=np.complex128)
     inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
     lower = hermitianize(2.0 * eye - inv_mix)
@@ -260,8 +259,8 @@ def check_bounds(ensemble, x, tol=None):
         {"dim": ensemble.dim, "count": ensemble.size,
          "weights": [float(w) for w in ensemble.weights]},
         {},
-        ("lower_margin", lower, xm),
-        ("upper_margin", xm, upper),
+        ("lower_margin", lower, mean),
+        ("upper_margin", mean, upper),
     )
 
 
@@ -274,8 +273,8 @@ def _log_det_gap(top, weights, stack):
     return gap, all_equal
 
 
-def check_det_inequality(ensemble, x, tol=None):
-    """Determinant gap of the mean: log det(x) - sum_j w_j log det(A_j) >= 0,
+def check_det_inequality(ensemble, *, tol=None):
+    """Determinant gap of the mean X: log det(X) - sum_j w_j log det(A_j) >= 0,
     with equality exactly on constant ensembles.
 
     The equality flag is raised when the log gap is <= 1e-9 and cross-checked
@@ -283,8 +282,7 @@ def check_det_inequality(ensemble, x, tol=None):
     """
     if tol is None:
         tol = ToleranceConfig()
-    xm = require_spd(x, name="mean")
-    margin, all_equal = _log_det_gap(xm, ensemble.weights, ensemble.matrices)
+    margin, all_equal = _log_det_gap(_solve(ensemble), ensemble.weights, ensemble.matrices)
     equality = margin <= 1e-9
     return CheckReport(
         check_name="det_inequality",
@@ -300,21 +298,18 @@ def check_det_inequality(ensemble, x, tol=None):
     )
 
 
-def check_logdet_concavity(weights, mats, tol=None):
-    """log det of a convex combination dominates the combination of log dets,
-    with equality exactly when all matrices coincide."""
+def check_logdet_concavity(ensemble, *, tol=None):
+    """log det of the ensemble's convex combination dominates the combination
+    of its log dets, with equality exactly when all matrices coincide."""
     if tol is None:
         tol = ToleranceConfig()
-    w = validate_weights(weights)
-    if len(mats) != w.size:
-        raise ValueError(f"count mismatch: {w.size} weights, {len(mats)} matrices")
-    stack = require_spd_stack(mats, name="matrices")
+    w, stack = ensemble.weights, ensemble.matrices
     margin, all_equal = _log_det_gap(hermitianize(_k.weighted_sum(w, stack)), w, stack)
     return CheckReport(
         check_name="logdet_concavity",
         holds=margin >= -tol.loewner_tol,
         margin=margin,
-        inputs={"count": int(w.size)},
+        inputs={"count": ensemble.size},
         details={"equality": bool(margin <= 1e-10), "all_matrices_equal": all_equal},
     )
 
@@ -651,8 +646,8 @@ class _Check:
     ``instances(plan)`` yields the argument tuples of the generic instances
     and ``equality_cases()`` returns those of the known equality cases;
     ``evaluate(tol, *args)`` turns one tuple into a ``CheckReport``, solving
-    with the default solver config every ``Ensemble`` among the arguments,
-    and the ensembles ``solves(*args)`` derives from them.
+    with the default solver config the ensembles ``solves(*args)`` lists:
+    by default every ``Ensemble`` among the arguments.
     ``evaluate`` names its check function through the module attribute at
     call time, never through a stored reference, so a rebound attribute is
     the one that runs. ``finish(report, generic, equality)``, when set, adds
@@ -663,7 +658,7 @@ class _Check:
     evaluate: Callable
     equality_cases: Callable = lambda: ()
     finish: Callable | None = None
-    solves: Callable = lambda *args: ()
+    solves: Callable = lambda *args: [a for a in args if isinstance(a, bc.Ensemble)]
 
 
 def _cases(name, check, plan):
@@ -677,7 +672,6 @@ def _cases(name, check, plan):
 def _solved_ensembles(check, cases):
     """Every ensemble the entry's evaluation of ``cases`` will solve."""
     for args in (*cases[0], *cases[1]):
-        yield from (arg for arg in args if isinstance(arg, bc.Ensemble))
         yield from check.solves(*args)
 
 
@@ -799,13 +793,13 @@ _CHECKS = {
     ),
     "bounds": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
-        evaluate=lambda tol, e: check_bounds(e, _solve(e), tol),
+        evaluate=lambda tol, e: check_bounds(e, tol=tol),
         # The identity singleton makes both bounds tight.
         equality_cases=lambda: [(_singleton(_EYE2),)],
     ),
     "det_inequality": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3)),
-        evaluate=lambda tol, e: check_det_inequality(e, _solve(e), tol),
+        evaluate=lambda tol, e: check_det_inequality(e, tol=tol),
         # A constant ensemble.
         equality_cases=lambda: [
             (bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=[_spd(3, 1, 29)] * 3),)
@@ -813,9 +807,12 @@ _CHECKS = {
         finish=_finish_det_inequality,
     ),
     "logdet_concavity": _Check(
-        instances=lambda plan: ((e.weights, e.matrices) for (e,) in _ensembles(plan, (2, 3, 4))),
-        evaluate=lambda tol, w, mats: check_logdet_concavity(w, mats, tol),
-        equality_cases=lambda: [([0.5, 0.5], [_spd(3, 2, 31)] * 2)],
+        instances=lambda plan: _ensembles(plan, (2, 3, 4)),
+        evaluate=lambda tol, e: check_logdet_concavity(e, tol=tol),
+        equality_cases=lambda: [
+            (bc.Ensemble(weights=[0.5, 0.5], matrices=[_spd(3, 2, 31)] * 2),)
+        ],
+        solves=lambda e: (),
     ),
     "phi_geometric_mean": _Check(
         instances=_phi_geometric_mean_instances,
@@ -833,14 +830,14 @@ _CHECKS = {
         instances=lambda plan: _ensembles(plan, (2, 3), min_dim=2, limit=8),
         evaluate=lambda tol, e: check_self_duality_gap(e),
         finish=_finish_self_duality_gap,
-        solves=lambda e: (_inverted(e),),
+        solves=lambda e: (e, _inverted(e)),
     ),
     "tensor_identity": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (67, 71), (2, 3), lambda s: 2),
         evaluate=lambda tol, a, b: check_tensor_identity(a, b),
         # Singleton ensembles reproduce the plain Kronecker product.
         equality_cases=lambda: [(_singleton(_spd(2, 4, 73)), _singleton(_spd(2, 4, 79)))],
-        solves=lambda a, b: (_tensor(a, b),),
+        solves=lambda a, b: (a, b, _tensor(a, b)),
     ),
     "tensor_arithmetic_bound": _Check(
         instances=lambda plan: _ensemble_pairs(plan, (83, 89), (2, 3), lambda s: 2),

@@ -15,7 +15,9 @@ of pairs the package computed, and ``loewner_leq`` one validated raw pair;
 ``require_positive`` checks every tolerance and iteration budget.
 Seeded generation is stacked too: ``_random_spds`` draws each matrix from its
 own seeded stream but factors and assembles the stack in one batched QR and
-one batched product, and ``random_spd`` is its one-seed case.
+one batched product, and ``random_spd`` is its one-seed case. It and
+``random_commuting_spds`` share one eigenvalue-range rule and build
+U diag(lambda) U* with one spectral kernel, ``_kernels._from_spectrum``.
 """
 
 import math
@@ -39,15 +41,20 @@ def is_integer(value):
 def require_positive(value, name, integer=False):
     """The one rule for tolerances and iteration budgets: ``value`` as a plain
     float, or with ``integer`` a plain int, when it is a finite positive number
-    of that kind (a bool is none); otherwise a ValueError starting ``name``."""
-    if integer:
-        if not is_integer(value):
-            raise ValueError(f"{name}: expected an integer, got {value!r}")
-    elif isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    if value <= 0:
+    of that kind (a bool is none, and a number too large for a float is not
+    finite); otherwise a ValueError starting ``name``."""
+    kind = "an integer" if integer else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        raise ValueError(f"{name}: expected {kind}, got {value!r}")
+    try:
+        number = int(value) if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: expected {kind}, got {value!r}")
+    if number <= 0:
         raise ValueError(f"{name}: must be positive")
-    return int(value) if integer else float(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,8 @@ def require_spd_stack(mats, name="matrices"):
         stack = np.asarray(mats, dtype=np.complex128)
     else:
         items = [np.asarray(a, dtype=np.complex128) for a in mats]
+        if not items:
+            raise ValueError(f"{name}: empty stack, expected at least one matrix")
         if len({a.shape for a in items}) != 1 or items[0].ndim != 2:
             # Each matrix is checked alone, in index order, so the first
             # offender is named before the mix.
@@ -267,6 +276,12 @@ def random_unitary(m, seed):
     return np.ascontiguousarray(_haar_unitary(np.random.default_rng(seed), m))
 
 
+def _require_eig_range(eig_lo, eig_hi):
+    """The one spectrum rule of seeded generation: 0 < eig_lo <= eig_hi."""
+    if not (0 < eig_lo <= eig_hi):
+        raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
+
+
 def _random_spds(m, seeds, eig_lo, eig_hi):
     """(len(seeds), m, m) stack of random positive definite matrices: matrix j
     has its spectrum drawn uniformly in [eig_lo, eig_hi] and is conjugated by
@@ -274,12 +289,11 @@ def _random_spds(m, seeds, eig_lo, eig_hi):
 
     Each stream is drawn from in the order of a lone ``random_spd``; the
     QR, the phase fold and the conjugation then run once on the stack."""
-    if not (0 < eig_lo <= eig_hi):
-        raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
+    _require_eig_range(eig_lo, eig_hi)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     u = _haar_unitaries(np.stack([_ginibre(rng, m) for rng in rngs]))
     lam = np.stack([rng.uniform(eig_lo, eig_hi, m) for rng in rngs])
-    return hermitianize(np.ascontiguousarray((u * lam[:, None, :]) @ _k._adjoint(u)))
+    return _k._from_spectrum(u, lam)
 
 
 def random_spd(m, seed, eig_lo, eig_hi):
@@ -290,14 +304,10 @@ def random_spd(m, seed, eig_lo, eig_hi):
 
 
 def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
-    """Family of pairwise-commuting SPD matrices: one shared random
-    eigenbasis, independent spectra. Commutators vanish up to round-off."""
-    if not (0 < eig_lo <= eig_hi):
-        raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
+    """(count, m, m) stack of pairwise-commuting SPD matrices: one shared
+    random eigenbasis, independent spectra (the rows of one (count, m) uniform
+    draw). Commutators vanish up to round-off."""
+    _require_eig_range(eig_lo, eig_hi)
     u = random_unitary(m, seed)
-    rng = np.random.default_rng(seed + 1)
-    out = []
-    for _ in range(count):
-        lam = rng.uniform(eig_lo, eig_hi, m)
-        out.append(hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T)))
-    return out
+    lam = np.random.default_rng(seed + 1).uniform(eig_lo, eig_hi, (count, m))
+    return _k._from_spectrum(u, lam)

@@ -1,8 +1,12 @@
+import atexit
+import shutil
+import tempfile
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from wassmean import _kernels, checks
 from wassmean.hermitian import _haar_unitary, hermitianize
@@ -11,6 +15,12 @@ from wassmean.hermitian import _haar_unitary, hermitianize
 # database, so the suite stays deterministic and writes no files.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# Hypothesis still caches the constants it collects from local source in its
+# home directory: keep that in a temporary directory, removed at exit.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-home-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture

@@ -141,7 +141,7 @@ def test_criterion_4_determinant_inequality():
     detail = ""
     for seed in range(100):
         e = random_ensemble((2, 3, 5)[seed % 3], (2, 3)[seed % 2], seed + 300)
-        rep = check_det_inequality(e, wasserstein_mean(e).mean)
+        rep = check_det_inequality(e)
         if not (rep.holds and rep.margin > 0 and not rep.details["equality"]):
             ok, detail = False, f"distinct seed {seed}: margin {rep.margin:.3e}"
             break
@@ -149,7 +149,7 @@ def test_criterion_4_determinant_inequality():
         for seed in range(20):
             a = random_spd(3, seed=5000 + seed, eig_lo=0.5, eig_hi=2.0)
             e = Ensemble(weights=random_weights(3, seed), matrices=[a, a, a])
-            rep = check_det_inequality(e, wasserstein_mean(e).mean)
+            rep = check_det_inequality(e)
             if not (abs(rep.margin) <= 1e-9 and rep.details["equality"]):
                 ok, detail = False, f"identical seed {seed}: margin {rep.margin:.3e}"
                 break
@@ -162,7 +162,7 @@ def test_criterion_5_order_bounds():
         m = (2, 3, 5)[seed % 3]
         n = (2, 3, 5)[(seed // 3) % 3]
         e = random_ensemble(m, n, seed + 700)
-        rep = check_bounds(e, wasserstein_mean(e).mean)
+        rep = check_bounds(e)
         worst = min(worst, rep.margin)
         if not rep.holds or rep.margin < -1e-8:
             _criterion(5, "arithmetic upper / inverse-mix lower bounds", False,

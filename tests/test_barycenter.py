@@ -348,7 +348,7 @@ def test_one_by_one_matrices_match_scalar_closed_form():
 
 def test_check_bounds_scalar_case():
     e = _two_point()
-    report = check_bounds(e, wasserstein_mean(e).mean)
+    report = check_bounds(e)
     assert report.holds
     # 2I - (w1 I + w2 I/4) = (11/8) I below (9/4) I below (5/2) I.
     assert report.details["lower_margin"] == pytest.approx(2.25 - 11.0 / 8.0, abs=1e-9)
@@ -358,14 +358,14 @@ def test_check_bounds_scalar_case():
 def test_check_bounds_single_matrix():
     a = random_spd(3, seed=55, eig_lo=0.5, eig_hi=2.0)
     e = Ensemble(weights=[1.0], matrices=[a])
-    report = check_bounds(e, wasserstein_mean(e).mean)
+    report = check_bounds(e)
     assert report.holds
 
 
 def test_check_bounds_random():
     for seed in range(30):
         e = _ensemble(seed, m=2 + seed % 4, n=2 + seed % 4)
-        report = check_bounds(e, wasserstein_mean(e).mean)
+        report = check_bounds(e)
         assert report.holds
         assert report.margin >= -1e-8
 
@@ -373,7 +373,7 @@ def test_check_bounds_random():
 def test_det_inequality_equality_branch():
     a = random_spd(3, seed=60, eig_lo=0.5, eig_hi=2.0)
     e = Ensemble(weights=[1 / 3, 1 / 3, 1 / 3], matrices=[a, a, a])
-    report = check_det_inequality(e, wasserstein_mean(e).mean)
+    report = check_det_inequality(e)
     assert report.holds
     assert abs(report.margin) <= 1e-9
     assert report.details["equality"]
@@ -382,7 +382,7 @@ def test_det_inequality_equality_branch():
 
 def test_det_inequality_scalar_margin():
     e = _two_point()
-    report = check_det_inequality(e, wasserstein_mean(e).mean)
+    report = check_det_inequality(e)
     assert report.holds
     assert report.margin == pytest.approx(np.log(81.0 / 64.0), abs=1e-9)
     assert not report.details["equality"]
@@ -391,7 +391,7 @@ def test_det_inequality_scalar_margin():
 def test_det_inequality_strict_on_distinct():
     for seed in range(20):
         e = _ensemble(seed + 200)
-        report = check_det_inequality(e, wasserstein_mean(e).mean)
+        report = check_det_inequality(e)
         assert report.holds
         assert report.margin >= 1e-10
         assert not report.details["equality"]
@@ -404,6 +404,12 @@ def test_ensemble_validation():
         Ensemble(weights=[0.5, 0.5], matrices=[np.eye(2), np.eye(3)])
     with pytest.raises(ValueError, match="positive definite"):
         Ensemble(weights=[1.0], matrices=[np.diag([1.0, -1.0])])
+
+
+def test_ensemble_reports_an_empty_matrix_list():
+    with pytest.raises(ValueError) as err:
+        Ensemble(weights=[1.0], matrices=[])
+    assert str(err.value) == "matrices: empty stack, expected at least one matrix"
 
 
 def test_ensemble_reports_first_offending_matrix():
@@ -479,6 +485,7 @@ def test_solver_config_validation():
     ("residual_tol", float("nan")),
     ("residual_tol", True),
     ("residual_tol", "1e-11"),
+    pytest.param("residual_tol", 10**400, id="residual_tol-int_too_large_for_a_float"),
 ])
 def test_solver_config_rejects_each_bad_field_by_name(field, value):
     # An infinite tolerance would report the arithmetic mean as converged,

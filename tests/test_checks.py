@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wassmean import _kernels, barycenter
+from wassmean import _kernels, barycenter, hermitian
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
 from wassmean.checks import (
@@ -27,6 +27,7 @@ from wassmean.checks import (
     run_suite,
 )
 from wassmean.hermitian import (
+    ToleranceConfig,
     random_commuting_spds,
     random_spd,
     random_unitary,
@@ -53,11 +54,11 @@ def test_fixed_point_certificate_singleton():
 def test_logdet_concavity_random_and_equality():
     for seed in range(20):
         e = random_ensemble(3, 3, seed)
-        report = check_logdet_concavity(e.weights, e.matrices)
+        report = check_logdet_concavity(e)
         assert report.holds
         assert report.margin >= 0.0
     a = random_spd(3, seed=5, eig_lo=0.5, eig_hi=2.0)
-    eq = check_logdet_concavity([0.5, 0.5], [a, a])
+    eq = check_logdet_concavity(Ensemble(weights=[0.5, 0.5], matrices=[a, a]))
     assert eq.holds
     assert abs(eq.margin) <= 1e-10
     assert eq.details["equality"]
@@ -470,6 +471,54 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
     assert len(calls) == 11
 
 
+def test_mean_checks_take_only_the_ensemble():
+    # Each solves its own mean; a stale positional mean or tolerance must
+    # not be taken for something else.
+    e = _two_point()
+    mean = barycenter.wasserstein_mean(e).mean
+    for call in (
+        lambda: checks_mod.check_bounds(e, mean),
+        lambda: checks_mod.check_det_inequality(e, mean),
+        lambda: check_logdet_concavity(e, ToleranceConfig()),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert checks_mod.check_bounds(e, tol=ToleranceConfig()).holds
+
+
+def test_suite_mean_checks_validate_nothing(monkeypatch):
+    # bounds, det_inequality and logdet_concavity read validated ensembles
+    # and the solver's trusted means: evaluating them runs no validator.
+    names = ("bounds", "det_inequality", "logdet_concavity")
+    running = []
+    calls = dict.fromkeys(names, 0)
+    validate = hermitian._require_stack
+
+    def counted(*args, **kwargs):
+        if running:
+            calls[running[-1]] += 1
+        return validate(*args, **kwargs)
+
+    def tracked(name, driver):
+        def run(plan):
+            running.append(name)
+            try:
+                return driver(plan)
+            finally:
+                running.pop()
+
+        return run
+
+    monkeypatch.setattr(hermitian, "_require_stack", counted)
+    for name in names:
+        monkeypatch.setitem(
+            checks_mod.CHECK_REGISTRY, name, tracked(name, checks_mod.CHECK_REGISTRY[name])
+        )
+    reports = run_suite(SuitePlan(checks=names, seeds=(0, 6)))
+    assert all(r.holds and r.details["instances"] > 6 for r in reports)
+    assert calls == dict.fromkeys(names, 0)
+
+
 def test_suite_reports_equal_single_solves_bitwise(monkeypatch):
     batches = []
     solve_all = barycenter.wasserstein_means
@@ -567,6 +616,7 @@ def test_plan_rejects_empty_seed_range():
     ("checks", 7),
     ("checks", "bounds"),
     ("checks", ("bounds", "no_such_check")),
+    pytest.param("tol", 10**400, id="tol-int_too_large_for_a_float"),
 ])
 def test_plan_rejects_each_bad_field_by_name(field, value):
     # Nothing is truncated or coerced: seeds (0.9, 3.7) used to run [0, 3).
@@ -653,15 +703,13 @@ _INDEFINITE = np.diag([1.0, -1.0]).astype(complex)
 
 def _raw_argument_calls(bad):
     # (the name the message gives the argument, the call) for each raw
-    # matrix argument of a check.
+    # matrix argument of a check; an ensemble check's matrices are validated
+    # by its Ensemble.
     good = _GOOD
-    e = Ensemble(weights=[0.5, 0.5], matrices=[good, np.eye(2)])
     phi = random_isometry_map(2, 1, 3)
     x = 2.0 * random_unitary(2, 4)
     return [
-        ("mean", lambda: checks_mod.check_bounds(e, bad)),
-        ("mean", lambda: checks_mod.check_det_inequality(e, bad)),
-        ("matrices[1]", lambda: check_logdet_concavity([0.5, 0.5], [good, bad])),
+        ("matrices[1]", lambda: Ensemble(weights=[0.5, 0.5], matrices=[good, bad])),
         ("first matrix", lambda: check_phi_geometric_mean(bad, good, phi)),
         ("second matrix", lambda: check_phi_geometric_mean(good, bad, phi)),
         ("a", lambda: check_commuting_quadruple(bad, good, good, good)),

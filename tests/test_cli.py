@@ -267,6 +267,16 @@ def test_verify_plan_file(tmp_path):
     assert doc[0]["inputs"]["seeds"] == [0, 3]
 
 
+def test_verify_rejects_a_plan_tol_too_large_for_a_float(tmp_path, capsys):
+    # JSON integers are unbounded; this one used to end in an OverflowError.
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"checks": ["bounds"], "tol": 1' + "0" * 400 + "}")
+    assert main(["verify", "--plan", str(plan)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {plan}.tol: expected a finite number, got one too large for a float\n"
+    )
+
+
 def test_verify_rejects_malformed_plan(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     _write_json(plan, {"checks": ["no_such_check"]})

@@ -173,10 +173,17 @@ def test_require_spd_stack_takes_an_array_as_it_stands():
     bad[2] = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(ValueError, match=r"matrices\[2\]: not positive definite"):
         require_spd_stack(bad)
-    with pytest.raises(ValueError, match="mixed dimensions"):
+    with pytest.raises(ValueError, match="^matrices: empty stack"):
         require_spd_stack(np.zeros((0, 3, 3)))
     with pytest.raises(ValueError, match="expected square matrix"):
         require_spd_stack(np.ones((2, 3, 2)))
+
+
+def test_require_spd_stack_reports_an_empty_list():
+    # No matrix at all is not a mix of dimensions.
+    with pytest.raises(ValueError) as err:
+        require_spd_stack([], name="mats")
+    assert str(err.value) == "mats: empty stack, expected at least one matrix"
 
 
 def test_random_spd_rejects_bad_range():
@@ -184,6 +191,30 @@ def test_random_spd_rejects_bad_range():
         random_spd(3, seed=0, eig_lo=2.0, eig_hi=1.0)
     with pytest.raises(ValueError, match="range"):
         random_spd(3, seed=0, eig_lo=-1.0, eig_hi=1.0)
+    with pytest.raises(ValueError, match="range"):
+        random_commuting_spds(3, 2, seed=0, eig_lo=2.0, eig_hi=1.0)
+
+
+def _reference_commuting_spds(m, count, seed, eig_lo, eig_hi):
+    # One matrix at a time: each spectrum its own draw of m uniforms from the
+    # stream after the shared eigenbasis's seed.
+    u = random_unitary(m, seed)
+    rng = np.random.default_rng(seed + 1)
+    out = []
+    for _ in range(count):
+        lam = rng.uniform(eig_lo, eig_hi, m)
+        out.append(hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T)))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 33])
+@pytest.mark.parametrize("count", [1, 2, 4, 9])
+def test_commuting_family_equals_per_matrix_draws_bitwise(m, count):
+    for seed in (0, 12345):
+        family = random_commuting_spds(m, count, seed, 0.5, 2.0)
+        reference = _reference_commuting_spds(m, count, seed, 0.5, 2.0)
+        assert family.shape == (count, m, m)
+        assert family.tobytes() == np.stack(reference).tobytes()
 
 
 def test_random_commuting_family_commutes():
@@ -224,7 +255,10 @@ def test_tolerance_config_validation():
 
 
 @pytest.mark.parametrize("field", ["loewner_tol", "residual_tol"])
-@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), True, "1e-9"])
+@pytest.mark.parametrize("value", [
+    0.0, -1.0, float("inf"), float("nan"), True, "1e-9",
+    pytest.param(10**400, id="int_too_large_for_a_float"),
+])
 def test_tolerance_config_rejects_each_bad_field_by_name(field, value):
     with pytest.raises(ValueError, match=rf"^{field}: "):
         ToleranceConfig(**{field: value})

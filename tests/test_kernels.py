@@ -50,6 +50,11 @@ def loop_residual(x, mats, weights):
     return _fro(np.eye(m).astype(np.complex128) - acc)
 
 
+def _start(mats, weights):
+    # The solver's start: the Hermitian part of the weighted arithmetic mean.
+    return _sym(k.weighted_sum(weights, mats))
+
+
 def loop_solve(mats, weights, x0, max_iter, tol):
     n = mats.shape[0]
     m = mats.shape[1]
@@ -110,9 +115,8 @@ def _case(m, n, lo, hi, seed):
 @pytest.mark.parametrize("m,n,lo,hi,seed", CASES)
 def test_stacked_solver_matches_loop_reference(m, n, lo, hi, seed):
     mats, w = _case(m, n, lo, hi, seed)
-    x0 = k.weighted_sum(w, mats)
-    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
-    want = loop_solve(mats, w, x0, 200, 1e-11)
+    got = k.wasserstein_solve(mats, w, 200, 1e-11)
+    want = loop_solve(mats, w, _start(mats, w), 200, 1e-11)
     assert _rel(got[0], want[0]) <= 1e-13
     assert got[1] == want[1]
     assert got[3] == want[3] == k.SOLVE_CONVERGED
@@ -124,9 +128,8 @@ def test_solver_root_traces_match_loop_reference(m, n, lo, hi, seed):
     # t_j = tr (x^{1/2} A_j x^{1/2})^{1/2} at the returned best iterate, here
     # as the trace of each per-matrix root rather than a sum of eigenvalues.
     mats, w = _case(m, n, lo, hi, seed)
-    x0 = k.weighted_sum(w, mats)
-    got = k.wasserstein_solve(mats, w, x0, 200, 1e-11)[4]
-    want = loop_solve(mats, w, x0, 200, 1e-11)[4]
+    got = k.wasserstein_solve(mats, w, 200, 1e-11)[4]
+    want = loop_solve(mats, w, _start(mats, w), 200, 1e-11)[4]
     assert got.shape == (n,)
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
@@ -135,8 +138,7 @@ def test_solver_root_traces_belong_to_best_iterate():
     # An unconverged solve returns its best iterate; the traces must be
     # those of that iterate.
     mats, w = _case(5, 16, 1e-3, 1e3, 0)
-    x0 = k.weighted_sum(w, mats)
-    x, _, _, status, traces = k.wasserstein_solve(mats, w, x0, 3, 1e-11)
+    x, _, _, status, traces = k.wasserstein_solve(mats, w, 3, 1e-11)
     assert status == k.SOLVE_MAX_ITER
     rs = _spd_power(x, 0.5)
     want = [np.trace(_spd_power(_sym(rs @ a @ rs), 0.5)).real for a in mats]
@@ -192,9 +194,8 @@ def test_single_matrix_kernels_match_loop_reference():
 def test_solver_bitwise_deterministic():
     mats = _stack([10, 11])
     w = validate_weights([0.4, 0.6])
-    x0 = np.einsum("j,jkl->kl", w, mats)
-    first = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
-    second = k.wasserstein_solve(mats, w, x0, 200, 1e-11)
+    first = k.wasserstein_solve(mats, w, 200, 1e-11)
+    second = k.wasserstein_solve(mats, w, 200, 1e-11)
     assert np.array_equal(first[0], second[0])
     assert first[1:4] == second[1:4]
     assert np.array_equal(first[4], second[4])
@@ -206,13 +207,10 @@ def test_solver_bitwise_deterministic():
 # ---------------------------------------------------------------------------
 
 def _assert_batch_matches_singles(mats, weights, max_iter):
-    x0 = k.weighted_sum(weights, mats)
-    batch = k.wasserstein_solve(mats, weights, x0, max_iter, 1e-11)
+    batch = k.wasserstein_solve(mats, weights, max_iter, 1e-11)
     assert [a.shape[0] for a in batch] == [mats.shape[0]] * 5
     for i in range(mats.shape[0]):
-        x, iters, res, status, traces = k.wasserstein_solve(
-            mats[i], weights[i], x0[i], max_iter, 1e-11
-        )
+        x, iters, res, status, traces = k.wasserstein_solve(mats[i], weights[i], max_iter, 1e-11)
         assert np.array_equal(batch[0][i], x)
         assert batch[1][i] == iters
         assert batch[2][i] == res or (np.isinf(res) and np.isinf(batch[2][i]))
@@ -242,8 +240,7 @@ def test_batched_solver_equals_single_solves_bitwise(max_iter, statuses):
 
 def test_negative_congruence_eigenvalue_is_a_breakdown(wide_spectrum_mats):
     w = np.full(6, 1.0 / 6.0)
-    x0 = k.weighted_sum(w, wide_spectrum_mats)
-    _, iters, _, status, _ = k.wasserstein_solve(wide_spectrum_mats, w, x0, 200, 1e-11)
+    _, iters, _, status, _ = k.wasserstein_solve(wide_spectrum_mats, w, 200, 1e-11)
     assert status == k.SOLVE_BREAKDOWN
     assert iters == 12
 

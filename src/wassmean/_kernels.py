@@ -8,10 +8,11 @@ once per stack rather than once per matrix. Kernels do no validation: they
 take C-contiguous complex128 arrays of already-symmetrized Hermitian matrices
 and return arrays of the broadcast shape.
 
-The barycenter loop also takes a leading ensemble axis: S ensembles of the
-same (n, m, m) shape iterate in one stack, each stopping at its own iterate,
-so a batch of tiny solves pays the per-call overhead once per iterate of the
-batch rather than once per iterate of each solve.
+The barycenter loop takes a leading ensemble axis and nothing else: S
+ensembles of the same (n, m, m) shape iterate in one stack, each stopping at
+its own iterate, so a batch of tiny solves pays the per-call overhead once
+per iterate of the batch rather than once per iterate of each solve. A lone
+solve is a batch of one.
 """
 
 import numpy as np
@@ -96,9 +97,9 @@ def mean_equation_residual(x, mats, weights):
 
 
 def wasserstein_solve(mats, weights, max_iter, tol):
-    """Fixed-point loop for the barycenter of the (n, m, m) stack ``mats``
-    under ``weights``, or for S such ensembles at once: ``mats`` (S, n, m, m)
-    and ``weights`` (S, n).
+    """Fixed-point loop for the barycenters of S ensembles of one shape:
+    ``mats`` (S, n, m, m) and ``weights`` (S, n); a lone ensemble is a batch
+    of one.
 
     The loop starts from the weighted arithmetic mean, an upper bound of the
     barycenter in the Loewner order. Per iterate x the map evaluates
@@ -113,21 +114,17 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     t_j = tr (x^{1/2} a_j x^{1/2})^{1/2}, so d^2(x, a_j) = tr((x + a_j)/2) - t_j
     at the best iterate costs no further eigen-solve.
 
-    With a leading ensemble axis every ensemble stops at its own iterate: a
-    finished one is written to the outputs and dropped from the working
-    stack, and the others go on. Batched ``eigh`` and ``matmul`` run the same
-    per-matrix LAPACK and BLAS calls as the single solve, so each ensemble's
-    outputs equal its own solve bit for bit.
+    Every ensemble stops at its own iterate: a finished one is written to the
+    outputs and dropped from the working stack, and the others go on. Batched
+    ``eigh`` and ``matmul`` run the same per-matrix LAPACK and BLAS calls
+    whatever the batch, so each ensemble's outputs do not depend on its
+    batch-mates, bit for bit.
 
-    Returns (best iterate, update steps taken, best residual, status, root
-    traces t_j at the best iterate) with status 0 converged / 1 iteration
-    budget exhausted / 2 loss of positivity (an iterate, or a congruence, with
-    an eigenvalue below zero). With the ensemble axis each is an array with
-    one entry per ensemble.
+    Returns arrays with one entry per ensemble: (best iterate, update steps
+    taken, best residual, status, root traces t_j at the best iterate) with
+    status 0 converged / 1 iteration budget exhausted / 2 loss of positivity
+    (an iterate, or a congruence, with an eigenvalue below zero).
     """
-    single = mats.ndim == 3
-    if single:
-        mats, weights = mats[None], weights[None]
     count, n, m = mats.shape[:3]
     eye = np.eye(m, dtype=np.complex128)
     x = best_x = hermitianize(weighted_sum(weights, mats))
@@ -137,8 +134,7 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     out_status = np.empty(count, dtype=np.intp)
     out_traces = np.empty((count, n))
     # The working stack: the ensembles still iterating, ``rows`` their rows
-    # in the outputs. Iterates are never written in place, so the best ones
-    # are kept by reference until some ensemble fails to improve.
+    # in the outputs.
     rows = np.arange(count)
     wb = weights[:, :, None, None]
     best_res = np.full(count, np.inf)
@@ -180,12 +176,9 @@ def wasserstein_solve(mats, weights, max_iter, tol):
         res = _fro(eye - k)
         traces = roots.sum(axis=-1)
         improved = res < best_res
-        if improved.all():
-            best_x, best_res, best_traces = x, res, traces
-        else:
-            np.copyto(best_x, x, where=improved[:, None, None])
-            np.copyto(best_res, res, where=improved)
-            np.copyto(best_traces, traces, where=improved[:, None])
+        best_x = np.where(improved[:, None, None], x, best_x)
+        best_res = np.where(improved, res, best_res)
+        best_traces = np.where(improved[:, None], traces, best_traces)
         done = res <= tol
         if done.any():
             (k,) = retire(done, SOLVE_CONVERGED, it, k)
@@ -194,6 +187,4 @@ def wasserstein_solve(mats, weights, max_iter, tol):
         if not rows.size:
             break
         x = hermitianize(k @ x @ k)
-    if single:
-        return out_x[0], int(out_iters[0]), out_res[0], int(out_status[0]), out_traces[0]
     return out_x, out_iters, out_res, out_status, out_traces

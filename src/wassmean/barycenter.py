@@ -16,9 +16,10 @@ An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
 stack; the solver, the diagnostics and the order checks trust that stack and
 pass it whole to the stacked kernels of ``_kernels``.
 
-``wasserstein_means`` solves a list of ensembles with one stacked solver
-call per ``matrices.shape``; both it and ``wasserstein_mean`` build their
-reports with one helper, so a batched report equals the single one bit for
+``wasserstein_means`` is the package's one solve: it solves a list of
+ensembles with one stacked solver call per ``matrices.shape`` and returns,
+per ensemble, its report or the error its solve raised. ``wasserstein_mean``
+is its one-ensemble case, so a batched report equals the single one bit for
 bit.
 
 A solve's ``objective`` comes from the solver's last eigendecomposition: the
@@ -95,7 +96,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolverReport:
     """Outcome of one barycenter solve; ``converged`` implies
-    ``residual <= residual_tol``."""
+    ``residual <= residual_tol``. ``mean`` is read-only, so a report can be
+    shared."""
 
     mean: np.ndarray
     iterations: int
@@ -116,7 +118,8 @@ class SolverReport:
 
 
 def wasserstein_mean(ensemble, config=None):
-    """Solve for the Wasserstein mean of ``ensemble``.
+    """Solve for the Wasserstein mean of ``ensemble``: the one-ensemble case
+    of ``wasserstein_means``, returning its report or raising its error.
 
     Non-convergence within the iteration budget returns the best iterate with
     ``converged=False``; loss of positivity raises ``SolverBreakdownError``.
@@ -124,52 +127,55 @@ def wasserstein_mean(ensemble, config=None):
     ``objective`` is taken from the root traces the solver returns with its
     best iterate, under the same round-off clamp as ``objective``.
     """
-    if config is None:
-        config = SolverConfig()
-    solved = _k.wasserstein_solve(
-        ensemble.matrices, ensemble.weights, config.max_iter, config.residual_tol
-    )
-    return _solver_report(ensemble, *solved)
+    outcome = wasserstein_means([ensemble], config)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def wasserstein_means(ensembles, config=None):
     """Solve every ensemble of the list, with one stacked solver call per
-    ``matrices.shape``.
+    ``matrices.shape``: the package's one solve.
 
-    Each report equals ``wasserstein_mean(ensemble, config)`` bit for bit.
-    An entry is None where that solve is left to ``wasserstein_mean``, which
-    raises: the solve broke down, or LAPACK failed on the stack of its shape
-    group (one bad matrix fails the whole stack).
+    Each entry is the ensemble's ``SolverReport`` or the error its solve
+    raised: a ``SolverBreakdownError``, or the ``LinAlgError`` LAPACK raised
+    on the ensemble's own stack. One bad matrix fails LAPACK for its whole
+    shape group, so a failed group is solved again one ensemble at a time.
     """
     if config is None:
         config = SolverConfig()
     groups = {}
     for i, ensemble in enumerate(ensembles):
         groups.setdefault(ensemble.matrices.shape, []).append(i)
-    reports = [None] * len(ensembles)
+    outcomes = [None] * len(ensembles)
     for rows in groups.values():
-        weights = np.stack([ensembles[i].weights for i in rows])
-        mats = np.stack([ensembles[i].matrices for i in rows])
+        group = [ensembles[i] for i in rows]
         try:
-            solved = _k.wasserstein_solve(mats, weights, config.max_iter, config.residual_tol)
-        except np.linalg.LinAlgError:
+            solved = _k.wasserstein_solve(
+                np.stack([e.matrices for e in group]),
+                np.stack([e.weights for e in group]),
+                config.max_iter,
+                config.residual_tol,
+            )
+        except np.linalg.LinAlgError as exc:
+            for i, e in zip(rows, group):
+                outcomes[i] = exc if len(rows) == 1 else wasserstein_means([e], config)[0]
             continue
-        for i, *outputs in zip(rows, *solved):
-            try:
-                reports[i] = _solver_report(ensembles[i], *outputs)
-            except SolverBreakdownError:
-                pass
-    return reports
+        for i, e, *outputs in zip(rows, group, *solved):
+            outcomes[i] = _outcome(e, *outputs)
+    return outcomes
 
 
-def _solver_report(ensemble, x, iters, res, status, root_traces):
-    """The report on one solve from the solver's outputs; the objective comes
-    from the root traces of the best iterate."""
+def _outcome(ensemble, x, iters, res, status, root_traces):
+    """The read-only report on one solve from the solver's outputs, or the
+    ``SolverBreakdownError`` of a solve that lost positivity; the objective
+    comes from the root traces of the best iterate."""
     if status == _k.SOLVE_BREAKDOWN:
-        raise SolverBreakdownError(
+        return SolverBreakdownError(
             f"iterate lost positive definiteness after {iters} iterations "
             f"(dimension {ensemble.dim}, {ensemble.size} matrices)"
         )
+    x.flags.writeable = False
     scales = _distance_scale(x, ensemble.matrices)
     return SolverReport(
         mean=x,

@@ -31,11 +31,11 @@ will solve, as ``_Check.solves`` lists them, is gathered. A
 derived ensemble (Kronecker pairs, inverses) is built once per source
 ensemble or pair and reused by the check that evaluates it. It then solves each
 distinct ensemble content once, with one stacked solver call per (n, m, m)
-shape (``bc.wasserstein_means``). Last it evaluates each check through
-``CHECK_REGISTRY`` on the materialised cases, whose solves are memo hits. A
-solve left out of the memo (a breakdown) runs alone when its check asks for
-it, and raises there. A registry entry called on its own, and the ``check_*``
-functions, build and solve their inputs afresh, one ensemble at a time.
+shape (``bc.wasserstein_means``), and stores each outcome, a report or an
+error. Last it evaluates each check through ``CHECK_REGISTRY`` on the
+materialised cases, whose solves are memo hits; a stored error is raised
+where its check asks for it. A registry entry called on its own, and the
+``check_*`` functions, build and solve their inputs afresh.
 """
 
 import math
@@ -70,9 +70,9 @@ TENSOR_IDENTITY_RTOL = 1e-6
 
 # The memo of the running ``run_suite`` call, None outside one: ensembles keyed
 # by ``random_ensemble``'s arguments, the derived tensor and inverted ensembles
-# keyed by the ensembles they come from, solve reports keyed by the ensemble's
-# weight and matrix bytes, and each check's materialised cases keyed by its
-# name.
+# keyed by the ensembles they come from, solve reports or errors keyed by the
+# ensemble's weight and matrix bytes, and each check's materialised cases
+# keyed by its name.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
 
 
@@ -190,22 +190,15 @@ def _inverted(ensemble):
 def _mean_report(ensemble):
     """``bc.wasserstein_mean(ensemble)``, solved once per ensemble content
     inside ``run_suite``."""
-    memo = _SUITE_MEMO.get()
-    if memo is None:
-        return bc.wasserstein_mean(ensemble)
-    key = _solve_key(ensemble)
-    if key not in memo:
-        _memoize(memo, key, bc.wasserstein_mean(ensemble))
-    return memo[key]
+    outcome = _shared(_solve_key(ensemble), lambda: bc.wasserstein_means([ensemble])[0])
+    if isinstance(outcome, Exception):
+        # A fresh traceback: an old one would grow by every raise.
+        raise outcome.with_traceback(None)
+    return outcome
 
 
 def _solve_key(ensemble):
     return ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes())
-
-
-def _memoize(memo, key, report):
-    report.mean.flags.writeable = False
-    memo[key] = report
 
 
 def _solve(ensemble):
@@ -931,10 +924,7 @@ def _presolve(plan):
     solve every distinct ensemble content they will solve, batched by shape.
 
     A check whose cases fail to materialise is skipped here: its driver
-    materialises them again and fails in its own report, as it would have.
-    A solve that breaks down stays out of the memo, so it raises alone where
-    its check asks for it."""
-    memo = _SUITE_MEMO.get()
+    materialises them again and fails in its own report, as it would have."""
     pending = {}
     for name in plan.checks:
         try:
@@ -944,6 +934,5 @@ def _presolve(plan):
                 pending.setdefault(_solve_key(ensemble), ensemble)
         except Exception:  # noqa: BLE001 - raised again by the check's driver
             pass
-    for key, report in zip(pending, bc.wasserstein_means(list(pending.values()))):
-        if report is not None:
-            _memoize(memo, key, report)
+    for key, outcome in zip(pending, bc.wasserstein_means(list(pending.values()))):
+        _shared(key, lambda: outcome)

@@ -103,10 +103,11 @@ def frobenius(a):
 
 def _require_stack(arr, label, spd=False):
     """The symmetrized, C-ordered copy of an (n, m, k) complex128 stack,
-    n >= 1, of finite square matrices whose Hermitian gap is at most
-    1e-12 * max(1, ||a||_F) per matrix and, with ``spd``, whose smallest
-    eigenvalue exceeds ``SPD_FLOOR * max(1, ||a||_F)``. Otherwise raises for
-    the first offender in index order, named ``label(j)``."""
+    n >= 1, of finite square matrices whose Frobenius norm does not overflow,
+    whose Hermitian gap is at most 1e-12 * max(1, ||a||_F) per matrix and,
+    with ``spd``, whose smallest eigenvalue exceeds
+    ``SPD_FLOOR * max(1, ||a||_F)``. Otherwise raises for the first offender
+    in index order, named ``label(j)``."""
     n, rows, cols = arr.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"{label(0)}: empty matrix")
@@ -116,10 +117,15 @@ def _require_stack(arr, label, spd=False):
         raise ValueError(f"{label(0)}: {not_finite}")
     if rows != cols:
         raise ValueError(f"{label(0)}: expected square matrix, got shape {(rows, cols)}")
-    # The rules below run on the matrices before the first non-finite one.
-    k = n if finite.all() else int(finite.argmin())
+    # A non-finite entry, or an entry above about 1.3e154, leaves a matrix
+    # without a finite norm, so without a finite scale for the rules below;
+    # they run on the matrices before the first such one.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=(1, 2))
+    scaled = np.isfinite(norms)
+    k = n if scaled.all() else int(scaled.argmin())
     head = arr[:k]
-    limit = 1e-12 * np.maximum(1.0, np.linalg.norm(head, axis=(1, 2)))
+    limit = 1e-12 * np.maximum(1.0, norms[:k])
     gap = np.abs(head - _k._adjoint(head))
     worst = gap.max(axis=(1, 2))
     not_hermitian = worst > limit
@@ -142,7 +148,7 @@ def _require_stack(arr, label, spd=False):
             f"(min eigenvalue {min_eig[j]:.3e} <= floor {floor[j]:.3e})"
         )
     if k < n:
-        raise ValueError(f"{label(k)}: {not_finite}")
+        raise ValueError(f"{label(k)}: {'Frobenius norm overflows' if finite[k] else not_finite}")
     return sym
 
 
@@ -243,14 +249,16 @@ def _loewner_verdicts(pairs, cfg=None):
     finite = np.isfinite(slack).all(axis=(1, 2))
     margins = np.linalg.eigvalsh(np.where(finite[:, None, None], slack, 0.0))[:, 0]
     margins[~finite] = np.nan
-    # A non-negative margin holds at any scale.
-    return [
-        LoewnerResult(
-            holds=margin >= 0 or margin >= -cfg.loewner_tol * cfg.loewner_scale(a, b),
-            margin=margin,
-        )
-        for margin, a, b in zip(margins.tolist(), lhs, rhs)
-    ]
+    # A non-negative margin holds at any scale, a negative one only within the
+    # tolerance of a finite scale: a scale that overflows is inf.
+    with np.errstate(over="ignore"):
+        return [
+            LoewnerResult(
+                holds=margin >= 0 or -margin <= cfg.loewner_tol * cfg.loewner_scale(a, b) < math.inf,
+                margin=margin,
+            )
+            for margin, a, b in zip(margins.tolist(), lhs, rhs)
+        ]
 
 
 def _ginibre(rng, m):

@@ -1,7 +1,9 @@
 """JSON interchange for matrices, ensembles, suite plans and reports.
 
 Matrix files are ``{"dim": m, "re": [[...]], "im": [[...]]}`` with ``im``
-optional (zero when absent), row-major, IEEE-754 doubles. The loader checks
+optional (zero when absent), row-major, IEEE-754 doubles. Every grid entry and
+every weight is a JSON number, an int or a float: a string, a bool or an
+object is refused, as is a number too large for a float. The loader checks
 only the format of each grid; the library's one validation rule then runs
 once per file (on an ensemble file's whole stack, by ``Ensemble``), so a file
 matrix is Hermitian to within 1e-12 * max(1, ||a||_F), symmetrized and
@@ -26,13 +28,39 @@ def dumps_canonical(payload):
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def _real_grid(value, dim, name):
+# The Python types of a JSON number; a bool, an int to Python, is none.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _require_numbers(value, name):
+    """``value`` when it is a JSON array of numbers; otherwise a FormatError
+    naming ``name`` or its first entry that is not a number."""
+    if not isinstance(value, list):
+        raise FormatError(f"{name}: expected an array of numbers, got {type(value).__name__}")
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
+        j = next(j for j, x in enumerate(value) if type(x) not in _NUMBER_TYPES)
+        raise FormatError(f"{name}[{j}]: expected a number, got {value[j]!r}")
+    return value
+
+
+def _floats(value, name):
+    """JSON numbers, in an array or an array of rows, as a float64 array; a
+    number too large for a float is not finite."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{name}: not a numeric grid ({exc})") from None
-    if arr.shape != (dim, dim):
-        raise FormatError(f"{name}: expected {dim}x{dim} rows, got shape {arr.shape}")
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise FormatError(f"{name}: entries must be finite") from None
+
+
+def _real_grid(value, dim, name):
+    if not isinstance(value, list):
+        raise FormatError(f"{name}: expected an array of rows, got {type(value).__name__}")
+    for r, row in enumerate(value):
+        _require_numbers(row, f"{name}[{r}]")
+    if len(value) != dim or any(len(row) != dim for row in value):
+        lengths = [len(row) for row in value]
+        raise FormatError(f"{name}: expected shape ({dim}, {dim}), got rows of lengths {lengths}")
+    arr = _floats(value, name)
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{name}: entries must be finite")
     return arr
@@ -80,7 +108,7 @@ def ensemble_from_json_dict(doc, name="ensemble"):
     for key in ("weights", "matrices"):
         if key not in doc:
             raise FormatError(f"{name}.{key}: missing")
-    weights = doc["weights"]
+    weights = _floats(_require_numbers(doc["weights"], f"{name}.weights"), f"{name}.weights")
     mats_doc = doc["matrices"]
     if not isinstance(mats_doc, list) or not mats_doc:
         raise FormatError(f"{name}.matrices: expected a non-empty array")
@@ -116,7 +144,9 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Besides malformed JSON: bytes that are not UTF-8, and an integer
+        # longer than Python's int-string conversion limit.
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 

@@ -9,8 +9,15 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def validate_weights(weights, name="weights"):
-    """Validate a strictly positive probability vector, returned as float64."""
-    w = np.asarray(weights, dtype=np.float64)
+    """Validate a strictly positive probability vector of real numbers (no
+    strings, bools or other objects), returned as float64."""
+    try:
+        raw = np.asarray(weights)
+    except ValueError:  # ragged nesting
+        raise ValueError(f"{name}: expected a non-empty 1-d vector") from None
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: expected real numbers, got dtype {raw.dtype}")
+    w = raw.astype(np.float64, copy=False)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{name}: expected a non-empty 1-d vector")
     if not np.all(np.isfinite(w)):

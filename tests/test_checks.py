@@ -32,7 +32,7 @@ from wassmean.hermitian import (
     random_spd,
     random_unitary,
 )
-from wassmean.products import PositiveMapSpec, random_isometry_map
+from wassmean.products import PositiveMapSpec, ando_map, random_isometry_map
 
 
 def _eye_ensemble(m=2, scale=1.0):
@@ -279,6 +279,21 @@ def test_hadamard_inverse_random():
         assert report.margin >= -1e-8
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_hadamard_pairs_are_the_ando_compression_of_the_kronecker_pairs(m):
+    # Z*(A (x) B)Z = A o B for the Ando compression Z: the suite's cheaper
+    # route builds the same pairs, bit for bit.
+    from wassmean.products import ensemble_tensor
+
+    ando = ando_map(m)
+    for na, nb in ((1, 1), (2, 3), (3, 2)):
+        for seed in range(15):
+            a = random_ensemble(m, na, seed)
+            b = random_ensemble(m, nb, seed + 500)
+            compressed = ando.compress(ensemble_tensor(a, b).matrices)
+            assert checks_mod._hadamard_pairs(a, b).tobytes() == compressed.tobytes()
+
+
 def test_kantorovich_hadamard_identity_singletons():
     report = check_kantorovich_hadamard(_eye_ensemble(2), _eye_ensemble(2))
     assert report.holds
@@ -471,6 +486,33 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
     assert len(calls) == 11
 
 
+def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide_spectrum_mats):
+    # Every seeded instance of the plan is the ensemble whose solve breaks
+    # down: the batched solve stores its error, and each check that asks for
+    # it raises that error.
+    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+    solved = []
+    solve = _kernels.wasserstein_solve
+
+    def counted(mats, weights, *args):
+        if mats.shape[-3:] == wide.matrices.shape:
+            solved.extend(
+                w.tobytes() == wide.weights.tobytes() and a.tobytes() == wide.matrices.tobytes()
+                for w, a in zip(weights.reshape(-1, 6), mats.reshape(-1, 6, 8, 8))
+            )
+        return solve(mats, weights, *args)
+
+    monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
+    monkeypatch.setattr(checks_mod, "random_ensemble", lambda *args, **kwargs: wide)
+    (report,) = run_suite(SuitePlan(checks=("bounds",), seeds=(0, 2)))
+    assert solved.count(True) == 1
+    assert not report.holds
+    assert report.details["error"] == (
+        "SolverBreakdownError: iterate lost positive definiteness after 12 iterations "
+        "(dimension 8, 6 matrices)"
+    )
+
+
 def test_mean_checks_take_only_the_ensemble():
     # Each solves its own mean; a stale positional mean or tolerance must
     # not be taken for something else.
@@ -531,7 +573,8 @@ def test_suite_reports_equal_single_solves_bitwise(monkeypatch):
     monkeypatch.setattr(barycenter, "wasserstein_means", recorded)
     run_suite(default_plan(seeds=(0, 10)))
     ((ensembles, reports),) = batches
-    assert len(ensembles) > 100 and None not in reports
+    assert len(ensembles) > 100
+    assert not any(isinstance(report, Exception) for report in reports)
     for ensemble, report in zip(ensembles, reports):
         single = barycenter.wasserstein_mean(ensemble)
         assert np.array_equal(report.mean, single.mean)

@@ -277,6 +277,31 @@ def test_verify_rejects_a_plan_tol_too_large_for_a_float(tmp_path, capsys):
     )
 
 
+def test_cli_names_the_file_of_an_integer_too_long_to_parse(tmp_path, capsys):
+    # Python refuses to parse an integer of more than 4,300 digits.
+    digits = "1" + "0" * 5000
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"checks": ["bounds"], "tol": ' + digits + "}")
+    assert main(["verify", "--plan", str(plan)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {plan}: invalid JSON (")
+    a = tmp_path / "a.json"
+    a.write_text('{"dim": ' + digits + ', "re": [[1.0]]}')
+    assert main(["distance", str(a), str(a)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {a}: invalid JSON (")
+
+
+def test_mean_names_weights_that_are_not_numbers(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    for weights, message in (
+        ({"a": 1}, "weights: expected an array of numbers, got dict"),
+        (["0.5", "0.5"], "weights[0]: expected a number, got '0.5'"),
+        ([0.5, True], "weights[1]: expected a number, got True"),
+    ):
+        _write_json(path, {"weights": weights, "matrices": [matrix_to_json_dict(np.eye(2))] * 2})
+        assert main(["mean", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}.{message}\n"
+
+
 def test_verify_rejects_malformed_plan(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     _write_json(plan, {"checks": ["no_such_check"]})

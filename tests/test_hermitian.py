@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wassmean.hermitian import (
+    _loewner_verdicts,
     ToleranceConfig,
     _random_spds,
     frobenius,
@@ -107,6 +108,31 @@ def test_loewner_transitive_on_chains():
 def test_loewner_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         loewner_leq(np.eye(2), np.eye(3))
+
+
+def test_validators_reject_a_matrix_whose_norm_overflows():
+    # Entries above about 1.3e154 overflow max(1, ||a||_F) to inf: the SPD
+    # floor became inf, and the Hermitian limit let any asymmetry through.
+    with pytest.raises(ValueError, match=r"^matrix: Frobenius norm overflows$"):
+        require_spd(1e160 * np.eye(2))
+    with pytest.raises(ValueError, match=r"^rhs: Frobenius norm overflows$"):
+        loewner_leq(np.eye(2), np.diag([1e160, 1.0]))
+    # In index order with the other rules: a non-Hermitian matrix before it
+    # is named first, and a stack stops at it.
+    bad = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^matrices\[0\]: not Hermitian"):
+        require_spd_stack([bad, 1e160 * np.eye(2)])
+    with pytest.raises(ValueError, match=r"^matrices\[1\]: Frobenius norm overflows$"):
+        require_spd_stack([np.eye(2), 1e160 * np.eye(2), np.full((2, 2), np.nan)])
+    # Norms that do not overflow keep their verdicts.
+    assert np.array_equal(require_spd(1e150 * np.eye(2)), 1e150 * np.eye(2))
+
+
+def test_loewner_verdict_fails_a_negative_margin_at_an_overflowing_scale():
+    big, bigger = 1e160 * np.eye(2, dtype=complex), 2e160 * np.eye(2, dtype=complex)
+    (reversed_pair, ordered_pair) = _loewner_verdicts([(bigger, big), (big, bigger)])
+    assert not reversed_pair.holds and reversed_pair.margin == -1e160
+    assert ordered_pair.holds and ordered_pair.margin == 1e160
 
 
 def test_log_det_identity_and_diag():

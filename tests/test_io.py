@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,42 @@ def test_plan_rejects_malformed():
 def test_plan_rejects_non_integer_ranges_and_non_number_tol(field, value):
     with pytest.raises(FormatError, match=rf"^p\.{field}: expected"):
         plan_from_json_dict({"checks": ["bounds"], field: value}, name="p")
+
+
+@pytest.mark.parametrize("grid,where,got", [
+    ([["2", True], [1, "3"]], "re[0][0]", "'2'"),
+    ([[2, True], [1, 3]], "re[0][1]", "True"),
+    ([[2, 1], [1, None]], "re[1][1]", "None"),
+    ([[2, 1], {"a": 1}], "re[1]", None),
+    ("2", "re", None),
+])
+def test_matrix_grid_entries_must_be_json_numbers(grid, where, got):
+    # Strings and bools used to load as numbers: "2" as 2.0, true as 1.0.
+    message = f"expected a number, got {got}" if got else "expected an array of"
+    with pytest.raises(FormatError, match=rf"^m\.{re.escape(where)}: {re.escape(message)}"):
+        matrix_from_json_dict({"dim": 2, "re": grid}, name="m")
+    with pytest.raises(FormatError, match=rf"^m\.im{re.escape(where[2:])}: "):
+        matrix_from_json_dict({"dim": 2, "re": [[2, 1], [1, 3]], "im": grid}, name="m")
+
+
+def test_matrix_grid_entry_too_large_for_a_float_is_not_finite():
+    doc = {"dim": 1, "re": [[10**400]]}
+    with pytest.raises(FormatError, match=r"^m\.re: entries must be finite"):
+        matrix_from_json_dict(doc, name="m")
+
+
+@pytest.mark.parametrize("weights,message", [
+    (["0.5", "0.5"], "weights[0]: expected a number, got '0.5'"),
+    ([0.5, False], "weights[1]: expected a number, got False"),
+    ({"a": 1}, "weights: expected an array of numbers, got dict"),
+    (0.5, "weights: expected an array of numbers, got float"),
+    ([10**400, 1], "weights: entries must be finite"),
+])
+def test_ensemble_weights_must_be_json_numbers(weights, message):
+    doc = {"weights": weights, "matrices": [matrix_to_json_dict(np.eye(2))] * 2}
+    with pytest.raises(FormatError) as info:
+        ensemble_from_json_dict(doc, name="f.json")
+    assert str(info.value) == f"f.json.{message}"
 
 
 def test_load_rejects_invalid_json(tmp_path):

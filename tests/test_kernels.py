@@ -10,6 +10,12 @@ def _stack(seeds, m=3, lo=0.5, hi=2.0):
     return np.stack([random_spd(m, seed=s, eig_lo=lo, eig_hi=hi) for s in seeds])
 
 
+def _solve_one(mats, weights, max_iter, tol):
+    """The kernel's solve of one ensemble: a batch of one, unbatched."""
+    x, iters, res, status, traces = k.wasserstein_solve(mats[None], weights[None], max_iter, tol)
+    return x[0], int(iters[0]), res[0], int(status[0]), traces[0]
+
+
 def _rel(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -115,7 +121,7 @@ def _case(m, n, lo, hi, seed):
 @pytest.mark.parametrize("m,n,lo,hi,seed", CASES)
 def test_stacked_solver_matches_loop_reference(m, n, lo, hi, seed):
     mats, w = _case(m, n, lo, hi, seed)
-    got = k.wasserstein_solve(mats, w, 200, 1e-11)
+    got = _solve_one(mats, w, 200, 1e-11)
     want = loop_solve(mats, w, _start(mats, w), 200, 1e-11)
     assert _rel(got[0], want[0]) <= 1e-13
     assert got[1] == want[1]
@@ -128,7 +134,7 @@ def test_solver_root_traces_match_loop_reference(m, n, lo, hi, seed):
     # t_j = tr (x^{1/2} A_j x^{1/2})^{1/2} at the returned best iterate, here
     # as the trace of each per-matrix root rather than a sum of eigenvalues.
     mats, w = _case(m, n, lo, hi, seed)
-    got = k.wasserstein_solve(mats, w, 200, 1e-11)[4]
+    got = _solve_one(mats, w, 200, 1e-11)[4]
     want = loop_solve(mats, w, _start(mats, w), 200, 1e-11)[4]
     assert got.shape == (n,)
     assert np.max(np.abs(got - want) / want) <= 1e-13
@@ -138,7 +144,7 @@ def test_solver_root_traces_belong_to_best_iterate():
     # An unconverged solve returns its best iterate; the traces must be
     # those of that iterate.
     mats, w = _case(5, 16, 1e-3, 1e3, 0)
-    x, _, _, status, traces = k.wasserstein_solve(mats, w, 3, 1e-11)
+    x, _, _, status, traces = _solve_one(mats, w, 3, 1e-11)
     assert status == k.SOLVE_MAX_ITER
     rs = _spd_power(x, 0.5)
     want = [np.trace(_spd_power(_sym(rs @ a @ rs), 0.5)).real for a in mats]
@@ -194,8 +200,8 @@ def test_single_matrix_kernels_match_loop_reference():
 def test_solver_bitwise_deterministic():
     mats = _stack([10, 11])
     w = validate_weights([0.4, 0.6])
-    first = k.wasserstein_solve(mats, w, 200, 1e-11)
-    second = k.wasserstein_solve(mats, w, 200, 1e-11)
+    first = _solve_one(mats, w, 200, 1e-11)
+    second = _solve_one(mats, w, 200, 1e-11)
     assert np.array_equal(first[0], second[0])
     assert first[1:4] == second[1:4]
     assert np.array_equal(first[4], second[4])
@@ -210,7 +216,7 @@ def _assert_batch_matches_singles(mats, weights, max_iter):
     batch = k.wasserstein_solve(mats, weights, max_iter, 1e-11)
     assert [a.shape[0] for a in batch] == [mats.shape[0]] * 5
     for i in range(mats.shape[0]):
-        x, iters, res, status, traces = k.wasserstein_solve(mats[i], weights[i], max_iter, 1e-11)
+        x, iters, res, status, traces = _solve_one(mats[i], weights[i], max_iter, 1e-11)
         assert np.array_equal(batch[0][i], x)
         assert batch[1][i] == iters
         assert batch[2][i] == res or (np.isinf(res) and np.isinf(batch[2][i]))
@@ -240,7 +246,7 @@ def test_batched_solver_equals_single_solves_bitwise(max_iter, statuses):
 
 def test_negative_congruence_eigenvalue_is_a_breakdown(wide_spectrum_mats):
     w = np.full(6, 1.0 / 6.0)
-    _, iters, _, status, _ = k.wasserstein_solve(wide_spectrum_mats, w, 200, 1e-11)
+    _, iters, _, status, _ = _solve_one(wide_spectrum_mats, w, 200, 1e-11)
     assert status == k.SOLVE_BREAKDOWN
     assert iters == 12
 

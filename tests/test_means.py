@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wassmean.barycenter import Ensemble
 from wassmean.hermitian import (
     frobenius,
     hermitianize,
@@ -153,6 +154,21 @@ def test_kantorovich_rejects_bad_inputs():
         kantorovich(0.0, 1.0)
     with pytest.raises(ValueError):
         kantorovich(4.0, 1.0)
+
+
+@pytest.mark.parametrize("weights,dtype", [
+    (["0.5", "0.5"], "<U3"),
+    ([True, True], "bool"),
+    ({"a": 1}, "object"),
+    ([0.5 + 0j, 0.5], "complex128"),
+])
+def test_validate_weights_refuses_arrays_that_are_not_real_numbers(weights, dtype):
+    # Strings used to be parsed as numbers, bools taken as 0 and 1, and a
+    # dict ended in a TypeError.
+    with pytest.raises(ValueError, match=rf"^w: expected real numbers, got dtype {dtype}$"):
+        validate_weights(weights, name="w")
+    with pytest.raises(ValueError, match=r"^weights: expected real numbers"):
+        Ensemble(weights=weights, matrices=[np.eye(2)] * 2)
 
 
 def test_validate_weights_rejections():

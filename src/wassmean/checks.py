@@ -7,32 +7,31 @@ eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities); ``_order_report`` turns a check's Loewner
 comparisons into its report through ``hermitian._loewner_verdicts``, the one
 Loewner verdict rule: one ``eigvalsh`` over the stacked slacks of matrices the
-check computed, which it trusts rather than validates again.
+check computed, which it trusts rather than validates again. A report over
+several results (comparisons or instances) reports the one ``_worst`` picks:
+a NaN margin first, else the smallest failing margin, else the smallest.
 
 A check on an ensemble solves the ensemble's mean itself, with the default
-``SolverConfig``; no check takes a mean or a solver configuration.
-
-A check validates each raw argument once, at its entry, then computes on the
-validated arrays with the kernels of ``_kernels`` and plain numpy. Ensembles,
-solved means, compressions and convex combinations are trusted; a derived
-matrix that the positive definite floor could still reject (a Schur product,
-a congruence) keeps its one validation. Seeded matrices come in stacks, one
-per ensemble.
+``SolverConfig``; it takes no mean or solver configuration. The Hadamard
+checks follow from the Kronecker pairs through Ando's compression
+Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a function of the
+pairs' one constant K, and the arithmetic sides are bilinear, (sum w A) (x)
+(sum u B) and (sum w A) o (sum u B). A check validates each raw argument
+once, at its entry, and trusts what it computes from it; a derived matrix
+that the positive definite floor could still reject (a Schur product, a
+congruence) keeps its one validation. Seeded matrices come in stacks.
 
 ``run_suite`` drives every registered check over seeded random instances,
 always including the known equality cases: one generic driver runs each entry
 of a table that declares the check's instances, its equality cases and the
-call that evaluates them.
-
-``run_suite`` works in three phases over a memo that lives only for that
-call. It first collects: each check's instances and equality cases are
-materialised once (each seeded ensemble built once), and every ensemble they
-will solve, as ``_Check.solves`` lists them, is gathered. A
-derived ensemble (Kronecker pairs, inverses) is built once per source
-ensemble or pair and reused by the check that evaluates it. It then solves each
-distinct ensemble content once, with one stacked solver call per (n, m, m)
-shape (``bc.wasserstein_means``), and stores each outcome, a report or an
-error. Last it evaluates each check through ``CHECK_REGISTRY`` on the
+call that evaluates them. It works in three phases over a memo that lives
+only for that call. It first collects: each check's instances and equality
+cases are materialised once, and every ensemble they will solve, as
+``_Check.solves`` lists them, is gathered; a derived ensemble (Kronecker
+pairs, inverses) is built once per source ensemble or pair. It then solves
+each distinct ensemble content once, with one stacked solver call per
+(n, m, m) shape (``bc.wasserstein_means``), and stores each outcome, a report
+or an error. Last it evaluates each check through ``CHECK_REGISTRY`` on the
 materialised cases, whose solves are memo hits; a stored error is raised
 where its check asks for it. A registry entry called on its own, and the
 ``check_*`` functions, build and solve their inputs afresh.
@@ -108,21 +107,21 @@ class CheckReport:
 def _order_report(name, tol, inputs, details, *comparisons):
     """Report on ``lhs <= rhs`` in the Loewner order for every ``(key, lhs,
     rhs)`` comparison: it holds when every comparison holds, and its margin is
-    the smallest margin. A comparison with a key (not None) also records its
-    own margin in ``details`` under that key."""
+    the margin of ``_worst`` among them. A comparison with a key (not None)
+    also records its own margin in ``details`` under that key."""
     results = _loewner_verdicts([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
     for (key, _, _), res in zip(comparisons, results):
         if key is not None:
             details[key] = res.margin
-    margins = [r.margin for r in results]
-    return CheckReport(
-        check_name=name,
-        holds=all(r.holds for r in results),
-        # min() keeps a NaN margin (a non-finite slack) only when it comes first.
-        margin=math.nan if any(map(math.isnan, margins)) else min(margins),
-        inputs=inputs,
-        details=details,
-    )
+    return CheckReport(check_name=name, holds=all(r.holds for r in results),
+                       margin=_worst(results).margin, inputs=inputs, details=details)
+
+
+def _worst(results):
+    """The result a verdict over ``results`` (each with ``holds`` and
+    ``margin``) reports: the first with a NaN margin, else the failing one of
+    smallest margin, else the one of smallest margin; the first of equals."""
+    return min(results, key=lambda r: (not math.isnan(r.margin), r.holds, r.margin))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +156,7 @@ def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
 
     Inside ``run_suite`` equal arguments return the same (read-only)
     ensemble."""
+    n = require_positive(n, "n", integer=True)
     return _shared(
         ("ensemble", m, n, seed, eig_lo, eig_hi, commuting),
         lambda: _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting),
@@ -199,6 +199,11 @@ def _mean_report(ensemble):
 
 def _solve_key(ensemble):
     return ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes())
+
+
+def _arithmetic(ensemble):
+    """The ensemble's weighted arithmetic mean, made exactly Hermitian."""
+    return hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
 
 
 def _solve(ensemble):
@@ -246,14 +251,13 @@ def check_bounds(ensemble, *, tol=None):
     eye = np.eye(ensemble.dim, dtype=np.complex128)
     inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
     lower = hermitianize(2.0 * eye - inv_mix)
-    upper = hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
     return _order_report(
         "bounds", tol,
         {"dim": ensemble.dim, "count": ensemble.size,
          "weights": [float(w) for w in ensemble.weights]},
         {},
         ("lower_margin", lower, mean),
-        ("upper_margin", mean, upper),
+        ("upper_margin", mean, _arithmetic(ensemble)),
     )
 
 
@@ -296,8 +300,7 @@ def check_logdet_concavity(ensemble, *, tol=None):
     of its log dets, with equality exactly when all matrices coincide."""
     if tol is None:
         tol = ToleranceConfig()
-    w, stack = ensemble.weights, ensemble.matrices
-    margin, all_equal = _log_det_gap(hermitianize(_k.weighted_sum(w, stack)), w, stack)
+    margin, all_equal = _log_det_gap(_arithmetic(ensemble), ensemble.weights, ensemble.matrices)
     return CheckReport(
         check_name="logdet_concavity",
         holds=margin >= -tol.loewner_tol,
@@ -385,28 +388,29 @@ def check_tensor_identity(a, b):
 
 def check_tensor_arithmetic_bound(a, b, tol=None):
     """Kronecker product of two means below the arithmetic mean of all
-    Kronecker pairs."""
-    lhs = np.kron(_solve(a), _solve(b))
-    tensored = _tensor(a, b)
-    rhs = hermitianize(_k.weighted_sum(tensored.weights, tensored.matrices))
+    Kronecker pairs, which by bilinearity is (sum w A) (x) (sum u B)."""
     return _order_report(
         "tensor_arithmetic_bound", tol,
         {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
-        (None, lhs, rhs),
+        (None, np.kron(_solve(a), _solve(b)), np.kron(_arithmetic(a), _arithmetic(b))),
     )
+
+
+def _means_of_one_dim(a, b):
+    """The solved means of two ensembles of one dimension."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return _solve(a), _solve(b)
 
 
 def check_hadamard_arithmetic_bound(a, b, tol=None):
     """Hadamard product of two means below the arithmetic mean of all
-    Hadamard pairs."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lhs = _solve(a) * _solve(b)
-    rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _hadamard_pairs(a, b))
+    Hadamard pairs, which by bilinearity is (sum w A) o (sum u B)."""
+    x, y = _means_of_one_dim(a, b)
     return _order_report(
         "hadamard_arithmetic_bound", tol,
         {"dim": a.dim, "counts": [a.size, b.size]}, {},
-        (None, lhs, hermitianize(rhs)),
+        (None, x * y, _arithmetic(a) * _arithmetic(b)),
     )
 
 
@@ -438,8 +442,7 @@ def check_hadamard_inverse(a, b, tol=None):
     had_inv = _k.spd_power(require_spd(am * bm, name="matrix"), -1.0)
     inv_a, inv_b = _k.spd_power(np.stack([am, bm]), -1.0)
     inv_had = inv_a * inv_b
-    eigs = np.linalg.eigvalsh(np.kron(am, bm))
-    constant = kantorovich(float(eigs[0]), float(eigs[-1]))
+    constant, _ = _kronecker_kantorovich(am[None], bm[None])
     return _order_report(
         "hadamard_inverse", tol, {"dim": int(am.shape[0])},
         {"kantorovich_constant": constant},
@@ -448,9 +451,14 @@ def check_hadamard_inverse(a, b, tol=None):
     )
 
 
-def _spectral_box(mats):
-    eigs = np.linalg.eigvalsh(mats)
-    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+def _kronecker_kantorovich(a, b):
+    """K = kantorovich(alpha gamma, beta delta) and the spectral edges [alpha,
+    beta, gamma, delta] of two stacks of one dimension: the Kronecker pairs
+    A_i (x) B_j, and so A_i o B_j = Z*(A_i (x) B_j)Z, have spectra in there."""
+    eigs, n = np.linalg.eigvalsh(np.concatenate([a, b])), len(a)
+    edges = [float(e) for e in (eigs[:n, 0].min(), eigs[:n, -1].max(),
+                                eigs[n:, 0].min(), eigs[n:, -1].max())]
+    return kantorovich(edges[0] * edges[2], edges[1] * edges[3]), edges
 
 
 def _hadamard_pairs(a, b):
@@ -462,15 +470,10 @@ def _hadamard_pairs(a, b):
 def check_kantorovich_hadamard(a, b, tol=None):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    x = _solve(a)
-    y = _solve(b)
-    alpha, beta = _spectral_box(a.matrices)
-    gamma, delta = _spectral_box(b.matrices)
-    constant = (alpha * gamma + beta * delta) / (
-        2.0 * np.sqrt(alpha * beta * gamma * delta)
-    )
+    x, y = _means_of_one_dim(a, b)
+    kantorovich_constant, edges = _kronecker_kantorovich(a.matrices, b.matrices)
+    # The paper's (alpha gamma + beta delta) / (2 sqrt(alpha beta gamma delta)).
+    constant = math.sqrt(kantorovich_constant)
     xy = x * y
     # The Schur product of the means is validated as the root's argument.
     root = _k.spd_power(require_spd(xy, name="matrix"), 0.5)
@@ -478,7 +481,7 @@ def check_kantorovich_hadamard(a, b, tol=None):
     rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _k.spd_power(inner, 0.5))
     return _order_report(
         "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
-        {"constant": constant, "bounds": [alpha, beta, gamma, delta]},
+        {"constant": constant, "bounds": edges},
         (None, xy, constant * hermitianize(rhs)),
     )
 
@@ -516,25 +519,21 @@ def check_sqrt_sum_lower_bound(a, b, tol=None):
     Returns a skipped report (not a failure) when the contraction
     precondition on the means fails.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    x = _solve(a)
-    y = _solve(b)
+    x, y = _means_of_one_dim(a, b)
     eye = np.eye(a.dim, dtype=np.complex128)
     pre_x, pre_y = _loewner_verdicts([(eye, x), (eye, y)], tol)
     if not (pre_x.holds and pre_y.holds):
         return CheckReport(
             check_name="sqrt_sum_lower_bound",
             holds=False,
-            margin=min(pre_x.margin, pre_y.margin),
+            margin=_worst([pre_x, pre_y]).margin,
             inputs={"dim": a.dim, "counts": [a.size, b.size]},
             details={"reason": "solved means do not dominate the identity",
                      "mean_margins": [pre_x.margin, pre_y.margin]},
             skipped=True,
         )
-    alpha, beta = _spectral_box(a.matrices)
-    gamma, delta = _spectral_box(b.matrices)
-    constant = 2.0 * np.sqrt(alpha * beta * gamma * delta) / (alpha * gamma + beta * delta)
+    # 1/sqrt(K) = 2 sqrt(alpha beta gamma delta) / (alpha gamma + beta delta).
+    constant = 1.0 / math.sqrt(_kronecker_kantorovich(a.matrices, b.matrices)[0])
     roots = _k.spd_power(_hadamard_pairs(a, b), 0.5)
     lhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), roots)
     return _order_report(
@@ -603,7 +602,8 @@ class SuitePlan:
 
 
 def _aggregate(name, plan, reports, extra_details):
-    """Fold per-instance reports into one per-check report (worst margin)."""
+    """Fold per-instance reports into one per-check report: it holds when
+    every live (not skipped) report holds, and reports the ``_worst`` one."""
     live = [r for r in reports if not r.skipped]
     skipped = len(reports) - len(live)
     if not live:
@@ -615,7 +615,7 @@ def _aggregate(name, plan, reports, extra_details):
             details={"instances": len(reports), "skipped_instances": skipped},
             skipped=True,
         )
-    worst = min(live, key=lambda r: r.margin)
+    worst = _worst(live)
     details = {
         "instances": len(reports),
         "skipped_instances": skipped,

@@ -78,8 +78,6 @@ def cmd_geodesic(args):
 
 
 def cmd_generate(args):
-    if args.m < 1 or args.n < 1:
-        raise ValueError(f"m and n must be positive (got m={args.m}, n={args.n})")
     ensemble = random_ensemble(
         args.m, args.n, args.seed,
         eig_lo=args.eig_lo, eig_hi=args.eig_hi, commuting=args.commuting,

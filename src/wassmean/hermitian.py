@@ -12,7 +12,8 @@ rule has one implementation: ``_require_stack`` validates a stack in one
 vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix and
 ``require_spd_stack`` its n-matrix case; ``_loewner_verdicts`` judges a stack
 of pairs the package computed, and ``loewner_leq`` one validated raw pair;
-``require_positive`` checks every tolerance and iteration budget.
+``require_positive`` checks every tolerance, iteration budget, size, count
+and spectrum edge.
 Seeded generation is stacked too: ``_random_spds`` draws each matrix from its
 own seeded stream but factors and assembles the stack in one batched QR and
 one batched product, and ``random_spd`` is its one-seed case. It and
@@ -39,7 +40,8 @@ def is_integer(value):
 
 
 def require_positive(value, name, integer=False):
-    """The one rule for tolerances and iteration budgets: ``value`` as a plain
+    """The one rule for numeric arguments (tolerances, iteration budgets,
+    sizes, counts, spectrum edges): ``value`` as a plain
     float, or with ``integer`` a plain int, when it is a finite positive number
     of that kind (a bool is none, and a number too large for a float is not
     finite); otherwise a ValueError starting ``name``."""
@@ -62,15 +64,16 @@ class ToleranceConfig:
     """Tolerances for Loewner comparisons and residual certificates.
 
     Loewner margins are compared against
-    ``loewner_tol * max(1, ||A||_F, ||B||_F)``.
+    ``loewner_tol * max(1, ||A||_F, ||B||_F)``, the one field.
+    ``residual_tol``, the bound on a solved mean's equation residual, is a
+    class constant.
     """
 
     loewner_tol: float = 1e-9
-    residual_tol: float = 1e-10
+    residual_tol = 1e-10
 
     def __post_init__(self):
-        for name in ("loewner_tol", "residual_tol"):
-            object.__setattr__(self, name, require_positive(getattr(self, name), name))
+        object.__setattr__(self, "loewner_tol", require_positive(self.loewner_tol, "loewner_tol"))
 
     def loewner_scale(self, *mats):
         return max(1.0, *(frobenius(m) for m in mats))
@@ -207,9 +210,13 @@ def require_spd_stack(mats, name="matrices"):
 
 
 def matrix_power(a, t, name="matrix"):
-    """a**t for positive definite a, computed spectrally."""
+    """a**t for positive definite a and a finite exponent t, computed
+    spectrally."""
     arr = require_spd(a, name=name)
-    return _k.spd_power(arr, float(t))
+    exponent = float(t)
+    if not math.isfinite(exponent):
+        raise ValueError(f"t: expected a finite exponent, got {t!r}")
+    return _k.spd_power(arr, exponent)
 
 
 def sqrtm(a, name="matrix"):
@@ -280,14 +287,21 @@ def _haar_unitary(rng, m):
 
 
 def random_unitary(m, seed):
-    """Haar random unitary, deterministic per seed."""
+    """Haar random m x m unitary, deterministic per seed."""
+    m = require_positive(m, "m", integer=True)
     return np.ascontiguousarray(_haar_unitary(np.random.default_rng(seed), m))
 
 
 def _require_eig_range(eig_lo, eig_hi):
-    """The one spectrum rule of seeded generation: 0 < eig_lo <= eig_hi."""
-    if not (0 < eig_lo <= eig_hi):
+    """The one spectrum rule of seeded generation: edges that meet
+    ``require_positive``, with eig_lo <= eig_hi; returned as floats."""
+    try:
+        lo, hi = require_positive(eig_lo, "eig_lo"), require_positive(eig_hi, "eig_hi")
+    except ValueError as exc:
+        raise ValueError(f"{exc} (eigenvalue range [{eig_lo}, {eig_hi}])") from None
+    if lo > hi:
         raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
+    return lo, hi
 
 
 def _random_spds(m, seeds, eig_lo, eig_hi):
@@ -297,7 +311,8 @@ def _random_spds(m, seeds, eig_lo, eig_hi):
 
     Each stream is drawn from in the order of a lone ``random_spd``; the
     QR, the phase fold and the conjugation then run once on the stack."""
-    _require_eig_range(eig_lo, eig_hi)
+    m = require_positive(m, "m", integer=True)
+    eig_lo, eig_hi = _require_eig_range(eig_lo, eig_hi)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     u = _haar_unitaries(np.stack([_ginibre(rng, m) for rng in rngs]))
     lam = np.stack([rng.uniform(eig_lo, eig_hi, m) for rng in rngs])
@@ -315,7 +330,8 @@ def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
     """(count, m, m) stack of pairwise-commuting SPD matrices: one shared
     random eigenbasis, independent spectra (the rows of one (count, m) uniform
     draw). Commutators vanish up to round-off."""
-    _require_eig_range(eig_lo, eig_hi)
+    eig_lo, eig_hi = _require_eig_range(eig_lo, eig_hi)
+    count = require_positive(count, "count", integer=True)
     u = random_unitary(m, seed)
     lam = np.random.default_rng(seed + 1).uniform(eig_lo, eig_hi, (count, m))
     return _k._from_spectrum(u, lam)

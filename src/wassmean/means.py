@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import hermitianize, require_spd_pair, require_spd_stack
+from .hermitian import hermitianize, require_positive, require_spd_pair, require_spd_stack
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -49,10 +49,12 @@ def arithmetic_mean(weights, mats):
 
 
 def kantorovich(p, q):
-    """Kantorovich constant (p+q)^2 / (4pq) for spectral bounds 0 < p <= q.
+    """Kantorovich constant (p+q)^2 / (4pq) for spectral bounds p <= q that
+    meet ``require_positive``.
 
     Equals (r+1)^2 / (4r) at r = q/p; 1 at r = 1, nondecreasing in r.
     """
-    if not (0 < p <= q):
-        raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
+    p, q = require_positive(p, "p"), require_positive(q, "q")
+    if p > q:
+        raise ValueError(f"need p <= q, got p={p}, q={q}")
     return (p + q) ** 2 / (4.0 * p * q)

@@ -12,6 +12,7 @@ from .hermitian import (
     hermitianize,
     random_unitary,
     require_hermitian,
+    require_positive,
 )
 from .means import validate_weights
 
@@ -121,8 +122,7 @@ def ando_map(m):
 
     Unital (Z*Z = I), strictly positive, and maps A (x) B to A o B.
     """
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
+    m = require_positive(m, "m", integer=True)
     z = np.zeros((m * m, m), dtype=np.complex128)
     for i in range(m):
         z[i * m + i, i] = 1.0
@@ -130,7 +130,8 @@ def ando_map(m):
 
 
 def random_isometry_map(s, k, seed):
-    """Compression onto the first k columns of a seeded random unitary."""
+    """Compression onto the first k columns of a seeded random s x s unitary."""
+    s, k = require_positive(s, "s", integer=True), require_positive(k, "k", integer=True)
     if k > s:
         raise ValueError(f"target dimension {k} exceeds source dimension {s}")
     u = random_unitary(s, seed)

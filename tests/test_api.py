@@ -65,6 +65,11 @@ def test_harness_read_exists(module, attr):
     assert hasattr(importlib.import_module(module), attr)
 
 
+def test_traced_check_names_are_the_default_checks():
+    # A renamed or added check would drop out of the checks.<name>_ms metrics.
+    assert _tracing_constant("CHECK_NAMES") == wassmean.DEFAULT_CHECKS
+
+
 def test_traced_modules_and_kernels_exist():
     for name in _tracing_constant("MODULE_LAYER"):
         importlib.import_module(f"wassmean.{name}")

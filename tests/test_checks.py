@@ -683,6 +683,47 @@ def test_aggregate_of_only_skipped_instances_is_a_skipped_failure():
     assert report.details == {"instances": 2, "skipped_instances": 2}
 
 
+def test_random_ensemble_refuses_an_empty_ensemble_by_name():
+    # It used to fail inside np.stack.
+    with pytest.raises(ValueError, match=r"^n: must be positive"):
+        random_ensemble(2, 0, 1)
+
+
+def _instance(holds, margin, seed):
+    return checks_mod.CheckReport("x", holds, margin, inputs={"seed": seed})
+
+
+def test_aggregate_reports_a_nan_instance_before_smaller_passing_margins():
+    plan = SuitePlan(seeds=(0, 3))
+    reports = [_instance(True, 0.5, 0), _instance(False, float("nan"), 1), _instance(True, 0.1, 2)]
+    report = checks_mod._aggregate("x", plan, reports, {})
+    assert report.holds is False and np.isnan(report.margin)
+    assert report.details["worst_inputs"] == {"seed": 1}
+
+
+def test_aggregate_reports_the_failing_instance_below_a_smaller_passing_margin():
+    # fixed_point's verdict also needs convergence and the self-map residual,
+    # so its failing instance can have the larger margin.
+    plan = SuitePlan(seeds=(0, 2))
+    reports = [_instance(False, -1e-13, 0), _instance(True, -5e-12, 1)]
+    report = checks_mod._aggregate("x", plan, reports, {})
+    assert report.holds is False and report.margin == -1e-13
+    assert report.details["worst_inputs"] == {"seed": 0}
+
+
+def test_order_report_reports_the_failing_comparison_below_a_smaller_passing_margin():
+    # Each verdict is relative to its comparison's scale: -1e-6 holds at
+    # scale ~1.4e4, -1e-8 fails at scale 1 (loewner_tol 1e-9).
+    eye = np.eye(2, dtype=complex)
+    big = 1e4 * eye
+    report = checks_mod._order_report(
+        "x", None, {}, {}, ("passing", big + 1e-6 * eye, big), ("failing", 2e-8 * eye, 1e-8 * eye)
+    )
+    assert report.details["passing"] < report.details["failing"] < 0
+    assert report.holds is False
+    assert report.margin == report.details["failing"]
+
+
 def test_default_plan_covers_registry_except_hook():
     plan = default_plan()
     assert plan.checks == DEFAULT_CHECKS == tuple(checks_mod.CHECK_REGISTRY)

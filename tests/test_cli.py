@@ -207,6 +207,14 @@ def test_generate_rejects_bad_parameters(tmp_path, capsys):
                  "--eig-hi", "1.0", "--out", str(tmp_path / "x.json")]) == 1
 
 
+def test_generate_refuses_an_infinite_spectrum_edge(tmp_path, capsys):
+    # It used to end in an OverflowError traceback from the generator.
+    assert main(["generate", "--m", "2", "--n", "2", "--eig-hi", "inf",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: eig_hi: expected a finite number")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_generate_mean_round_trip(tmp_path, capsys):
     path = tmp_path / "e.json"
     assert main(["generate", "--m", "3", "--n", "3", "--seed", "11",

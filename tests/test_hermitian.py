@@ -41,6 +41,13 @@ def test_matrix_power_endpoints():
     assert np.allclose(matrix_power(a, 0.0), np.eye(3), atol=1e-13)
 
 
+def test_matrix_power_refuses_a_non_finite_exponent():
+    # It used to return an all-NaN matrix.
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^t: expected a finite exponent"):
+            matrix_power(np.eye(2), t)
+
+
 @pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("t", [-1.0, -0.5, 0.5, 1.0, 2.0])
 def test_matrix_power_group_law(s, t):
@@ -221,6 +228,17 @@ def test_random_spd_rejects_bad_range():
         random_commuting_spds(3, 2, seed=0, eig_lo=2.0, eig_hi=1.0)
 
 
+def test_random_spd_refuses_each_bad_spectrum_edge_by_name():
+    with pytest.raises(ValueError, match=r"^eig_hi: expected a finite number"):
+        random_spd(3, seed=0, eig_lo=0.5, eig_hi=float("inf"))
+    with pytest.raises(ValueError, match=r"^eig_lo: expected a finite number"):
+        random_commuting_spds(3, 2, seed=0, eig_lo=float("nan"), eig_hi=1.0)
+    with pytest.raises(ValueError, match=r"^m: expected an integer"):
+        random_spd(2.0, seed=0, eig_lo=0.5, eig_hi=2.0)
+    with pytest.raises(ValueError, match=r"^count: must be positive"):
+        random_commuting_spds(3, 0, seed=0, eig_lo=0.5, eig_hi=2.0)
+
+
 def _reference_commuting_spds(m, count, seed, eig_lo, eig_hi):
     # One matrix at a time: each spectrum its own draw of m uniforms from the
     # stream after the shared eigenbasis's seed.
@@ -276,11 +294,15 @@ def test_require_rejects_nonfinite():
 def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(loewner_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(residual_tol=-1.0)
 
 
-@pytest.mark.parametrize("field", ["loewner_tol", "residual_tol"])
+def test_residual_tol_is_a_class_constant():
+    assert ToleranceConfig().residual_tol == ToleranceConfig.residual_tol == 1e-10
+    with pytest.raises(TypeError):
+        ToleranceConfig(residual_tol=1e-9)
+
+
+@pytest.mark.parametrize("field", ["loewner_tol"])
 @pytest.mark.parametrize("value", [
     0.0, -1.0, float("inf"), float("nan"), True, "1e-9",
     pytest.param(10**400, id="int_too_large_for_a_float"),

@@ -156,6 +156,12 @@ def test_kantorovich_rejects_bad_inputs():
         kantorovich(4.0, 1.0)
 
 
+def test_kantorovich_refuses_an_infinite_bound_by_name():
+    # It used to return nan.
+    with pytest.raises(ValueError, match=r"^q: expected a finite number"):
+        kantorovich(1.0, float("inf"))
+
+
 @pytest.mark.parametrize("weights,dtype", [
     (["0.5", "0.5"], "<U3"),
     ([True, True], "bool"),

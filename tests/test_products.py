@@ -220,6 +220,20 @@ def test_random_isometry_rejects_wide():
         random_isometry_map(2, 3, seed=0)
 
 
+def test_random_isometry_refuses_a_negative_target_dimension():
+    # It used to return a 3 x 2 isometry.
+    with pytest.raises(ValueError, match=r"^k: must be positive"):
+        random_isometry_map(3, -1, 0)
+
+
+def test_maps_refuse_fractional_dimensions_by_name():
+    # Both used to raise TypeError.
+    with pytest.raises(ValueError, match=r"^m: expected an integer, got 2.0"):
+        ando_map(2.0)
+    with pytest.raises(ValueError, match=r"^k: expected an integer, got 2.5"):
+        random_isometry_map(3, 2.5, 0)
+
+
 def test_map_spec_rejects_non_isometry():
     with pytest.raises(ValueError, match="V\\*V"):
         PositiveMapSpec(kind="isometry", isometry=2 * np.eye(3, dtype=complex))

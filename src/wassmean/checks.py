@@ -11,30 +11,30 @@ check computed, which it trusts rather than validates again. A report over
 several results (comparisons or instances) reports the one ``_worst`` picks:
 a NaN margin first, else the smallest failing margin, else the smallest.
 
-A check on an ensemble solves the ensemble's mean itself, with the default
-``SolverConfig``; it takes no mean or solver configuration. The Hadamard
-checks follow from the Kronecker pairs through Ando's compression
-Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a function of the
-pairs' one constant K, and the arithmetic sides are bilinear, (sum w A) (x)
-(sum u B) and (sum w A) o (sum u B). A check validates each raw argument
-once, at its entry, and trusts what it computes from it; a derived matrix
-that the positive definite floor could still reject (a Schur product, a
-congruence) keeps its one validation. Seeded matrices come in stacks.
+A check on an ensemble solves its mean itself, with the default
+``SolverConfig``. The Hadamard checks follow from the Kronecker pairs through
+Ando's compression Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a
+function of the pairs' one constant K, and the arithmetic sides are bilinear,
+(sum w A) (x) (sum u B) and (sum w A) o (sum u B). A check validates each raw
+argument once, at its entry, and trusts what it computes from it; a derived
+matrix that the positive definite floor could still reject (a Schur product,
+a congruence) keeps its one validation.
 
-``run_suite`` drives every registered check over seeded random instances,
-always including the known equality cases: one generic driver runs each entry
-of a table that declares the check's instances, its equality cases and the
-call that evaluates them. It works in three phases over a memo that lives
-only for that call. It first collects: each check's instances and equality
-cases are materialised once, and every ensemble they will solve, as
-``_Check.solves`` lists them, is gathered; a derived ensemble (Kronecker
-pairs, inverses) is built once per source ensemble or pair. It then solves
-each distinct ensemble content once, with one stacked solver call per
-(n, m, m) shape (``bc.wasserstein_means``), and stores each outcome, a report
-or an error. Last it evaluates each check through ``CHECK_REGISTRY`` on the
-materialised cases, whose solves are memo hits; a stored error is raised
-where its check asks for it. A registry entry called on its own, and the
-``check_*`` functions, build and solve their inputs afresh.
+``run_suite`` drives every registered check over seeded random instances and
+the known equality cases: one generic driver runs each entry of a table that
+declares the check's instances, its equality cases and the call that evaluates
+them, in three phases over a memo that lives only for that call. It first
+collects: each entry's cases are built once, each builder drawing its seeded
+inputs in one ``_seeded_draws`` call (one QR per dimension), and every
+ensemble they will solve (``_Check.solves``) is gathered, a derived one
+(Kronecker pairs, inverses) built once per source; seeded and inverted
+ensembles skip validation where their spectrum range clears the floor
+(``Ensemble._generated``). It then solves each distinct ensemble content once,
+one stacked solver call per (n, m, m) shape (``bc.wasserstein_means``),
+storing each report or error. Last it evaluates each check through
+``CHECK_REGISTRY`` on the built cases, whose solves are memo hits; a stored
+error is raised where its check asks for it. A registry entry called on its
+own, and the ``check_*`` functions, build and solve their inputs afresh.
 """
 
 import math
@@ -47,31 +47,30 @@ import numpy as np
 
 from . import _kernels as _k
 from . import barycenter as bc
+from .barycenter import _EnsembleDraw, _mix, random_weights
 from .hermitian import (
     ToleranceConfig,
+    _Draw,
     _loewner_verdicts,
-    _random_spds,
+    _seeded_draws,
     as_complex_matrix,
     frobenius,
     hermitianize,
     is_integer,
-    random_commuting_spds,
-    random_unitary,
     require_positive,
     require_spd,
     require_spd_pair,
 )
 from .means import kantorovich
-from .products import _pair_weights, ensemble_tensor, random_isometry_map
+from .products import _IsometryDraw, _pair_weights, ensemble_tensor
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
 
-# The memo of the running ``run_suite`` call, None outside one: ensembles keyed
-# by ``random_ensemble``'s arguments, the derived tensor and inverted ensembles
-# keyed by the ensembles they come from, solve reports or errors keyed by the
-# ensemble's weight and matrix bytes, and each check's materialised cases
-# keyed by its name.
+# The memo of the running ``run_suite`` call, None outside one: seeded
+# ensembles and maps keyed by their draw requests, tensor and inverted
+# ensembles by the ensembles they come from, solve reports or errors by the
+# ensemble's weight and matrix bytes, and each check's cases by its name.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
 
 
@@ -128,18 +127,6 @@ def _worst(results):
 # seeded input generation
 # ---------------------------------------------------------------------------
 
-def _mix(seed, salt):
-    # Distinct deterministic streams per (seed, salt) pair.
-    return (int(seed) * 1_000_003 + salt * 7919 + 12345) % (2**63)
-
-
-def random_weights(n, seed):
-    """Strictly positive normalized weights, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, n)
-    return w / w.sum()
-
-
 def _shared(key, build):
     """``build()``, called once per ``key`` inside ``run_suite`` and on every
     call outside it."""
@@ -157,18 +144,37 @@ def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
     Inside ``run_suite`` equal arguments return the same (read-only)
     ensemble."""
     n = require_positive(n, "n", integer=True)
-    return _shared(
-        ("ensemble", m, n, seed, eig_lo, eig_hi, commuting),
-        lambda: _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting),
-    )
+    return _taken(_EnsembleDraw(m, n, seed, eig_lo, eig_hi, commuting))
 
 
-def _build_ensemble(m, n, seed, eig_lo, eig_hi, commuting):
-    if commuting:
-        mats = random_commuting_spds(m, n, _mix(seed, 11), eig_lo, eig_hi)
-    else:
-        mats = _random_spds(m, [_mix(seed, 13 + j) for j in range(n)], eig_lo, eig_hi)
-    return bc.Ensemble(weights=random_weights(n, _mix(seed, 17)), matrices=mats)
+def random_isometry_map(s, k, seed):
+    """``products.random_isometry_map``; equal arguments share one map inside
+    ``run_suite``."""
+    return _taken(_IsometryDraw(s, k, seed))
+
+
+def _taken(request):
+    return _shared((type(request), request), lambda: _seeded_draws([request])[0])
+
+
+def _resolve(cases):
+    """A builder's cases, each request replaced by its value, drawn by one
+    ``_seeded_draws`` call; ensembles and maps are taken through
+    ``random_ensemble`` and ``random_isometry_map``, their memo filled first
+    in ``run_suite``."""
+    memo = _SUITE_MEMO.get()
+    fresh = [r for case in cases for r in case
+             if isinstance(r, _Draw) or memo is not None and (type(r), r) not in memo]
+    arrays = []
+    for r, value in zip(fresh, _seeded_draws(fresh)):
+        if isinstance(r, _Draw):
+            arrays.append(value)
+        else:
+            memo[type(r), r] = value
+    arrays = iter(arrays)
+    take = {_EnsembleDraw: random_ensemble, _IsometryDraw: random_isometry_map}
+    return [tuple(next(arrays) if isinstance(r, _Draw) else take[type(r)](*r) for r in case)
+            for case in cases]
 
 
 def _tensor(a, b):
@@ -177,14 +183,8 @@ def _tensor(a, b):
 
 
 def _inverted(ensemble):
-    """The ensemble of the inverses, under the same weights; built once per
-    ensemble inside ``run_suite``."""
-    return _shared(
-        ("inverted", ensemble),
-        lambda: bc.Ensemble(
-            weights=ensemble.weights, matrices=_k.spd_power(ensemble.matrices, -1.0)
-        ),
-    )
+    """``bc._inverted(ensemble)``, built once per ensemble in ``run_suite``."""
+    return _shared(("inverted", ensemble), lambda: bc._inverted(ensemble))
 
 
 def _mean_report(ensemble):
@@ -636,7 +636,7 @@ def _aggregate(name, plan, reports, extra_details):
 class _Check:
     """One suite entry.
 
-    ``instances(plan)`` yields the argument tuples of the generic instances
+    ``instances(plan)`` returns the argument tuples of the generic instances
     and ``equality_cases()`` returns those of the known equality cases;
     ``evaluate(tol, *args)`` turns one tuple into a ``CheckReport``, solving
     with the default solver config the ensembles ``solves(*args)`` lists:
@@ -686,76 +686,54 @@ def _run_check(name, check, plan):
     return report
 
 
-def _spds(m, seed, *salts):
-    """Stack of random m x m matrices of spectrum in [0.5, 2], one per salt."""
-    return _random_spds(m, [_mix(seed, salt) for salt in salts], 0.5, 2.0)
+_UNIT = (0.5, 2.0)
 
 
 def _spd(m, seed, salt):
-    return _spds(m, seed, salt)[0]
+    """The draw of an m x m matrix of spectrum in [0.5, 2]."""
+    return _Draw(m, _mix(seed, salt), _UNIT)
+
+
+def _spds(m, seed, *salts):
+    return _resolve([tuple(_spd(m, seed, salt) for salt in salts)])[0]
+
+
+def _singletons(m, seed, *salts):
+    return tuple(map(_singleton, _spds(m, seed, *salts)))
 
 
 def _singleton(a):
     return bc.Ensemble(weights=[1.0], matrices=[a])
 
 
-def _ensembles(plan, counts, min_dim=1, limit=None):
-    """One random ensemble for each of the first ``limit`` seeds (all when
-    None), of the plan's dimension but at least ``min_dim``, and of size
-    ``counts[seed % len(counts)]``."""
-    for seed in plan.seed_list()[:limit]:
-        m = max(min_dim, plan.dim_for(seed))
-        yield (random_ensemble(m, counts[seed % len(counts)], seed),)
+def _ensembles(plan, counts, min_dim=1, limit=None, salts=(None,), dim=None, **spectrum):
+    """One random ensemble per salt for each of the first ``limit`` seeds
+    (all when None), seeded by the seed mixed with the salt (the seed for
+    None), of size ``counts[seed % len(counts)]`` and dimension ``dim(seed)``
+    (the plan's, at least ``min_dim``, when None)."""
+    return _resolve([
+        tuple(_EnsembleDraw(max(min_dim, plan.dim_for(s)) if dim is None else dim(s),
+                            counts[s % len(counts)], s if salt is None else _mix(s, salt),
+                            **spectrum)
+              for salt in salts)
+        for s in plan.seed_list()[:limit]
+    ])
 
 
-def _ensemble_pairs(plan, salts, counts, dim=None, eig_lo=0.5, eig_hi=2.0):
-    """Two random ensembles per seed, one per salt, of size
-    ``counts[seed % len(counts)]`` and of dimension ``dim(seed)`` (the plan's
-    when None)."""
-    for seed in plan.seed_list():
-        m = plan.dim_for(seed) if dim is None else dim(seed)
-        n = counts[seed % len(counts)]
-        yield tuple(random_ensemble(m, n, _mix(seed, salt), eig_lo, eig_hi) for salt in salts)
-
-
-def _phi_geometric_mean_instances(plan):
-    for seed in plan.seed_list():
-        m = max(2, plan.dim_for(seed))
-        k = max(1, m - 1 - seed % 2)
-        a, b = _spds(m, seed, 41, 43)
-        yield a, b, random_isometry_map(m, k, _mix(seed, 37))
-
-
-def _phi_wass_instances(plan):
-    for seed in plan.seed_list():
-        m = max(2, plan.dim_for(seed))
-        k = m if seed % 3 == 0 else max(1, m - 1)
-        phi = random_isometry_map(m, k, _mix(seed, 61))
-        yield random_ensemble(m, (2, 3)[seed % 2], seed), phi
-
-
-def _commuting_pair(m, seed, salt):
-    return random_commuting_spds(m, 2, _mix(seed, salt), 0.5, 2.0)
-
-
-def _hadamard_inverse_instances(plan):
-    for seed in plan.seed_list():
-        m = min(4, plan.dim_for(seed))
-        yield tuple(_spds(m, seed, 149, 151))
+def _commuting_pairs(m, seed, *salts):
+    return tuple(_Draw(m, _mix(seed, salt), _UNIT, 2) for salt in salts)
 
 
 def _jensen_instances(plan):
-    for seed in plan.seed_list():
-        m = plan.dim_for(seed)
-        scale = 1.0 + (seed % 5) * 0.5
-        x = scale * random_unitary(m, _mix(seed, 173))
-        yield _spd(m, seed, 167), x, (0.25, 0.5, 0.75)[seed % 3]
+    cases = _resolve([(_spd(plan.dim_for(s), s, 167), _Draw(plan.dim_for(s), _mix(s, 173)))
+                      for s in plan.seed_list()])
+    return [(a, (1.0 + (s % 5) * 0.5) * u, (0.25, 0.5, 0.75)[s % 3])
+            for (a, u), s in zip(cases, plan.seed_list())]
 
 
 def _jensen_equality_cases():
     # p = 1 always, p = 0 for unitary x.
-    a = _spd(3, 8, 179)
-    u = random_unitary(3, _mix(8, 181))
+    ((a, u),) = _resolve([(_spd(3, 8, 179), _Draw(3, _mix(8, 181)))])
     return [(a, 2.0 * u, 1.0), (a, u, 0.0)]
 
 
@@ -782,7 +760,7 @@ _CHECKS = {
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
         evaluate=lambda tol, e: check_fixed_point_certificate(e, tol=tol),
         # The singleton ensemble solves exactly.
-        equality_cases=lambda: [(_singleton(_spd(3, 0, 23)),)],
+        equality_cases=lambda: [_singletons(3, 0, 23)],
     ),
     "bounds": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
@@ -795,7 +773,7 @@ _CHECKS = {
         evaluate=lambda tol, e: check_det_inequality(e, tol=tol),
         # A constant ensemble.
         equality_cases=lambda: [
-            (bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=[_spd(3, 1, 29)] * 3),)
+            (bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=_spds(3, 1, 29) * 3),)
         ],
         finish=_finish_det_inequality,
     ),
@@ -803,20 +781,27 @@ _CHECKS = {
         instances=lambda plan: _ensembles(plan, (2, 3, 4)),
         evaluate=lambda tol, e: check_logdet_concavity(e, tol=tol),
         equality_cases=lambda: [
-            (bc.Ensemble(weights=[0.5, 0.5], matrices=[_spd(3, 2, 31)] * 2),)
+            (bc.Ensemble(weights=[0.5, 0.5], matrices=_spds(3, 2, 31) * 2),)
         ],
         solves=lambda e: (),
     ),
     "phi_geometric_mean": _Check(
-        instances=_phi_geometric_mean_instances,
+        instances=lambda plan: _resolve([
+            (_spd(m, s, 41), _spd(m, s, 43), _IsometryDraw(m, max(1, m - 1 - s % 2), _mix(s, 37)))
+            for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
+        ]),
         evaluate=lambda tol, a, b, phi: check_phi_geometric_mean(a, b, phi, tol),
         # A unitary conjugation commutes with the mean.
-        equality_cases=lambda: [
-            (_spd(3, 3, 53), _spd(3, 3, 59), random_isometry_map(3, 3, _mix(3, 47)))
-        ],
+        equality_cases=lambda: _resolve(
+            [(_spd(3, 3, 53), _spd(3, 3, 59), _IsometryDraw(3, 3, _mix(3, 47)))]
+        ),
     ),
     "phi_wass": _Check(
-        instances=_phi_wass_instances,
+        instances=lambda plan: _resolve([
+            (_EnsembleDraw(m, (2, 3)[s % 2], s),
+             _IsometryDraw(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
+            for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
+        ]),
         evaluate=lambda tol, e, phi: check_phi_wass(e, phi, tol=tol),
     ),
     "self_duality_gap": _Check(
@@ -826,41 +811,45 @@ _CHECKS = {
         solves=lambda e: (e, _inverted(e)),
     ),
     "tensor_identity": _Check(
-        instances=lambda plan: _ensemble_pairs(plan, (67, 71), (2, 3), lambda s: 2),
+        instances=lambda plan: _ensembles(plan, (2, 3), salts=(67, 71), dim=lambda s: 2),
         evaluate=lambda tol, a, b: check_tensor_identity(a, b),
         # Singleton ensembles reproduce the plain Kronecker product.
-        equality_cases=lambda: [(_singleton(_spd(2, 4, 73)), _singleton(_spd(2, 4, 79)))],
+        equality_cases=lambda: [_singletons(2, 4, 73, 79)],
         solves=lambda a, b: (a, b, _tensor(a, b)),
     ),
     "tensor_arithmetic_bound": _Check(
-        instances=lambda plan: _ensemble_pairs(plan, (83, 89), (2, 3), lambda s: 2),
+        instances=lambda plan: _ensembles(plan, (2, 3), salts=(83, 89), dim=lambda s: 2),
         evaluate=lambda tol, a, b: check_tensor_arithmetic_bound(a, b, tol=tol),
-        equality_cases=lambda: [(_singleton(_spd(2, 5, 97)), _singleton(_spd(2, 5, 101)))],
+        equality_cases=lambda: [_singletons(2, 5, 97, 101)],
     ),
     "hadamard_arithmetic_bound": _Check(
-        instances=lambda plan: _ensemble_pairs(plan, (103, 107), (2, 3)),
+        instances=lambda plan: _ensembles(plan, (2, 3), salts=(103, 107)),
         evaluate=lambda tol, a, b: check_hadamard_arithmetic_bound(a, b, tol=tol),
-        equality_cases=lambda: [(_singleton(_spd(3, 6, 109)), _singleton(_spd(3, 6, 113)))],
+        equality_cases=lambda: [_singletons(3, 6, 109, 113)],
     ),
     "commuting_quadruple": _Check(
-        instances=lambda plan: (
-            (*_commuting_pair(plan.dim_for(s), s, 127), *_commuting_pair(plan.dim_for(s), s, 131))
-            for s in plan.seed_list()
-        ),
+        instances=lambda plan: [
+            (*ab, *cd)
+            for ab, cd in _resolve([_commuting_pairs(plan.dim_for(s), s, 127, 131)
+                                    for s in plan.seed_list()])
+        ],
         evaluate=lambda tol, a, b, c, d: check_commuting_quadruple(a, b, c, d, tol),
         # Coincident pairs zero out both sides.
         equality_cases=lambda: [
-            (_commuting_pair(3, 7, 137)[0],) * 2 + (_commuting_pair(3, 7, 139)[0],) * 2
+            (ab[0], ab[0], cd[0], cd[0]) for ab, cd in _resolve([_commuting_pairs(3, 7, 137, 139)])
         ],
     ),
     "hadamard_inverse": _Check(
-        instances=_hadamard_inverse_instances,
+        instances=lambda plan: _resolve([
+            (_spd(m, s, 149), _spd(m, s, 151))
+            for s in plan.seed_list() for m in [min(4, plan.dim_for(s))]
+        ]),
         evaluate=lambda tol, a, b: check_hadamard_inverse(a, b, tol),
         equality_cases=lambda: [(_EYE2, _EYE2)],
     ),
     "kantorovich_hadamard": _Check(
-        instances=lambda plan: _ensemble_pairs(
-            plan, (157, 163), (2,), lambda s: min(3, plan.dim_for(s))
+        instances=lambda plan: _ensembles(
+            plan, (2,), salts=(157, 163), dim=lambda s: min(3, plan.dim_for(s))
         ),
         evaluate=lambda tol, a, b: check_kantorovich_hadamard(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_EYE2),) * 2],
@@ -871,7 +860,7 @@ _CHECKS = {
         equality_cases=_jensen_equality_cases,
     ),
     "sqrt_sum_lower_bound": _Check(
-        instances=lambda plan: _ensemble_pairs(plan, (191, 193), (2,), eig_lo=1.0, eig_hi=3.0),
+        instances=lambda plan: _ensembles(plan, (2,), salts=(191, 193), eig_lo=1.0, eig_hi=3.0),
         evaluate=lambda tol, a, b: check_sqrt_sum_lower_bound(a, b, tol=tol),
         equality_cases=lambda: [(_singleton(_EYE2),) * 2],
     ),

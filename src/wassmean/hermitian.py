@@ -14,16 +14,24 @@ vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix and
 of pairs the package computed, and ``loewner_leq`` one validated raw pair;
 ``require_positive`` checks every tolerance, iteration budget, size, count
 and spectrum edge.
-Seeded generation is stacked too: ``_random_spds`` draws each matrix from its
-own seeded stream but factors and assembles the stack in one batched QR and
-one batched product, and ``random_spd`` is its one-seed case. It and
-``random_commuting_spds`` share one eigenvalue-range rule and build
-U diag(lambda) U* with one spectral kernel, ``_kernels._from_spectrum``.
+Seeded generation is stacked too: one ``_seeded_draws`` call serves a list of
+requests. Each ``_Draw`` (a Haar unitary, a positive definite matrix of a
+spectrum range, or a commuting stack) comes from its own ``default_rng(seed)``
+stream, drawn in the order of its lone generator, and each dimension takes one
+batched QR and phase fold and one ``_kernels._from_spectrum`` that builds U
+diag(lambda) U*; a composite request (a seeded ensemble, an isometry map)
+names its draws and builds its value from them. ``random_unitary``,
+``random_spd`` and ``random_commuting_spds`` are its one-request cases, so a
+batched draw equals the lone one bit for bit. Such output is positive definite
+by construction, and ``_spectrum_clears_floor`` is the rule under which an
+ensemble of it is stored without validation: a spectrum range that clears the
+positive definite floor with a round-off margin.
 """
 
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,28 +122,33 @@ def _require_stack(arr, label, spd=False):
     n, rows, cols = arr.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"{label(0)}: empty matrix")
-    finite = np.isfinite(arr).all(axis=(1, 2))
+    # A non-finite entry, or an entry above about 1.3e154, leaves a matrix
+    # without a finite norm, so without a finite scale for the rules below;
+    # they run on the matrices before the first such one, k. The norms are
+    # np.linalg.norm(arr, axis=(1, 2)) by numpy's own formula, without its
+    # argument handling.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce((arr.conj() * arr).real, axis=(1, 2)))
+    scaled = np.isfinite(norms)
+    k = int(scaled.argmin())
+    if scaled[k]:
+        k = n
     not_finite = "entries must be finite (found NaN/Inf)"
-    if not finite[0]:
+    if k == 0 and not np.isfinite(arr[0]).all():
         raise ValueError(f"{label(0)}: {not_finite}")
     if rows != cols:
         raise ValueError(f"{label(0)}: expected square matrix, got shape {(rows, cols)}")
-    # A non-finite entry, or an entry above about 1.3e154, leaves a matrix
-    # without a finite norm, so without a finite scale for the rules below;
-    # they run on the matrices before the first such one.
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(arr, axis=(1, 2))
-    scaled = np.isfinite(norms)
-    k = n if scaled.all() else int(scaled.argmin())
     head = arr[:k]
-    limit = 1e-12 * np.maximum(1.0, norms[:k])
-    gap = np.abs(head - _k._adjoint(head))
+    scale = np.maximum(1.0, norms[:k])
+    limit = 1e-12 * scale
+    adjoint = _k._adjoint(head)
+    gap = np.abs(head - adjoint)
     worst = gap.max(axis=(1, 2))
-    not_hermitian = worst > limit
-    sym = np.ascontiguousarray(hermitianize(head))
-    bad = not_hermitian
+    bad = not_hermitian = worst > limit
+    # hermitianize(head), sharing the adjoint with the gap.
+    sym = np.ascontiguousarray((head + adjoint) * 0.5)
     if spd:
-        floor = SPD_FLOOR * np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
+        floor = SPD_FLOOR * scale
         min_eig = np.linalg.eigvalsh(sym)[:, 0]
         bad = not_hermitian | (min_eig <= floor)
     if bad.any():
@@ -151,7 +164,8 @@ def _require_stack(arr, label, spd=False):
             f"(min eigenvalue {min_eig[j]:.3e} <= floor {floor[j]:.3e})"
         )
     if k < n:
-        raise ValueError(f"{label(k)}: {'Frobenius norm overflows' if finite[k] else not_finite}")
+        overflow = np.isfinite(arr[k]).all()
+        raise ValueError(f"{label(k)}: {'Frobenius norm overflows' if overflow else not_finite}")
     return sym
 
 
@@ -268,9 +282,10 @@ def _loewner_verdicts(pairs, cfg=None):
         ]
 
 
-def _ginibre(rng, m):
-    """Complex Ginibre matrix drawn from ``rng``: real, then imaginary parts."""
-    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def _ginibre(z):
+    """Complex Ginibre matrix (or each of a stack) from the (..., 2, m, m)
+    standard normals of its real, then imaginary parts."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def _haar_unitaries(g):
@@ -283,13 +298,12 @@ def _haar_unitaries(g):
 
 def _haar_unitary(rng, m):
     """Haar-distributed m x m unitary drawn from ``rng``."""
-    return _haar_unitaries(_ginibre(rng, m))
+    return _haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))
 
 
 def random_unitary(m, seed):
     """Haar random m x m unitary, deterministic per seed."""
-    m = require_positive(m, "m", integer=True)
-    return np.ascontiguousarray(_haar_unitary(np.random.default_rng(seed), m))
+    return _seeded_draws([_Draw(m, seed)])[0]
 
 
 def _require_eig_range(eig_lo, eig_hi):
@@ -304,34 +318,92 @@ def _require_eig_range(eig_lo, eig_hi):
     return lo, hi
 
 
+def _spectrum_clears_floor(m, eig_lo, eig_hi):
+    """Whether every m x m matrix U diag(lambda) U* that ``_from_spectrum``
+    builds from a unitary U (a Haar draw's or an ``eigh`` basis) and lambda in
+    [eig_lo, eig_hi] clears the positive definite floor of ``_require_stack``.
+    Its norm is at most sqrt(m) eig_hi, and round-off moves its eigenvalues
+    by far less than SPD_FLOOR m eig_hi, so eig_lo above twice the floor of
+    norm m eig_hi leaves the margin."""
+    return eig_lo > 2.0 * SPD_FLOOR * max(1.0, m * eig_hi)
+
+
+class _Draw(NamedTuple):
+    """One draw of ``_seeded_draws``, from the stream ``default_rng(seed)``:
+    with no ``spectrum``, the Haar unitary of ``random_unitary``; with
+    ``spectrum`` = (eig_lo, eig_hi), the matrix of ``random_spd``, or with a
+    ``count`` too, the stack of ``random_commuting_spds``."""
+
+    m: int
+    seed: int
+    spectrum: tuple | None = None
+    count: int | None = None
+
+
+def _seeded_draws(requests):
+    """The value of each request, bit for bit what its lone generator
+    returns: a ``_Draw``'s array, or for any other request (a seeded ensemble
+    or map) ``request.build(arrays)`` of the arrays of its ``draws()``. All
+    draws run with one batched QR and phase fold per dimension and one
+    ``_from_spectrum`` per dimension for the ``random_spd`` draws.
+
+    Each stream is drawn from in the order of the lone generator: the
+    Ginibre matrix, then the spectrum (a commuting stack's spectra come from
+    ``default_rng(seed + 1)``). Sizes, spectra and counts are checked as by
+    the lone generators, in that order, each size and spectrum object once."""
+    parts = [[r] if isinstance(r, _Draw) else r.draws() for r in requests]
+    draws = [d for p in parts for d in p]
+    dims, spectra, groups = {}, {}, {}
+    for i, d in enumerate(draws):
+        if id(d.m) not in dims:
+            dims[id(d.m)] = require_positive(d.m, "m", integer=True)
+        if d.spectrum is not None and id(d.spectrum) not in spectra:
+            spectra[id(d.spectrum)] = _require_eig_range(*d.spectrum)
+        if d.count is not None:
+            require_positive(d.count, "count", integer=True)
+        groups.setdefault(dims[id(d.m)], []).append(i)
+    out = [None] * len(draws)
+    for m, rows in groups.items():
+        rngs = [np.random.default_rng(draws[i].seed) for i in rows]
+        normals = np.stack([rng.standard_normal((2, m, m)) for rng in rngs])
+        units = _haar_unitaries(_ginibre(normals))
+        spd, lam = [], []
+        for j, (i, rng) in enumerate(zip(rows, rngs)):
+            d = draws[i]
+            if d.spectrum is None:
+                out[i] = units[j]
+            elif d.count is None:
+                spd.append(j)
+                lam.append(rng.uniform(*spectra[id(d.spectrum)], m))
+            else:
+                spectrum = np.random.default_rng(d.seed + 1).uniform(
+                    *spectra[id(d.spectrum)], (int(d.count), m)
+                )
+                out[i] = _k._from_spectrum(units[j], spectrum)
+        if spd:
+            for j, a in zip(spd, _k._from_spectrum(units[spd], np.stack(lam))):
+                out[rows[j]] = a
+    drawn = iter(out)
+    values = [[next(drawn) for _ in p] for p in parts]
+    return [v[0] if isinstance(r, _Draw) else r.build(v) for r, v in zip(requests, values)]
+
+
 def _random_spds(m, seeds, eig_lo, eig_hi):
     """(len(seeds), m, m) stack of random positive definite matrices: matrix j
-    has its spectrum drawn uniformly in [eig_lo, eig_hi] and is conjugated by
-    a random unitary, both from the stream ``default_rng(seeds[j])``.
-
-    Each stream is drawn from in the order of a lone ``random_spd``; the
-    QR, the phase fold and the conjugation then run once on the stack."""
-    m = require_positive(m, "m", integer=True)
-    eig_lo, eig_hi = _require_eig_range(eig_lo, eig_hi)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    u = _haar_unitaries(np.stack([_ginibre(rng, m) for rng in rngs]))
-    lam = np.stack([rng.uniform(eig_lo, eig_hi, m) for rng in rngs])
-    return _k._from_spectrum(u, lam)
+    is ``random_spd(m, seeds[j], eig_lo, eig_hi)``, all of them drawn by one
+    ``_seeded_draws`` call."""
+    return np.stack(_seeded_draws([_Draw(m, seed, (eig_lo, eig_hi)) for seed in seeds]))
 
 
 def random_spd(m, seed, eig_lo, eig_hi):
     """Random positive definite matrix with spectrum drawn uniformly in
-    [eig_lo, eig_hi], conjugated by a seeded random unitary: the one-seed
-    case of ``_random_spds``."""
-    return _random_spds(m, [seed], eig_lo, eig_hi)[0]
+    [eig_lo, eig_hi], conjugated by a seeded random unitary."""
+    return _seeded_draws([_Draw(m, seed, (eig_lo, eig_hi))])[0]
 
 
 def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
     """(count, m, m) stack of pairwise-commuting SPD matrices: one shared
-    random eigenbasis, independent spectra (the rows of one (count, m) uniform
-    draw). Commutators vanish up to round-off."""
-    eig_lo, eig_hi = _require_eig_range(eig_lo, eig_hi)
-    count = require_positive(count, "count", integer=True)
-    u = random_unitary(m, seed)
-    lam = np.random.default_rng(seed + 1).uniform(eig_lo, eig_hi, (count, m))
-    return _k._from_spectrum(u, lam)
+    random eigenbasis, ``random_unitary(m, seed)``, and independent spectra
+    (the rows of one (count, m) uniform draw from ``default_rng(seed + 1)``).
+    Commutators vanish up to round-off."""
+    return _seeded_draws([_Draw(m, seed, (eig_lo, eig_hi), count)])[0]

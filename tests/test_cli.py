@@ -364,3 +364,12 @@ def test_parser_defaults_are_the_library_defaults(capsys):
     assert main(["generate", "--m", "2", "--n", "3", "--seed", "4"]) == 0
     written = capsys.readouterr().out
     assert written == dumps_canonical(ensemble_to_json_dict(random_ensemble(2, 3, 4)))
+
+
+def test_verify_all_matches_golden_file_on_a_benchmark_window(capsys):
+    # The first 10-seed window that the benchmark's verify-suite workload runs
+    # with seed 3, so the batched seeded draws of every builder are pinned on
+    # the inputs the benchmark exercises.
+    assert main(["verify", "--checks", "all", "--seed", "300000", "--seed-count", "10"]) == 0
+    golden = (GOLDEN / "verify_all_seed300000_count10.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden

@@ -321,3 +321,13 @@ def test_infinite_loewner_tol_cannot_put_5i_below_i():
 def test_unitary_is_unitary():
     u = random_unitary(5, seed=13)
     assert frobenius(u @ u.conj().T - np.eye(5)) <= 1e-12
+
+
+def test_require_spd_stack_names_a_later_non_finite_matrix_without_a_float_error():
+    # The norm of a matrix with an infinite entry multiplies inf by 0; that
+    # invalid operation must not surface before the validator's own error.
+    mats = np.stack([np.eye(2), np.diag([np.inf, 1.0])]).astype(complex)
+    with np.errstate(invalid="raise"), pytest.raises(
+        ValueError, match=r"^matrices\[1\]: entries must be finite"
+    ):
+        require_spd_stack(mats)

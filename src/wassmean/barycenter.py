@@ -32,14 +32,12 @@ distances afresh, and ``residual`` the certificate.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as _k
 from .bures import _clamped_sqrt, _distance_scale
 from .hermitian import (
-    _Draw,
     _spectrum_clears_floor,
     frobenius,
     hermitianize,
@@ -80,11 +78,10 @@ class Ensemble:
     def _generated(cls, weights, matrices, eig_lo, eig_hi):
         """The ensemble of generator output: ``matrices`` is a fresh (n, m, m)
         stack that ``_kernels._from_spectrum`` built, exactly Hermitian, from
-        unitaries and spectra in [eig_lo, eig_hi]. Where that range clears
-        the positive definite floor with a round-off margin
-        (``hermitian._spectrum_clears_floor``) the stack is stored as the
-        constructor would store it, without the validator's pass; elsewhere
-        the constructor validates it."""
+        unitaries and spectra in [eig_lo, eig_hi]. Where that range proves
+        the stack passes validation (``hermitian._spectrum_clears_floor``)
+        it is stored as the constructor would store it, without the
+        validator's pass; elsewhere the constructor validates it."""
         if not _spectrum_clears_floor(matrices.shape[-1], eig_lo, eig_hi):
             return cls(weights=weights, matrices=matrices)
         ensemble = object.__new__(cls)
@@ -275,47 +272,3 @@ def commuting_closed_form(ensemble):
     acc = _k.weighted_sum(ensemble.weights, _k.spd_power(mats, 0.5))
     return hermitianize(acc @ acc)
 
-
-def _mix(seed, salt):
-    # Distinct deterministic streams per (seed, salt) pair.
-    return (int(seed) * 1_000_003 + salt * 7919 + 12345) % (2**63)
-
-
-def random_weights(n, seed):
-    """Strictly positive normalized weights, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, n)
-    return w / w.sum()
-
-
-class _EnsembleDraw(NamedTuple):
-    """The request of ``hermitian._seeded_draws`` for the ensemble of
-    ``checks.random_ensemble(*args)``: its matrices and weights come from
-    streams salted off ``seed``."""
-
-    m: int
-    n: int
-    seed: int
-    eig_lo: float = 0.5
-    eig_hi: float = 2.0
-    commuting: bool = False
-
-    def draws(self):
-        spectrum = (self.eig_lo, self.eig_hi)
-        if self.commuting:
-            return [_Draw(self.m, _mix(self.seed, 11), spectrum, self.n)]
-        return [_Draw(self.m, _mix(self.seed, 13 + j), spectrum) for j in range(self.n)]
-
-    def build(self, arrays):
-        mats = arrays[0] if self.commuting else np.stack(arrays)
-        weights = random_weights(self.n, _mix(self.seed, 17))
-        return Ensemble._generated(weights, mats, self.eig_lo, self.eig_hi)
-
-
-def _inverted(ensemble):
-    """The ensemble of the inverses, under the same weights: ``spd_power(A,
-    -1)`` from one ``eigh``, whose eigenvalues w give the inverses' spectrum
-    range for ``Ensemble._generated``."""
-    w, v = np.linalg.eigh(ensemble.matrices)
-    inverses = _k._from_spectrum(v, w**-1.0)
-    return Ensemble._generated(ensemble.weights, inverses, 1.0 / w.max(), 1.0 / w.min())

@@ -25,8 +25,9 @@ the known equality cases: one generic driver runs each entry of a table that
 declares the check's instances, its equality cases and the call that evaluates
 them, in three phases over a memo that lives only for that call. It first
 collects: each entry's cases are built once, each builder drawing its seeded
-inputs in one ``_seeded_draws`` call (one QR per dimension), and every
-ensemble they will solve (``_Check.solves``) is gathered, a derived one
+matrices and ensembles in one ``_seeded_draws`` call (one QR per dimension)
+and each isometry map by ``random_isometry_map``, and every ensemble they
+will solve (``_Check.solves``) is gathered, a derived one
 (Kronecker pairs, inverses) built once per source; seeded and inverted
 ensembles skip validation where their spectrum range clears the floor
 (``Ensemble._generated``). It then solves each distinct ensemble content once,
@@ -42,17 +43,19 @@ from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as _k
 from . import barycenter as bc
-from .barycenter import _EnsembleDraw, _mix, random_weights
 from .hermitian import (
     ToleranceConfig,
     _Draw,
+    _commuting_draw,
     _loewner_verdicts,
     _seeded_draws,
+    _spd_draws,
     as_complex_matrix,
     frobenius,
     hermitianize,
@@ -62,13 +65,13 @@ from .hermitian import (
     require_spd_pair,
 )
 from .means import kantorovich
-from .products import _IsometryDraw, _pair_weights, ensemble_tensor
+from .products import _pair_weights, ensemble_tensor, random_isometry_map
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
 
 # The memo of the running ``run_suite`` call, None outside one: seeded
-# ensembles and maps keyed by their draw requests, tensor and inverted
+# ensembles keyed by their ``_EnsembleDraw`` requests, tensor and inverted
 # ensembles by the ensembles they come from, solve reports or errors by the
 # ensemble's weight and matrix bytes, and each check's cases by its name.
 _SUITE_MEMO = ContextVar("suite_memo", default=None)
@@ -127,6 +130,18 @@ def _worst(results):
 # seeded input generation
 # ---------------------------------------------------------------------------
 
+def _mix(seed, salt):
+    # Distinct deterministic streams per (seed, salt) pair.
+    return (int(seed) * 1_000_003 + salt * 7919 + 12345) % (2**63)
+
+
+def random_weights(n, seed):
+    """Strictly positive normalized weights, deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, n)
+    return w / w.sum()
+
+
 def _shared(key, build):
     """``build()``, called once per ``key`` inside ``run_suite`` and on every
     call outside it."""
@@ -144,36 +159,52 @@ def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
     Inside ``run_suite`` equal arguments return the same (read-only)
     ensemble."""
     n = require_positive(n, "n", integer=True)
-    return _taken(_EnsembleDraw(m, n, seed, eig_lo, eig_hi, commuting))
+    request = _EnsembleDraw(m, n, seed, eig_lo, eig_hi, commuting)
+    return _shared(request, lambda: request.build(_seeded_draws(request.draws())))
 
 
-def random_isometry_map(s, k, seed):
-    """``products.random_isometry_map``; equal arguments share one map inside
-    ``run_suite``."""
-    return _taken(_IsometryDraw(s, k, seed))
+class _EnsembleDraw(NamedTuple):
+    """The arguments of ``random_ensemble``: its matrices and weights come
+    from streams salted off ``seed``."""
 
+    m: int
+    n: int
+    seed: int
+    eig_lo: float = 0.5
+    eig_hi: float = 2.0
+    commuting: bool = False
 
-def _taken(request):
-    return _shared((type(request), request), lambda: _seeded_draws([request])[0])
+    def draws(self):
+        """The ``_Draw``s of the matrices, checked as their generator checks."""
+        spectrum = self.eig_lo, self.eig_hi
+        if self.commuting:
+            return [_commuting_draw(self.m, self.n, _mix(self.seed, 11), *spectrum)]
+        return _spd_draws(self.m, [_mix(self.seed, 13 + j) for j in range(self.n)], *spectrum)
+
+    def build(self, arrays):
+        """The ensemble of the arrays of ``draws()``."""
+        mats = arrays[0] if self.commuting else np.stack(arrays)
+        weights = random_weights(self.n, _mix(self.seed, 17))
+        return bc.Ensemble._generated(weights, mats, self.eig_lo, self.eig_hi)
 
 
 def _resolve(cases):
-    """A builder's cases, each request replaced by its value, drawn by one
-    ``_seeded_draws`` call; ensembles and maps are taken through
-    ``random_ensemble`` and ``random_isometry_map``, their memo filled first
-    in ``run_suite``."""
+    """A builder's cases, each ``_Draw`` replaced by its array and each
+    ``_EnsembleDraw`` by ``random_ensemble(*request)``. One ``_seeded_draws``
+    call draws the arrays and, inside ``run_suite``, the ensembles not yet in
+    the memo, which go into it first."""
     memo = _SUITE_MEMO.get()
-    fresh = [r for case in cases for r in case
-             if isinstance(r, _Draw) or memo is not None and (type(r), r) not in memo]
-    arrays = []
-    for r, value in zip(fresh, _seeded_draws(fresh)):
-        if isinstance(r, _Draw):
-            arrays.append(value)
-        else:
-            memo[type(r), r] = value
-    arrays = iter(arrays)
-    take = {_EnsembleDraw: random_ensemble, _IsometryDraw: random_isometry_map}
-    return [tuple(next(arrays) if isinstance(r, _Draw) else take[type(r)](*r) for r in case)
+    requests = [r for case in cases for r in case]
+    raw = [r for r in requests if isinstance(r, _Draw)]
+    fresh = [] if memo is None else [
+        r for r in dict.fromkeys(requests) if isinstance(r, _EnsembleDraw) and r not in memo
+    ]
+    parts = [r.draws() for r in fresh]
+    drawn = iter(_seeded_draws(raw + [d for p in parts for d in p]))
+    arrays = iter([next(drawn) for _ in raw])
+    for r, p in zip(fresh, parts):
+        memo[r] = r.build([next(drawn) for _ in p])
+    return [tuple(next(arrays) if isinstance(r, _Draw) else random_ensemble(*r) for r in case)
             for case in cases]
 
 
@@ -183,8 +214,17 @@ def _tensor(a, b):
 
 
 def _inverted(ensemble):
-    """``bc._inverted(ensemble)``, built once per ensemble in ``run_suite``."""
-    return _shared(("inverted", ensemble), lambda: bc._inverted(ensemble))
+    """The ensemble of the inverses, under the same weights, built once per
+    ensemble inside ``run_suite``: ``spd_power(A, -1)`` from one ``eigh``,
+    whose eigenvalues give the inverses' spectrum range."""
+
+    def build():
+        lam, v = np.linalg.eigh(ensemble.matrices)
+        lam = lam**-1.0
+        inverses = _k._from_spectrum(v, lam)
+        return bc.Ensemble._generated(ensemble.weights, inverses, lam.min(), lam.max())
+
+    return _shared(("inverted", ensemble), build)
 
 
 def _mean_report(ensemble):
@@ -724,6 +764,19 @@ def _commuting_pairs(m, seed, *salts):
     return tuple(_Draw(m, _mix(seed, salt), _UNIT, 2) for salt in salts)
 
 
+def _phi_geometric_mean_instances(plan):
+    dims = [(s, max(2, plan.dim_for(s))) for s in plan.seed_list()]
+    pairs = _resolve([(_spd(m, s, 41), _spd(m, s, 43)) for s, m in dims])
+    return [(a, b, random_isometry_map(m, max(1, m - 1 - s % 2), _mix(s, 37)))
+            for (a, b), (s, m) in zip(pairs, dims)]
+
+
+def _phi_wass_instances(plan):
+    return [(e, random_isometry_map(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
+            for (e,), s in zip(_ensembles(plan, (2, 3), min_dim=2), plan.seed_list())
+            for m in [max(2, plan.dim_for(s))]]
+
+
 def _jensen_instances(plan):
     cases = _resolve([(_spd(plan.dim_for(s), s, 167), _Draw(plan.dim_for(s), _mix(s, 173)))
                       for s in plan.seed_list()])
@@ -786,22 +839,13 @@ _CHECKS = {
         solves=lambda e: (),
     ),
     "phi_geometric_mean": _Check(
-        instances=lambda plan: _resolve([
-            (_spd(m, s, 41), _spd(m, s, 43), _IsometryDraw(m, max(1, m - 1 - s % 2), _mix(s, 37)))
-            for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
-        ]),
+        instances=_phi_geometric_mean_instances,
         evaluate=lambda tol, a, b, phi: check_phi_geometric_mean(a, b, phi, tol),
         # A unitary conjugation commutes with the mean.
-        equality_cases=lambda: _resolve(
-            [(_spd(3, 3, 53), _spd(3, 3, 59), _IsometryDraw(3, 3, _mix(3, 47)))]
-        ),
+        equality_cases=lambda: [(*_spds(3, 3, 53, 59), random_isometry_map(3, 3, _mix(3, 47)))],
     ),
     "phi_wass": _Check(
-        instances=lambda plan: _resolve([
-            (_EnsembleDraw(m, (2, 3)[s % 2], s),
-             _IsometryDraw(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
-            for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
-        ]),
+        instances=_phi_wass_instances,
         evaluate=lambda tol, e, phi: check_phi_wass(e, phi, tol=tol),
     ),
     "self_duality_gap": _Check(

@@ -15,17 +15,17 @@ of pairs the package computed, and ``loewner_leq`` one validated raw pair;
 ``require_positive`` checks every tolerance, iteration budget, size, count
 and spectrum edge.
 Seeded generation is stacked too: one ``_seeded_draws`` call serves a list of
-requests. Each ``_Draw`` (a Haar unitary, a positive definite matrix of a
-spectrum range, or a commuting stack) comes from its own ``default_rng(seed)``
-stream, drawn in the order of its lone generator, and each dimension takes one
-batched QR and phase fold and one ``_kernels._from_spectrum`` that builds U
-diag(lambda) U*; a composite request (a seeded ensemble, an isometry map)
-names its draws and builds its value from them. ``random_unitary``,
-``random_spd`` and ``random_commuting_spds`` are its one-request cases, so a
+``_Draw`` requests, each a Haar unitary, a positive definite matrix of a
+spectrum range, or a commuting stack. Every draw comes from its own
+``default_rng(seed)`` stream, drawn from in the order of its lone generator,
+and each dimension takes one batched QR and phase fold and one
+``_kernels._from_spectrum`` that builds U diag(lambda) U*. ``random_unitary``,
+``random_spd`` (``_random_spds`` for a list of seeds) and
+``random_commuting_spds`` check their arguments and make one such call, so a
 batched draw equals the lone one bit for bit. Such output is positive definite
-by construction, and ``_spectrum_clears_floor`` is the rule under which an
+by construction; ``_spectrum_clears_floor`` is the rule under which an
 ensemble of it is stored without validation: a spectrum range that clears the
-positive definite floor with a round-off margin.
+positive definite floor with a round-off margin and leaves the norm finite.
 """
 
 import math
@@ -303,6 +303,7 @@ def _haar_unitary(rng, m):
 
 def random_unitary(m, seed):
     """Haar random m x m unitary, deterministic per seed."""
+    m = require_positive(m, "m", integer=True)
     return _seeded_draws([_Draw(m, seed)])[0]
 
 
@@ -321,18 +322,26 @@ def _require_eig_range(eig_lo, eig_hi):
 def _spectrum_clears_floor(m, eig_lo, eig_hi):
     """Whether every m x m matrix U diag(lambda) U* that ``_from_spectrum``
     builds from a unitary U (a Haar draw's or an ``eigh`` basis) and lambda in
-    [eig_lo, eig_hi] clears the positive definite floor of ``_require_stack``.
-    Its norm is at most sqrt(m) eig_hi, and round-off moves its eigenvalues
-    by far less than SPD_FLOOR m eig_hi, so eig_lo above twice the floor of
-    norm m eig_hi leaves the margin."""
-    return eig_lo > 2.0 * SPD_FLOOR * max(1.0, m * eig_hi)
+    [eig_lo, eig_hi] passes ``_require_stack``. Its norm is at most sqrt(m)
+    eig_hi, finite with a factor 4 to spare in its square when 4 m eig_hi^2
+    is; and round-off moves its eigenvalues by far less than SPD_FLOOR m
+    eig_hi, so eig_lo above twice the floor of norm m eig_hi leaves the
+    margin."""
+    eig_lo, eig_hi = float(eig_lo), float(eig_hi)
+    return (
+        eig_lo <= eig_hi
+        and math.isfinite(4.0 * m * eig_hi * eig_hi)
+        and eig_lo > 2.0 * SPD_FLOOR * max(1.0, m * eig_hi)
+    )
 
 
 class _Draw(NamedTuple):
     """One draw of ``_seeded_draws``, from the stream ``default_rng(seed)``:
     with no ``spectrum``, the Haar unitary of ``random_unitary``; with
     ``spectrum`` = (eig_lo, eig_hi), the matrix of ``random_spd``, or with a
-    ``count`` too, the stack of ``random_commuting_spds``."""
+    ``count`` too, the stack of ``random_commuting_spds``. Its fields are
+    already checked: ``m`` and ``count`` positive ints, ``spectrum`` a range
+    that ``_require_eig_range`` returned."""
 
     m: int
     seed: int
@@ -340,28 +349,15 @@ class _Draw(NamedTuple):
     count: int | None = None
 
 
-def _seeded_draws(requests):
-    """The value of each request, bit for bit what its lone generator
-    returns: a ``_Draw``'s array, or for any other request (a seeded ensemble
-    or map) ``request.build(arrays)`` of the arrays of its ``draws()``. All
-    draws run with one batched QR and phase fold per dimension and one
-    ``_from_spectrum`` per dimension for the ``random_spd`` draws.
-
-    Each stream is drawn from in the order of the lone generator: the
-    Ginibre matrix, then the spectrum (a commuting stack's spectra come from
-    ``default_rng(seed + 1)``). Sizes, spectra and counts are checked as by
-    the lone generators, in that order, each size and spectrum object once."""
-    parts = [[r] if isinstance(r, _Draw) else r.draws() for r in requests]
-    draws = [d for p in parts for d in p]
-    dims, spectra, groups = {}, {}, {}
+def _seeded_draws(draws):
+    """The array of each ``_Draw``, bit for bit what its lone generator
+    returns, with one batched QR and phase fold and one ``_from_spectrum``
+    for the ``random_spd`` draws per dimension. Each stream is drawn from in
+    the order of the lone generator: the Ginibre matrix, then the spectrum (a
+    commuting stack's spectra come from ``default_rng(seed + 1)``)."""
+    groups = {}
     for i, d in enumerate(draws):
-        if id(d.m) not in dims:
-            dims[id(d.m)] = require_positive(d.m, "m", integer=True)
-        if d.spectrum is not None and id(d.spectrum) not in spectra:
-            spectra[id(d.spectrum)] = _require_eig_range(*d.spectrum)
-        if d.count is not None:
-            require_positive(d.count, "count", integer=True)
-        groups.setdefault(dims[id(d.m)], []).append(i)
+        groups.setdefault(d.m, []).append(i)
     out = [None] * len(draws)
     for m, rows in groups.items():
         rngs = [np.random.default_rng(draws[i].seed) for i in rows]
@@ -374,31 +370,42 @@ def _seeded_draws(requests):
                 out[i] = units[j]
             elif d.count is None:
                 spd.append(j)
-                lam.append(rng.uniform(*spectra[id(d.spectrum)], m))
+                lam.append(rng.uniform(*d.spectrum, m))
             else:
-                spectrum = np.random.default_rng(d.seed + 1).uniform(
-                    *spectra[id(d.spectrum)], (int(d.count), m)
-                )
-                out[i] = _k._from_spectrum(units[j], spectrum)
+                spectra = np.random.default_rng(d.seed + 1).uniform(*d.spectrum, (d.count, m))
+                out[i] = _k._from_spectrum(units[j], spectra)
         if spd:
             for j, a in zip(spd, _k._from_spectrum(units[spd], np.stack(lam))):
                 out[rows[j]] = a
-    drawn = iter(out)
-    values = [[next(drawn) for _ in p] for p in parts]
-    return [v[0] if isinstance(r, _Draw) else r.build(v) for r, v in zip(requests, values)]
+    return out
+
+
+def _spd_draws(m, seeds, eig_lo, eig_hi):
+    """The ``_Draw``s of ``_random_spds``, its arguments checked."""
+    m = require_positive(m, "m", integer=True)
+    spectrum = _require_eig_range(eig_lo, eig_hi)
+    return [_Draw(m, seed, spectrum) for seed in seeds]
+
+
+def _commuting_draw(m, count, seed, eig_lo, eig_hi):
+    """The ``_Draw`` of ``random_commuting_spds``, its arguments checked."""
+    spectrum = _require_eig_range(eig_lo, eig_hi)
+    count = require_positive(count, "count", integer=True)
+    return _Draw(require_positive(m, "m", integer=True), seed, spectrum, count)
 
 
 def _random_spds(m, seeds, eig_lo, eig_hi):
     """(len(seeds), m, m) stack of random positive definite matrices: matrix j
     is ``random_spd(m, seeds[j], eig_lo, eig_hi)``, all of them drawn by one
     ``_seeded_draws`` call."""
-    return np.stack(_seeded_draws([_Draw(m, seed, (eig_lo, eig_hi)) for seed in seeds]))
+    return np.stack(_seeded_draws(_spd_draws(m, seeds, eig_lo, eig_hi)))
 
 
 def random_spd(m, seed, eig_lo, eig_hi):
     """Random positive definite matrix with spectrum drawn uniformly in
-    [eig_lo, eig_hi], conjugated by a seeded random unitary."""
-    return _seeded_draws([_Draw(m, seed, (eig_lo, eig_hi))])[0]
+    [eig_lo, eig_hi], conjugated by a seeded random unitary: the one-seed
+    case of ``_random_spds``."""
+    return _random_spds(m, [seed], eig_lo, eig_hi)[0]
 
 
 def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
@@ -406,4 +413,4 @@ def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
     random eigenbasis, ``random_unitary(m, seed)``, and independent spectra
     (the rows of one (count, m) uniform draw from ``default_rng(seed + 1)``).
     Commutators vanish up to round-off."""
-    return _seeded_draws([_Draw(m, seed, (eig_lo, eig_hi), count)])[0]
+    return _seeded_draws([_commuting_draw(m, count, seed, eig_lo, eig_hi)])[0]

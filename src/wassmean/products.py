@@ -2,17 +2,15 @@
 strictly positive unital linear maps realized as isometry compressions."""
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .barycenter import Ensemble
 from .hermitian import (
-    _Draw,
-    _seeded_draws,
     as_complex_matrix,
     frobenius,
     hermitianize,
+    random_unitary,
     require_hermitian,
     require_positive,
 )
@@ -133,24 +131,8 @@ def ando_map(m):
 
 def random_isometry_map(s, k, seed):
     """Compression onto the first k columns of a seeded random s x s unitary."""
-    return _seeded_draws([_IsometryDraw(s, k, seed)])[0]
-
-
-class _IsometryDraw(NamedTuple):
-    """The request of ``hermitian._seeded_draws`` for
-    ``random_isometry_map(s, k, seed)``."""
-
-    s: int
-    k: int
-    seed: int
-
-    def draws(self):
-        s = require_positive(self.s, "s", integer=True)
-        k = require_positive(self.k, "k", integer=True)
-        if k > s:
-            raise ValueError(f"target dimension {k} exceeds source dimension {s}")
-        return [_Draw(s, self.seed)]
-
-    def build(self, arrays):
-        isometry = np.ascontiguousarray(arrays[0][:, : self.k])
-        return PositiveMapSpec(kind="isometry", isometry=isometry)
+    s, k = require_positive(s, "s", integer=True), require_positive(k, "k", integer=True)
+    if k > s:
+        raise ValueError(f"target dimension {k} exceeds source dimension {s}")
+    u = random_unitary(s, seed)
+    return PositiveMapSpec(kind="isometry", isometry=np.ascontiguousarray(u[:, :k]))

@@ -3,6 +3,8 @@ without a second validation: a batched draw equals its lone generators bit
 for bit, a trusted ensemble equals the validated one, and a suite window's
 case-building factors each builder's matrices of one dimension in one QR."""
 
+import math
+
 import dataclasses
 from collections import Counter
 
@@ -11,8 +13,9 @@ import pytest
 
 from wassmean import _kernels, barycenter, hermitian
 from wassmean import checks as checks_mod
-from wassmean.barycenter import Ensemble, _EnsembleDraw, _mix, random_weights
-from wassmean.checks import default_plan
+from wassmean.barycenter import Ensemble
+from wassmean.checks import _EnsembleDraw, _mix, _resolve, default_plan, random_weights
+from wassmean.cli import main
 from wassmean.hermitian import (
     SPD_FLOOR,
     _Draw,
@@ -23,7 +26,6 @@ from wassmean.hermitian import (
     random_unitary,
     require_spd_stack,
 )
-from wassmean.products import _IsometryDraw, random_isometry_map
 
 
 def _reference_unitary(m, seed):
@@ -56,28 +58,50 @@ def test_batched_draw_equals_lone_generators_bitwise():
         assert got.tobytes() == want.tobytes()
 
 
-def test_batched_draw_builds_the_seeded_ensembles_and_maps_of_per_seed_draws():
-    requests = [
-        _EnsembleDraw(3, 2, 7), _Draw(2, 9, (0.5, 2.0)), _IsometryDraw(4, 2, 11),
-        _EnsembleDraw(2, 3, 8, 1.0, 3.0), _EnsembleDraw(3, 3, 5, commuting=True),
-        _IsometryDraw(3, 3, 12),
+def _counted_qrs(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.mark.parametrize("in_suite", [False, True])
+def test_resolved_cases_are_the_per_seed_draws(monkeypatch, in_suite):
+    # Inside run_suite one call draws the raw matrices and the ensembles, one
+    # QR per dimension; outside it each ensemble is drawn on its own.
+    cases = [
+        (_EnsembleDraw(3, 2, 7), _Draw(2, 9, (0.5, 2.0))),
+        (_EnsembleDraw(2, 3, 8, 1.0, 3.0), _Draw(3, 10)),
+        (_EnsembleDraw(3, 3, 5, commuting=True), _EnsembleDraw(3, 2, 7)),
     ]
-    got = _seeded_draws(requests)
-    for r, value in zip(requests, got):
-        if isinstance(r, _EnsembleDraw):
-            if r.commuting:
-                mats = random_commuting_spds(r.m, r.n, _mix(r.seed, 11), r.eig_lo, r.eig_hi)
+    qrs = _counted_qrs(monkeypatch)
+    token = checks_mod._SUITE_MEMO.set({} if in_suite else None)
+    try:
+        got = _resolve(cases)
+    finally:
+        checks_mod._SUITE_MEMO.reset(token)
+    assert sorted(qrs) == ([(4, 2, 2), (4, 3, 3)] if in_suite else
+                           [(1, 2, 2), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3), (3, 2, 2)])
+    assert got[2][1] is (got[0][0] if in_suite else got[2][1])
+    for case, values in zip(cases, got):
+        for r, value in zip(case, values):
+            if isinstance(r, _EnsembleDraw):
+                if r.commuting:
+                    mats = random_commuting_spds(r.m, r.n, _mix(r.seed, 11), r.eig_lo, r.eig_hi)
+                else:
+                    mats = np.stack([random_spd(r.m, _mix(r.seed, 13 + j), r.eig_lo, r.eig_hi)
+                                     for j in range(r.n)])
+                assert value.matrices.tobytes() == mats.tobytes()
+                assert value.weights.tobytes() == random_weights(r.n, _mix(r.seed, 17)).tobytes()
+            elif r.spectrum is None:
+                assert value.tobytes() == random_unitary(r.m, r.seed).tobytes()
             else:
-                mats = np.stack([random_spd(r.m, _mix(r.seed, 13 + j), r.eig_lo, r.eig_hi)
-                                 for j in range(r.n)])
-            assert value.matrices.tobytes() == mats.tobytes()
-            assert value.weights.tobytes() == random_weights(r.n, _mix(r.seed, 17)).tobytes()
-        elif isinstance(r, _IsometryDraw):
-            want = random_unitary(r.s, r.seed)[:, : r.k]
-            assert value.isometry.tobytes() == np.ascontiguousarray(want).tobytes()
-            assert value.isometry.tobytes() == random_isometry_map(*r).isometry.tobytes()
-        else:
-            assert value.tobytes() == random_spd(r.m, r.seed, *r.spectrum).tobytes()
+                assert value.tobytes() == random_spd(r.m, r.seed, *r.spectrum).tobytes()
 
 
 def _counted_validations(monkeypatch):
@@ -96,20 +120,39 @@ def _trust_edge(m, eig_hi):
     return 2.0 * SPD_FLOOR * max(1.0, m * eig_hi)
 
 
+def _finite_edge(m):
+    # The largest eig_hi whose 4 m eig_hi^2 is finite.
+    hi = math.sqrt(np.finfo(float).max / (4.0 * m))
+    while not math.isfinite(4.0 * m * hi * hi):
+        hi = math.nextafter(hi, 0.0)
+    while math.isfinite(4.0 * m * math.nextafter(hi, math.inf) * math.nextafter(hi, math.inf)):
+        hi = math.nextafter(hi, math.inf)
+    return hi
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_generated_ensemble_stores_what_validation_returns_bitwise(monkeypatch, m):
     # The suite's two ranges, drawn as the generator draws them; then spectra
-    # pinned to the edges of the trust rule, where a range at the edge itself
-    # is validated and equal, and one far below it fails validation.
+    # pinned to the edges of the trust rule: its floor, where a range at the
+    # edge itself is validated and equal, and one far below it fails
+    # validation; and its finite norm, where a range just past the edge is
+    # validated and equal, and one far past it fails validation.
     weights = random_weights(3, m)
     units = np.stack([random_unitary(m, 50 + j) for j in range(3)])
     above = np.nextafter(_trust_edge(m, 1.0), np.inf)
+    top = _finite_edge(m)
+    past = math.nextafter(top, math.inf)
+
+    def pinned(eig_lo, eig_hi):
+        return _kernels._from_spectrum(units, np.linspace(eig_lo, eig_hi, m))
+
     cases = [
         (0.5, 2.0, np.stack([random_spd(m, 40 + j, 0.5, 2.0) for j in range(3)]), True),
         (1.0, 3.0, np.stack([random_spd(m, 40 + j, 1.0, 3.0) for j in range(3)]), True),
-        (above, 1.0, _kernels._from_spectrum(units, np.linspace(above, 1.0, m)), True),
-        (_trust_edge(m, 1.0), 1.0,
-         _kernels._from_spectrum(units, np.linspace(_trust_edge(m, 1.0), 1.0, m)), False),
+        (above, 1.0, pinned(above, 1.0), True),
+        (_trust_edge(m, 1.0), 1.0, pinned(_trust_edge(m, 1.0), 1.0), False),
+        (top / 2.0, top, pinned(top / 2.0, top), True),
+        (top / 2.0, past, pinned(top / 2.0, past), False),
     ]
     calls = _counted_validations(monkeypatch)
     for eig_lo, eig_hi, mats, trusted in cases:
@@ -122,9 +165,29 @@ def test_generated_ensemble_stores_what_validation_returns_bitwise(monkeypatch, 
         assert ensemble.weights.tobytes() == validated.weights.tobytes()
         assert not ensemble.matrices.flags.writeable
         assert not ensemble.weights.flags.writeable
-    below = _kernels._from_spectrum(units, np.linspace(1e-13, 1.0, m))
     with pytest.raises(ValueError, match=r"^matrices\[0\]: not positive definite"):
-        Ensemble._generated(weights, below, 1e-13, 1.0)
+        Ensemble._generated(weights, pinned(1e-13, 1.0), 1e-13, 1.0)
+    with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
+        Ensemble._generated(weights, pinned(1e160, 1e160), 1e160, 1e160)
+
+
+def test_seeded_ensemble_of_an_overflowing_norm_is_refused(capsys):
+    # The norm of a 2 x 2 matrix of spectrum [1e160, 1e160] overflows: the
+    # generator's output is validated, and the ensemble refused.
+    for in_suite in (False, True):
+        token = checks_mod._SUITE_MEMO.set({} if in_suite else None)
+        try:
+            with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
+                checks_mod.random_ensemble(2, 2, 0, eig_lo=1e160, eig_hi=1e160)
+            with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
+                _resolve([(_EnsembleDraw(2, 2, 0, 1e160, 1e160),)])
+        finally:
+            checks_mod._SUITE_MEMO.reset(token)
+    args = ["generate", "--m", "2", "--n", "2", "--eig-lo", "1e160", "--eig-hi", "1e160"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "matrices[0]: Frobenius norm overflows" in captured.err
 
 
 def test_inverted_ensemble_equals_the_validated_inverses_bitwise(monkeypatch):
@@ -133,7 +196,7 @@ def test_inverted_ensemble_equals_the_validated_inverses_bitwise(monkeypatch):
         ensemble = checks_mod.random_ensemble(2 + seed % 3, 2 + seed % 2, seed)
         want = Ensemble(ensemble.weights, _kernels.spd_power(ensemble.matrices, -1.0))
         calls.clear()
-        inverted = barycenter._inverted(ensemble)
+        inverted = checks_mod._inverted(ensemble)
         assert calls == []
         assert inverted.matrices.tobytes() == want.matrices.tobytes()
         assert inverted.weights.tobytes() == want.weights.tobytes()
@@ -145,11 +208,13 @@ def test_window_draws_one_qr_per_builder_and_dimension_and_validates_no_seeded_e
     # Case-building of a default 10-seed window, then the gathering of what
     # it solves. Each builder factors its seeded matrices of one dimension in
     # one batched QR (a builder whose ensembles another already drew factors
-    # none); only the equality cases' hand-made ensembles and the Kronecker
-    # pair ensembles are validated.
+    # none), and each isometry map, drawn through random_isometry_map, takes
+    # one QR of its own; only the equality cases' hand-made ensembles and the
+    # Kronecker pair ensembles are validated.
     builder = ["gather"]
-    qrs, validated = Counter(), Counter()
+    qrs, validated, maps = Counter(), Counter(), Counter()
     qr, validate = np.linalg.qr, hermitian._require_stack
+    isometry_map = checks_mod.random_isometry_map
 
     def counted_qr(a, *args, **kwargs):
         qrs[builder[0], a.shape[-1]] += 1
@@ -158,6 +223,14 @@ def test_window_draws_one_qr_per_builder_and_dimension_and_validates_no_seeded_e
     def counted_validate(*args, **kwargs):
         validated[builder[0]] += 1
         return validate(*args, **kwargs)
+
+    def counted_map(*args):
+        maps[builder[0]] += 1
+        tag, builder[0] = builder[0], "map"
+        try:
+            return isometry_map(*args)
+        finally:
+            builder[0] = tag
 
     def tagged(tag, build):
         def run(*args):
@@ -171,6 +244,7 @@ def test_window_draws_one_qr_per_builder_and_dimension_and_validates_no_seeded_e
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(hermitian, "_require_stack", counted_validate)
+    monkeypatch.setattr(checks_mod, "random_isometry_map", counted_map)
     monkeypatch.setattr(barycenter, "wasserstein_means", lambda ensembles: [None] * len(ensembles))
     for name, check in list(checks_mod._CHECKS.items()):
         monkeypatch.setitem(checks_mod._CHECKS, name, dataclasses.replace(
@@ -182,10 +256,14 @@ def test_window_draws_one_qr_per_builder_and_dimension_and_validates_no_seeded_e
         checks_mod._presolve(default_plan(seeds=(0, 10)))
     finally:
         checks_mod._SUITE_MEMO.reset(token)
+    map_qrs = {dim: count for (tag, dim), count in qrs.items() if tag == "map"}
+    del qrs["map", 2], qrs["map", 3]
     assert set(qrs.values()) == {1}
-    assert sum(qrs.values()) == 33
-    assert {tag for tag, _ in qrs} >= {"fixed_point", "phi_wass", "jensen_contraction"}
-    assert not {tag for tag, _ in qrs} & {"bounds", "self_duality_gap", "gather"}
+    assert sum(qrs.values()) == 31
+    assert maps == {"phi_geometric_mean": 10, "phi_geometric_mean equality": 1, "phi_wass": 10}
+    assert sum(map_qrs.values()) == 21
+    assert {tag for tag, _ in qrs} >= {"fixed_point", "phi_geometric_mean", "jensen_contraction"}
+    assert not {tag for tag, _ in qrs} & {"bounds", "phi_wass", "self_duality_gap", "gather"}
     assert validated == {
         "fixed_point equality": 1, "bounds equality": 1, "det_inequality equality": 1,
         "logdet_concavity equality": 1, "tensor_identity equality": 2,

@@ -22,6 +22,12 @@ SOLVE_CONVERGED = 0
 SOLVE_MAX_ITER = 1
 SOLVE_BREAKDOWN = 2
 
+# Round-off below zero inside an outer square root is clamped to 0 within this
+# share of the scale of the data (a congruence's largest eigenvalue, tr((a+b)/2)
+# for a distance); anything worse is an error. At m = 32 to 50 with spectra in
+# [0.5, 100] the round-off stays below 3e-15 of that scale.
+_NEGATIVE_CLAMP = 1e-12
+
 
 def _adjoint(a):
     """Conjugate transpose of a matrix or of each matrix in a stack."""
@@ -69,11 +75,21 @@ def _roots(w, v):
     return _from_spectrum(v, sw), _from_spectrum(v, 1.0 / sw)
 
 
+def _congruence_root(c):
+    """c^{1/2} for a congruence c = s b s of positive definite matrices (or
+    each of a stack), its eigenvalues below zero clamped to 0 as round-off
+    within ``_NEGATIVE_CLAMP`` times its largest, and raising beyond."""
+    w, v = np.linalg.eigh(c)
+    if (w[..., 0] < -_NEGATIVE_CLAMP * w[..., -1]).any():
+        raise ValueError(f"congruence root: eigenvalue {w[..., 0].min():.3e} below zero")
+    return _from_spectrum(v, np.sqrt(np.maximum(w, 0.0)))
+
+
 def geometric_mean(a, b):
     """Geometric mean a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2} of SPD
     matrices, ``b`` broadcast against ``a``."""
     rs, ris = _roots(*np.linalg.eigh(a))
-    mid = spd_power(hermitianize(ris @ b @ ris), 0.5)
+    mid = _congruence_root(hermitianize(ris @ b @ ris))
     return hermitianize(rs @ mid @ rs)
 
 

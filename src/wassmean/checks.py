@@ -11,38 +11,26 @@ check computed, which it trusts rather than validates again. A report over
 several results (comparisons or instances) reports the one ``_worst`` picks:
 a NaN margin first, else the smallest failing margin, else the smallest.
 
-A check on an ensemble solves its mean itself, with the default
-``SolverConfig``. The Hadamard checks follow from the Kronecker pairs through
+A ``check_*`` function is the validation boundary of a private core, the
+function ``_<name>`` of its suite name: it validates its raw arguments,
+solves its ensembles with the default ``SolverConfig``, and calls the core on
+them and on the solves' outcomes (each a report or the error its solve
+raised). The core trusts its inputs; a derived matrix that the positive
+definite floor could still reject (a Schur product, a congruence) keeps its
+one validation. The Hadamard checks follow from the Kronecker pairs through
 Ando's compression Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a
 function of the pairs' one constant K, and the arithmetic sides are bilinear,
-(sum w A) (x) (sum u B) and (sum w A) o (sum u B). A check validates each raw
-argument once, at its entry, and trusts what it computes from it; a derived
-matrix that the positive definite floor could still reject (a Schur product,
-a congruence) keeps its one validation.
+(sum w A) (x) (sum u B) and (sum w A) o (sum u B).
 
-``run_suite`` drives every registered check over seeded random instances and
-the known equality cases: one generic driver runs each entry of a table that
-declares the check's instances, its equality cases and the call that evaluates
-them, in three phases over a memo that lives only for that call. It first
-collects: each entry's cases are built once, each builder drawing its seeded
-matrices and ensembles in one ``_seeded_draws`` call (one QR per dimension)
-and each isometry map by ``random_isometry_map``, and every ensemble they
-will solve (``_Check.solves``) is gathered, a derived one
-(Kronecker pairs, inverses) built once per source; seeded and inverted
-ensembles skip validation where their spectrum range clears the floor
-(``Ensemble._generated``). It then solves each distinct ensemble content once,
-one stacked solver call per (n, m, m) shape (``bc.wasserstein_means``),
-storing each report or error. Last it evaluates each check through
-``CHECK_REGISTRY`` on the built cases, whose solves are memo hits; a stored
-error is raised where its check asks for it. A registry entry called on its
-own, and the ``check_*`` functions, build and solve their inputs afresh.
+``run_suite`` runs the cores on seeded random instances and on the known
+equality cases, which each entry of ``_CHECKS`` declares as data; see there.
 """
 
 import math
 from collections.abc import Callable
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -65,16 +53,10 @@ from .hermitian import (
     require_spd_pair,
 )
 from .means import kantorovich
-from .products import _pair_weights, ensemble_tensor, random_isometry_map
+from .products import _isometry_map, _pair_weights, ensemble_tensor
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
-
-# The memo of the running ``run_suite`` call, None outside one: seeded
-# ensembles keyed by their ``_EnsembleDraw`` requests, tensor and inverted
-# ensembles by the ensembles they come from, solve reports or errors by the
-# ensemble's weight and matrix bytes, and each check's cases by its name.
-_SUITE_MEMO = ContextVar("suite_memo", default=None)
 
 
 @dataclass
@@ -142,25 +124,11 @@ def random_weights(n, seed):
     return w / w.sum()
 
 
-def _shared(key, build):
-    """``build()``, called once per ``key`` inside ``run_suite`` and on every
-    call outside it."""
-    memo = _SUITE_MEMO.get()
-    if memo is None:
-        return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
 def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
-    """Seeded random ensemble; ``commuting=True`` shares one eigenbasis.
-
-    Inside ``run_suite`` equal arguments return the same (read-only)
-    ensemble."""
+    """Seeded random ensemble; ``commuting=True`` shares one eigenbasis."""
     n = require_positive(n, "n", integer=True)
     request = _EnsembleDraw(m, n, seed, eig_lo, eig_hi, commuting)
-    return _shared(request, lambda: request.build(_seeded_draws(request.draws())))
+    return _built(request, _drawn(_draws_of(request)))
 
 
 class _EnsembleDraw(NamedTuple):
@@ -188,71 +156,70 @@ class _EnsembleDraw(NamedTuple):
         return bc.Ensemble._generated(weights, mats, self.eig_lo, self.eig_hi)
 
 
-def _resolve(cases):
-    """A builder's cases, each ``_Draw`` replaced by its array and each
-    ``_EnsembleDraw`` by ``random_ensemble(*request)``. One ``_seeded_draws``
-    call draws the arrays and, inside ``run_suite``, the ensembles not yet in
-    the memo, which go into it first."""
-    memo = _SUITE_MEMO.get()
-    requests = [r for case in cases for r in case]
-    raw = [r for r in requests if isinstance(r, _Draw)]
-    fresh = [] if memo is None else [
-        r for r in dict.fromkeys(requests) if isinstance(r, _EnsembleDraw) and r not in memo
-    ]
-    parts = [r.draws() for r in fresh]
-    drawn = iter(_seeded_draws(raw + [d for p in parts for d in p]))
-    arrays = iter([next(drawn) for _ in raw])
-    for r, p in zip(fresh, parts):
-        memo[r] = r.build([next(drawn) for _ in p])
-    return [tuple(next(arrays) if isinstance(r, _Draw) else random_ensemble(*r) for r in case)
-            for case in cases]
+class _Apply(NamedTuple):
+    """The case argument ``fn(*args)``, each request among ``args`` built."""
+
+    fn: Callable
+    args: tuple
 
 
-def _tensor(a, b):
-    """``ensemble_tensor(a, b)``, built once per pair inside ``run_suite``."""
-    return _shared(("tensor", a, b), lambda: ensemble_tensor(a, b))
+def _draws_of(request):
+    """The ``_Draw``s that building a case argument takes."""
+    if isinstance(request, _EnsembleDraw):
+        return request.draws()
+    if isinstance(request, _Apply):
+        return [d for arg in request.args for d in _draws_of(arg)]
+    return [request] if isinstance(request, _Draw) else []
+
+
+def _drawn(draws):
+    """Each distinct ``_Draw`` of ``draws`` mapped to its array, all drawn in
+    one ``_seeded_draws`` call."""
+    unique = list(dict.fromkeys(draws))
+    return dict(zip(unique, _seeded_draws(unique)))
+
+
+def _built(request, drawn):
+    """A case argument built from ``drawn``, which maps each ``_Draw`` to its
+    array and keeps each ``_EnsembleDraw``'s ensemble, built once; a constant
+    is itself."""
+    if isinstance(request, _EnsembleDraw):
+        if request not in drawn:
+            drawn[request] = request.build([drawn[d] for d in request.draws()])
+        return drawn[request]
+    if isinstance(request, _Apply):
+        return request.fn(*(_built(arg, drawn) for arg in request.args))
+    return drawn[request] if isinstance(request, _Draw) else request
 
 
 def _inverted(ensemble):
-    """The ensemble of the inverses, under the same weights, built once per
-    ensemble inside ``run_suite``: ``spd_power(A, -1)`` from one ``eigh``,
-    whose eigenvalues give the inverses' spectrum range."""
-
-    def build():
-        lam, v = np.linalg.eigh(ensemble.matrices)
-        lam = lam**-1.0
-        inverses = _k._from_spectrum(v, lam)
-        return bc.Ensemble._generated(ensemble.weights, inverses, lam.min(), lam.max())
-
-    return _shared(("inverted", ensemble), build)
+    """The ensemble of the inverses, under the same weights:
+    ``spd_power(A, -1)`` from one ``eigh``, whose eigenvalues give the
+    inverses' spectrum range."""
+    lam, v = np.linalg.eigh(ensemble.matrices)
+    lam = lam**-1.0
+    return bc.Ensemble._generated(ensemble.weights, _k._from_spectrum(v, lam), lam.min(), lam.max())
 
 
-def _mean_report(ensemble):
-    """``bc.wasserstein_mean(ensemble)``, solved once per ensemble content
-    inside ``run_suite``."""
-    outcome = _shared(_solve_key(ensemble), lambda: bc.wasserstein_means([ensemble])[0])
-    if isinstance(outcome, Exception):
-        # A fresh traceback: an old one would grow by every raise.
-        raise outcome.with_traceback(None)
-    return outcome
+def _report(solved):
+    """The report of a solve's outcome; the error a solve raised is raised
+    here, with a fresh traceback: an old one would grow by every raise."""
+    if isinstance(solved, Exception):
+        raise solved.with_traceback(None)
+    return solved
 
 
-def _solve_key(ensemble):
-    return ("solve", ensemble.weights.tobytes(), ensemble.matrices.tobytes())
+def _mean(solved):
+    """The mean of a solve's outcome, which must have converged."""
+    report = _report(solved)
+    if not report.converged:
+        raise RuntimeError(f"barycenter solve did not converge (residual {report.residual:.3e})")
+    return report.mean
 
 
 def _arithmetic(ensemble):
     """The ensemble's weighted arithmetic mean, made exactly Hermitian."""
     return hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
-
-
-def _solve(ensemble):
-    report = _mean_report(ensemble)
-    if not report.converged:
-        raise RuntimeError(
-            f"barycenter solve did not converge (residual {report.residual:.3e})"
-        )
-    return report.mean
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +228,18 @@ def _solve(ensemble):
 
 def check_fixed_point_certificate(ensemble, tol=None):
     """Both residual forms of the mean's defining equation at the solved mean."""
-    if tol is None:
-        tol = ToleranceConfig()
-    report = _mean_report(ensemble)
+    return _fixed_point(tol, ensemble, *bc.wasserstein_means([ensemble]))
+
+
+def _fixed_point(tol, ensemble, solved):
+    report = _report(solved)
     # The solver's mean is exactly Hermitian and positive definite.
     eq_res = float(_k.mean_equation_residual(report.mean, ensemble.matrices, ensemble.weights))
     root = _k.spd_power(report.mean, 0.5)
-    roots = _k.spd_power(hermitianize(root @ ensemble.matrices @ root), 0.5)
+    roots = _k._congruence_root(hermitianize(root @ ensemble.matrices @ root))
     acc = _k.weighted_sum(ensemble.weights, roots)
     fp_res = frobenius(report.mean - acc) / frobenius(report.mean)
-    holds = report.converged and eq_res <= tol.residual_tol and fp_res <= 1e-9
+    holds = report.converged and eq_res <= ToleranceConfig.residual_tol and fp_res <= 1e-9
     return CheckReport(
         check_name="fixed_point",
         holds=holds,
@@ -287,7 +256,11 @@ def check_fixed_point_certificate(ensemble, tol=None):
 
 def check_bounds(ensemble, *, tol=None):
     """Both order bounds of the mean X: 2I - sum_j w_j A_j^{-1} <= X <= sum_j w_j A_j."""
-    mean = _solve(ensemble)
+    return _bounds(tol, ensemble, *bc.wasserstein_means([ensemble]))
+
+
+def _bounds(tol, ensemble, solved):
+    mean = _mean(solved)
     eye = np.eye(ensemble.dim, dtype=np.complex128)
     inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
     lower = hermitianize(2.0 * eye - inv_mix)
@@ -317,9 +290,13 @@ def check_det_inequality(ensemble, *, tol=None):
     The equality flag is raised when the log gap is <= 1e-9 and cross-checked
     against the matrices actually coinciding within 1e-8.
     """
+    return _det_inequality(tol, ensemble, *bc.wasserstein_means([ensemble]))
+
+
+def _det_inequality(tol, ensemble, solved):
     if tol is None:
         tol = ToleranceConfig()
-    margin, all_equal = _log_det_gap(_solve(ensemble), ensemble.weights, ensemble.matrices)
+    margin, all_equal = _log_det_gap(_mean(solved), ensemble.weights, ensemble.matrices)
     equality = margin <= 1e-9
     return CheckReport(
         check_name="det_inequality",
@@ -338,6 +315,10 @@ def check_det_inequality(ensemble, *, tol=None):
 def check_logdet_concavity(ensemble, *, tol=None):
     """log det of the ensemble's convex combination dominates the combination
     of its log dets, with equality exactly when all matrices coincide."""
+    return _logdet_concavity(tol, ensemble)
+
+
+def _logdet_concavity(tol, ensemble):
     if tol is None:
         tol = ToleranceConfig()
     margin, all_equal = _log_det_gap(_arithmetic(ensemble), ensemble.weights, ensemble.matrices)
@@ -355,8 +336,12 @@ def check_phi_geometric_mean(a, b, phi, tol=None):
     the compressions."""
     am, bm = require_spd_pair(a, b)
     phi.require_source_dim(am.shape[0])
-    lhs = phi.compress(_k.geometric_mean(am, bm))
-    rhs = _k.geometric_mean(*phi.compress(np.stack([am, bm])))
+    return _phi_geometric_mean(tol, am, bm, phi)
+
+
+def _phi_geometric_mean(tol, a, b, phi):
+    lhs = phi.compress(_k.geometric_mean(a, b))
+    rhs = _k.geometric_mean(*phi.compress(np.stack([a, b])))
     return _order_report(
         "phi_geometric_mean", tol,
         {"source_dim": phi.source_dim, "target_dim": phi.target_dim},
@@ -369,8 +354,12 @@ def check_phi_wass(ensemble, phi, tol=None):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
     phi.require_source_dim(ensemble.dim)
+    return _phi_wass(tol, ensemble, phi, *bc.wasserstein_means([ensemble]))
+
+
+def _phi_wass(tol, ensemble, phi, solved):
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
-    mean = _solve(ensemble)
+    mean = _mean(solved)
     inverses = _k.spd_power(ensemble.matrices, -1.0)
     mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(inverses))
     mix = _k.weighted_sum(ensemble.weights, phi.compress(ensemble.matrices))
@@ -388,9 +377,12 @@ def check_phi_wass(ensemble, phi, tol=None):
 def check_self_duality_gap(ensemble):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
-    mean = _solve(ensemble)
-    mean_of_inverses = _solve(_inverted(ensemble))
-    gap = frobenius(mean_of_inverses - _k.spd_power(mean, -1.0))
+    return _self_duality_gap(None, ensemble, *bc.wasserstein_means([ensemble, _inverted(ensemble)]))
+
+
+def _self_duality_gap(tol, ensemble, solved, solved_inverses):
+    mean = _mean(solved)
+    gap = frobenius(_mean(solved_inverses) - _k.spd_power(mean, -1.0))
     return CheckReport(
         check_name="self_duality_gap",
         holds=gap > SELF_DUALITY_GAP,
@@ -403,25 +395,22 @@ def check_self_duality_gap(ensemble):
 def check_tensor_identity(a, b):
     """Kronecker product of two means equals the mean of the Kronecker-pair
     ensemble; margin is the negated relative Frobenius error."""
+    return _tensor_identity(None, a, b, *bc.wasserstein_means([a, b, ensemble_tensor(a, b)]))
+
+
+def _tensor_identity(tol, a, b, *solves):
+    inputs = {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}
     try:
-        mean_a = _solve(a)
-        mean_b = _solve(b)
-        mean_t = _solve(_tensor(a, b))
+        mean_a, mean_b, mean_t = map(_mean, solves)
     except RuntimeError as exc:
-        return CheckReport(
-            check_name="tensor_identity",
-            holds=False,
-            margin=-np.inf,
-            inputs={"dims": [a.dim, b.dim], "counts": [a.size, b.size]},
-            details={"error": str(exc)},
-        )
+        return CheckReport("tensor_identity", False, -np.inf, inputs, {"error": str(exc)})
     product = np.kron(mean_a, mean_b)
     rel_err = frobenius(product - mean_t) / frobenius(product)
     return CheckReport(
         check_name="tensor_identity",
         holds=rel_err <= TENSOR_IDENTITY_RTOL,
         margin=-rel_err,
-        inputs={"dims": [a.dim, b.dim], "counts": [a.size, b.size]},
+        inputs=inputs,
         details={"relative_error": rel_err, "tolerance": TENSOR_IDENTITY_RTOL},
     )
 
@@ -429,28 +418,35 @@ def check_tensor_identity(a, b):
 def check_tensor_arithmetic_bound(a, b, tol=None):
     """Kronecker product of two means below the arithmetic mean of all
     Kronecker pairs, which by bilinearity is (sum w A) (x) (sum u B)."""
+    return _tensor_arithmetic_bound(tol, a, b, *bc.wasserstein_means([a, b]))
+
+
+def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
     return _order_report(
         "tensor_arithmetic_bound", tol,
         {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
-        (None, np.kron(_solve(a), _solve(b)), np.kron(_arithmetic(a), _arithmetic(b))),
+        (None, np.kron(_mean(solved_a), _mean(solved_b)), np.kron(_arithmetic(a), _arithmetic(b))),
     )
 
 
-def _means_of_one_dim(a, b):
-    """The solved means of two ensembles of one dimension."""
+def _solves_of_one_dim(a, b):
+    """The solves of two ensembles of one dimension."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _solve(a), _solve(b)
+    return bc.wasserstein_means([a, b])
 
 
 def check_hadamard_arithmetic_bound(a, b, tol=None):
     """Hadamard product of two means below the arithmetic mean of all
     Hadamard pairs, which by bilinearity is (sum w A) o (sum u B)."""
-    x, y = _means_of_one_dim(a, b)
+    return _hadamard_arithmetic_bound(tol, a, b, *_solves_of_one_dim(a, b))
+
+
+def _hadamard_arithmetic_bound(tol, a, b, solved_a, solved_b):
     return _order_report(
         "hadamard_arithmetic_bound", tol,
         {"dim": a.dim, "counts": [a.size, b.size]}, {},
-        (None, x * y, _arithmetic(a) * _arithmetic(b)),
+        (None, _mean(solved_a) * _mean(solved_b), _arithmetic(a) * _arithmetic(b)),
     )
 
 
@@ -463,12 +459,15 @@ def check_commuting_quadruple(a, b, c, d, tol=None):
     bc.require_commuting(cm, dm, "pair (c,d) does not commute")
     if am.shape != cm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {cm.shape}")
-    lhs = (am @ bm + bm @ am) * (cm @ dm + dm @ cm) - (am @ am + bm @ bm) * (cm @ cm + dm @ dm)
-    diff_ab = am - bm
-    diff_cd = cm - dm
-    rhs = 0.5 * ((diff_ab @ diff_ab) * (diff_cd @ diff_cd))
+    return _commuting_quadruple(tol, (am, bm), (cm, dm))
+
+
+def _commuting_quadruple(tol, ab, cd):
+    (a, b), (c, d) = ab, cd
+    lhs = (a @ b + b @ a) * (c @ d + d @ c) - (a @ a + b @ b) * (c @ c + d @ d)
+    rhs = 0.5 * (((a - b) @ (a - b)) * ((c - d) @ (c - d)))
     return _order_report(
-        "commuting_quadruple", tol, {"dim": int(am.shape[0])}, {},
+        "commuting_quadruple", tol, {"dim": int(a.shape[0])}, {},
         (None, hermitianize(lhs), hermitianize(rhs)),
     )
 
@@ -477,14 +476,17 @@ def check_hadamard_inverse(a, b, tol=None):
     """Two-sided bound on the inverse of a Hadamard product:
     (a o b)^{-1} <= a^{-1} o b^{-1} <= K (a o b)^{-1} with K the Kantorovich
     constant of the Kronecker product's spectral edges."""
-    am, bm = require_spd_pair(a, b)
+    return _hadamard_inverse(tol, *require_spd_pair(a, b))
+
+
+def _hadamard_inverse(tol, a, b):
     # The Schur product is validated as the inverse's argument.
-    had_inv = _k.spd_power(require_spd(am * bm, name="matrix"), -1.0)
-    inv_a, inv_b = _k.spd_power(np.stack([am, bm]), -1.0)
+    had_inv = _k.spd_power(require_spd(a * b, name="matrix"), -1.0)
+    inv_a, inv_b = _k.spd_power(np.stack([a, b]), -1.0)
     inv_had = inv_a * inv_b
-    constant, _ = _kronecker_kantorovich(am[None], bm[None])
+    constant, _ = _kronecker_kantorovich(a[None], b[None])
     return _order_report(
-        "hadamard_inverse", tol, {"dim": int(am.shape[0])},
+        "hadamard_inverse", tol, {"dim": int(a.shape[0])},
         {"kantorovich_constant": constant},
         ("lower_margin", had_inv, inv_had),
         ("upper_margin", inv_had, constant * had_inv),
@@ -510,7 +512,11 @@ def _hadamard_pairs(a, b):
 def check_kantorovich_hadamard(a, b, tol=None):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
-    x, y = _means_of_one_dim(a, b)
+    return _kantorovich_hadamard(tol, a, b, *_solves_of_one_dim(a, b))
+
+
+def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
+    x, y = _mean(solved_a), _mean(solved_b)
     kantorovich_constant, edges = _kronecker_kantorovich(a.matrices, b.matrices)
     # The paper's (alpha gamma + beta delta) / (2 sqrt(alpha beta gamma delta)).
     constant = math.sqrt(kantorovich_constant)
@@ -518,7 +524,7 @@ def check_kantorovich_hadamard(a, b, tol=None):
     # The Schur product of the means is validated as the root's argument.
     root = _k.spd_power(require_spd(xy, name="matrix"), 0.5)
     inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
-    rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _k.spd_power(inner, 0.5))
+    rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _k._congruence_root(inner))
     return _order_report(
         "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
         {"constant": constant, "bounds": edges},
@@ -536,17 +542,21 @@ def check_jensen_contraction(a, x, p, tol=None):
     if xm.shape != am.shape:
         m = am.shape[0]
         raise ValueError(f"x: expected a {m}x{m} matrix, the dimension of a, got shape {xm.shape}")
-    sv = np.linalg.svd(xm, compute_uv=False)
+    return _jensen_contraction(tol, am, xm, p)
+
+
+def _jensen_contraction(tol, a, x, p):
+    sv = np.linalg.svd(x, compute_uv=False)
     inv_norm = 1.0 / float(sv[-1])
     if inv_norm > 1.0 + 1e-12:
         raise ValueError(
             f"inverse is not a contraction: ||x^-1||_op = {inv_norm:.6f} > 1"
         )
     # The congruence x* a x is validated as the power's argument.
-    lhs = _k.spd_power(require_spd(hermitianize(xm.conj().T @ am @ xm), name="matrix"), float(p))
-    rhs = hermitianize(xm.conj().T @ _k.spd_power(am, float(p)) @ xm)
+    lhs = _k.spd_power(require_spd(hermitianize(x.conj().T @ a @ x), name="matrix"), float(p))
+    rhs = hermitianize(x.conj().T @ _k.spd_power(a, float(p)) @ x)
     return _order_report(
-        "jensen_contraction", tol, {"dim": int(am.shape[0]), "p": float(p)},
+        "jensen_contraction", tol, {"dim": int(a.shape[0]), "p": float(p)},
         {"inverse_operator_norm": inv_norm},
         (None, lhs, rhs),
     )
@@ -559,9 +569,12 @@ def check_sqrt_sum_lower_bound(a, b, tol=None):
     Returns a skipped report (not a failure) when the contraction
     precondition on the means fails.
     """
-    x, y = _means_of_one_dim(a, b)
+    return _sqrt_sum_lower_bound(tol, a, b, *_solves_of_one_dim(a, b))
+
+
+def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     eye = np.eye(a.dim, dtype=np.complex128)
-    pre_x, pre_y = _loewner_verdicts([(eye, x), (eye, y)], tol)
+    pre_x, pre_y = _loewner_verdicts([(eye, _mean(solved_a)), (eye, _mean(solved_b))], tol)
     if not (pre_x.holds and pre_y.holds):
         return CheckReport(
             check_name="sqrt_sum_lower_bound",
@@ -674,55 +687,42 @@ def _aggregate(name, plan, reports, extra_details):
 
 @dataclass(frozen=True)
 class _Check:
-    """One suite entry.
+    """One suite entry, whose core is the module function ``_<name>``.
 
-    ``instances(plan)`` returns the argument tuples of the generic instances
-    and ``equality_cases()`` returns those of the known equality cases;
-    ``evaluate(tol, *args)`` turns one tuple into a ``CheckReport``, solving
-    with the default solver config the ensembles ``solves(*args)`` lists:
-    by default every ``Ensemble`` among the arguments.
-    ``evaluate`` names its check function through the module attribute at
-    call time, never through a stored reference, so a rebound attribute is
-    the one that runs. ``finish(report, generic, equality)``, when set, adds
-    check-specific verdicts to the aggregate report.
+    ``instances(plan)`` and ``equality_cases()`` declare the argument tuples
+    of the generic instances and of the known equality cases, as requests
+    (``_Draw``, ``_EnsembleDraw``, ``_Apply``) and constants.
+    ``solves(*args)`` lists the ensembles a built case needs solved, building
+    the derived ones (Kronecker pairs, inverses); by default every
+    ``Ensemble`` among the arguments. The core takes the tolerance, the built
+    arguments and those solves' outcomes. ``finish(report, generic,
+    equality)`` adds check-specific verdicts to the aggregate report.
     """
 
     instances: Callable
-    evaluate: Callable
     equality_cases: Callable = lambda: ()
-    finish: Callable | None = None
+    finish: Callable = lambda report, generic, equality: None
     solves: Callable = lambda *args: [a for a in args if isinstance(a, bc.Ensemble)]
 
 
-def _cases(name, check, plan):
-    """The entry's generic and equality-case argument tuples, materialised
-    once per ``run_suite`` call."""
-    return _shared(
-        ("cases", name), lambda: (list(check.instances(plan)), list(check.equality_cases()))
-    )
-
-
-def _solved_ensembles(check, cases):
-    """Every ensemble the entry's evaluation of ``cases`` will solve."""
-    for args in (*cases[0], *cases[1]):
-        yield from check.solves(*args)
-
-
-def _run_check(name, check, plan):
-    """Evaluate the entry's generic instances, then its equality cases, under
-    the suite tolerance; aggregate them."""
+def _run_check(name, check, built):
+    """Run the core of check ``name``, looked up at call time, on each
+    generic, then each equality case of ``built`` = (plan, cases, solved):
+    on its arguments and then the outcomes at its solve indices in
+    ``solved``; aggregate the reports under the plan's tolerance."""
+    plan, cases, solved = built
     tol = ToleranceConfig(loewner_tol=plan.tol)
-    instances, equality_cases = _cases(name, check, plan)
-    generic = [check.evaluate(tol, *args) for args in instances]
-    equality = [check.evaluate(tol, *args) for args in equality_cases]
+    core = globals()[f"_{name}"]
+    generic, equality = (
+        [core(tol, *args, *map(solved.__getitem__, ix)) for args, ix in group] for group in cases
+    )
     extra = {}
     if len(equality) == 1:
         extra["equality_case_margin"] = equality[0].margin
     elif equality:
         extra["equality_case_margins"] = [r.margin for r in equality]
     report = _aggregate(name, plan, generic + equality, extra)
-    if check.finish is not None:
-        check.finish(report, generic, equality)
+    check.finish(report, generic, equality)
     return report
 
 
@@ -734,16 +734,13 @@ def _spd(m, seed, salt):
     return _Draw(m, _mix(seed, salt), _UNIT)
 
 
-def _spds(m, seed, *salts):
-    return _resolve([tuple(_spd(m, seed, salt) for salt in salts)])[0]
+def _repeated(weights, a):
+    """The ensemble of ``a`` under each of the weights."""
+    return bc.Ensemble(weights=weights, matrices=[a] * len(weights))
 
 
 def _singletons(m, seed, *salts):
-    return tuple(map(_singleton, _spds(m, seed, *salts)))
-
-
-def _singleton(a):
-    return bc.Ensemble(weights=[1.0], matrices=[a])
+    return tuple(_Apply(_repeated, ((1.0,), _spd(m, seed, salt))) for salt in salts)
 
 
 def _ensembles(plan, counts, min_dim=1, limit=None, salts=(None,), dim=None, **spectrum):
@@ -751,43 +748,22 @@ def _ensembles(plan, counts, min_dim=1, limit=None, salts=(None,), dim=None, **s
     (all when None), seeded by the seed mixed with the salt (the seed for
     None), of size ``counts[seed % len(counts)]`` and dimension ``dim(seed)``
     (the plan's, at least ``min_dim``, when None)."""
-    return _resolve([
+    return [
         tuple(_EnsembleDraw(max(min_dim, plan.dim_for(s)) if dim is None else dim(s),
                             counts[s % len(counts)], s if salt is None else _mix(s, salt),
                             **spectrum)
               for salt in salts)
         for s in plan.seed_list()[:limit]
-    ])
+    ]
 
 
 def _commuting_pairs(m, seed, *salts):
     return tuple(_Draw(m, _mix(seed, salt), _UNIT, 2) for salt in salts)
 
 
-def _phi_geometric_mean_instances(plan):
-    dims = [(s, max(2, plan.dim_for(s))) for s in plan.seed_list()]
-    pairs = _resolve([(_spd(m, s, 41), _spd(m, s, 43)) for s, m in dims])
-    return [(a, b, random_isometry_map(m, max(1, m - 1 - s % 2), _mix(s, 37)))
-            for (a, b), (s, m) in zip(pairs, dims)]
-
-
-def _phi_wass_instances(plan):
-    return [(e, random_isometry_map(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
-            for (e,), s in zip(_ensembles(plan, (2, 3), min_dim=2), plan.seed_list())
-            for m in [max(2, plan.dim_for(s))]]
-
-
-def _jensen_instances(plan):
-    cases = _resolve([(_spd(plan.dim_for(s), s, 167), _Draw(plan.dim_for(s), _mix(s, 173)))
-                      for s in plan.seed_list()])
-    return [(a, (1.0 + (s % 5) * 0.5) * u, (0.25, 0.5, 0.75)[s % 3])
-            for (a, u), s in zip(cases, plan.seed_list())]
-
-
-def _jensen_equality_cases():
-    # p = 1 always, p = 0 for unitary x.
-    ((a, u),) = _resolve([(_spd(3, 8, 179), _Draw(3, _mix(8, 181)))])
-    return [(a, 2.0 * u, 1.0), (a, u, 0.0)]
+def _isometry(s, k, seed):
+    """The request of ``random_isometry_map(s, k, seed)``."""
+    return _Apply(_isometry_map, (_Draw(s, seed), k))
 
 
 def _finish_det_inequality(report, generic, equality):
@@ -811,106 +787,100 @@ _EYE2 = np.eye(2, dtype=np.complex128)
 _CHECKS = {
     "fixed_point": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
-        evaluate=lambda tol, e: check_fixed_point_certificate(e, tol=tol),
         # The singleton ensemble solves exactly.
         equality_cases=lambda: [_singletons(3, 0, 23)],
     ),
     "bounds": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
-        evaluate=lambda tol, e: check_bounds(e, tol=tol),
         # The identity singleton makes both bounds tight.
-        equality_cases=lambda: [(_singleton(_EYE2),)],
+        equality_cases=lambda: [(_repeated((1.0,), _EYE2),)],
     ),
     "det_inequality": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3)),
-        evaluate=lambda tol, e: check_det_inequality(e, tol=tol),
         # A constant ensemble.
-        equality_cases=lambda: [
-            (bc.Ensemble(weights=[0.25, 0.5, 0.25], matrices=_spds(3, 1, 29) * 3),)
-        ],
+        equality_cases=lambda: [(_Apply(_repeated, ((0.25, 0.5, 0.25), _spd(3, 1, 29))),)],
         finish=_finish_det_inequality,
     ),
     "logdet_concavity": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 4)),
-        evaluate=lambda tol, e: check_logdet_concavity(e, tol=tol),
-        equality_cases=lambda: [
-            (bc.Ensemble(weights=[0.5, 0.5], matrices=_spds(3, 2, 31) * 2),)
-        ],
+        equality_cases=lambda: [(_Apply(_repeated, ((0.5, 0.5), _spd(3, 2, 31))),)],
         solves=lambda e: (),
     ),
     "phi_geometric_mean": _Check(
-        instances=_phi_geometric_mean_instances,
-        evaluate=lambda tol, a, b, phi: check_phi_geometric_mean(a, b, phi, tol),
+        instances=lambda plan: [
+            (_spd(m, s, 41), _spd(m, s, 43), _isometry(m, max(1, m - 1 - s % 2), _mix(s, 37)))
+            for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
+        ],
         # A unitary conjugation commutes with the mean.
-        equality_cases=lambda: [(*_spds(3, 3, 53, 59), random_isometry_map(3, 3, _mix(3, 47)))],
+        equality_cases=lambda: [(_spd(3, 3, 53), _spd(3, 3, 59), _isometry(3, 3, _mix(3, 47)))],
     ),
     "phi_wass": _Check(
-        instances=_phi_wass_instances,
-        evaluate=lambda tol, e, phi: check_phi_wass(e, phi, tol=tol),
+        instances=lambda plan: [
+            (e, _isometry(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
+            for (e,), s in zip(_ensembles(plan, (2, 3), min_dim=2), plan.seed_list())
+            for m in [max(2, plan.dim_for(s))]
+        ],
     ),
     "self_duality_gap": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), min_dim=2, limit=8),
-        evaluate=lambda tol, e: check_self_duality_gap(e),
         finish=_finish_self_duality_gap,
         solves=lambda e: (e, _inverted(e)),
     ),
     "tensor_identity": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), salts=(67, 71), dim=lambda s: 2),
-        evaluate=lambda tol, a, b: check_tensor_identity(a, b),
         # Singleton ensembles reproduce the plain Kronecker product.
         equality_cases=lambda: [_singletons(2, 4, 73, 79)],
-        solves=lambda a, b: (a, b, _tensor(a, b)),
+        solves=lambda a, b: (a, b, ensemble_tensor(a, b)),
     ),
     "tensor_arithmetic_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), salts=(83, 89), dim=lambda s: 2),
-        evaluate=lambda tol, a, b: check_tensor_arithmetic_bound(a, b, tol=tol),
         equality_cases=lambda: [_singletons(2, 5, 97, 101)],
     ),
     "hadamard_arithmetic_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), salts=(103, 107)),
-        evaluate=lambda tol, a, b: check_hadamard_arithmetic_bound(a, b, tol=tol),
         equality_cases=lambda: [_singletons(3, 6, 109, 113)],
     ),
     "commuting_quadruple": _Check(
         instances=lambda plan: [
-            (*ab, *cd)
-            for ab, cd in _resolve([_commuting_pairs(plan.dim_for(s), s, 127, 131)
-                                    for s in plan.seed_list()])
+            _commuting_pairs(plan.dim_for(s), s, 127, 131) for s in plan.seed_list()
         ],
-        evaluate=lambda tol, a, b, c, d: check_commuting_quadruple(a, b, c, d, tol),
         # Coincident pairs zero out both sides.
         equality_cases=lambda: [
-            (ab[0], ab[0], cd[0], cd[0]) for ab, cd in _resolve([_commuting_pairs(3, 7, 137, 139)])
+            tuple(_Apply(itemgetter(0, 0), (d,)) for d in _commuting_pairs(3, 7, 137, 139))
         ],
     ),
     "hadamard_inverse": _Check(
-        instances=lambda plan: _resolve([
+        instances=lambda plan: [
             (_spd(m, s, 149), _spd(m, s, 151))
             for s in plan.seed_list() for m in [min(4, plan.dim_for(s))]
-        ]),
-        evaluate=lambda tol, a, b: check_hadamard_inverse(a, b, tol),
+        ],
         equality_cases=lambda: [(_EYE2, _EYE2)],
     ),
     "kantorovich_hadamard": _Check(
         instances=lambda plan: _ensembles(
             plan, (2,), salts=(157, 163), dim=lambda s: min(3, plan.dim_for(s))
         ),
-        evaluate=lambda tol, a, b: check_kantorovich_hadamard(a, b, tol=tol),
-        equality_cases=lambda: [(_singleton(_EYE2),) * 2],
+        equality_cases=lambda: [(_repeated((1.0,), _EYE2),) * 2],
     ),
     "jensen_contraction": _Check(
-        instances=_jensen_instances,
-        evaluate=lambda tol, a, x, p: check_jensen_contraction(a, x, p, tol),
-        equality_cases=_jensen_equality_cases,
+        instances=lambda plan: [
+            (_spd(m, s, 167), _Apply(np.multiply, (1.0 + (s % 5) * 0.5, _Draw(m, _mix(s, 173)))),
+             (0.25, 0.5, 0.75)[s % 3])
+            for s in plan.seed_list() for m in [plan.dim_for(s)]
+        ],
+        # p = 1 always, p = 0 for unitary x.
+        equality_cases=lambda: [
+            (_spd(3, 8, 179), _Apply(np.multiply, (2.0, _Draw(3, _mix(8, 181)))), 1.0),
+            (_spd(3, 8, 179), _Draw(3, _mix(8, 181)), 0.0),
+        ],
     ),
     "sqrt_sum_lower_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2,), salts=(191, 193), eig_lo=1.0, eig_hi=3.0),
-        evaluate=lambda tol, a, b: check_sqrt_sum_lower_bound(a, b, tol=tol),
-        equality_cases=lambda: [(_singleton(_EYE2),) * 2],
+        equality_cases=lambda: [(_repeated((1.0,), _EYE2),) * 2],
     ),
 }
 
-# Each value maps a plan to the check's aggregate CheckReport.
+# Each value maps what ``run_suite`` built for its check, (plan, cases, solved), to its report.
 CHECK_REGISTRY = {name: partial(_run_check, name, check) for name, check in _CHECKS.items()}
 
 # "all" in plans and on the CLI expands to these.
@@ -924,48 +894,62 @@ def default_plan(**overrides):
 
 
 def run_suite(plan):
-    """Run every check in the plan; a failing driver is captured in its
-    report rather than aborting the suite. Reports follow plan order.
+    """Run every check in the plan; reports follow plan order.
 
-    Seeded ensembles, cases and solves are shared between the checks of this
-    call only; the memo is dropped when the call returns."""
-    reports = []
-    token = _SUITE_MEMO.set({})
-    try:
-        _presolve(plan)
-        for name in plan.checks:
-            driver = CHECK_REGISTRY[name]
-            try:
-                reports.append(driver(plan))
-            except Exception as exc:  # noqa: BLE001 - captured per report
-                reports.append(
-                    CheckReport(
-                        check_name=name,
-                        holds=False,
-                        margin=-np.inf,
-                        inputs=plan.provenance(),
-                        details={"error": f"{type(exc).__name__}: {exc}"},
-                    )
-                )
-    finally:
-        _SUITE_MEMO.reset(token)
-    return reports
+    The steps pass their data on, and nothing outlives the call: each check
+    declares its cases; one ``_seeded_draws`` call draws every matrix they
+    take; the cases are built, and one ``bc.wasserstein_means`` call solves
+    each distinct ensemble content they list; then each check's
+    ``CHECK_REGISTRY`` entry, looked up at call time, runs its core. An error
+    in any step fails only its check's report."""
+    state = [[name, None] for name in plan.checks]
+    pending = _build_cases(state, plan)
+    solved = bc.wasserstein_means([e for _, e in pending.values()])
+    _per_check(state, plan, lambda name, cases: CHECK_REGISTRY[name]((plan, cases, solved)))
+    return [report for _, report in state]
 
 
-def _presolve(plan):
-    """Materialise the cases of the plan's checks into the running memo, then
-    solve every distinct ensemble content they will solve, batched by shape.
+def _build_cases(state, plan):
+    """Declare the cases of each check of ``state``, draw every matrix they
+    take in one ``_seeded_draws`` call, and build them; return the ensembles
+    they solve, ``_solve_index``'s map."""
+    draws, pending = [], {}
+    _per_check(state, plan, lambda name, _: _declared(_CHECKS[name], plan, draws))
+    drawn = _drawn(draws)
+    _per_check(state, plan, lambda name, cases: _built_cases(_CHECKS[name], cases, drawn, pending))
+    return pending
 
-    A check whose cases fail to materialise is skipped here: its driver
-    materialises them again and fails in its own report, as it would have."""
-    pending = {}
-    for name in plan.checks:
+
+def _per_check(state, plan, step):
+    """Replace the value of each ``[name, value]`` entry of ``state`` that is
+    not yet a report by ``step(name, value)``; an error that raises becomes
+    the check's report."""
+    for entry in (e for e in state if not isinstance(e[1], CheckReport)):
         try:
-            check = _CHECKS[name]
-            cases = _cases(name, check, plan)
-            for ensemble in _solved_ensembles(check, cases):
-                pending.setdefault(_solve_key(ensemble), ensemble)
-        except Exception:  # noqa: BLE001 - raised again by the check's driver
-            pass
-    for key, outcome in zip(pending, bc.wasserstein_means(list(pending.values()))):
-        _shared(key, lambda: outcome)
+            entry[1] = step(*entry)
+        except Exception as exc:  # noqa: BLE001 - captured per report
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            entry[1] = CheckReport(entry[0], False, -np.inf, plan.provenance(), error)
+
+
+def _declared(check, plan, draws):
+    """The check's generic and equality cases, as declared; the ``_Draw``s
+    they take are appended to ``draws``."""
+    cases = list(check.instances(plan)), list(check.equality_cases())
+    draws += [d for group in cases for case in group for arg in case for d in _draws_of(arg)]
+    return cases
+
+
+def _built_cases(check, cases, drawn, pending):
+    """Each case as its built arguments and the solve indices of the
+    ensembles ``check.solves`` lists for them."""
+    built = [[tuple(_built(arg, drawn) for arg in case) for case in group] for group in cases]
+    return [[(args, [_solve_index(e, pending) for e in check.solves(*args)]) for args in group]
+            for group in built]
+
+
+def _solve_index(ensemble, pending):
+    """The index of the content (weight and matrix bytes) of ``ensemble`` in
+    ``pending``, which maps each content to its index and first ensemble."""
+    key = ensemble.weights.tobytes(), ensemble.matrices.tobytes()
+    return pending.setdefault(key, (len(pending), ensemble))[0]

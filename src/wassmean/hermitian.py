@@ -296,11 +296,6 @@ def _haar_unitaries(g):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _haar_unitary(rng, m):
-    """Haar-distributed m x m unitary drawn from ``rng``."""
-    return _haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))
-
-
 def random_unitary(m, seed):
     """Haar random m x m unitary, deterministic per seed."""
     m = require_positive(m, "m", integer=True)
@@ -360,22 +355,24 @@ def _seeded_draws(draws):
         groups.setdefault(d.m, []).append(i)
     out = [None] * len(draws)
     for m, rows in groups.items():
-        rngs = [np.random.default_rng(draws[i].seed) for i in rows]
-        normals = np.stack([rng.standard_normal((2, m, m)) for rng in rngs])
+        # One stream at a time: a window's hundreds of generators, all alive,
+        # would set the suite's memory peak.
+        normals, lam = np.empty((len(rows), 2, m, m)), {}
+        for j, i in enumerate(rows):
+            rng = np.random.default_rng(draws[i].seed)
+            normals[j] = rng.standard_normal((2, m, m))
+            if draws[i].spectrum is not None and draws[i].count is None:
+                lam[j] = rng.uniform(*draws[i].spectrum, m)
         units = _haar_unitaries(_ginibre(normals))
-        spd, lam = [], []
-        for j, (i, rng) in enumerate(zip(rows, rngs)):
+        for j, i in enumerate(rows):
             d = draws[i]
             if d.spectrum is None:
                 out[i] = units[j]
-            elif d.count is None:
-                spd.append(j)
-                lam.append(rng.uniform(*d.spectrum, m))
-            else:
+            elif d.count is not None:
                 spectra = np.random.default_rng(d.seed + 1).uniform(*d.spectrum, (d.count, m))
                 out[i] = _k._from_spectrum(units[j], spectra)
-        if spd:
-            for j, a in zip(spd, _k._from_spectrum(units[spd], np.stack(lam))):
+        if lam:
+            for j, a in zip(lam, _k._from_spectrum(units[list(lam)], np.stack(list(lam.values())))):
                 out[rows[j]] = a
     return out
 

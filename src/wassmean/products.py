@@ -134,5 +134,9 @@ def random_isometry_map(s, k, seed):
     s, k = require_positive(s, "s", integer=True), require_positive(k, "k", integer=True)
     if k > s:
         raise ValueError(f"target dimension {k} exceeds source dimension {s}")
-    u = random_unitary(s, seed)
+    return _isometry_map(random_unitary(s, seed), k)
+
+
+def _isometry_map(u, k):
+    """Compression onto the first k columns of the unitary u."""
     return PositiveMapSpec(kind="isometry", isometry=np.ascontiguousarray(u[:, :k]))

@@ -1,7 +1,6 @@
 import atexit
 import shutil
 import tempfile
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from wassmean import _kernels, checks
-from wassmean.hermitian import _haar_unitary, hermitianize
+from wassmean.hermitian import _ginibre, _haar_unitaries, hermitianize
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic and writes no files.
@@ -32,7 +31,7 @@ def wide_spectrum_mats():
     mats = []
     for j in range(6):
         rng = np.random.default_rng(j)
-        u = _haar_unitary(rng, 8)
+        u = _haar_unitaries(_ginibre(rng.standard_normal((2, 8, 8))))
         a = (u * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 8))) @ u.conj().T
         mats.append((a + a.conj().T) * 0.5)
     return np.stack(mats)
@@ -40,20 +39,16 @@ def wide_spectrum_mats():
 
 @pytest.fixture
 def reversed_bound_check(monkeypatch):
-    """Register, for one test, a suite entry that asserts the mean's
-    arithmetic-mean bound in the wrong direction (sum_j w_j A_j <= mean),
-    which fails on any generic ensemble; return its name."""
-    name = "reversed_bound"
+    """Rebind, for one test, the core of the suite's ``bounds`` check to one
+    that asserts the mean's arithmetic-mean bound in the wrong direction
+    (sum_j w_j A_j <= mean), which fails on any generic ensemble; return the
+    check's name."""
 
-    def evaluate(tol, e):
+    def reversed_bounds(tol, e, solved):
         upper = hermitianize(_kernels.weighted_sum(e.weights, e.matrices))
         return checks._order_report(
-            name, tol, {"dim": e.dim, "count": e.size}, {}, (None, upper, checks._solve(e))
+            "bounds", tol, {"dim": e.dim, "count": e.size}, {}, (None, upper, checks._mean(solved))
         )
 
-    entry = checks._Check(
-        instances=lambda plan: checks._ensembles(plan, (3,), min_dim=2, limit=1),
-        evaluate=evaluate,
-    )
-    monkeypatch.setitem(checks.CHECK_REGISTRY, name, partial(checks._run_check, name, entry))
-    return name
+    monkeypatch.setattr(checks, "_bounds", reversed_bounds)
+    return "bounds"

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from wassmean.bures import bw_distance, geodesic
-from wassmean.hermitian import frobenius, random_commuting_spds, random_spd, sqrtm
+from wassmean.cli import main
+from wassmean.hermitian import (
+    _ginibre,
+    _haar_unitaries,
+    frobenius,
+    random_commuting_spds,
+    random_spd,
+    sqrtm,
+)
+from wassmean.io import dumps_canonical, matrix_to_json_dict
+from wassmean.means import geometric_mean
 
 
 def _pair(seed, m=3):
@@ -184,3 +194,34 @@ def test_distance_self_is_zero_on_wide_spectra():
     for seed in range(48):
         a = random_spd(50, seed=seed, eig_lo=0.5, eig_hi=100.0)
         assert bw_distance(a, a) ** 2 <= 1e-12 * np.trace(a).real
+
+
+def _wide_pair(seed, m=4):
+    """A, then B, from default_rng(seed): each U diag(exp(uniform(log 1e-6,
+    log 1e6))) U*, so wide that round-off leaves the congruence of a
+    geodesic or geometric mean with an eigenvalue just below zero."""
+    rng = np.random.default_rng(seed)
+    pair = []
+    for _ in range(2):
+        u = _haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))
+        a = (u * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), m))) @ u.conj().T
+        pair.append((a + a.conj().T) * 0.5)
+    return pair
+
+
+@pytest.mark.parametrize("seed", [1, 14])
+def test_geometric_mean_clamps_congruence_round_off(seed):
+    # Its square root used to be NaN; on seed 14 only the geometric mean's
+    # congruence, not the geodesic's, goes below zero.
+    assert np.isfinite(geometric_mean(*_wide_pair(seed))).all()
+
+
+def test_geodesic_clamps_congruence_round_off(tmp_path, capsys):
+    # The CLI used to write NaN and exit 0.
+    pair = _wide_pair(1)
+    assert np.isfinite(geodesic(*pair, 0.5)).all()
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, mat in zip(paths, pair):
+        path.write_text(dumps_canonical(matrix_to_json_dict(mat)))
+    assert main(["geodesic", *map(str, paths), "--t", "0.5"]) == 0
+    assert "NaN" not in capsys.readouterr().out

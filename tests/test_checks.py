@@ -165,18 +165,18 @@ def test_tensor_identity_at_dimension_cap():
 
 
 def test_tensor_identity_reports_non_convergence(monkeypatch):
-    mean_report = checks_mod._mean_report
+    solve_all = barycenter.wasserstein_means
 
-    def not_converged(ensemble):
-        return dataclasses.replace(mean_report(ensemble), converged=False)
+    def not_converged(ensembles, config=None):
+        return [dataclasses.replace(r, converged=False) for r in solve_all(ensembles, config)]
 
-    monkeypatch.setattr(checks_mod, "_mean_report", not_converged)
-    a = random_ensemble(2, 2, 15)
-    b = random_ensemble(2, 2, 16)
-    report = check_tensor_identity(a, b)
-    assert not report.holds
-    assert report.margin == -np.inf
-    assert "did not converge" in report.details["error"]
+    monkeypatch.setattr(barycenter, "wasserstein_means", not_converged)
+    report = check_tensor_identity(random_ensemble(2, 2, 15), random_ensemble(2, 2, 16))
+    (suite,) = run_suite(SuitePlan(checks=("tensor_identity",), seeds=(0, 2)))
+    for error in (report.details["error"], suite.details["worst_details"]["error"]):
+        assert "did not converge" in error
+    assert not report.holds and not suite.holds
+    assert report.margin == suite.margin == -np.inf
 
 
 def test_tensor_arithmetic_bound_cases():
@@ -425,27 +425,6 @@ def test_run_suite_captures_driver_errors(monkeypatch):
     assert "synthetic failure" in reports[0].details["error"]
 
 
-# Where each default check's function lives; the suite must look it up there
-# at call time, so that a rebound attribute is the one that runs.
-CHECK_FUNCTIONS = {
-    "fixed_point": (checks_mod, "check_fixed_point_certificate"),
-    "bounds": (checks_mod, "check_bounds"),
-    "det_inequality": (checks_mod, "check_det_inequality"),
-    "logdet_concavity": (checks_mod, "check_logdet_concavity"),
-    "phi_geometric_mean": (checks_mod, "check_phi_geometric_mean"),
-    "phi_wass": (checks_mod, "check_phi_wass"),
-    "self_duality_gap": (checks_mod, "check_self_duality_gap"),
-    "tensor_identity": (checks_mod, "check_tensor_identity"),
-    "tensor_arithmetic_bound": (checks_mod, "check_tensor_arithmetic_bound"),
-    "hadamard_arithmetic_bound": (checks_mod, "check_hadamard_arithmetic_bound"),
-    "commuting_quadruple": (checks_mod, "check_commuting_quadruple"),
-    "hadamard_inverse": (checks_mod, "check_hadamard_inverse"),
-    "kantorovich_hadamard": (checks_mod, "check_kantorovich_hadamard"),
-    "jensen_contraction": (checks_mod, "check_jensen_contraction"),
-    "sqrt_sum_lower_bound": (checks_mod, "check_sqrt_sum_lower_bound"),
-}
-
-
 def _counting(counts, name, fn):
     def counted(*args, **kwargs):
         counts[name] += 1
@@ -455,12 +434,15 @@ def _counting(counts, name, fn):
 
 
 def test_suite_calls_rebound_check_functions_once_per_instance(monkeypatch):
-    assert set(CHECK_FUNCTIONS) == set(DEFAULT_CHECKS)
-    counts = dict.fromkeys(CHECK_FUNCTIONS, 0)
-    for name, (module, attr) in CHECK_FUNCTIONS.items():
-        monkeypatch.setattr(module, attr, _counting(counts, name, getattr(module, attr)))
+    # The suite looks each check's core up as the module attribute _<name>
+    # at call time, so a rebound core is the one that runs.
+    counts = dict.fromkeys(DEFAULT_CHECKS, 0)
+    for name in DEFAULT_CHECKS:
+        core = getattr(checks_mod, f"_{name}")
+        monkeypatch.setattr(checks_mod, f"_{name}", _counting(counts, name, core))
     reports = run_suite(default_plan(seeds=(0, 10)))
     assert {r.check_name: r.details["instances"] for r in reports} == counts
+    assert sum(counts.values()) == 162
     assert all(r.holds for r in reports)
 
 
@@ -487,9 +469,9 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
 
 
 def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide_spectrum_mats):
-    # Every seeded instance of the plan is the ensemble whose solve breaks
-    # down: the batched solve stores its error, and each check that asks for
-    # it raises that error.
+    # Both instances of the plan hold the ensemble whose solve breaks down,
+    # built apart: the one solve of their content stores its error, and the
+    # check raises it into its report.
     wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
     solved = []
     solve = _kernels.wasserstein_solve
@@ -503,7 +485,10 @@ def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide
         return solve(mats, weights, *args)
 
     monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
-    monkeypatch.setattr(checks_mod, "random_ensemble", lambda *args, **kwargs: wide)
+    copy = Ensemble(weights=wide.weights, matrices=wide.matrices)
+    monkeypatch.setitem(checks_mod._CHECKS, "bounds", dataclasses.replace(
+        checks_mod._CHECKS["bounds"], instances=lambda plan: [(wide,), (copy,)]
+    ))
     (report,) = run_suite(SuitePlan(checks=("bounds",), seeds=(0, 2)))
     assert solved.count(True) == 1
     assert not report.holds
@@ -584,50 +569,65 @@ def test_suite_reports_equal_single_solves_bitwise(monkeypatch):
 
 
 def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
+    # A builder, a request or a derived ensemble that raises fails its own
+    # check's report; the other checks still run.
     def broken(*args):
         raise ValueError("no map today")
 
-    monkeypatch.setattr(checks_mod, "random_isometry_map", broken)
-    reports = run_suite(SuitePlan(checks=("phi_wass", "bounds"), seeds=(0, 2)))
-    assert reports[0].details["error"] == "ValueError: no map today"
-    assert reports[1].holds
+    monkeypatch.setattr(checks_mod, "_isometry_map", broken)
+    monkeypatch.setattr(checks_mod, "ensemble_tensor", broken)
+    for name, instances in (
+        ("bounds", broken),
+        ("det_inequality", lambda plan: [(checks_mod._EnsembleDraw(2, 2, 0, 2.0, 1.0),)]),
+    ):
+        monkeypatch.setitem(checks_mod._CHECKS, name, dataclasses.replace(
+            checks_mod._CHECKS[name], instances=instances
+        ))
+    names = ("phi_wass", "tensor_identity", "bounds", "det_inequality", "logdet_concavity")
+    reports = run_suite(SuitePlan(checks=names, seeds=(0, 2)))
+    assert [r.details.get("error") for r in reports] == ["ValueError: no map today"] * 3 + [
+        "ValueError: invalid eigenvalue range [2.0, 1.0]", None
+    ]
+    assert reports[-1].holds
 
 
-class _Abort(BaseException):
-    pass
+def test_suite_keeps_no_state_between_or_inside_calls(monkeypatch):
+    # A suite run inside a core of another run, and a second run after it,
+    # both report what the first run reports.
+    plan = SuitePlan(checks=("fixed_point", "tensor_identity", "self_duality_gap"), seeds=(0, 3))
+    first = [r.to_json_dict() for r in run_suite(plan)]
+    nested = []
+    core = checks_mod._tensor_identity
+
+    def nesting(*args):
+        if not nested:
+            nested.append(None)
+            nested.append([r.to_json_dict() for r in run_suite(plan)])
+        return core(*args)
+
+    monkeypatch.setattr(checks_mod, "_tensor_identity", nesting)
+    assert [r.to_json_dict() for r in run_suite(plan)] == first
+    assert nested[1] == first
+    assert [r.to_json_dict() for r in run_suite(plan)] == first
 
 
-def test_suite_memo_lives_only_inside_run_suite(monkeypatch):
-    sizes = []
-
-    def peek_then(exc):
-        def driver(plan):
-            sizes.append(len(checks_mod._SUITE_MEMO.get()))
-            raise exc
-
-        return driver
-
-    assert checks_mod._SUITE_MEMO.get() is None
-    monkeypatch.setitem(checks_mod.CHECK_REGISTRY, "bounds", peek_then(RuntimeError("boom")))
-    reports = run_suite(SuitePlan(checks=("fixed_point", "bounds"), seeds=(0, 2)))
-    assert "boom" in reports[1].details["error"]
-    assert checks_mod._SUITE_MEMO.get() is None
-
-    # A driver error the suite does not capture still drops the memo.
-    monkeypatch.setitem(checks_mod.CHECK_REGISTRY, "bounds", peek_then(_Abort()))
-    with pytest.raises(_Abort):
-        run_suite(SuitePlan(checks=("fixed_point", "bounds"), seeds=(0, 2)))
-    assert checks_mod._SUITE_MEMO.get() is None
-    # fixed_point had filled the memo before the failing driver ran.
-    assert sizes[0] > 0 and sizes[1] > 0
-
-
-def test_seeded_ensembles_are_not_shared_outside_run_suite():
+def test_seeded_ensembles_are_not_shared_outside_run_suite(monkeypatch):
     first, second = random_ensemble(3, 2, 5), random_ensemble(3, 2, 5)
     assert first is not second
     assert np.array_equal(first.matrices, second.matrices)
-    report = checks_mod.CHECK_REGISTRY["bounds"](SuitePlan(checks=("bounds",), seeds=(0, 3)))
-    assert report.holds and report.details["instances"] == 4
+    # Two suite runs build their ensembles apart.
+    seen = []
+    core = checks_mod._bounds
+
+    def recording(tol, ensemble, solved):
+        seen.append(ensemble)
+        return core(tol, ensemble, solved)
+
+    monkeypatch.setattr(checks_mod, "_bounds", recording)
+    plan = SuitePlan(checks=("bounds",), seeds=(0, 3))
+    assert run_suite(plan) == run_suite(plan)
+    assert len(seen) == 8
+    assert not {id(e) for e in seen[:4]} & {id(e) for e in seen[4:]}
 
 
 def test_plan_rejects_unknown_check():
@@ -832,25 +832,31 @@ def test_jensen_validates_x():
 
 
 def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):
-    # The Kronecker-pair and inverted ensembles built for the batched solve
-    # are the ones the checks then solve, not rebuilt copies.
-    gathered, asked = [], []
-    solved_ensembles = checks_mod._solved_ensembles
-    mean_report = checks_mod._mean_report
+    # Each derived ensemble (Kronecker pairs, inverses) is built once, and
+    # its core gets the solve of the ensemble built.
+    built, solves = [], []
 
-    def gathering(check, cases):
-        for ensemble in solved_ensembles(check, cases):
-            gathered.append(ensemble)
-            yield ensemble
+    def building(fn):
+        def build(*args):
+            built.append(fn(*args))
+            return built[-1]
 
-    def asking(ensemble):
-        asked.append(ensemble)
-        return mean_report(ensemble)
+        return build
 
-    monkeypatch.setattr(checks_mod, "_solved_ensembles", gathering)
-    monkeypatch.setattr(checks_mod, "_mean_report", asking)
+    def running(core):
+        def run(tol, *args):
+            solves.append(args[-1])
+            return core(tol, *args)
+
+        return run
+
+    for name in ("ensemble_tensor", "_inverted"):
+        monkeypatch.setattr(checks_mod, name, building(getattr(checks_mod, name)))
+    for name in ("_tensor_identity", "_self_duality_gap"):
+        monkeypatch.setattr(checks_mod, name, running(getattr(checks_mod, name)))
     plan = SuitePlan(checks=("tensor_identity", "self_duality_gap"), seeds=(0, 4))
     assert all(r.holds for r in run_suite(plan))
-    # Three solves for each of 5 tensor cases, two for each of 4 ensembles.
-    assert len(asked) == 3 * 5 + 2 * 4
-    assert {id(e) for e in asked} <= {id(e) for e in gathered}
+    # Five tensor cases, one of them the equality case, and four ensembles.
+    assert len(built) == len(solves) == 5 + 4
+    for ensemble, solved in zip(built, solves):
+        assert np.array_equal(solved.mean, barycenter.wasserstein_mean(ensemble).mean)

@@ -257,3 +257,13 @@ def test_breakdown_in_a_batch_leaves_its_group_mates_intact(wide_spectrum_mats):
     weights = np.full((4, 6), 1.0 / 6.0)
     statuses = _assert_batch_matches_singles(mats, weights, 200)
     assert list(statuses) == [k.SOLVE_CONVERGED, k.SOLVE_BREAKDOWN] + [k.SOLVE_CONVERGED] * 2
+
+
+
+def test_congruence_root_clamps_only_round_off():
+    # Within 1e-12 of the largest eigenvalue below zero is round-off, clamped
+    # to 0; beyond it, an error.
+    root = k._congruence_root(np.diag([-5e-13, 1.0]).astype(complex))
+    assert np.array_equal(root, np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="^congruence root: eigenvalue -2.000e-12 below zero$"):
+        k._congruence_root(np.diag([-2e-12, 1.0]).astype(complex))

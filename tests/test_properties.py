@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from wassmean.barycenter import Ensemble, wasserstein_mean
 from wassmean.bures import bw_distance
 from wassmean.hermitian import (
-    _haar_unitary,
+    _ginibre,
+    _haar_unitaries,
     _random_spds,
     hermitianize,
     random_unitary,
@@ -40,7 +41,7 @@ def near_hermitian(draw):
     ratio < 1. Ratios near 1 are left out, where round-off decides."""
     m = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = _haar_unitary(rng, m)
+    u = _haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))
     a = hermitianize((u * rng.uniform(1.0, 4.0, m)) @ u.conj().T)
     r, c = draw(st.sampled_from([(r, c) for r in range(m) for c in range(m) if r != c]))
     ratio = draw(st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 10.0)))

@@ -1,20 +1,27 @@
 """Seeded inputs drawn in stacked batches, and the ensembles built from them
 without a second validation: a batched draw equals its lone generators bit
-for bit, a trusted ensemble equals the validated one, and a suite window's
-case-building factors each builder's matrices of one dimension in one QR."""
+for bit, a trusted ensemble equals the validated one, and a suite window
+draws all its seeded matrices in one call, one QR per dimension."""
 
 import math
-
-import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from wassmean import _kernels, barycenter, hermitian
+from wassmean import _kernels, hermitian
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
-from wassmean.checks import _EnsembleDraw, _mix, _resolve, default_plan, random_weights
+from wassmean.checks import (
+    _Apply,
+    _built,
+    _draws_of,
+    _drawn,
+    _EnsembleDraw,
+    _mix,
+    default_plan,
+    random_weights,
+)
 from wassmean.cli import main
 from wassmean.hermitian import (
     SPD_FLOOR,
@@ -72,36 +79,42 @@ def _counted_qrs(monkeypatch):
 
 @pytest.mark.parametrize("in_suite", [False, True])
 def test_resolved_cases_are_the_per_seed_draws(monkeypatch, in_suite):
-    # Inside run_suite one call draws the raw matrices and the ensembles, one
-    # QR per dimension; outside it each ensemble is drawn on its own.
-    cases = [
-        (_EnsembleDraw(3, 2, 7), _Draw(2, 9, (0.5, 2.0))),
-        (_EnsembleDraw(2, 3, 8, 1.0, 3.0), _Draw(3, 10)),
-        (_EnsembleDraw(3, 3, 5, commuting=True), _EnsembleDraw(3, 2, 7)),
+    # The suite draws every request of its cases in one call, one QR per
+    # dimension and each repeated draw once; drawn one request at a time, as
+    # random_ensemble draws, each request takes its own. Either way each
+    # argument is its lone generator's, bit for bit.
+    requests = [
+        _EnsembleDraw(3, 2, 7), _Draw(2, 9, (0.5, 2.0)),
+        _EnsembleDraw(2, 3, 8, 1.0, 3.0), _Draw(3, 10),
+        _EnsembleDraw(3, 3, 5, commuting=True), _Apply(np.multiply, (2.0, _Draw(2, 11))), 0.25,
+        _EnsembleDraw(3, 2, 7),
     ]
     qrs = _counted_qrs(monkeypatch)
-    token = checks_mod._SUITE_MEMO.set({} if in_suite else None)
-    try:
-        got = _resolve(cases)
-    finally:
-        checks_mod._SUITE_MEMO.reset(token)
-    assert sorted(qrs) == ([(4, 2, 2), (4, 3, 3)] if in_suite else
-                           [(1, 2, 2), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3), (3, 2, 2)])
-    assert got[2][1] is (got[0][0] if in_suite else got[2][1])
-    for case, values in zip(cases, got):
-        for r, value in zip(case, values):
-            if isinstance(r, _EnsembleDraw):
-                if r.commuting:
-                    mats = random_commuting_spds(r.m, r.n, _mix(r.seed, 11), r.eig_lo, r.eig_hi)
-                else:
-                    mats = np.stack([random_spd(r.m, _mix(r.seed, 13 + j), r.eig_lo, r.eig_hi)
-                                     for j in range(r.n)])
-                assert value.matrices.tobytes() == mats.tobytes()
-                assert value.weights.tobytes() == random_weights(r.n, _mix(r.seed, 17)).tobytes()
-            elif r.spectrum is None:
-                assert value.tobytes() == random_unitary(r.m, r.seed).tobytes()
+    if in_suite:
+        drawn = _drawn([d for r in requests for d in _draws_of(r)])
+        got = [_built(r, drawn) for r in requests]
+    else:
+        got = [_built(r, _drawn(_draws_of(r))) for r in requests]
+    assert sorted(qrs) == ([(4, 3, 3), (5, 2, 2)] if in_suite else [
+        (1, 2, 2), (1, 2, 2), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3), (3, 2, 2)
+    ])
+    for r, value in zip(requests, got):
+        if isinstance(r, _EnsembleDraw):
+            if r.commuting:
+                mats = random_commuting_spds(r.m, r.n, _mix(r.seed, 11), r.eig_lo, r.eig_hi)
             else:
-                assert value.tobytes() == random_spd(r.m, r.seed, *r.spectrum).tobytes()
+                mats = np.stack([random_spd(r.m, _mix(r.seed, 13 + j), r.eig_lo, r.eig_hi)
+                                 for j in range(r.n)])
+            assert value.matrices.tobytes() == mats.tobytes()
+            assert value.weights.tobytes() == random_weights(r.n, _mix(r.seed, 17)).tobytes()
+        elif isinstance(r, _Apply):
+            assert value.tobytes() == (2.0 * random_unitary(2, 11)).tobytes()
+        elif not isinstance(r, _Draw):
+            assert value is r
+        elif r.spectrum is None:
+            assert value.tobytes() == random_unitary(r.m, r.seed).tobytes()
+        else:
+            assert value.tobytes() == random_spd(r.m, r.seed, *r.spectrum).tobytes()
 
 
 def _counted_validations(monkeypatch):
@@ -171,18 +184,19 @@ def test_generated_ensemble_stores_what_validation_returns_bitwise(monkeypatch, 
         Ensemble._generated(weights, pinned(1e160, 1e160), 1e160, 1e160)
 
 
-def test_seeded_ensemble_of_an_overflowing_norm_is_refused(capsys):
+def test_seeded_ensemble_of_an_overflowing_norm_is_refused(monkeypatch, capsys):
     # The norm of a 2 x 2 matrix of spectrum [1e160, 1e160] overflows: the
-    # generator's output is validated, and the ensemble refused.
-    for in_suite in (False, True):
-        token = checks_mod._SUITE_MEMO.set({} if in_suite else None)
-        try:
-            with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
-                checks_mod.random_ensemble(2, 2, 0, eig_lo=1e160, eig_hi=1e160)
-            with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
-                _resolve([(_EnsembleDraw(2, 2, 0, 1e160, 1e160),)])
-        finally:
-            checks_mod._SUITE_MEMO.reset(token)
+    # generator's output is validated, and the ensemble refused; in the suite
+    # the check whose case it is fails alone.
+    overflowing = _EnsembleDraw(2, 2, 0, 1e160, 1e160)
+    with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
+        checks_mod.random_ensemble(*overflowing)
+    monkeypatch.setitem(checks_mod._CHECKS, "bounds", checks_mod._Check(
+        instances=lambda plan: [(overflowing,)]
+    ))
+    bounds, det = checks_mod.run_suite(default_plan(checks=("bounds", "det_inequality")))
+    assert bounds.details["error"] == "ValueError: matrices[0]: Frobenius norm overflows"
+    assert det.holds
     args = ["generate", "--m", "2", "--n", "2", "--eig-lo", "1e160", "--eig-hi", "1e160"]
     assert main(args) == 1
     captured = capsys.readouterr()
@@ -202,73 +216,56 @@ def test_inverted_ensemble_equals_the_validated_inverses_bitwise(monkeypatch):
         assert inverted.weights.tobytes() == want.weights.tobytes()
 
 
-def test_window_draws_one_qr_per_builder_and_dimension_and_validates_no_seeded_ensemble(
-    monkeypatch,
-):
-    # Case-building of a default 10-seed window, then the gathering of what
-    # it solves. Each builder factors its seeded matrices of one dimension in
-    # one batched QR (a builder whose ensembles another already drew factors
-    # none), and each isometry map, drawn through random_isometry_map, takes
-    # one QR of its own; only the equality cases' hand-made ensembles and the
-    # Kronecker pair ensembles are validated.
-    builder = ["gather"]
-    qrs, validated, maps = Counter(), Counter(), Counter()
-    qr, validate = np.linalg.qr, hermitian._require_stack
-    isometry_map = checks_mod.random_isometry_map
+def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
+    # A default 10-seed window draws every seeded matrix, isometry maps
+    # included, in one _seeded_draws call of one QR per dimension, and solves
+    # in one call. Validation runs on the derived matrices that the positive
+    # definite floor could still reject, and on the ensembles built from
+    # them or by hand, never on generator output.
+    running = ["build"]
+    calls, qrs, spd_calls, stacks = Counter(), [], Counter(), Counter()
 
-    def counted_qr(a, *args, **kwargs):
-        qrs[builder[0], a.shape[-1]] += 1
-        return qr(a, *args, **kwargs)
+    def counted(module, attr, tally):
+        fn = getattr(module, attr)
 
-    def counted_validate(*args, **kwargs):
-        validated[builder[0]] += 1
-        return validate(*args, **kwargs)
+        def run(*args, **kwargs):
+            tally(*args, **kwargs)
+            return fn(*args, **kwargs)
 
-    def counted_map(*args):
-        maps[builder[0]] += 1
-        tag, builder[0] = builder[0], "map"
-        try:
-            return isometry_map(*args)
-        finally:
-            builder[0] = tag
+        monkeypatch.setattr(module, attr, run)
 
-    def tagged(tag, build):
-        def run(*args):
-            builder[0] = tag
+    def tracked(name, driver):
+        def run(built):
+            running.append(name)
             try:
-                return build(*args)
+                return driver(built)
             finally:
-                builder[0] = "gather"
+                running.pop()
 
         return run
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    monkeypatch.setattr(hermitian, "_require_stack", counted_validate)
-    monkeypatch.setattr(checks_mod, "random_isometry_map", counted_map)
-    monkeypatch.setattr(barycenter, "wasserstein_means", lambda ensembles: [None] * len(ensembles))
-    for name, check in list(checks_mod._CHECKS.items()):
-        monkeypatch.setitem(checks_mod._CHECKS, name, dataclasses.replace(
-            check, instances=tagged(name, check.instances),
-            equality_cases=tagged(f"{name} equality", check.equality_cases),
-        ))
-    token = checks_mod._SUITE_MEMO.set({})
-    try:
-        checks_mod._presolve(default_plan(seeds=(0, 10)))
-    finally:
-        checks_mod._SUITE_MEMO.reset(token)
-    map_qrs = {dim: count for (tag, dim), count in qrs.items() if tag == "map"}
-    del qrs["map", 2], qrs["map", 3]
-    assert set(qrs.values()) == {1}
-    assert sum(qrs.values()) == 31
-    assert maps == {"phi_geometric_mean": 10, "phi_geometric_mean equality": 1, "phi_wass": 10}
-    assert sum(map_qrs.values()) == 21
-    assert {tag for tag, _ in qrs} >= {"fixed_point", "phi_geometric_mean", "jensen_contraction"}
-    assert not {tag for tag, _ in qrs} & {"bounds", "phi_wass", "self_duality_gap", "gather"}
-    assert validated == {
-        "fixed_point equality": 1, "bounds equality": 1, "det_inequality equality": 1,
-        "logdet_concavity equality": 1, "tensor_identity equality": 2,
-        "tensor_arithmetic_bound equality": 2, "hadamard_arithmetic_bound equality": 2,
-        "kantorovich_hadamard equality": 1, "sqrt_sum_lower_bound equality": 1,
-        # The ten instances' and the equality case's Kronecker pair ensembles.
-        "gather": 11,
+    counted(checks_mod, "_seeded_draws", lambda draws: calls.update(["draw"]))
+    counted(checks_mod.bc, "wasserstein_means", lambda *args: calls.update(["solve"]))
+    counted(np.linalg, "qr", lambda a, *args, **kwargs: qrs.append(a.shape))
+    counted(hermitian, "_require_matrix", lambda a, name, spd: spd_calls.update(
+        [running[-1]] if spd else []
+    ))
+    counted(hermitian, "_require_stack", lambda *args, **kwargs: stacks.update([running[-1]]))
+    for name in checks_mod.DEFAULT_CHECKS:
+        monkeypatch.setitem(
+            checks_mod.CHECK_REGISTRY, name, tracked(name, checks_mod.CHECK_REGISTRY[name])
+        )
+    reports = checks_mod.run_suite(default_plan(seeds=(0, 10)))
+    assert all(r.holds for r in reports)
+    assert calls == {"draw": 1, "solve": 1}
+    assert sorted(qrs) == [(149, 3, 3), (231, 2, 2)]
+    # The Schur products of hadamard_inverse and of the means in
+    # kantorovich_hadamard, and the congruences of jensen_contraction, on the
+    # ten instances and the equality cases.
+    assert spd_calls == {
+        "hadamard_inverse": 11, "kantorovich_hadamard": 11, "jensen_contraction": 12
     }
+    # The twelve hand-made equality-case ensembles and the eleven Kronecker
+    # pair ensembles are built and validated before evaluation; the 34
+    # validations above each check one matrix.
+    assert stacks == {"build": 23, **spd_calls}

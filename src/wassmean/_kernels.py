@@ -96,12 +96,13 @@ def geometric_mean(a, b):
 def bw_gap(a, b):
     """tr((a+b)/2) - tr((a^{1/2} b a^{1/2})^{1/2}), the squared distance
     before non-negativity clamping; one value per matrix pair, ``b``
-    broadcast against ``a``."""
+    broadcast against ``a``. A pair of equal matrices has the gap 0 exactly,
+    which the root's round-off would miss."""
     rs = spd_power(a, 0.5)
     w = np.linalg.eigvalsh(hermitianize(rs @ b @ rs))
     tr_cross = np.sqrt(np.maximum(w, 0.0)).sum(axis=-1)
     tr_ab = np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real
-    return 0.5 * tr_ab - tr_cross
+    return np.where((a == b).all(axis=(-2, -1)), 0.0, 0.5 * tr_ab - tr_cross)[()]
 
 
 def mean_equation_residual(x, mats, weights):

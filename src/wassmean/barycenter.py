@@ -164,9 +164,11 @@ def wasserstein_means(ensembles, config=None):
     ``matrices.shape``: the package's one solve.
 
     Each entry is the ensemble's ``SolverReport`` or the error its solve
-    raised: a ``SolverBreakdownError``, or the ``LinAlgError`` LAPACK raised
-    on the ensemble's own stack. One bad matrix fails LAPACK for its whole
-    shape group, so a failed group is solved again one ensemble at a time.
+    raised: a ``SolverBreakdownError``, the ``LinAlgError`` LAPACK raised on
+    the ensemble's own stack, or the ``ValueError`` of an objective term whose
+    round-off falls below the distance's clamp. One bad matrix fails LAPACK
+    for its whole shape group, so a failed group is solved again one
+    ensemble at a time.
     """
     if config is None:
         config = SolverConfig()
@@ -194,8 +196,9 @@ def wasserstein_means(ensembles, config=None):
 
 def _outcome(ensemble, x, iters, res, status, root_traces):
     """The read-only report on one solve from the solver's outputs, or the
-    ``SolverBreakdownError`` of a solve that lost positivity; the objective
-    comes from the root traces of the best iterate."""
+    ``SolverBreakdownError`` of a solve that lost positivity, or the
+    ``ValueError`` of an objective that the distance's clamp refuses; the
+    objective comes from the root traces of the best iterate."""
     if status == _k.SOLVE_BREAKDOWN:
         return SolverBreakdownError(
             f"iterate lost positive definiteness after {iters} iterations "
@@ -203,11 +206,15 @@ def _outcome(ensemble, x, iters, res, status, root_traces):
         )
     x.flags.writeable = False
     scales = _distance_scale(x, ensemble.matrices)
+    try:
+        objective = _weighted_squared_distances(ensemble.weights, scales - root_traces, scales)
+    except ValueError as exc:
+        return exc
     return SolverReport(
         mean=x,
         iterations=int(iters),
         residual=float(res),
-        objective=_weighted_squared_distances(ensemble.weights, scales - root_traces, scales),
+        objective=objective,
         converged=bool(status == _k.SOLVE_CONVERGED),
     )
 

@@ -39,11 +39,11 @@ from . import _kernels as _k
 from . import barycenter as bc
 from .hermitian import (
     ToleranceConfig,
+    _commuting_stack,
     _Draw,
-    _commuting_draw,
     _loewner_verdicts,
+    _require_eig_range,
     _seeded_draws,
-    _spd_draws,
     as_complex_matrix,
     frobenius,
     hermitianize,
@@ -127,46 +127,42 @@ def random_weights(n, seed):
 def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
     """Seeded random ensemble; ``commuting=True`` shares one eigenbasis."""
     n = require_positive(n, "n", integer=True)
-    request = _EnsembleDraw(m, n, seed, eig_lo, eig_hi, commuting)
+    m = require_positive(m, "m", integer=True)
+    request = _ensemble(m, n, seed, _require_eig_range(eig_lo, eig_hi), commuting)
     return _built(request, _drawn(_draws_of(request)))
 
 
-class _EnsembleDraw(NamedTuple):
-    """The arguments of ``random_ensemble``: its matrices and weights come
-    from streams salted off ``seed``."""
-
-    m: int
-    n: int
-    seed: int
-    eig_lo: float = 0.5
-    eig_hi: float = 2.0
-    commuting: bool = False
-
-    def draws(self):
-        """The ``_Draw``s of the matrices, checked as their generator checks."""
-        spectrum = self.eig_lo, self.eig_hi
-        if self.commuting:
-            return [_commuting_draw(self.m, self.n, _mix(self.seed, 11), *spectrum)]
-        return _spd_draws(self.m, [_mix(self.seed, 13 + j) for j in range(self.n)], *spectrum)
-
-    def build(self, arrays):
-        """The ensemble of the arrays of ``draws()``."""
-        mats = arrays[0] if self.commuting else np.stack(arrays)
-        weights = random_weights(self.n, _mix(self.seed, 17))
-        return bc.Ensemble._generated(weights, mats, self.eig_lo, self.eig_hi)
-
-
 class _Apply(NamedTuple):
-    """The case argument ``fn(*args)``, each request among ``args`` built."""
+    """The case argument ``fn(*args)``, each request among ``args`` built;
+    ``fn`` and ``args`` are hashable."""
 
     fn: Callable
     args: tuple
 
 
+def _ensemble(m, n, seed, spectrum, commuting=False):
+    """The request of ``random_ensemble(m, n, seed, *spectrum, commuting)``,
+    its arguments trusted."""
+    if commuting:
+        mats = [_commuting(m, _mix(seed, 11), n, spectrum)]
+    else:
+        mats = [_Draw(m, _mix(seed, 13 + j), spectrum) for j in range(n)]
+    return _Apply(_seeded_ensemble, (_mix(seed, 17), spectrum, *mats))
+
+
+def _commuting(m, seed, count, spectrum):
+    """The request of ``random_commuting_spds(m, count, seed, *spectrum)``."""
+    return _Apply(_commuting_stack, (_Draw(m, seed), seed, count, *spectrum))
+
+
+def _seeded_ensemble(weight_seed, spectrum, *mats):
+    """The ensemble of a commuting stack, or of n matrices, and seeded weights."""
+    stack = mats[0] if mats[0].ndim == 3 else np.stack(mats)
+    return bc.Ensemble._generated(random_weights(len(stack), weight_seed), stack, *spectrum)
+
+
 def _draws_of(request):
     """The ``_Draw``s that building a case argument takes."""
-    if isinstance(request, _EnsembleDraw):
-        return request.draws()
     if isinstance(request, _Apply):
         return [d for arg in request.args for d in _draws_of(arg)]
     return [request] if isinstance(request, _Draw) else []
@@ -181,14 +177,14 @@ def _drawn(draws):
 
 def _built(request, drawn):
     """A case argument built from ``drawn``, which maps each ``_Draw`` to its
-    array and keeps each ``_EnsembleDraw``'s ensemble, built once; a constant
-    is itself."""
-    if isinstance(request, _EnsembleDraw):
-        if request not in drawn:
-            drawn[request] = request.build([drawn[d] for d in request.draws()])
-        return drawn[request]
+    array and keeps the value of each distinct ``_Apply``, built once; a
+    constant is itself."""
     if isinstance(request, _Apply):
-        return request.fn(*(_built(arg, drawn) for arg in request.args))
+        if request not in drawn:
+            # A list: CPython shrinks a tuple made from a generator, and
+            # such tuples pile up on its free lists, raising peak memory.
+            drawn[request] = request.fn(*[_built(arg, drawn) for arg in request.args])
+        return drawn[request]
     return drawn[request] if isinstance(request, _Draw) else request
 
 
@@ -226,9 +222,9 @@ def _arithmetic(ensemble):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_fixed_point_certificate(ensemble, tol=None):
+def check_fixed_point_certificate(ensemble):
     """Both residual forms of the mean's defining equation at the solved mean."""
-    return _fixed_point(tol, ensemble, *bc.wasserstein_means([ensemble]))
+    return _fixed_point(None, ensemble, *bc.wasserstein_means([ensemble]))
 
 
 def _fixed_point(tol, ensemble, solved):
@@ -691,7 +687,7 @@ class _Check:
 
     ``instances(plan)`` and ``equality_cases()`` declare the argument tuples
     of the generic instances and of the known equality cases, as requests
-    (``_Draw``, ``_EnsembleDraw``, ``_Apply``) and constants.
+    (``_Draw``, ``_Apply``), trusted, and constants.
     ``solves(*args)`` lists the ensembles a built case needs solved, building
     the derived ones (Kronecker pairs, inverses); by default every
     ``Ensemble`` among the arguments. The core takes the tolerance, the built
@@ -743,22 +739,22 @@ def _singletons(m, seed, *salts):
     return tuple(_Apply(_repeated, ((1.0,), _spd(m, seed, salt))) for salt in salts)
 
 
-def _ensembles(plan, counts, min_dim=1, limit=None, salts=(None,), dim=None, **spectrum):
+def _ensembles(plan, counts, limit=None, salts=(None,), dim=None, spectrum=_UNIT):
     """One random ensemble per salt for each of the first ``limit`` seeds
     (all when None), seeded by the seed mixed with the salt (the seed for
     None), of size ``counts[seed % len(counts)]`` and dimension ``dim(seed)``
-    (the plan's, at least ``min_dim``, when None)."""
+    (the plan's when None)."""
+    dim = dim or plan.dim_for
     return [
-        tuple(_EnsembleDraw(max(min_dim, plan.dim_for(s)) if dim is None else dim(s),
-                            counts[s % len(counts)], s if salt is None else _mix(s, salt),
-                            **spectrum)
+        tuple(_ensemble(dim(s), counts[s % len(counts)], s if salt is None else _mix(s, salt),
+                        spectrum)
               for salt in salts)
         for s in plan.seed_list()[:limit]
     ]
 
 
 def _commuting_pairs(m, seed, *salts):
-    return tuple(_Draw(m, _mix(seed, salt), _UNIT, 2) for salt in salts)
+    return tuple(_commuting(m, _mix(seed, salt), 2, _UNIT) for salt in salts)
 
 
 def _isometry(s, k, seed):
@@ -816,13 +812,15 @@ _CHECKS = {
     ),
     "phi_wass": _Check(
         instances=lambda plan: [
-            (e, _isometry(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
-            for (e,), s in zip(_ensembles(plan, (2, 3), min_dim=2), plan.seed_list())
-            for m in [max(2, plan.dim_for(s))]
+            (_ensemble(m, 2 + s % 2, s, _UNIT),
+             _isometry(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
+            for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
         ],
     ),
     "self_duality_gap": _Check(
-        instances=lambda plan: _ensembles(plan, (2, 3), min_dim=2, limit=8),
+        instances=lambda plan: _ensembles(
+            plan, (2, 3), limit=8, dim=lambda s: max(2, plan.dim_for(s))
+        ),
         finish=_finish_self_duality_gap,
         solves=lambda e: (e, _inverted(e)),
     ),
@@ -875,7 +873,7 @@ _CHECKS = {
         ],
     ),
     "sqrt_sum_lower_bound": _Check(
-        instances=lambda plan: _ensembles(plan, (2,), salts=(191, 193), eig_lo=1.0, eig_hi=3.0),
+        instances=lambda plan: _ensembles(plan, (2,), salts=(191, 193), spectrum=(1.0, 3.0)),
         equality_cases=lambda: [(_repeated((1.0,), _EYE2),) * 2],
     ),
 }

@@ -15,16 +15,16 @@ of pairs the package computed, and ``loewner_leq`` one validated raw pair;
 ``require_positive`` checks every tolerance, iteration budget, size, count
 and spectrum edge.
 Seeded generation is stacked too: one ``_seeded_draws`` call serves a list of
-``_Draw`` requests, each a Haar unitary, a positive definite matrix of a
-spectrum range, or a commuting stack. Every draw comes from its own
-``default_rng(seed)`` stream, drawn from in the order of its lone generator,
-and each dimension takes one batched QR and phase fold and one
-``_kernels._from_spectrum`` that builds U diag(lambda) U*. ``random_unitary``,
-``random_spd`` (``_random_spds`` for a list of seeds) and
-``random_commuting_spds`` check their arguments and make one such call, so a
-batched draw equals the lone one bit for bit. Such output is positive definite
-by construction; ``_spectrum_clears_floor`` is the rule under which an
-ensemble of it is stored without validation: a spectrum range that clears the
+``_Draw`` requests, each a Haar unitary or a positive definite matrix of a
+spectrum range from its own ``default_rng(seed)`` stream, drawn from in the
+order of its lone generator; each dimension takes one batched QR and phase
+fold and one ``_kernels._from_spectrum`` that builds U diag(lambda) U*.
+``_commuting_stack`` turns a unitary draw into a commuting stack.
+``random_unitary``, ``random_spd`` and ``random_commuting_spds`` check their
+arguments and draw through these, so a batched draw equals the lone one bit
+for bit; a ``_Draw`` is trusted. Such output is positive definite by
+construction; ``_spectrum_clears_floor`` is the rule under which an ensemble
+of it is stored without validation: a spectrum range that clears the
 positive definite floor with a round-off margin and leaves the norm finite.
 """
 
@@ -333,23 +333,20 @@ def _spectrum_clears_floor(m, eig_lo, eig_hi):
 class _Draw(NamedTuple):
     """One draw of ``_seeded_draws``, from the stream ``default_rng(seed)``:
     with no ``spectrum``, the Haar unitary of ``random_unitary``; with
-    ``spectrum`` = (eig_lo, eig_hi), the matrix of ``random_spd``, or with a
-    ``count`` too, the stack of ``random_commuting_spds``. Its fields are
-    already checked: ``m`` and ``count`` positive ints, ``spectrum`` a range
-    that ``_require_eig_range`` returned."""
+    ``spectrum`` = (eig_lo, eig_hi), the matrix of ``random_spd``. Its fields
+    are trusted: ``m`` a positive int and ``spectrum`` a range that
+    ``_require_eig_range`` accepts."""
 
     m: int
     seed: int
     spectrum: tuple | None = None
-    count: int | None = None
 
 
 def _seeded_draws(draws):
     """The array of each ``_Draw``, bit for bit what its lone generator
     returns, with one batched QR and phase fold and one ``_from_spectrum``
     for the ``random_spd`` draws per dimension. Each stream is drawn from in
-    the order of the lone generator: the Ginibre matrix, then the spectrum (a
-    commuting stack's spectra come from ``default_rng(seed + 1)``)."""
+    the order of the lone generator: the Ginibre matrix, then the spectrum."""
     groups = {}
     for i, d in enumerate(draws):
         groups.setdefault(d.m, []).append(i)
@@ -361,48 +358,30 @@ def _seeded_draws(draws):
         for j, i in enumerate(rows):
             rng = np.random.default_rng(draws[i].seed)
             normals[j] = rng.standard_normal((2, m, m))
-            if draws[i].spectrum is not None and draws[i].count is None:
+            if draws[i].spectrum is not None:
                 lam[j] = rng.uniform(*draws[i].spectrum, m)
         units = _haar_unitaries(_ginibre(normals))
         for j, i in enumerate(rows):
-            d = draws[i]
-            if d.spectrum is None:
-                out[i] = units[j]
-            elif d.count is not None:
-                spectra = np.random.default_rng(d.seed + 1).uniform(*d.spectrum, (d.count, m))
-                out[i] = _k._from_spectrum(units[j], spectra)
+            out[i] = units[j]
         if lam:
             for j, a in zip(lam, _k._from_spectrum(units[list(lam)], np.stack(list(lam.values())))):
                 out[rows[j]] = a
     return out
 
 
-def _spd_draws(m, seeds, eig_lo, eig_hi):
-    """The ``_Draw``s of ``_random_spds``, its arguments checked."""
-    m = require_positive(m, "m", integer=True)
-    spectrum = _require_eig_range(eig_lo, eig_hi)
-    return [_Draw(m, seed, spectrum) for seed in seeds]
-
-
-def _commuting_draw(m, count, seed, eig_lo, eig_hi):
-    """The ``_Draw`` of ``random_commuting_spds``, its arguments checked."""
-    spectrum = _require_eig_range(eig_lo, eig_hi)
-    count = require_positive(count, "count", integer=True)
-    return _Draw(require_positive(m, "m", integer=True), seed, spectrum, count)
-
-
-def _random_spds(m, seeds, eig_lo, eig_hi):
-    """(len(seeds), m, m) stack of random positive definite matrices: matrix j
-    is ``random_spd(m, seeds[j], eig_lo, eig_hi)``, all of them drawn by one
-    ``_seeded_draws`` call."""
-    return np.stack(_seeded_draws(_spd_draws(m, seeds, eig_lo, eig_hi)))
+def _commuting_stack(u, seed, count, eig_lo, eig_hi):
+    """The (count, m, m) stack u diag(lambda_j) u* of the unitary u, with the
+    spectra lambda_j the rows of one (count, m) uniform draw in [eig_lo,
+    eig_hi] from ``default_rng(seed + 1)``."""
+    spectra = np.random.default_rng(seed + 1).uniform(eig_lo, eig_hi, (count, u.shape[0]))
+    return _k._from_spectrum(u, spectra)
 
 
 def random_spd(m, seed, eig_lo, eig_hi):
     """Random positive definite matrix with spectrum drawn uniformly in
-    [eig_lo, eig_hi], conjugated by a seeded random unitary: the one-seed
-    case of ``_random_spds``."""
-    return _random_spds(m, [seed], eig_lo, eig_hi)[0]
+    [eig_lo, eig_hi], conjugated by a seeded random unitary."""
+    m = require_positive(m, "m", integer=True)
+    return _seeded_draws([_Draw(m, seed, _require_eig_range(eig_lo, eig_hi))])[0]
 
 
 def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
@@ -410,4 +389,6 @@ def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
     random eigenbasis, ``random_unitary(m, seed)``, and independent spectra
     (the rows of one (count, m) uniform draw from ``default_rng(seed + 1)``).
     Commutators vanish up to round-off."""
-    return _seeded_draws([_commuting_draw(m, count, seed, eig_lo, eig_hi)])[0]
+    spectrum = _require_eig_range(eig_lo, eig_hi)
+    count = require_positive(count, "count", integer=True)
+    return _commuting_stack(random_unitary(m, seed), seed, count, *spectrum)

@@ -23,18 +23,26 @@ atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture
-def wide_spectrum_mats():
-    """Six 8x8 matrices U diag(exp(uniform(log 1e-6, log 1e6))) U*, matrix j
-    drawn from default_rng(j). Solving their equal-weight mean meets a
-    congruence eigenvalue of about -5e-7 at iterate 12: its square root would
-    be NaN."""
-    mats = []
-    for j in range(6):
-        rng = np.random.default_rng(j)
-        u = _haar_unitaries(_ginibre(rng.standard_normal((2, 8, 8))))
-        a = (u * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 8))) @ u.conj().T
-        mats.append((a + a.conj().T) * 0.5)
-    return np.stack(mats)
+def log_uniform():
+    """The log-uniform family: ``draw(m, seed, lo=1e-3, hi=1e3)`` is
+    U diag(exp(u)) U* with U the Haar unitary of
+    ``_haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))``, then u
+    ``rng.uniform(log lo, log hi, m)``, from ``rng = default_rng(seed)``."""
+
+    def draw(m, seed, lo=1e-3, hi=1e3):
+        rng = np.random.default_rng(seed)
+        u = _haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))
+        return _kernels._from_spectrum(u, np.exp(rng.uniform(np.log(lo), np.log(hi), m)))
+
+    return draw
+
+
+@pytest.fixture
+def wide_spectrum_mats(log_uniform):
+    """Six 8x8 log-uniform [1e-6, 1e6] matrices, matrix j drawn from
+    default_rng(j). Solving their equal-weight mean meets a congruence
+    eigenvalue of about -5e-7 at iterate 12: its square root would be NaN."""
+    return np.stack([log_uniform(8, j, 1e-6, 1e6) for j in range(6)])
 
 
 @pytest.fixture

@@ -279,6 +279,21 @@ def test_batched_means_return_a_breakdown_beside_its_group_mates(wide_spectrum_m
         wasserstein_mean(wide)
 
 
+def test_batched_means_return_an_objective_error_beside_its_group_mates(log_uniform):
+    # On the singleton of this log-uniform matrix the root traces leave an
+    # objective term below the distance's clamp: that error is the
+    # singleton's entry, and the other ensemble of its shape keeps its report.
+    from wassmean.checks import random_ensemble
+
+    lone = Ensemble(weights=[1.0], matrices=[log_uniform(4, 1)])
+    good, refused = wasserstein_means([random_ensemble(4, 1, 0), lone])
+    message = "distance: squared value -4.696403e-10 below -3.695e-10"
+    assert isinstance(refused, ValueError) and str(refused) == message
+    assert good.converged
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        wasserstein_mean(lone)
+
+
 def test_batched_means_keep_each_best_iterate_when_only_some_improve():
     # An unreachable tolerance runs every solve to its budget. Near the
     # round-off floor the residuals of the batch stop improving at different

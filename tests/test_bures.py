@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from wassmean.barycenter import Ensemble, objective
 from wassmean.bures import bw_distance, geodesic
 from wassmean.cli import main
 from wassmean.hermitian import (
@@ -22,7 +25,21 @@ def _pair(seed, m=3):
 
 def test_distance_self_is_zero():
     a, _ = _pair(0)
-    assert bw_distance(a, a) == pytest.approx(0.0, abs=1e-7)
+    assert bw_distance(a, a) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_distance_of_equal_inputs_is_zero(log_uniform, seed, tmp_path, capsys):
+    # Log-uniform [1e-3, 1e3] at m = 2 + seed % 5: the gap's round-off gave
+    # d(A, A) = 8.6e-7 on seed 0, and on seed 13 a squared value of -2.0e-8
+    # that the distance's clamp refused.
+    a = log_uniform(2 + seed % 5, seed)
+    assert bw_distance(a, a) == 0.0
+    assert objective(a, Ensemble(weights=[0.5, 0.5], matrices=[a, a])) == 0.0
+    path = tmp_path / "a.json"
+    path.write_text(dumps_canonical(matrix_to_json_dict(a)))
+    assert main(["distance", str(path), str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"distance": 0.0}
 
 
 def test_distance_scalar_multiple():

@@ -51,6 +51,16 @@ def test_fixed_point_certificate_singleton():
     assert abs(report.margin) <= 1e-10
 
 
+def test_fixed_point_certificate_takes_no_tolerance():
+    # Its bound is the class constant ToleranceConfig.residual_tol; a
+    # tolerance argument could not change the verdict, so none is taken.
+    ensemble = random_ensemble(2, 2, 0)
+    with pytest.raises(TypeError):
+        check_fixed_point_certificate(ensemble, ToleranceConfig(loewner_tol=1e-3))
+    with pytest.raises(TypeError):
+        check_fixed_point_certificate(ensemble, tol=None)
+
+
 def test_logdet_concavity_random_and_equality():
     for seed in range(20):
         e = random_ensemble(3, 3, seed)
@@ -569,8 +579,8 @@ def test_suite_reports_equal_single_solves_bitwise(monkeypatch):
 
 
 def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
-    # A builder, a request or a derived ensemble that raises fails its own
-    # check's report; the other checks still run.
+    # A builder, a request whose function raises or a derived ensemble that
+    # raises fails its own check's report; the other checks still run.
     def broken(*args):
         raise ValueError("no map today")
 
@@ -578,7 +588,9 @@ def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
     monkeypatch.setattr(checks_mod, "ensemble_tensor", broken)
     for name, instances in (
         ("bounds", broken),
-        ("det_inequality", lambda plan: [(checks_mod._EnsembleDraw(2, 2, 0, 2.0, 1.0),)]),
+        ("det_inequality", lambda plan: [
+            (checks_mod._Apply(random_ensemble, (2, 2, 0, 2.0, 1.0)),)
+        ]),
     ):
         monkeypatch.setitem(checks_mod._CHECKS, name, dataclasses.replace(
             checks_mod._CHECKS[name], instances=instances
@@ -589,6 +601,20 @@ def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
         "ValueError: invalid eigenvalue range [2.0, 1.0]", None
     ]
     assert reports[-1].holds
+
+
+def test_suite_fails_only_the_check_whose_solve_raised_in_its_report(monkeypatch, log_uniform):
+    # The singleton's objective error is stored as its solve's outcome and
+    # raised in the core of bounds alone.
+    lone = Ensemble(weights=[1.0], matrices=[log_uniform(4, 1)])
+    monkeypatch.setitem(checks_mod._CHECKS, "bounds", dataclasses.replace(
+        checks_mod._CHECKS["bounds"], instances=lambda plan: [(lone,)]
+    ))
+    bounds, det = run_suite(default_plan(checks=("bounds", "det_inequality")))
+    assert bounds.details["error"] == (
+        "ValueError: distance: squared value -4.696403e-10 below -3.695e-10"
+    )
+    assert not bounds.holds and det.holds
 
 
 def test_suite_keeps_no_state_between_or_inside_calls(monkeypatch):

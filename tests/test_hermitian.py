@@ -4,7 +4,8 @@ import pytest
 from wassmean.hermitian import (
     _loewner_verdicts,
     ToleranceConfig,
-    _random_spds,
+    _Draw,
+    _seeded_draws,
     frobenius,
     hermitianize,
     log_det,
@@ -190,7 +191,7 @@ def _reference_spd(m, seed, eig_lo, eig_hi):
 def test_stacked_generation_equals_per_matrix_draws_bitwise(m, n):
     seeds = [1_000_003 * j + 12345 for j in range(n)]
     reference = np.stack([_reference_spd(m, s, 0.5, 2.0) for s in seeds])
-    stacked = _random_spds(m, seeds, 0.5, 2.0)
+    stacked = np.stack(_seeded_draws([_Draw(m, s, (0.5, 2.0)) for s in seeds]))
     assert stacked.shape == (n, m, m)
     assert stacked.tobytes() == reference.tobytes()
     singles = np.stack([random_spd(m, s, 0.5, 2.0) for s in seeds])

@@ -22,8 +22,9 @@ from wassmean.barycenter import Ensemble, wasserstein_mean
 from wassmean.bures import bw_distance
 from wassmean.hermitian import (
     _ginibre,
+    _Draw,
     _haar_unitaries,
-    _random_spds,
+    _seeded_draws,
     hermitianize,
     random_unitary,
     require_hermitian,
@@ -96,6 +97,12 @@ def test_validation_verdicts_do_not_change_under_power_of_two_scaling(directory,
 MEAN_RTOL = 1e-10
 
 
+def _spd_stack(m, seeds, eig_lo, eig_hi):
+    """The (len(seeds), m, m) stack of ``random_spd(m, seed, eig_lo, eig_hi)``
+    for each seed, drawn in one call."""
+    return np.stack(_seeded_draws([_Draw(m, seed, (eig_lo, eig_hi)) for seed in seeds]))
+
+
 @st.composite
 def ensembles(draw, dims=(2, 5), sizes=(2, 4)):
     """Weights and an (n, m, m) stack, m in ``dims`` and n in ``sizes`` (both
@@ -104,7 +111,7 @@ def ensembles(draw, dims=(2, 5), sizes=(2, 4)):
     n = draw(st.integers(*sizes))
     seed = draw(st.integers(0, 2**32 - 1))
     w = np.random.default_rng(seed).uniform(0.2, 1.0, n)
-    return w / w.sum(), _random_spds(m, [seed + 1 + j for j in range(n)], 0.1, 10.0)
+    return w / w.sum(), _spd_stack(m, [seed + 1 + j for j in range(n)], 0.1, 10.0)
 
 
 def _mean(weights, mats):
@@ -169,7 +176,7 @@ def spd_triples(draw):
     """Three m x m matrices, m in 1..5, each of spectrum uniform in [0.1, 10]."""
     m = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 3))
-    return _random_spds(m, [seed, seed + 1, seed + 2], 0.1, 10.0)
+    return _spd_stack(m, [seed, seed + 1, seed + 2], 0.1, 10.0)
 
 
 def _resolution(a, b, d):

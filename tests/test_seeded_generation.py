@@ -1,15 +1,17 @@
 """Seeded inputs drawn in stacked batches, and the ensembles built from them
 without a second validation: a batched draw equals its lone generators bit
 for bit, a trusted ensemble equals the validated one, and a suite window
-draws all its seeded matrices in one call, one QR per dimension."""
+draws all its seeded matrices in one call, one QR per dimension, and trusts
+the requests it declares."""
 
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from wassmean import _kernels, hermitian
+from wassmean import _kernels, barycenter, hermitian, means, products
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
 from wassmean.checks import (
@@ -17,14 +19,16 @@ from wassmean.checks import (
     _built,
     _draws_of,
     _drawn,
-    _EnsembleDraw,
+    _ensemble,
     _mix,
     default_plan,
+    random_ensemble,
     random_weights,
 )
 from wassmean.cli import main
 from wassmean.hermitian import (
     SPD_FLOOR,
+    _commuting_stack,
     _Draw,
     _seeded_draws,
     _spectrum_clears_floor,
@@ -46,49 +50,105 @@ def _reference_unitary(m, seed):
 
 
 def test_batched_draw_equals_lone_generators_bitwise():
-    # One call over interleaved dimensions 1-8, kinds and spectrum ranges.
+    # One call over interleaved dimensions 1-8, kinds and spectrum ranges; a
+    # commuting stack is the stack of a drawn unitary.
     spectra = [(0.5, 2.0), (1.0, 3.0), (1e-3, 1e3)]
     draws = []
     for j in range(72):
         m, seed, spectrum = 1 + j % 8, 1_000 + 7 * j, spectra[(j // 3) % 3]
-        kinds = [_Draw(m, seed), _Draw(m, seed, spectrum), _Draw(m, seed, spectrum, 1 + j % 4)]
-        draws.append(kinds[j % 3])
-    for d, got in zip(draws, _seeded_draws(draws)):
+        draws.append(_Draw(m, seed, None if j % 3 == 0 else spectrum))
+    for j, (d, got) in enumerate(zip(draws, _seeded_draws(draws))):
         if d.spectrum is None:
             want = random_unitary(d.m, d.seed)
             assert want.tobytes() == _reference_unitary(d.m, d.seed).tobytes()
-        elif d.count is None:
-            want = random_spd(d.m, d.seed, *d.spectrum)
+            spectrum, count = spectra[(j // 3) % 3], 1 + j % 4
+            stack = _commuting_stack(got, d.seed, count, *spectrum)
+            want_stack = random_commuting_spds(d.m, count, d.seed, *spectrum)
+            assert stack.tobytes() == want_stack.tobytes()
         else:
-            want = random_commuting_spds(d.m, d.count, d.seed, *d.spectrum)
+            want = random_spd(d.m, d.seed, *d.spectrum)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# SHA-256 prefixes of each public generator's output on fixed seeds, recorded
+# before the draw requests were reduced to one matrix per stream.
+GENERATOR_DIGESTS = {
+    "random_unitary": "022f190b5bb2940b",
+    "random_spd": "e8e10b9af685f0b7",
+    "random_commuting_spds": "5051e149fe6e9f07",
+    "random_ensemble": "c1b392f270295ab7",
+    "random_ensemble_commuting": "f5fd5afbb5f1fd05",
+}
+
+
+def _flat(ensemble):
+    return np.concatenate([ensemble.weights, ensemble.matrices.ravel()])
+
+
+def _generator_outputs():
+    return {
+        "random_unitary": random_unitary(5, 11),
+        "random_spd": random_spd(4, 12, 1e-3, 1e3),
+        "random_commuting_spds": random_commuting_spds(3, 4, 13, 0.5, 2.0),
+        "random_ensemble": _flat(random_ensemble(3, 4, 7)),
+        "random_ensemble_commuting": _flat(random_ensemble(4, 3, 8, 1e-3, 1e3, True)),
+    }
+
+
+def test_public_generators_keep_their_bits():
+    assert {k: _digest(v) for k, v in _generator_outputs().items()} == GENERATOR_DIGESTS
+
+
+def _tally_calls(monkeypatch, module, attr, tally):
+    """Rebind ``module.attr`` to a function that calls ``tally`` on its
+    arguments first."""
+    fn = getattr(module, attr)
+
+    def run(*args, **kwargs):
+        tally(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, run)
+
+
 def _counted_qrs(monkeypatch):
     calls = []
-    qr = np.linalg.qr
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
+    _tally_calls(monkeypatch, np.linalg, "qr", lambda a, *args, **kwargs: calls.append(a.shape))
     return calls
+
+
+def _ensemble_of(m, n, seed, eig_lo, eig_hi, commuting=False):
+    # random_ensemble's matrices and weights, from the public generators.
+    if commuting:
+        mats = random_commuting_spds(m, n, _mix(seed, 11), eig_lo, eig_hi)
+    else:
+        mats = np.stack([random_spd(m, _mix(seed, 13 + j), eig_lo, eig_hi) for j in range(n)])
+    return mats, random_weights(n, _mix(seed, 17))
 
 
 @pytest.mark.parametrize("in_suite", [False, True])
 def test_resolved_cases_are_the_per_seed_draws(monkeypatch, in_suite):
     # The suite draws every request of its cases in one call, one QR per
-    # dimension and each repeated draw once; drawn one request at a time, as
-    # random_ensemble draws, each request takes its own. Either way each
-    # argument is its lone generator's, bit for bit.
-    requests = [
-        _EnsembleDraw(3, 2, 7), _Draw(2, 9, (0.5, 2.0)),
-        _EnsembleDraw(2, 3, 8, 1.0, 3.0), _Draw(3, 10),
-        _EnsembleDraw(3, 3, 5, commuting=True), _Apply(np.multiply, (2.0, _Draw(2, 11))), 0.25,
-        _EnsembleDraw(3, 2, 7),
+    # dimension and each repeated draw once, and builds each distinct _Apply
+    # once; drawn one request at a time, as random_ensemble draws, each
+    # request takes its own. Either way each argument is its lone
+    # generator's, bit for bit.
+    cases = [
+        (_ensemble(3, 2, 7, (0.5, 2.0)), _ensemble_of(3, 2, 7, 0.5, 2.0)),
+        (_Draw(2, 9, (0.5, 2.0)), random_spd(2, 9, 0.5, 2.0)),
+        (_ensemble(2, 3, 8, (1.0, 3.0)), _ensemble_of(2, 3, 8, 1.0, 3.0)),
+        (_Draw(3, 10), random_unitary(3, 10)),
+        (_ensemble(3, 3, 5, (0.5, 2.0), True), _ensemble_of(3, 3, 5, 0.5, 2.0, True)),
+        (_Apply(np.multiply, (2.0, _Draw(2, 11))), 2.0 * random_unitary(2, 11)),
+        (0.25, 0.25),
+        (_ensemble(3, 2, 7, (0.5, 2.0)), _ensemble_of(3, 2, 7, 0.5, 2.0)),
     ]
+    requests = [r for r, _ in cases]
     qrs = _counted_qrs(monkeypatch)
     if in_suite:
         drawn = _drawn([d for r in requests for d in _draws_of(r)])
@@ -98,34 +158,22 @@ def test_resolved_cases_are_the_per_seed_draws(monkeypatch, in_suite):
     assert sorted(qrs) == ([(4, 3, 3), (5, 2, 2)] if in_suite else [
         (1, 2, 2), (1, 2, 2), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3), (3, 2, 2)
     ])
-    for r, value in zip(requests, got):
-        if isinstance(r, _EnsembleDraw):
-            if r.commuting:
-                mats = random_commuting_spds(r.m, r.n, _mix(r.seed, 11), r.eig_lo, r.eig_hi)
-            else:
-                mats = np.stack([random_spd(r.m, _mix(r.seed, 13 + j), r.eig_lo, r.eig_hi)
-                                 for j in range(r.n)])
+    assert (got[0] is got[-1]) == in_suite
+    for (r, want), value in zip(cases, got):
+        if isinstance(want, tuple):
+            mats, weights = want
             assert value.matrices.tobytes() == mats.tobytes()
-            assert value.weights.tobytes() == random_weights(r.n, _mix(r.seed, 17)).tobytes()
-        elif isinstance(r, _Apply):
-            assert value.tobytes() == (2.0 * random_unitary(2, 11)).tobytes()
-        elif not isinstance(r, _Draw):
-            assert value is r
-        elif r.spectrum is None:
-            assert value.tobytes() == random_unitary(r.m, r.seed).tobytes()
+            assert value.weights.tobytes() == weights.tobytes()
+        elif isinstance(r, (_Draw, _Apply)):
+            assert value.tobytes() == want.tobytes()
         else:
-            assert value.tobytes() == random_spd(r.m, r.seed, *r.spectrum).tobytes()
+            assert value is r
 
 
 def _counted_validations(monkeypatch):
     calls = []
-    validate = hermitian._require_stack
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr(hermitian, "_require_stack", counted)
+    _tally_calls(monkeypatch, hermitian, "_require_stack",
+                 lambda arr, *args, **kwargs: calls.append(arr.shape))
     return calls
 
 
@@ -188,11 +236,10 @@ def test_seeded_ensemble_of_an_overflowing_norm_is_refused(monkeypatch, capsys):
     # The norm of a 2 x 2 matrix of spectrum [1e160, 1e160] overflows: the
     # generator's output is validated, and the ensemble refused; in the suite
     # the check whose case it is fails alone.
-    overflowing = _EnsembleDraw(2, 2, 0, 1e160, 1e160)
     with pytest.raises(ValueError, match=r"^matrices\[0\]: Frobenius norm overflows$"):
-        checks_mod.random_ensemble(*overflowing)
+        random_ensemble(2, 2, 0, 1e160, 1e160)
     monkeypatch.setitem(checks_mod._CHECKS, "bounds", checks_mod._Check(
-        instances=lambda plan: [(overflowing,)]
+        instances=lambda plan: [(_ensemble(2, 2, 0, (1e160, 1e160)),)]
     ))
     bounds, det = checks_mod.run_suite(default_plan(checks=("bounds", "det_inequality")))
     assert bounds.details["error"] == "ValueError: matrices[0]: Frobenius norm overflows"
@@ -225,15 +272,6 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
     running = ["build"]
     calls, qrs, spd_calls, stacks = Counter(), [], Counter(), Counter()
 
-    def counted(module, attr, tally):
-        fn = getattr(module, attr)
-
-        def run(*args, **kwargs):
-            tally(*args, **kwargs)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, attr, run)
-
     def tracked(name, driver):
         def run(built):
             running.append(name)
@@ -244,13 +282,15 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
 
         return run
 
-    counted(checks_mod, "_seeded_draws", lambda draws: calls.update(["draw"]))
-    counted(checks_mod.bc, "wasserstein_means", lambda *args: calls.update(["solve"]))
-    counted(np.linalg, "qr", lambda a, *args, **kwargs: qrs.append(a.shape))
-    counted(hermitian, "_require_matrix", lambda a, name, spd: spd_calls.update(
-        [running[-1]] if spd else []
-    ))
-    counted(hermitian, "_require_stack", lambda *args, **kwargs: stacks.update([running[-1]]))
+    for module, attr, tally in (
+        (checks_mod, "_seeded_draws", lambda draws: calls.update(["draw"])),
+        (checks_mod.bc, "wasserstein_means", lambda *args: calls.update(["solve"])),
+        (np.linalg, "qr", lambda a, *args, **kwargs: qrs.append(a.shape)),
+        (hermitian, "_require_matrix",
+         lambda a, name, spd: spd_calls.update([running[-1]] if spd else [])),
+        (hermitian, "_require_stack", lambda *args, **kwargs: stacks.update([running[-1]])),
+    ):
+        _tally_calls(monkeypatch, module, attr, tally)
     for name in checks_mod.DEFAULT_CHECKS:
         monkeypatch.setitem(
             checks_mod.CHECK_REGISTRY, name, tracked(name, checks_mod.CHECK_REGISTRY[name])
@@ -269,3 +309,32 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
     # pair ensembles are built and validated before evaluation; the 34
     # validations above each check one matrix.
     assert stacks == {"build": 23, **spd_calls}
+
+
+def test_window_trusts_the_requests_it_declares(monkeypatch):
+    # The requests of a default 10-seed window come from a validated plan:
+    # no spectrum range and no size is checked again. In the validation
+    # layer require_positive runs only in each check's ToleranceConfig; the
+    # solver's config and the Kantorovich constants of the Hadamard checks
+    # are the only other users.
+    ranges, tallies = Counter(), {}
+    for module in (hermitian, checks_mod):
+        _tally_calls(monkeypatch, module, "_require_eig_range",
+                     lambda *edges: ranges.update([edges]))
+    for module in (hermitian, checks_mod, barycenter, means, products):
+        tally = tallies[module.__name__.split(".")[-1]] = Counter()
+        _tally_calls(monkeypatch, module, "require_positive",
+                     lambda value, name, integer=False, tally=tally: tally.update([name]))
+    plan = default_plan(seeds=(0, 10))
+    for tally in tallies.values():
+        tally.clear()
+    reports = checks_mod.run_suite(plan)
+    assert sum(r.details["instances"] for r in reports) == 162
+    assert ranges == {}
+    assert tallies == {
+        "hermitian": {"loewner_tol": 15},
+        "checks": {},
+        "barycenter": {"max_iter": 1, "residual_tol": 1},
+        "means": {"p": 33, "q": 33},
+        "products": {},
+    }

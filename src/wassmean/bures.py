@@ -5,7 +5,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._kernels import _NEGATIVE_CLAMP
-from .hermitian import hermitianize, require_spd_pair
+from .hermitian import _real, hermitianize, require_spd_pair
 
 
 def _distance_scale(a, b):
@@ -62,14 +62,15 @@ def geodesic(a, b, t):
     a, b : ndarray, shape (m, m)
         Positive definite endpoints.
     t : float
-        Position in [0, 1]; 0 gives ``a``, 1 gives ``b``.
+        Position in [0, 1]; 0 gives ``a``, 1 gives ``b``. A bool or a
+        non-real value is refused.
 
     Returns
     -------
     ndarray, shape (m, m)
         Positive definite point at constant-speed parameter ``t``.
     """
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= _real(t, "t") <= 1.0:
         raise ValueError(f"geodesic parameter t={t} outside [0, 1]")
     am, bm = require_spd_pair(a, b)
     rs, ris = _k._roots(*np.linalg.eigh(am))

@@ -42,6 +42,7 @@ from .hermitian import (
     _commuting_stack,
     _Draw,
     _loewner_verdicts,
+    _real,
     _require_eig_range,
     _seeded_draws,
     as_complex_matrix,
@@ -531,7 +532,7 @@ def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
 def check_jensen_contraction(a, x, p, tol=None):
     """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
     contraction; ``x`` is a finite square matrix of the dimension of ``a``."""
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= _real(p, "p") <= 1.0:
         raise ValueError(f"power p={p} outside [0, 1]")
     am = require_spd(a, name="matrix")
     xm = as_complex_matrix(x, name="x")
@@ -686,12 +687,12 @@ class _Check:
     """One suite entry, whose core is the module function ``_<name>``.
 
     ``instances(plan)`` and ``equality_cases()`` declare the argument tuples
-    of the generic instances and of the known equality cases, as requests
-    (``_Draw``, ``_Apply``), trusted, and constants.
+    of the generic instances and of the known equality cases, each argument
+    a request (``_Draw``, ``_Apply``), trusted, or a scalar.
     ``solves(*args)`` lists the ensembles a built case needs solved, building
     the derived ones (Kronecker pairs, inverses); by default every
     ``Ensemble`` among the arguments. The core takes the tolerance, the built
-    arguments and those solves' outcomes. ``finish(report, generic,
+    arguments and those ensembles' outcomes. ``finish(report, generic,
     equality)`` adds check-specific verdicts to the aggregate report.
     """
 
@@ -704,13 +705,13 @@ class _Check:
 def _run_check(name, check, built):
     """Run the core of check ``name``, looked up at call time, on each
     generic, then each equality case of ``built`` = (plan, cases, solved):
-    on its arguments and then the outcomes at its solve indices in
-    ``solved``; aggregate the reports under the plan's tolerance."""
+    on its arguments and then the outcomes ``solved`` maps its ensembles
+    to; aggregate the reports under the plan's tolerance."""
     plan, cases, solved = built
     tol = ToleranceConfig(loewner_tol=plan.tol)
     core = globals()[f"_{name}"]
     generic, equality = (
-        [core(tol, *args, *map(solved.__getitem__, ix)) for args, ix in group] for group in cases
+        [core(tol, *args, *map(solved.__getitem__, ens)) for args, ens in group] for group in cases
     )
     extra = {}
     if len(equality) == 1:
@@ -736,7 +737,7 @@ def _repeated(weights, a):
 
 
 def _singletons(m, seed, *salts):
-    return tuple(_Apply(_repeated, ((1.0,), _spd(m, seed, salt))) for salt in salts)
+    return tuple([_Apply(_repeated, ((1.0,), _spd(m, seed, salt))) for salt in salts])
 
 
 def _ensembles(plan, counts, limit=None, salts=(None,), dim=None, spectrum=_UNIT):
@@ -746,15 +747,15 @@ def _ensembles(plan, counts, limit=None, salts=(None,), dim=None, spectrum=_UNIT
     (the plan's when None)."""
     dim = dim or plan.dim_for
     return [
-        tuple(_ensemble(dim(s), counts[s % len(counts)], s if salt is None else _mix(s, salt),
-                        spectrum)
-              for salt in salts)
+        tuple([_ensemble(dim(s), counts[s % len(counts)], s if salt is None else _mix(s, salt),
+                         spectrum)
+               for salt in salts])
         for s in plan.seed_list()[:limit]
     ]
 
 
 def _commuting_pairs(m, seed, *salts):
-    return tuple(_commuting(m, _mix(seed, salt), 2, _UNIT) for salt in salts)
+    return tuple([_commuting(m, _mix(seed, salt), 2, _UNIT) for salt in salts])
 
 
 def _isometry(s, k, seed):
@@ -778,7 +779,8 @@ def _finish_self_duality_gap(report, generic, equality):
     report.holds = any(r.holds for r in generic)
 
 
-_EYE2 = np.eye(2, dtype=np.complex128)
+_EYE2 = _Apply(np.eye, (2, None, 0, np.complex128))
+_IDENTITY = _Apply(_repeated, ((1.0,), _EYE2))
 
 _CHECKS = {
     "fixed_point": _Check(
@@ -789,7 +791,7 @@ _CHECKS = {
     "bounds": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
         # The identity singleton makes both bounds tight.
-        equality_cases=lambda: [(_repeated((1.0,), _EYE2),)],
+        equality_cases=lambda: [(_IDENTITY,)],
     ),
     "det_inequality": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3)),
@@ -858,7 +860,7 @@ _CHECKS = {
         instances=lambda plan: _ensembles(
             plan, (2,), salts=(157, 163), dim=lambda s: min(3, plan.dim_for(s))
         ),
-        equality_cases=lambda: [(_repeated((1.0,), _EYE2),) * 2],
+        equality_cases=lambda: [(_IDENTITY, _IDENTITY)],
     ),
     "jensen_contraction": _Check(
         instances=lambda plan: [
@@ -874,7 +876,7 @@ _CHECKS = {
     ),
     "sqrt_sum_lower_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2,), salts=(191, 193), spectrum=(1.0, 3.0)),
-        equality_cases=lambda: [(_repeated((1.0,), _EYE2),) * 2],
+        equality_cases=lambda: [(_IDENTITY, _IDENTITY)],
     ),
 }
 
@@ -897,25 +899,27 @@ def run_suite(plan):
     The steps pass their data on, and nothing outlives the call: each check
     declares its cases; one ``_seeded_draws`` call draws every matrix they
     take; the cases are built, and one ``bc.wasserstein_means`` call solves
-    each distinct ensemble content they list; then each check's
+    each distinct ensemble object they list; then each check's
     ``CHECK_REGISTRY`` entry, looked up at call time, runs its core. An error
     in any step fails only its check's report."""
     state = [[name, None] for name in plan.checks]
-    pending = _build_cases(state, plan)
-    solved = bc.wasserstein_means([e for _, e in pending.values()])
+    ensembles = _build_cases(state, plan)
+    solved = dict(zip(ensembles, bc.wasserstein_means(ensembles)))
     _per_check(state, plan, lambda name, cases: CHECK_REGISTRY[name]((plan, cases, solved)))
     return [report for _, report in state]
 
 
 def _build_cases(state, plan):
     """Declare the cases of each check of ``state``, draw every matrix they
-    take in one ``_seeded_draws`` call, and build them; return the ensembles
-    they solve, ``_solve_index``'s map."""
-    draws, pending = [], {}
+    take in one ``_seeded_draws`` call, and build them; return the distinct
+    ensembles they solve, in first-seen order. An ``Ensemble`` hashes by
+    identity, and building makes each distinct request one object."""
+    draws = []
     _per_check(state, plan, lambda name, _: _declared(_CHECKS[name], plan, draws))
     drawn = _drawn(draws)
-    _per_check(state, plan, lambda name, cases: _built_cases(_CHECKS[name], cases, drawn, pending))
-    return pending
+    _per_check(state, plan, lambda name, cases: _built_cases(_CHECKS[name], cases, drawn))
+    return list(dict.fromkeys(e for _, cases in state if not isinstance(cases, CheckReport)
+                              for group in cases for _, ens in group for e in ens))
 
 
 def _per_check(state, plan, step):
@@ -938,16 +942,8 @@ def _declared(check, plan, draws):
     return cases
 
 
-def _built_cases(check, cases, drawn, pending):
-    """Each case as its built arguments and the solve indices of the
-    ensembles ``check.solves`` lists for them."""
-    built = [[tuple(_built(arg, drawn) for arg in case) for case in group] for group in cases]
-    return [[(args, [_solve_index(e, pending) for e in check.solves(*args)]) for args in group]
-            for group in built]
-
-
-def _solve_index(ensemble, pending):
-    """The index of the content (weight and matrix bytes) of ``ensemble`` in
-    ``pending``, which maps each content to its index and first ensemble."""
-    key = ensemble.weights.tobytes(), ensemble.matrices.tobytes()
-    return pending.setdefault(key, (len(pending), ensemble))[0]
+def _built_cases(check, cases, drawn):
+    """Each case as its built arguments and the ensembles ``check.solves``
+    lists for them."""
+    built = [[[_built(arg, drawn) for arg in case] for case in group] for group in cases]
+    return [[(args, check.solves(*args)) for args in group] for group in built]

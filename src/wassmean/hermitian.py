@@ -47,19 +47,27 @@ def is_integer(value):
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _real(value, name, kind="a finite number", integer=False):
+    """The type rule for numeric arguments: ``value`` as a plain float, or
+    with ``integer`` a plain int, when it is a real number of that kind (a
+    bool or a string is none, and a number too large for a float is refused);
+    otherwise a ValueError starting ``name`` that says it expected ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        raise ValueError(f"{name}: expected {kind}, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
+
+
 def require_positive(value, name, integer=False):
     """The one rule for numeric arguments (tolerances, iteration budgets,
     sizes, counts, spectrum edges): ``value`` as a plain
     float, or with ``integer`` a plain int, when it is a finite positive number
-    of that kind (a bool is none, and a number too large for a float is not
-    finite); otherwise a ValueError starting ``name``."""
+    of that kind (``_real``'s type rule); otherwise a ValueError starting
+    ``name``."""
     kind = "an integer" if integer else "a finite number"
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
-        raise ValueError(f"{name}: expected {kind}, got {value!r}")
-    try:
-        number = int(value) if integer else float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
+    number = _real(value, name, kind, integer)
     if not math.isfinite(number):
         raise ValueError(f"{name}: expected {kind}, got {value!r}")
     if number <= 0:
@@ -224,10 +232,10 @@ def require_spd_stack(mats, name="matrices"):
 
 
 def matrix_power(a, t, name="matrix"):
-    """a**t for positive definite a and a finite exponent t, computed
+    """a**t for positive definite a and a finite real exponent t, computed
     spectrally."""
     arr = require_spd(a, name=name)
-    exponent = float(t)
+    exponent = _real(t, "t", "a finite exponent")
     if not math.isfinite(exponent):
         raise ValueError(f"t: expected a finite exponent, got {t!r}")
     return _k.spd_power(arr, exponent)

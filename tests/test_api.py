@@ -11,7 +11,8 @@ import pytest
 
 import wassmean
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 # ``wm`` and ``wassmean`` name the package, ``cli`` its CLI module; tracing
 # reaches other modules as ``modules["<module>"].<attr>``.
@@ -76,3 +77,12 @@ def test_traced_modules_and_kernels_exist():
     kernels = importlib.import_module("wassmean._kernels")
     missing = [k for k in _tracing_constant("KERNELS") if not callable(getattr(kernels, k, None))]
     assert missing == []
+
+
+def test_readme_quickstart_runs():
+    # The README's first example stays runnable as written.
+    section = (ROOT / "README.md").read_text().split("\n## Library quickstart\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)\n```\n", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert all(r.holds for r in namespace["reports"])

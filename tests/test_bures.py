@@ -155,9 +155,20 @@ def test_geodesic_takes_two_eigendecompositions(monkeypatch):
 
 def test_geodesic_rejects_bad_parameter():
     a, b = _pair(6)
-    for t in (-0.1, 1.1):
-        with pytest.raises(ValueError, match="outside"):
+    for t in (-0.1, 1.1, 2, float("nan")):
+        with pytest.raises(ValueError, match=rf"^geodesic parameter t={t} outside \[0, 1\]$"):
             geodesic(a, b, t)
+
+
+def test_geodesic_parameter_is_a_real_number():
+    # True returned b, and a string or None raised a TypeError from the
+    # range comparison.
+    a, b = _pair(6)
+    for t in (True, False, "0.5", None, 0.5j):
+        with pytest.raises(ValueError, match=r"^t: expected a finite number, got "):
+            geodesic(a, b, t)
+    for t in (np.float64(0.3), np.int64(1)):
+        assert geodesic(a, b, t).tobytes() == geodesic(a, b, t.item()).tobytes()
 
 
 def _hellinger(p, q):

@@ -28,6 +28,7 @@ from wassmean.checks import (
 )
 from wassmean.hermitian import (
     ToleranceConfig,
+    _Draw,
     random_commuting_spds,
     random_spd,
     random_unitary,
@@ -360,6 +361,20 @@ def test_jensen_rejects_power_outside_range():
         check_jensen_contraction(a, np.eye(2, dtype=complex), 1.5)
 
 
+def test_jensen_power_is_a_real_number():
+    # A bool was taken for 1.0, and a string or None raised a TypeError from
+    # the range comparison.
+    a = random_spd(2, seed=1001, eig_lo=0.5, eig_hi=2.0)
+    x = 2.0 * np.eye(2, dtype=complex)
+    for p in (True, False, "0.5", None, 0.5j):
+        with pytest.raises(ValueError, match=r"^p: expected a finite number, got "):
+            check_jensen_contraction(a, x, p)
+    want = check_jensen_contraction(a, x, 0.5)
+    for p in (np.float64(0.5), np.float32(0.5)):
+        assert check_jensen_contraction(a, x, p) == want
+    assert check_jensen_contraction(a, x, np.int64(1)) == check_jensen_contraction(a, x, 1.0)
+
+
 def test_sqrt_sum_identity_case():
     report = check_sqrt_sum_lower_bound(_eye_ensemble(2), _eye_ensemble(2))
     assert report.holds
@@ -456,6 +471,20 @@ def test_suite_calls_rebound_check_functions_once_per_instance(monkeypatch):
     assert all(r.holds for r in reports)
 
 
+def test_declared_case_arguments_are_requests_or_scalars():
+    # Building makes each distinct request one object, and the suite solves
+    # each built ensemble once by identity: an ensemble or array constant
+    # declared outside the requests would escape that rule.
+    plan = default_plan(seeds=(0, 10))
+    for name, check in checks_mod._CHECKS.items():
+        for case in [*check.instances(plan), *check.equality_cases()]:
+            for arg in case:
+                assert isinstance(arg, (_Draw, checks_mod._Apply)) or type(arg) in (int, float), (
+                    name, arg
+                )
+                hash(arg)
+
+
 def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
     calls = []
     solve = _kernels.wasserstein_solve
@@ -472,16 +501,16 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
     monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
     reports = run_suite(default_plan(seeds=(777, 787)))
     assert all(r.holds for r in reports)
-    # Ensembles with equal contents share one solve, even when built apart.
+    # Each distinct request is one ensemble, solved once: no content is solved twice.
     contents = [c for call in calls for c in call]
     assert len(set(contents)) == len(contents) == 145
     assert len(calls) == 11
 
 
 def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide_spectrum_mats):
-    # Both instances of the plan hold the ensemble whose solve breaks down,
-    # built apart: the one solve of their content stores its error, and the
-    # check raises it into its report.
+    # Both instances of the plan hold the one ensemble whose solve breaks
+    # down: the one solve of that ensemble stores its error, and the check
+    # raises it into its report.
     wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
     solved = []
     solve = _kernels.wasserstein_solve
@@ -495,9 +524,8 @@ def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide
         return solve(mats, weights, *args)
 
     monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
-    copy = Ensemble(weights=wide.weights, matrices=wide.matrices)
     monkeypatch.setitem(checks_mod._CHECKS, "bounds", dataclasses.replace(
-        checks_mod._CHECKS["bounds"], instances=lambda plan: [(wide,), (copy,)]
+        checks_mod._CHECKS["bounds"], instances=lambda plan: [(wide,), (wide,)]
     ))
     (report,) = run_suite(SuitePlan(checks=("bounds",), seeds=(0, 2)))
     assert solved.count(True) == 1

@@ -49,6 +49,18 @@ def test_matrix_power_refuses_a_non_finite_exponent():
             matrix_power(np.eye(2), t)
 
 
+def test_matrix_power_exponent_is_a_real_number():
+    # "2" and True were converted by float() and computed.
+    a = random_spd(3, seed=3, eig_lo=0.5, eig_hi=2.0)
+    for t in ("2", True, False, None, 2j):
+        with pytest.raises(ValueError, match=r"^t: expected a finite exponent, got "):
+            matrix_power(a, t)
+    with pytest.raises(ValueError, match=r"^t: expected a finite exponent, got one too large"):
+        matrix_power(a, 10**400)
+    for t in (np.float64(0.5), np.float32(0.5), np.int64(2)):
+        assert matrix_power(a, t).tobytes() == matrix_power(a, float(t)).tobytes()
+
+
 @pytest.mark.parametrize("s", [-1.0, -0.5, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("t", [-1.0, -0.5, 0.5, 1.0, 2.0])
 def test_matrix_power_group_law(s, t):

@@ -266,9 +266,9 @@ def test_inverted_ensemble_equals_the_validated_inverses_bitwise(monkeypatch):
 def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
     # A default 10-seed window draws every seeded matrix, isometry maps
     # included, in one _seeded_draws call of one QR per dimension, and solves
-    # in one call. Validation runs on the derived matrices that the positive
-    # definite floor could still reject, and on the ensembles built from
-    # them or by hand, never on generator output.
+    # its 144 ensembles in one call. Validation runs on the derived matrices
+    # that the positive definite floor could still reject, and on the
+    # ensembles built from them or by hand, never on generator output.
     running = ["build"]
     calls, qrs, spd_calls, stacks = Counter(), [], Counter(), Counter()
 
@@ -284,7 +284,8 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
 
     for module, attr, tally in (
         (checks_mod, "_seeded_draws", lambda draws: calls.update(["draw"])),
-        (checks_mod.bc, "wasserstein_means", lambda *args: calls.update(["solve"])),
+        (checks_mod.bc, "wasserstein_means",
+         lambda ensembles: calls.update({"solve": 1, "ensembles": len(ensembles)})),
         (np.linalg, "qr", lambda a, *args, **kwargs: qrs.append(a.shape)),
         (hermitian, "_require_matrix",
          lambda a, name, spd: spd_calls.update([running[-1]] if spd else [])),
@@ -297,7 +298,7 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
         )
     reports = checks_mod.run_suite(default_plan(seeds=(0, 10)))
     assert all(r.holds for r in reports)
-    assert calls == {"draw": 1, "solve": 1}
+    assert calls == {"draw": 1, "solve": 1, "ensembles": 144}
     assert sorted(qrs) == [(149, 3, 3), (231, 2, 2)]
     # The Schur products of hadamard_inverse and of the means in
     # kantorovich_hadamard, and the congruences of jensen_contraction, on the
@@ -305,10 +306,11 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
     assert spd_calls == {
         "hadamard_inverse": 11, "kantorovich_hadamard": 11, "jensen_contraction": 12
     }
-    # The twelve hand-made equality-case ensembles and the eleven Kronecker
-    # pair ensembles are built and validated before evaluation; the 34
-    # validations above each check one matrix.
-    assert stacks == {"build": 23, **spd_calls}
+    # The ten hand-made equality-case ensembles (the identity singleton of
+    # bounds, kantorovich_hadamard and sqrt_sum_lower_bound is one request)
+    # and the eleven Kronecker pair ensembles are built and validated before
+    # evaluation; the 34 validations above each check one matrix.
+    assert stacks == {"build": 21, **spd_calls}
 
 
 def test_window_trusts_the_requests_it_declares(monkeypatch):

@@ -4,7 +4,6 @@ geodesic."""
 import numpy as np
 
 from . import _kernels as _k
-from ._kernels import _NEGATIVE_CLAMP
 from .hermitian import _real, hermitianize, require_spd_pair
 
 
@@ -16,7 +15,7 @@ def _distance_scale(a, b):
 def _clamped_sqrt(gap, scale):
     """sqrt(gap), clamping round-off below zero by at most
     ``_NEGATIVE_CLAMP * scale`` to 0 and raising on anything worse."""
-    floor = _NEGATIVE_CLAMP * scale
+    floor = _k._NEGATIVE_CLAMP * scale
     if gap < -floor:
         raise ValueError(f"distance: squared value {gap:.6e} below -{floor:.3e}")
     return float(np.sqrt(max(gap, 0.0)))
@@ -54,8 +53,9 @@ def geodesic(a, b, t):
                         = M a M, \\quad M = (1-t) I + t T
 
     with the transport map T = a^{-1/2}(a^{1/2} b a^{1/2})^{1/2} a^{-1/2}
-    (T a T = b), as in Bhatia, Jain and Lim, Expo. Math. 2019. One
-    eigendecomposition of ``a`` gives a^{1/2} and a^{-1/2}.
+    (T a T = b), as in Bhatia, Jain and Lim, Expo. Math. 2019. With a = L L*
+    (Cholesky), T = L^{-*} R L^{-1} for R = (L* b L)^{1/2}, so the point is
+    P P* with P = M L = (1-t) L + t L^{-*} R, positive semidefinite by construction.
 
     Parameters
     ----------
@@ -73,7 +73,8 @@ def geodesic(a, b, t):
     if not 0.0 <= _real(t, "t") <= 1.0:
         raise ValueError(f"geodesic parameter t={t} outside [0, 1]")
     am, bm = require_spd_pair(a, b)
-    rs, ris = _k._roots(*np.linalg.eigh(am))
-    transport = hermitianize(ris @ _k._congruence_root(hermitianize(rs @ bm @ rs)) @ ris)
-    step = (1 - t) * np.eye(am.shape[0], dtype=np.complex128) + t * transport
-    return hermitianize(step @ am @ step)
+    low = np.linalg.cholesky(am)
+    up = _k._adjoint(low)
+    root = _k._congruence_root(hermitianize(up @ bm @ low))
+    step = (1 - t) * low + t * np.linalg.solve(up, root)
+    return hermitianize(step @ _k._adjoint(step))

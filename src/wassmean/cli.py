@@ -31,8 +31,9 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _write(args, payload_json, payload_text):
-    text = payload_json if args.format == "json" else payload_text
+def _write(args, doc, text):
+    """Write ``doc`` as canonical JSON, or for ``--format text`` ``text()``."""
+    text = dumps_canonical(doc) if args.format == "json" else text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -41,7 +42,8 @@ def _write(args, payload_json, payload_text):
 
 
 def _matrix_text(mat):
-    return np.array2string(np.asarray(mat), precision=12, suppress_small=False) + "\n"
+    # Every entry, where numpy would summarise over 1,000 of them with "...".
+    return np.array2string(mat, precision=12, suppress_small=False, threshold=sys.maxsize) + "\n"
 
 
 def cmd_mean(args):
@@ -50,14 +52,13 @@ def cmd_mean(args):
     report = wasserstein_mean(ensemble, config)
     doc = report.to_json_dict()
     doc["config"] = {"max_iter": config.max_iter, "residual_tol": config.residual_tol}
-    text = (
+    _write(args, doc, lambda: (
         f"converged: {report.converged}\n"
         f"iterations: {report.iterations}\n"
         f"residual: {report.residual:.6e}\n"
         f"objective: {report.objective:.6e}\n"
         f"mean:\n{_matrix_text(report.mean)}"
-    )
-    _write(args, dumps_canonical(doc), text)
+    ))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -65,7 +66,7 @@ def cmd_distance(args):
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     value = bw_distance(a, b)
-    _write(args, dumps_canonical({"distance": value}), f"distance: {value:.12e}\n")
+    _write(args, {"distance": value}, lambda: f"distance: {value:.12e}\n")
     return EXIT_OK
 
 
@@ -73,7 +74,7 @@ def cmd_geodesic(args):
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     point = geodesic(a, b, args.t)
-    _write(args, dumps_canonical(matrix_to_json_dict(point)), _matrix_text(point))
+    _write(args, matrix_to_json_dict(point), lambda: _matrix_text(point))
     return EXIT_OK
 
 
@@ -83,7 +84,7 @@ def cmd_generate(args):
         eig_lo=args.eig_lo, eig_hi=args.eig_hi, commuting=args.commuting,
     )
     doc = ensemble_to_json_dict(ensemble)
-    _write(args, dumps_canonical(doc), dumps_canonical(doc))
+    _write(args, doc, lambda: dumps_canonical(doc))
     return EXIT_OK
 
 
@@ -116,7 +117,7 @@ def cmd_verify(args):
         f"{len(reports) - len(failed) - len(skipped)} passed, "
         f"{len(failed)} failed, {len(skipped)} skipped"
     )
-    _write(args, dumps_canonical(doc), "\n".join(lines) + "\n")
+    _write(args, doc, lambda: "\n".join(lines) + "\n")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -2,18 +2,18 @@
 
 Matrices are plain C-order ``complex128`` ndarrays. Validation helpers return
 the symmetrized array so downstream spectral routines always see an exactly
-Hermitian input; positive definiteness is enforced against a relative floor
-(the open cone has no boundary members here, they are rejected).
+Hermitian input; positive definiteness is enforced against a relative floor,
+proved by a Cholesky factor of a - floor I (boundary matrices are refused).
 
 These helpers are the validation boundary: a caller validates each raw
 argument once at its entry and then computes on the returned arrays with the
 trusted kernels of ``_kernels``, never validating the same array again. Each
 rule has one implementation: ``_require_stack`` validates a stack in one
-vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix and
-``require_spd_stack`` its n-matrix case; ``_loewner_verdicts`` judges a stack
-of pairs the package computed, and ``loewner_leq`` one validated raw pair;
-``require_positive`` checks every tolerance, iteration budget, size, count
-and spectrum edge.
+vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix,
+``require_spd_pair`` its pair and ``require_spd_stack`` its n-matrix case;
+``_loewner_verdicts`` judges a stack of pairs the package computed, and
+``loewner_leq`` one validated raw pair; ``require_positive`` checks every
+tolerance, iteration budget, size, count and spectrum edge.
 Seeded generation is stacked too: one ``_seeded_draws`` call serves a list of
 ``_Draw`` requests, each a Haar unitary or a positive definite matrix of a
 spectrum range from its own ``default_rng(seed)`` stream, drawn from in the
@@ -126,7 +126,8 @@ def _require_stack(arr, label, spd=False):
     whose Hermitian gap is at most 1e-12 * max(1, ||a||_F) per matrix and,
     with ``spd``, whose smallest eigenvalue exceeds
     ``SPD_FLOOR * max(1, ||a||_F)``. Otherwise raises for the first offender
-    in index order, named ``label(j)``."""
+    in index order, named ``label(j)``. One batched Cholesky factor of the
+    shifted stack sym - floor I proves the floor; only a refusal takes eigenvalues."""
     n, rows, cols = arr.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"{label(0)}: empty matrix")
@@ -157,8 +158,11 @@ def _require_stack(arr, label, spd=False):
     sym = np.ascontiguousarray((head + adjoint) * 0.5)
     if spd:
         floor = SPD_FLOOR * scale
-        min_eig = np.linalg.eigvalsh(sym)[:, 0]
-        bad = not_hermitian | (min_eig <= floor)
+        try:
+            np.linalg.cholesky(sym - floor[:, None, None] * np.eye(rows))
+        except np.linalg.LinAlgError:
+            min_eig = np.linalg.eigvalsh(sym)[:, 0]
+            bad = not_hermitian | (min_eig <= floor)
     if bad.any():
         j = int(bad.argmax())
         if not_hermitian[j]:
@@ -198,9 +202,16 @@ def _require_matrix(a, name, spd):
 
 def require_spd_pair(a, b):
     """Validate two positive definite matrices of one shape, named first and
-    second matrix; return both symmetrized."""
-    am = require_spd(a, name="first matrix")
-    bm = require_spd(b, name="second matrix")
+    second matrix; return both symmetrized. Two 2-d arrays of one shape are
+    one 2-stack to ``_require_stack``, any other pair two lone matrices."""
+    names = ("first matrix", "second matrix")
+    try:
+        pair = np.array([a, b], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        pair = None
+    if pair is not None and pair.ndim == 3:
+        return tuple(_require_stack(pair, names.__getitem__, spd=True))
+    am, bm = (require_spd(x, name) for x, name in zip((a, b), names))
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     return am, bm

@@ -38,6 +38,24 @@ def log_uniform():
 
 
 @pytest.fixture
+def linalg_calls(monkeypatch):
+    """The list of (name, argument shape) of each call of ``np.linalg``'s
+    ``eigh``, ``eigvalsh`` and ``cholesky`` made during the test, in order."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+@pytest.fixture
 def wide_spectrum_mats(log_uniform):
     """Six 8x8 log-uniform [1e-6, 1e6] matrices, matrix j drawn from
     default_rng(j). Solving their equal-weight mean meets a congruence

@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wassmean import cli
 from wassmean.barycenter import SolverConfig
 from wassmean.checks import SuitePlan, random_ensemble
 from wassmean.cli import build_parser, main
@@ -326,6 +328,36 @@ def test_text_format(tmp_path, capsys):
     _write_json(a, matrix_to_json_dict(np.eye(2)))
     assert main(["distance", str(a), str(a), "--format", "text"]) == 0
     assert "distance:" in capsys.readouterr().out
+
+
+def test_text_format_prints_every_entry_of_a_large_matrix(tmp_path, capsys):
+    # numpy summarises an array of more than 1,000 entries with "...", which
+    # dropped entries from the text of a 32 x 32 mean and geodesic point.
+    path = tmp_path / "e.json"
+    _write_json(path, ensemble_to_json_dict(random_ensemble(32, 2, seed=3)))
+    assert main(["mean", str(path), "--format", "text"]) == 0
+    mean_text = capsys.readouterr().out.split("mean:\n", 1)[1]
+    ensemble = load_ensemble(path)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write_json(a, matrix_to_json_dict(ensemble.matrices[0]))
+    _write_json(b, matrix_to_json_dict(ensemble.matrices[1]))
+    assert main(["geodesic", str(a), str(b), "--t", "0.5", "--format", "text"]) == 0
+    for text in (mean_text, capsys.readouterr().out):
+        assert "..." not in text
+        assert len(re.findall(r"j", text)) == 32 * 32
+
+
+def test_json_runs_build_no_text(tmp_path, monkeypatch):
+    # The text of a mean or geodesic point is built only for --format text.
+    def refuse(mat):
+        raise AssertionError("text built for a JSON run")
+
+    monkeypatch.setattr(cli, "_matrix_text", refuse)
+    src = _two_point_file(tmp_path)
+    a = tmp_path / "a.json"
+    _write_json(a, matrix_to_json_dict(np.eye(2)))
+    assert main(["mean", str(src)]) == 0
+    assert main(["geodesic", str(a), str(a), "--t", "0.5"]) == 0
 
 
 def test_byte_identical_reports(tmp_path):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from wassmean import _kernels
 from wassmean.hermitian import (
+    SPD_FLOOR,
+    _ginibre,
+    _haar_unitaries,
     _loewner_verdicts,
     ToleranceConfig,
     _Draw,
@@ -16,6 +20,7 @@ from wassmean.hermitian import (
     random_unitary,
     require_hermitian,
     require_spd,
+    require_spd_pair,
     require_spd_stack,
     sqrtm,
 )
@@ -344,3 +349,106 @@ def test_require_spd_stack_names_a_later_non_finite_matrix_without_a_float_error
         ValueError, match=r"^matrices\[1\]: entries must be finite"
     ):
         require_spd_stack(mats)
+
+
+def _refusal(validate, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        validate(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("m", [2, 8, 32])
+@pytest.mark.parametrize("rel", [1 - 1e-3, 1 + 1e-3])
+def test_cholesky_proof_keeps_the_eigenvalue_verdict_at_the_floor(m, rel):
+    # The smallest eigenvalue at floor * (1 -+ 1e-3), as a diagonal matrix
+    # and rotated by a Haar unitary: the Cholesky proof accepts what the
+    # smallest eigenvalue clears, and a refusal names that eigenvalue as
+    # the eigvalsh rule did.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        u = _haar_unitaries(_ginibre(rng.standard_normal((2, m, m))))
+        rest = rng.uniform(0.5, 2.0, m - 1)
+        floor = SPD_FLOOR * max(1.0, np.sqrt((rest**2).sum()))
+        lam = np.concatenate([[rel * floor], rest])
+        for a in (np.diag(lam).astype(complex), _kernels._from_spectrum(u, lam)):
+            min_eig = np.linalg.eigvalsh(a)[0]
+            floor_a = SPD_FLOOR * max(1.0, frobenius(a))
+            assert (min_eig > floor_a) == (rel > 1)
+            if rel > 1:
+                assert np.array_equal(require_spd(a), a)
+            else:
+                assert _refusal(require_spd, a) == (
+                    f"matrix: not positive definite "
+                    f"(min eigenvalue {min_eig:.3e} <= floor {floor_a:.3e})"
+                )
+
+
+@pytest.mark.parametrize("m", [2, 32])
+def test_cholesky_proof_edge_inputs(m):
+    # A floor of 1e-12 * 1e150 sqrt(m) is far above 1: a proof by a shifted
+    # factor must not lose it to round-off, and a sentinel above the floor
+    # would (floor + 1 == floor at that scale).
+    eye = np.eye(m, dtype=complex)
+    for big in (1e150, 1e153):
+        assert np.array_equal(require_spd(big * eye), big * eye)
+    assert _refusal(require_spd, 1e-150 * eye) == (
+        "matrix: not positive definite (min eigenvalue 1.000e-150 <= floor 1.000e-12)"
+    )
+    assert _refusal(require_spd, 1e160 * eye) == "matrix: Frobenius norm overflows"
+    for value in (np.nan, np.inf):
+        bad = eye.copy()
+        bad[-1, -1] = value
+        assert _refusal(require_spd, bad) == "matrix: entries must be finite (found NaN/Inf)"
+
+
+def test_first_offender_of_a_mixed_stack_is_named():
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    indefinite = np.diag([1.0, -1.0]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    assert _refusal(require_spd_stack, [asym, indefinite]).startswith("matrices[0]: not Hermitian")
+    assert _refusal(require_spd_stack, [indefinite, asym]) == (
+        "matrices[0]: not positive definite (min eigenvalue -1.000e+00 <= floor 1.414e-12)"
+    )
+    assert _refusal(require_spd_stack, [eye, indefinite, asym]).startswith(
+        "matrices[1]: not positive definite"
+    )
+    assert _refusal(require_spd_stack, [eye, asym, indefinite]).startswith(
+        "matrices[1]: not Hermitian"
+    )
+
+
+_GOOD = random_spd(3, seed=5, eig_lo=0.5, eig_hi=2.0)
+_BAD = {
+    "not_hermitian": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "indefinite": np.diag([1.0, -1.0, 2.0]),
+    "singular": np.diag([1.0, 0.0, 2.0]),
+    "non_finite": np.diag([1.0, np.nan, 2.0]),
+    "overflow": 1e160 * np.eye(3),
+    "not_square": np.ones((3, 2)),
+    "ndim": np.ones(3),
+    "not_a_number": [["x", "y", "z"]] * 3,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD))
+def test_pair_path_gives_the_per_matrix_messages(kind):
+    # Whether a pair is validated as one 2-stack or matrix by matrix, each
+    # refusal reads as require_spd's on the offending matrix, and a bad
+    # first matrix is named before a bad second one.
+    bad = _BAD[kind]
+    first = _refusal(require_spd, bad, name="first matrix")
+    second = _refusal(require_spd, bad, name="second matrix")
+    assert first.replace("first", "second") == second
+    assert _refusal(require_spd_pair, bad, _GOOD) == first
+    assert _refusal(require_spd_pair, _GOOD, bad) == second
+    assert _refusal(require_spd_pair, bad, bad) == first
+    assert _refusal(require_spd_pair, bad, _BAD["indefinite"]) == first
+
+
+def test_pair_path_keeps_the_dimension_mismatch_message():
+    assert _refusal(require_spd_pair, np.eye(3), np.eye(4)) == "dimension mismatch: (3, 3) vs (4, 4)"
+    assert _refusal(require_spd_pair, np.eye(3), np.diag([1.0, -1.0, 1.0, 1.0])).startswith(
+        "second matrix: not positive definite"
+    )
+    am, bm = require_spd_pair(_GOOD, 2 * _GOOD)
+    assert np.array_equal(am, require_spd(_GOOD)) and np.array_equal(bm, require_spd(2 * _GOOD))

@@ -119,22 +119,16 @@ def test_ensemble_rejects_missing_fields_and_naming():
         }, name="f.json")
 
 
-def test_ensemble_load_runs_one_eigen_solve(tmp_path, monkeypatch):
-    # The loader checks each matrix for symmetry only; Ensemble checks
-    # positive definiteness once, in one batched eigvalsh over the stack.
+def test_ensemble_load_proves_definiteness_with_one_cholesky(tmp_path, linalg_calls):
+    # The loader checks each matrix for symmetry only; Ensemble proves
+    # positive definiteness once, in one batched Cholesky factorisation over
+    # the stack, and takes no eigenvalues when the proof succeeds.
     mats = [random_spd(3, seed=s, eig_lo=0.5, eig_hi=2.0) for s in (1, 2, 3)]
     path = tmp_path / "e.json"
     _write(path, ensemble_to_json_dict(Ensemble(weights=[0.2, 0.3, 0.5], matrices=mats)))
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a):
-        shapes.append(a.shape)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    linalg_calls.clear()
     load_ensemble(path)
-    assert shapes == [(3, 3, 3)]
+    assert linalg_calls == [("cholesky", (3, 3, 3))]
 
 
 def test_ensemble_reports_bad_weights_before_a_bad_matrix():

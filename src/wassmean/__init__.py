@@ -17,8 +17,7 @@ from .checks import (
     DEFAULT_CHECKS,
     CheckReport,
     SuitePlan,
-    check_bounds,
-    check_det_inequality,
+    check,
     default_plan,
     run_suite,
 )
@@ -66,8 +65,7 @@ __all__ = [
     "ando_map",
     "arithmetic_mean",
     "bw_distance",
-    "check_bounds",
-    "check_det_inequality",
+    "check",
     "commuting_closed_form",
     "default_plan",
     "ensemble_tensor",

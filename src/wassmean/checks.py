@@ -1,7 +1,7 @@
 """Machine verification of the mean's order, determinant, positive-map,
 tensor-product and Hadamard-product properties.
 
-Each ``check_*`` function evaluates one inequality or identity on concrete
+Each check evaluates one inequality or identity on concrete
 inputs and returns a :class:`CheckReport` whose margin is the smallest
 eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities); ``_order_report`` turns a check's Loewner
@@ -11,21 +11,22 @@ check computed, which it trusts rather than validates again. A report over
 several results (comparisons or instances) reports the one ``_worst`` picks:
 a NaN margin first, else the smallest failing margin, else the smallest.
 
-A ``check_*`` function is the validation boundary of a private core, the
-function ``_<name>`` of its suite name: it validates its raw arguments,
-solves its ensembles with the default ``SolverConfig``, and calls the core on
-them and on the solves' outcomes (each a report or the error its solve
-raised). The core trusts its inputs; a derived matrix that the positive
-definite floor could still reject (a Schur product, a congruence) keeps its
-one validation. The Hadamard checks follow from the Kronecker pairs through
-Ando's compression Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a
-function of the pairs' one constant K, and the arithmetic sides are bilinear,
+A check is one entry of ``_CHECKS`` and one private core ``_<name>``.
+``check(name, *args, tol=None)`` validates the raw arguments (the entry's
+``validate``), solves the ensembles its ``solves`` lists, and calls the core
+on them and the solves' outcomes (reports or errors). The core trusts its
+inputs; a derived matrix that the positive definite floor could still reject
+(a Schur product, a congruence) keeps its one validation. The Hadamard
+checks follow from the Kronecker pairs through Ando's compression
+Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a function of the
+pairs' one constant K, and the arithmetic sides are bilinear,
 (sum w A) (x) (sum u B) and (sum w A) o (sum u B).
 
 ``run_suite`` runs the cores on seeded random instances and on the known
 equality cases, which each entry of ``_CHECKS`` declares as data; see there.
 """
 
+import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -54,7 +55,7 @@ from .hermitian import (
     require_spd_pair,
 )
 from .means import kantorovich
-from .products import _isometry_map, _pair_weights, ensemble_tensor
+from .products import PositiveMapSpec, _isometry_map, _pair_weights, ensemble_tensor
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
@@ -223,12 +224,8 @@ def _arithmetic(ensemble):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_fixed_point_certificate(ensemble):
-    """Both residual forms of the mean's defining equation at the solved mean."""
-    return _fixed_point(None, ensemble, *bc.wasserstein_means([ensemble]))
-
-
 def _fixed_point(tol, ensemble, solved):
+    """Both residual forms of the mean's defining equation at the solved mean."""
     report = _report(solved)
     # The solver's mean is exactly Hermitian and positive definite.
     eq_res = float(_k.mean_equation_residual(report.mean, ensemble.matrices, ensemble.weights))
@@ -251,12 +248,8 @@ def _fixed_point(tol, ensemble, solved):
     )
 
 
-def check_bounds(ensemble, *, tol=None):
-    """Both order bounds of the mean X: 2I - sum_j w_j A_j^{-1} <= X <= sum_j w_j A_j."""
-    return _bounds(tol, ensemble, *bc.wasserstein_means([ensemble]))
-
-
 def _bounds(tol, ensemble, solved):
+    """Both order bounds of the mean X: 2I - sum_j w_j A_j^{-1} <= X <= sum_j w_j A_j."""
     mean = _mean(solved)
     eye = np.eye(ensemble.dim, dtype=np.complex128)
     inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
@@ -280,19 +273,13 @@ def _log_det_gap(top, weights, stack):
     return gap, all_equal
 
 
-def check_det_inequality(ensemble, *, tol=None):
+def _det_inequality(tol, ensemble, solved):
     """Determinant gap of the mean X: log det(X) - sum_j w_j log det(A_j) >= 0,
     with equality exactly on constant ensembles.
 
     The equality flag is raised when the log gap is <= 1e-9 and cross-checked
     against the matrices actually coinciding within 1e-8.
     """
-    return _det_inequality(tol, ensemble, *bc.wasserstein_means([ensemble]))
-
-
-def _det_inequality(tol, ensemble, solved):
-    if tol is None:
-        tol = ToleranceConfig()
     margin, all_equal = _log_det_gap(_mean(solved), ensemble.weights, ensemble.matrices)
     equality = margin <= 1e-9
     return CheckReport(
@@ -309,15 +296,9 @@ def _det_inequality(tol, ensemble, solved):
     )
 
 
-def check_logdet_concavity(ensemble, *, tol=None):
+def _logdet_concavity(tol, ensemble):
     """log det of the ensemble's convex combination dominates the combination
     of its log dets, with equality exactly when all matrices coincide."""
-    return _logdet_concavity(tol, ensemble)
-
-
-def _logdet_concavity(tol, ensemble):
-    if tol is None:
-        tol = ToleranceConfig()
     margin, all_equal = _log_det_gap(_arithmetic(ensemble), ensemble.weights, ensemble.matrices)
     return CheckReport(
         check_name="logdet_concavity",
@@ -328,15 +309,9 @@ def _logdet_concavity(tol, ensemble):
     )
 
 
-def check_phi_geometric_mean(a, b, phi, tol=None):
+def _phi_geometric_mean(tol, a, b, phi):
     """Compression of a geometric mean never exceeds the geometric mean of
     the compressions."""
-    am, bm = require_spd_pair(a, b)
-    phi.require_source_dim(am.shape[0])
-    return _phi_geometric_mean(tol, am, bm, phi)
-
-
-def _phi_geometric_mean(tol, a, b, phi):
     lhs = phi.compress(_k.geometric_mean(a, b))
     rhs = _k.geometric_mean(*phi.compress(np.stack([a, b])))
     return _order_report(
@@ -347,14 +322,9 @@ def _phi_geometric_mean(tol, a, b, phi):
     )
 
 
-def check_phi_wass(ensemble, phi, tol=None):
+def _phi_wass(tol, ensemble, phi, solved):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
-    phi.require_source_dim(ensemble.dim)
-    return _phi_wass(tol, ensemble, phi, *bc.wasserstein_means([ensemble]))
-
-
-def _phi_wass(tol, ensemble, phi, solved):
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
     mean = _mean(solved)
     inverses = _k.spd_power(ensemble.matrices, -1.0)
@@ -371,13 +341,9 @@ def _phi_wass(tol, ensemble, phi, solved):
     )
 
 
-def check_self_duality_gap(ensemble):
+def _self_duality_gap(tol, ensemble, solved, solved_inverses):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
-    return _self_duality_gap(None, ensemble, *bc.wasserstein_means([ensemble, _inverted(ensemble)]))
-
-
-def _self_duality_gap(tol, ensemble, solved, solved_inverses):
     mean = _mean(solved)
     gap = frobenius(_mean(solved_inverses) - _k.spd_power(mean, -1.0))
     return CheckReport(
@@ -389,13 +355,9 @@ def _self_duality_gap(tol, ensemble, solved, solved_inverses):
     )
 
 
-def check_tensor_identity(a, b):
+def _tensor_identity(tol, a, b, *solves):
     """Kronecker product of two means equals the mean of the Kronecker-pair
     ensemble; margin is the negated relative Frobenius error."""
-    return _tensor_identity(None, a, b, *bc.wasserstein_means([a, b, ensemble_tensor(a, b)]))
-
-
-def _tensor_identity(tol, a, b, *solves):
     inputs = {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}
     try:
         mean_a, mean_b, mean_t = map(_mean, solves)
@@ -412,13 +374,9 @@ def _tensor_identity(tol, a, b, *solves):
     )
 
 
-def check_tensor_arithmetic_bound(a, b, tol=None):
+def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
     """Kronecker product of two means below the arithmetic mean of all
     Kronecker pairs, which by bilinearity is (sum w A) (x) (sum u B)."""
-    return _tensor_arithmetic_bound(tol, a, b, *bc.wasserstein_means([a, b]))
-
-
-def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
     return _order_report(
         "tensor_arithmetic_bound", tol,
         {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
@@ -426,20 +384,9 @@ def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
     )
 
 
-def _solves_of_one_dim(a, b):
-    """The solves of two ensembles of one dimension."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return bc.wasserstein_means([a, b])
-
-
-def check_hadamard_arithmetic_bound(a, b, tol=None):
+def _hadamard_arithmetic_bound(tol, a, b, solved_a, solved_b):
     """Hadamard product of two means below the arithmetic mean of all
     Hadamard pairs, which by bilinearity is (sum w A) o (sum u B)."""
-    return _hadamard_arithmetic_bound(tol, a, b, *_solves_of_one_dim(a, b))
-
-
-def _hadamard_arithmetic_bound(tol, a, b, solved_a, solved_b):
     return _order_report(
         "hadamard_arithmetic_bound", tol,
         {"dim": a.dim, "counts": [a.size, b.size]}, {},
@@ -447,19 +394,9 @@ def _hadamard_arithmetic_bound(tol, a, b, solved_a, solved_b):
     )
 
 
-def check_commuting_quadruple(a, b, c, d, tol=None):
+def _commuting_quadruple(tol, ab, cd):
     """For commuting pairs (a,b) and (c,d):
     (ab+ba) o (cd+dc) - (a^2+b^2) o (c^2+d^2) <= (a-b)^2 o (c-d)^2 / 2."""
-    am, bm = require_spd(a, name="a"), require_spd(b, name="b")
-    cm, dm = require_spd(c, name="c"), require_spd(d, name="d")
-    bc.require_commuting(am, bm, "pair (a,b) does not commute")
-    bc.require_commuting(cm, dm, "pair (c,d) does not commute")
-    if am.shape != cm.shape:
-        raise ValueError(f"shape mismatch: {am.shape} vs {cm.shape}")
-    return _commuting_quadruple(tol, (am, bm), (cm, dm))
-
-
-def _commuting_quadruple(tol, ab, cd):
     (a, b), (c, d) = ab, cd
     lhs = (a @ b + b @ a) * (c @ d + d @ c) - (a @ a + b @ b) * (c @ c + d @ d)
     rhs = 0.5 * (((a - b) @ (a - b)) * ((c - d) @ (c - d)))
@@ -469,14 +406,10 @@ def _commuting_quadruple(tol, ab, cd):
     )
 
 
-def check_hadamard_inverse(a, b, tol=None):
+def _hadamard_inverse(tol, a, b):
     """Two-sided bound on the inverse of a Hadamard product:
     (a o b)^{-1} <= a^{-1} o b^{-1} <= K (a o b)^{-1} with K the Kantorovich
     constant of the Kronecker product's spectral edges."""
-    return _hadamard_inverse(tol, *require_spd_pair(a, b))
-
-
-def _hadamard_inverse(tol, a, b):
     # The Schur product is validated as the inverse's argument.
     had_inv = _k.spd_power(require_spd(a * b, name="matrix"), -1.0)
     inv_a, inv_b = _k.spd_power(np.stack([a, b]), -1.0)
@@ -506,13 +439,9 @@ def _hadamard_pairs(a, b):
     return (a.matrices[:, None] * b.matrices[None, :]).reshape(-1, a.dim, a.dim)
 
 
-def check_kantorovich_hadamard(a, b, tol=None):
+def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
-    return _kantorovich_hadamard(tol, a, b, *_solves_of_one_dim(a, b))
-
-
-def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     x, y = _mean(solved_a), _mean(solved_b)
     kantorovich_constant, edges = _kronecker_kantorovich(a.matrices, b.matrices)
     # The paper's (alpha gamma + beta delta) / (2 sqrt(alpha beta gamma delta)).
@@ -529,20 +458,9 @@ def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     )
 
 
-def check_jensen_contraction(a, x, p, tol=None):
-    """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
-    contraction; ``x`` is a finite square matrix of the dimension of ``a``."""
-    if not 0.0 <= _real(p, "p") <= 1.0:
-        raise ValueError(f"power p={p} outside [0, 1]")
-    am = require_spd(a, name="matrix")
-    xm = as_complex_matrix(x, name="x")
-    if xm.shape != am.shape:
-        m = am.shape[0]
-        raise ValueError(f"x: expected a {m}x{m} matrix, the dimension of a, got shape {xm.shape}")
-    return _jensen_contraction(tol, am, xm, p)
-
-
 def _jensen_contraction(tol, a, x, p):
+    """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
+    contraction."""
     sv = np.linalg.svd(x, compute_uv=False)
     inv_norm = 1.0 / float(sv[-1])
     if inv_norm > 1.0 + 1e-12:
@@ -559,17 +477,13 @@ def _jensen_contraction(tol, a, x, p):
     )
 
 
-def check_sqrt_sum_lower_bound(a, b, tol=None):
+def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     """When both solved means dominate the identity, the weighted sum of
     Hadamard-pair square roots dominates a Kantorovich-type multiple of I.
 
     Returns a skipped report (not a failure) when the contraction
     precondition on the means fails.
     """
-    return _sqrt_sum_lower_bound(tol, a, b, *_solves_of_one_dim(a, b))
-
-
-def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     eye = np.eye(a.dim, dtype=np.complex128)
     pre_x, pre_y = _loewner_verdicts([(eye, _mean(solved_a)), (eye, _mean(solved_b))], tol)
     if not (pre_x.holds and pre_y.holds):
@@ -591,6 +505,96 @@ def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
         {"constant": constant},
         (None, constant * eye, hermitianize(lhs)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the validation boundary: each check's ``validate``
+# ---------------------------------------------------------------------------
+
+def _of_type(value, kind, name):
+    """``value``, or a TypeError that names the argument when it is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _one_ensemble(ensemble):
+    return (_of_type(ensemble, bc.Ensemble, "ensemble"),)
+
+
+def _two_ensembles(a, b):
+    return _of_type(a, bc.Ensemble, "a"), _of_type(b, bc.Ensemble, "b")
+
+
+def _two_ensembles_of_one_dim(a, b):
+    a, b = _two_ensembles(a, b)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return a, b
+
+
+def _spd_pair_and_map(a, b, phi):
+    am, bm = require_spd_pair(a, b)
+    _of_type(phi, PositiveMapSpec, "phi").require_source_dim(am.shape[0])
+    return am, bm, phi
+
+
+def _ensemble_and_map(ensemble, phi):
+    (ensemble,) = _one_ensemble(ensemble)
+    _of_type(phi, PositiveMapSpec, "phi").require_source_dim(ensemble.dim)
+    return ensemble, phi
+
+
+def _commuting_spd_pairs(a, b, c, d):
+    """The pairs (a, b) and (c, d), each commuting, of four matrices of one shape."""
+    am, bm, cm, dm = (require_spd(m, name=n) for m, n in zip((a, b, c, d), "abcd"))
+    odd = [m.shape for m in (bm, cm, dm) if m.shape != am.shape]
+    if odd:
+        raise ValueError(f"shape mismatch: {am.shape} vs {odd[0]}")
+    bc.require_commuting(am, bm, "pair (a,b) does not commute")
+    bc.require_commuting(cm, dm, "pair (c,d) does not commute")
+    return (am, bm), (cm, dm)
+
+
+def _spd_factor_power(a, x, p):
+    if not 0.0 <= _real(p, "p") <= 1.0:
+        raise ValueError(f"power p={p} outside [0, 1]")
+    am = require_spd(a, name="matrix")
+    xm = as_complex_matrix(x, name="x")
+    if xm.shape != am.shape:
+        m = len(am)
+        raise ValueError(f"x: expected a {m}x{m} matrix, the dimension of a, got shape {xm.shape}")
+    return am, xm, p
+
+
+def _require_known(names, field=""):
+    """Refuse, by a ValueError opened by ``field``, names that are not checks."""
+    unknown = [c for c in names if not (isinstance(c, str) and c in _CHECKS)]
+    if unknown:
+        raise ValueError(f"{field}unknown checks {unknown}; known: {sorted(_CHECKS)}")
+
+
+def check(name, *args, tol=None):
+    """The report of check ``name`` on ``args``, named by its ``validate``,
+    under the ``ToleranceConfig`` ``tol`` (None: the default), which the
+    constant-bound ``fixed_point``, ``self_duality_gap`` and ``tensor_identity``
+    refuse. Wrong arguments are refused before its one ``wasserstein_means`` call."""
+    _require_known([name])
+    entry = _CHECKS[name]
+    params = inspect.signature(entry.validate).parameters
+    if len(args) != len(params):
+        raise TypeError(f"{name} takes ({', '.join(params)}), got {len(args)} arguments")
+    if tol is not None and not entry.takes_tol:
+        raise TypeError(f"{name} takes no tolerance")
+    tol = ToleranceConfig() if tol is None else _of_type(tol, ToleranceConfig, "tol")
+    args = entry.validate(*args)
+    return _evaluate(name, tol, args, bc.wasserstein_means(list(entry.solves(*args))))
+
+
+def _evaluate(name, tol, args, outcomes):
+    """The report of the core ``_<name>``, looked up at call time, on the
+    arguments and then their solves' outcomes: the one call of a core."""
+    return globals()[f"_{name}"](tol, *args, *outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +625,7 @@ class SuitePlan:
     tol: float = 1e-8
 
     def __post_init__(self):
-        checks = _plan_field("checks", self.checks, "an array of check names",
-                             lambda v: all(isinstance(c, str) for c in v))
+        checks = _plan_field("checks", self.checks, "an array of check names", lambda v: True)
         lo, hi = _plan_field("seeds", self.seeds, "[lo, hi] integers",
                              lambda v: len(v) == 2 and all(map(is_integer, v)))
         dims = _plan_field("dims", self.dims, "a non-empty array of integers",
@@ -631,11 +634,7 @@ class SuitePlan:
         if hi <= lo:
             raise ValueError(f"seeds: empty range [{lo}, {hi})")
         dims = tuple(require_positive(d, "dims", integer=True) for d in dims)
-        unknown = [c for c in checks if c not in CHECK_REGISTRY]
-        if unknown:
-            raise ValueError(
-                f"checks: unknown checks {unknown}; known: {sorted(CHECK_REGISTRY)}"
-            )
+        _require_known(checks, "checks: ")
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "seeds", (int(lo), int(hi)))
         object.__setattr__(self, "dims", dims)
@@ -694,24 +693,28 @@ class _Check:
     ``Ensemble`` among the arguments. The core takes the tolerance, the built
     arguments and those ensembles' outcomes. ``finish(report, generic,
     equality)`` adds check-specific verdicts to the aggregate report.
+    ``validate`` (by default: one ``Ensemble``) names and validates the raw
+    arguments of ``check``; ``takes_tol`` is False where the bound is a constant.
     """
 
     instances: Callable
     equality_cases: Callable = lambda: ()
     finish: Callable = lambda report, generic, equality: None
     solves: Callable = lambda *args: [a for a in args if isinstance(a, bc.Ensemble)]
+    validate: Callable = _one_ensemble
+    takes_tol: bool = True
 
 
-def _run_check(name, check, built):
-    """Run the core of check ``name``, looked up at call time, on each
-    generic, then each equality case of ``built`` = (plan, cases, solved):
-    on its arguments and then the outcomes ``solved`` maps its ensembles
-    to; aggregate the reports under the plan's tolerance."""
+def _run_check(name, entry, built):
+    """Evaluate check ``name`` on each generic, then each equality case of
+    ``built`` = (plan, cases, solved): on its arguments and the outcomes
+    ``solved`` maps its ensembles to; aggregate the reports under the plan's
+    tolerance."""
     plan, cases, solved = built
     tol = ToleranceConfig(loewner_tol=plan.tol)
-    core = globals()[f"_{name}"]
     generic, equality = (
-        [core(tol, *args, *map(solved.__getitem__, ens)) for args, ens in group] for group in cases
+        [_evaluate(name, tol, args, map(solved.__getitem__, ens)) for args, ens in group]
+        for group in cases
     )
     extra = {}
     if len(equality) == 1:
@@ -719,7 +722,7 @@ def _run_check(name, check, built):
     elif equality:
         extra["equality_case_margins"] = [r.margin for r in equality]
     report = _aggregate(name, plan, generic + equality, extra)
-    check.finish(report, generic, equality)
+    entry.finish(report, generic, equality)
     return report
 
 
@@ -787,6 +790,7 @@ _CHECKS = {
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
         # The singleton ensemble solves exactly.
         equality_cases=lambda: [_singletons(3, 0, 23)],
+        takes_tol=False,
     ),
     "bounds": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3, 5)),
@@ -811,6 +815,7 @@ _CHECKS = {
         ],
         # A unitary conjugation commutes with the mean.
         equality_cases=lambda: [(_spd(3, 3, 53), _spd(3, 3, 59), _isometry(3, 3, _mix(3, 47)))],
+        validate=_spd_pair_and_map,
     ),
     "phi_wass": _Check(
         instances=lambda plan: [
@@ -818,6 +823,7 @@ _CHECKS = {
              _isometry(m, m if s % 3 == 0 else max(1, m - 1), _mix(s, 61)))
             for s in plan.seed_list() for m in [max(2, plan.dim_for(s))]
         ],
+        validate=_ensemble_and_map,
     ),
     "self_duality_gap": _Check(
         instances=lambda plan: _ensembles(
@@ -825,20 +831,25 @@ _CHECKS = {
         ),
         finish=_finish_self_duality_gap,
         solves=lambda e: (e, _inverted(e)),
+        takes_tol=False,
     ),
     "tensor_identity": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), salts=(67, 71), dim=lambda s: 2),
         # Singleton ensembles reproduce the plain Kronecker product.
         equality_cases=lambda: [_singletons(2, 4, 73, 79)],
         solves=lambda a, b: (a, b, ensemble_tensor(a, b)),
+        validate=_two_ensembles,
+        takes_tol=False,
     ),
     "tensor_arithmetic_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), salts=(83, 89), dim=lambda s: 2),
         equality_cases=lambda: [_singletons(2, 5, 97, 101)],
+        validate=_two_ensembles,
     ),
     "hadamard_arithmetic_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2, 3), salts=(103, 107)),
         equality_cases=lambda: [_singletons(3, 6, 109, 113)],
+        validate=_two_ensembles_of_one_dim,
     ),
     "commuting_quadruple": _Check(
         instances=lambda plan: [
@@ -848,6 +859,7 @@ _CHECKS = {
         equality_cases=lambda: [
             tuple(_Apply(itemgetter(0, 0), (d,)) for d in _commuting_pairs(3, 7, 137, 139))
         ],
+        validate=_commuting_spd_pairs,
     ),
     "hadamard_inverse": _Check(
         instances=lambda plan: [
@@ -855,12 +867,14 @@ _CHECKS = {
             for s in plan.seed_list() for m in [min(4, plan.dim_for(s))]
         ],
         equality_cases=lambda: [(_EYE2, _EYE2)],
+        validate=require_spd_pair,
     ),
     "kantorovich_hadamard": _Check(
         instances=lambda plan: _ensembles(
             plan, (2,), salts=(157, 163), dim=lambda s: min(3, plan.dim_for(s))
         ),
         equality_cases=lambda: [(_IDENTITY, _IDENTITY)],
+        validate=_two_ensembles_of_one_dim,
     ),
     "jensen_contraction": _Check(
         instances=lambda plan: [
@@ -873,15 +887,17 @@ _CHECKS = {
             (_spd(3, 8, 179), _Apply(np.multiply, (2.0, _Draw(3, _mix(8, 181)))), 1.0),
             (_spd(3, 8, 179), _Draw(3, _mix(8, 181)), 0.0),
         ],
+        validate=_spd_factor_power,
     ),
     "sqrt_sum_lower_bound": _Check(
         instances=lambda plan: _ensembles(plan, (2,), salts=(191, 193), spectrum=(1.0, 3.0)),
         equality_cases=lambda: [(_IDENTITY, _IDENTITY)],
+        validate=_two_ensembles_of_one_dim,
     ),
 }
 
 # Each value maps what ``run_suite`` built for its check, (plan, cases, solved), to its report.
-CHECK_REGISTRY = {name: partial(_run_check, name, check) for name, check in _CHECKS.items()}
+CHECK_REGISTRY = {name: partial(_run_check, name, entry) for name, entry in _CHECKS.items()}
 
 # "all" in plans and on the CLI expands to these.
 DEFAULT_CHECKS = tuple(CHECK_REGISTRY)

@@ -86,3 +86,11 @@ def test_readme_quickstart_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert all(r.holds for r in namespace["reports"])
+
+
+def test_each_check_has_one_entry_point():
+    # A check is described once, by its _CHECKS entry, and run by
+    # check(name, ...): a public check_<name> twin would describe it again.
+    checks = importlib.import_module("wassmean.checks")
+    assert [name for name in vars(checks) if name.startswith("check_")] == []
+    assert re.findall(r"\bcheck_\w+\(", (ROOT / "README.md").read_text()) == []

@@ -15,7 +15,7 @@ from wassmean.barycenter import (
     wasserstein_means,
 )
 from wassmean.bures import bw_distance, geodesic
-from wassmean.checks import check_bounds, check_det_inequality
+from wassmean.checks import check
 from wassmean.hermitian import (
     frobenius,
     hermitianize,
@@ -370,7 +370,7 @@ def test_one_by_one_matrices_match_scalar_closed_form():
 
 def test_check_bounds_scalar_case():
     e = _two_point()
-    report = check_bounds(e)
+    report = check("bounds", e)
     assert report.holds
     # 2I - (w1 I + w2 I/4) = (11/8) I below (9/4) I below (5/2) I.
     assert report.details["lower_margin"] == pytest.approx(2.25 - 11.0 / 8.0, abs=1e-9)
@@ -380,14 +380,14 @@ def test_check_bounds_scalar_case():
 def test_check_bounds_single_matrix():
     a = random_spd(3, seed=55, eig_lo=0.5, eig_hi=2.0)
     e = Ensemble(weights=[1.0], matrices=[a])
-    report = check_bounds(e)
+    report = check("bounds", e)
     assert report.holds
 
 
 def test_check_bounds_random():
     for seed in range(30):
         e = _ensemble(seed, m=2 + seed % 4, n=2 + seed % 4)
-        report = check_bounds(e)
+        report = check("bounds", e)
         assert report.holds
         assert report.margin >= -1e-8
 
@@ -395,7 +395,7 @@ def test_check_bounds_random():
 def test_det_inequality_equality_branch():
     a = random_spd(3, seed=60, eig_lo=0.5, eig_hi=2.0)
     e = Ensemble(weights=[1 / 3, 1 / 3, 1 / 3], matrices=[a, a, a])
-    report = check_det_inequality(e)
+    report = check("det_inequality", e)
     assert report.holds
     assert abs(report.margin) <= 1e-9
     assert report.details["equality"]
@@ -404,7 +404,7 @@ def test_det_inequality_equality_branch():
 
 def test_det_inequality_scalar_margin():
     e = _two_point()
-    report = check_det_inequality(e)
+    report = check("det_inequality", e)
     assert report.holds
     assert report.margin == pytest.approx(np.log(81.0 / 64.0), abs=1e-9)
     assert not report.details["equality"]
@@ -413,7 +413,7 @@ def test_det_inequality_scalar_margin():
 def test_det_inequality_strict_on_distinct():
     for seed in range(20):
         e = _ensemble(seed + 200)
-        report = check_det_inequality(e)
+        report = check("det_inequality", e)
         assert report.holds
         assert report.margin >= 1e-10
         assert not report.details["equality"]

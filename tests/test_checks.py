@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,19 +10,7 @@ from wassmean.barycenter import Ensemble
 from wassmean.checks import (
     DEFAULT_CHECKS,
     SuitePlan,
-    check_commuting_quadruple,
-    check_fixed_point_certificate,
-    check_hadamard_arithmetic_bound,
-    check_hadamard_inverse,
-    check_jensen_contraction,
-    check_kantorovich_hadamard,
-    check_logdet_concavity,
-    check_phi_geometric_mean,
-    check_phi_wass,
-    check_self_duality_gap,
-    check_sqrt_sum_lower_bound,
-    check_tensor_arithmetic_bound,
-    check_tensor_identity,
+    check,
     default_plan,
     random_ensemble,
     run_suite,
@@ -47,7 +36,7 @@ def _two_point():
 
 def test_fixed_point_certificate_singleton():
     a = random_spd(3, seed=1, eig_lo=0.5, eig_hi=2.0)
-    report = check_fixed_point_certificate(Ensemble(weights=[1.0], matrices=[a]))
+    report = check("fixed_point", Ensemble(weights=[1.0], matrices=[a]))
     assert report.holds
     assert abs(report.margin) <= 1e-10
 
@@ -57,19 +46,19 @@ def test_fixed_point_certificate_takes_no_tolerance():
     # tolerance argument could not change the verdict, so none is taken.
     ensemble = random_ensemble(2, 2, 0)
     with pytest.raises(TypeError):
-        check_fixed_point_certificate(ensemble, ToleranceConfig(loewner_tol=1e-3))
-    with pytest.raises(TypeError):
-        check_fixed_point_certificate(ensemble, tol=None)
+        check("fixed_point", ensemble, ToleranceConfig(loewner_tol=1e-3))
+    with pytest.raises(TypeError, match=r"^fixed_point takes no tolerance$"):
+        check("fixed_point", ensemble, tol=ToleranceConfig(loewner_tol=1e-3))
 
 
 def test_logdet_concavity_random_and_equality():
     for seed in range(20):
         e = random_ensemble(3, 3, seed)
-        report = check_logdet_concavity(e)
+        report = check("logdet_concavity", e)
         assert report.holds
         assert report.margin >= 0.0
     a = random_spd(3, seed=5, eig_lo=0.5, eig_hi=2.0)
-    eq = check_logdet_concavity(Ensemble(weights=[0.5, 0.5], matrices=[a, a]))
+    eq = check("logdet_concavity", Ensemble(weights=[0.5, 0.5], matrices=[a, a]))
     assert eq.holds
     assert abs(eq.margin) <= 1e-10
     assert eq.details["equality"]
@@ -80,7 +69,7 @@ def test_phi_geometric_mean_compressions():
         phi = random_isometry_map(4, 2, seed=seed)
         a = random_spd(4, seed=seed + 10, eig_lo=0.5, eig_hi=2.0)
         b = random_spd(4, seed=seed + 20, eig_lo=0.5, eig_hi=2.0)
-        report = check_phi_geometric_mean(a, b, phi)
+        report = check("phi_geometric_mean", a, b, phi)
         assert report.holds, report.margin
 
 
@@ -88,7 +77,7 @@ def test_phi_geometric_mean_unitary_equality():
     phi = random_isometry_map(3, 3, seed=4)
     a = random_spd(3, seed=30, eig_lo=0.5, eig_hi=2.0)
     b = random_spd(3, seed=31, eig_lo=0.5, eig_hi=2.0)
-    report = check_phi_geometric_mean(a, b, phi)
+    report = check("phi_geometric_mean", a, b, phi)
     assert report.holds
     assert abs(report.margin) <= 1e-9
 
@@ -97,13 +86,13 @@ def test_phi_wass_identity_map_single_matrix():
     # Scalar shadow: a + 1/a >= 2 for every eigenvalue.
     a = random_spd(3, seed=40, eig_lo=0.5, eig_hi=2.0)
     phi = PositiveMapSpec(kind="isometry", isometry=np.eye(3, dtype=complex))
-    report = check_phi_wass(Ensemble(weights=[1.0], matrices=[a]), phi)
+    report = check("phi_wass", Ensemble(weights=[1.0], matrices=[a]), phi)
     assert report.holds
 
 
 def test_phi_wass_unitary_conjugation_scalar_case():
     phi = random_isometry_map(2, 2, seed=6)
-    report = check_phi_wass(_two_point(), phi)
+    report = check("phi_wass", _two_point(), phi)
     assert report.holds
     # phi(mean) = (9/4)I against 2I - (5/8)I = (11/8)I.
     assert report.details["mean_side_margin"] == pytest.approx(2.25 - 1.375, abs=1e-9)
@@ -115,21 +104,21 @@ def test_phi_wass_unitary_conjugation_scalar_case():
 
 def test_phi_wass_rejects_a_map_of_another_source_dimension():
     with pytest.raises(ValueError, match=r"^dimension mismatch: matrix is 3x3, map expects 2$"):
-        check_phi_wass(random_ensemble(3, 2, 0), random_isometry_map(2, 1, seed=5))
+        check("phi_wass", random_ensemble(3, 2, 0), random_isometry_map(2, 1, seed=5))
 
 
 def test_phi_wass_random_compressions():
     for seed in range(10):
         phi = random_isometry_map(4, 2, seed=seed + 50)
         e = random_ensemble(4, 3, seed)
-        report = check_phi_wass(e, phi)
+        report = check("phi_wass", e, phi)
         assert report.holds
         assert report.margin >= -1e-8
 
 
 def test_self_duality_gap_on_noncommuting_input():
     e = random_ensemble(2, 2, 0)
-    report = check_self_duality_gap(e)
+    report = check("self_duality_gap", e)
     assert report.holds
     assert report.details["gap"] > 1e-4
 
@@ -137,7 +126,7 @@ def test_self_duality_gap_on_noncommuting_input():
 def test_tensor_identity_singletons():
     a = _eye_ensemble(2, 1.0)
     b = _eye_ensemble(2, 4.0)
-    report = check_tensor_identity(a, b)
+    report = check("tensor_identity", a, b)
     assert report.holds
     assert abs(report.margin) <= 1e-12
 
@@ -150,7 +139,7 @@ def test_tensor_identity_commuting_closed_forms():
     mats_b = random_commuting_spds(2, 2, seed=12, eig_lo=0.5, eig_hi=2.0)
     a = Ensemble(weights=[0.3, 0.7], matrices=mats_a)
     b = Ensemble(weights=[0.6, 0.4], matrices=mats_b)
-    report = check_tensor_identity(a, b)
+    report = check("tensor_identity", a, b)
     assert report.holds
     # Independent route: closed forms of both factors and of the pair ensemble.
     lhs = np.kron(commuting_closed_form(a), commuting_closed_form(b))
@@ -161,7 +150,7 @@ def test_tensor_identity_commuting_closed_forms():
 def test_tensor_identity_random_noncommuting():
     a = random_ensemble(2, 2, 13)
     b = random_ensemble(2, 2, 14)
-    report = check_tensor_identity(a, b)
+    report = check("tensor_identity", a, b)
     assert report.holds
     assert report.details["relative_error"] <= 1e-6
 
@@ -170,7 +159,7 @@ def test_tensor_identity_at_dimension_cap():
     # Tensor ensemble of dimension 16 (the solvable ceiling): still tight.
     a = random_ensemble(4, 2, 1)
     b = random_ensemble(4, 2, 2)
-    report = check_tensor_identity(a, b)
+    report = check("tensor_identity", a, b)
     assert report.holds
     assert report.details["relative_error"] <= 1e-6
 
@@ -182,7 +171,7 @@ def test_tensor_identity_reports_non_convergence(monkeypatch):
         return [dataclasses.replace(r, converged=False) for r in solve_all(ensembles, config)]
 
     monkeypatch.setattr(barycenter, "wasserstein_means", not_converged)
-    report = check_tensor_identity(random_ensemble(2, 2, 15), random_ensemble(2, 2, 16))
+    report = check("tensor_identity", random_ensemble(2, 2, 15), random_ensemble(2, 2, 16))
     (suite,) = run_suite(SuitePlan(checks=("tensor_identity",), seeds=(0, 2)))
     for error in (report.details["error"], suite.details["worst_details"]["error"]):
         assert "did not converge" in error
@@ -191,16 +180,16 @@ def test_tensor_identity_reports_non_convergence(monkeypatch):
 
 
 def test_tensor_arithmetic_bound_cases():
-    singles = check_tensor_arithmetic_bound(_eye_ensemble(2), _eye_ensemble(2))
+    singles = check("tensor_arithmetic_bound", _eye_ensemble(2), _eye_ensemble(2))
     assert singles.holds
     assert abs(singles.margin) <= 1e-12
     two = _two_point()
-    report = check_tensor_arithmetic_bound(two, two)
+    report = check("tensor_arithmetic_bound", two, two)
     assert report.holds
     # (9/4)^2 I below 2.5^2 I.
     assert report.margin == pytest.approx(6.25 - 5.0625, abs=1e-9)
     for seed in range(5):
-        rep = check_tensor_arithmetic_bound(
+        rep = check("tensor_arithmetic_bound", 
             random_ensemble(2, 2, seed + 60), random_ensemble(2, 2, seed + 70)
         )
         assert rep.holds
@@ -209,10 +198,10 @@ def test_tensor_arithmetic_bound_cases():
 
 def test_hadamard_arithmetic_bound_cases():
     a = _eye_ensemble(3, 1.0)
-    singles = check_hadamard_arithmetic_bound(a, a)
+    singles = check("hadamard_arithmetic_bound", a, a)
     assert singles.holds
     for seed in range(5):
-        rep = check_hadamard_arithmetic_bound(
+        rep = check("hadamard_arithmetic_bound", 
             random_ensemble(3, 2, seed + 80), random_ensemble(3, 2, seed + 90)
         )
         assert rep.holds
@@ -226,7 +215,7 @@ def test_hadamard_arithmetic_bound_diagonal_scalar_reduction():
     wa, ua = [0.5, 0.5], [0.25, 0.75]
     da = [np.diag([1.0, 4.0]), np.diag([2.0, 1.0])]
     db = [np.diag([3.0, 1.0]), np.diag([1.0, 2.0])]
-    report = check_hadamard_arithmetic_bound(
+    report = check("hadamard_arithmetic_bound", 
         Ensemble(weights=wa, matrices=da), Ensemble(weights=ua, matrices=db)
     )
     assert report.holds
@@ -244,14 +233,14 @@ def test_hadamard_arithmetic_bound_diagonal_scalar_reduction():
 def test_commuting_quadruple_equality_case():
     a, _ = random_commuting_spds(3, 2, seed=21, eig_lo=0.5, eig_hi=2.0)
     c, _ = random_commuting_spds(3, 2, seed=22, eig_lo=0.5, eig_hi=2.0)
-    report = check_commuting_quadruple(a, a, c, c)
+    report = check("commuting_quadruple", a, a, c, c)
     assert report.holds
     assert abs(report.margin) <= 1e-9
 
 
 def test_commuting_quadruple_scalar_case():
     a, b, c, d = (np.array([[v]], dtype=complex) for v in (1.0, 2.0, 1.0, 3.0))
-    report = check_commuting_quadruple(a, b, c, d)
+    report = check("commuting_quadruple", a, b, c, d)
     assert report.holds
     # (4)(6) - (5)(10) = -26 against (1/2)(1)(4) = 2: slack 28.
     assert report.margin == pytest.approx(28.0, abs=1e-9)
@@ -261,7 +250,7 @@ def test_commuting_quadruple_random():
     for seed in range(100):
         a, b = random_commuting_spds(4, 2, seed=2 * seed, eig_lo=0.5, eig_hi=2.0)
         c, d = random_commuting_spds(4, 2, seed=2 * seed + 1, eig_lo=0.5, eig_hi=2.0)
-        report = check_commuting_quadruple(a, b, c, d)
+        report = check("commuting_quadruple", a, b, c, d)
         assert report.holds
         assert report.margin >= -1e-8
 
@@ -271,11 +260,11 @@ def test_commuting_quadruple_rejects_noncommuting():
     b = random_spd(3, seed=2, eig_lo=0.5, eig_hi=2.0)
     c, d = random_commuting_spds(3, 2, seed=3, eig_lo=0.5, eig_hi=2.0)
     with pytest.raises(ValueError, match="commute"):
-        check_commuting_quadruple(a, b, c, d)
+        check("commuting_quadruple", a, b, c, d)
 
 
 def test_hadamard_inverse_identity_case():
-    report = check_hadamard_inverse(np.eye(2), np.eye(2))
+    report = check("hadamard_inverse", np.eye(2), np.eye(2))
     assert report.holds
     assert abs(report.margin) <= 1e-12
     assert report.details["kantorovich_constant"] == pytest.approx(1.0)
@@ -285,7 +274,7 @@ def test_hadamard_inverse_random():
     for seed in range(30):
         a = random_spd(4, seed=seed + 300, eig_lo=0.5, eig_hi=2.0)
         b = random_spd(4, seed=seed + 400, eig_lo=0.5, eig_hi=2.0)
-        report = check_hadamard_inverse(a, b)
+        report = check("hadamard_inverse", a, b)
         assert report.holds
         assert report.margin >= -1e-8
 
@@ -306,7 +295,7 @@ def test_hadamard_pairs_are_the_ando_compression_of_the_kronecker_pairs(m):
 
 
 def test_kantorovich_hadamard_identity_singletons():
-    report = check_kantorovich_hadamard(_eye_ensemble(2), _eye_ensemble(2))
+    report = check("kantorovich_hadamard", _eye_ensemble(2), _eye_ensemble(2))
     assert report.holds
     assert report.details["constant"] == pytest.approx(1.0)
     assert abs(report.margin) <= 1e-9
@@ -315,7 +304,7 @@ def test_kantorovich_hadamard_identity_singletons():
 def test_kantorovich_hadamard_constant_ensembles():
     c = 3.0
     e = _eye_ensemble(2, c)
-    report = check_kantorovich_hadamard(e, e)
+    report = check("kantorovich_hadamard", e, e)
     assert report.holds
 
 
@@ -323,7 +312,7 @@ def test_kantorovich_hadamard_random():
     for seed in range(10):
         a = random_ensemble(3, 2, seed + 500)
         b = random_ensemble(3, 2, seed + 600)
-        report = check_kantorovich_hadamard(a, b)
+        report = check("kantorovich_hadamard", a, b)
         assert report.holds
         assert report.margin >= -1e-8
 
@@ -331,10 +320,10 @@ def test_kantorovich_hadamard_random():
 def test_jensen_equality_cases():
     a = random_spd(3, seed=700, eig_lo=0.5, eig_hi=2.0)
     u = random_unitary(3, seed=701)
-    at_one = check_jensen_contraction(a, 2.0 * u, 1.0)
+    at_one = check("jensen_contraction", a, 2.0 * u, 1.0)
     assert at_one.holds
     assert abs(at_one.margin) <= 1e-12
-    at_zero = check_jensen_contraction(a, u, 0.0)
+    at_zero = check("jensen_contraction", a, u, 0.0)
     assert at_zero.holds
     assert abs(at_zero.margin) <= 1e-12
 
@@ -344,7 +333,7 @@ def test_jensen_random_expansive_factors():
         a = random_spd(3, seed=seed + 800, eig_lo=0.5, eig_hi=2.0)
         u = random_unitary(3, seed=seed + 900)
         c = 1.0 + (seed % 4) * 0.5
-        report = check_jensen_contraction(a, c * u, 0.5)
+        report = check("jensen_contraction", a, c * u, 0.5)
         assert report.holds
         assert report.margin >= -1e-9
 
@@ -352,13 +341,13 @@ def test_jensen_random_expansive_factors():
 def test_jensen_rejects_non_contractive_inverse():
     a = random_spd(2, seed=1000, eig_lo=0.5, eig_hi=2.0)
     with pytest.raises(ValueError, match="contraction"):
-        check_jensen_contraction(a, 0.5 * np.eye(2, dtype=complex), 0.5)
+        check("jensen_contraction", a, 0.5 * np.eye(2, dtype=complex), 0.5)
 
 
 def test_jensen_rejects_power_outside_range():
     a = random_spd(2, seed=1001, eig_lo=0.5, eig_hi=2.0)
     with pytest.raises(ValueError, match="outside"):
-        check_jensen_contraction(a, np.eye(2, dtype=complex), 1.5)
+        check("jensen_contraction", a, np.eye(2, dtype=complex), 1.5)
 
 
 def test_jensen_power_is_a_real_number():
@@ -368,22 +357,22 @@ def test_jensen_power_is_a_real_number():
     x = 2.0 * np.eye(2, dtype=complex)
     for p in (True, False, "0.5", None, 0.5j):
         with pytest.raises(ValueError, match=r"^p: expected a finite number, got "):
-            check_jensen_contraction(a, x, p)
-    want = check_jensen_contraction(a, x, 0.5)
+            check("jensen_contraction", a, x, p)
+    want = check("jensen_contraction", a, x, 0.5)
     for p in (np.float64(0.5), np.float32(0.5)):
-        assert check_jensen_contraction(a, x, p) == want
-    assert check_jensen_contraction(a, x, np.int64(1)) == check_jensen_contraction(a, x, 1.0)
+        assert check("jensen_contraction", a, x, p) == want
+    assert check("jensen_contraction", a, x, np.int64(1)) == check("jensen_contraction", a, x, 1.0)
 
 
 def test_sqrt_sum_identity_case():
-    report = check_sqrt_sum_lower_bound(_eye_ensemble(2), _eye_ensemble(2))
+    report = check("sqrt_sum_lower_bound", _eye_ensemble(2), _eye_ensemble(2))
     assert report.holds
     assert abs(report.margin) <= 1e-9
 
 
 def test_sqrt_sum_scalar_case():
     e = _eye_ensemble(2, 4.0)
-    report = check_sqrt_sum_lower_bound(e, e)
+    report = check("sqrt_sum_lower_bound", e, e)
     assert report.holds
     # LHS = (4I o 4I)^{1/2} = 4I against 2*sqrt(256)/32 * I = I.
     assert report.details["constant"] == pytest.approx(1.0, abs=1e-12)
@@ -394,7 +383,7 @@ def test_sqrt_sum_random_with_unit_floor():
     for seed in range(10):
         a = random_ensemble(3, 2, seed + 20, eig_lo=1.0, eig_hi=3.0)
         b = random_ensemble(3, 2, seed + 30, eig_lo=1.0, eig_hi=3.0)
-        report = check_sqrt_sum_lower_bound(a, b)
+        report = check("sqrt_sum_lower_bound", a, b)
         assert not report.skipped
         assert report.holds
         assert report.margin >= -1e-8
@@ -403,7 +392,7 @@ def test_sqrt_sum_random_with_unit_floor():
 def test_sqrt_sum_skips_when_means_below_identity():
     a = random_ensemble(2, 2, 1, eig_lo=0.05, eig_hi=0.2)
     b = random_ensemble(2, 2, 2, eig_lo=0.05, eig_hi=0.2)
-    report = check_sqrt_sum_lower_bound(a, b)
+    report = check("sqrt_sum_lower_bound", a, b)
     assert report.skipped
     assert not report.holds
     assert "reason" in report.details
@@ -542,13 +531,13 @@ def test_mean_checks_take_only_the_ensemble():
     e = _two_point()
     mean = barycenter.wasserstein_mean(e).mean
     for call in (
-        lambda: checks_mod.check_bounds(e, mean),
-        lambda: checks_mod.check_det_inequality(e, mean),
-        lambda: check_logdet_concavity(e, ToleranceConfig()),
+        lambda: check("bounds", e, mean),
+        lambda: check("det_inequality", e, mean),
+        lambda: check("logdet_concavity", e, ToleranceConfig()),
     ):
         with pytest.raises(TypeError):
             call()
-    assert checks_mod.check_bounds(e, tol=ToleranceConfig()).holds
+    assert check("bounds", e, tol=ToleranceConfig()).holds
 
 
 def test_suite_mean_checks_validate_nothing(monkeypatch):
@@ -848,13 +837,13 @@ def _raw_argument_calls(bad):
     x = 2.0 * random_unitary(2, 4)
     return [
         ("matrices[1]", lambda: Ensemble(weights=[0.5, 0.5], matrices=[good, bad])),
-        ("first matrix", lambda: check_phi_geometric_mean(bad, good, phi)),
-        ("second matrix", lambda: check_phi_geometric_mean(good, bad, phi)),
-        ("a", lambda: check_commuting_quadruple(bad, good, good, good)),
-        ("d", lambda: check_commuting_quadruple(good, good, good, bad)),
-        ("first matrix", lambda: check_hadamard_inverse(bad, good)),
-        ("second matrix", lambda: check_hadamard_inverse(good, bad)),
-        ("matrix", lambda: check_jensen_contraction(bad, x, 0.5)),
+        ("first matrix", lambda: check("phi_geometric_mean", bad, good, phi)),
+        ("second matrix", lambda: check("phi_geometric_mean", good, bad, phi)),
+        ("a", lambda: check("commuting_quadruple", bad, good, good, good)),
+        ("d", lambda: check("commuting_quadruple", good, good, good, bad)),
+        ("first matrix", lambda: check("hadamard_inverse", bad, good)),
+        ("second matrix", lambda: check("hadamard_inverse", good, bad)),
+        ("matrix", lambda: check("jensen_contraction", bad, x, 0.5)),
     ]
 
 
@@ -876,13 +865,96 @@ def test_jensen_validates_x():
     u = random_unitary(3, seed=2)
     # A non-square x has no inverse, so it cannot have a contractive one.
     with pytest.raises(ValueError, match=r"^x: expected a 3x3 matrix, .* got shape \(3, 2\)"):
-        check_jensen_contraction(a, 2.0 * u[:, :2], 0.5)
+        check("jensen_contraction", a, 2.0 * u[:, :2], 0.5)
     with_nan = 2.0 * u
     with_nan[1, 1] = np.nan
     with pytest.raises(ValueError, match="^x: entries must be finite"):
-        check_jensen_contraction(a, with_nan, 0.5)
+        check("jensen_contraction", a, with_nan, 0.5)
     with pytest.raises(ValueError, match=r"^x: expected a 3x3 matrix, .* got shape \(4, 4\)"):
-        check_jensen_contraction(a, 2.0 * random_unitary(4, seed=3), 0.5)
+        check("jensen_contraction", a, 2.0 * random_unitary(4, seed=3), 0.5)
+
+
+def _no_solves(monkeypatch):
+    """The list of the solve calls made from now on, each of which raises."""
+    solves = []
+
+    def refused(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(barycenter, "wasserstein_means", refused)
+    return solves
+
+
+def test_check_refuses_wrong_types_by_name_before_solving(monkeypatch):
+    # Each used to raise an AttributeError from inside the check; a float or
+    # string tolerance of bounds was ignored unless a margin was negative.
+    e = random_ensemble(2, 2, 0)
+    solves = _no_solves(monkeypatch)
+    for call, message in (
+        (lambda: check("bounds", np.eye(2)), "ensemble: expected Ensemble, got ndarray"),
+        (lambda: check("tensor_identity", e, np.eye(2)), "b: expected Ensemble, got ndarray"),
+        (lambda: check("kantorovich_hadamard", e, 3), "b: expected Ensemble, got int"),
+        (lambda: check("phi_wass", e, "map"), "phi: expected PositiveMapSpec, got str"),
+        (lambda: check("phi_geometric_mean", _GOOD, _GOOD, None),
+         "phi: expected PositiveMapSpec, got NoneType"),
+        (lambda: check("bounds", e, tol="x"), "tol: expected ToleranceConfig, got str"),
+        (lambda: check("bounds", e, tol=1e-3), "tol: expected ToleranceConfig, got float"),
+        (lambda: check("det_inequality", e, tol=1e-3), "tol: expected ToleranceConfig, got float"),
+    ):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == message
+    assert solves == []
+
+
+@pytest.mark.parametrize("shapes", [(2, 3, 2, 2), (2, 2, 2, 3), (2, 2, 3, 3)])
+def test_commuting_quadruple_compares_all_four_shapes_first(shapes):
+    # A pair of two shapes used to reach numpy's matmul error in its
+    # commutator test; only a against c was compared, after the commutators.
+    mats = [np.eye(m, dtype=complex) for m in shapes]
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(3, 3\)$"):
+        check("commuting_quadruple", *mats)
+
+
+@pytest.mark.parametrize("name", ["nope", 7, None, ("bounds",), ["bounds"]])
+def test_check_and_plan_refuse_an_unknown_name_alike(name):
+    with pytest.raises(ValueError) as single:
+        check(name, random_ensemble(2, 2, 0))
+    with pytest.raises(ValueError) as planned:
+        SuitePlan(checks=(name,))
+    assert str(single.value) == f"unknown checks {[name]}; known: {sorted(DEFAULT_CHECKS)}"
+    assert str(planned.value) == f"checks: {single.value}"
+
+
+@pytest.mark.parametrize("name", DEFAULT_CHECKS)
+def test_check_equals_the_suite_core_bitwise(name, monkeypatch):
+    # check(name, ...) and the suite evaluate one core: on every built case
+    # of seeds 0-1, equality cases included, the reports agree bit for bit.
+    entry = checks_mod._CHECKS[name]
+    plan = SuitePlan(checks=(name,), seeds=(0, 2))
+    tol = ToleranceConfig(loewner_tol=plan.tol)
+    draws = []
+    declared = checks_mod._declared(entry, plan, draws)
+    built = checks_mod._built_cases(entry, declared, checks_mod._drawn(draws))
+    cases = [case for group in built for case in group]
+    core = getattr(checks_mod, f"_{name}")
+    for args, ensembles in cases:
+        raw = (*args[0], *args[1]) if name == "commuting_quadruple" else args
+        want = core(tol, *args, *barycenter.wasserstein_means(list(ensembles)))
+        got = check(name, *raw, tol=tol if entry.takes_tol else None)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    # The argument count, and a tolerance where the bound is a constant, are
+    # refused before any solve.
+    solves = _no_solves(monkeypatch)
+    bad = [lambda: check(name, *raw, raw[0]), lambda: check(name, *raw[:-1])]
+    if not entry.takes_tol:
+        bad.append(lambda: check(name, *raw, tol=tol))
+    for call in bad:
+        with pytest.raises(TypeError, match=rf"^{name} takes "):
+            call()
+    assert solves == []
+    assert (name in ("fixed_point", "self_duality_gap", "tensor_identity")) is not entry.takes_tol
 
 
 def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):

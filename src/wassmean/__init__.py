@@ -28,8 +28,6 @@ from .hermitian import (
     log_det,
     loewner_leq,
     matrix_power,
-    random_spd,
-    random_unitary,
     require_hermitian,
     require_spd,
     sqrtm,
@@ -41,9 +39,9 @@ from .products import (
     ensemble_tensor,
     hadamard,
     kron,
-    random_isometry_map,
     weight_tensor,
 )
+from .seeded import random_isometry_map, random_spd, random_unitary
 
 __version__ = "0.1.0"
 

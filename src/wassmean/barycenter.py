@@ -14,9 +14,9 @@ kernel computes from the ensemble itself, and stops on the Frobenius residual
 
 An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
 stack; the solver, the diagnostics and the order checks trust that stack and
-pass it whole to the stacked kernels of ``_kernels``. Generator output whose
-spectrum range proves it positive definite is stored without that pass
-(``Ensemble._generated``).
+pass it whole to the stacked kernels of ``_kernels``. The output of the
+generators of ``seeded`` whose spectrum range proves it positive definite is
+stored without that pass (``Ensemble._generated``).
 
 ``wasserstein_means`` is the package's one solve: it solves a list of
 ensembles with one stacked solver call per ``matrices.shape`` and returns,

@@ -23,7 +23,9 @@ pairs' one constant K, and the arithmetic sides are bilinear,
 (sum w A) (x) (sum u B) and (sum w A) o (sum u B).
 
 ``run_suite`` runs the cores on seeded random instances and on the known
-equality cases, which each entry of ``_CHECKS`` declares as data; see there.
+equality cases, which each entry of ``_CHECKS`` declares as data: requests
+in the vocabulary of ``seeded`` (``_Draw``, ``_Apply``), which defines and
+draws them; see there.
 """
 
 import inspect
@@ -32,7 +34,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +41,8 @@ from . import _kernels as _k
 from . import barycenter as bc
 from .hermitian import (
     ToleranceConfig,
-    _commuting_stack,
-    _Draw,
     _loewner_verdicts,
     _real,
-    _require_eig_range,
-    _seeded_draws,
     as_complex_matrix,
     frobenius,
     hermitianize,
@@ -55,7 +52,8 @@ from .hermitian import (
     require_spd_pair,
 )
 from .means import kantorovich
-from .products import PositiveMapSpec, _isometry_map, _pair_weights, ensemble_tensor
+from .products import PositiveMapSpec, _pair_weights, ensemble_tensor
+from .seeded import _Apply, _built, _commuting, _Draw, _drawn, _draws_of, _ensemble, _isometry, _mix
 
 SELF_DUALITY_GAP = 1e-4
 TENSOR_IDENTITY_RTOL = 1e-6
@@ -108,86 +106,6 @@ def _worst(results):
     ``margin``) reports: the first with a NaN margin, else the failing one of
     smallest margin, else the one of smallest margin; the first of equals."""
     return min(results, key=lambda r: (not math.isnan(r.margin), r.holds, r.margin))
-
-
-# ---------------------------------------------------------------------------
-# seeded input generation
-# ---------------------------------------------------------------------------
-
-def _mix(seed, salt):
-    # Distinct deterministic streams per (seed, salt) pair.
-    return (int(seed) * 1_000_003 + salt * 7919 + 12345) % (2**63)
-
-
-def random_weights(n, seed):
-    """Strictly positive normalized weights, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, n)
-    return w / w.sum()
-
-
-def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):
-    """Seeded random ensemble; ``commuting=True`` shares one eigenbasis."""
-    n = require_positive(n, "n", integer=True)
-    m = require_positive(m, "m", integer=True)
-    request = _ensemble(m, n, seed, _require_eig_range(eig_lo, eig_hi), commuting)
-    return _built(request, _drawn(_draws_of(request)))
-
-
-class _Apply(NamedTuple):
-    """The case argument ``fn(*args)``, each request among ``args`` built;
-    ``fn`` and ``args`` are hashable."""
-
-    fn: Callable
-    args: tuple
-
-
-def _ensemble(m, n, seed, spectrum, commuting=False):
-    """The request of ``random_ensemble(m, n, seed, *spectrum, commuting)``,
-    its arguments trusted."""
-    if commuting:
-        mats = [_commuting(m, _mix(seed, 11), n, spectrum)]
-    else:
-        mats = [_Draw(m, _mix(seed, 13 + j), spectrum) for j in range(n)]
-    return _Apply(_seeded_ensemble, (_mix(seed, 17), spectrum, *mats))
-
-
-def _commuting(m, seed, count, spectrum):
-    """The request of ``random_commuting_spds(m, count, seed, *spectrum)``."""
-    return _Apply(_commuting_stack, (_Draw(m, seed), seed, count, *spectrum))
-
-
-def _seeded_ensemble(weight_seed, spectrum, *mats):
-    """The ensemble of a commuting stack, or of n matrices, and seeded weights."""
-    stack = mats[0] if mats[0].ndim == 3 else np.stack(mats)
-    return bc.Ensemble._generated(random_weights(len(stack), weight_seed), stack, *spectrum)
-
-
-def _draws_of(request):
-    """The ``_Draw``s that building a case argument takes."""
-    if isinstance(request, _Apply):
-        return [d for arg in request.args for d in _draws_of(arg)]
-    return [request] if isinstance(request, _Draw) else []
-
-
-def _drawn(draws):
-    """Each distinct ``_Draw`` of ``draws`` mapped to its array, all drawn in
-    one ``_seeded_draws`` call."""
-    unique = list(dict.fromkeys(draws))
-    return dict(zip(unique, _seeded_draws(unique)))
-
-
-def _built(request, drawn):
-    """A case argument built from ``drawn``, which maps each ``_Draw`` to its
-    array and keeps the value of each distinct ``_Apply``, built once; a
-    constant is itself."""
-    if isinstance(request, _Apply):
-        if request not in drawn:
-            # A list: CPython shrinks a tuple made from a generator, and
-            # such tuples pile up on its free lists, raising peak memory.
-            drawn[request] = request.fn(*[_built(arg, drawn) for arg in request.args])
-        return drawn[request]
-    return drawn[request] if isinstance(request, _Draw) else request
 
 
 def _inverted(ensemble):
@@ -462,7 +380,8 @@ def _jensen_contraction(tol, a, x, p):
     """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
     contraction."""
     sv = np.linalg.svd(x, compute_uv=False)
-    inv_norm = 1.0 / float(sv[-1])
+    # A singular x has no inverse, so none that is a contraction.
+    inv_norm = 1.0 / float(sv[-1]) if sv[-1] > 0 else math.inf
     if inv_norm > 1.0 + 1e-12:
         raise ValueError(
             f"inverse is not a contraction: ||x^-1||_op = {inv_norm:.6f} > 1"
@@ -616,8 +535,9 @@ def _plan_field(name, values, expected, valid):
 
 @dataclass(frozen=True)
 class SuitePlan:
-    """What to run: check names, seed range [lo, hi), base dimensions, and
-    the Loewner tolerance applied to every verdict."""
+    """What to run: check names ("all" for ``DEFAULT_CHECKS``), seed range
+    [lo, hi), base dimensions, and the Loewner tolerance applied to every
+    verdict."""
 
     checks: tuple = ()
     seeds: tuple = (0, 50)
@@ -625,7 +545,9 @@ class SuitePlan:
     tol: float = 1e-8
 
     def __post_init__(self):
-        checks = _plan_field("checks", self.checks, "an array of check names", lambda v: True)
+        every = isinstance(self.checks, str) and self.checks == "all"
+        checks = _plan_field("checks", DEFAULT_CHECKS if every else self.checks,
+                             "an array of check names", lambda v: True)
         lo, hi = _plan_field("seeds", self.seeds, "[lo, hi] integers",
                              lambda v: len(v) == 2 and all(map(is_integer, v)))
         dims = _plan_field("dims", self.dims, "a non-empty array of integers",
@@ -761,11 +683,6 @@ def _commuting_pairs(m, seed, *salts):
     return tuple([_commuting(m, _mix(seed, salt), 2, _UNIT) for salt in salts])
 
 
-def _isometry(s, k, seed):
-    """The request of ``random_isometry_map(s, k, seed)``."""
-    return _Apply(_isometry_map, (_Draw(s, seed), k))
-
-
 def _finish_det_inequality(report, generic, equality):
     eq = equality[0]
     report.details["strict_on_distinct"] = all(
@@ -899,12 +816,12 @@ _CHECKS = {
 # Each value maps what ``run_suite`` built for its check, (plan, cases, solved), to its report.
 CHECK_REGISTRY = {name: partial(_run_check, name, entry) for name, entry in _CHECKS.items()}
 
-# "all" in plans and on the CLI expands to these.
+# A plan's checks "all" expands to these.
 DEFAULT_CHECKS = tuple(CHECK_REGISTRY)
 
 
 def default_plan(**overrides):
-    kwargs = {"checks": DEFAULT_CHECKS}
+    kwargs = {"checks": "all"}
     kwargs.update(overrides)
     return SuitePlan(**kwargs)
 
@@ -913,7 +830,7 @@ def run_suite(plan):
     """Run every check in the plan; reports follow plan order.
 
     The steps pass their data on, and nothing outlives the call: each check
-    declares its cases; one ``_seeded_draws`` call draws every matrix they
+    declares its cases; one ``seeded._drawn`` call draws every matrix they
     take; the cases are built, and one ``bc.wasserstein_means`` call solves
     each distinct ensemble object they list; then each check's
     ``CHECK_REGISTRY`` entry, looked up at call time, runs its core. An error
@@ -927,7 +844,7 @@ def run_suite(plan):
 
 def _build_cases(state, plan):
     """Declare the cases of each check of ``state``, draw every matrix they
-    take in one ``_seeded_draws`` call, and build them; return the distinct
+    take in one ``seeded._drawn`` call, and build them; return the distinct
     ensembles they solve, in first-seen order. An ``Ensemble`` hashes by
     identity, and building makes each distinct request one object."""
     draws = []

@@ -14,7 +14,7 @@ import numpy as np
 
 from .barycenter import SolverBreakdownError, SolverConfig, wasserstein_mean
 from .bures import bw_distance, geodesic
-from .checks import DEFAULT_CHECKS, SuitePlan, random_ensemble, run_suite
+from .checks import SuitePlan, run_suite
 from .io import (
     FormatError,
     dumps_canonical,
@@ -24,6 +24,7 @@ from .io import (
     load_plan,
     matrix_to_json_dict,
 )
+from .seeded import random_ensemble
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -90,7 +91,7 @@ def cmd_generate(args):
 
 def _parse_checks(arg):
     if arg == "all":
-        return list(DEFAULT_CHECKS)
+        return arg
     if arg == "none":
         return []
     return [name.strip() for name in arg.split(",") if name.strip()]

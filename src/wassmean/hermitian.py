@@ -14,24 +14,15 @@ vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix,
 ``_loewner_verdicts`` judges a stack of pairs the package computed, and
 ``loewner_leq`` one validated raw pair; ``require_positive`` checks every
 tolerance, iteration budget, size, count and spectrum edge.
-Seeded generation is stacked too: one ``_seeded_draws`` call serves a list of
-``_Draw`` requests, each a Haar unitary or a positive definite matrix of a
-spectrum range from its own ``default_rng(seed)`` stream, drawn from in the
-order of its lone generator; each dimension takes one batched QR and phase
-fold and one ``_kernels._from_spectrum`` that builds U diag(lambda) U*.
-``_commuting_stack`` turns a unitary draw into a commuting stack.
-``random_unitary``, ``random_spd`` and ``random_commuting_spds`` check their
-arguments and draw through these, so a batched draw equals the lone one bit
-for bit; a ``_Draw`` is trusted. Such output is positive definite by
-construction; ``_spectrum_clears_floor`` is the rule under which an ensemble
-of it is stored without validation: a spectrum range that clears the
-positive definite floor with a round-off margin and leaves the norm finite.
+``_spectrum_clears_floor`` is the rule under which an ensemble of seeded
+generator output (``seeded``), positive definite by construction, is stored
+without validation: a spectrum range that clears the positive definite floor
+with a round-off margin and leaves the norm finite.
 """
 
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import NamedTuple
 
 import numpy as np
 
@@ -301,38 +292,6 @@ def _loewner_verdicts(pairs, cfg=None):
         ]
 
 
-def _ginibre(z):
-    """Complex Ginibre matrix (or each of a stack) from the (..., 2, m, m)
-    standard normals of its real, then imaginary parts."""
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
-
-
-def _haar_unitaries(g):
-    """Haar-distributed unitary from a complex Ginibre matrix (or each of a
-    stack): its QR factor with the R-diagonal phases folded in."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-def random_unitary(m, seed):
-    """Haar random m x m unitary, deterministic per seed."""
-    m = require_positive(m, "m", integer=True)
-    return _seeded_draws([_Draw(m, seed)])[0]
-
-
-def _require_eig_range(eig_lo, eig_hi):
-    """The one spectrum rule of seeded generation: edges that meet
-    ``require_positive``, with eig_lo <= eig_hi; returned as floats."""
-    try:
-        lo, hi = require_positive(eig_lo, "eig_lo"), require_positive(eig_hi, "eig_hi")
-    except ValueError as exc:
-        raise ValueError(f"{exc} (eigenvalue range [{eig_lo}, {eig_hi}])") from None
-    if lo > hi:
-        raise ValueError(f"invalid eigenvalue range [{eig_lo}, {eig_hi}]")
-    return lo, hi
-
-
 def _spectrum_clears_floor(m, eig_lo, eig_hi):
     """Whether every m x m matrix U diag(lambda) U* that ``_from_spectrum``
     builds from a unitary U (a Haar draw's or an ``eigh`` basis) and lambda in
@@ -347,67 +306,3 @@ def _spectrum_clears_floor(m, eig_lo, eig_hi):
         and math.isfinite(4.0 * m * eig_hi * eig_hi)
         and eig_lo > 2.0 * SPD_FLOOR * max(1.0, m * eig_hi)
     )
-
-
-class _Draw(NamedTuple):
-    """One draw of ``_seeded_draws``, from the stream ``default_rng(seed)``:
-    with no ``spectrum``, the Haar unitary of ``random_unitary``; with
-    ``spectrum`` = (eig_lo, eig_hi), the matrix of ``random_spd``. Its fields
-    are trusted: ``m`` a positive int and ``spectrum`` a range that
-    ``_require_eig_range`` accepts."""
-
-    m: int
-    seed: int
-    spectrum: tuple | None = None
-
-
-def _seeded_draws(draws):
-    """The array of each ``_Draw``, bit for bit what its lone generator
-    returns, with one batched QR and phase fold and one ``_from_spectrum``
-    for the ``random_spd`` draws per dimension. Each stream is drawn from in
-    the order of the lone generator: the Ginibre matrix, then the spectrum."""
-    groups = {}
-    for i, d in enumerate(draws):
-        groups.setdefault(d.m, []).append(i)
-    out = [None] * len(draws)
-    for m, rows in groups.items():
-        # One stream at a time: a window's hundreds of generators, all alive,
-        # would set the suite's memory peak.
-        normals, lam = np.empty((len(rows), 2, m, m)), {}
-        for j, i in enumerate(rows):
-            rng = np.random.default_rng(draws[i].seed)
-            normals[j] = rng.standard_normal((2, m, m))
-            if draws[i].spectrum is not None:
-                lam[j] = rng.uniform(*draws[i].spectrum, m)
-        units = _haar_unitaries(_ginibre(normals))
-        for j, i in enumerate(rows):
-            out[i] = units[j]
-        if lam:
-            for j, a in zip(lam, _k._from_spectrum(units[list(lam)], np.stack(list(lam.values())))):
-                out[rows[j]] = a
-    return out
-
-
-def _commuting_stack(u, seed, count, eig_lo, eig_hi):
-    """The (count, m, m) stack u diag(lambda_j) u* of the unitary u, with the
-    spectra lambda_j the rows of one (count, m) uniform draw in [eig_lo,
-    eig_hi] from ``default_rng(seed + 1)``."""
-    spectra = np.random.default_rng(seed + 1).uniform(eig_lo, eig_hi, (count, u.shape[0]))
-    return _k._from_spectrum(u, spectra)
-
-
-def random_spd(m, seed, eig_lo, eig_hi):
-    """Random positive definite matrix with spectrum drawn uniformly in
-    [eig_lo, eig_hi], conjugated by a seeded random unitary."""
-    m = require_positive(m, "m", integer=True)
-    return _seeded_draws([_Draw(m, seed, _require_eig_range(eig_lo, eig_hi))])[0]
-
-
-def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
-    """(count, m, m) stack of pairwise-commuting SPD matrices: one shared
-    random eigenbasis, ``random_unitary(m, seed)``, and independent spectra
-    (the rows of one (count, m) uniform draw from ``default_rng(seed + 1)``).
-    Commutators vanish up to round-off."""
-    spectrum = _require_eig_range(eig_lo, eig_hi)
-    count = require_positive(count, "count", integer=True)
-    return _commuting_stack(random_unitary(m, seed), seed, count, *spectrum)

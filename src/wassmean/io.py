@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .barycenter import Ensemble
-from .checks import DEFAULT_CHECKS, SuitePlan
+from .checks import SuitePlan
 from .hermitian import is_integer, require_spd
 
 
@@ -131,8 +131,7 @@ def ensemble_to_json_dict(ensemble):
 def plan_from_json_dict(doc, name="plan"):
     if not isinstance(doc, dict):
         raise FormatError(f"{name}: expected an object")
-    checks = doc.get("checks", "all")
-    kwargs = {"checks": DEFAULT_CHECKS if checks == "all" else checks}
+    kwargs = {"checks": doc.get("checks", "all")}
     kwargs.update((key, doc[key]) for key in ("seeds", "dims", "tol") if key in doc)
     try:
         return SuitePlan(**kwargs)

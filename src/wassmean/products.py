@@ -1,5 +1,5 @@
-"""Kronecker and Hadamard products, weight/ensemble tensorization, and
-strictly positive unital linear maps realized as isometry compressions."""
+"""Kronecker and Hadamard products, weight/ensemble tensorization, and strictly
+positive unital maps as isometry compressions (``seeded`` draws random ones)."""
 
 from dataclasses import dataclass
 
@@ -10,7 +10,6 @@ from .hermitian import (
     as_complex_matrix,
     frobenius,
     hermitianize,
-    random_unitary,
     require_hermitian,
     require_positive,
 )
@@ -128,15 +127,3 @@ def ando_map(m):
         z[i * m + i, i] = 1.0
     return PositiveMapSpec(kind="ando", isometry=z)
 
-
-def random_isometry_map(s, k, seed):
-    """Compression onto the first k columns of a seeded random s x s unitary."""
-    s, k = require_positive(s, "s", integer=True), require_positive(k, "k", integer=True)
-    if k > s:
-        raise ValueError(f"target dimension {k} exceeds source dimension {s}")
-    return _isometry_map(random_unitary(s, seed), k)
-
-
-def _isometry_map(u, k):
-    """Compression onto the first k columns of the unitary u."""
-    return PositiveMapSpec(kind="isometry", isometry=np.ascontiguousarray(u[:, :k]))

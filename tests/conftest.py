@@ -8,7 +8,8 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from wassmean import _kernels, checks
-from wassmean.hermitian import _ginibre, _haar_unitaries, hermitianize
+from wassmean.hermitian import hermitianize
+from wassmean.seeded import _ginibre, _haar_unitaries
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic and writes no files.

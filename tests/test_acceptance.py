@@ -15,8 +15,6 @@ from wassmean.bures import bw_distance, geodesic
 from wassmean.checks import (
     check,
     default_plan,
-    random_ensemble,
-    random_weights,
     run_suite,
 )
 from wassmean.cli import main
@@ -27,11 +25,10 @@ from wassmean.hermitian import (
     loewner_leq,
     log_det,
     matrix_power,
-    random_commuting_spds,
-    random_spd,
 )
 from wassmean.io import matrix_to_json_dict
 from wassmean.means import geometric_mean
+from wassmean.seeded import random_commuting_spds, random_ensemble, random_spd, random_weights
 
 
 def _criterion(number, name, ok, detail=""):

@@ -94,3 +94,17 @@ def test_each_check_has_one_entry_point():
     checks = importlib.import_module("wassmean.checks")
     assert [name for name in vars(checks) if name.startswith("check_")] == []
     assert re.findall(r"\bcheck_\w+\(", (ROOT / "README.md").read_text()) == []
+
+
+def test_seeded_inputs_have_one_home():
+    # Every seeded input is drawn, and described as its request, in seeded.py:
+    # a generator or a request type anywhere else would describe one again.
+    owned = re.compile(r"^(?:def|class) (random_\w+|_Draw|_Apply|_built)\b", re.M)
+    homes = {}
+    for path in sorted((ROOT / "src" / "wassmean").glob("*.py")):
+        text = path.read_text()
+        names = owned.findall(text) + re.findall(r"\bdefault_rng\b|\bnp\.random\b", text)
+        if names:
+            homes[path.name] = set(names)
+    assert list(homes) == ["seeded.py"]
+    assert {"_Draw", "_Apply", "_built", "default_rng", "random_ensemble"} <= homes["seeded.py"]

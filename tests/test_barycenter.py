@@ -19,11 +19,10 @@ from wassmean.checks import check
 from wassmean.hermitian import (
     frobenius,
     hermitianize,
-    random_commuting_spds,
-    random_spd,
     require_spd,
 )
 from wassmean.means import arithmetic_mean
+from wassmean.seeded import random_commuting_spds, random_spd
 
 
 def _ensemble(seed, m=3, n=3, lo=0.5, hi=2.0):
@@ -283,7 +282,7 @@ def test_batched_means_return_an_objective_error_beside_its_group_mates(log_unif
     # On the singleton of this log-uniform matrix the root traces leave an
     # objective term below the distance's clamp: that error is the
     # singleton's entry, and the other ensemble of its shape keeps its report.
-    from wassmean.checks import random_ensemble
+    from wassmean.seeded import random_ensemble
 
     lone = Ensemble(weights=[1.0], matrices=[log_uniform(4, 1)])
     good, refused = wasserstein_means([random_ensemble(4, 1, 0), lone])
@@ -298,7 +297,7 @@ def test_batched_means_keep_each_best_iterate_when_only_some_improve():
     # An unreachable tolerance runs every solve to its budget. Near the
     # round-off floor the residuals of the batch stop improving at different
     # iterates, so each best iterate must be kept entry by entry.
-    from wassmean.checks import random_ensemble
+    from wassmean.seeded import random_ensemble
 
     config = SolverConfig(max_iter=60, residual_tol=1e-300)
     ensembles = [random_ensemble(3, 4, seed) for seed in range(6)]

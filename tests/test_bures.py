@@ -8,15 +8,12 @@ from wassmean.barycenter import Ensemble, objective
 from wassmean.bures import bw_distance, geodesic
 from wassmean.cli import main
 from wassmean.hermitian import (
-    _ginibre,
-    _haar_unitaries,
     frobenius,
-    random_commuting_spds,
-    random_spd,
     sqrtm,
 )
 from wassmean.io import dumps_canonical, matrix_to_json_dict
 from wassmean.means import geometric_mean
+from wassmean.seeded import _ginibre, _haar_unitaries, random_commuting_spds, random_spd
 
 
 def _pair(seed, m=3):

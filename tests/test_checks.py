@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wassmean import _kernels, barycenter, hermitian
+from wassmean import _kernels, barycenter, hermitian, seeded
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
 from wassmean.checks import (
@@ -12,17 +12,18 @@ from wassmean.checks import (
     SuitePlan,
     check,
     default_plan,
-    random_ensemble,
     run_suite,
 )
-from wassmean.hermitian import (
-    ToleranceConfig,
+from wassmean.hermitian import ToleranceConfig
+from wassmean.products import PositiveMapSpec, ando_map
+from wassmean.seeded import (
     _Draw,
     random_commuting_spds,
+    random_ensemble,
+    random_isometry_map,
     random_spd,
     random_unitary,
 )
-from wassmean.products import PositiveMapSpec, ando_map, random_isometry_map
 
 
 def _eye_ensemble(m=2, scale=1.0):
@@ -339,9 +340,11 @@ def test_jensen_random_expansive_factors():
 
 
 def test_jensen_rejects_non_contractive_inverse():
+    # A singular x has no inverse at all: its norm reads inf.
     a = random_spd(2, seed=1000, eig_lo=0.5, eig_hi=2.0)
-    with pytest.raises(ValueError, match="contraction"):
-        check("jensen_contraction", a, 0.5 * np.eye(2, dtype=complex), 0.5)
+    for x in (0.5 * np.eye(2, dtype=complex), np.zeros((2, 2)), np.diag([1.0, 0.0])):
+        with pytest.raises(ValueError, match="^inverse is not a contraction: "):
+            check("jensen_contraction", a, x, 0.5)
 
 
 def test_jensen_rejects_power_outside_range():
@@ -468,7 +471,7 @@ def test_declared_case_arguments_are_requests_or_scalars():
     for name, check in checks_mod._CHECKS.items():
         for case in [*check.instances(plan), *check.equality_cases()]:
             for arg in case:
-                assert isinstance(arg, (_Draw, checks_mod._Apply)) or type(arg) in (int, float), (
+                assert isinstance(arg, (_Draw, seeded._Apply)) or type(arg) in (int, float), (
                     name, arg
                 )
                 hash(arg)
@@ -601,12 +604,12 @@ def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
     def broken(*args):
         raise ValueError("no map today")
 
-    monkeypatch.setattr(checks_mod, "_isometry_map", broken)
+    monkeypatch.setattr(seeded, "_isometry_map", broken)
     monkeypatch.setattr(checks_mod, "ensemble_tensor", broken)
     for name, instances in (
         ("bounds", broken),
         ("det_inequality", lambda plan: [
-            (checks_mod._Apply(random_ensemble, (2, 2, 0, 2.0, 1.0)),)
+            (seeded._Apply(random_ensemble, (2, 2, 0, 2.0, 1.0)),)
         ]),
     ):
         monkeypatch.setitem(checks_mod._CHECKS, name, dataclasses.replace(
@@ -936,7 +939,7 @@ def test_check_equals_the_suite_core_bitwise(name, monkeypatch):
     tol = ToleranceConfig(loewner_tol=plan.tol)
     draws = []
     declared = checks_mod._declared(entry, plan, draws)
-    built = checks_mod._built_cases(entry, declared, checks_mod._drawn(draws))
+    built = checks_mod._built_cases(entry, declared, seeded._drawn(draws))
     cases = [case for group in built for case in group]
     core = getattr(checks_mod, f"_{name}")
     for args, ensembles in cases:

@@ -7,10 +7,11 @@ import pytest
 
 from wassmean import cli
 from wassmean.barycenter import SolverConfig
-from wassmean.checks import SuitePlan, random_ensemble
+from wassmean.checks import DEFAULT_CHECKS, SuitePlan, default_plan
 from wassmean.cli import build_parser, main
 from wassmean.hermitian import frobenius
 from wassmean.io import dumps_canonical, ensemble_to_json_dict, load_ensemble, matrix_to_json_dict
+from wassmean.seeded import random_ensemble
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -275,6 +276,19 @@ def test_verify_plan_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc[0]["check_name"] == "jensen_contraction"
     assert doc[0]["inputs"]["seeds"] == [0, 3]
+
+
+def test_all_checks_is_one_plan_in_code_plan_files_and_flags(tmp_path, monkeypatch):
+    # SuitePlan alone expands "all"; a plan file and --checks pass it through.
+    plans = []
+    monkeypatch.setattr(cli, "run_suite", lambda plan: plans.append(plan) or [])
+    plan = tmp_path / "plan.json"
+    _write_json(plan, {"checks": "all"})
+    assert main(["verify", "--plan", str(plan)]) == 0
+    assert main(["verify", "--checks", "all"]) == 0
+    want = SuitePlan(checks="all")
+    assert plans == [want, want]
+    assert want.checks == DEFAULT_CHECKS == default_plan().checks
 
 
 def test_verify_rejects_a_plan_tol_too_large_for_a_float(tmp_path, capsys):

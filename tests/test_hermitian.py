@@ -4,25 +4,27 @@ import pytest
 from wassmean import _kernels
 from wassmean.hermitian import (
     SPD_FLOOR,
-    _ginibre,
-    _haar_unitaries,
     _loewner_verdicts,
     ToleranceConfig,
-    _Draw,
-    _seeded_draws,
     frobenius,
     hermitianize,
     log_det,
     loewner_leq,
     matrix_power,
-    random_commuting_spds,
-    random_spd,
-    random_unitary,
     require_hermitian,
     require_spd,
     require_spd_pair,
     require_spd_stack,
     sqrtm,
+)
+from wassmean.seeded import (
+    _Draw,
+    _ginibre,
+    _haar_unitaries,
+    _seeded_draws,
+    random_commuting_spds,
+    random_spd,
+    random_unitary,
 )
 
 

@@ -7,7 +7,7 @@ import pytest
 from wassmean import hermitian
 from wassmean.barycenter import Ensemble
 from wassmean.checks import SuitePlan
-from wassmean.hermitian import random_spd, require_spd
+from wassmean.hermitian import require_spd
 from wassmean.io import (
     FormatError,
     dumps_canonical,
@@ -19,6 +19,7 @@ from wassmean.io import (
     matrix_to_json_dict,
     plan_from_json_dict,
 )
+from wassmean.seeded import random_spd
 
 
 def _write(path, doc):

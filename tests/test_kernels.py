@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wassmean import _kernels as k
-from wassmean.hermitian import random_spd
 from wassmean.means import validate_weights
+from wassmean.seeded import random_spd
 
 
 def _stack(seeds, m=3, lo=0.5, hi=2.0):

@@ -8,9 +8,9 @@ from wassmean.hermitian import (
     log_det,
     loewner_leq,
     matrix_power,
-    random_spd,
 )
 from wassmean.means import arithmetic_mean, geometric_mean, kantorovich, validate_weights
+from wassmean.seeded import random_spd
 
 
 def _pair(seed, m=3, lo=0.5, hi=2.0):

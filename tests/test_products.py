@@ -3,16 +3,16 @@ import pytest
 
 from wassmean import barycenter, products
 from wassmean.barycenter import Ensemble
-from wassmean.hermitian import frobenius, matrix_power, random_spd
+from wassmean.hermitian import frobenius, matrix_power
 from wassmean.products import (
     PositiveMapSpec,
     ando_map,
     ensemble_tensor,
     hadamard,
     kron,
-    random_isometry_map,
     weight_tensor,
 )
+from wassmean.seeded import random_isometry_map, random_spd
 
 
 def _rand_complex(m, seed):

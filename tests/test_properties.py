@@ -21,17 +21,13 @@ from hypothesis import strategies as st
 from wassmean.barycenter import Ensemble, wasserstein_mean
 from wassmean.bures import bw_distance
 from wassmean.hermitian import (
-    _ginibre,
-    _Draw,
-    _haar_unitaries,
-    _seeded_draws,
     hermitianize,
-    random_unitary,
     require_hermitian,
     require_spd,
 )
 from wassmean.io import dumps_canonical, load_ensemble, load_matrix, matrix_to_json_dict
 from wassmean.products import ensemble_tensor
+from wassmean.seeded import _Draw, _ginibre, _haar_unitaries, _seeded_draws, random_unitary
 
 
 @st.composite

@@ -11,31 +11,32 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wassmean import _kernels, barycenter, hermitian, means, products
+from wassmean import _kernels, barycenter, hermitian, means, products, seeded
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
-from wassmean.checks import (
-    _Apply,
-    _built,
-    _draws_of,
-    _drawn,
-    _ensemble,
-    _mix,
-    default_plan,
-    random_ensemble,
-    random_weights,
-)
+from wassmean.checks import default_plan
 from wassmean.cli import main
 from wassmean.hermitian import (
     SPD_FLOOR,
+    _spectrum_clears_floor,
+    require_spd_stack,
+)
+from wassmean.seeded import (
+    _Apply,
+    _built,
     _commuting_stack,
     _Draw,
+    _drawn,
+    _draws_of,
+    _ensemble,
+    _mix,
     _seeded_draws,
-    _spectrum_clears_floor,
     random_commuting_spds,
+    random_ensemble,
+    random_isometry_map,
     random_spd,
     random_unitary,
-    require_spd_stack,
+    random_weights,
 )
 
 
@@ -76,13 +77,16 @@ def _digest(a):
 
 
 # SHA-256 prefixes of each public generator's output on fixed seeds, recorded
-# before the draw requests were reduced to one matrix per stream.
+# before the draw requests were reduced to one matrix per stream; those of
+# random_isometry_map and random_weights before they moved to ``seeded``.
 GENERATOR_DIGESTS = {
     "random_unitary": "022f190b5bb2940b",
     "random_spd": "e8e10b9af685f0b7",
     "random_commuting_spds": "5051e149fe6e9f07",
     "random_ensemble": "c1b392f270295ab7",
     "random_ensemble_commuting": "f5fd5afbb5f1fd05",
+    "random_isometry_map": "899a59a49d252e40",
+    "random_weights": "ce3ae58d2b633034",
 }
 
 
@@ -97,11 +101,44 @@ def _generator_outputs():
         "random_commuting_spds": random_commuting_spds(3, 4, 13, 0.5, 2.0),
         "random_ensemble": _flat(random_ensemble(3, 4, 7)),
         "random_ensemble_commuting": _flat(random_ensemble(4, 3, 8, 1e-3, 1e3, True)),
+        "random_isometry_map": random_isometry_map(4, 2, 14).isometry,
+        "random_weights": random_weights(5, 15),
     }
 
 
 def test_public_generators_keep_their_bits():
     assert {k: _digest(v) for k, v in _generator_outputs().items()} == GENERATOR_DIGESTS
+
+
+# Each generator that takes a seed from outside, on one seed.
+_SEEDED = {
+    "random_unitary": lambda seed: random_unitary(2, seed),
+    "random_spd": lambda seed: random_spd(3, seed, 0.5, 2.0),
+    "random_commuting_spds": lambda seed: random_commuting_spds(2, 2, seed, 0.5, 2.0),
+    "random_isometry_map": lambda seed: random_isometry_map(3, 2, seed).isometry,
+    "random_ensemble": lambda seed: _flat(random_ensemble(2, 2, seed)),
+}
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, np.float64(1.0), "a", None])
+@pytest.mark.parametrize("name", _SEEDED)
+def test_generators_refuse_a_seed_that_is_not_an_integer(name, seed):
+    # A bool or a float used to alias an integer seed, and a string or None
+    # leaked numpy's TypeError.
+    with pytest.raises(ValueError, match=r"^seed: expected an integer, got "):
+        _SEEDED[name](seed)
+
+
+def test_generators_take_integer_seeds_of_any_integer_type():
+    # A negative seed names the argument where it would be numpy's stream
+    # seed; random_ensemble mixes every int into a stream, a negative one too.
+    for name, draw in _SEEDED.items():
+        assert _digest(draw(np.int64(3))) == _digest(draw(3))
+        if name == "random_ensemble":
+            assert _digest(draw(-1)) != _digest(draw(1))
+        else:
+            with pytest.raises(ValueError, match=r"^seed: must be non-negative, got -1$"):
+                draw(-1)
 
 
 def _tally_calls(monkeypatch, module, attr, tally):
@@ -254,7 +291,7 @@ def test_seeded_ensemble_of_an_overflowing_norm_is_refused(monkeypatch, capsys):
 def test_inverted_ensemble_equals_the_validated_inverses_bitwise(monkeypatch):
     calls = _counted_validations(monkeypatch)
     for seed in range(6):
-        ensemble = checks_mod.random_ensemble(2 + seed % 3, 2 + seed % 2, seed)
+        ensemble = random_ensemble(2 + seed % 3, 2 + seed % 2, seed)
         want = Ensemble(ensemble.weights, _kernels.spd_power(ensemble.matrices, -1.0))
         calls.clear()
         inverted = checks_mod._inverted(ensemble)
@@ -283,7 +320,7 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
         return run
 
     for module, attr, tally in (
-        (checks_mod, "_seeded_draws", lambda draws: calls.update(["draw"])),
+        (seeded, "_seeded_draws", lambda draws: calls.update(["draw"])),
         (checks_mod.bc, "wasserstein_means",
          lambda ensembles: calls.update({"solve": 1, "ensembles": len(ensembles)})),
         (np.linalg, "qr", lambda a, *args, **kwargs: qrs.append(a.shape)),
@@ -315,15 +352,15 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
 
 def test_window_trusts_the_requests_it_declares(monkeypatch):
     # The requests of a default 10-seed window come from a validated plan:
-    # no spectrum range and no size is checked again. In the validation
+    # no spectrum range, no seed and no size is checked again. In the validation
     # layer require_positive runs only in each check's ToleranceConfig; the
     # solver's config and the Kantorovich constants of the Hadamard checks
     # are the only other users.
     ranges, tallies = Counter(), {}
-    for module in (hermitian, checks_mod):
-        _tally_calls(monkeypatch, module, "_require_eig_range",
-                     lambda *edges: ranges.update([edges]))
-    for module in (hermitian, checks_mod, barycenter, means, products):
+    for rule in ("_require_eig_range", "_require_seed"):
+        _tally_calls(monkeypatch, seeded, rule,
+                     lambda *args, rule=rule, **kwargs: ranges.update([(rule, *args)]))
+    for module in (hermitian, seeded, checks_mod, barycenter, means, products):
         tally = tallies[module.__name__.split(".")[-1]] = Counter()
         _tally_calls(monkeypatch, module, "require_positive",
                      lambda value, name, integer=False, tally=tally: tally.update([name]))
@@ -335,6 +372,7 @@ def test_window_trusts_the_requests_it_declares(monkeypatch):
     assert ranges == {}
     assert tallies == {
         "hermitian": {"loewner_tol": 15},
+        "seeded": {},
         "checks": {},
         "barycenter": {"max_iter": 1, "residual_tol": 1},
         "means": {"p": 33, "q": 33},

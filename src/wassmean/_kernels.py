@@ -1,5 +1,6 @@
 """Hot numeric kernels: spectral matrix functions, the two-variable geometric
-mean, the Bures-Wasserstein trace gap, and the barycenter fixed-point loop.
+mean, the Bures-Wasserstein transport map and squared distance, and the
+barycenter fixed-point loop.
 
 Every kernel works on stacks: an argument is one (m, m) matrix or an
 (n, m, m) stack, a second argument broadcasts against the first, and one
@@ -22,10 +23,10 @@ SOLVE_CONVERGED = 0
 SOLVE_MAX_ITER = 1
 SOLVE_BREAKDOWN = 2
 
-# Round-off below zero inside an outer square root is clamped to 0 within this
-# share of the scale of the data (a congruence's largest eigenvalue, tr((a+b)/2)
-# for a distance); anything worse is an error. At m = 32 to 50 with spectra in
-# [0.5, 100] the round-off stays below 3e-15 of that scale.
+# Round-off below zero in the spectrum of a congruence is clamped to 0 within
+# this share of its largest eigenvalue before the square root; anything worse is
+# an error. At m = 32 to 50 with spectra in [0.5, 100] the round-off stays below
+# 3e-15 of that scale.
 _NEGATIVE_CLAMP = 1e-12
 
 
@@ -93,16 +94,25 @@ def geometric_mean(a, b):
     return hermitianize(rs @ mid @ rs)
 
 
+def _transport(a, b):
+    """(L, M) with a = L L* (Cholesky) and M = L^{-*} (L* b L)^{1/2}, ``b``
+    broadcast against ``a``. M = T L for the transport map
+    T = L^{-*} (L* b L)^{1/2} L^{-1} from a to b (T a T = b), so M M* = b and
+    L* M = (L* b L)^{1/2}; the geodesic and the distance are built from it."""
+    low = np.linalg.cholesky(a)
+    up = _adjoint(low)
+    return low, np.linalg.solve(up, _congruence_root(hermitianize(up @ b @ low)))
+
+
 def bw_gap(a, b):
-    """tr((a+b)/2) - tr((a^{1/2} b a^{1/2})^{1/2}), the squared distance
-    before non-negativity clamping; one value per matrix pair, ``b``
-    broadcast against ``a``. A pair of equal matrices has the gap 0 exactly,
-    which the root's round-off would miss."""
-    rs = spd_power(a, 0.5)
-    w = np.linalg.eigvalsh(hermitianize(rs @ b @ rs))
-    tr_cross = np.sqrt(np.maximum(w, 0.0)).sum(axis=-1)
-    tr_ab = np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real
-    return np.where((a == b).all(axis=(-2, -1)), 0.0, 0.5 * tr_ab - tr_cross)[()]
+    """Squared Bures-Wasserstein distance d^2(a, b) = ||M - L||_F^2 / 2 from
+    ``_transport``: a norm, never below zero, and free of the cancelling
+    difference tr((a+b)/2) - tr((a^{1/2} b a^{1/2})^{1/2}) it equals. One value
+    per matrix pair, ``b`` broadcast against ``a``; a pair of equal matrices
+    has the value 0 exactly, which the root's round-off would miss."""
+    low, mid = _transport(a, b)
+    gap = 0.5 * (np.abs(mid - low) ** 2).sum(axis=(-2, -1))
+    return np.where((a == b).all(axis=(-2, -1)), 0.0, gap)[()]
 
 
 def mean_equation_residual(x, mats, weights):
@@ -127,10 +137,6 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     damped map x' = k x k, which converges globally. Summation order is the
     matrix index order, fixed for determinism.
 
-    The congruences' eigenvalues also give the root traces
-    t_j = tr (x^{1/2} a_j x^{1/2})^{1/2}, so d^2(x, a_j) = tr((x + a_j)/2) - t_j
-    at the best iterate costs no further eigen-solve.
-
     Every ensemble stops at its own iterate: a finished one is written to the
     outputs and dropped from the working stack, and the others go on. Batched
     ``eigh`` and ``matmul`` run the same per-matrix LAPACK and BLAS calls
@@ -138,38 +144,36 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     batch-mates, bit for bit.
 
     Returns arrays with one entry per ensemble: (best iterate, update steps
-    taken, best residual, status, root traces t_j at the best iterate) with
-    status 0 converged / 1 iteration budget exhausted / 2 loss of positivity
-    (an iterate, or a congruence, with an eigenvalue below zero).
+    taken, best residual, status) with status 0 converged / 1 iteration
+    budget exhausted / 2 loss of positivity (an iterate, or a congruence,
+    with an eigenvalue below zero). The squared distances d^2(x, a_j) behind
+    a report's objective are ``bw_gap``'s, evaluated by the caller.
     """
-    count, n, m = mats.shape[:3]
+    count, _, m = mats.shape[:3]
     eye = np.eye(m, dtype=np.complex128)
     x = best_x = hermitianize(weighted_sum(weights, mats))
     out_x = np.empty_like(x)
     out_iters = np.empty(count, dtype=np.intp)
     out_res = np.empty(count)
     out_status = np.empty(count, dtype=np.intp)
-    out_traces = np.empty((count, n))
     # The working stack: the ensembles still iterating, ``rows`` their rows
     # in the outputs.
     rows = np.arange(count)
     wb = weights[:, :, None, None]
     best_res = np.full(count, np.inf)
-    best_traces = np.full((count, n), np.nan)
 
     def retire(done, status, it, *extra):
         """Write the flagged ensembles' best iterates to the outputs, drop
         them from the working stack, and return ``extra`` without their rows."""
-        nonlocal rows, mats, wb, x, best_x, best_res, best_traces
+        nonlocal rows, mats, wb, x, best_x, best_res
         idx = rows[done]
         out_x[idx] = best_x[done]
         out_res[idx] = best_res[done]
-        out_traces[idx] = best_traces[done]
         out_iters[idx] = it
         out_status[idx] = status
         keep = ~done
-        rows, mats, wb, x, best_x, best_res, best_traces = (
-            a[keep] for a in (rows, mats, wb, x, best_x, best_res, best_traces)
+        rows, mats, wb, x, best_x, best_res = (
+            a[keep] for a in (rows, mats, wb, x, best_x, best_res)
         )
         return [a[keep] for a in extra]
 
@@ -187,15 +191,12 @@ def wasserstein_solve(mats, weights, max_iter, tol):
             ris, cw, cv = retire((cw[..., 0] < 0.0).any(axis=-1), SOLVE_BREAKDOWN, it, ris, cw, cv)
             if not rows.size:
                 break
-        roots = np.sqrt(cw)
-        s = (wb * _from_spectrum(cv, roots)).sum(axis=1)
+        s = (wb * _from_spectrum(cv, np.sqrt(cw))).sum(axis=1)
         k = hermitianize(ris @ s @ ris)
         res = _fro(eye - k)
-        traces = roots.sum(axis=-1)
         improved = res < best_res
         best_x = np.where(improved[:, None, None], x, best_x)
         best_res = np.where(improved, res, best_res)
-        best_traces = np.where(improved[:, None], traces, best_traces)
         done = res <= tol
         if done.any():
             (k,) = retire(done, SOLVE_CONVERGED, it, k)
@@ -204,4 +205,4 @@ def wasserstein_solve(mats, weights, max_iter, tol):
         if not rows.size:
             break
         x = hermitianize(k @ x @ k)
-    return out_x, out_iters, out_res, out_status, out_traces
+    return out_x, out_iters, out_res, out_status

@@ -24,11 +24,11 @@ per ensemble, its report or the error its solve raised. ``wasserstein_mean``
 is its one-ensemble case, so a batched report equals the single one bit for
 bit.
 
-A solve's ``objective`` comes from the solver's last eigendecomposition: the
-kernel returns the root traces tr (x^{1/2} A_j x^{1/2})^{1/2} of the best
-iterate x, so sum_j w_j d^2(x, A_j) needs no second eigen-pass.
-``objective(x, ensemble)`` stays the independent route, evaluating the
-distances afresh, and ``residual`` the certificate.
+An objective sum_j w_j d^2(x, A_j) is ``_kernels.bw_gap``, the squared
+distance through the transport map, weighted: ``objective(x, ensemble)``
+evaluates it at any candidate x, and a solve's report evaluates it at the
+best iterate in one batched pass per shape group, so the two agree bit for
+bit. ``residual`` is the certificate.
 """
 
 from dataclasses import dataclass
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .bures import _clamped_sqrt, _distance_scale
 from .hermitian import (
     _spectrum_clears_floor,
     frobenius,
@@ -150,8 +149,7 @@ def wasserstein_mean(ensemble, config=None):
     Non-convergence within the iteration budget returns the best iterate with
     ``converged=False``; loss of positivity raises ``SolverBreakdownError``.
     Deterministic for fixed inputs (fixed summation order). The report's
-    ``objective`` is taken from the root traces the solver returns with its
-    best iterate, under the same round-off clamp as ``objective``.
+    ``objective`` equals ``objective(report.mean, ensemble)`` bit for bit.
     """
     outcome = wasserstein_means([ensemble], config)[0]
     if isinstance(outcome, Exception):
@@ -164,11 +162,10 @@ def wasserstein_means(ensembles, config=None):
     ``matrices.shape``: the package's one solve.
 
     Each entry is the ensemble's ``SolverReport`` or the error its solve
-    raised: a ``SolverBreakdownError``, the ``LinAlgError`` LAPACK raised on
-    the ensemble's own stack, or the ``ValueError`` of an objective term whose
-    round-off falls below the distance's clamp. One bad matrix fails LAPACK
-    for its whole shape group, so a failed group is solved again one
-    ensemble at a time.
+    raised: a ``SolverBreakdownError``, or the ``LinAlgError`` LAPACK raised
+    on the ensemble's own stack. One bad matrix fails LAPACK for its whole
+    shape group, so a failed group is solved again one ensemble at a time.
+    The reports' objectives take one batched ``bw_gap`` per shape group.
     """
     if config is None:
         config = SolverConfig()
@@ -178,43 +175,40 @@ def wasserstein_means(ensembles, config=None):
     outcomes = [None] * len(ensembles)
     for rows in groups.values():
         group = [ensembles[i] for i in rows]
+        mats = np.stack([e.matrices for e in group])
         try:
             solved = _k.wasserstein_solve(
-                np.stack([e.matrices for e in group]),
-                np.stack([e.weights for e in group]),
-                config.max_iter,
-                config.residual_tol,
+                mats, np.stack([e.weights for e in group]), config.max_iter, config.residual_tol
             )
+            # A breakdown row's iterate need not be positive definite; it
+            # gets no objective.
+            kept = solved[3] != _k.SOLVE_BREAKDOWN
+            gaps = np.full(mats.shape[:2], np.nan)
+            gaps[kept] = _k.bw_gap(solved[0][kept, None], mats[kept])
         except np.linalg.LinAlgError as exc:
             for i, e in zip(rows, group):
                 outcomes[i] = exc if len(rows) == 1 else wasserstein_means([e], config)[0]
             continue
-        for i, e, *outputs in zip(rows, group, *solved):
+        for i, e, *outputs in zip(rows, group, *solved, gaps):
             outcomes[i] = _outcome(e, *outputs)
     return outcomes
 
 
-def _outcome(ensemble, x, iters, res, status, root_traces):
-    """The read-only report on one solve from the solver's outputs, or the
-    ``SolverBreakdownError`` of a solve that lost positivity, or the
-    ``ValueError`` of an objective that the distance's clamp refuses; the
-    objective comes from the root traces of the best iterate."""
+def _outcome(ensemble, x, iters, res, status, gaps):
+    """The read-only report on one solve from the solver's outputs and the
+    squared distances ``gaps`` of its best iterate to the matrices, or the
+    ``SolverBreakdownError`` of a solve that lost positivity."""
     if status == _k.SOLVE_BREAKDOWN:
         return SolverBreakdownError(
             f"iterate lost positive definiteness after {iters} iterations "
             f"(dimension {ensemble.dim}, {ensemble.size} matrices)"
         )
     x.flags.writeable = False
-    scales = _distance_scale(x, ensemble.matrices)
-    try:
-        objective = _weighted_squared_distances(ensemble.weights, scales - root_traces, scales)
-    except ValueError as exc:
-        return exc
     return SolverReport(
         mean=x,
         iterations=int(iters),
         residual=float(res),
-        objective=objective,
+        objective=float(ensemble.weights @ gaps),
         converged=bool(status == _k.SOLVE_CONVERGED),
     )
 
@@ -236,25 +230,11 @@ def residual(x, ensemble):
 
 
 def objective(x, ensemble):
-    """Weighted sum of squared distances sum_j w_j d^2(x, A_j), with the
-    distance's round-off clamp applied to every term.
-
-    Evaluates every distance afresh at any candidate ``x``: the route
-    independent of the root traces behind ``SolverReport.objective``."""
+    """Weighted sum of squared distances sum_j w_j d^2(x, A_j) at any
+    candidate ``x``, each term ``_kernels.bw_gap``: the same kernel as
+    ``SolverReport.objective``, which equals it at the report's mean."""
     xm = _require_candidate(x, ensemble)
-    gaps = _k.bw_gap(xm, ensemble.matrices)
-    return _weighted_squared_distances(
-        ensemble.weights, gaps, _distance_scale(xm, ensemble.matrices)
-    )
-
-
-def _weighted_squared_distances(weights, gaps, scales):
-    """sum_j w_j d_j^2 from the squared-distance gaps and their scales, each
-    clamped as a distance is."""
-    total = 0.0
-    for wj, gap, scale in zip(weights, gaps, scales):
-        total += wj * _clamped_sqrt(gap, scale) ** 2
-    return float(total)
+    return float(ensemble.weights @ _k.bw_gap(xm, ensemble.matrices))
 
 
 def require_commuting(x, y, failure):

@@ -7,26 +7,17 @@ from . import _kernels as _k
 from .hermitian import _real, hermitianize, require_spd_pair
 
 
-def _distance_scale(a, b):
-    """tr((a+b)/2), the scale of d^2(a, b); one value per pair for stacks."""
-    return 0.5 * (np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real)
-
-
-def _clamped_sqrt(gap, scale):
-    """sqrt(gap), clamping round-off below zero by at most
-    ``_NEGATIVE_CLAMP * scale`` to 0 and raising on anything worse."""
-    floor = _k._NEGATIVE_CLAMP * scale
-    if gap < -floor:
-        raise ValueError(f"distance: squared value {gap:.6e} below -{floor:.3e}")
-    return float(np.sqrt(max(gap, 0.0)))
-
-
 def bw_distance(a, b):
     """Bures-Wasserstein distance between positive definite matrices.
 
     .. math::
         d(a, b) = \\left[ \\mathrm{tr}\\frac{a+b}{2}
                   - \\mathrm{tr}(a^{1/2} b a^{1/2})^{1/2} \\right]^{1/2}
+                = \\frac{1}{\\sqrt{2}} \\| M - L \\|_F
+
+    with a = L L* (Cholesky) and M = L^{-*} (L* b L)^{1/2} = T L for the
+    transport map T of ``geodesic``. The norm has no difference of traces to
+    cancel, so near-equal arguments keep their relative accuracy.
 
     Parameters
     ----------
@@ -36,12 +27,12 @@ def bw_distance(a, b):
     Returns
     -------
     float
-        The distance; 0 for equal arguments. Round-off driving the bracket
-        below zero by less than 1e-12 * tr((a+b)/2) is clamped, anything
-        worse raises.
+        The distance; 0 for equal arguments. The congruence root follows the
+        round-off rule of ``geodesic``: an eigenvalue of L* b L below zero by
+        less than 1e-12 of its largest is clamped, anything worse raises.
     """
     am, bm = require_spd_pair(a, b)
-    return _clamped_sqrt(_k.bw_gap(am, bm), _distance_scale(am, bm))
+    return float(np.sqrt(_k.bw_gap(am, bm)))
 
 
 def geodesic(a, b, t):
@@ -50,12 +41,13 @@ def geodesic(a, b, t):
     .. math::
         a \\diamond_t b = (1-t)^2 a + t^2 b
                           + t(1-t)\\left[(ab)^{1/2} + (ba)^{1/2}\\right]
-                        = M a M, \\quad M = (1-t) I + t T
+                        = S a S, \\quad S = (1-t) I + t T
 
     with the transport map T = a^{-1/2}(a^{1/2} b a^{1/2})^{1/2} a^{-1/2}
     (T a T = b), as in Bhatia, Jain and Lim, Expo. Math. 2019. With a = L L*
     (Cholesky), T = L^{-*} R L^{-1} for R = (L* b L)^{1/2}, so the point is
-    P P* with P = M L = (1-t) L + t L^{-*} R, positive semidefinite by construction.
+    P P* with P = S L = (1-t) L + t M and M = T L = L^{-*} R, the pair that
+    ``bw_distance`` shares; it is positive semidefinite by construction.
 
     Parameters
     ----------
@@ -72,9 +64,6 @@ def geodesic(a, b, t):
     """
     if not 0.0 <= _real(t, "t") <= 1.0:
         raise ValueError(f"geodesic parameter t={t} outside [0, 1]")
-    am, bm = require_spd_pair(a, b)
-    low = np.linalg.cholesky(am)
-    up = _k._adjoint(low)
-    root = _k._congruence_root(hermitianize(up @ bm @ low))
-    step = (1 - t) * low + t * np.linalg.solve(up, root)
+    low, mid = _k._transport(*require_spd_pair(a, b))
+    step = (1 - t) * low + t * mid
     return hermitianize(step @ _k._adjoint(step))

@@ -162,10 +162,18 @@ def _commuting(m, seed, count, spectrum):
     return _Apply(_commuting_stack, (_Draw(m, seed), seed, count, *spectrum))
 
 
+def _random_weights(n, seed):
+    """Strictly positive normalized weights, deterministic per seed; trusted
+    arguments only (a request's count and seed)."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, n)
+    return w / w.sum()
+
+
 def _seeded_ensemble(weight_seed, spectrum, *mats):
     """The ensemble of a commuting stack, or of n matrices, and seeded weights."""
     stack = mats[0] if mats[0].ndim == 3 else np.stack(mats)
-    return bc.Ensemble._generated(random_weights(len(stack), weight_seed), stack, *spectrum)
+    return bc.Ensemble._generated(_random_weights(len(stack), weight_seed), stack, *spectrum)
 
 
 def _isometry(s, k, seed):
@@ -209,13 +217,6 @@ def random_isometry_map(s, k, seed):
     if k > s:
         raise ValueError(f"target dimension {k} exceeds source dimension {s}")
     return _build(_isometry(s, k, _require_seed(seed)))
-
-
-def random_weights(n, seed):
-    """Strictly positive normalized weights, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, n)
-    return w / w.sum()
 
 
 def random_ensemble(m, n, seed, eig_lo=0.5, eig_hi=2.0, commuting=False):

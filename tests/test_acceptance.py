@@ -28,7 +28,12 @@ from wassmean.hermitian import (
 )
 from wassmean.io import matrix_to_json_dict
 from wassmean.means import geometric_mean
-from wassmean.seeded import random_commuting_spds, random_ensemble, random_spd, random_weights
+from wassmean.seeded import (
+    _random_weights,
+    random_commuting_spds,
+    random_ensemble,
+    random_spd,
+)
 
 
 def _criterion(number, name, ok, detail=""):
@@ -64,7 +69,7 @@ def test_criterion_2_commuting_closed_form():
         m = (2, 3, 4)[seed % 3]
         n = (2, 3, 5)[seed % 3]
         mats = random_commuting_spds(m, n, seed, eig_lo=0.5, eig_hi=2.0)
-        e = Ensemble(weights=random_weights(n, seed), matrices=mats)
+        e = Ensemble(weights=_random_weights(n, seed), matrices=mats)
         gap = frobenius(wasserstein_mean(e).mean - commuting_closed_form(e))
         worst = max(worst, gap)
         if gap > 1e-8:
@@ -143,7 +148,7 @@ def test_criterion_4_determinant_inequality():
     if ok:
         for seed in range(20):
             a = random_spd(3, seed=5000 + seed, eig_lo=0.5, eig_hi=2.0)
-            e = Ensemble(weights=random_weights(3, seed), matrices=[a, a, a])
+            e = Ensemble(weights=_random_weights(3, seed), matrices=[a, a, a])
             rep = check("det_inequality", e)
             if not (abs(rep.margin) <= 1e-9 and rep.details["equality"]):
                 ok, detail = False, f"identical seed {seed}: margin {rep.margin:.3e}"

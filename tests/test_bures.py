@@ -40,6 +40,18 @@ def test_distance_of_equal_inputs_is_zero(log_uniform, seed, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"distance": 0.0}
 
 
+def test_distance_of_near_equal_pairs_matches_closed_form(log_uniform):
+    # B = cA has d(A, B) = |1 - sqrt(c)| sqrt(tr A / 2). Log-uniform
+    # [1e-3, 1e3], m = 2 + seed % 5, seeds 0-39: the difference of traces
+    # cancelled to a relative error of 8.3e3 and raised on 9 of these 120
+    # pairs; through the transport map the worst measured error is 1.07e-4.
+    for seed in range(40):
+        a = log_uniform(2 + seed % 5, seed)
+        for c in (1 + 1e-3, 1 + 1e-6, 1 + 1e-9):
+            want = abs(1 - np.sqrt(c)) * np.sqrt(np.trace(a).real / 2)
+            assert bw_distance(a, c * a) == pytest.approx(want, rel=1e-3, abs=0)
+
+
 def test_distance_scalar_multiple():
     # tr((I + 4I)/2) = 5, tr(sqrt(4I)) = 4, sqrt(5 - 4) = 1.
     assert bw_distance(np.eye(2), 4 * np.eye(2)) == pytest.approx(1.0, abs=1e-12)
@@ -213,19 +225,6 @@ def test_hellinger_matches_diagonal_matrix_distance():
         assert bw_distance(np.diag(p), np.diag(q)) == pytest.approx(
             _hellinger(p, q), abs=1e-10
         )
-
-
-def test_negative_round_off_clamp_policy():
-    from wassmean.bures import _clamped_sqrt
-
-    assert _clamped_sqrt(-5e-13, 1.0) == 0.0
-    assert _clamped_sqrt(4.0, 1.0) == 2.0
-    with pytest.raises(ValueError, match="below"):
-        _clamped_sqrt(-1e-11, 1.0)
-    # The threshold scales with the data: 1e-12 of the scale.
-    assert _clamped_sqrt(-5e-9, 1e4) == 0.0
-    with pytest.raises(ValueError, match="below"):
-        _clamped_sqrt(-5e-13, 1e-2)
 
 
 def test_distance_self_is_zero_on_wide_spectra():

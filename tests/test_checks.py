@@ -623,16 +623,19 @@ def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
     assert reports[-1].holds
 
 
-def test_suite_fails_only_the_check_whose_solve_raised_in_its_report(monkeypatch, log_uniform):
-    # The singleton's objective error is stored as its solve's outcome and
+def test_suite_fails_only_the_check_whose_solve_raised_in_its_report(
+    monkeypatch, wide_spectrum_mats
+):
+    # The breakdown of this wide-spectrum solve is stored as its outcome and
     # raised in the core of bounds alone.
-    lone = Ensemble(weights=[1.0], matrices=[log_uniform(4, 1)])
+    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
     monkeypatch.setitem(checks_mod._CHECKS, "bounds", dataclasses.replace(
-        checks_mod._CHECKS["bounds"], instances=lambda plan: [(lone,)]
+        checks_mod._CHECKS["bounds"], instances=lambda plan: [(wide,)]
     ))
     bounds, det = run_suite(default_plan(checks=("bounds", "det_inequality")))
     assert bounds.details["error"] == (
-        "ValueError: distance: squared value -4.696403e-10 below -3.695e-10"
+        "SolverBreakdownError: iterate lost positive definiteness after 12 iterations "
+        "(dimension 8, 6 matrices)"
     )
     assert not bounds.holds and det.holds
 

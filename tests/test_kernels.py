@@ -12,8 +12,8 @@ def _stack(seeds, m=3, lo=0.5, hi=2.0):
 
 def _solve_one(mats, weights, max_iter, tol):
     """The kernel's solve of one ensemble: a batch of one, unbatched."""
-    x, iters, res, status, traces = k.wasserstein_solve(mats[None], weights[None], max_iter, tol)
-    return x[0], int(iters[0]), res[0], int(status[0]), traces[0]
+    x, iters, res, status = k.wasserstein_solve(mats[None], weights[None], max_iter, tol)
+    return x[0], int(iters[0]), res[0], int(status[0])
 
 
 def _rel(got, want):
@@ -67,7 +67,6 @@ def loop_solve(mats, weights, x0, max_iter, tol):
     eye = np.eye(m).astype(np.complex128)
     x = x0.copy()
     best_x = x0.copy()
-    best_traces = None
     best_res = np.inf
     status = k.SOLVE_MAX_ITER
     iters = 0
@@ -80,17 +79,13 @@ def loop_solve(mats, weights, x0, max_iter, tol):
         rs = _sym((v * sw) @ v.conj().T)
         ris = _sym((v * (1.0 / sw)) @ v.conj().T)
         s = np.zeros((m, m), dtype=np.complex128)
-        traces = np.zeros(n)
         for j in range(n):
-            root = _spd_power(_sym(rs @ mats[j] @ rs), 0.5)
-            traces[j] = np.trace(root).real
-            s = s + weights[j] * root
+            s = s + weights[j] * _spd_power(_sym(rs @ mats[j] @ rs), 0.5)
         k_ = _sym(ris @ s @ ris)
         res = _fro(eye - k_)
         if res < best_res:
             best_res = res
             best_x = x.copy()
-            best_traces = traces
         if res <= tol:
             status = k.SOLVE_CONVERGED
             break
@@ -98,7 +93,7 @@ def loop_solve(mats, weights, x0, max_iter, tol):
             break
         x = _sym(k_ @ x @ k_)
         iters += 1
-    return best_x, iters, best_res, status, best_traces
+    return best_x, iters, best_res, status
 
 
 # Fixed seed set: dimensions, ensemble sizes and spectra from well to badly
@@ -127,28 +122,6 @@ def test_stacked_solver_matches_loop_reference(m, n, lo, hi, seed):
     assert got[1] == want[1]
     assert got[3] == want[3] == k.SOLVE_CONVERGED
     assert got[2] == pytest.approx(want[2], abs=1e-13)
-
-
-@pytest.mark.parametrize("m,n,lo,hi,seed", CASES)
-def test_solver_root_traces_match_loop_reference(m, n, lo, hi, seed):
-    # t_j = tr (x^{1/2} A_j x^{1/2})^{1/2} at the returned best iterate, here
-    # as the trace of each per-matrix root rather than a sum of eigenvalues.
-    mats, w = _case(m, n, lo, hi, seed)
-    got = _solve_one(mats, w, 200, 1e-11)[4]
-    want = loop_solve(mats, w, _start(mats, w), 200, 1e-11)[4]
-    assert got.shape == (n,)
-    assert np.max(np.abs(got - want) / want) <= 1e-13
-
-
-def test_solver_root_traces_belong_to_best_iterate():
-    # An unconverged solve returns its best iterate; the traces must be
-    # those of that iterate.
-    mats, w = _case(5, 16, 1e-3, 1e3, 0)
-    x, _, _, status, traces = _solve_one(mats, w, 3, 1e-11)
-    assert status == k.SOLVE_MAX_ITER
-    rs = _spd_power(x, 0.5)
-    want = [np.trace(_spd_power(_sym(rs @ a @ rs), 0.5)).real for a in mats]
-    assert np.max(np.abs(traces - want) / want) <= 1e-13
 
 
 @pytest.mark.parametrize("m,n,lo,hi,seed", CASES[::3])
@@ -203,8 +176,7 @@ def test_solver_bitwise_deterministic():
     first = _solve_one(mats, w, 200, 1e-11)
     second = _solve_one(mats, w, 200, 1e-11)
     assert np.array_equal(first[0], second[0])
-    assert first[1:4] == second[1:4]
-    assert np.array_equal(first[4], second[4])
+    assert first[1:] == second[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +186,13 @@ def test_solver_bitwise_deterministic():
 
 def _assert_batch_matches_singles(mats, weights, max_iter):
     batch = k.wasserstein_solve(mats, weights, max_iter, 1e-11)
-    assert [a.shape[0] for a in batch] == [mats.shape[0]] * 5
+    assert [a.shape[0] for a in batch] == [mats.shape[0]] * 4
     for i in range(mats.shape[0]):
-        x, iters, res, status, traces = _solve_one(mats[i], weights[i], max_iter, 1e-11)
+        x, iters, res, status = _solve_one(mats[i], weights[i], max_iter, 1e-11)
         assert np.array_equal(batch[0][i], x)
         assert batch[1][i] == iters
         assert batch[2][i] == res or (np.isinf(res) and np.isinf(batch[2][i]))
         assert batch[3][i] == status
-        assert np.array_equal(batch[4][i], traces, equal_nan=True)
     return batch[3]
 
 
@@ -246,7 +217,7 @@ def test_batched_solver_equals_single_solves_bitwise(max_iter, statuses):
 
 def test_negative_congruence_eigenvalue_is_a_breakdown(wide_spectrum_mats):
     w = np.full(6, 1.0 / 6.0)
-    _, iters, _, status, _ = _solve_one(wide_spectrum_mats, w, 200, 1e-11)
+    _, iters, _, status = _solve_one(wide_spectrum_mats, w, 200, 1e-11)
     assert status == k.SOLVE_BREAKDOWN
     assert iters == 12
 

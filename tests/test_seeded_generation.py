@@ -30,13 +30,13 @@ from wassmean.seeded import (
     _draws_of,
     _ensemble,
     _mix,
+    _random_weights,
     _seeded_draws,
     random_commuting_spds,
     random_ensemble,
     random_isometry_map,
     random_spd,
     random_unitary,
-    random_weights,
 )
 
 
@@ -78,7 +78,8 @@ def _digest(a):
 
 # SHA-256 prefixes of each public generator's output on fixed seeds, recorded
 # before the draw requests were reduced to one matrix per stream; those of
-# random_isometry_map and random_weights before they moved to ``seeded``.
+# random_isometry_map and _random_weights (then the public random_weights)
+# before they moved to ``seeded``.
 GENERATOR_DIGESTS = {
     "random_unitary": "022f190b5bb2940b",
     "random_spd": "e8e10b9af685f0b7",
@@ -86,7 +87,7 @@ GENERATOR_DIGESTS = {
     "random_ensemble": "c1b392f270295ab7",
     "random_ensemble_commuting": "f5fd5afbb5f1fd05",
     "random_isometry_map": "899a59a49d252e40",
-    "random_weights": "ce3ae58d2b633034",
+    "_random_weights": "ce3ae58d2b633034",
 }
 
 
@@ -102,7 +103,7 @@ def _generator_outputs():
         "random_ensemble": _flat(random_ensemble(3, 4, 7)),
         "random_ensemble_commuting": _flat(random_ensemble(4, 3, 8, 1e-3, 1e3, True)),
         "random_isometry_map": random_isometry_map(4, 2, 14).isometry,
-        "random_weights": random_weights(5, 15),
+        "_random_weights": _random_weights(5, 15),
     }
 
 
@@ -165,7 +166,7 @@ def _ensemble_of(m, n, seed, eig_lo, eig_hi, commuting=False):
         mats = random_commuting_spds(m, n, _mix(seed, 11), eig_lo, eig_hi)
     else:
         mats = np.stack([random_spd(m, _mix(seed, 13 + j), eig_lo, eig_hi) for j in range(n)])
-    return mats, random_weights(n, _mix(seed, 17))
+    return mats, _random_weights(n, _mix(seed, 17))
 
 
 @pytest.mark.parametrize("in_suite", [False, True])
@@ -235,7 +236,7 @@ def test_generated_ensemble_stores_what_validation_returns_bitwise(monkeypatch, 
     # edge itself is validated and equal, and one far below it fails
     # validation; and its finite norm, where a range just past the edge is
     # validated and equal, and one far past it fails validation.
-    weights = random_weights(3, m)
+    weights = _random_weights(3, m)
     units = np.stack([random_unitary(m, 50 + j) for j in range(3)])
     above = np.nextafter(_trust_edge(m, 1.0), np.inf)
     top = _finite_edge(m)

@@ -146,8 +146,7 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     Returns arrays with one entry per ensemble: (best iterate, update steps
     taken, best residual, status) with status 0 converged / 1 iteration
     budget exhausted / 2 loss of positivity (an iterate, or a congruence,
-    with an eigenvalue below zero). The squared distances d^2(x, a_j) behind
-    a report's objective are ``bw_gap``'s, evaluated by the caller.
+    with an eigenvalue below zero).
     """
     count, _, m = mats.shape[:3]
     eye = np.eye(m, dtype=np.complex128)

@@ -24,11 +24,12 @@ per ensemble, its report or the error its solve raised. ``wasserstein_mean``
 is its one-ensemble case, so a batched report equals the single one bit for
 bit.
 
-An objective sum_j w_j d^2(x, A_j) is ``_kernels.bw_gap``, the squared
-distance through the transport map, weighted: ``objective(x, ensemble)``
-evaluates it at any candidate x, and a solve's report evaluates it at the
-best iterate in one batched pass per shape group, so the two agree bit for
-bit. ``residual`` is the certificate.
+The objective sum_j w_j d^2(x, A_j) and the residual are functions of a
+candidate x and the ensemble, not outputs of the solve: ``objective``
+weights ``_kernels.bw_gap``, the squared distance through the transport
+map, and ``residual`` is the certificate. A report holds what the solve
+computed: its best iterate, the iterations, its residual and whether it
+converged.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .hermitian import (
+    _of_type,
     _spectrum_clears_floor,
     frobenius,
     hermitianize,
@@ -127,19 +129,7 @@ class SolverReport:
     mean: np.ndarray
     iterations: int
     residual: float
-    objective: float
     converged: bool
-
-    def to_json_dict(self):
-        from .io import matrix_to_json_dict
-
-        return {
-            "iterations": int(self.iterations),
-            "residual": float(self.residual),
-            "objective": float(self.objective),
-            "converged": bool(self.converged),
-            "mean": matrix_to_json_dict(self.mean),
-        }
 
 
 def wasserstein_mean(ensemble, config=None):
@@ -148,8 +138,8 @@ def wasserstein_mean(ensemble, config=None):
 
     Non-convergence within the iteration budget returns the best iterate with
     ``converged=False``; loss of positivity raises ``SolverBreakdownError``.
-    Deterministic for fixed inputs (fixed summation order). The report's
-    ``objective`` equals ``objective(report.mean, ensemble)`` bit for bit.
+    Deterministic for fixed inputs (fixed summation order). The objective
+    at the mean is ``objective(report.mean, ensemble)``.
     """
     outcome = wasserstein_means([ensemble], config)[0]
     if isinstance(outcome, Exception):
@@ -165,12 +155,13 @@ def wasserstein_means(ensembles, config=None):
     raised: a ``SolverBreakdownError``, or the ``LinAlgError`` LAPACK raised
     on the ensemble's own stack. One bad matrix fails LAPACK for its whole
     shape group, so a failed group is solved again one ensemble at a time.
-    The reports' objectives take one batched ``bw_gap`` per shape group.
+    A ``config`` that is not a ``SolverConfig``, or an entry that is not an
+    ``Ensemble``, is refused by a TypeError naming it before any solve.
     """
-    if config is None:
-        config = SolverConfig()
+    config = SolverConfig() if config is None else _of_type(config, SolverConfig, "config")
     groups = {}
     for i, ensemble in enumerate(ensembles):
+        _of_type(ensemble, Ensemble, "ensemble")
         groups.setdefault(ensemble.matrices.shape, []).append(i)
     outcomes = [None] * len(ensembles)
     for rows in groups.values():
@@ -180,23 +171,17 @@ def wasserstein_means(ensembles, config=None):
             solved = _k.wasserstein_solve(
                 mats, np.stack([e.weights for e in group]), config.max_iter, config.residual_tol
             )
-            # A breakdown row's iterate need not be positive definite; it
-            # gets no objective.
-            kept = solved[3] != _k.SOLVE_BREAKDOWN
-            gaps = np.full(mats.shape[:2], np.nan)
-            gaps[kept] = _k.bw_gap(solved[0][kept, None], mats[kept])
         except np.linalg.LinAlgError as exc:
             for i, e in zip(rows, group):
                 outcomes[i] = exc if len(rows) == 1 else wasserstein_means([e], config)[0]
             continue
-        for i, e, *outputs in zip(rows, group, *solved, gaps):
+        for i, e, *outputs in zip(rows, group, *solved):
             outcomes[i] = _outcome(e, *outputs)
     return outcomes
 
 
-def _outcome(ensemble, x, iters, res, status, gaps):
-    """The read-only report on one solve from the solver's outputs and the
-    squared distances ``gaps`` of its best iterate to the matrices, or the
+def _outcome(ensemble, x, iters, res, status):
+    """The read-only report on one solve from the solver's outputs, or the
     ``SolverBreakdownError`` of a solve that lost positivity."""
     if status == _k.SOLVE_BREAKDOWN:
         return SolverBreakdownError(
@@ -208,14 +193,14 @@ def _outcome(ensemble, x, iters, res, status, gaps):
         mean=x,
         iterations=int(iters),
         residual=float(res),
-        objective=float(ensemble.weights @ gaps),
         converged=bool(status == _k.SOLVE_CONVERGED),
     )
 
 
 def _require_candidate(x, ensemble):
     """Validate a candidate mean of ``ensemble``: positive definite, of the
-    ensemble's dimension."""
+    dimension of ``ensemble``, which must be an ``Ensemble``."""
+    _of_type(ensemble, Ensemble, "ensemble")
     xm = require_spd(x, name="candidate")
     if xm.shape[0] != ensemble.dim:
         raise ValueError(f"dimension mismatch: {xm.shape[0]} vs {ensemble.dim}")
@@ -231,8 +216,8 @@ def residual(x, ensemble):
 
 def objective(x, ensemble):
     """Weighted sum of squared distances sum_j w_j d^2(x, A_j) at any
-    candidate ``x``, each term ``_kernels.bw_gap``: the same kernel as
-    ``SolverReport.objective``, which equals it at the report's mean."""
+    candidate ``x``, each term ``_kernels.bw_gap``. A solve does not compute
+    it: a report's objective is this function at ``report.mean``."""
     xm = _require_candidate(x, ensemble)
     return float(ensemble.weights @ _k.bw_gap(xm, ensemble.matrices))
 

@@ -42,6 +42,7 @@ from . import barycenter as bc
 from .hermitian import (
     ToleranceConfig,
     _loewner_verdicts,
+    _of_type,
     _real,
     as_complex_matrix,
     frobenius,
@@ -429,13 +430,6 @@ def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
 # ---------------------------------------------------------------------------
 # the validation boundary: each check's ``validate``
 # ---------------------------------------------------------------------------
-
-def _of_type(value, kind, name):
-    """``value``, or a TypeError that names the argument when it is not a ``kind``."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
 
 def _one_ensemble(ensemble):
     return (_of_type(ensemble, bc.Ensemble, "ensemble"),)

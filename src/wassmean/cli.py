@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .barycenter import SolverBreakdownError, SolverConfig, wasserstein_mean
+from .barycenter import SolverBreakdownError, SolverConfig, objective, wasserstein_mean
 from .bures import bw_distance, geodesic
 from .checks import SuitePlan, run_suite
 from .io import (
@@ -51,13 +51,20 @@ def cmd_mean(args):
     ensemble = load_ensemble(args.ensemble)
     config = SolverConfig(max_iter=args.max_iter, residual_tol=args.tol)
     report = wasserstein_mean(ensemble, config)
-    doc = report.to_json_dict()
-    doc["config"] = {"max_iter": config.max_iter, "residual_tol": config.residual_tol}
+    value = objective(report.mean, ensemble)
+    doc = {
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "objective": value,
+        "converged": report.converged,
+        "mean": matrix_to_json_dict(report.mean),
+        "config": {"max_iter": config.max_iter, "residual_tol": config.residual_tol},
+    }
     _write(args, doc, lambda: (
         f"converged: {report.converged}\n"
         f"iterations: {report.iterations}\n"
         f"residual: {report.residual:.6e}\n"
-        f"objective: {report.objective:.6e}\n"
+        f"objective: {value:.6e}\n"
         f"mean:\n{_matrix_text(report.mean)}"
     ))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

@@ -13,7 +13,8 @@ vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix,
 ``require_spd_pair`` its pair and ``require_spd_stack`` its n-matrix case;
 ``_loewner_verdicts`` judges a stack of pairs the package computed, and
 ``loewner_leq`` one validated raw pair; ``require_positive`` checks every
-tolerance, iteration budget, size, count and spectrum edge.
+tolerance, iteration budget, size, count and spectrum edge, and ``_of_type``
+refuses, by name, an argument that is not of the package type it expects.
 ``_spectrum_clears_floor`` is the rule under which an ensemble of seeded
 generator output (``seeded``), positive definite by construction, is stored
 without validation: a spectrum range that clears the positive definite floor
@@ -36,6 +37,13 @@ SPD_FLOOR = 1e-12
 def is_integer(value):
     # A bool, which Python counts as an integer, is none here.
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _of_type(value, kind, name):
+    """``value``, or a TypeError that names the argument when it is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _real(value, name, kind="a finite number", integer=False):
@@ -257,12 +265,15 @@ def loewner_leq(a, b, cfg=None):
     """Tolerance-aware test of a <= b in the Loewner order.
 
     The margin is the smallest eigenvalue of b - a; the comparison holds when
-    the margin is >= -loewner_tol * scale.
+    the margin is >= -loewner_tol * scale under ``cfg``, a ``ToleranceConfig``
+    (None: the default).
     """
     lhs = require_hermitian(a, name="lhs")
     rhs = require_hermitian(b, name="rhs")
     if lhs.shape != rhs.shape:
         raise ValueError(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
+    if cfg is not None:
+        _of_type(cfg, ToleranceConfig, "cfg")
     return _loewner_verdicts([(lhs, rhs)], cfg)[0]
 
 

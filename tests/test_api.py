@@ -96,6 +96,40 @@ def test_each_check_has_one_entry_point():
     assert re.findall(r"\bcheck_\w+\(", (ROOT / "README.md").read_text()) == []
 
 
+def _imported_modules(path):
+    """The package modules that ``path`` imports, by their short names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("wassmean"):
+                continue
+            base = base.removeprefix("wassmean").lstrip(".")
+            if base:
+                names.add(base.split(".")[0])
+            else:
+                names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {
+                alias.name.split(".")[1]
+                for alias in node.names if alias.name.startswith("wassmean.")
+            }
+    return names
+
+
+def test_file_formats_and_the_cli_sit_on_top():
+    # io, the file formats, builds on barycenter and checks, and cli on all
+    # of them: io is imported by cli alone, and cli by the ``python -m``
+    # entry (``__main__.py``) alone, so the layers form no import cycle.
+    imports = {
+        path.name: _imported_modules(path)
+        for path in sorted((ROOT / "src" / "wassmean").glob("*.py"))
+    }
+    assert "io" in imports["cli.py"] and "cli" in imports["__main__.py"]
+    assert [name for name, used in imports.items() if "io" in used] == ["cli.py"]
+    assert [name for name, used in imports.items() if "cli" in used] == ["__main__.py"]
+
+
 def test_seeded_inputs_have_one_home():
     # Every seeded input is drawn, and described as its request, in seeded.py:
     # a generator or a request type anywhere else would describe one again.

@@ -55,7 +55,7 @@ def test_random_solve_certificate_and_dominance():
     report = wasserstein_mean(e)
     assert report.converged
     assert residual(report.mean, e) <= 1e-10
-    assert report.objective <= objective(arithmetic_mean(e.weights, e.matrices), e) + 1e-9
+    assert objective(report.mean, e) <= objective(arithmetic_mean(e.weights, e.matrices), e) + 1e-9
 
 
 def test_fixed_point_certificate_both_forms():
@@ -140,24 +140,54 @@ def test_objective_zero_at_singleton_wide_spectrum():
 
 
 def test_solver_objective_matches_independent_route():
-    # A report's objective is the batched bw_gap of its shape group at the
-    # best iterate; objective() runs the same kernel on one ensemble, so the
-    # two agree bit for bit, alone and in a batch of ten.
+    # A batch of ten returns each lone solve's mean bit for bit, so the
+    # objective at a report's mean is the same alone and in the batch.
     shapes = ((2, 2, 0.5, 2.0), (3, 5, 0.1, 10.0), (5, 4, 1e-3, 1e3), (8, 3, 1e-3, 1e3))
     for m, n, lo, hi in shapes:
         ensembles = [_ensemble(seed + 900, m=m, n=n, lo=lo, hi=hi) for seed in range(10)]
         for e, batched in zip(ensembles, wasserstein_means(ensembles)):
             report = wasserstein_mean(e)
             assert report.converged
-            assert report.objective == batched.objective == objective(report.mean, e)
+            assert np.array_equal(batched.mean, report.mean)
+            assert objective(batched.mean, e) == objective(report.mean, e)
 
 
 def test_solver_objective_zero_at_singleton_wide_spectrum():
     a = random_spd(6, seed=9, eig_lo=1e-3, eig_hi=1e3)
     e = Ensemble(weights=[1.0], matrices=[a])
     report = wasserstein_mean(e)
-    assert report.objective <= 1e-12 * np.trace(a).real
     assert objective(report.mean, e) <= 1e-12 * np.trace(a).real
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e, x: wasserstein_mean(e, 5), "config: expected SolverConfig, got int"),
+    (lambda e, x: wasserstein_mean(e, {"max_iter": 5}), "config: expected SolverConfig, got dict"),
+    (lambda e, x: wasserstein_means([e, e.matrices]), "ensemble: expected Ensemble, got ndarray"),
+    (lambda e, x: objective(x, [e.matrices[0]]), "ensemble: expected Ensemble, got list"),
+    (lambda e, x: residual(x, "e"), "ensemble: expected Ensemble, got str"),
+], ids=["mean-config-int", "mean-config-dict", "means-entry", "objective", "residual"])
+def test_entry_points_refuse_wrong_types_by_name(call, message):
+    # Each used to leak an AttributeError from inside the solve or diagnostic.
+    e = _ensemble(3)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(e, e.matrices[0])
+
+
+def test_solves_compute_no_objective(monkeypatch):
+    # The objective is objective(report.mean, e), computed on request: a
+    # solve, alone or in a suite window, never evaluates a squared distance.
+    from wassmean import _kernels
+    from wassmean.checks import default_plan, run_suite
+
+    calls = []
+    gap = _kernels.bw_gap
+    monkeypatch.setattr(_kernels, "bw_gap", lambda *args: calls.append(args) or gap(*args))
+    e = _ensemble(5)
+    report = wasserstein_mean(e)
+    run_suite(default_plan(seeds=(0, 10)))
+    assert calls == []
+    objective(report.mean, e)
+    assert len(calls) == 1
 
 
 def test_objective_matches_pairwise_distances():
@@ -187,7 +217,7 @@ def test_objective_two_point_minimum_is_geodesic_midpoint():
     e = Ensemble(weights=[0.5, 0.5], matrices=[a, b])
     mid = geodesic(a, b, 0.5)
     report = wasserstein_mean(e)
-    assert report.objective <= objective(mid, e) + 1e-9
+    assert objective(report.mean, e) <= objective(mid, e) + 1e-9
     assert frobenius(report.mean - mid) <= 1e-7 * frobenius(mid)
 
 
@@ -208,8 +238,9 @@ def test_minimizer_dominance_over_probes():
     candidates.extend(
         random_spd(e.dim, seed=7000 + k, eig_lo=0.5, eig_hi=2.0) for k in range(20)
     )
+    best = objective(report.mean, e)
     for y in candidates:
-        assert report.objective <= objective(y, e) + 1e-9
+        assert best <= objective(y, e) + 1e-9
 
 
 def test_permutation_equivariance():
@@ -260,8 +291,8 @@ def test_batched_means_equal_single_solves(wide_spectrum_mats):
             continue
         want = wasserstein_mean(e, config)
         assert np.array_equal(got.mean, want.mean)
-        assert (got.iterations, got.residual, got.objective, got.converged) == (
-            want.iterations, want.residual, want.objective, want.converged
+        assert (got.iterations, got.residual, got.converged) == (
+            want.iterations, want.residual, want.converged
         )
     assert {r.converged for r in reports if isinstance(r, SolverReport)} == {True, False}
 
@@ -289,7 +320,7 @@ def test_log_uniform_singletons_report_a_round_off_objective(log_uniform):
     lones = [Ensemble(weights=[1.0], matrices=[log_uniform(4, seed)]) for seed in range(60)]
     for e, report in zip(lones, wasserstein_means(lones)):
         assert isinstance(report, SolverReport)
-        assert report.objective <= 1e-12 * np.trace(e.matrices[0]).real
+        assert objective(report.mean, e) <= 1e-12 * np.trace(e.matrices[0]).real
 
 
 def test_batched_means_keep_each_best_iterate_when_only_some_improve():
@@ -304,8 +335,8 @@ def test_batched_means_keep_each_best_iterate_when_only_some_improve():
     for e, got in zip(ensembles, reports):
         want = wasserstein_mean(e, config)
         assert got.mean.tobytes() == want.mean.tobytes()
-        assert (got.iterations, got.residual, got.objective, got.converged) == (
-            want.iterations, want.residual, want.objective, False
+        assert (got.iterations, got.residual, got.converged) == (
+            want.iterations, want.residual, False
         )
 
 

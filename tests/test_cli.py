@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wassmean import cli
-from wassmean.barycenter import SolverConfig
+from wassmean.barycenter import SolverConfig, objective, wasserstein_mean
 from wassmean.checks import DEFAULT_CHECKS, SuitePlan, default_plan
 from wassmean.cli import build_parser, main
 from wassmean.hermitian import frobenius
@@ -86,6 +86,24 @@ def test_mean_non_convergence_exit_code(tmp_path, capsys):
     assert code == 2
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["converged"] is False
+
+
+@pytest.mark.parametrize("max_iter, exit_code", [(200, 0), (2, 2)])
+def test_mean_document_reports_the_objective_at_its_mean(tmp_path, capsys, max_iter, exit_code):
+    # The fixture's objective is exactly 0.25; this one is not round, and
+    # the CLI's value is objective(report.mean, e), converged or not.
+    path = tmp_path / "e.json"
+    path.write_text(dumps_canonical(ensemble_to_json_dict(random_ensemble(8, 5, 31))))
+    e = load_ensemble(path)
+    want = objective(wasserstein_mean(e, SolverConfig(max_iter=max_iter)).mean, e)
+    flags = ["mean", str(path), "--max-iter", str(max_iter)]
+    assert main(flags) == exit_code
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["config", "converged", "iterations", "mean", "objective", "residual"]
+    assert doc["objective"] == want
+    assert doc["converged"] is (exit_code == 0)
+    assert main([*flags, "--format", "text"]) == exit_code
+    assert f"\nobjective: {want:.6e}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

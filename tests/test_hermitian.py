@@ -132,6 +132,14 @@ def test_loewner_transitive_on_chains():
         assert loewner_leq(a, c).holds
 
 
+@pytest.mark.parametrize("a, b", [(2 * np.eye(2), np.eye(2)), (np.eye(2), 2 * np.eye(2))])
+def test_loewner_refuses_a_tolerance_that_is_not_a_config(a, b):
+    # A float cfg raised an AttributeError on a failing pair and was
+    # ignored, with holds=True, on a holding one.
+    with pytest.raises(TypeError, match="^cfg: expected ToleranceConfig, got float$"):
+        loewner_leq(a, b, 0.1)
+
+
 def test_loewner_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         loewner_leq(np.eye(2), np.eye(3))

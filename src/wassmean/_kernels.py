@@ -59,9 +59,12 @@ def _from_spectrum(v, f):
 
 def spd_power(a, t):
     """a**t for Hermitian positive definite a (or each matrix of a stack)
-    via eigendecomposition."""
+    via eigendecomposition; a 1-d t holds each matrix's own scalar exponent."""
     w, v = np.linalg.eigh(a)
-    return _from_spectrum(v, w**t)
+    # Row by row with scalar exponents, so each matrix's bits are its own:
+    # numpy takes w**0.5 as a square root, not as a power.
+    f = w**t if np.ndim(t) == 0 else np.array([wi**ti for wi, ti in zip(w, t.tolist())])
+    return _from_spectrum(v, f)
 
 
 def log_det(a):
@@ -117,10 +120,10 @@ def bw_gap(a, b):
 
 def mean_equation_residual(x, mats, weights):
     """Frobenius norm of I - sum_j w_j (A_j # x^{-1}), geometric means taken
-    directly (independent of the solver's congruence shortcut)."""
+    directly (independent of the solver's congruence shortcut); one per x of a stack."""
     xinv = spd_power(x, -1.0)
-    acc = weighted_sum(weights, geometric_mean(mats, xinv))
-    return _fro(np.eye(x.shape[0], dtype=np.complex128) - acc)
+    acc = weighted_sum(weights, geometric_mean(mats, xinv[..., None, :, :]))
+    return _fro(np.eye(x.shape[-1], dtype=np.complex128) - acc)
 
 
 def wasserstein_solve(mats, weights, max_iter, tol):

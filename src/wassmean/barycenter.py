@@ -77,16 +77,16 @@ class Ensemble:
 
     @classmethod
     def _generated(cls, weights, matrices, eig_lo, eig_hi):
-        """The ensemble of generator output: ``matrices`` is a fresh (n, m, m)
-        stack that ``_kernels._from_spectrum`` built, exactly Hermitian, from
-        unitaries and spectra in [eig_lo, eig_hi]. Where that range proves
-        the stack passes validation (``hermitian._spectrum_clears_floor``)
-        it is stored as the constructor would store it, without the
-        validator's pass; elsewhere the constructor validates it."""
+        """The ensemble of generator output: trusted weights (seeded, or an
+        ensemble's own) and a fresh (n, m, m) stack that ``_kernels._from_spectrum``
+        built, exactly Hermitian, from unitaries and spectra in [eig_lo, eig_hi].
+        Where that range proves the stack passes validation
+        (``hermitian._spectrum_clears_floor``), both are stored as the
+        constructor would store them, unvalidated; elsewhere it validates both."""
         if not _spectrum_clears_floor(matrices.shape[-1], eig_lo, eig_hi):
             return cls(weights=weights, matrices=matrices)
         ensemble = object.__new__(cls)
-        ensemble._store(validate_weights(weights), np.ascontiguousarray(matrices))
+        ensemble._store(weights, np.ascontiguousarray(matrices))
         return ensemble
 
     def _store(self, w, mats):
@@ -99,11 +99,11 @@ class Ensemble:
 
     @property
     def size(self):
-        return int(self.weights.size)
+        return int(self.weights.shape[-1])
 
     @property
     def dim(self):
-        return int(self.matrices.shape[1])
+        return int(self.matrices.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def commuting_closed_form(ensemble):
     Rejects ensembles whose worst pairwise commutator exceeds
     ``COMMUTATOR_RTOL`` relative to the factors' norms.
     """
-    mats = ensemble.matrices
+    mats = _of_type(ensemble, Ensemble, "ensemble").matrices
     for i in range(ensemble.size):
         for j in range(i + 1, ensemble.size):
             require_commuting(mats[i], mats[j], f"matrices[{i}] and matrices[{j}] do not commute")

@@ -5,27 +5,28 @@ Each check evaluates one inequality or identity on concrete
 inputs and returns a :class:`CheckReport` whose margin is the smallest
 eigenvalue of the slack matrix (log-gap for determinant checks, negated
 relative error for identities); ``_order_report`` turns a check's Loewner
-comparisons into its report through ``hermitian._loewner_verdicts``, the one
+comparisons into its reports through ``hermitian._loewner_verdicts``, the one
 Loewner verdict rule: one ``eigvalsh`` over the stacked slacks of matrices the
 check computed, which it trusts rather than validates again. A report over
 several results (comparisons or instances) reports the one ``_worst`` picks:
 a NaN margin first, else the smallest failing margin, else the smallest.
 
-A check is one entry of ``_CHECKS`` and one private core ``_<name>``.
-``check(name, *args, tol=None)`` validates the raw arguments (the entry's
-``validate``), solves the ensembles its ``solves`` lists, and calls the core
-on them and the solves' outcomes (reports or errors). The core trusts its
+A check is one entry of ``_CHECKS`` and one private core ``_<name>``: it
+evaluates a group of cases of one argument shape, stacked (``_evaluate``),
+to one report per case, and each report is bit for bit the case's alone
+(batched LAPACK, ``matmul`` and elementwise operations; order-changing
+reductions stay per case). ``check(name, *args, tol=None)`` validates the
+raw arguments (the entry's ``validate``), solves the ensembles its
+``solves`` lists, and evaluates them as a group of one. The core trusts its
 inputs; a derived matrix that the positive definite floor could still reject
 (a Schur product, a congruence) keeps its one validation. The Hadamard
 checks follow from the Kronecker pairs through Ando's compression
 Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a function of the
-pairs' one constant K, and the arithmetic sides are bilinear,
-(sum w A) (x) (sum u B) and (sum w A) o (sum u B).
+pairs' one constant K, and the arithmetic sides are bilinear.
 
 ``run_suite`` runs the cores on seeded random instances and on the known
 equality cases, which each entry of ``_CHECKS`` declares as data: requests
-in the vocabulary of ``seeded`` (``_Draw``, ``_Apply``), which defines and
-draws them; see there.
+in the vocabulary of ``seeded`` (``_Draw``, ``_Apply``); see there.
 """
 
 import inspect
@@ -34,24 +35,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as _k
 from . import barycenter as bc
-from .hermitian import (
-    ToleranceConfig,
-    _loewner_verdicts,
-    _of_type,
-    _real,
-    as_complex_matrix,
-    frobenius,
-    hermitianize,
-    is_integer,
-    require_positive,
-    require_spd,
-    require_spd_pair,
-)
+from . import hermitian
+from .hermitian import (ToleranceConfig, _loewner_verdicts, _of_type, _real, as_complex_matrix,
+                        frobenius, hermitianize, is_integer, require_positive, require_spd,
+                        require_spd_pair)
 from .means import kantorovich
 from .products import PositiveMapSpec, _pair_weights, ensemble_tensor
 from .seeded import _Apply, _built, _commuting, _Draw, _drawn, _draws_of, _ensemble, _isometry, _mix
@@ -79,27 +72,45 @@ class CheckReport:
     skipped: bool = False
 
     def to_json_dict(self):
-        return {
-            "check_name": self.check_name,
-            "holds": bool(self.holds),
-            "margin": float(self.margin),
-            "inputs": self.inputs,
-            "details": self.details,
-            "skipped": bool(self.skipped),
-        }
+        return {**vars(self), "holds": bool(self.holds), "margin": float(self.margin),
+                "skipped": bool(self.skipped)}
+
+
+class _Ensembles(NamedTuple):
+    """A group's ensembles of one shape: (S, n) weights, (S, n, m, m) matrices."""
+
+    weights: np.ndarray
+    matrices: np.ndarray
+    dim, size = bc.Ensemble.dim, bc.Ensemble.size
+
+
+class _Maps(NamedTuple):
+    """A group's maps of one kind and shape: (S, s, k) isometries."""
+
+    kind: str
+    isometry: np.ndarray
+    source_dim, target_dim = PositiveMapSpec.source_dim, PositiveMapSpec.target_dim
+    compress = PositiveMapSpec.compress
 
 
 def _order_report(name, tol, inputs, details, *comparisons):
-    """Report on ``lhs <= rhs`` in the Loewner order for every ``(key, lhs,
-    rhs)`` comparison: it holds when every comparison holds, and its margin is
-    the margin of ``_worst`` among them. A comparison with a key (not None)
-    also records its own margin in ``details`` under that key."""
-    results = _loewner_verdicts([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
-    for (key, _, _), res in zip(comparisons, results):
-        if key is not None:
-            details[key] = res.margin
-    return CheckReport(check_name=name, holds=all(r.holds for r in results),
-                       margin=_worst(results).margin, inputs=inputs, details=details)
+    """One report per case on ``lhs <= rhs`` in the Loewner order for every
+    ``(key, lhs, rhs)`` comparison of stacks over a group's cases, with the
+    margin of ``_worst``; ``inputs`` and ``details`` list each case's dicts,
+    and a keyed (not None) comparison adds its margin to a copy of details."""
+    verdicts = _verdicts(tol, *[(lhs, rhs) for _, lhs, rhs in comparisons])
+    keys = [key for key, _, _ in comparisons]
+    return [CheckReport(name, all(r.holds for r in res), _worst(res).margin, i,
+                        {**d, **{k: r.margin for k, r in zip(keys, res) if k is not None}})
+            for i, d, res in zip(inputs, details, verdicts)]
+
+
+def _verdicts(tol, *pairs):
+    """Each case's results on ``lhs <= rhs`` for the ``(lhs, rhs)`` stacks of
+    ``pairs``, in pair order, from one ``_loewner_verdicts`` call."""
+    results = _loewner_verdicts(*(np.concatenate(side) for side in zip(*pairs)), tol)
+    count = len(pairs[0][0])
+    return [results[i::count] for i in range(count)]
 
 
 def _worst(results):
@@ -126,17 +137,28 @@ def _report(solved):
     return solved
 
 
-def _mean(solved):
-    """The mean of a solve's outcome, which must have converged."""
-    report = _report(solved)
-    if not report.converged:
-        raise RuntimeError(f"barycenter solve did not converge (residual {report.residual:.3e})")
-    return report.mean
+def _means(solved):
+    """The stacked means of a group's solve outcomes, which must have converged."""
+    for report in (reports := [_report(s) for s in solved]):
+        if not report.converged:
+            raise RuntimeError(f"barycenter solve did not converge (residual {report.residual:.3e})")
+    return np.array([r.mean for r in reports])
 
 
 def _arithmetic(ensemble):
     """The ensemble's weighted arithmetic mean, made exactly Hermitian."""
     return hermitianize(_k.weighted_sum(ensemble.weights, ensemble.matrices))
+
+
+def _validated(stack):
+    """``require_spd`` of each derived matrix of a stack (named "matrix"), in one pass."""
+    return hermitian._require_stack(stack, lambda j: "matrix", spd=True)
+
+
+def _kron(a, b):
+    """``np.kron`` of each pair of two stacks of matrices, bit for bit."""
+    m = a.shape[-1] * b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -145,99 +167,78 @@ def _arithmetic(ensemble):
 
 def _fixed_point(tol, ensemble, solved):
     """Both residual forms of the mean's defining equation at the solved mean."""
-    report = _report(solved)
-    # The solver's mean is exactly Hermitian and positive definite.
-    eq_res = float(_k.mean_equation_residual(report.mean, ensemble.matrices, ensemble.weights))
-    root = _k.spd_power(report.mean, 0.5)
-    roots = _k._congruence_root(hermitianize(root @ ensemble.matrices @ root))
-    acc = _k.weighted_sum(ensemble.weights, roots)
-    fp_res = frobenius(report.mean - acc) / frobenius(report.mean)
-    holds = report.converged and eq_res <= ToleranceConfig.residual_tol and fp_res <= 1e-9
-    return CheckReport(
-        check_name="fixed_point",
-        holds=holds,
-        margin=-eq_res,
-        inputs={"dim": ensemble.dim, "count": ensemble.size},
-        details={
-            "equation_residual": eq_res,
-            "self_map_relative_residual": fp_res,
-            "iterations": report.iterations,
-            "converged": report.converged,
-        },
-    )
+    reports = [_report(s) for s in solved]
+    # The solver's means are exactly Hermitian and positive definite.
+    means = np.array([r.mean for r in reports])
+    eq_res = _k.mean_equation_residual(means, ensemble.matrices, ensemble.weights).tolist()
+    root = _k.spd_power(means, 0.5)[:, None]
+    acc = _k.weighted_sum(ensemble.weights,
+                          _k._congruence_root(hermitianize(root @ ensemble.matrices @ root)))
+    fp_res = [frobenius(x - s) / frobenius(x) for x, s in zip(means, acc)]
+    return [
+        CheckReport("fixed_point", r.converged and eq <= ToleranceConfig.residual_tol and fp <= 1e-9,
+                    -eq, {"dim": ensemble.dim, "count": ensemble.size},
+                    {"equation_residual": eq, "self_map_relative_residual": fp,
+                     "iterations": r.iterations, "converged": r.converged})
+        for r, eq, fp in zip(reports, eq_res, fp_res)
+    ]
 
 
 def _bounds(tol, ensemble, solved):
     """Both order bounds of the mean X: 2I - sum_j w_j A_j^{-1} <= X <= sum_j w_j A_j."""
-    mean = _mean(solved)
+    mean = _means(solved)
     eye = np.eye(ensemble.dim, dtype=np.complex128)
     inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
-    lower = hermitianize(2.0 * eye - inv_mix)
     return _order_report(
-        "bounds", tol,
-        {"dim": ensemble.dim, "count": ensemble.size,
-         "weights": [float(w) for w in ensemble.weights]},
-        {},
-        ("lower_margin", lower, mean),
+        "bounds", tol, [{"dim": ensemble.dim, "count": ensemble.size, "weights": w}
+                        for w in ensemble.weights.tolist()], [{}] * len(mean),
+        ("lower_margin", hermitianize(2.0 * eye - inv_mix), mean),
         ("upper_margin", mean, _arithmetic(ensemble)),
     )
 
 
-def _log_det_gap(top, weights, stack):
-    """log det(top) - sum_j w_j log det(stack_j), and whether every matrix of
-    the stack equals the first within 1e-8 in Frobenius norm."""
-    log_dets = _k.log_det(stack)
-    gap = float(_k.log_det(top)) - sum(float(wj) * float(ld) for wj, ld in zip(weights, log_dets))
-    all_equal = all(frobenius(m - stack[0]) <= 1e-8 for m in stack[1:])
-    return gap, all_equal
+def _log_det_gaps(top, ensemble):
+    """Per case: log det(top) - sum_j w_j log det(A_j), and whether every A_j
+    equals A_1 within 1e-8 in Frobenius norm."""
+    rows = zip(_k.log_det(top).tolist(), ensemble.weights.tolist(),
+               _k.log_det(ensemble.matrices).tolist(), ensemble.matrices)
+    return [(t - sum(wj * ld for wj, ld in zip(w, lds)),
+             all(frobenius(a - mats[0]) <= 1e-8 for a in mats[1:])) for t, w, lds, mats in rows]
 
 
 def _det_inequality(tol, ensemble, solved):
     """Determinant gap of the mean X: log det(X) - sum_j w_j log det(A_j) >= 0,
-    with equality exactly on constant ensembles.
-
-    The equality flag is raised when the log gap is <= 1e-9 and cross-checked
-    against the matrices actually coinciding within 1e-8.
-    """
-    margin, all_equal = _log_det_gap(_mean(solved), ensemble.weights, ensemble.matrices)
-    equality = margin <= 1e-9
-    return CheckReport(
-        check_name="det_inequality",
-        holds=margin >= -tol.loewner_tol,
-        margin=margin,
-        inputs={"dim": ensemble.dim, "count": ensemble.size,
-                "weights": [float(w) for w in ensemble.weights]},
-        details={
-            "equality": bool(equality),
-            "all_matrices_equal": bool(all_equal),
-            "equality_condition_consistent": bool(equality == all_equal),
-        },
-    )
+    with equality exactly on constant ensembles: the equality flag (a log gap
+    <= 1e-9) is cross-checked against the matrices coinciding within 1e-8."""
+    return [
+        CheckReport("det_inequality", gap >= -tol.loewner_tol, gap,
+                    {"dim": ensemble.dim, "count": ensemble.size, "weights": w},
+                    {"equality": gap <= 1e-9, "all_matrices_equal": same,
+                     "equality_condition_consistent": (gap <= 1e-9) == same})
+        for (gap, same), w in zip(_log_det_gaps(_means(solved), ensemble),
+                                  ensemble.weights.tolist())
+    ]
 
 
 def _logdet_concavity(tol, ensemble):
     """log det of the ensemble's convex combination dominates the combination
     of its log dets, with equality exactly when all matrices coincide."""
-    margin, all_equal = _log_det_gap(_arithmetic(ensemble), ensemble.weights, ensemble.matrices)
-    return CheckReport(
-        check_name="logdet_concavity",
-        holds=margin >= -tol.loewner_tol,
-        margin=margin,
-        inputs={"count": ensemble.size},
-        details={"equality": bool(margin <= 1e-10), "all_matrices_equal": all_equal},
-    )
+    return [
+        CheckReport("logdet_concavity", gap >= -tol.loewner_tol, gap, {"count": ensemble.size},
+                    {"equality": gap <= 1e-10, "all_matrices_equal": same})
+        for gap, same in _log_det_gaps(_arithmetic(ensemble), ensemble)
+    ]
 
 
 def _phi_geometric_mean(tol, a, b, phi):
     """Compression of a geometric mean never exceeds the geometric mean of
     the compressions."""
     lhs = phi.compress(_k.geometric_mean(a, b))
-    rhs = _k.geometric_mean(*phi.compress(np.stack([a, b])))
+    rhs = _k.geometric_mean(*phi.compress(np.stack([a, b], axis=1)).swapaxes(0, 1))
     return _order_report(
         "phi_geometric_mean", tol,
-        {"source_dim": phi.source_dim, "target_dim": phi.target_dim},
-        {"map_kind": phi.kind},
-        (None, lhs, rhs),
+        [{"source_dim": phi.source_dim, "target_dim": phi.target_dim}] * len(a),
+        [{"map_kind": phi.kind}] * len(a), (None, lhs, rhs),
     )
 
 
@@ -245,16 +246,15 @@ def _phi_wass(tol, ensemble, phi, solved):
     """Unital compressions of the mean and of its inverse both dominate
     2I minus the compressed arithmetic mean of the inverses / originals."""
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
-    mean = _mean(solved)
-    inverses = _k.spd_power(ensemble.matrices, -1.0)
-    mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(inverses))
+    mean = _means(solved)
+    mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(_k.spd_power(ensemble.matrices, -1.0)))
     mix = _k.weighted_sum(ensemble.weights, phi.compress(ensemble.matrices))
-    phi_mean, phi_mean_inv = phi.compress(np.stack([mean, _k.spd_power(mean, -1.0)]))
+    phi_mean, phi_mean_inv = phi.compress(
+        np.stack([mean, _k.spd_power(mean, -1.0)], axis=1)).swapaxes(0, 1)
     return _order_report(
-        "phi_wass", tol,
-        {"dim": ensemble.dim, "count": ensemble.size,
-         "source_dim": phi.source_dim, "target_dim": phi.target_dim},
-        {"map_kind": phi.kind},
+        "phi_wass", tol, [{"dim": ensemble.dim, "count": ensemble.size, "source_dim":
+                           phi.source_dim, "target_dim": phi.target_dim}] * len(mean),
+        [{"map_kind": phi.kind}] * len(mean),
         ("mean_side_margin", hermitianize(2.0 * eye_t - mix_inv), phi_mean),
         ("inverse_side_margin", hermitianize(2.0 * eye_t - mix), phi_mean_inv),
     )
@@ -263,15 +263,13 @@ def _phi_wass(tol, ensemble, phi, solved):
 def _self_duality_gap(tol, ensemble, solved, solved_inverses):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
-    mean = _mean(solved)
-    gap = frobenius(_mean(solved_inverses) - _k.spd_power(mean, -1.0))
-    return CheckReport(
-        check_name="self_duality_gap",
-        holds=gap > SELF_DUALITY_GAP,
-        margin=gap - SELF_DUALITY_GAP,
-        inputs={"dim": ensemble.dim, "count": ensemble.size},
-        details={"gap": gap, "threshold": SELF_DUALITY_GAP},
-    )
+    inverse_of_mean = _k.spd_power(_means(solved), -1.0)
+    return [
+        CheckReport("self_duality_gap", gap > SELF_DUALITY_GAP, gap - SELF_DUALITY_GAP,
+                    {"dim": ensemble.dim, "count": ensemble.size},
+                    {"gap": gap, "threshold": SELF_DUALITY_GAP})
+        for gap in map(frobenius, _means(solved_inverses) - inverse_of_mean)
+    ]
 
 
 def _tensor_identity(tol, a, b, *solves):
@@ -279,18 +277,16 @@ def _tensor_identity(tol, a, b, *solves):
     ensemble; margin is the negated relative Frobenius error."""
     inputs = {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}
     try:
-        mean_a, mean_b, mean_t = map(_mean, solves)
+        mean_a, mean_b, mean_t = map(_means, solves)
     except RuntimeError as exc:
-        return CheckReport("tensor_identity", False, -np.inf, inputs, {"error": str(exc)})
-    product = np.kron(mean_a, mean_b)
-    rel_err = frobenius(product - mean_t) / frobenius(product)
-    return CheckReport(
-        check_name="tensor_identity",
-        holds=rel_err <= TENSOR_IDENTITY_RTOL,
-        margin=-rel_err,
-        inputs=inputs,
-        details={"relative_error": rel_err, "tolerance": TENSOR_IDENTITY_RTOL},
-    )
+        if len(solves[0]) > 1:  # a group, evaluated again case by case
+            raise
+        return [CheckReport("tensor_identity", False, -np.inf, inputs, {"error": str(exc)})]
+    return [
+        CheckReport("tensor_identity", err <= TENSOR_IDENTITY_RTOL, -err, inputs,
+                    {"relative_error": err, "tolerance": TENSOR_IDENTITY_RTOL})
+        for err in [frobenius(p - t) / frobenius(p) for p, t in zip(_kron(mean_a, mean_b), mean_t)]
+    ]
 
 
 def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
@@ -298,8 +294,9 @@ def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
     Kronecker pairs, which by bilinearity is (sum w A) (x) (sum u B)."""
     return _order_report(
         "tensor_arithmetic_bound", tol,
-        {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
-        (None, np.kron(_mean(solved_a), _mean(solved_b)), np.kron(_arithmetic(a), _arithmetic(b))),
+        [{"dims": [a.dim, b.dim], "counts": [a.size, b.size]}] * len(solved_a),
+        [{}] * len(solved_a),
+        (None, _kron(_means(solved_a), _means(solved_b)), _kron(_arithmetic(a), _arithmetic(b))),
     )
 
 
@@ -308,19 +305,19 @@ def _hadamard_arithmetic_bound(tol, a, b, solved_a, solved_b):
     Hadamard pairs, which by bilinearity is (sum w A) o (sum u B)."""
     return _order_report(
         "hadamard_arithmetic_bound", tol,
-        {"dim": a.dim, "counts": [a.size, b.size]}, {},
-        (None, _mean(solved_a) * _mean(solved_b), _arithmetic(a) * _arithmetic(b)),
+        [{"dim": a.dim, "counts": [a.size, b.size]}] * len(solved_a), [{}] * len(solved_a),
+        (None, _means(solved_a) * _means(solved_b), _arithmetic(a) * _arithmetic(b)),
     )
 
 
 def _commuting_quadruple(tol, ab, cd):
     """For commuting pairs (a,b) and (c,d):
     (ab+ba) o (cd+dc) - (a^2+b^2) o (c^2+d^2) <= (a-b)^2 o (c-d)^2 / 2."""
-    (a, b), (c, d) = ab, cd
+    (a, b), (c, d) = ab.swapaxes(0, 1), cd.swapaxes(0, 1)
     lhs = (a @ b + b @ a) * (c @ d + d @ c) - (a @ a + b @ b) * (c @ c + d @ d)
     rhs = 0.5 * (((a - b) @ (a - b)) * ((c - d) @ (c - d)))
     return _order_report(
-        "commuting_quadruple", tol, {"dim": int(a.shape[0])}, {},
+        "commuting_quadruple", tol, [{"dim": a.shape[-1]}] * len(a), [{}] * len(a),
         (None, hermitianize(lhs), hermitianize(rhs)),
     )
 
@@ -330,101 +327,91 @@ def _hadamard_inverse(tol, a, b):
     (a o b)^{-1} <= a^{-1} o b^{-1} <= K (a o b)^{-1} with K the Kantorovich
     constant of the Kronecker product's spectral edges."""
     # The Schur product is validated as the inverse's argument.
-    had_inv = _k.spd_power(require_spd(a * b, name="matrix"), -1.0)
-    inv_a, inv_b = _k.spd_power(np.stack([a, b]), -1.0)
-    inv_had = inv_a * inv_b
-    constant, _ = _kronecker_kantorovich(a[None], b[None])
+    had_inv = _k.spd_power(_validated(a * b), -1.0)
+    inv_had = np.multiply(*_k.spd_power(np.stack([a, b]), -1.0))
+    constant = [k for k, _ in _kronecker_kantorovich(a[:, None], b[:, None])]
     return _order_report(
-        "hadamard_inverse", tol, {"dim": int(a.shape[0])},
-        {"kantorovich_constant": constant},
+        "hadamard_inverse", tol, [{"dim": a.shape[-1]}] * len(a),
+        [{"kantorovich_constant": k} for k in constant],
         ("lower_margin", had_inv, inv_had),
-        ("upper_margin", inv_had, constant * had_inv),
+        ("upper_margin", inv_had, np.array(constant)[:, None, None] * had_inv),
     )
 
 
 def _kronecker_kantorovich(a, b):
-    """K = kantorovich(alpha gamma, beta delta) and the spectral edges [alpha,
-    beta, gamma, delta] of two stacks of one dimension: the Kronecker pairs
-    A_i (x) B_j, and so A_i o B_j = Z*(A_i (x) B_j)Z, have spectra in there."""
-    eigs, n = np.linalg.eigvalsh(np.concatenate([a, b])), len(a)
-    edges = [float(e) for e in (eigs[:n, 0].min(), eigs[:n, -1].max(),
-                                eigs[n:, 0].min(), eigs[n:, -1].max())]
-    return kantorovich(edges[0] * edges[2], edges[1] * edges[3]), edges
+    """Per case of an (S, n, m, m) and an (S, k, m, m) stack: K = kantorovich(alpha
+    gamma, beta delta) and the spectral edges [alpha, beta, gamma, delta] of its
+    stacks, which hold the spectra of A_i (x) B_j and A_i o B_j = Z*(A_i (x) B_j)Z."""
+    eigs, n = np.linalg.eigvalsh(np.concatenate([a, b], axis=1)), a.shape[1]
+    edges = np.stack([eigs[:, :n, 0].min(1), eigs[:, :n, -1].max(1),
+                      eigs[:, n:, 0].min(1), eigs[:, n:, -1].max(1)], axis=1).tolist()
+    return [(kantorovich(e[0] * e[2], e[1] * e[3]), e) for e in edges]
 
 
 def _hadamard_pairs(a, b):
-    """Stack of all Hadamard pairs A_i o B_j, in ``weight_tensor`` order
-    (second index fastest)."""
-    return (a.matrices[:, None] * b.matrices[None, :]).reshape(-1, a.dim, a.dim)
+    """Each case's stack of all Hadamard pairs A_i o B_j, in ``weight_tensor``
+    order (second index fastest)."""
+    pairs = a.matrices[:, :, None] * b.matrices[:, None, :]
+    return pairs.reshape(len(pairs), -1, a.dim, a.dim)
 
 
 def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
-    x, y = _mean(solved_a), _mean(solved_b)
-    kantorovich_constant, edges = _kronecker_kantorovich(a.matrices, b.matrices)
+    xy = _means(solved_a) * _means(solved_b)
+    constants = _kronecker_kantorovich(a.matrices, b.matrices)
     # The paper's (alpha gamma + beta delta) / (2 sqrt(alpha beta gamma delta)).
-    constant = math.sqrt(kantorovich_constant)
-    xy = x * y
+    constant = [math.sqrt(k) for k, _ in constants]
     # The Schur product of the means is validated as the root's argument.
-    root = _k.spd_power(require_spd(xy, name="matrix"), 0.5)
+    root = _k.spd_power(_validated(xy), 0.5)[:, None]
     inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
     rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _k._congruence_root(inner))
     return _order_report(
-        "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
-        {"constant": constant, "bounds": edges},
-        (None, xy, constant * hermitianize(rhs)),
+        "kantorovich_hadamard", tol, [{"dim": a.dim, "counts": [a.size, b.size]}] * len(xy),
+        [{"constant": c, "bounds": e} for c, (_, e) in zip(constant, constants)],
+        (None, xy, np.array(constant)[:, None, None] * hermitianize(rhs)),
     )
 
 
 def _jensen_contraction(tol, a, x, p):
     """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
     contraction."""
-    sv = np.linalg.svd(x, compute_uv=False)
     # A singular x has no inverse, so none that is a contraction.
-    inv_norm = 1.0 / float(sv[-1]) if sv[-1] > 0 else math.inf
-    if inv_norm > 1.0 + 1e-12:
-        raise ValueError(
-            f"inverse is not a contraction: ||x^-1||_op = {inv_norm:.6f} > 1"
-        )
+    inv_norm = [1.0 / s if s > 0 else math.inf
+                for s in np.linalg.svd(x, compute_uv=False)[:, -1].tolist()]
+    for norm in inv_norm:
+        if norm > 1.0 + 1e-12:
+            raise ValueError(f"inverse is not a contraction: ||x^-1||_op = {norm:.6f} > 1")
+    xh = _k._adjoint(x)
     # The congruence x* a x is validated as the power's argument.
-    lhs = _k.spd_power(require_spd(hermitianize(x.conj().T @ a @ x), name="matrix"), float(p))
-    rhs = hermitianize(x.conj().T @ _k.spd_power(a, float(p)) @ x)
+    lhs = _k.spd_power(_validated(hermitianize(xh @ a @ x)), p)
     return _order_report(
-        "jensen_contraction", tol, {"dim": int(a.shape[0]), "p": float(p)},
-        {"inverse_operator_norm": inv_norm},
-        (None, lhs, rhs),
+        "jensen_contraction", tol, [{"dim": a.shape[-1], "p": q} for q in p.tolist()],
+        [{"inverse_operator_norm": norm} for norm in inv_norm],
+        (None, lhs, hermitianize(xh @ _k.spd_power(a, p) @ x)),
     )
 
 
 def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     """When both solved means dominate the identity, the weighted sum of
-    Hadamard-pair square roots dominates a Kantorovich-type multiple of I.
-
-    Returns a skipped report (not a failure) when the contraction
-    precondition on the means fails.
-    """
-    eye = np.eye(a.dim, dtype=np.complex128)
-    pre_x, pre_y = _loewner_verdicts([(eye, _mean(solved_a)), (eye, _mean(solved_b))], tol)
-    if not (pre_x.holds and pre_y.holds):
-        return CheckReport(
-            check_name="sqrt_sum_lower_bound",
-            holds=False,
-            margin=_worst([pre_x, pre_y]).margin,
-            inputs={"dim": a.dim, "counts": [a.size, b.size]},
-            details={"reason": "solved means do not dominate the identity",
-                     "mean_margins": [pre_x.margin, pre_y.margin]},
-            skipped=True,
-        )
+    Hadamard-pair square roots dominates a Kantorovich-type multiple of I;
+    a case whose means fail that precondition is skipped (not a failure)."""
+    x, y = _means(solved_a), _means(solved_b)
+    eye = np.broadcast_to(np.eye(a.dim, dtype=np.complex128), x.shape)
     # 1/sqrt(K) = 2 sqrt(alpha beta gamma delta) / (alpha gamma + beta delta).
-    constant = 1.0 / math.sqrt(_kronecker_kantorovich(a.matrices, b.matrices)[0])
+    constant = [1.0 / math.sqrt(k) for k, _ in _kronecker_kantorovich(a.matrices, b.matrices)]
     roots = _k.spd_power(_hadamard_pairs(a, b), 0.5)
     lhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), roots)
-    return _order_report(
-        "sqrt_sum_lower_bound", tol, {"dim": a.dim, "counts": [a.size, b.size]},
-        {"constant": constant},
-        (None, constant * eye, hermitianize(lhs)),
-    )
+    inputs = {"dim": a.dim, "counts": [a.size, b.size]}
+    return [
+        CheckReport("sqrt_sum_lower_bound", r[2].holds, r[2].margin, inputs, {"constant": c})
+        if r[0].holds and r[1].holds else
+        CheckReport("sqrt_sum_lower_bound", False, _worst(r[:2]).margin, inputs,
+                    {"reason": "solved means do not dominate the identity",
+                     "mean_margins": [r[0].margin, r[1].margin]}, skipped=True)
+        for c, r in zip(constant, _verdicts(
+            tol, (eye, x), (eye, y), (np.array(constant)[:, None, None] * eye, hermitianize(lhs))))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +457,14 @@ def _commuting_spd_pairs(a, b, c, d):
 
 
 def _spd_factor_power(a, x, p):
-    if not 0.0 <= _real(p, "p") <= 1.0:
+    if not 0.0 <= (power := _real(p, "p")) <= 1.0:
         raise ValueError(f"power p={p} outside [0, 1]")
     am = require_spd(a, name="matrix")
     xm = as_complex_matrix(x, name="x")
     if xm.shape != am.shape:
         m = len(am)
         raise ValueError(f"x: expected a {m}x{m} matrix, the dimension of a, got shape {xm.shape}")
-    return am, xm, p
+    return am, xm, power
 
 
 def _require_known(names, field=""):
@@ -501,13 +488,50 @@ def check(name, *args, tol=None):
         raise TypeError(f"{name} takes no tolerance")
     tol = ToleranceConfig() if tol is None else _of_type(tol, ToleranceConfig, "tol")
     args = entry.validate(*args)
-    return _evaluate(name, tol, args, bc.wasserstein_means(list(entry.solves(*args))))
+    return _evaluate(name, tol, [(args, bc.wasserstein_means(list(entry.solves(*args))))])[0]
 
 
-def _evaluate(name, tol, args, outcomes):
-    """The report of the core ``_<name>``, looked up at call time, on the
-    arguments and then their solves' outcomes: the one call of a core."""
-    return globals()[f"_{name}"](tol, *args, *outcomes)
+def _evaluate(name, tol, cases):
+    """The reports of the core ``_<name>``, looked up at call time, on each
+    ``(args, outcomes)`` case, in order: one call per group of cases whose
+    arguments share their ``_shape``, on them stacked (``_stack``) and each
+    solve's outcomes as a list. If a group raises, each case is evaluated
+    alone, in order, so the first case that raises alone raises."""
+    core = globals()[f"_{name}"]
+    groups = {}
+    for i, (args, _) in enumerate(cases):
+        groups.setdefault(tuple(map(_shape, args)), []).append(i)
+    reports = {}
+    try:
+        for rows in groups.values():
+            args, outcomes = zip(*[cases[i] for i in rows])
+            stacked = [*map(_stack, zip(*args)), *map(list, zip(*outcomes))]
+            reports.update(zip(rows, core(tol, *stacked)))
+    except Exception:
+        if len(groups) == len(cases):
+            raise
+        return [_evaluate(name, tol, [case])[0] for case in cases]
+    return [reports[i] for i in range(len(cases))]
+
+
+def _shape(arg):
+    """What a group's cases share in an argument: the shape of an array (a
+    scalar's is ()), of an ensemble's matrices, or a map's kind and shape."""
+    if isinstance(arg, bc.Ensemble):
+        return arg.matrices.shape
+    if isinstance(arg, PositiveMapSpec):
+        return arg.kind, arg.isometry.shape
+    return np.shape(arg)
+
+
+def _stack(column):
+    """A group's values of one argument as one: ensembles as ``_Ensembles``,
+    maps as ``_Maps``, arrays and scalars as one array."""
+    if isinstance(column[0], bc.Ensemble):
+        return _Ensembles(*(np.array([getattr(e, f) for e in column]) for f in _Ensembles._fields))
+    if isinstance(column[0], PositiveMapSpec):
+        return _Maps(column[0].kind, np.array([phi.isometry for phi in column]))
+    return np.array(column)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +575,9 @@ class SuitePlan:
             raise ValueError(f"seeds: empty range [{lo}, {hi})")
         dims = tuple(require_positive(d, "dims", integer=True) for d in dims)
         _require_known(checks, "checks: ")
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "seeds", (int(lo), int(hi)))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "tol", tol)
+        for name, value in zip(("checks", "seeds", "dims", "tol"),
+                               (checks, (int(lo), int(hi)), dims, tol)):
+            object.__setattr__(self, name, value)
 
     def seed_list(self):
         return list(range(self.seeds[0], self.seeds[1]))
@@ -570,31 +593,12 @@ def _aggregate(name, plan, reports, extra_details):
     """Fold per-instance reports into one per-check report: it holds when
     every live (not skipped) report holds, and reports the ``_worst`` one."""
     live = [r for r in reports if not r.skipped]
-    skipped = len(reports) - len(live)
+    details = {"instances": len(reports), "skipped_instances": len(reports) - len(live)}
     if not live:
-        return CheckReport(
-            check_name=name,
-            holds=False,
-            margin=-np.inf,
-            inputs=plan.provenance(),
-            details={"instances": len(reports), "skipped_instances": skipped},
-            skipped=True,
-        )
+        return CheckReport(name, False, -np.inf, plan.provenance(), details, skipped=True)
     worst = _worst(live)
-    details = {
-        "instances": len(reports),
-        "skipped_instances": skipped,
-        "worst_details": worst.details,
-        "worst_inputs": worst.inputs,
-    }
-    details.update(extra_details)
-    return CheckReport(
-        check_name=name,
-        holds=all(r.holds for r in live),
-        margin=worst.margin,
-        inputs=plan.provenance(),
-        details=details,
-    )
+    details.update(worst_details=worst.details, worst_inputs=worst.inputs, **extra_details)
+    return CheckReport(name, all(r.holds for r in live), worst.margin, plan.provenance(), details)
 
 
 @dataclass(frozen=True)
@@ -606,9 +610,9 @@ class _Check:
     a request (``_Draw``, ``_Apply``), trusted, or a scalar.
     ``solves(*args)`` lists the ensembles a built case needs solved, building
     the derived ones (Kronecker pairs, inverses); by default every
-    ``Ensemble`` among the arguments. The core takes the tolerance, the built
-    arguments and those ensembles' outcomes. ``finish(report, generic,
-    equality)`` adds check-specific verdicts to the aggregate report.
+    ``Ensemble`` among the arguments. The core takes the tolerance and a
+    group of built cases and their solves' outcomes (``_evaluate``).
+    ``finish(report, generic, equality)`` adds check-specific verdicts.
     ``validate`` (by default: one ``Ensemble``) names and validates the raw
     arguments of ``check``; ``takes_tol`` is False where the bound is a constant.
     """
@@ -624,19 +628,15 @@ class _Check:
 def _run_check(name, entry, built):
     """Evaluate check ``name`` on each generic, then each equality case of
     ``built`` = (plan, cases, solved): on its arguments and the outcomes
-    ``solved`` maps its ensembles to; aggregate the reports under the plan's
-    tolerance."""
-    plan, cases, solved = built
-    tol = ToleranceConfig(loewner_tol=plan.tol)
-    generic, equality = (
-        [_evaluate(name, tol, args, map(solved.__getitem__, ens)) for args, ens in group]
-        for group in cases
-    )
-    extra = {}
-    if len(equality) == 1:
-        extra["equality_case_margin"] = equality[0].margin
-    elif equality:
-        extra["equality_case_margins"] = [r.margin for r in equality]
+    ``solved`` maps its ensembles to, grouped by ``_evaluate``; aggregate the
+    reports under the plan's tolerance."""
+    plan, (generic, equality), solved = built
+    cases = [(args, [solved[e] for e in ens]) for args, ens in generic + equality]
+    reports = _evaluate(name, ToleranceConfig(loewner_tol=plan.tol), cases)
+    generic, equality = reports[:len(generic)], reports[len(generic):]
+    margins = [r.margin for r in equality]
+    extra = {"equality_case_margin": margins[0]} if len(margins) == 1 else (
+        {"equality_case_margins": margins} if margins else {})
     report = _aggregate(name, plan, generic + equality, extra)
     entry.finish(report, generic, equality)
     return report
@@ -678,13 +678,11 @@ def _commuting_pairs(m, seed, *salts):
 
 
 def _finish_det_inequality(report, generic, equality):
-    eq = equality[0]
+    (eq,) = equality
     report.details["strict_on_distinct"] = all(
-        r.margin > 1e-10 and not r.details["equality"] for r in generic
-    )
+        r.margin > 1e-10 and not r.details["equality"] for r in generic)
     report.details["equality_case_ok"] = (
-        eq.details["equality"] and eq.details["all_matrices_equal"] and abs(eq.margin) <= 1e-9
-    )
+        eq.details["equality"] and eq.details["all_matrices_equal"] and abs(eq.margin) <= 1e-9)
 
 
 def _finish_self_duality_gap(report, generic, equality):
@@ -737,9 +735,8 @@ _CHECKS = {
         validate=_ensemble_and_map,
     ),
     "self_duality_gap": _Check(
-        instances=lambda plan: _ensembles(
-            plan, (2, 3), limit=8, dim=lambda s: max(2, plan.dim_for(s))
-        ),
+        instances=lambda plan: _ensembles(plan, (2, 3), limit=8,
+                                          dim=lambda s: max(2, plan.dim_for(s))),
         finish=_finish_self_duality_gap,
         solves=lambda e: (e, _inverted(e)),
         takes_tol=False,
@@ -763,13 +760,11 @@ _CHECKS = {
         validate=_two_ensembles_of_one_dim,
     ),
     "commuting_quadruple": _Check(
-        instances=lambda plan: [
-            _commuting_pairs(plan.dim_for(s), s, 127, 131) for s in plan.seed_list()
-        ],
+        instances=lambda plan: [_commuting_pairs(plan.dim_for(s), s, 127, 131)
+                                for s in plan.seed_list()],
         # Coincident pairs zero out both sides.
-        equality_cases=lambda: [
-            tuple(_Apply(itemgetter(0, 0), (d,)) for d in _commuting_pairs(3, 7, 137, 139))
-        ],
+        equality_cases=lambda: [tuple(_Apply(itemgetter(0, 0), (d,))
+                                      for d in _commuting_pairs(3, 7, 137, 139))],
         validate=_commuting_spd_pairs,
     ),
     "hadamard_inverse": _Check(
@@ -781,9 +776,8 @@ _CHECKS = {
         validate=require_spd_pair,
     ),
     "kantorovich_hadamard": _Check(
-        instances=lambda plan: _ensembles(
-            plan, (2,), salts=(157, 163), dim=lambda s: min(3, plan.dim_for(s))
-        ),
+        instances=lambda plan: _ensembles(plan, (2,), salts=(157, 163),
+                                          dim=lambda s: min(3, plan.dim_for(s))),
         equality_cases=lambda: [(_IDENTITY, _IDENTITY)],
         validate=_two_ensembles_of_one_dim,
     ),
@@ -815,9 +809,7 @@ DEFAULT_CHECKS = tuple(CHECK_REGISTRY)
 
 
 def default_plan(**overrides):
-    kwargs = {"checks": "all"}
-    kwargs.update(overrides)
-    return SuitePlan(**kwargs)
+    return SuitePlan(**{"checks": "all", **overrides})
 
 
 def run_suite(plan):

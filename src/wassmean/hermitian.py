@@ -274,18 +274,16 @@ def loewner_leq(a, b, cfg=None):
         raise ValueError(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
     if cfg is not None:
         _of_type(cfg, ToleranceConfig, "cfg")
-    return _loewner_verdicts([(lhs, rhs)], cfg)[0]
+    return _loewner_verdicts(lhs[None], rhs[None], cfg)[0]
 
 
-def _loewner_verdicts(pairs, cfg=None):
-    """The verdict on ``lhs <= rhs`` for every ``(lhs, rhs)`` pair of trusted
-    Hermitian matrices of one shape, from one ``eigvalsh`` of the slacks. A
-    margin m holds when m >= -loewner_tol * max(1, ||lhs||_F, ||rhs||_F); a
-    slack with a non-finite entry has the margin NaN, which fails."""
+def _loewner_verdicts(lhs, rhs, cfg=None):
+    """The verdict on ``lhs[i] <= rhs[i]`` for each pair of two stacks of
+    trusted Hermitian matrices of one shape, from one ``eigvalsh`` of the
+    slacks. A margin m holds when m >= -loewner_tol * max(1, ||lhs||_F,
+    ||rhs||_F); a slack with a non-finite entry has the margin NaN, which fails."""
     if cfg is None:
         cfg = ToleranceConfig()
-    lhs = np.stack([a for a, _ in pairs])
-    rhs = np.stack([b for _, b in pairs])
     slack = hermitianize(rhs - lhs)
     # LAPACK can return finite eigenvalues for a matrix with a NaN entry.
     finite = np.isfinite(slack).all(axis=(1, 2))

@@ -7,6 +7,7 @@ import numpy as np
 
 from .barycenter import Ensemble
 from .hermitian import (
+    _of_type,
     as_complex_matrix,
     frobenius,
     hermitianize,
@@ -43,9 +44,9 @@ def weight_tensor(w, u):
 
 
 def _pair_weights(w, u):
-    """``weight_tensor`` of two already-validated weight vectors, without
-    validation: the one owner of the pair order."""
-    return np.outer(w, u).ravel()
+    """``weight_tensor`` of two already-validated weight vectors (or stacks of
+    them), without validation: the one owner of the pair order."""
+    return (w[..., :, None] * u[..., None, :]).reshape(*w.shape[:-1], -1)
 
 
 def ensemble_tensor(a, b):
@@ -54,6 +55,7 @@ def ensemble_tensor(a, b):
     Pair order matches ``weight_tensor`` (second index fastest), a frozen
     contract: weights[i*k + j] goes with matrices[i*k + j] = A_i (x) B_j.
     """
+    a, b = _of_type(a, Ensemble, "a"), _of_type(b, Ensemble, "b")
     # pairs[i, j, r, p, c, q] = A_i[r, c] * B_j[p, q], which is
     # (A_i (x) B_j)[r*k + p, c*k + q] for k = b.dim.
     pairs = a.matrices[:, None, :, None, :, None] * b.matrices[None, :, None, :, None, :]
@@ -90,11 +92,11 @@ class PositiveMapSpec:
 
     @property
     def source_dim(self):
-        return int(self.isometry.shape[0])
+        return int(self.isometry.shape[-2])
 
     @property
     def target_dim(self):
-        return int(self.isometry.shape[1])
+        return int(self.isometry.shape[-1])
 
     def apply(self, a):
         """Compression V* a V of a Hermitian matrix; SPD in, SPD out."""
@@ -110,10 +112,11 @@ class PositiveMapSpec:
             )
 
     def compress(self, a):
-        """V* a V for an already-validated Hermitian matrix or stack of
-        source dimension, without validation."""
+        """V* a V for an already-validated Hermitian matrix or stack, without
+        validation; S stacked isometries compress an (S, ..., s, s) stack."""
         v = self.isometry
-        return hermitianize(v.conj().T @ a @ v)
+        v = v.reshape(v.shape[:-2] + (1,) * (a.ndim - v.ndim) + v.shape[-2:])
+        return hermitianize(v.swapaxes(-1, -2).conj() @ a @ v)
 
 
 def ando_map(m):

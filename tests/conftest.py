@@ -74,7 +74,8 @@ def reversed_bound_check(monkeypatch):
     def reversed_bounds(tol, e, solved):
         upper = hermitianize(_kernels.weighted_sum(e.weights, e.matrices))
         return checks._order_report(
-            "bounds", tol, {"dim": e.dim, "count": e.size}, {}, (None, upper, checks._mean(solved))
+            "bounds", tol, [{"dim": e.dim, "count": e.size}] * len(solved), [{}] * len(solved),
+            (None, upper, checks._means(solved)),
         )
 
     monkeypatch.setattr(checks, "_bounds", reversed_bounds)

@@ -120,6 +120,14 @@ def test_commuting_closed_form_matches_solver():
     assert frobenius(closed - solved) <= 1e-8
 
 
+def test_commuting_closed_form_refuses_a_non_ensemble_by_name():
+    # It used to leak AttributeError: 'list' object has no attribute 'matrices'.
+    for arg, kind in (([np.eye(2)], "list"), (np.eye(2), "ndarray")):
+        with pytest.raises(TypeError) as err:
+            commuting_closed_form(arg)
+        assert str(err.value) == f"ensemble: expected Ensemble, got {kind}"
+
+
 def test_commuting_closed_form_rejects_noncommuting():
     e = _ensemble(23)
     with pytest.raises(ValueError, match="commute"):

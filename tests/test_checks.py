@@ -292,7 +292,8 @@ def test_hadamard_pairs_are_the_ando_compression_of_the_kronecker_pairs(m):
             a = random_ensemble(m, na, seed)
             b = random_ensemble(m, nb, seed + 500)
             compressed = ando.compress(ensemble_tensor(a, b).matrices)
-            assert checks_mod._hadamard_pairs(a, b).tobytes() == compressed.tobytes()
+            pairs = checks_mod._hadamard_pairs(checks_mod._stack([a]), checks_mod._stack([b]))
+            assert pairs.tobytes() == compressed.tobytes()
 
 
 def test_kantorovich_hadamard_identity_singletons():
@@ -428,6 +429,8 @@ def test_run_suite_reports_a_failing_check(reversed_bound_check):
     assert len(reports) == 1
     assert not reports[0].holds
     assert reports[0].margin < 0
+    # A failing verdict, not a core that raised.
+    assert "error" not in reports[0].details
 
 
 def test_run_suite_captures_driver_errors(monkeypatch):
@@ -450,17 +453,58 @@ def _counting(counts, name, fn):
     return counted
 
 
-def test_suite_calls_rebound_check_functions_once_per_instance(monkeypatch):
+# The core calls of a default 10-seed window: one per group of cases whose
+# arguments share their shapes (equality cases join a generic group of theirs).
+_GROUPS = {
+    "fixed_point": 7, "bounds": 7, "det_inequality": 2, "logdet_concavity": 6,
+    "phi_geometric_mean": 3, "phi_wass": 4, "self_duality_gap": 2, "tensor_identity": 3,
+    "tensor_arithmetic_bound": 3, "hadamard_arithmetic_bound": 3, "commuting_quadruple": 2,
+    "hadamard_inverse": 2, "kantorovich_hadamard": 3, "jensen_contraction": 2,
+    "sqrt_sum_lower_bound": 3,
+}
+
+
+def _group_size(first):
+    return len(first.weights if isinstance(first, checks_mod._Ensembles) else first)
+
+
+def test_suite_calls_rebound_check_functions_once_per_group(monkeypatch):
     # The suite looks each check's core up as the module attribute _<name>
-    # at call time, so a rebound core is the one that runs.
-    counts = dict.fromkeys(DEFAULT_CHECKS, 0)
+    # at call time, so a rebound core is the one that runs: once per group,
+    # and each of the window's 162 cases reaches it exactly once.
+    calls, cases = dict.fromkeys(DEFAULT_CHECKS, 0), dict.fromkeys(DEFAULT_CHECKS, 0)
     for name in DEFAULT_CHECKS:
         core = getattr(checks_mod, f"_{name}")
-        monkeypatch.setattr(checks_mod, f"_{name}", _counting(counts, name, core))
+
+        def counted(tol, *args, name=name, core=core):
+            calls[name] += 1
+            cases[name] += _group_size(args[0])
+            return core(tol, *args)
+
+        monkeypatch.setattr(checks_mod, f"_{name}", counted)
     reports = run_suite(default_plan(seeds=(0, 10)))
-    assert {r.check_name: r.details["instances"] for r in reports} == counts
-    assert sum(counts.values()) == 162
+    assert {r.check_name: r.details["instances"] for r in reports} == cases
+    assert sum(cases.values()) == 162
+    assert calls == _GROUPS and sum(calls.values()) == 52
     assert all(r.holds for r in reports)
+
+
+def test_suite_overhead_stays_per_group(monkeypatch, linalg_calls):
+    # A timing-free guard on per-call overhead: the LAPACK calls, Loewner
+    # verdict calls and stack validations of a default 10-seed window. Each
+    # case evaluated alone made 345 eigh, 198 eigvalsh, 55 cholesky, 121
+    # _loewner_verdicts and 55 _require_stack calls.
+    counts = {"_loewner_verdicts": 0, "_require_stack": 0}
+    for module, name in ((checks_mod, "_loewner_verdicts"), (hermitian, "_require_stack")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, _counting(counts, name, fn))
+    assert all(r.holds for r in run_suite(default_plan(seeds=(0, 10))))
+    names = [name for name, _ in linalg_calls]
+    assert names.count("eigh") <= 209
+    assert names.count("eigvalsh") <= 56
+    assert names.count("cholesky") <= 28
+    assert counts["_loewner_verdicts"] <= 32
+    assert counts["_require_stack"] <= 28
 
 
 def test_declared_case_arguments_are_requests_or_scalars():
@@ -666,13 +710,13 @@ def test_seeded_ensembles_are_not_shared_outside_run_suite(monkeypatch):
     assert np.array_equal(first.matrices, second.matrices)
     # Two suite runs build their ensembles apart.
     seen = []
-    core = checks_mod._bounds
+    evaluate = checks_mod._evaluate
 
-    def recording(tol, ensemble, solved):
-        seen.append(ensemble)
-        return core(tol, ensemble, solved)
+    def recording(name, tol, cases):
+        seen.extend(args[0] for args, _ in cases)
+        return evaluate(name, tol, cases)
 
-    monkeypatch.setattr(checks_mod, "_bounds", recording)
+    monkeypatch.setattr(checks_mod, "_evaluate", recording)
     plan = SuitePlan(checks=("bounds",), seeds=(0, 3))
     assert run_suite(plan) == run_suite(plan)
     assert len(seen) == 8
@@ -765,8 +809,9 @@ def test_order_report_reports_the_failing_comparison_below_a_smaller_passing_mar
     # scale ~1.4e4, -1e-8 fails at scale 1 (loewner_tol 1e-9).
     eye = np.eye(2, dtype=complex)
     big = 1e4 * eye
-    report = checks_mod._order_report(
-        "x", None, {}, {}, ("passing", big + 1e-6 * eye, big), ("failing", 2e-8 * eye, 1e-8 * eye)
+    (report,) = checks_mod._order_report(
+        "x", None, [{}], [{}],
+        ("passing", [big + 1e-6 * eye], [big]), ("failing", [2e-8 * eye], [1e-8 * eye]),
     )
     assert report.details["passing"] < report.details["failing"] < 0
     assert report.holds is False
@@ -802,15 +847,21 @@ def test_stacked_order_report_equals_per_pair_loewner_leq_bitwise():
     for tol in (None, ToleranceConfig(loewner_tol=1e-8)):
         singles = [loewner_leq(lhs, rhs, tol) for lhs, rhs in pairs]
         assert {r.holds for r in singles} == {True, False}
-        assert _loewner_verdicts(pairs, tol) == singles
-        report = checks_mod._order_report(
-            "mixed", tol, {}, {}, *((f"k{i}", lhs, rhs) for i, (lhs, rhs) in enumerate(pairs))
+        lhs, rhs = (np.stack(side) for side in zip(*pairs))
+        assert _loewner_verdicts(lhs, rhs, tol) == singles
+        (report,) = checks_mod._order_report(
+            "mixed", tol, [{}], [{}], *((f"k{i}", [a], [b]) for i, (a, b) in enumerate(pairs))
         )
         assert report.details == {f"k{i}": r.margin for i, r in enumerate(singles)}
         assert report.margin == min(r.margin for r in singles)
         assert report.holds is False
-        held = checks_mod._order_report("held", tol, {}, {}, (None, *pairs[0]), (None, *pairs[4]))
+        # Each case of a group is judged on its own comparisons alone.
+        held, mixed = checks_mod._order_report(
+            "held", tol, [{}] * 2, [{}] * 2, (None, lhs[[0, 2]], rhs[[0, 2]]),
+            (None, lhs[[4, 1]], rhs[[4, 1]]),
+        )
         assert held.holds is True
+        assert mixed.holds is False and mixed.margin == singles[1].margin
 
 
 @pytest.mark.parametrize("nan_at", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
@@ -822,10 +873,12 @@ def test_order_report_fails_on_a_nan_slack(nan_at):
     bad = good.copy()
     bad[nan_at] = bad[nan_at[::-1]] = np.nan
     for lhs, rhs in ((bad, good), (good, bad)):
-        report = checks_mod._order_report("x", None, {}, {}, ("k", lhs, rhs))
+        (report,) = checks_mod._order_report("x", None, [{}], [{}], ("k", [lhs], [rhs]))
         assert report.holds is False
         assert np.isnan(report.margin) and np.isnan(report.details["k"])
-        paired = checks_mod._order_report("x", None, {}, {}, (None, good, good), (None, lhs, rhs))
+        (paired,) = checks_mod._order_report(
+            "x", None, [{}], [{}], (None, [good], [good]), (None, [lhs], [rhs])
+        )
         assert paired.holds is False and np.isnan(paired.margin)
 
 
@@ -947,7 +1000,8 @@ def test_check_equals_the_suite_core_bitwise(name, monkeypatch):
     core = getattr(checks_mod, f"_{name}")
     for args, ensembles in cases:
         raw = (*args[0], *args[1]) if name == "commuting_quadruple" else args
-        want = core(tol, *args, *barycenter.wasserstein_means(list(ensembles)))
+        stacked = [checks_mod._stack([arg]) for arg in args]
+        (want,) = core(tol, *stacked, *([s] for s in barycenter.wasserstein_means(list(ensembles))))
         got = check(name, *raw, tol=tol if entry.takes_tol else None)
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
     # The argument count, and a tolerance where the bound is a constant, are
@@ -977,7 +1031,7 @@ def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):
 
     def running(core):
         def run(tol, *args):
-            solves.append(args[-1])
+            solves.extend(args[-1])
             return core(tol, *args)
 
         return run
@@ -988,7 +1042,94 @@ def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):
         monkeypatch.setattr(checks_mod, name, running(getattr(checks_mod, name)))
     plan = SuitePlan(checks=("tensor_identity", "self_duality_gap"), seeds=(0, 4))
     assert all(r.holds for r in run_suite(plan))
-    # Five tensor cases, one of them the equality case, and four ensembles.
+    # Five tensor cases, one of them the equality case, and four ensembles;
+    # each group's outcomes reach its core in the group's case order.
     assert len(built) == len(solves) == 5 + 4
-    for ensemble, solved in zip(built, solves):
-        assert np.array_equal(solved.mean, barycenter.wasserstein_mean(ensemble).mean)
+    means = sorted(barycenter.wasserstein_mean(ensemble).mean.tobytes() for ensemble in built)
+    assert sorted(solved.mean.tobytes() for solved in solves) == means
+
+
+def _window_cases(name, plan):
+    """The built cases of check ``name`` in ``plan``, generic then equality,
+    each with its solves' outcomes, as run_suite builds and solves them."""
+    state = [[name, None]]
+    ensembles = checks_mod._build_cases(state, plan)
+    solved = dict(zip(ensembles, barycenter.wasserstein_means(ensembles)))
+    generic, equality = state[0][1]
+    return [(args, [solved[e] for e in ens]) for args, ens in generic + equality]
+
+
+def _grouped_and_alone(monkeypatch, name, cases, tol=ToleranceConfig(loewner_tol=1e-8)):
+    """The JSON of the reports on ``cases`` evaluated as one list, and of
+    each case evaluated alone, and the core calls of the first."""
+    calls = {name: 0}
+    core = getattr(checks_mod, f"_{name}")
+    monkeypatch.setattr(checks_mod, f"_{name}", _counting(calls, name, core))
+    grouped = [json.dumps(r.to_json_dict()) for r in checks_mod._evaluate(name, tol, cases)]
+    alone = [json.dumps(checks_mod._evaluate(name, tol, [case])[0].to_json_dict())
+             for case in cases]
+    return grouped, alone, calls[name] - len(cases)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 3, 4)])
+@pytest.mark.parametrize("seeds", [(0, 10), (777, 787)])
+@pytest.mark.parametrize("name", DEFAULT_CHECKS)
+def test_grouped_evaluation_equals_each_case_alone_bitwise(monkeypatch, name, seeds, dims):
+    cases = _window_cases(name, SuitePlan(checks=(name,), seeds=seeds, dims=dims))
+    grouped, alone, calls = _grouped_and_alone(monkeypatch, name, cases)
+    assert grouped == alone
+    assert calls < len(cases)
+
+
+@pytest.mark.parametrize("name", DEFAULT_CHECKS)
+def test_grouped_evaluation_of_unconverged_solves_equals_each_case_alone(monkeypatch, name):
+    # A check that refuses an unconverged mean raises the error of case 3,
+    # the first case that raises alone, also where case 4's group (of the
+    # even seeds) is evaluated first; tensor_identity reports each
+    # unconverged case as an error report.
+    cases = [
+        (args, [dataclasses.replace(r, converged=False) if i in (3, 4, 8) else r for r in out])
+        for i, (args, out) in enumerate(_window_cases(name, SuitePlan(checks=(name,))))
+    ]
+    tol = ToleranceConfig(loewner_tol=1e-8)
+    try:
+        checks_mod._evaluate(name, tol, cases[3:4])
+    except RuntimeError as first:
+        with pytest.raises(RuntimeError) as err:
+            checks_mod._evaluate(name, tol, cases)
+        assert str(err.value) == str(first)
+        assert "did not converge" in str(first)
+        return
+    grouped, alone, _ = _grouped_and_alone(monkeypatch, name, cases)
+    assert grouped == alone
+    errors = [json.loads(r)["details"].get("error") for r in grouped]
+    assert (name == "tensor_identity") is (errors[3] is not None and errors[4] is not None)
+
+
+def test_grouped_jensen_contraction_raises_the_first_non_contraction():
+    cases = _window_cases("jensen_contraction", SuitePlan(checks=("jensen_contraction",)))
+    for i in (3, 4):
+        (a, x, p), out = cases[i]
+        cases[i] = ((a, 0.25 * x, p), out)
+    tol = ToleranceConfig(loewner_tol=1e-8)
+    with pytest.raises(ValueError) as first:
+        checks_mod._evaluate("jensen_contraction", tol, cases[3:4])
+    with pytest.raises(ValueError) as err:
+        checks_mod._evaluate("jensen_contraction", tol, cases)
+    assert str(err.value) == str(first.value)
+    assert str(first.value).startswith("inverse is not a contraction: ||x^-1||_op = ")
+
+
+def test_grouped_sqrt_sum_lower_bound_skips_each_case_alone(monkeypatch):
+    # On the spectrum [0.5, 2] most solved means do not dominate the
+    # identity: skipped and judged cases share groups.
+    name = "sqrt_sum_lower_bound"
+    monkeypatch.setitem(checks_mod._CHECKS, name, dataclasses.replace(
+        checks_mod._CHECKS[name],
+        instances=lambda plan: checks_mod._ensembles(plan, (2,), salts=(191, 193),
+                                                     spectrum=(0.5, 2.0)),
+    ))
+    cases = _window_cases(name, SuitePlan(checks=(name,), seeds=(0, 10)))
+    grouped, alone, calls = _grouped_and_alone(monkeypatch, name, cases)
+    assert grouped == alone and calls < len(cases)
+    assert {json.loads(r)["skipped"] for r in grouped} == {True, False}

@@ -165,7 +165,7 @@ def test_validators_reject_a_matrix_whose_norm_overflows():
 
 def test_loewner_verdict_fails_a_negative_margin_at_an_overflowing_scale():
     big, bigger = 1e160 * np.eye(2, dtype=complex), 2e160 * np.eye(2, dtype=complex)
-    (reversed_pair, ordered_pair) = _loewner_verdicts([(bigger, big), (big, bigger)])
+    (reversed_pair, ordered_pair) = _loewner_verdicts(np.stack([bigger, big]), np.stack([big, bigger]))
     assert not reversed_pair.holds and reversed_pair.margin == -1e160
     assert ordered_pair.holds and ordered_pair.margin == 1e160
 

@@ -105,6 +105,19 @@ def test_weight_tensor_sums_to_one():
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
+def test_ensemble_tensor_refuses_a_non_ensemble_by_name():
+    # It used to leak AttributeError: 'int' object has no attribute 'matrices'.
+    e = Ensemble(weights=[1.0], matrices=[np.eye(2)])
+    for args, message in (
+        ((e, 5), "b: expected Ensemble, got int"),
+        ((5, e), "a: expected Ensemble, got int"),
+        (([np.eye(2)], e), "a: expected Ensemble, got list"),
+    ):
+        with pytest.raises(TypeError) as err:
+            ensemble_tensor(*args)
+        assert str(err.value) == message
+
+
 def test_ensemble_tensor_singletons():
     a = random_spd(2, seed=3, eig_lo=0.5, eig_hi=2.0)
     b = random_spd(2, seed=4, eig_lo=0.5, eig_hi=2.0)

@@ -270,6 +270,26 @@ def test_generated_ensemble_stores_what_validation_returns_bitwise(monkeypatch, 
         Ensemble._generated(weights, pinned(1e160, 1e160), 1e160, 1e160)
 
 
+def test_generated_ensemble_validates_weights_only_on_the_constructor_route(monkeypatch):
+    # Generator weights and an ensemble's own weights already pass
+    # validate_weights: a spectrum range that clears the floor stores them
+    # as the constructor would, bit for bit, without a second validation;
+    # one that does not takes the constructor, which validates both.
+    weights = _random_weights(3, 7)
+    mats = np.stack([random_spd(2, 60 + j, 0.5, 2.0) for j in range(3)])
+    want = Ensemble(weights, mats)
+    calls = []
+    _tally_calls(monkeypatch, barycenter, "validate_weights", lambda *a, **k: calls.append(a))
+    for eig_lo, validations in ((0.5, 0), (1e-13, 1)):
+        calls.clear()
+        for source in (weights, want.weights):
+            ensemble = Ensemble._generated(source, mats.copy(), eig_lo, 2.0)
+            assert ensemble.weights.tobytes() == want.weights.tobytes()
+            assert ensemble.matrices.tobytes() == want.matrices.tobytes()
+            assert ensemble.weights is not source and not ensemble.weights.flags.writeable
+        assert len(calls) == 2 * validations
+
+
 def test_seeded_ensemble_of_an_overflowing_norm_is_refused(monkeypatch, capsys):
     # The norm of a 2 x 2 matrix of spectrum [1e160, 1e160] overflows: the
     # generator's output is validated, and the ensemble refused; in the suite
@@ -338,17 +358,17 @@ def test_window_draws_once_and_validates_only_derived_inputs(monkeypatch):
     assert all(r.holds for r in reports)
     assert calls == {"draw": 1, "solve": 1, "ensembles": 144}
     assert sorted(qrs) == [(149, 3, 3), (231, 2, 2)]
-    # The Schur products of hadamard_inverse and of the means in
-    # kantorovich_hadamard, and the congruences of jensen_contraction, on the
-    # ten instances and the equality cases.
-    assert spd_calls == {
-        "hadamard_inverse": 11, "kantorovich_hadamard": 11, "jensen_contraction": 12
-    }
     # The ten hand-made equality-case ensembles (the identity singleton of
     # bounds, kantorovich_hadamard and sqrt_sum_lower_bound is one request)
     # and the eleven Kronecker pair ensembles are built and validated before
-    # evaluation; the 34 validations above each check one matrix.
-    assert stacks == {"build": 21, **spd_calls}
+    # evaluation. Then the Schur products of hadamard_inverse and of the
+    # means in kantorovich_hadamard, and the congruences of
+    # jensen_contraction, on the ten instances and the equality cases, are
+    # validated as one stack per group of cases: no matrix alone.
+    assert spd_calls == {}
+    assert stacks == {
+        "build": 21, "hadamard_inverse": 2, "kantorovich_hadamard": 3, "jensen_contraction": 2
+    }
 
 
 def test_window_trusts_the_requests_it_declares(monkeypatch):

@@ -454,7 +454,7 @@ def _counting(counts, name, fn):
 
 
 # The core calls of a default 10-seed window: one per group of cases whose
-# arguments share their shapes (equality cases join a generic group of theirs).
+# arguments share their shapes (an equality case joins a generic group of its shapes).
 _GROUPS = {
     "fixed_point": 7, "bounds": 7, "det_inequality": 2, "logdet_concavity": 6,
     "phi_geometric_mean": 3, "phi_wass": 4, "self_duality_gap": 2, "tensor_identity": 3,

@@ -59,12 +59,9 @@ def _from_spectrum(v, f):
 
 def spd_power(a, t):
     """a**t for Hermitian positive definite a (or each matrix of a stack)
-    via eigendecomposition; a 1-d t holds each matrix's own scalar exponent."""
+    via eigendecomposition."""
     w, v = np.linalg.eigh(a)
-    # Row by row with scalar exponents, so each matrix's bits are its own:
-    # numpy takes w**0.5 as a square root, not as a power.
-    f = w**t if np.ndim(t) == 0 else np.array([wi**ti for wi, ti in zip(w, t.tolist())])
-    return _from_spectrum(v, f)
+    return _from_spectrum(v, w**t)
 
 
 def log_det(a):

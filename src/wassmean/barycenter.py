@@ -99,11 +99,11 @@ class Ensemble:
 
     @property
     def size(self):
-        return int(self.weights.shape[-1])
+        return int(self.weights.size)
 
     @property
     def dim(self):
-        return int(self.matrices.shape[-1])
+        return int(self.matrices.shape[1])
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,13 @@ inputs; a derived matrix that the positive definite floor could still reject
 (a Schur product, a congruence) keeps its one validation. The Hadamard
 checks follow from the Kronecker pairs through Ando's compression
 Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a function of the
-pairs' one constant K, and the arithmetic sides are bilinear.
+pairs' one constant K, and the arithmetic sides are bilinear,
+(sum w A) (x) (sum u B) and (sum w A) o (sum u B).
 
 ``run_suite`` runs the cores on seeded random instances and on the known
 equality cases, which each entry of ``_CHECKS`` declares as data: requests
-in the vocabulary of ``seeded`` (``_Draw``, ``_Apply``); see there.
+in the vocabulary of ``seeded`` (``_Draw``, ``_Apply``), which defines and
+draws them; see there.
 """
 
 import inspect
@@ -42,9 +44,19 @@ import numpy as np
 from . import _kernels as _k
 from . import barycenter as bc
 from . import hermitian
-from .hermitian import (ToleranceConfig, _loewner_verdicts, _of_type, _real, as_complex_matrix,
-                        frobenius, hermitianize, is_integer, require_positive, require_spd,
-                        require_spd_pair)
+from .hermitian import (
+    ToleranceConfig,
+    _loewner_verdicts,
+    _of_type,
+    _real,
+    as_complex_matrix,
+    frobenius,
+    hermitianize,
+    is_integer,
+    require_positive,
+    require_spd,
+    require_spd_pair,
+)
 from .means import kantorovich
 from .products import PositiveMapSpec, _pair_weights, ensemble_tensor
 from .seeded import _Apply, _built, _commuting, _Draw, _drawn, _draws_of, _ensemble, _isometry, _mix
@@ -72,8 +84,14 @@ class CheckReport:
     skipped: bool = False
 
     def to_json_dict(self):
-        return {**vars(self), "holds": bool(self.holds), "margin": float(self.margin),
-                "skipped": bool(self.skipped)}
+        return {
+            "check_name": self.check_name,
+            "holds": bool(self.holds),
+            "margin": float(self.margin),
+            "inputs": self.inputs,
+            "details": self.details,
+            "skipped": bool(self.skipped),
+        }
 
 
 class _Ensembles(NamedTuple):
@@ -81,7 +99,8 @@ class _Ensembles(NamedTuple):
 
     weights: np.ndarray
     matrices: np.ndarray
-    dim, size = bc.Ensemble.dim, bc.Ensemble.size
+    dim = property(lambda self: self.matrices.shape[-1])
+    size = property(lambda self: self.weights.shape[-1])
 
 
 class _Maps(NamedTuple):
@@ -89,8 +108,14 @@ class _Maps(NamedTuple):
 
     kind: str
     isometry: np.ndarray
-    source_dim, target_dim = PositiveMapSpec.source_dim, PositiveMapSpec.target_dim
-    compress = PositiveMapSpec.compress
+    source_dim = property(lambda self: self.isometry.shape[-2])
+    target_dim = property(lambda self: self.isometry.shape[-1])
+
+    def compress(self, a):
+        """V* A V for each matrix A of each case's stack of an (S, n, s, s)
+        stack, by that case's isometry V, without validation."""
+        v = self.isometry[:, None]
+        return hermitianize(_k._adjoint(v) @ a @ v)
 
 
 def _order_report(name, tol, inputs, details, *comparisons):
@@ -99,10 +124,16 @@ def _order_report(name, tol, inputs, details, *comparisons):
     margin of ``_worst``; ``inputs`` and ``details`` list each case's dicts,
     and a keyed (not None) comparison adds its margin to a copy of details."""
     verdicts = _verdicts(tol, *[(lhs, rhs) for _, lhs, rhs in comparisons])
-    keys = [key for key, _, _ in comparisons]
-    return [CheckReport(name, all(r.holds for r in res), _worst(res).margin, i,
-                        {**d, **{k: r.margin for k, r in zip(keys, res) if k is not None}})
-            for i, d, res in zip(inputs, details, verdicts)]
+    reports = []
+    for case_inputs, case_details, results in zip(inputs, details, verdicts):
+        case_details = dict(case_details)
+        for (key, _, _), res in zip(comparisons, results):
+            if key is not None:
+                case_details[key] = res.margin
+        reports.append(CheckReport(check_name=name, holds=all(r.holds for r in results),
+                                   margin=_worst(results).margin, inputs=case_inputs,
+                                   details=case_details))
+    return reports
 
 
 def _verdicts(tol, *pairs):
@@ -139,9 +170,12 @@ def _report(solved):
 
 def _means(solved):
     """The stacked means of a group's solve outcomes, which must have converged."""
-    for report in (reports := [_report(s) for s in solved]):
+    reports = [_report(s) for s in solved]
+    for report in reports:
         if not report.converged:
-            raise RuntimeError(f"barycenter solve did not converge (residual {report.residual:.3e})")
+            raise RuntimeError(
+                f"barycenter solve did not converge (residual {report.residual:.3e})"
+            )
     return np.array([r.mean for r in reports])
 
 
@@ -176,10 +210,18 @@ def _fixed_point(tol, ensemble, solved):
                           _k._congruence_root(hermitianize(root @ ensemble.matrices @ root)))
     fp_res = [frobenius(x - s) / frobenius(x) for x, s in zip(means, acc)]
     return [
-        CheckReport("fixed_point", r.converged and eq <= ToleranceConfig.residual_tol and fp <= 1e-9,
-                    -eq, {"dim": ensemble.dim, "count": ensemble.size},
-                    {"equation_residual": eq, "self_map_relative_residual": fp,
-                     "iterations": r.iterations, "converged": r.converged})
+        CheckReport(
+            check_name="fixed_point",
+            holds=r.converged and eq <= ToleranceConfig.residual_tol and fp <= 1e-9,
+            margin=-eq,
+            inputs={"dim": ensemble.dim, "count": ensemble.size},
+            details={
+                "equation_residual": eq,
+                "self_map_relative_residual": fp,
+                "iterations": r.iterations,
+                "converged": r.converged,
+            },
+        )
         for r, eq, fp in zip(reports, eq_res, fp_res)
     ]
 
@@ -208,8 +250,11 @@ def _log_det_gaps(top, ensemble):
 
 def _det_inequality(tol, ensemble, solved):
     """Determinant gap of the mean X: log det(X) - sum_j w_j log det(A_j) >= 0,
-    with equality exactly on constant ensembles: the equality flag (a log gap
-    <= 1e-9) is cross-checked against the matrices coinciding within 1e-8."""
+    with equality exactly on constant ensembles.
+
+    The equality flag is raised when the log gap is <= 1e-9 and cross-checked
+    against the matrices actually coinciding within 1e-8.
+    """
     return [
         CheckReport("det_inequality", gap >= -tol.loewner_tol, gap,
                     {"dim": ensemble.dim, "count": ensemble.size, "weights": w},
@@ -233,12 +278,12 @@ def _logdet_concavity(tol, ensemble):
 def _phi_geometric_mean(tol, a, b, phi):
     """Compression of a geometric mean never exceeds the geometric mean of
     the compressions."""
-    lhs = phi.compress(_k.geometric_mean(a, b))
-    rhs = _k.geometric_mean(*phi.compress(np.stack([a, b], axis=1)).swapaxes(0, 1))
+    stack = np.stack([_k.geometric_mean(a, b), a, b], axis=1)
+    lhs, phi_a, phi_b = phi.compress(stack).swapaxes(0, 1)
     return _order_report(
         "phi_geometric_mean", tol,
         [{"source_dim": phi.source_dim, "target_dim": phi.target_dim}] * len(a),
-        [{"map_kind": phi.kind}] * len(a), (None, lhs, rhs),
+        [{"map_kind": phi.kind}] * len(a), (None, lhs, _k.geometric_mean(phi_a, phi_b)),
     )
 
 
@@ -383,19 +428,26 @@ def _jensen_contraction(tol, a, x, p):
         if norm > 1.0 + 1e-12:
             raise ValueError(f"inverse is not a contraction: ||x^-1||_op = {norm:.6f} > 1")
     xh = _k._adjoint(x)
-    # The congruence x* a x is validated as the power's argument.
-    lhs = _k.spd_power(_validated(hermitianize(xh @ a @ x)), p)
+    # The congruence x* a x is validated as the power's argument. Each case's
+    # spectra are raised to its own p as a Python float, as ``spd_power``
+    # would: numpy takes w**0.5 as a square root, but w**array as a power.
+    w, v = np.linalg.eigh(np.stack([_validated(hermitianize(xh @ a @ x)), a]))
+    powers = [[r**q for r, q in zip(ws, p.tolist())] for ws in w]
+    lhs, a_p = _k._from_spectrum(v, np.array(powers))
     return _order_report(
         "jensen_contraction", tol, [{"dim": a.shape[-1], "p": q} for q in p.tolist()],
         [{"inverse_operator_norm": norm} for norm in inv_norm],
-        (None, lhs, hermitianize(xh @ _k.spd_power(a, p) @ x)),
+        (None, lhs, hermitianize(xh @ a_p @ x)),
     )
 
 
 def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     """When both solved means dominate the identity, the weighted sum of
-    Hadamard-pair square roots dominates a Kantorovich-type multiple of I;
-    a case whose means fail that precondition is skipped (not a failure)."""
+    Hadamard-pair square roots dominates a Kantorovich-type multiple of I.
+
+    A case whose means fail that contraction precondition gets a skipped
+    report (not a failure).
+    """
     x, y = _means(solved_a), _means(solved_b)
     eye = np.broadcast_to(np.eye(a.dim, dtype=np.complex128), x.shape)
     # 1/sqrt(K) = 2 sqrt(alpha beta gamma delta) / (alpha gamma + beta delta).
@@ -528,7 +580,8 @@ def _stack(column):
     """A group's values of one argument as one: ensembles as ``_Ensembles``,
     maps as ``_Maps``, arrays and scalars as one array."""
     if isinstance(column[0], bc.Ensemble):
-        return _Ensembles(*(np.array([getattr(e, f) for e in column]) for f in _Ensembles._fields))
+        return _Ensembles(np.array([e.weights for e in column]),
+                          np.array([e.matrices for e in column]))
     if isinstance(column[0], PositiveMapSpec):
         return _Maps(column[0].kind, np.array([phi.isometry for phi in column]))
     return np.array(column)
@@ -575,9 +628,10 @@ class SuitePlan:
             raise ValueError(f"seeds: empty range [{lo}, {hi})")
         dims = tuple(require_positive(d, "dims", integer=True) for d in dims)
         _require_known(checks, "checks: ")
-        for name, value in zip(("checks", "seeds", "dims", "tol"),
-                               (checks, (int(lo), int(hi)), dims, tol)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "seeds", (int(lo), int(hi)))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "tol", tol)
 
     def seed_list(self):
         return list(range(self.seeds[0], self.seeds[1]))
@@ -593,12 +647,31 @@ def _aggregate(name, plan, reports, extra_details):
     """Fold per-instance reports into one per-check report: it holds when
     every live (not skipped) report holds, and reports the ``_worst`` one."""
     live = [r for r in reports if not r.skipped]
-    details = {"instances": len(reports), "skipped_instances": len(reports) - len(live)}
+    skipped = len(reports) - len(live)
     if not live:
-        return CheckReport(name, False, -np.inf, plan.provenance(), details, skipped=True)
+        return CheckReport(
+            check_name=name,
+            holds=False,
+            margin=-np.inf,
+            inputs=plan.provenance(),
+            details={"instances": len(reports), "skipped_instances": skipped},
+            skipped=True,
+        )
     worst = _worst(live)
-    details.update(worst_details=worst.details, worst_inputs=worst.inputs, **extra_details)
-    return CheckReport(name, all(r.holds for r in live), worst.margin, plan.provenance(), details)
+    details = {
+        "instances": len(reports),
+        "skipped_instances": skipped,
+        "worst_details": worst.details,
+        "worst_inputs": worst.inputs,
+    }
+    details.update(extra_details)
+    return CheckReport(
+        check_name=name,
+        holds=all(r.holds for r in live),
+        margin=worst.margin,
+        inputs=plan.provenance(),
+        details=details,
+    )
 
 
 @dataclass(frozen=True)
@@ -612,7 +685,8 @@ class _Check:
     the derived ones (Kronecker pairs, inverses); by default every
     ``Ensemble`` among the arguments. The core takes the tolerance and a
     group of built cases and their solves' outcomes (``_evaluate``).
-    ``finish(report, generic, equality)`` adds check-specific verdicts.
+    ``finish(report, generic, equality)`` adds check-specific verdicts to the
+    aggregate report.
     ``validate`` (by default: one ``Ensemble``) names and validates the raw
     arguments of ``check``; ``takes_tol`` is False where the bound is a constant.
     """
@@ -634,9 +708,11 @@ def _run_check(name, entry, built):
     cases = [(args, [solved[e] for e in ens]) for args, ens in generic + equality]
     reports = _evaluate(name, ToleranceConfig(loewner_tol=plan.tol), cases)
     generic, equality = reports[:len(generic)], reports[len(generic):]
-    margins = [r.margin for r in equality]
-    extra = {"equality_case_margin": margins[0]} if len(margins) == 1 else (
-        {"equality_case_margins": margins} if margins else {})
+    extra = {}
+    if len(equality) == 1:
+        extra["equality_case_margin"] = equality[0].margin
+    elif equality:
+        extra["equality_case_margins"] = [r.margin for r in equality]
     report = _aggregate(name, plan, generic + equality, extra)
     entry.finish(report, generic, equality)
     return report
@@ -678,11 +754,13 @@ def _commuting_pairs(m, seed, *salts):
 
 
 def _finish_det_inequality(report, generic, equality):
-    (eq,) = equality
+    eq = equality[0]
     report.details["strict_on_distinct"] = all(
-        r.margin > 1e-10 and not r.details["equality"] for r in generic)
+        r.margin > 1e-10 and not r.details["equality"] for r in generic
+    )
     report.details["equality_case_ok"] = (
-        eq.details["equality"] and eq.details["all_matrices_equal"] and abs(eq.margin) <= 1e-9)
+        eq.details["equality"] and eq.details["all_matrices_equal"] and abs(eq.margin) <= 1e-9
+    )
 
 
 def _finish_self_duality_gap(report, generic, equality):
@@ -735,8 +813,9 @@ _CHECKS = {
         validate=_ensemble_and_map,
     ),
     "self_duality_gap": _Check(
-        instances=lambda plan: _ensembles(plan, (2, 3), limit=8,
-                                          dim=lambda s: max(2, plan.dim_for(s))),
+        instances=lambda plan: _ensembles(
+            plan, (2, 3), limit=8, dim=lambda s: max(2, plan.dim_for(s))
+        ),
         finish=_finish_self_duality_gap,
         solves=lambda e: (e, _inverted(e)),
         takes_tol=False,
@@ -760,11 +839,13 @@ _CHECKS = {
         validate=_two_ensembles_of_one_dim,
     ),
     "commuting_quadruple": _Check(
-        instances=lambda plan: [_commuting_pairs(plan.dim_for(s), s, 127, 131)
-                                for s in plan.seed_list()],
+        instances=lambda plan: [
+            _commuting_pairs(plan.dim_for(s), s, 127, 131) for s in plan.seed_list()
+        ],
         # Coincident pairs zero out both sides.
-        equality_cases=lambda: [tuple(_Apply(itemgetter(0, 0), (d,))
-                                      for d in _commuting_pairs(3, 7, 137, 139))],
+        equality_cases=lambda: [
+            tuple(_Apply(itemgetter(0, 0), (d,)) for d in _commuting_pairs(3, 7, 137, 139))
+        ],
         validate=_commuting_spd_pairs,
     ),
     "hadamard_inverse": _Check(
@@ -776,8 +857,9 @@ _CHECKS = {
         validate=require_spd_pair,
     ),
     "kantorovich_hadamard": _Check(
-        instances=lambda plan: _ensembles(plan, (2,), salts=(157, 163),
-                                          dim=lambda s: min(3, plan.dim_for(s))),
+        instances=lambda plan: _ensembles(
+            plan, (2,), salts=(157, 163), dim=lambda s: min(3, plan.dim_for(s))
+        ),
         equality_cases=lambda: [(_IDENTITY, _IDENTITY)],
         validate=_two_ensembles_of_one_dim,
     ),
@@ -809,7 +891,9 @@ DEFAULT_CHECKS = tuple(CHECK_REGISTRY)
 
 
 def default_plan(**overrides):
-    return SuitePlan(**{"checks": "all", **overrides})
+    kwargs = {"checks": "all"}
+    kwargs.update(overrides)
+    return SuitePlan(**kwargs)
 
 
 def run_suite(plan):

@@ -92,11 +92,11 @@ class PositiveMapSpec:
 
     @property
     def source_dim(self):
-        return int(self.isometry.shape[-2])
+        return int(self.isometry.shape[0])
 
     @property
     def target_dim(self):
-        return int(self.isometry.shape[-1])
+        return int(self.isometry.shape[1])
 
     def apply(self, a):
         """Compression V* a V of a Hermitian matrix; SPD in, SPD out."""
@@ -112,11 +112,10 @@ class PositiveMapSpec:
             )
 
     def compress(self, a):
-        """V* a V for an already-validated Hermitian matrix or stack, without
-        validation; S stacked isometries compress an (S, ..., s, s) stack."""
+        """V* a V for an already-validated Hermitian matrix or stack of
+        source dimension, without validation."""
         v = self.isometry
-        v = v.reshape(v.shape[:-2] + (1,) * (a.ndim - v.ndim) + v.shape[-2:])
-        return hermitianize(v.swapaxes(-1, -2).conj() @ a @ v)
+        return hermitianize(v.conj().T @ a @ v)
 
 
 def ando_map(m):

@@ -500,7 +500,7 @@ def test_suite_overhead_stays_per_group(monkeypatch, linalg_calls):
         monkeypatch.setattr(module, name, _counting(counts, name, fn))
     assert all(r.holds for r in run_suite(default_plan(seeds=(0, 10))))
     names = [name for name, _ in linalg_calls]
-    assert names.count("eigh") <= 209
+    assert names.count("eigh") <= 207
     assert names.count("eigvalsh") <= 56
     assert names.count("cholesky") <= 28
     assert counts["_loewner_verdicts"] <= 32
@@ -1019,7 +1019,7 @@ def test_check_equals_the_suite_core_bitwise(name, monkeypatch):
 
 def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):
     # Each derived ensemble (Kronecker pairs, inverses) is built once, and
-    # its core gets the solve of the ensemble built.
+    # its case is evaluated with the solve of the ensemble built.
     built, solves = [], []
 
     def building(fn):
@@ -1029,24 +1029,22 @@ def test_suite_evaluates_the_derived_ensembles_it_collected(monkeypatch):
 
         return build
 
-    def running(core):
-        def run(tol, *args):
-            solves.extend(args[-1])
-            return core(tol, *args)
+    evaluate = checks_mod._evaluate
 
-        return run
+    def evaluating(name, tol, cases):
+        # Cases reach _evaluate in case order; a case's last solve is its derived ensemble's.
+        solves.extend(outcomes[-1] for _, outcomes in cases)
+        return evaluate(name, tol, cases)
 
     for name in ("ensemble_tensor", "_inverted"):
         monkeypatch.setattr(checks_mod, name, building(getattr(checks_mod, name)))
-    for name in ("_tensor_identity", "_self_duality_gap"):
-        monkeypatch.setattr(checks_mod, name, running(getattr(checks_mod, name)))
+    monkeypatch.setattr(checks_mod, "_evaluate", evaluating)
     plan = SuitePlan(checks=("tensor_identity", "self_duality_gap"), seeds=(0, 4))
     assert all(r.holds for r in run_suite(plan))
-    # Five tensor cases, one of them the equality case, and four ensembles;
-    # each group's outcomes reach its core in the group's case order.
+    # Five tensor cases, one of them the equality case, and four ensembles.
     assert len(built) == len(solves) == 5 + 4
-    means = sorted(barycenter.wasserstein_mean(ensemble).mean.tobytes() for ensemble in built)
-    assert sorted(solved.mean.tobytes() for solved in solves) == means
+    for ensemble, solved in zip(built, solves):
+        assert np.array_equal(solved.mean, barycenter.wasserstein_mean(ensemble).mean)
 
 
 def _window_cases(name, plan):

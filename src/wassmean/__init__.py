@@ -1,6 +1,6 @@
 """Bures-Wasserstein geometry of positive definite matrices: distances,
-geodesics, barycenters, Kronecker/Hadamard products, positive linear maps,
-and a Loewner-order verification suite for the identities relating them."""
+geodesics, barycenters, Kronecker-pair ensembles, positive linear maps, and a
+Loewner-order verification suite for the tensor and Hadamard product laws."""
 
 from .barycenter import (
     Ensemble,
@@ -25,22 +25,12 @@ from .hermitian import (
     LoewnerResult,
     ToleranceConfig,
     hermitianize,
-    log_det,
     loewner_leq,
-    matrix_power,
     require_hermitian,
     require_spd,
-    sqrtm,
 )
-from .means import arithmetic_mean, geometric_mean, kantorovich, validate_weights
-from .products import (
-    PositiveMapSpec,
-    ando_map,
-    ensemble_tensor,
-    hadamard,
-    kron,
-    weight_tensor,
-)
+from .means import geometric_mean, kantorovich, validate_weights
+from .products import PositiveMapSpec, ensemble_tensor
 from .seeded import random_isometry_map, random_spd, random_unitary
 
 __version__ = "0.1.0"
@@ -60,8 +50,6 @@ __all__ = [
     "SolverReport",
     "SuitePlan",
     "ToleranceConfig",
-    "ando_map",
-    "arithmetic_mean",
     "bw_distance",
     "check",
     "commuting_closed_form",
@@ -69,13 +57,9 @@ __all__ = [
     "ensemble_tensor",
     "geodesic",
     "geometric_mean",
-    "hadamard",
     "hermitianize",
     "kantorovich",
-    "kron",
-    "log_det",
     "loewner_leq",
-    "matrix_power",
     "objective",
     "random_isometry_map",
     "random_spd",
@@ -84,8 +68,6 @@ __all__ = [
     "require_spd",
     "residual",
     "run_suite",
-    "sqrtm",
     "validate_weights",
     "wasserstein_mean",
-    "weight_tensor",
 ]

@@ -84,10 +84,12 @@ class CheckReport:
     skipped: bool = False
 
     def to_json_dict(self):
+        # JSON has no Infinity or NaN, so an error report's -inf margin is null.
+        margin = float(self.margin)
         return {
             "check_name": self.check_name,
             "holds": bool(self.holds),
-            "margin": float(self.margin),
+            "margin": margin if math.isfinite(margin) else None,
             "inputs": self.inputs,
             "details": self.details,
             "skipped": bool(self.skipped),
@@ -394,7 +396,7 @@ def _kronecker_kantorovich(a, b):
 
 
 def _hadamard_pairs(a, b):
-    """Each case's stack of all Hadamard pairs A_i o B_j, in ``weight_tensor``
+    """Each case's stack of all Hadamard pairs A_i o B_j, in ``_pair_weights``
     order (second index fastest)."""
     pairs = a.matrices[:, :, None] * b.matrices[:, None, :]
     return pairs.reshape(len(pairs), -1, a.dim, a.dim)

@@ -241,26 +241,6 @@ def require_spd_stack(mats, name="matrices"):
     return _require_stack(stack, lambda j: f"{name}[{j}]", spd=True)
 
 
-def matrix_power(a, t, name="matrix"):
-    """a**t for positive definite a and a finite real exponent t, computed
-    spectrally."""
-    arr = require_spd(a, name=name)
-    exponent = _real(t, "t", "a finite exponent")
-    if not math.isfinite(exponent):
-        raise ValueError(f"t: expected a finite exponent, got {t!r}")
-    return _k.spd_power(arr, exponent)
-
-
-def sqrtm(a, name="matrix"):
-    """Principal square root of a positive definite matrix."""
-    return matrix_power(a, 0.5, name=name)
-
-
-def log_det(a, name="matrix"):
-    """log det(a) as a sum of eigenvalue logs (no determinant overflow)."""
-    return float(_k.log_det(require_spd(a, name=name)))
-
-
 def loewner_leq(a, b, cfg=None):
     """Tolerance-aware test of a <= b in the Loewner order.
 

@@ -24,8 +24,11 @@ class FormatError(ValueError):
 
 
 def dumps_canonical(payload):
-    """Stable serialization: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Stable serialization: sorted keys, fixed separators, trailing newline.
+    A NaN or infinite number, which JSON cannot hold, raises a ValueError."""
+    return json.dumps(
+        payload, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False
+    ) + "\n"
 
 
 # The Python types of a JSON number; a bool, an int to Python, is none.

@@ -1,9 +1,9 @@
-"""Two-variable geometric mean, weighted arithmetic mean, Kantorovich constant."""
+"""Weight validation, the two-variable geometric mean, the Kantorovich constant."""
 
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import hermitianize, require_positive, require_spd_pair, require_spd_stack
+from .hermitian import require_positive, require_spd_pair
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -38,14 +38,6 @@ def geometric_mean(a, b):
     geodesic between a and b.
     """
     return _k.geometric_mean(*require_spd_pair(a, b))
-
-
-def arithmetic_mean(weights, mats):
-    """Weighted arithmetic mean sum_j w_j A_j (fixed summation order)."""
-    w = validate_weights(weights)
-    if len(mats) != w.size:
-        raise ValueError(f"count mismatch: {w.size} weights, {len(mats)} matrices")
-    return hermitianize(_k.weighted_sum(w, require_spd_stack(mats, name="matrices")))
 
 
 def kantorovich(p, q):

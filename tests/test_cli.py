@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassmean import cli
+from wassmean import checks, cli
 from wassmean.barycenter import SolverConfig, objective, wasserstein_mean
 from wassmean.checks import DEFAULT_CHECKS, SuitePlan, default_plan
 from wassmean.cli import build_parser, main
@@ -265,6 +265,25 @@ def test_verify_failing_check_exits_3(tmp_path, reversed_bound_check):
     assert code == 3
     doc = json.loads(out.read_text())
     assert doc[0]["holds"] is False
+
+
+def test_verify_writes_an_error_report_margin_as_null(tmp_path, monkeypatch, capsys):
+    # An error report's margin is -inf; verify used to write it as -Infinity,
+    # which is not JSON. The text format still prints -inf.
+    def raising(tol, *args):
+        raise RuntimeError("boom")
+
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    monkeypatch.setattr(checks, "_bounds", raising)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--checks", "bounds", "--seed-count", "1", "--out", str(out)]) == 3
+    (report,) = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["margin"] is None
+    assert report["details"] == {"error": "RuntimeError: boom"}
+    assert main(["verify", "--checks", "bounds", "--seed-count", "1", "--format", "text"]) == 3
+    assert "margin=-inf" in capsys.readouterr().out
 
 
 def test_verify_default_plan_exits_0(tmp_path):

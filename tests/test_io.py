@@ -271,6 +271,13 @@ def test_load_rejects_invalid_json(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_canonical_refuses_a_number_json_cannot_hold(value):
+    # It used to write NaN, Infinity or -Infinity, which no JSON parser reads.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps_canonical({"margin": value})
+
+
 def test_dumps_canonical_is_stable():
     payload = {"b": 1.5, "a": [1, 2, 3]}
     assert dumps_canonical(payload) == dumps_canonical(json.loads(dumps_canonical(payload)))

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wassmean import _kernels, barycenter, hermitian, means, products, seeded
+from wassmean import _kernels, barycenter, hermitian, means, seeded
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
 from wassmean.checks import default_plan
@@ -381,7 +381,7 @@ def test_window_trusts_the_requests_it_declares(monkeypatch):
     for rule in ("_require_eig_range", "_require_seed"):
         _tally_calls(monkeypatch, seeded, rule,
                      lambda *args, rule=rule, **kwargs: ranges.update([(rule, *args)]))
-    for module in (hermitian, seeded, checks_mod, barycenter, means, products):
+    for module in (hermitian, seeded, checks_mod, barycenter, means):
         tally = tallies[module.__name__.split(".")[-1]] = Counter()
         _tally_calls(monkeypatch, module, "require_positive",
                      lambda value, name, integer=False, tally=tally: tally.update([name]))
@@ -397,5 +397,4 @@ def test_window_trusts_the_requests_it_declares(monkeypatch):
         "checks": {},
         "barycenter": {"max_iter": 1, "residual_tol": 1},
         "means": {"p": 33, "q": 33},
-        "products": {},
     }

@@ -47,6 +47,14 @@ def weighted_sum(weights, stack):
     return (weights[..., None, None] * stack).sum(axis=-3)
 
 
+def kron(a, b):
+    """``np.kron`` of each pair of matrices of two stacks, their leading axes
+    broadcast, bit for bit: the one Kronecker layout."""
+    pairs = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, p, cols, q = pairs.shape[-4:]
+    return pairs.reshape(*pairs.shape[:-4], rows * p, cols * q)
+
+
 def _fro(a):
     """Frobenius norm of a matrix or of each matrix in a stack."""
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))

@@ -58,7 +58,7 @@ from .hermitian import (
     require_spd_pair,
 )
 from .means import kantorovich
-from .products import PositiveMapSpec, _pair_weights, ensemble_tensor
+from .products import PositiveMapSpec, _pairs, ensemble_tensor
 from .seeded import _Apply, _built, _commuting, _Draw, _drawn, _draws_of, _ensemble, _isometry, _mix
 
 SELF_DUALITY_GAP = 1e-4
@@ -125,7 +125,7 @@ def _order_report(name, tol, inputs, details, *comparisons):
     ``(key, lhs, rhs)`` comparison of stacks over a group's cases, with the
     margin of ``_worst``; ``inputs`` and ``details`` list each case's dicts,
     and a keyed (not None) comparison adds its margin to a copy of details."""
-    verdicts = _verdicts(tol, *[(lhs, rhs) for _, lhs, rhs in comparisons])
+    verdicts = _loewner_verdicts([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
     reports = []
     for case_inputs, case_details, results in zip(inputs, details, verdicts):
         case_details = dict(case_details)
@@ -136,14 +136,6 @@ def _order_report(name, tol, inputs, details, *comparisons):
                                    margin=_worst(results).margin, inputs=case_inputs,
                                    details=case_details))
     return reports
-
-
-def _verdicts(tol, *pairs):
-    """Each case's results on ``lhs <= rhs`` for the ``(lhs, rhs)`` stacks of
-    ``pairs``, in pair order, from one ``_loewner_verdicts`` call."""
-    results = _loewner_verdicts(*(np.concatenate(side) for side in zip(*pairs)), tol)
-    count = len(pairs[0][0])
-    return [results[i::count] for i in range(count)]
 
 
 def _worst(results):
@@ -189,12 +181,6 @@ def _arithmetic(ensemble):
 def _validated(stack):
     """``require_spd`` of each derived matrix of a stack (named "matrix"), in one pass."""
     return hermitian._require_stack(stack, lambda j: "matrix", spd=True)
-
-
-def _kron(a, b):
-    """``np.kron`` of each pair of two stacks of matrices, bit for bit."""
-    m = a.shape[-1] * b.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +309,17 @@ def _tensor_identity(tol, a, b, *solves):
     """Kronecker product of two means equals the mean of the Kronecker-pair
     ensemble; margin is the negated relative Frobenius error."""
     inputs = {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}
-    try:
-        mean_a, mean_b, mean_t = map(_means, solves)
-    except RuntimeError as exc:
-        if len(solves[0]) > 1:  # a group, evaluated again case by case
-            raise
-        return [CheckReport("tensor_identity", False, -np.inf, inputs, {"error": str(exc)})]
-    return [
-        CheckReport("tensor_identity", err <= TENSOR_IDENTITY_RTOL, -err, inputs,
-                    {"relative_error": err, "tolerance": TENSOR_IDENTITY_RTOL})
-        for err in [frobenius(p - t) / frobenius(p) for p, t in zip(_kron(mean_a, mean_b), mean_t)]
-    ]
+    def report(case):
+        try:
+            mean_a, mean_b, mean_t = (_means([solved])[0] for solved in case)
+        except RuntimeError as exc:  # a solve of the case did not converge
+            return CheckReport("tensor_identity", False, -np.inf, inputs, {"error": str(exc)})
+        product = _k.kron(mean_a, mean_b)
+        err = frobenius(product - mean_t) / frobenius(product)
+        return CheckReport("tensor_identity", err <= TENSOR_IDENTITY_RTOL, -err, inputs,
+                           {"relative_error": err, "tolerance": TENSOR_IDENTITY_RTOL})
+
+    return list(map(report, zip(*solves)))
 
 
 def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
@@ -343,7 +329,8 @@ def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
         "tensor_arithmetic_bound", tol,
         [{"dims": [a.dim, b.dim], "counts": [a.size, b.size]}] * len(solved_a),
         [{}] * len(solved_a),
-        (None, _kron(_means(solved_a), _means(solved_b)), _kron(_arithmetic(a), _arithmetic(b))),
+        (None, _k.kron(_means(solved_a), _means(solved_b)),
+         _k.kron(_arithmetic(a), _arithmetic(b))),
     )
 
 
@@ -395,13 +382,6 @@ def _kronecker_kantorovich(a, b):
     return [(kantorovich(e[0] * e[2], e[1] * e[3]), e) for e in edges]
 
 
-def _hadamard_pairs(a, b):
-    """Each case's stack of all Hadamard pairs A_i o B_j, in ``_pair_weights``
-    order (second index fastest)."""
-    pairs = a.matrices[:, :, None] * b.matrices[:, None, :]
-    return pairs.reshape(len(pairs), -1, a.dim, a.dim)
-
-
 def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     """Kantorovich-type converse bound on the Hadamard product of two means
     against the mixed square-root terms of the pair ensembles."""
@@ -411,8 +391,8 @@ def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     constant = [math.sqrt(k) for k, _ in constants]
     # The Schur product of the means is validated as the root's argument.
     root = _k.spd_power(_validated(xy), 0.5)[:, None]
-    inner = hermitianize(root @ _hadamard_pairs(a, b) @ root)
-    rhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), _k._congruence_root(inner))
+    weights, pairs = _pairs(a, b, np.multiply)
+    rhs = _k.weighted_sum(weights, _k._congruence_root(hermitianize(root @ pairs @ root)))
     return _order_report(
         "kantorovich_hadamard", tol, [{"dim": a.dim, "counts": [a.size, b.size]}] * len(xy),
         [{"constant": c, "bounds": e} for c, (_, e) in zip(constant, constants)],
@@ -454,8 +434,8 @@ def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     eye = np.broadcast_to(np.eye(a.dim, dtype=np.complex128), x.shape)
     # 1/sqrt(K) = 2 sqrt(alpha beta gamma delta) / (alpha gamma + beta delta).
     constant = [1.0 / math.sqrt(k) for k, _ in _kronecker_kantorovich(a.matrices, b.matrices)]
-    roots = _k.spd_power(_hadamard_pairs(a, b), 0.5)
-    lhs = _k.weighted_sum(_pair_weights(a.weights, b.weights), roots)
+    weights, pairs = _pairs(a, b, np.multiply)
+    lhs = _k.weighted_sum(weights, _k.spd_power(pairs, 0.5))
     inputs = {"dim": a.dim, "counts": [a.size, b.size]}
     return [
         CheckReport("sqrt_sum_lower_bound", r[2].holds, r[2].margin, inputs, {"constant": c})
@@ -463,8 +443,9 @@ def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
         CheckReport("sqrt_sum_lower_bound", False, _worst(r[:2]).margin, inputs,
                     {"reason": "solved means do not dominate the identity",
                      "mean_margins": [r[0].margin, r[1].margin]}, skipped=True)
-        for c, r in zip(constant, _verdicts(
-            tol, (eye, x), (eye, y), (np.array(constant)[:, None, None] * eye, hermitianize(lhs))))
+        for c, r in zip(constant, _loewner_verdicts(
+            [(eye, x), (eye, y), (np.array(constant)[:, None, None] * eye, hermitianize(lhs))], tol
+        ))
     ]
 
 
@@ -501,10 +482,8 @@ def _ensemble_and_map(ensemble, phi):
 
 def _commuting_spd_pairs(a, b, c, d):
     """The pairs (a, b) and (c, d), each commuting, of four matrices of one shape."""
-    am, bm, cm, dm = (require_spd(m, name=n) for m, n in zip((a, b, c, d), "abcd"))
-    odd = [m.shape for m in (bm, cm, dm) if m.shape != am.shape]
-    if odd:
-        raise ValueError(f"shape mismatch: {am.shape} vs {odd[0]}")
+    am, bm, cm, dm = hermitian._require_spd_items([a, b, c, d], "abcd".__getitem__, lambda s: (
+        f"shape mismatch: {s[0]} vs {next(x for x in s if x != s[0])}"))
     bc.require_commuting(am, bm, "pair (a,b) does not commute")
     bc.require_commuting(cm, dm, "pair (c,d) does not commute")
     return (am, bm), (cm, dm)
@@ -647,33 +626,17 @@ class SuitePlan:
 
 def _aggregate(name, plan, reports, extra_details):
     """Fold per-instance reports into one per-check report: it holds when
-    every live (not skipped) report holds, and reports the ``_worst`` one."""
+    every live (not skipped) report holds, and reports the ``_worst`` one;
+    with no live report it is skipped."""
     live = [r for r in reports if not r.skipped]
-    skipped = len(reports) - len(live)
-    if not live:
-        return CheckReport(
-            check_name=name,
-            holds=False,
-            margin=-np.inf,
-            inputs=plan.provenance(),
-            details={"instances": len(reports), "skipped_instances": skipped},
-            skipped=True,
-        )
-    worst = _worst(live)
-    details = {
-        "instances": len(reports),
-        "skipped_instances": skipped,
-        "worst_details": worst.details,
-        "worst_inputs": worst.inputs,
-    }
-    details.update(extra_details)
-    return CheckReport(
-        check_name=name,
-        holds=all(r.holds for r in live),
-        margin=worst.margin,
-        inputs=plan.provenance(),
-        details=details,
-    )
+    details = {"instances": len(reports), "skipped_instances": len(reports) - len(live)}
+    margin = -np.inf
+    if live:
+        worst = _worst(live)
+        margin = worst.margin
+        details.update(worst_details=worst.details, worst_inputs=worst.inputs, **extra_details)
+    return CheckReport(name, bool(live) and all(r.holds for r in live), margin,
+                       plan.provenance(), details, skipped=not live)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ argument once at its entry and then computes on the returned arrays with the
 trusted kernels of ``_kernels``, never validating the same array again. Each
 rule has one implementation: ``_require_stack`` validates a stack in one
 vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix,
-``require_spd_pair`` its pair and ``require_spd_stack`` its n-matrix case;
-``_loewner_verdicts`` judges a stack of pairs the package computed, and
-``loewner_leq`` one validated raw pair; ``require_positive`` checks every
-tolerance, iteration budget, size, count and spectrum edge, and ``_of_type``
-refuses, by name, an argument that is not of the package type it expects.
+``require_spd_pair`` its pair and ``require_spd_stack`` its n-matrix case,
+each raw matrix converted by ``_as_complex``; ``_loewner_verdicts`` judges
+comparisons of matrices the package computed, ``loewner_leq`` one raw pair;
+``require_positive`` checks every tolerance, iteration budget, size, count
+and spectrum edge, and ``_of_type`` refuses, by name, an argument that is
+not of the package type it expects.
 ``_spectrum_clears_floor`` is the rule under which an ensemble of seeded
 generator output (``seeded``), positive definite by construction, is stored
 without validation: a spectrum range that clears the positive definite floor
@@ -103,11 +104,25 @@ class LoewnerResult:
     margin: float
 
 
+def _as_complex(a, name, ndim=None):
+    """``a`` as a complex128 array, of ``ndim`` dimensions unless None, or a
+    ValueError starting ``name``: the one conversion of a raw matrix, also
+    of what numpy cannot convert (ragged rows, an int too large for a float)."""
+    kind = "a rectangular array of numbers"
+    try:
+        arr = np.asarray(a, dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected {kind}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name}: expected a {ndim}-d array, got ndim={arr.ndim}")
+    return arr
+
+
 def as_complex_matrix(a, name="matrix"):
     """Coerce to a finite, 2-d, square-or-rectangular complex128 array."""
-    arr = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
-    if arr.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-d array, got ndim={arr.ndim}")
+    arr = np.ascontiguousarray(_as_complex(a, name, ndim=2))
     if arr.size == 0:
         raise ValueError(f"{name}: empty matrix")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
@@ -193,27 +208,27 @@ def require_spd(a, name="matrix"):
 
 def _require_matrix(a, name, spd):
     """The one-matrix case of ``_require_stack``, for a matrix named ``name``."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-d array, got ndim={arr.ndim}")
-    return _require_stack(arr[None], lambda j: name, spd)[0]
+    return _require_stack(_as_complex(a, name, ndim=2)[None], lambda j: name, spd)[0]
+
+
+def _require_spd_items(items, label, mixed):
+    """The positive definite matrices ``items`` named ``label(j)``, validated
+    in one ``_require_stack`` pass when they convert to one 3-d array; else
+    each alone, in index order, so the first offender is named, and then the
+    mix of their shapes is refused by the message ``mixed(shapes)``."""
+    try:
+        stack = _as_complex(items, "", ndim=3)
+    except ValueError:
+        shapes = [_require_matrix(a, label(j), spd=True).shape for j, a in enumerate(items)]
+        raise ValueError(mixed(shapes)) from None
+    return _require_stack(stack, label, spd=True)
 
 
 def require_spd_pair(a, b):
     """Validate two positive definite matrices of one shape, named first and
-    second matrix; return both symmetrized. Two 2-d arrays of one shape are
-    one 2-stack to ``_require_stack``, any other pair two lone matrices."""
-    names = ("first matrix", "second matrix")
-    try:
-        pair = np.array([a, b], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        pair = None
-    if pair is not None and pair.ndim == 3:
-        return tuple(_require_stack(pair, names.__getitem__, spd=True))
-    am, bm = (require_spd(x, name) for x, name in zip((a, b), names))
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return am, bm
+    second matrix, as one 2-stack; return both symmetrized."""
+    return tuple(_require_spd_items([a, b], ("first matrix", "second matrix").__getitem__,
+                                    lambda s: f"dimension mismatch: {s[0]} vs {s[1]}"))
 
 
 def require_spd_stack(mats, name="matrices"):
@@ -226,19 +241,12 @@ def require_spd_stack(mats, name="matrices"):
     checks of ``require_spd`` with its own relative tolerances; the first
     offending matrix is reported as ``name[j]``.
     """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[0]:
-        stack = np.asarray(mats, dtype=np.complex128)
-    else:
-        items = [np.asarray(a, dtype=np.complex128) for a in mats]
-        if not items:
-            raise ValueError(f"{name}: empty stack, expected at least one matrix")
-        if len({a.shape for a in items}) != 1 or items[0].ndim != 2:
-            # Each matrix is checked alone, in index order, so the first
-            # offender is named before the mix.
-            dims = {require_spd(a, name=f"{name}[{j}]").shape[0] for j, a in enumerate(items)}
-            raise ValueError(f"{name}: mixed dimensions {sorted(dims)}")
-        stack = np.stack(items)
-    return _require_stack(stack, lambda j: f"{name}[{j}]", spd=True)
+    if not isinstance(mats, np.ndarray):
+        mats = list(mats)
+    if not len(mats):
+        raise ValueError(f"{name}: empty stack, expected at least one matrix")
+    return _require_spd_items(mats, lambda j: f"{name}[{j}]", lambda shapes: (
+        f"{name}: mixed dimensions {sorted({s[0] for s in shapes})}"))
 
 
 def loewner_leq(a, b, cfg=None):
@@ -254,31 +262,29 @@ def loewner_leq(a, b, cfg=None):
         raise ValueError(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
     if cfg is not None:
         _of_type(cfg, ToleranceConfig, "cfg")
-    return _loewner_verdicts(lhs[None], rhs[None], cfg)[0]
+    return _loewner_verdicts([(lhs[None], rhs[None])], cfg)[0][0]
 
 
-def _loewner_verdicts(lhs, rhs, cfg=None):
-    """The verdict on ``lhs[i] <= rhs[i]`` for each pair of two stacks of
-    trusted Hermitian matrices of one shape, from one ``eigvalsh`` of the
-    slacks. A margin m holds when m >= -loewner_tol * max(1, ||lhs||_F,
-    ||rhs||_F); a slack with a non-finite entry has the margin NaN, which fails."""
+def _loewner_verdicts(comparisons, cfg=None):
+    """Each case i's verdicts on lhs[i] <= rhs[i], in comparison order, for
+    the ``(lhs, rhs)`` stacks of trusted Hermitian matrices of one shape of
+    the ``comparisons``, from one ``eigvalsh`` of all slacks. A margin m holds
+    when m >= -loewner_tol * max(1, ||lhs||_F, ||rhs||_F); a slack with a
+    non-finite entry has the margin NaN, which fails."""
     if cfg is None:
         cfg = ToleranceConfig()
+    lhs, rhs = (np.stack(side, axis=1) for side in zip(*comparisons))
     slack = hermitianize(rhs - lhs)
     # LAPACK can return finite eigenvalues for a matrix with a NaN entry.
-    finite = np.isfinite(slack).all(axis=(1, 2))
-    margins = np.linalg.eigvalsh(np.where(finite[:, None, None], slack, 0.0))[:, 0]
+    finite = np.isfinite(slack).all(axis=(-2, -1))
+    margins = np.linalg.eigvalsh(np.where(finite[..., None, None], slack, 0.0))[..., 0]
     margins[~finite] = np.nan
     # A non-negative margin holds at any scale, a negative one only within the
     # tolerance of a finite scale: a scale that overflows is inf.
+    tol = cfg.loewner_tol
     with np.errstate(over="ignore"):
-        return [
-            LoewnerResult(
-                holds=margin >= 0 or -margin <= cfg.loewner_tol * cfg.loewner_scale(a, b) < math.inf,
-                margin=margin,
-            )
-            for margin, a, b in zip(margins.tolist(), lhs, rhs)
-        ]
+        return [[LoewnerResult(m >= 0 or -m <= tol * cfg.loewner_scale(a, b) < math.inf, m)
+                 for m, a, b in zip(*case)] for case in zip(margins.tolist(), lhs, rhs)]
 
 
 def _spectrum_clears_floor(m, eig_lo, eig_hi):

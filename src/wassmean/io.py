@@ -16,7 +16,7 @@ import numpy as np
 
 from .barycenter import Ensemble
 from .checks import SuitePlan
-from .hermitian import is_integer, require_spd
+from .hermitian import _as_complex, is_integer, require_spd
 
 
 class FormatError(ValueError):
@@ -97,7 +97,7 @@ def matrix_from_json_dict(doc, name="matrix"):
 
 
 def matrix_to_json_dict(mat):
-    arr = np.asarray(mat, dtype=np.complex128)
+    arr = _as_complex(mat, "matrix")
     return {
         "dim": int(arr.shape[0]),
         "re": arr.real.tolist(),

@@ -1,38 +1,36 @@
-"""The ensemble of Kronecker pairs with product weights, and strictly positive
-unital maps as isometry compressions (``seeded`` draws random ones)."""
+"""The pairs of two ensembles under the Kronecker or the Hadamard product,
+with product weights, and strictly positive unital maps as isometry
+compressions (``seeded`` draws random ones)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as _k
 from .barycenter import Ensemble
 from .hermitian import _of_type, as_complex_matrix, frobenius
 
 ISOMETRY_TOL = 1e-12
 
 
-def _pair_weights(w, u):
-    """Product weights (w_1 u_1, ..., w_1 u_k, ..., w_n u_1, ..., w_n u_k) of
-    two validated weight vectors (or stacks of them): lexicographic with the
-    second index fastest. The one owner of the pair order."""
-    return (w[..., :, None] * u[..., None, :]).reshape(*w.shape[:-1], -1)
+def _pairs(a, b, product):
+    """The weights w_i u_j and matrices product(A_i, B_j) of all pairs of two
+    ensembles, or of each case of two (S, ...) stacks of them, in the one pair
+    order: entry i*k + j pairs A_i with B_j (second index fastest).
+    ``product`` is ``_kernels.kron`` or ``np.multiply`` (Hadamard)."""
+    weights = a.weights[..., :, None] * b.weights[..., None, :]
+    mats = product(a.matrices[..., :, None, :, :], b.matrices[..., None, :, :, :])
+    return (weights.reshape(*weights.shape[:-2], -1),
+            mats.reshape(*mats.shape[:-4], -1, *mats.shape[-2:]))
 
 
 def ensemble_tensor(a, b):
-    """Ensemble of all Kronecker pairs A_i (x) B_j with product weights.
-
-    Pair order is ``_pair_weights``'s (second index fastest), a frozen
-    contract: weights[i*k + j] goes with matrices[i*k + j] = A_i (x) B_j.
-    """
+    """Ensemble of all Kronecker pairs A_i (x) B_j with product weights, in
+    ``_pairs`` order (second index fastest), a frozen contract:
+    weights[i*k + j] goes with matrices[i*k + j] = A_i (x) B_j."""
     a, b = _of_type(a, Ensemble, "a"), _of_type(b, Ensemble, "b")
-    # pairs[i, j, r, p, c, q] = A_i[r, c] * B_j[p, q], which is
-    # (A_i (x) B_j)[r*k + p, c*k + q] for k = b.dim.
-    pairs = a.matrices[:, None, :, None, :, None] * b.matrices[None, :, None, :, None, :]
-    m = a.dim * b.dim
-    return Ensemble(
-        weights=_pair_weights(a.weights, b.weights),
-        matrices=pairs.reshape(a.size * b.size, m, m),
-    )
+    weights, matrices = _pairs(a, b, _k.kron)
+    return Ensemble(weights=weights, matrices=matrices)
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ def test_hadamard_inverse_random():
 def test_hadamard_pairs_are_the_ando_compression_of_the_kronecker_pairs(m):
     # Z*(A (x) B)Z = A o B for the Ando compression Z: the suite's cheaper
     # route builds the same pairs, bit for bit.
-    from wassmean.products import ensemble_tensor
+    from wassmean.products import _pairs, ensemble_tensor
 
     z = np.zeros((m * m, m), dtype=complex)
     z[np.arange(m) * (m + 1), np.arange(m)] = 1.0
@@ -293,7 +293,7 @@ def test_hadamard_pairs_are_the_ando_compression_of_the_kronecker_pairs(m):
             a = random_ensemble(m, na, seed)
             b = random_ensemble(m, nb, seed + 500)
             compressed = hermitian.hermitianize(z.conj().T @ ensemble_tensor(a, b).matrices @ z)
-            pairs = checks_mod._hadamard_pairs(checks_mod._stack([a]), checks_mod._stack([b]))
+            _, pairs = _pairs(checks_mod._stack([a]), checks_mod._stack([b]), np.multiply)
             assert pairs.tobytes() == compressed.tobytes()
 
 
@@ -849,7 +849,7 @@ def test_stacked_order_report_equals_per_pair_loewner_leq_bitwise():
         singles = [loewner_leq(lhs, rhs, tol) for lhs, rhs in pairs]
         assert {r.holds for r in singles} == {True, False}
         lhs, rhs = (np.stack(side) for side in zip(*pairs))
-        assert _loewner_verdicts(lhs, rhs, tol) == singles
+        assert [r for (r,) in _loewner_verdicts([(lhs, rhs)], tol)] == singles
         (report,) = checks_mod._order_report(
             "mixed", tol, [{}], [{}], *((f"k{i}", [a], [b]) for i, (a, b) in enumerate(pairs))
         )
@@ -932,6 +932,10 @@ def test_jensen_validates_x():
         check("jensen_contraction", a, with_nan, 0.5)
     with pytest.raises(ValueError, match=r"^x: expected a 3x3 matrix, .* got shape \(4, 4\)"):
         check("jensen_contraction", a, 2.0 * random_unitary(4, seed=3), 0.5)
+    with pytest.raises(ValueError, match=r"^x: expected a 2-d array, got ndim=1$"):
+        check("jensen_contraction", a, np.ones(3), 0.5)
+    with pytest.raises(ValueError, match=r"^x: empty matrix$"):
+        check("jensen_contraction", a, np.ones((0, 0)), 0.5)
 
 
 def _no_solves(monkeypatch):
@@ -1132,3 +1136,8 @@ def test_grouped_sqrt_sum_lower_bound_skips_each_case_alone(monkeypatch):
     grouped, alone, calls = _grouped_and_alone(monkeypatch, name, cases)
     assert grouped == alone and calls < len(cases)
     assert {json.loads(r)["skipped"] for r in grouped} == {True, False}
+
+
+def test_hadamard_checks_refuse_ensembles_of_two_dimensions():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        check("hadamard_arithmetic_bound", _eye_ensemble(2), _eye_ensemble(3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wassmean import checks, cli
-from wassmean.barycenter import SolverConfig, objective, wasserstein_mean
+from wassmean.barycenter import Ensemble, SolverConfig, objective, wasserstein_mean
 from wassmean.checks import DEFAULT_CHECKS, SuitePlan, default_plan
 from wassmean.cli import build_parser, main
 from wassmean.hermitian import frobenius
@@ -456,3 +456,19 @@ def test_verify_all_matches_golden_file_on_a_benchmark_window(capsys):
     assert main(["verify", "--checks", "all", "--seed", "300000", "--seed-count", "10"]) == 0
     golden = (GOLDEN / "verify_all_seed300000_count10.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_mean_exits_2_when_an_iterate_loses_positive_definiteness(
+    tmp_path, capsys, wide_spectrum_mats
+):
+    # The equal-weight mean of the wide-spectrum fixture meets a congruence
+    # eigenvalue below zero at iterate 12.
+    path = tmp_path / "wide.json"
+    ensemble = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+    path.write_text(dumps_canonical(ensemble_to_json_dict(ensemble)))
+    assert main(["mean", str(path)]) == cli.EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: iterate lost positive definiteness after 12 iterations (dimension 8, 6 matrices)\n"
+    )

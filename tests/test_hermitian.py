@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from wassmean import _kernels
+from wassmean import _kernels, barycenter
 from wassmean.hermitian import (
     SPD_FLOOR,
     _loewner_verdicts,
     ToleranceConfig,
+    as_complex_matrix,
     frobenius,
     hermitianize,
     loewner_leq,
@@ -143,7 +144,9 @@ def test_validators_reject_a_matrix_whose_norm_overflows():
 
 def test_loewner_verdict_fails_a_negative_margin_at_an_overflowing_scale():
     big, bigger = 1e160 * np.eye(2, dtype=complex), 2e160 * np.eye(2, dtype=complex)
-    (reversed_pair, ordered_pair) = _loewner_verdicts(np.stack([bigger, big]), np.stack([big, bigger]))
+    ((reversed_pair,), (ordered_pair,)) = _loewner_verdicts(
+        [(np.stack([bigger, big]), np.stack([big, bigger]))]
+    )
     assert not reversed_pair.holds and reversed_pair.margin == -1e160
     assert ordered_pair.holds and ordered_pair.margin == 1e160
 
@@ -289,6 +292,8 @@ def test_require_spd_rejects_indefinite():
 def test_require_spd_rejects_boundary():
     with pytest.raises(ValueError, match="not positive definite"):
         require_spd(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="^matrix: empty matrix$"):
+        require_spd(np.zeros((0, 0)))
 
 
 def test_require_rejects_nonfinite():
@@ -440,3 +445,62 @@ def test_pair_path_keeps_the_dimension_mismatch_message():
     )
     am, bm = require_spd_pair(_GOOD, 2 * _GOOD)
     assert np.array_equal(am, require_spd(_GOOD)) and np.array_equal(bm, require_spd(2 * _GOOD))
+
+
+# Arguments numpy cannot convert to a complex array; each used to leak
+# numpy's own error, which names no argument (an OverflowError, a TypeError,
+# "complex() arg is a malformed string", an inhomogeneous shape).
+_UNCONVERTIBLE = {
+    "too_large": [[10**400]],
+    "not_a_number": [[{}]],
+    "malformed_string": "ab",
+    "ragged": [[1.0, 0.0], [0.0]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNCONVERTIBLE))
+def test_a_matrix_numpy_cannot_convert_is_refused_by_name(kind):
+    bad = _UNCONVERTIBLE[kind]
+    tail = ", got one too large for a float" if kind == "too_large" else ""
+    for validate in (require_spd, require_hermitian, as_complex_matrix):
+        assert _refusal(validate, bad, name="a") == (
+            f"a: expected a rectangular array of numbers{tail}"
+        )
+    first = _refusal(require_spd, bad, name="first matrix")
+    assert _refusal(require_spd_pair, bad, _GOOD) == first
+    assert _refusal(require_spd_pair, _GOOD, bad) == first.replace("first", "second")
+    assert _refusal(require_spd_stack, [_GOOD, bad]) == first.replace("first matrix", "matrices[1]")
+
+
+def test_an_unconvertible_matrix_is_named_after_an_earlier_offender():
+    # Each matrix is validated alone, in index order, before the mix of a
+    # matrix and a string is refused.
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^matrices\[0\]: not Hermitian"):
+        barycenter.Ensemble(weights=[0.5, 0.5], matrices=[asym, "ab"])
+    with pytest.raises(ValueError, match=r"^matrices\[1\]: expected a rectangular array"):
+        barycenter.Ensemble(weights=[0.5, 0.5], matrices=[np.eye(2), "ab"])
+    with pytest.raises(ValueError, match=r"^first matrix: not Hermitian"):
+        require_spd_pair(asym, [[{}]])
+    # An array is converted as it stands, an object array too.
+    assert _refusal(require_spd_stack, np.full((1, 2, 2), "x", dtype=object)) == (
+        "matrices[0]: expected a rectangular array of numbers"
+    )
+
+
+def test_several_comparisons_equal_loewner_leq_pair_by_pair():
+    # One eigvalsh over the slacks of three comparisons of four cases gives
+    # each case's verdicts, in comparison order, as loewner_leq gives them.
+    mats = [random_spd(3, seed=s, eig_lo=0.5, eig_hi=2.0) for s in range(8)]
+    eye = np.eye(3, dtype=complex)
+    comparisons = [
+        (np.stack(mats[:4]), np.stack(mats[4:])),
+        (np.stack(mats[4:]), np.stack(mats[:4])),
+        (np.stack([0.4 * eye] * 4), np.stack(mats[:4])),
+    ]
+    for cfg in (None, ToleranceConfig(loewner_tol=1e-3)):
+        verdicts = _loewner_verdicts(comparisons, cfg)
+        assert verdicts == [
+            [loewner_leq(lhs[i], rhs[i], cfg) for lhs, rhs in comparisons] for i in range(4)
+        ]
+        assert {r.holds for case in verdicts for r in case} == {True, False}

@@ -61,6 +61,11 @@ def test_matrix_rejects_shape_and_field_errors():
         matrix_from_json_dict({"dim": 2, "re": [[1.0, 0.0]]})
     with pytest.raises(FormatError, match=r"\.im"):
         matrix_from_json_dict({"dim": 1, "re": [[1.0]], "im": [[0.0, 0.0]]})
+    with pytest.raises(FormatError, match=r"^matrix: expected an object, got list$"):
+        matrix_from_json_dict([1])
+    # Python's json module reads the non-standard literal NaN as a float.
+    with pytest.raises(FormatError, match=r"^matrix\.re: entries must be finite$"):
+        matrix_from_json_dict(json.loads('{"dim": 1, "re": [[NaN]]}'))
 
 
 @pytest.mark.parametrize("dim", [True, 2.0, "2"])
@@ -102,6 +107,10 @@ def test_ensemble_rejects_weight_sum():
 def test_ensemble_rejects_missing_fields_and_naming():
     with pytest.raises(FormatError, match="weights"):
         ensemble_from_json_dict({"matrices": []})
+    with pytest.raises(FormatError, match=r"^ensemble: expected an object, got list$"):
+        ensemble_from_json_dict([1])
+    with pytest.raises(FormatError, match=r"^ensemble\.matrices: expected a non-empty array$"):
+        ensemble_from_json_dict({"weights": [1.0], "matrices": []})
     with pytest.raises(FormatError, match=r"matrices\[1\]"):
         ensemble_from_json_dict({
             "weights": [0.5, 0.5],
@@ -202,6 +211,8 @@ def test_plan_round_trip_and_all_expansion():
 
 
 def test_plan_rejects_malformed():
+    with pytest.raises(FormatError, match=r"^plan: expected an object$"):
+        plan_from_json_dict([1])
     with pytest.raises(FormatError, match="seeds"):
         plan_from_json_dict({"checks": "all", "seeds": [3]})
     with pytest.raises(FormatError, match="unknown"):

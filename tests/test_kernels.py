@@ -280,3 +280,28 @@ def test_congruence_root_clamps_only_round_off():
     assert np.array_equal(root, np.diag([0.0, 1.0]))
     with pytest.raises(ValueError, match="^congruence root: eigenvalue -2.000e-12 below zero$"):
         k._congruence_root(np.diag([-2e-12, 1.0]).astype(complex))
+
+
+def test_an_indefinite_start_retires_at_iterate_zero():
+    # Kernels trust their input: an ensemble whose arithmetic mean, the
+    # first iterate, is indefinite breaks down before any update, and its
+    # batch-mate solves as it does alone.
+    good = _stack(range(2), m=2)
+    bad = np.stack([np.diag([1.0, -3.0]), np.eye(2)]).astype(complex)
+    weights = np.full((2, 2), 0.5)
+    statuses = _assert_batch_matches_singles(np.stack([bad, good]), weights, 200)
+    assert list(statuses) == [k.SOLVE_BREAKDOWN, k.SOLVE_CONVERGED]
+    _, iters, res, _ = k.wasserstein_solve(np.stack([bad, good]), weights, 200, 1e-11)
+    assert iters[0] == 0 and np.isinf(res[0])
+
+
+def test_kron_equals_np_kron_bitwise_on_broadcast_stacks():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((3, 1, 2, 3)) + 1j * rng.standard_normal((3, 1, 2, 3))
+    b = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    got = k.kron(a, b)
+    assert got.shape == (3, 4, 6, 6)
+    for i in range(3):
+        for j in range(4):
+            assert got[i, j].tobytes() == np.kron(a[i, 0], b[j]).tobytes()
+    assert k.kron(a[0, 0], b[0]).tobytes() == np.kron(a[0, 0], b[0]).tobytes()

@@ -172,3 +172,8 @@ def test_validate_weights_rejections():
         validate_weights([0.5, 0.5, 0.0])
     with pytest.raises(ValueError, match="sum"):
         validate_weights([0.5, 0.48])
+    for ragged_or_2d in ([[1.0], [1.0, 2.0]], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="^weights: expected a non-empty 1-d vector$"):
+            validate_weights(ragged_or_2d)
+    with pytest.raises(ValueError, match="^weights: entries must be finite$"):
+        validate_weights([0.5, np.nan])

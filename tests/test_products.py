@@ -4,8 +4,8 @@ import pytest
 from wassmean import _kernels, barycenter, checks, products
 from wassmean.barycenter import Ensemble
 from wassmean.hermitian import frobenius
-from wassmean.products import PositiveMapSpec, _pair_weights, ensemble_tensor
-from wassmean.seeded import random_isometry_map, random_spd
+from wassmean.products import PositiveMapSpec, _pairs, ensemble_tensor
+from wassmean.seeded import random_ensemble, random_isometry_map, random_spd
 
 
 def _rand_complex(m, seed):
@@ -85,6 +85,11 @@ def test_hadamard_algebra():
     lhs = (a + 2 * c) * b
     rhs = a * b + 2 * (c * b)
     assert frobenius(lhs - rhs) <= 1e-13 * max(1.0, frobenius(rhs))
+
+
+def _pair_weights(w, u):
+    """The pair weights ``_pairs`` gives two ensembles of weights w and u."""
+    return _pairs(*(checks._Ensembles(v, np.ones((len(v), 1, 1))) for v in (w, u)), np.multiply)[0]
 
 
 def test_pair_weights_trivial():
@@ -243,6 +248,8 @@ def test_map_spec_rejects_non_isometry():
         PositiveMapSpec(kind="isometry", isometry=2 * np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="kind"):
         PositiveMapSpec(kind="kraus", isometry=np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match=r"^isometry: expected a tall s x k matrix, got \(2, 3\)$"):
+        PositiveMapSpec(kind="isometry", isometry=np.eye(3)[:2])
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
@@ -269,5 +276,27 @@ def test_ensemble_tensor_validates_only_the_product_weights(monkeypatch):
         monkeypatch.setattr(module, "validate_weights", counted, raising=False)
     tensored = ensemble_tensor(a, b)
     assert names == ["weights"]
-    # Bit for bit the pair order of _pair_weights: second index fastest.
+    # Bit for bit the pair order of _pairs: second index fastest.
     assert np.array_equal(tensored.weights, np.outer(a.weights, b.weights).ravel())
+
+
+@pytest.mark.parametrize("product, pair", [(_kernels.kron, np.kron), (np.multiply, np.multiply)])
+def test_pairs_follow_the_explicit_double_loop_bitwise(product, pair):
+    # Entry i*k + j pairs A_i with B_j, for one case and for each case of a
+    # stack, with weight w_i u_j.
+    cases = [
+        (random_ensemble(2, 2, seed), random_ensemble(2, 3, seed + 50)) for seed in range(3)
+    ]
+    for a, b in cases:
+        weights, mats = _pairs(a, b, product)
+        assert weights.tobytes() == np.array(
+            [w * u for w in a.weights for u in b.weights]
+        ).tobytes()
+        assert mats.tobytes() == np.array(
+            [pair(x, y) for x in a.matrices for y in b.matrices]
+        ).tobytes()
+    stacked = _pairs(checks._stack([a for a, _ in cases]), checks._stack([b for _, b in cases]),
+                     product)
+    for s, (a, b) in enumerate(cases):
+        for got, want in zip(stacked, _pairs(a, b, product)):
+            assert got[s].tobytes() == want.tobytes()

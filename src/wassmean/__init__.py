@@ -1,6 +1,16 @@
 """Bures-Wasserstein geometry of positive definite matrices: distances,
 geodesics, barycenters, Kronecker-pair ensembles, positive linear maps, and a
-Loewner-order verification suite for the tensor and Hadamard product laws."""
+Loewner-order verification suite for the tensor and Hadamard product laws.
+
+``import wassmean`` loads only the geometry and the solver (``_kernels``,
+``hermitian``, ``means``, ``barycenter``, ``bures``, ``products``). The
+verification suite (``checks``) and the seeded generators (``seeded``) load
+the first time one of their exports is read, through the module
+``__getattr__`` (PEP 562), so a caller that only solves a mean never
+compiles them.
+"""
+
+from importlib import import_module as _import_module
 
 from .barycenter import (
     Ensemble,
@@ -13,14 +23,6 @@ from .barycenter import (
     wasserstein_mean,
 )
 from .bures import bw_distance, geodesic
-from .checks import (
-    DEFAULT_CHECKS,
-    CheckReport,
-    SuitePlan,
-    check,
-    default_plan,
-    run_suite,
-)
 from .hermitian import (
     LoewnerResult,
     ToleranceConfig,
@@ -31,12 +33,18 @@ from .hermitian import (
 )
 from .means import geometric_mean, kantorovich, validate_weights
 from .products import PositiveMapSpec, ensemble_tensor
-from .seeded import random_isometry_map, random_spd, random_unitary
 
 __version__ = "0.1.0"
 
 # The kernel implementation, recorded by benchmark runs; numpy is the only one.
 BACKEND = "numpy"
+
+# The exports that load their module on first use, by module.
+_ON_FIRST_USE = {
+    "checks": ("DEFAULT_CHECKS", "CheckReport", "SuitePlan", "check", "default_plan", "run_suite"),
+    "seeded": ("random_isometry_map", "random_spd", "random_unitary"),
+}
+_OWNER = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
 
 __all__ = [
     "BACKEND",
@@ -71,3 +79,20 @@ __all__ = [
     "validate_weights",
     "wasserstein_mean",
 ]
+
+
+def __getattr__(name):
+    # Called only for a name the namespace lacks; the value is then bound
+    # there, so this runs once per name. A module of _ON_FIRST_USE is itself
+    # an attribute, as it was when the package imported it eagerly.
+    if name in _ON_FIRST_USE:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ON_FIRST_USE) | set(_OWNER))

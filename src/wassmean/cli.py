@@ -4,6 +4,12 @@ Subcommands: ``mean`` (barycenter of an ensemble file), ``distance`` and
 ``geodesic`` (between two matrix files), ``generate`` (seeded random ensemble
 files), ``verify`` (inequality suite). Exit codes: 0 success, 1 malformed
 input, 2 solver non-convergence, 3 verification failure.
+
+``mean``, ``distance`` and ``geodesic`` load only the geometry, the solver and
+``io``: ``verify`` imports the suite (``checks``) and ``generate`` the seeded
+generators (``seeded``) in its own function, and each of the two adds its
+arguments, whose defaults those modules own, only when the command line
+selects it.
 """
 
 import argparse
@@ -14,7 +20,6 @@ import numpy as np
 
 from .barycenter import SolverBreakdownError, SolverConfig, objective, wasserstein_mean
 from .bures import bw_distance, geodesic
-from .checks import SuitePlan, run_suite
 from .io import (
     FormatError,
     dumps_canonical,
@@ -24,7 +29,6 @@ from .io import (
     load_plan,
     matrix_to_json_dict,
 )
-from .seeded import random_ensemble
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,6 +91,8 @@ def cmd_geodesic(args):
 
 
 def cmd_generate(args):
+    from .seeded import random_ensemble
+
     ensemble = random_ensemble(
         args.m, args.n, args.seed,
         eig_lo=args.eig_lo, eig_hi=args.eig_hi, commuting=args.commuting,
@@ -105,6 +111,8 @@ def _parse_checks(arg):
 
 
 def cmd_verify(args):
+    from .checks import SuitePlan, run_suite
+
     if args.plan:
         plan = load_plan(args.plan)
     else:
@@ -129,45 +137,32 @@ def cmd_verify(args):
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="wassmean",
-        description="Bures-Wasserstein distances, geodesics, barycenters and "
-        "Loewner-order inequality checks for positive definite matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that calls ``arguments(self)`` the first time it
+    parses, so a command's arguments, and the modules their defaults come
+    from, load only when the command line selects that command."""
 
-    def add_output_flags(p):
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       help="output format (default: json)")
-        p.add_argument("--out", default=None, help="write output to this path "
-                       "instead of stdout")
+    def __init__(self, *, arguments=None, **kwargs):
+        super().__init__(**kwargs)
+        self._arguments = arguments
 
-    p_mean = sub.add_parser("mean", help="Wasserstein mean of an ensemble file")
-    p_mean.add_argument("ensemble", help="ensemble JSON path")
-    p_mean.add_argument("--tol", type=float, default=SolverConfig.residual_tol,
-                        help="residual tolerance (default: %(default)s)")
-    p_mean.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
-                        help="iteration budget (default: %(default)s)")
-    add_output_flags(p_mean)
-    p_mean.set_defaults(func=cmd_mean)
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
 
-    p_dist = sub.add_parser("distance", help="distance between two matrix files")
-    p_dist.add_argument("a", help="first matrix JSON path")
-    p_dist.add_argument("b", help="second matrix JSON path")
-    add_output_flags(p_dist)
-    p_dist.set_defaults(func=cmd_distance)
 
-    p_geo = sub.add_parser("geodesic", help="point on the geodesic between two "
-                           "matrix files")
-    p_geo.add_argument("a", help="first matrix JSON path")
-    p_geo.add_argument("b", help="second matrix JSON path")
-    p_geo.add_argument("--t", type=float, required=True,
-                       help="geodesic parameter in [0, 1]")
-    add_output_flags(p_geo)
-    p_geo.set_defaults(func=cmd_geodesic)
+def _add_output_flags(p):
+    p.add_argument("--format", choices=("json", "text"), default="json",
+                   help="output format (default: json)")
+    p.add_argument("--out", default=None, help="write output to this path "
+                   "instead of stdout")
 
-    p_gen = sub.add_parser("generate", help="seeded random ensemble file")
+
+def _generate_arguments(p_gen):
+    from .seeded import random_ensemble
+
     p_gen.add_argument("--m", type=int, required=True, help="matrix dimension")
     p_gen.add_argument("--n", type=int, required=True, help="ensemble size")
     p_gen.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
@@ -178,10 +173,12 @@ def build_parser():
                        help="spectrum upper edge (default: %(default)s)")
     p_gen.add_argument("--commuting", action="store_true",
                        help="share one eigenbasis across the ensemble")
-    add_output_flags(p_gen)
-    p_gen.set_defaults(func=cmd_generate)
+    _add_output_flags(p_gen)
 
-    p_ver = sub.add_parser("verify", help="run the inequality suite")
+
+def _verify_arguments(p_ver):
+    from .checks import SuitePlan
+
     p_ver.add_argument("--plan", default=None, help="suite plan JSON path "
                        "(overrides the flags below)")
     p_ver.add_argument("--checks", default="all",
@@ -193,8 +190,45 @@ def build_parser():
                        help="number of seeds per check (default: %(default)s)")
     p_ver.add_argument("--tol", type=float, default=SuitePlan.tol,
                        help="Loewner margin tolerance (default: %(default)s)")
-    add_output_flags(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    _add_output_flags(p_ver)
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="wassmean",
+        description="Bures-Wasserstein distances, geodesics, barycenters and "
+        "Loewner-order inequality checks for positive definite matrices.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+
+    p_mean = sub.add_parser("mean", help="Wasserstein mean of an ensemble file")
+    p_mean.add_argument("ensemble", help="ensemble JSON path")
+    p_mean.add_argument("--tol", type=float, default=SolverConfig.residual_tol,
+                        help="residual tolerance (default: %(default)s)")
+    p_mean.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                        help="iteration budget (default: %(default)s)")
+    _add_output_flags(p_mean)
+    p_mean.set_defaults(func=cmd_mean)
+
+    p_dist = sub.add_parser("distance", help="distance between two matrix files")
+    p_dist.add_argument("a", help="first matrix JSON path")
+    p_dist.add_argument("b", help="second matrix JSON path")
+    _add_output_flags(p_dist)
+    p_dist.set_defaults(func=cmd_distance)
+
+    p_geo = sub.add_parser("geodesic", help="point on the geodesic between two "
+                           "matrix files")
+    p_geo.add_argument("a", help="first matrix JSON path")
+    p_geo.add_argument("b", help="second matrix JSON path")
+    p_geo.add_argument("--t", type=float, required=True,
+                       help="geodesic parameter in [0, 1]")
+    _add_output_flags(p_geo)
+    p_geo.set_defaults(func=cmd_geodesic)
+
+    sub.add_parser("generate", help="seeded random ensemble file",
+                   arguments=_generate_arguments).set_defaults(func=cmd_generate)
+    sub.add_parser("verify", help="run the inequality suite",
+                   arguments=_verify_arguments).set_defaults(func=cmd_verify)
 
     return parser
 

@@ -8,6 +8,10 @@ only the format of each grid; the library's one validation rule then runs
 once per file (on an ensemble file's whole stack, by ``Ensemble``), so a file
 matrix is Hermitian to within 1e-12 * max(1, ||a||_F), symmetrized and
 positive definite. Failures raise :class:`FormatError` naming the field.
+
+``plan_from_json_dict`` imports ``checks`` when it is called, so loading
+this module (for ``wassmean mean``, ``distance`` or ``geodesic``) does not
+load the verification suite.
 """
 
 import json
@@ -15,7 +19,6 @@ import json
 import numpy as np
 
 from .barycenter import Ensemble
-from .checks import SuitePlan
 from .hermitian import _as_complex, is_integer, require_spd
 
 
@@ -132,6 +135,8 @@ def ensemble_to_json_dict(ensemble):
 
 
 def plan_from_json_dict(doc, name="plan"):
+    from .checks import SuitePlan
+
     if not isinstance(doc, dict):
         raise FormatError(f"{name}: expected an object")
     kwargs = {"checks": doc.get("checks", "all")}

@@ -4,7 +4,12 @@ harness is scanned, not restated, so a deletion that breaks it fails here."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -52,6 +57,54 @@ def test_star_import_binds_the_export_list():
     assert set(wassmean.__all__) <= set(namespace)
 
 
+def _loaded_after(code, *argv):
+    """The package modules that a fresh interpreter has loaded after running
+    ``code`` with ``sys.argv[1:]`` set to ``argv``; a non-zero exit fails."""
+    probe = (
+        "import json, sys\ntry:\n" + textwrap.indent(code, "    ") + "\n"
+        "except SystemExit as exc:\n    if exc.code:\n        raise\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'wassmean')),"
+        " file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, *argv], cwd=ROOT, capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+_GEOMETRY = ["wassmean", "wassmean._kernels", "wassmean.barycenter", "wassmean.bures",
+             "wassmean.hermitian", "wassmean.means", "wassmean.products"]
+
+
+def test_import_loads_only_the_geometry_and_the_solver():
+    assert _loaded_after("import wassmean") == _GEOMETRY
+
+
+def test_the_mean_command_loads_neither_the_suite_nor_the_generators():
+    loaded = _loaded_after(
+        "import runpy\nrunpy.run_module('wassmean', run_name='__main__')",
+        "mean", "fixtures/two_point_commuting.json",
+    )
+    # runpy runs ``__main__.py`` as ``__main__``, not as wassmean.__main__.
+    assert loaded == sorted(_GEOMETRY + ["wassmean.cli", "wassmean.io"])
+
+
+@pytest.mark.parametrize("name, module", [("run_suite", "checks"), ("random_spd", "seeded")])
+def test_reading_a_lazy_export_loads_its_module(name, module):
+    loaded = _loaded_after(f"import wassmean\nwassmean.{name}")
+    assert f"wassmean.{module}" in loaded
+    assert {"wassmean.io", "wassmean.cli"}.isdisjoint(loaded)
+
+
+def test_star_import_in_a_fresh_interpreter_binds_every_export():
+    code = (
+        "from wassmean import *\nimport wassmean\n"
+        "missing = [n for n in wassmean.__all__ if n not in globals()]\n"
+        "assert missing == [], missing\n"
+        "assert set(wassmean.__all__) <= set(dir(wassmean))"
+    )
+    assert {"wassmean.checks", "wassmean.seeded"} <= set(_loaded_after(code))
+
+
 # Exports kept for what they are rather than for a caller: the paper's
 # objects a user computes, the types results come back as, the suite's
 # default instances and the seeded generators.
@@ -69,13 +122,21 @@ def _package_uses():
     resolved in the module's namespace, or an attribute of a package module.
     Names resolve to objects, so a re-export counts as its original
     (``hermitian.hermitianize`` is ``_kernels.hermitianize``), and two objects
-    of one name in two modules stay apart."""
+    of one name in two modules stay apart. A name that a function-level
+    ``from .x import y`` binds, which the module's namespace never holds, is
+    read as ``x.y``."""
     used = set()
     for path in (ROOT / "src" / "wassmean").glob("*.py"):
         if path.name in ("__init__.py", "__main__.py"):
             continue
         module = importlib.import_module(f"wassmean.{path.stem}")
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                    and node not in tree.body):
+                source = importlib.import_module(f"wassmean.{node.module}")
+                used |= {id(getattr(source, alias.name)) for alias in node.names}
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 owner, attr = module, node.id
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -169,8 +230,9 @@ def _imported_modules(path):
 
 
 def test_file_formats_and_the_cli_sit_on_top():
-    # io, the file formats, builds on barycenter and checks, and cli on all
-    # of them: io is imported by cli alone, and cli by the ``python -m``
+    # io, the file formats, builds on barycenter and hermitian (and reads a
+    # suite plan through checks, imported when a plan is read), and cli on
+    # all of them: io is imported by cli alone, and cli by the ``python -m``
     # entry (``__main__.py``) alone, so the layers form no import cycle.
     imports = {
         path.name: _imported_modules(path)

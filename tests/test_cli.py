@@ -318,7 +318,8 @@ def test_verify_plan_file(tmp_path):
 def test_all_checks_is_one_plan_in_code_plan_files_and_flags(tmp_path, monkeypatch):
     # SuitePlan alone expands "all"; a plan file and --checks pass it through.
     plans = []
-    monkeypatch.setattr(cli, "run_suite", lambda plan: plans.append(plan) or [])
+    # cmd_verify imports run_suite from checks when it runs.
+    monkeypatch.setattr(checks, "run_suite", lambda plan: plans.append(plan) or [])
     plan = tmp_path / "plan.json"
     _write_json(plan, {"checks": "all"})
     assert main(["verify", "--plan", str(plan)]) == 0
@@ -447,6 +448,20 @@ def test_parser_defaults_are_the_library_defaults(capsys):
     assert main(["generate", "--m", "2", "--n", "3", "--seed", "4"]) == 0
     written = capsys.readouterr().out
     assert written == dumps_canonical(ensemble_to_json_dict(random_ensemble(2, 3, 4)))
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("verify", ["(default: 0)", "(default: 50)", "(default: 1e-08)"]),
+    ("generate", ["(default: 0)", "(default: 0.5)", "(default: 2.0)"]),
+])
+def test_lazily_added_arguments_show_the_library_defaults_in_help(command, defaults, capsys):
+    # verify and generate add their arguments only when selected; the help
+    # still reads their defaults from SuitePlan and random_ensemble.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert [d for d in defaults if d not in text] == []
 
 
 def test_verify_all_matches_golden_file_on_a_benchmark_window(capsys):

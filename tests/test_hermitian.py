@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wassmean import _kernels, barycenter
+from wassmean.bures import bw_distance
 from wassmean.hermitian import (
     SPD_FLOOR,
     _loewner_verdicts,
@@ -486,6 +487,52 @@ def test_an_unconvertible_matrix_is_named_after_an_earlier_offender():
     assert _refusal(require_spd_stack, np.full((1, 2, 2), "x", dtype=object)) == (
         "matrices[0]: expected a rectangular array of numbers"
     )
+
+
+# Arguments numpy converts but that hold no numbers: each used to pass as
+# the matrix numpy made of it ('1' and True as 1), and a None as NaN.
+_NOT_NUMBERS = {
+    "strings": [["1", "0"], ["0", "1"]],
+    "bools": [[True, False], [False, True]],
+    "bool_array": np.eye(2, dtype=bool),
+    "none": [[None, 0], [0, 1]],
+    "object_strings": np.array([["1", "0"], ["0", "1"]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_NUMBERS))
+def test_a_matrix_of_what_is_not_a_number_is_refused_by_name(kind):
+    bad = _NOT_NUMBERS[kind]
+    for validate in (require_spd, require_hermitian, as_complex_matrix):
+        assert _refusal(validate, bad, name="a") == "a: expected a rectangular array of numbers"
+    assert _refusal(require_spd_pair, bad, np.eye(2)) == (
+        "first matrix: expected a rectangular array of numbers"
+    )
+    assert _refusal(require_spd_stack, [bad]) == (
+        "matrices[0]: expected a rectangular array of numbers"
+    )
+    assert _refusal(barycenter.Ensemble, weights=[1.0], matrices=[bad]) == (
+        "matrices[0]: expected a rectangular array of numbers"
+    )
+
+
+def test_the_distance_refuses_a_matrix_of_strings():
+    # It used to read [['1', '0'], ['0', '1']] as I and return 0.0.
+    assert _refusal(bw_distance, [["1", "0"], ["0", "1"]], np.eye(2)) == (
+        "first matrix: expected a rectangular array of numbers"
+    )
+
+
+def test_numbers_of_every_numeric_dtype_and_wide_ints_still_convert():
+    # Integer, unsigned, float and complex arrays and an object array of
+    # Python numbers are accepted, as is an int beyond 64 bits that fits a
+    # float; a complex128 array is used as it stands.
+    eye = np.eye(2, dtype=complex)
+    for dtype in (np.int8, np.uint64, np.float16, np.float64, np.complex64, object):
+        assert np.array_equal(require_spd(np.eye(2, dtype=dtype)), eye)
+    wide = require_spd([[2**70, 0], [0, 2**70]])
+    assert wide.dtype == np.complex128 and wide[0, 0] == 2.0**70
+    assert as_complex_matrix(eye) is eye
 
 
 def test_several_comparisons_equal_loewner_leq_pair_by_pair():

@@ -39,12 +39,10 @@ __version__ = "0.1.0"
 # The kernel implementation, recorded by benchmark runs; numpy is the only one.
 BACKEND = "numpy"
 
-# The exports that load their module on first use, by module.
-_ON_FIRST_USE = {
-    "checks": ("DEFAULT_CHECKS", "CheckReport", "SuitePlan", "check", "default_plan", "run_suite"),
-    "seeded": ("random_isometry_map", "random_spd", "random_unitary"),
-}
-_OWNER = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
+# The module of each export that loads on first use.
+_ON_FIRST_USE = dict.fromkeys(
+    ("DEFAULT_CHECKS", "CheckReport", "SuitePlan", "check", "default_plan", "run_suite"), "checks"
+) | dict.fromkeys(("random_isometry_map", "random_spd", "random_unitary"), "seeded")
 
 __all__ = [
     "BACKEND",
@@ -83,16 +81,16 @@ __all__ = [
 
 def __getattr__(name):
     # Called only for a name the namespace lacks; the value is then bound
-    # there, so this runs once per name. A module of _ON_FIRST_USE is itself
-    # an attribute, as it was when the package imported it eagerly.
-    if name in _ON_FIRST_USE:
+    # there, so this runs once per name. The modules themselves are
+    # attributes, as they were when the package imported them eagerly.
+    if name in _ON_FIRST_USE.values():
         return _import_module(f"{__name__}.{name}")
-    if name not in _OWNER:
+    if name not in _ON_FIRST_USE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    value = getattr(_import_module(f"{__name__}.{_ON_FIRST_USE[name]}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_ON_FIRST_USE) | set(_OWNER))
+    return sorted(set(globals()) | set(_ON_FIRST_USE) | set(_ON_FIRST_USE.values()))

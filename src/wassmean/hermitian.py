@@ -24,7 +24,7 @@ with a round-off margin and leaves the norm finite.
 
 import math
 from dataclasses import dataclass
-from numbers import Complex, Integral, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -112,15 +112,15 @@ def _as_complex(a, name, ndim=None):
     """``a`` as a complex128 array, of ``ndim`` dimensions unless None, or a
     ValueError starting ``name``: the one conversion of a raw matrix. Its own
     dtype must be an integer, float or complex one (a bool or a string is no
-    number); an object array, which numpy makes of ints beyond 64 bits or of
-    what is not a number, must hold only numbers that fit a float. Ragged rows
-    are refused too. A numeric ndarray is converted once, a complex128 one not
-    at all."""
+    number); an object array, which numpy makes of ints beyond 64 bits,
+    Fractions or Decimals or of what is not a number, must hold only numbers
+    that fit a float. Ragged rows are refused too. A numeric ndarray is
+    converted once, a complex128 one not at all."""
     kind = "a rectangular array of numbers"
     try:
         arr = np.asarray(a)
         if arr.dtype.kind == "O" and all(
-            isinstance(x, Complex) and not isinstance(x, bool) for x in arr.flat
+            isinstance(x, Number) and not isinstance(x, bool) for x in arr.flat
         ):
             arr = arr.astype(np.complex128)
     except OverflowError:
@@ -226,18 +226,17 @@ def _require_matrix(a, name, spd):
 
 
 def _require_spd_items(items, label, mixed):
-    """The positive definite matrices ``items`` named ``label(j)``, validated
-    in one ``_require_stack`` pass when they convert to one 3-d array; else
-    each alone, in index order, so the first offender is named, and then the
-    mix of their shapes is refused by the message ``mixed(shapes)``. A list
-    is stacked only when each of its matrices is numeric on its own, since
-    numpy would read a matrix of bools or strings beside numbers as numbers."""
+    """The positive definite matrices ``items``, an (n, m, m) array or a
+    list, named ``label(j)``, validated in one ``_require_stack`` pass when
+    each converts on its own (numpy would read a matrix of bools or strings
+    beside numbers as numbers) and all share one shape; else each alone, in
+    index order, so the first offender is named, and then the mix of their
+    shapes is refused by the message ``mixed(shapes)``."""
     try:
-        if isinstance(items, list) and not all(
-            np.asarray(a).dtype.kind in _NUMERIC_KINDS for a in items
-        ):
-            raise ValueError("a matrix is not numeric")
-        stack = _as_complex(items, "", ndim=3)
+        if isinstance(items, np.ndarray):
+            stack = _as_complex(items, "", ndim=3)
+        else:
+            stack = np.stack([_as_complex(a, label(j), ndim=2) for j, a in enumerate(items)])
     except ValueError:
         shapes = [_require_matrix(a, label(j), spd=True).shape for j, a in enumerate(items)]
         raise ValueError(mixed(shapes)) from None

@@ -535,6 +535,30 @@ def test_numbers_of_every_numeric_dtype_and_wide_ints_still_convert():
     assert as_complex_matrix(eye) is eye
 
 
+def test_object_and_wide_int_matrices_pass_the_pair_and_stack_paths():
+    # The pair, the stack and the Ensemble convert each matrix on its own, so
+    # an object array of Python numbers (ints beyond 64 bits, Fractions,
+    # Decimals) beside a float matrix is stacked, not refused as a mix of
+    # shapes.
+    from decimal import Decimal
+    from fractions import Fraction
+
+    wide = [[2**70, 0], [0, 2**70]]
+    ratio = np.array([[Fraction(1, 2), 0], [0, Decimal("1.5")]], dtype=object)
+    obj_eye = np.eye(2, dtype=object)
+    eye = np.eye(2, dtype=complex)
+    first, second = require_spd_pair(wide, obj_eye)
+    assert first[0, 0] == 2.0**70 and np.array_equal(second, eye)
+    assert np.array_equal(require_spd_pair(obj_eye, np.eye(2))[0], eye)
+    assert bw_distance(obj_eye, np.eye(2)) == 0.0
+    stack = require_spd_stack([obj_eye, ratio, wide, np.eye(2)])
+    assert stack.shape == (4, 2, 2) and np.array_equal(stack[1], np.diag([0.5, 1.5]))
+    assert np.array_equal(require_spd_stack(np.stack([obj_eye, ratio])), stack[:2])
+    ens = barycenter.Ensemble(weights=[0.5, 0.5], matrices=[wide, obj_eye])
+    assert ens.size == 2 and ens.matrices[0, 0, 0] == 2.0**70
+    with pytest.raises(ValueError, match=r"^matrices: mixed dimensions \[2, 3\]$"):
+        require_spd_stack([obj_eye, np.eye(3, dtype=object)])
+
 def test_several_comparisons_equal_loewner_leq_pair_by_pair():
     # One eigvalsh over the slacks of three comparisons of four cases gives
     # each case's verdicts, in comparison order, as loewner_leq gives them.

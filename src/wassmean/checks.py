@@ -313,7 +313,7 @@ def _tensor_identity(tol, a, b, *solves):
         try:
             mean_a, mean_b, mean_t = (_means([solved])[0] for solved in case)
         except RuntimeError as exc:  # a solve of the case did not converge
-            return CheckReport("tensor_identity", False, -np.inf, inputs, {"error": str(exc)})
+            return _error_report("tensor_identity", inputs, exc)
         product = _k.kron(mean_a, mean_b)
         err = frobenius(product - mean_t) / frobenius(product)
         return CheckReport("tensor_identity", err <= TENSOR_IDENTITY_RTOL, -err, inputs,
@@ -898,8 +898,12 @@ def _per_check(state, plan, step):
         try:
             entry[1] = step(*entry)
         except Exception as exc:  # noqa: BLE001 - captured per report
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            entry[1] = CheckReport(entry[0], False, -np.inf, plan.provenance(), error)
+            entry[1] = _error_report(entry[0], plan.provenance(), exc)
+
+
+def _error_report(name, inputs, exc):
+    """The failing report of check ``name`` on ``inputs`` that raised ``exc``."""
+    return CheckReport(name, False, -np.inf, inputs, {"error": f"{type(exc).__name__}: {exc}"})
 
 
 def _declared(check, plan, draws):

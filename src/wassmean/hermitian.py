@@ -11,7 +11,8 @@ trusted kernels of ``_kernels``, never validating the same array again. Each
 rule has one implementation: ``_require_stack`` validates a stack in one
 vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix,
 ``require_spd_pair`` its pair and ``require_spd_stack`` its n-matrix case,
-each raw matrix converted by ``_as_complex``; ``_loewner_verdicts`` judges
+each raw matrix converted by ``_as_array``, the package's one rule for what
+counts as a number (weights and file grids too); ``_loewner_verdicts`` judges
 comparisons of matrices the package computed, ``loewner_leq`` one raw pair;
 ``require_positive`` checks every tolerance, iteration budget, size, count
 and spectrum edge, and ``_of_type`` refuses, by name, an argument that is
@@ -104,39 +105,56 @@ class LoewnerResult:
     margin: float
 
 
-# The dtype kinds of numbers: signed and unsigned integer, float, complex.
-_NUMERIC_KINDS = "iufc"
+# The types of a JSON number, for a C-speed test of a row (a bool's type is bool).
+_NUMBER_TYPES = frozenset((int, float))
 
 
-def _as_complex(a, name, ndim=None):
-    """``a`` as a complex128 array, of ``ndim`` dimensions unless None, or a
-    ValueError starting ``name``: the one conversion of a raw matrix. Its own
-    dtype must be an integer, float or complex one (a bool or a string is no
-    number); an object array, which numpy makes of ints beyond 64 bits,
-    Fractions or Decimals or of what is not a number, must hold only numbers
-    that fit a float. Ragged rows are refused too. A numeric ndarray is
-    converted once, a complex128 one not at all."""
-    kind = "a rectangular array of numbers"
+def _refuse_non_numbers(value, name, real, exact=False):
+    """Raise a ValueError naming ``name[i][j]`` for the first entry of ``value``
+    (an array, nested lists and tuples, or one entry) that is a bool, is no
+    ``numbers.Number``, is complex with ``real`` or does not fit a float. A
+    numeric dtype passes unwalked, a row of JSON numbers in one test (not when
+    ``exact``: a search for an int too large for a float)."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in ("iuf" if real else "iufc"):
+            return
+        value = value.tolist()  # an object array, or one that holds an offender
+    if isinstance(value, (list, tuple)):
+        if exact or not _NUMBER_TYPES.issuperset(map(type, value)):
+            for i, x in enumerate(value):
+                _refuse_non_numbers(x, f"{name}[{i}]", real, exact)
+        return
+    if isinstance(value, bool) or not isinstance(value, Number):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    if real and isinstance(value, (complex, np.complexfloating)):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
     try:
-        arr = np.asarray(a)
-        if arr.dtype.kind == "O" and all(
-            isinstance(x, Number) and not isinstance(x, bool) for x in arr.flat
-        ):
-            arr = arr.astype(np.complex128)
+        complex(value)
     except OverflowError:
-        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
+        raise ValueError(f"{name}: expected a number, got one too large for a float") from None
+
+
+def _as_array(a, name, ndim, real=False):
+    """``a`` as a complex128 array, with ``real`` a float64 one, of ``ndim``
+    dimensions, or a ValueError starting ``name``: the one conversion of a raw
+    matrix, weight vector or file grid. It refuses ragged rows and, by
+    ``_refuse_non_numbers``, what is not a number."""
+    _refuse_non_numbers(a, name, real)
+    try:
+        arr = np.asarray(a, dtype=np.float64 if real else np.complex128)
+    except OverflowError:  # an int beyond a float in a row of JSON numbers
+        _refuse_non_numbers(a, name, real, exact=True)
+        raise
     except (TypeError, ValueError):
-        raise ValueError(f"{name}: expected {kind}") from None
-    if arr.dtype.kind not in _NUMERIC_KINDS:
-        raise ValueError(f"{name}: expected {kind}")
-    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name}: expected a rectangular array of numbers") from None
+    if arr.ndim != ndim:
         raise ValueError(f"{name}: expected a {ndim}-d array, got ndim={arr.ndim}")
-    return arr.astype(np.complex128, copy=False)
+    return arr
 
 
 def as_complex_matrix(a, name="matrix"):
     """Coerce to a finite, 2-d, square-or-rectangular complex128 array."""
-    arr = np.ascontiguousarray(_as_complex(a, name, ndim=2))
+    arr = np.ascontiguousarray(_as_array(a, name, 2))
     if arr.size == 0:
         raise ValueError(f"{name}: empty matrix")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
@@ -222,7 +240,7 @@ def require_spd(a, name="matrix"):
 
 def _require_matrix(a, name, spd):
     """The one-matrix case of ``_require_stack``, for a matrix named ``name``."""
-    return _require_stack(_as_complex(a, name, ndim=2)[None], lambda j: name, spd)[0]
+    return _require_stack(_as_array(a, name, 2)[None], lambda j: name, spd)[0]
 
 
 def _require_spd_items(items, label, mixed):
@@ -234,9 +252,9 @@ def _require_spd_items(items, label, mixed):
     shapes is refused by the message ``mixed(shapes)``."""
     try:
         if isinstance(items, np.ndarray):
-            stack = _as_complex(items, "", ndim=3)
+            stack = _as_array(items, "", 3)
         else:
-            stack = np.stack([_as_complex(a, label(j), ndim=2) for j, a in enumerate(items)])
+            stack = np.stack([_as_array(a, label(j), 2) for j, a in enumerate(items)])
     except ValueError:
         shapes = [_require_matrix(a, label(j), spd=True).shape for j, a in enumerate(items)]
         raise ValueError(mixed(shapes)) from None

@@ -1,13 +1,15 @@
 """JSON interchange for matrices, ensembles, suite plans and reports.
 
 Matrix files are ``{"dim": m, "re": [[...]], "im": [[...]]}`` with ``im``
-optional (zero when absent), row-major, IEEE-754 doubles. Every grid entry and
-every weight is a JSON number, an int or a float: a string, a bool or an
-object is refused, as is a number too large for a float. The loader checks
-only the format of each grid; the library's one validation rule then runs
-once per file (on an ensemble file's whole stack, by ``Ensemble``), so a file
-matrix is Hermitian to within 1e-12 * max(1, ||a||_F), symmetrized and
-positive definite. Failures raise :class:`FormatError` naming the field.
+optional (zero when absent), row-major, IEEE-754 doubles. The loader checks
+the JSON structure: objects, keys, ``dim``, rows of ``dim`` entries, and no
+NaN or Infinity. Whether a grid entry or a weight is a number is decided by
+the package's one rule (``hermitian._as_array``), which names a string, a
+bool, an object or a number too large for a float by its index. The library's
+one validation rule then runs once per file (on an ensemble file's whole
+stack, by ``Ensemble``), so a file matrix is Hermitian to within
+1e-12 * max(1, ||a||_F), symmetrized and positive definite. Failures raise
+:class:`FormatError` naming the field.
 
 ``plan_from_json_dict`` imports ``checks`` when it is called, so loading
 this module (for ``wassmean mean``, ``distance`` or ``geodesic``) does not
@@ -19,7 +21,7 @@ import json
 import numpy as np
 
 from .barycenter import Ensemble
-from .hermitian import _as_complex, is_integer, require_spd
+from .hermitian import _as_array, is_integer, require_spd
 
 
 class FormatError(ValueError):
@@ -34,40 +36,20 @@ def dumps_canonical(payload):
     ) + "\n"
 
 
-# The Python types of a JSON number; a bool, an int to Python, is none.
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _require_numbers(value, name):
-    """``value`` when it is a JSON array of numbers; otherwise a FormatError
-    naming ``name`` or its first entry that is not a number."""
-    if not isinstance(value, list):
-        raise FormatError(f"{name}: expected an array of numbers, got {type(value).__name__}")
-    if not _NUMBER_TYPES.issuperset(map(type, value)):
-        j = next(j for j, x in enumerate(value) if type(x) not in _NUMBER_TYPES)
-        raise FormatError(f"{name}[{j}]: expected a number, got {value[j]!r}")
-    return value
-
-
-def _floats(value, name):
-    """JSON numbers, in an array or an array of rows, as a float64 array; a
-    number too large for a float is not finite."""
-    try:
-        return np.array(value, dtype=np.float64)
-    except OverflowError:
-        raise FormatError(f"{name}: entries must be finite") from None
-
-
 def _real_grid(value, dim, name):
+    """A grid of ``dim`` rows of ``dim`` JSON numbers, by the package's one
+    rule for numbers (``hermitian._as_array``), as a float64 array."""
     if not isinstance(value, list):
         raise FormatError(f"{name}: expected an array of rows, got {type(value).__name__}")
     for r, row in enumerate(value):
-        _require_numbers(row, f"{name}[{r}]")
+        if not isinstance(row, list):
+            kind = type(row).__name__
+            raise FormatError(f"{name}[{r}]: expected an array of numbers, got {kind}")
     if len(value) != dim or any(len(row) != dim for row in value):
         lengths = [len(row) for row in value]
         raise FormatError(f"{name}: expected shape ({dim}, {dim}), got rows of lengths {lengths}")
-    arr = _floats(value, name)
-    if not np.all(np.isfinite(arr)):
+    arr = _as_array(value, name, 2, real=True)
+    if not np.all(np.isfinite(arr)):  # JSON's NaN and Infinity
         raise FormatError(f"{name}: entries must be finite")
     return arr
 
@@ -100,7 +82,9 @@ def matrix_from_json_dict(doc, name="matrix"):
 
 
 def matrix_to_json_dict(mat):
-    arr = _as_complex(mat, "matrix")
+    arr = _as_array(mat, "matrix", 2)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"matrix: expected square matrix, got shape {arr.shape}")
     return {
         "dim": int(arr.shape[0]),
         "re": arr.real.tolist(),
@@ -114,14 +98,13 @@ def ensemble_from_json_dict(doc, name="ensemble"):
     for key in ("weights", "matrices"):
         if key not in doc:
             raise FormatError(f"{name}.{key}: missing")
-    weights = _floats(_require_numbers(doc["weights"], f"{name}.weights"), f"{name}.weights")
     mats_doc = doc["matrices"]
     if not isinstance(mats_doc, list) or not mats_doc:
         raise FormatError(f"{name}.matrices: expected a non-empty array")
-    # Only the format is checked here; Ensemble validates the whole stack once.
-    mats = [_matrix_grid(m, f"{name}.matrices[{j}]") for j, m in enumerate(mats_doc)]
     try:
-        return Ensemble(weights=weights, matrices=mats)
+        # Only the format is checked here; Ensemble validates the whole stack once.
+        mats = [_matrix_grid(m, f"matrices[{j}]") for j, m in enumerate(mats_doc)]
+        return Ensemble(weights=doc["weights"], matrices=mats)
     except ValueError as exc:
         raise FormatError(f"{name}.{exc}") from None
 

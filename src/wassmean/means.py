@@ -3,22 +3,16 @@
 import numpy as np
 
 from . import _kernels as _k
-from .hermitian import require_positive, require_spd_pair
+from .hermitian import _as_array, require_positive, require_spd_pair
 
 WEIGHT_SUM_TOL = 1e-12
 
 
 def validate_weights(weights, name="weights"):
-    """Validate a strictly positive probability vector of real numbers (no
-    strings, bools or other objects), returned as float64."""
-    try:
-        raw = np.asarray(weights)
-    except ValueError:  # ragged nesting
-        raise ValueError(f"{name}: expected a non-empty 1-d vector") from None
-    if raw.dtype.kind not in "iuf":
-        raise ValueError(f"{name}: expected real numbers, got dtype {raw.dtype}")
-    w = raw.astype(np.float64, copy=False)
-    if w.ndim != 1 or w.size == 0:
+    """``weights``, a strictly positive probability vector of real numbers by
+    the package's one rule for numbers (``hermitian._as_array``), as float64."""
+    w = _as_array(weights, name, 1, real=True)
+    if w.size == 0:
         raise ValueError(f"{name}: expected a non-empty 1-d vector")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{name}: entries must be finite")
@@ -27,7 +21,7 @@ def validate_weights(weights, name="weights"):
         raise ValueError(f"{name}[{j}] = {w[j]:.6g} is not strictly positive")
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"{name}: sum to {total:.6g}, must be 1 within {WEIGHT_SUM_TOL}")
+        raise ValueError(f"{name}: sum to {total!r}, must be 1 within {WEIGHT_SUM_TOL}")
     return np.ascontiguousarray(w)
 
 

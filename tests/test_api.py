@@ -8,6 +8,7 @@ import json
 import os
 import re
 import subprocess
+import symtable
 import sys
 import textwrap
 from pathlib import Path
@@ -106,14 +107,26 @@ def test_star_import_in_a_fresh_interpreter_binds_every_export():
 
 
 # Exports kept for what they are rather than for a caller: the paper's
-# objects a user computes, the types results come back as, the suite's
-# default instances and the seeded generators.
+# objects a user computes, the types results come back as, the per-input
+# check a user runs, the suite's default instances and the seeded generators.
 _PAPER_OBJECTS = (
     "geometric_mean", "loewner_leq", "commuting_closed_form",
     "CheckReport", "SolverReport", "LoewnerResult",
-    "default_plan",
+    "check", "default_plan",
     "random_isometry_map", "random_spd", "random_unitary",
 )
+
+
+def _global_reads(table):
+    """The names that the block ``table`` and the blocks nested in it read
+    from the module's namespace. A name that a function binds (a parameter
+    or a local) is read from the function, not the module, even where it
+    shares an export's name."""
+    names = {symbol.get_name() for symbol in table.get_symbols() if symbol.is_referenced()
+             and (table.get_type() == "module" or symbol.is_global())}
+    for child in table.get_children():
+        names |= _global_reads(child)
+    return names
 
 
 def _package_uses():
@@ -130,23 +143,21 @@ def _package_uses():
         if path.name in ("__init__.py", "__main__.py"):
             continue
         module = importlib.import_module(f"wassmean.{path.stem}")
-        tree = ast.parse(path.read_text())
+        source = path.read_text()
+        used |= {id(getattr(module, name))
+                 for name in _global_reads(symtable.symtable(source, str(path), "exec"))
+                 if hasattr(module, name)}
+        tree = ast.parse(source)
         for node in ast.walk(tree):
             if (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
                     and node not in tree.body):
-                source = importlib.import_module(f"wassmean.{node.module}")
-                used |= {id(getattr(source, alias.name)) for alias in node.names}
-                continue
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                owner, attr = module, node.id
+                imported = importlib.import_module(f"wassmean.{node.module}")
+                used |= {id(getattr(imported, alias.name)) for alias in node.names}
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                owner, attr = getattr(module, node.value.id, None), node.attr
-                if not getattr(owner, "__name__", "").startswith("wassmean."):
-                    continue
-            else:
-                continue
-            if hasattr(owner, attr):
-                used.add(id(getattr(owner, attr)))
+                owner = getattr(module, node.value.id, None)
+                if (getattr(owner, "__name__", "").startswith("wassmean.")
+                        and hasattr(owner, node.attr)):
+                    used.add(id(getattr(owner, node.attr)))
     return used
 
 
@@ -162,6 +173,12 @@ def test_every_export_is_used_or_a_paper_object():
         if id(getattr(wassmean, name)) not in used and name not in harness | set(_PAPER_OBJECTS)
     ]
     assert unused == []
+
+
+def test_a_name_a_function_binds_is_no_module_read():
+    # A parameter named ``check`` used to count as a read of the export.
+    source = "def f(check):\n    return [check for _ in check]\n\ng = lambda: run_suite\n"
+    assert _global_reads(symtable.symtable(source, "m", "exec")) == {"run_suite"}
 
 
 def test_harness_reads_are_found():

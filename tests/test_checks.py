@@ -180,6 +180,21 @@ def test_tensor_identity_reports_non_convergence(monkeypatch):
     assert report.margin == suite.margin == -np.inf
 
 
+def test_a_check_that_raised_reports_its_error_in_one_format(monkeypatch):
+    # tensor_identity wrote the bare message, the suite driver the exception's
+    # type and message.
+    solve_all = barycenter.wasserstein_means
+
+    def not_converged(ensembles, config=None):
+        return [dataclasses.replace(r, converged=False) for r in solve_all(ensembles, config)]
+
+    monkeypatch.setattr(barycenter, "wasserstein_means", not_converged)
+    report = check("tensor_identity", random_ensemble(2, 2, 15), random_ensemble(2, 2, 16))
+    (suite,) = run_suite(SuitePlan(checks=("tensor_identity",), seeds=(0, 2)))
+    for error in (report.details["error"], suite.details["worst_details"]["error"]):
+        assert error.startswith("RuntimeError: barycenter solve did not converge (residual ")
+
+
 def test_tensor_arithmetic_bound_cases():
     singles = check("tensor_arithmetic_bound", _eye_ensemble(2), _eye_ensemble(2))
     assert singles.holds

@@ -355,7 +355,7 @@ def test_cli_names_the_file_of_an_integer_too_long_to_parse(tmp_path, capsys):
 def test_mean_names_weights_that_are_not_numbers(tmp_path, capsys):
     path = tmp_path / "e.json"
     for weights, message in (
-        ({"a": 1}, "weights: expected an array of numbers, got dict"),
+        ({"a": 1}, "weights: expected a number, got {'a': 1}"),
         (["0.5", "0.5"], "weights[0]: expected a number, got '0.5'"),
         ([0.5, True], "weights[1]: expected a number, got True"),
     ):

@@ -450,23 +450,21 @@ def test_pair_path_keeps_the_dimension_mismatch_message():
 
 # Arguments numpy cannot convert to a complex array; each used to leak
 # numpy's own error, which names no argument (an OverflowError, a TypeError,
-# "complex() arg is a malformed string", an inhomogeneous shape).
+# "complex() arg is a malformed string", an inhomogeneous shape). Each maps to
+# the end of its message after the argument's name.
 _UNCONVERTIBLE = {
-    "too_large": [[10**400]],
-    "not_a_number": [[{}]],
-    "malformed_string": "ab",
-    "ragged": [[1.0, 0.0], [0.0]],
+    "too_large": ([[10**400]], "[0][0]: expected a number, got one too large for a float"),
+    "not_a_number": ([[{}]], "[0][0]: expected a number, got {}"),
+    "malformed_string": ("ab", ": expected a number, got 'ab'"),
+    "ragged": ([[1.0, 0.0], [0.0]], ": expected a rectangular array of numbers"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_UNCONVERTIBLE))
 def test_a_matrix_numpy_cannot_convert_is_refused_by_name(kind):
-    bad = _UNCONVERTIBLE[kind]
-    tail = ", got one too large for a float" if kind == "too_large" else ""
+    bad, tail = _UNCONVERTIBLE[kind]
     for validate in (require_spd, require_hermitian, as_complex_matrix):
-        assert _refusal(validate, bad, name="a") == (
-            f"a: expected a rectangular array of numbers{tail}"
-        )
+        assert _refusal(validate, bad, name="a") == f"a{tail}"
     first = _refusal(require_spd, bad, name="first matrix")
     assert _refusal(require_spd_pair, bad, _GOOD) == first
     assert _refusal(require_spd_pair, _GOOD, bad) == first.replace("first", "second")
@@ -479,47 +477,43 @@ def test_an_unconvertible_matrix_is_named_after_an_earlier_offender():
     asym = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"^matrices\[0\]: not Hermitian"):
         barycenter.Ensemble(weights=[0.5, 0.5], matrices=[asym, "ab"])
-    with pytest.raises(ValueError, match=r"^matrices\[1\]: expected a rectangular array"):
+    with pytest.raises(ValueError, match=r"^matrices\[1\]: expected a number, got 'ab'$"):
         barycenter.Ensemble(weights=[0.5, 0.5], matrices=[np.eye(2), "ab"])
     with pytest.raises(ValueError, match=r"^first matrix: not Hermitian"):
         require_spd_pair(asym, [[{}]])
     # An array is converted as it stands, an object array too.
     assert _refusal(require_spd_stack, np.full((1, 2, 2), "x", dtype=object)) == (
-        "matrices[0]: expected a rectangular array of numbers"
+        "matrices[0][0][0]: expected a number, got 'x'"
     )
 
 
 # Arguments numpy converts but that hold no numbers: each used to pass as
-# the matrix numpy made of it ('1' and True as 1), and a None as NaN.
+# the matrix numpy made of it ('1' and True as 1), and a None as NaN. Each
+# maps to the end of its message after the argument's name.
 _NOT_NUMBERS = {
-    "strings": [["1", "0"], ["0", "1"]],
-    "bools": [[True, False], [False, True]],
-    "bool_array": np.eye(2, dtype=bool),
-    "none": [[None, 0], [0, 1]],
-    "object_strings": np.array([["1", "0"], ["0", "1"]], dtype=object),
+    "strings": ([["1", "0"], ["0", "1"]], "[0][0]: expected a number, got '1'"),
+    "bools": ([[True, False], [False, True]], "[0][0]: expected a number, got True"),
+    "bool_array": (np.eye(2, dtype=bool), "[0][0]: expected a number, got True"),
+    "none": ([[None, 0], [0, 1]], "[0][0]: expected a number, got None"),
+    "object_strings": (np.array([["1", "0"], ["0", "1"]], dtype=object),
+                       "[0][0]: expected a number, got '1'"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_NOT_NUMBERS))
 def test_a_matrix_of_what_is_not_a_number_is_refused_by_name(kind):
-    bad = _NOT_NUMBERS[kind]
+    bad, tail = _NOT_NUMBERS[kind]
     for validate in (require_spd, require_hermitian, as_complex_matrix):
-        assert _refusal(validate, bad, name="a") == "a: expected a rectangular array of numbers"
-    assert _refusal(require_spd_pair, bad, np.eye(2)) == (
-        "first matrix: expected a rectangular array of numbers"
-    )
-    assert _refusal(require_spd_stack, [bad]) == (
-        "matrices[0]: expected a rectangular array of numbers"
-    )
-    assert _refusal(barycenter.Ensemble, weights=[1.0], matrices=[bad]) == (
-        "matrices[0]: expected a rectangular array of numbers"
-    )
+        assert _refusal(validate, bad, name="a") == f"a{tail}"
+    assert _refusal(require_spd_pair, bad, np.eye(2)) == f"first matrix{tail}"
+    assert _refusal(require_spd_stack, [bad]) == f"matrices[0]{tail}"
+    assert _refusal(barycenter.Ensemble, weights=[1.0], matrices=[bad]) == f"matrices[0]{tail}"
 
 
 def test_the_distance_refuses_a_matrix_of_strings():
     # It used to read [['1', '0'], ['0', '1']] as I and return 0.0.
     assert _refusal(bw_distance, [["1", "0"], ["0", "1"]], np.eye(2)) == (
-        "first matrix: expected a rectangular array of numbers"
+        "first matrix[0][0]: expected a number, got '1'"
     )
 
 

@@ -257,22 +257,36 @@ def test_matrix_grid_entries_must_be_json_numbers(grid, where, got):
 
 def test_matrix_grid_entry_too_large_for_a_float_is_not_finite():
     doc = {"dim": 1, "re": [[10**400]]}
-    with pytest.raises(FormatError, match=r"^m\.re: entries must be finite"):
+    message = r"^m\.re\[0\]\[0\]: expected a number, got one too large for a float$"
+    with pytest.raises(FormatError, match=message):
         matrix_from_json_dict(doc, name="m")
 
 
 @pytest.mark.parametrize("weights,message", [
     (["0.5", "0.5"], "weights[0]: expected a number, got '0.5'"),
     ([0.5, False], "weights[1]: expected a number, got False"),
-    ({"a": 1}, "weights: expected an array of numbers, got dict"),
-    (0.5, "weights: expected an array of numbers, got float"),
-    ([10**400, 1], "weights: entries must be finite"),
+    ({"a": 1}, "weights: expected a number, got {'a': 1}"),
+    (0.5, "weights: expected a 1-d array, got ndim=0"),
+    ([10**400, 1], "weights[0]: expected a number, got one too large for a float"),
 ])
 def test_ensemble_weights_must_be_json_numbers(weights, message):
     doc = {"weights": weights, "matrices": [matrix_to_json_dict(np.eye(2))] * 2}
     with pytest.raises(FormatError) as info:
         ensemble_from_json_dict(doc, name="f.json")
     assert str(info.value) == f"f.json.{message}"
+
+
+@pytest.mark.parametrize("mat,message", [
+    ([1.0, 2.0], "matrix: expected a 2-d array, got ndim=1"),
+    (np.ones((2, 3)), "matrix: expected square matrix, got shape (2, 3)"),
+    ([[1.0, True], [True, 1.0]], "matrix[0][1]: expected a number, got True"),
+])
+def test_matrix_to_json_dict_refuses_what_its_reader_refuses(mat, message):
+    # [1.0, 2.0] used to be written with dim 2 and a 2 x 3 matrix with dim 2
+    # and rows of 3: documents that matrix_from_json_dict refuses.
+    with pytest.raises(ValueError) as info:
+        matrix_to_json_dict(mat)
+    assert str(info.value) == message
 
 
 def test_load_rejects_invalid_json(tmp_path):

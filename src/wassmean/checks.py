@@ -1,29 +1,19 @@
 """Machine verification of the mean's order, determinant, positive-map,
 tensor-product and Hadamard-product properties.
 
-Each check evaluates one inequality or identity on concrete
-inputs and returns a :class:`CheckReport` whose margin is the smallest
-eigenvalue of the slack matrix (log-gap for determinant checks, negated
-relative error for identities); ``_order_report`` turns a check's Loewner
-comparisons into its reports through ``hermitian._loewner_verdicts``, the one
-Loewner verdict rule: one ``eigvalsh`` over the stacked slacks of matrices the
-check computed, which it trusts rather than validates again. A report over
-several results (comparisons or instances) reports the one ``_worst`` picks:
-a NaN margin first, else the smallest failing margin, else the smallest.
+Each check evaluates one inequality or identity on concrete inputs to a
+:class:`CheckReport`, which one builder, ``_reports``, makes and judges from
+the case's Loewner comparisons, scalar gaps, precondition, solves and error.
 
 A check is one entry of ``_CHECKS`` and one private core ``_<name>``: it
 evaluates a group of cases of one argument shape, stacked (``_evaluate``),
 to one report per case, and each report is bit for bit the case's alone
 (batched LAPACK, ``matmul`` and elementwise operations; order-changing
-reductions stay per case). ``check(name, *args, tol=None)`` validates the
-raw arguments (the entry's ``validate``), solves the ensembles its
-``solves`` lists, and evaluates them as a group of one. The core trusts its
-inputs; a derived matrix that the positive definite floor could still reject
-(a Schur product, a congruence) keeps its one validation. The Hadamard
-checks follow from the Kronecker pairs through Ando's compression
-Z*(A (x) B)Z = A o B: each Kantorovich-type constant is a function of the
-pairs' one constant K, and the arithmetic sides are bilinear,
-(sum w A) (x) (sum u B) and (sum w A) o (sum u B).
+reductions stay per case); ``check`` evaluates a group of one. The core
+trusts its inputs; a derived matrix that the positive definite floor could
+still reject (a Schur product, a congruence) keeps its one validation. The
+Hadamard checks follow from the Kronecker pairs through Ando's compression
+Z*(A (x) B)Z = A o B, each Kantorovich-type constant from the pairs' one K.
 
 ``run_suite`` runs the cores on seeded random instances and on the known
 equality cases, which each entry of ``_CHECKS`` declares as data: requests
@@ -86,14 +76,8 @@ class CheckReport:
     def to_json_dict(self):
         # JSON has no Infinity or NaN, so an error report's -inf margin is null.
         margin = float(self.margin)
-        return {
-            "check_name": self.check_name,
-            "holds": bool(self.holds),
-            "margin": margin if math.isfinite(margin) else None,
-            "inputs": self.inputs,
-            "details": self.details,
-            "skipped": bool(self.skipped),
-        }
+        return {**vars(self), "holds": bool(self.holds), "skipped": bool(self.skipped),
+                "margin": margin if math.isfinite(margin) else None}
 
 
 class _Ensembles(NamedTuple):
@@ -120,21 +104,61 @@ class _Maps(NamedTuple):
         return hermitianize(_k._adjoint(v) @ a @ v)
 
 
-def _order_report(name, tol, inputs, details, *comparisons):
-    """One report per case on ``lhs <= rhs`` in the Loewner order for every
-    ``(key, lhs, rhs)`` comparison of stacks over a group's cases, with the
-    margin of ``_worst``; ``inputs`` and ``details`` list each case's dicts,
-    and a keyed (not None) comparison adds its margin to a copy of details."""
-    verdicts = _loewner_verdicts([(lhs, rhs) for _, lhs, rhs in comparisons], tol)
+class _Gap(NamedTuple):
+    """A scalar result, holding at ``margin >= -slack``; an error e within
+    bound b is the gap -e of slack b, a gap that must be positive has slack
+    -ulp(0). An unscored gap votes but sets no margin."""
+
+    margin: float
+    slack: float
+    scored: bool = True
+
+
+_Verdict = NamedTuple("_Verdict", [("holds", bool), ("margin", float)])
+
+
+def _judged(r):
+    """A result's verdict: a solve's is its convergence, unscored (margin None)."""
+    if isinstance(r, _Gap):
+        return _Verdict(r.margin >= -r.slack, r.margin if r.scored else None)
+    return _Verdict(r.converged, None) if isinstance(r, bc.SolverReport) else r
+
+
+def _reports(name, tol, inputs, details, *comparisons, results=None, precondition=None):
+    """Check ``name``'s report on each case of a group: the one place a
+    ``CheckReport`` is built. ``inputs`` and ``details`` hold each case's
+    dict (or one for all), ``results`` each case's ``_judged`` results or
+    the error it raised. ``comparisons`` ``(key, lhs, rhs)`` and
+    ``precondition`` ``(reason, key, [(lhs, rhs), ...])`` hold stacks over
+    the cases; one ``_loewner_verdicts`` call judges every ``lhs <= rhs``.
+
+    An error fails a case at margin -inf; a failed precondition skips it at
+    the ``_worst`` of its margins, listed under ``key`` beside ``reason``.
+    Else a case holds when all its verdicts do, at the ``_worst`` scored
+    margin, each keyed comparison's margin in its details; with no verdict
+    it is skipped at -inf. A skipped case does not hold."""
+    reason, key, required = precondition or (None, None, [])
+    pairs = [*required, *(c[1:] for c in comparisons)]
+    verdicts = _loewner_verdicts(pairs, tol) if pairs else [[]] * len(results)
+    inputs, details = ([x] * len(verdicts) if isinstance(x, dict) else x for x in (inputs, details))
     reports = []
-    for case_inputs, case_details, results in zip(inputs, details, verdicts):
-        case_details = dict(case_details)
-        for (key, _, _), res in zip(comparisons, results):
-            if key is not None:
-                case_details[key] = res.margin
-        reports.append(CheckReport(check_name=name, holds=all(r.holds for r in results),
-                                   margin=_worst(results).margin, inputs=case_inputs,
-                                   details=case_details))
+    for case_inputs, case_details, case_results, judged in zip(
+            inputs, details, results or [()] * len(verdicts), verdicts):
+        needs, judged = judged[:len(required)], judged[len(required):]
+        case_details = {**case_details, **{k: r.margin for (k, _, _), r in zip(comparisons, judged)
+                                           if k is not None}}
+        holds, margin, skipped = False, -np.inf, False
+        if isinstance(error := next(iter(case_results), None), Exception):
+            case_details = {"error": f"{type(error).__name__}: {error}"}
+        elif not all(r.holds for r in needs):
+            margin, skipped = _worst(needs).margin, True
+            case_details = {"reason": reason, key: [r.margin for r in needs]}
+        elif judged := judged + [_judged(r) for r in case_results]:
+            holds = all(r.holds for r in judged)
+            margin = _worst([r for r in judged if r.margin is not None]).margin
+        else:
+            skipped = True
+        reports.append(CheckReport(name, holds, margin, case_inputs, case_details, skipped))
     return reports
 
 
@@ -197,21 +221,13 @@ def _fixed_point(tol, ensemble, solved):
     acc = _k.weighted_sum(ensemble.weights,
                           _k._congruence_root(hermitianize(root @ ensemble.matrices @ root)))
     fp_res = [frobenius(x - s) / frobenius(x) for x, s in zip(means, acc)]
-    return [
-        CheckReport(
-            check_name="fixed_point",
-            holds=r.converged and eq <= ToleranceConfig.residual_tol and fp <= 1e-9,
-            margin=-eq,
-            inputs={"dim": ensemble.dim, "count": ensemble.size},
-            details={
-                "equation_residual": eq,
-                "self_map_relative_residual": fp,
-                "iterations": r.iterations,
-                "converged": r.converged,
-            },
-        )
-        for r, eq, fp in zip(reports, eq_res, fp_res)
-    ]
+    details, results = zip(*[
+        ({"equation_residual": eq, "self_map_relative_residual": fp, "iterations": r.iterations,
+          "converged": r.converged},
+         [_Gap(-eq, ToleranceConfig.residual_tol), _Gap(-fp, 1e-9, scored=False), r])
+        for r, eq, fp in zip(reports, eq_res, fp_res)])
+    return _reports("fixed_point", tol, {"dim": ensemble.dim, "count": ensemble.size}, details,
+                    results=results)
 
 
 def _bounds(tol, ensemble, solved):
@@ -219,9 +235,9 @@ def _bounds(tol, ensemble, solved):
     mean = _means(solved)
     eye = np.eye(ensemble.dim, dtype=np.complex128)
     inv_mix = _k.weighted_sum(ensemble.weights, _k.spd_power(ensemble.matrices, -1.0))
-    return _order_report(
+    return _reports(
         "bounds", tol, [{"dim": ensemble.dim, "count": ensemble.size, "weights": w}
-                        for w in ensemble.weights.tolist()], [{}] * len(mean),
+                        for w in ensemble.weights.tolist()], {},
         ("lower_margin", hermitianize(2.0 * eye - inv_mix), mean),
         ("upper_margin", mean, _arithmetic(ensemble)),
     )
@@ -229,38 +245,37 @@ def _bounds(tol, ensemble, solved):
 
 def _log_det_gaps(top, ensemble):
     """Per case: log det(top) - sum_j w_j log det(A_j), and whether every A_j
-    equals A_1 within 1e-8 in Frobenius norm."""
+    equals A_1 within 1e-8 ||A_1|| in Frobenius norm."""
     rows = zip(_k.log_det(top).tolist(), ensemble.weights.tolist(),
                _k.log_det(ensemble.matrices).tolist(), ensemble.matrices)
-    return [(t - sum(wj * ld for wj, ld in zip(w, lds)),
-             all(frobenius(a - mats[0]) <= 1e-8 for a in mats[1:])) for t, w, lds, mats in rows]
+    return [(t - sum(wj * ld for wj, ld in zip(w, lds)), all(
+        frobenius(a - mats[0]) <= 1e-8 * frobenius(mats[0]) for a in mats[1:]))
+        for t, w, lds, mats in rows]
 
 
 def _det_inequality(tol, ensemble, solved):
     """Determinant gap of the mean X: log det(X) - sum_j w_j log det(A_j) >= 0,
-    with equality exactly on constant ensembles.
-
-    The equality flag is raised when the log gap is <= 1e-9 and cross-checked
-    against the matrices actually coinciding within 1e-8.
-    """
-    return [
-        CheckReport("det_inequality", gap >= -tol.loewner_tol, gap,
-                    {"dim": ensemble.dim, "count": ensemble.size, "weights": w},
-                    {"equality": gap <= 1e-9, "all_matrices_equal": same,
-                     "equality_condition_consistent": (gap <= 1e-9) == same})
-        for (gap, same), w in zip(_log_det_gaps(_means(solved), ensemble),
-                                  ensemble.weights.tolist())
-    ]
+    with equality exactly on constant ensembles: the equality flag (a log gap
+    <= 1e-9) is cross-checked against the matrices coinciding."""
+    gaps = _log_det_gaps(_means(solved), ensemble)
+    return _reports(
+        "det_inequality", tol, [{"dim": ensemble.dim, "count": ensemble.size, "weights": w}
+                                for w in ensemble.weights.tolist()],
+        [{"equality": gap <= 1e-9, "all_matrices_equal": same,
+          "equality_condition_consistent": (gap <= 1e-9) == same} for gap, same in gaps],
+        results=[[_Gap(gap, tol.loewner_tol)] for gap, _ in gaps],
+    )
 
 
 def _logdet_concavity(tol, ensemble):
     """log det of the ensemble's convex combination dominates the combination
     of its log dets, with equality exactly when all matrices coincide."""
-    return [
-        CheckReport("logdet_concavity", gap >= -tol.loewner_tol, gap, {"count": ensemble.size},
-                    {"equality": gap <= 1e-10, "all_matrices_equal": same})
-        for gap, same in _log_det_gaps(_arithmetic(ensemble), ensemble)
-    ]
+    gaps = _log_det_gaps(_arithmetic(ensemble), ensemble)
+    return _reports(
+        "logdet_concavity", tol, {"count": ensemble.size},
+        [{"equality": gap <= 1e-10, "all_matrices_equal": same} for gap, same in gaps],
+        results=[[_Gap(gap, tol.loewner_tol)] for gap, _ in gaps],
+    )
 
 
 def _phi_geometric_mean(tol, a, b, phi):
@@ -268,11 +283,9 @@ def _phi_geometric_mean(tol, a, b, phi):
     the compressions."""
     stack = np.stack([_k.geometric_mean(a, b), a, b], axis=1)
     lhs, phi_a, phi_b = phi.compress(stack).swapaxes(0, 1)
-    return _order_report(
-        "phi_geometric_mean", tol,
-        [{"source_dim": phi.source_dim, "target_dim": phi.target_dim}] * len(a),
-        [{"map_kind": phi.kind}] * len(a), (None, lhs, _k.geometric_mean(phi_a, phi_b)),
-    )
+    return _reports("phi_geometric_mean", tol, {"source_dim": phi.source_dim, "target_dim":
+                    phi.target_dim}, {"map_kind": phi.kind},
+                    (None, lhs, _k.geometric_mean(phi_a, phi_b)))
 
 
 def _phi_wass(tol, ensemble, phi, solved):
@@ -284,10 +297,9 @@ def _phi_wass(tol, ensemble, phi, solved):
     mix = _k.weighted_sum(ensemble.weights, phi.compress(ensemble.matrices))
     phi_mean, phi_mean_inv = phi.compress(
         np.stack([mean, _k.spd_power(mean, -1.0)], axis=1)).swapaxes(0, 1)
-    return _order_report(
-        "phi_wass", tol, [{"dim": ensemble.dim, "count": ensemble.size, "source_dim":
-                           phi.source_dim, "target_dim": phi.target_dim}] * len(mean),
-        [{"map_kind": phi.kind}] * len(mean),
+    return _reports(
+        "phi_wass", tol, {"dim": ensemble.dim, "count": ensemble.size, "source_dim":
+                          phi.source_dim, "target_dim": phi.target_dim}, {"map_kind": phi.kind},
         ("mean_side_margin", hermitianize(2.0 * eye_t - mix_inv), phi_mean),
         ("inverse_side_margin", hermitianize(2.0 * eye_t - mix), phi_mean_inv),
     )
@@ -297,38 +309,37 @@ def _self_duality_gap(tol, ensemble, solved, solved_inverses):
     """The mean of the inverses differs from the inverse of the mean: the
     check passes when the Frobenius gap exceeds the demonstration threshold."""
     inverse_of_mean = _k.spd_power(_means(solved), -1.0)
-    return [
-        CheckReport("self_duality_gap", gap > SELF_DUALITY_GAP, gap - SELF_DUALITY_GAP,
-                    {"dim": ensemble.dim, "count": ensemble.size},
-                    {"gap": gap, "threshold": SELF_DUALITY_GAP})
-        for gap in map(frobenius, _means(solved_inverses) - inverse_of_mean)
-    ]
+    gaps = list(map(frobenius, _means(solved_inverses) - inverse_of_mean))
+    return _reports(
+        "self_duality_gap", tol, {"dim": ensemble.dim, "count": ensemble.size},
+        [{"gap": gap, "threshold": SELF_DUALITY_GAP} for gap in gaps],
+        results=[[_Gap(gap - SELF_DUALITY_GAP, -math.ulp(0.0))] for gap in gaps],
+    )
 
 
 def _tensor_identity(tol, a, b, *solves):
     """Kronecker product of two means equals the mean of the Kronecker-pair
-    ensemble; margin is the negated relative Frobenius error."""
-    inputs = {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}
-    def report(case):
+    ensemble, to a relative Frobenius error."""
+    def case(outcomes):
         try:
-            mean_a, mean_b, mean_t = (_means([solved])[0] for solved in case)
+            mean_a, mean_b, mean_t = (_means([solved])[0] for solved in outcomes)
         except RuntimeError as exc:  # a solve of the case did not converge
-            return _error_report("tensor_identity", inputs, exc)
+            return {}, [exc]
         product = _k.kron(mean_a, mean_b)
         err = frobenius(product - mean_t) / frobenius(product)
-        return CheckReport("tensor_identity", err <= TENSOR_IDENTITY_RTOL, -err, inputs,
-                           {"relative_error": err, "tolerance": TENSOR_IDENTITY_RTOL})
+        return ({"relative_error": err, "tolerance": TENSOR_IDENTITY_RTOL},
+                [_Gap(-err, TENSOR_IDENTITY_RTOL)])
 
-    return list(map(report, zip(*solves)))
+    details, results = zip(*map(case, zip(*solves)))
+    return _reports("tensor_identity", tol, {"dims": [a.dim, b.dim], "counts": [a.size, b.size]},
+                    details, results=results)
 
 
 def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
     """Kronecker product of two means below the arithmetic mean of all
     Kronecker pairs, which by bilinearity is (sum w A) (x) (sum u B)."""
-    return _order_report(
-        "tensor_arithmetic_bound", tol,
-        [{"dims": [a.dim, b.dim], "counts": [a.size, b.size]}] * len(solved_a),
-        [{}] * len(solved_a),
+    return _reports(
+        "tensor_arithmetic_bound", tol, {"dims": [a.dim, b.dim], "counts": [a.size, b.size]}, {},
         (None, _k.kron(_means(solved_a), _means(solved_b)),
          _k.kron(_arithmetic(a), _arithmetic(b))),
     )
@@ -337,9 +348,8 @@ def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
 def _hadamard_arithmetic_bound(tol, a, b, solved_a, solved_b):
     """Hadamard product of two means below the arithmetic mean of all
     Hadamard pairs, which by bilinearity is (sum w A) o (sum u B)."""
-    return _order_report(
-        "hadamard_arithmetic_bound", tol,
-        [{"dim": a.dim, "counts": [a.size, b.size]}] * len(solved_a), [{}] * len(solved_a),
+    return _reports(
+        "hadamard_arithmetic_bound", tol, {"dim": a.dim, "counts": [a.size, b.size]}, {},
         (None, _means(solved_a) * _means(solved_b), _arithmetic(a) * _arithmetic(b)),
     )
 
@@ -350,10 +360,8 @@ def _commuting_quadruple(tol, ab, cd):
     (a, b), (c, d) = ab.swapaxes(0, 1), cd.swapaxes(0, 1)
     lhs = (a @ b + b @ a) * (c @ d + d @ c) - (a @ a + b @ b) * (c @ c + d @ d)
     rhs = 0.5 * (((a - b) @ (a - b)) * ((c - d) @ (c - d)))
-    return _order_report(
-        "commuting_quadruple", tol, [{"dim": a.shape[-1]}] * len(a), [{}] * len(a),
-        (None, hermitianize(lhs), hermitianize(rhs)),
-    )
+    return _reports("commuting_quadruple", tol, {"dim": a.shape[-1]}, {},
+                    (None, hermitianize(lhs), hermitianize(rhs)))
 
 
 def _hadamard_inverse(tol, a, b):
@@ -364,8 +372,8 @@ def _hadamard_inverse(tol, a, b):
     had_inv = _k.spd_power(_validated(a * b), -1.0)
     inv_had = np.multiply(*_k.spd_power(np.stack([a, b]), -1.0))
     constant = [k for k, _ in _kronecker_kantorovich(a[:, None], b[:, None])]
-    return _order_report(
-        "hadamard_inverse", tol, [{"dim": a.shape[-1]}] * len(a),
+    return _reports(
+        "hadamard_inverse", tol, {"dim": a.shape[-1]},
         [{"kantorovich_constant": k} for k in constant],
         ("lower_margin", had_inv, inv_had),
         ("upper_margin", inv_had, np.array(constant)[:, None, None] * had_inv),
@@ -393,8 +401,8 @@ def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     root = _k.spd_power(_validated(xy), 0.5)[:, None]
     weights, pairs = _pairs(a, b, np.multiply)
     rhs = _k.weighted_sum(weights, _k._congruence_root(hermitianize(root @ pairs @ root)))
-    return _order_report(
-        "kantorovich_hadamard", tol, [{"dim": a.dim, "counts": [a.size, b.size]}] * len(xy),
+    return _reports(
+        "kantorovich_hadamard", tol, {"dim": a.dim, "counts": [a.size, b.size]},
         [{"constant": c, "bounds": e} for c, (_, e) in zip(constant, constants)],
         (None, xy, np.array(constant)[:, None, None] * hermitianize(rhs)),
     )
@@ -416,7 +424,7 @@ def _jensen_contraction(tol, a, x, p):
     w, v = np.linalg.eigh(np.stack([_validated(hermitianize(xh @ a @ x)), a]))
     powers = [[r**q for r, q in zip(ws, p.tolist())] for ws in w]
     lhs, a_p = _k._from_spectrum(v, np.array(powers))
-    return _order_report(
+    return _reports(
         "jensen_contraction", tol, [{"dim": a.shape[-1], "p": q} for q in p.tolist()],
         [{"inverse_operator_norm": norm} for norm in inv_norm],
         (None, lhs, hermitianize(xh @ a_p @ x)),
@@ -424,29 +432,22 @@ def _jensen_contraction(tol, a, x, p):
 
 
 def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
-    """When both solved means dominate the identity, the weighted sum of
-    Hadamard-pair square roots dominates a Kantorovich-type multiple of I.
-
-    A case whose means fail that contraction precondition gets a skipped
-    report (not a failure).
-    """
+    """When both solved means dominate the identity (else the case is
+    skipped), the weighted sum of Hadamard-pair square roots dominates a
+    Kantorovich-type multiple of I."""
     x, y = _means(solved_a), _means(solved_b)
     eye = np.broadcast_to(np.eye(a.dim, dtype=np.complex128), x.shape)
     # 1/sqrt(K) = 2 sqrt(alpha beta gamma delta) / (alpha gamma + beta delta).
     constant = [1.0 / math.sqrt(k) for k, _ in _kronecker_kantorovich(a.matrices, b.matrices)]
     weights, pairs = _pairs(a, b, np.multiply)
     lhs = _k.weighted_sum(weights, _k.spd_power(pairs, 0.5))
-    inputs = {"dim": a.dim, "counts": [a.size, b.size]}
-    return [
-        CheckReport("sqrt_sum_lower_bound", r[2].holds, r[2].margin, inputs, {"constant": c})
-        if r[0].holds and r[1].holds else
-        CheckReport("sqrt_sum_lower_bound", False, _worst(r[:2]).margin, inputs,
-                    {"reason": "solved means do not dominate the identity",
-                     "mean_margins": [r[0].margin, r[1].margin]}, skipped=True)
-        for c, r in zip(constant, _loewner_verdicts(
-            [(eye, x), (eye, y), (np.array(constant)[:, None, None] * eye, hermitianize(lhs))], tol
-        ))
-    ]
+    return _reports(
+        "sqrt_sum_lower_bound", tol, {"dim": a.dim, "counts": [a.size, b.size]},
+        [{"constant": c} for c in constant],
+        (None, np.array(constant)[:, None, None] * eye, hermitianize(lhs)),
+        precondition=("solved means do not dominate the identity", "mean_margins",
+                      [(eye, x), (eye, y)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +510,9 @@ def _require_known(names, field=""):
 
 def check(name, *args, tol=None):
     """The report of check ``name`` on ``args``, named by its ``validate``,
-    under the ``ToleranceConfig`` ``tol`` (None: the default), which the
-    constant-bound ``fixed_point``, ``self_duality_gap`` and ``tensor_identity``
-    refuse. Wrong arguments are refused before its one ``wasserstein_means`` call."""
+    under the ``ToleranceConfig`` ``tol`` (None: the default), which a check
+    of a constant bound refuses. Wrong arguments are refused before its one
+    ``wasserstein_means`` call."""
     _require_known([name])
     entry = _CHECKS[name]
     params = inspect.signature(entry.validate).parameters
@@ -625,18 +626,14 @@ class SuitePlan:
 
 
 def _aggregate(name, plan, reports, extra_details):
-    """Fold per-instance reports into one per-check report: it holds when
-    every live (not skipped) report holds, and reports the ``_worst`` one;
-    with no live report it is skipped."""
+    """Fold per-instance reports into one per-check report: its results are
+    the live (not skipped) ones, its details the ``_worst`` one's."""
     live = [r for r in reports if not r.skipped]
     details = {"instances": len(reports), "skipped_instances": len(reports) - len(live)}
-    margin = -np.inf
     if live:
         worst = _worst(live)
-        margin = worst.margin
         details.update(worst_details=worst.details, worst_inputs=worst.inputs, **extra_details)
-    return CheckReport(name, bool(live) and all(r.holds for r in live), margin,
-                       plan.provenance(), details, skipped=not live)
+    return _reports(name, None, plan.provenance(), details, results=[live])[0]
 
 
 @dataclass(frozen=True)
@@ -645,15 +642,13 @@ class _Check:
 
     ``instances(plan)`` and ``equality_cases()`` declare the argument tuples
     of the generic instances and of the known equality cases, each argument
-    a request (``_Draw``, ``_Apply``), trusted, or a scalar.
-    ``solves(*args)`` lists the ensembles a built case needs solved, building
-    the derived ones (Kronecker pairs, inverses); by default every
-    ``Ensemble`` among the arguments. The core takes the tolerance and a
-    group of built cases and their solves' outcomes (``_evaluate``).
+    a request (``_Draw``, ``_Apply``), trusted, or a scalar. ``solves(*args)``
+    lists the ensembles a built case needs solved, building the derived ones
+    (Kronecker pairs, inverses); by default its ``Ensemble`` arguments.
     ``finish(report, generic, equality)`` adds check-specific verdicts to the
-    aggregate report.
-    ``validate`` (by default: one ``Ensemble``) names and validates the raw
-    arguments of ``check``; ``takes_tol`` is False where the bound is a constant.
+    aggregate report. ``validate`` (by default: one ``Ensemble``) names and
+    validates the raw arguments of ``check``; ``takes_tol`` is False where
+    the bound is a constant.
     """
 
     instances: Callable
@@ -898,12 +893,7 @@ def _per_check(state, plan, step):
         try:
             entry[1] = step(*entry)
         except Exception as exc:  # noqa: BLE001 - captured per report
-            entry[1] = _error_report(entry[0], plan.provenance(), exc)
-
-
-def _error_report(name, inputs, exc):
-    """The failing report of check ``name`` on ``inputs`` that raised ``exc``."""
-    return CheckReport(name, False, -np.inf, inputs, {"error": f"{type(exc).__name__}: {exc}"})
+            entry[1] = _reports(entry[0], None, plan.provenance(), {}, results=[[exc]])[0]
 
 
 def _declared(check, plan, draws):

@@ -12,11 +12,11 @@ rule has one implementation: ``_require_stack`` validates a stack in one
 vectorised pass, with ``require_hermitian``/``require_spd`` its one-matrix,
 ``require_spd_pair`` its pair and ``require_spd_stack`` its n-matrix case,
 each raw matrix converted by ``_as_array``, the package's one rule for what
-counts as a number (weights and file grids too); ``_loewner_verdicts`` judges
-comparisons of matrices the package computed, ``loewner_leq`` one raw pair;
-``require_positive`` checks every tolerance, iteration budget, size, count
-and spectrum edge, and ``_of_type`` refuses, by name, an argument that is
-not of the package type it expects.
+counts as a number (weights, file grids and, by ``_real``, scalars too);
+``_loewner_verdicts`` judges comparisons of matrices the package computed,
+``loewner_leq`` one raw pair; ``require_positive`` checks every tolerance,
+iteration budget, size, count and spectrum edge, and ``_of_type`` refuses,
+by name, an argument that is not of the package type it expects.
 ``_spectrum_clears_floor`` is the rule under which an ensemble of seeded
 generator output (``seeded``), positive definite by construction, is stored
 without validation: a spectrum range that clears the positive definite floor
@@ -25,7 +25,7 @@ with a round-off margin and leaves the norm finite.
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Number, Real
+from numbers import Integral, Number
 
 import numpy as np
 
@@ -49,16 +49,16 @@ def _of_type(value, kind, name):
 
 
 def _real(value, name, kind="a finite number", integer=False):
-    """The type rule for numeric arguments: ``value`` as a plain float, or
-    with ``integer`` a plain int, when it is a real number of that kind (a
-    bool or a string is none, and a number too large for a float is refused);
+    """The type rule for numeric arguments: ``value`` as a plain float when
+    it is one real entry of an array (``_refuse_non_numbers``), or with
+    ``integer`` as a plain int when it is an ``Integral`` (a bool is none);
     otherwise a ValueError starting ``name`` that says it expected ``kind``."""
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+    if isinstance(value, (list, tuple, np.ndarray)) or integer and not is_integer(value):
         raise ValueError(f"{name}: expected {kind}, got {value!r}")
-    try:
-        return int(value) if integer else float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
+    if integer:
+        return int(value)
+    _refuse_non_numbers(value, name, True, kind=kind)
+    return float(value)
 
 
 def require_positive(value, name, integer=False):
@@ -81,7 +81,7 @@ class ToleranceConfig:
     """Tolerances for Loewner comparisons and residual certificates.
 
     Loewner margins are compared against
-    ``loewner_tol * max(1, ||A||_F, ||B||_F)``, the one field.
+    ``loewner_tol * max(||A||_F, ||B||_F)``, the one field: no floor.
     ``residual_tol``, the bound on a solved mean's equation residual, is a
     class constant.
     """
@@ -93,7 +93,7 @@ class ToleranceConfig:
         object.__setattr__(self, "loewner_tol", require_positive(self.loewner_tol, "loewner_tol"))
 
     def loewner_scale(self, *mats):
-        return max(1.0, *(frobenius(m) for m in mats))
+        return max(frobenius(m) for m in mats)
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,11 @@ class LoewnerResult:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _refuse_non_numbers(value, name, real, exact=False):
+def _refuse_non_numbers(value, name, real, exact=False, kind=None):
     """Raise a ValueError naming ``name[i][j]`` for the first entry of ``value``
     (an array, nested lists and tuples, or one entry) that is a bool, is no
-    ``numbers.Number``, is complex with ``real`` or does not fit a float. A
+    ``numbers.Number``, is complex with ``real`` or does not fit a float; it
+    says it expected ``kind`` (by default, a number or a real number). A
     numeric dtype passes unwalked, a row of JSON numbers in one test (not when
     ``exact``: a search for an int too large for a float)."""
     if isinstance(value, np.ndarray):
@@ -125,13 +126,14 @@ def _refuse_non_numbers(value, name, real, exact=False):
                 _refuse_non_numbers(x, f"{name}[{i}]", real, exact)
         return
     if isinstance(value, bool) or not isinstance(value, Number):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
+        raise ValueError(f"{name}: expected {kind or 'a number'}, got {value!r}")
     if real and isinstance(value, (complex, np.complexfloating)):
-        raise ValueError(f"{name}: expected a real number, got {value!r}")
+        raise ValueError(f"{name}: expected {kind or 'a real number'}, got {value!r}")
     try:
         complex(value)
     except OverflowError:
-        raise ValueError(f"{name}: expected a number, got one too large for a float") from None
+        kind = kind or "a number"
+        raise ValueError(f"{name}: expected {kind}, got one too large for a float") from None
 
 
 def _as_array(a, name, ndim, real=False):
@@ -306,7 +308,7 @@ def _loewner_verdicts(comparisons, cfg=None):
     """Each case i's verdicts on lhs[i] <= rhs[i], in comparison order, for
     the ``(lhs, rhs)`` stacks of trusted Hermitian matrices of one shape of
     the ``comparisons``, from one ``eigvalsh`` of all slacks. A margin m holds
-    when m >= -loewner_tol * max(1, ||lhs||_F, ||rhs||_F); a slack with a
+    when m >= -loewner_tol * max(||lhs||_F, ||rhs||_F); a slack with a
     non-finite entry has the margin NaN, which fails."""
     if cfg is None:
         cfg = ToleranceConfig()

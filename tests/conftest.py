@@ -73,7 +73,7 @@ def reversed_bound_check(monkeypatch):
 
     def reversed_bounds(tol, e, solved):
         upper = hermitianize(_kernels.weighted_sum(e.weights, e.matrices))
-        return checks._order_report(
+        return checks._reports(
             "bounds", tol, [{"dim": e.dim, "count": e.size}] * len(solved), [{}] * len(solved),
             (None, upper, checks._means(solved)),
         )

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -63,6 +65,36 @@ def test_logdet_concavity_random_and_equality():
     assert eq.holds
     assert abs(eq.margin) <= 1e-10
     assert eq.details["equality"]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_log_det_equality_flag_is_relative_to_the_matrices(scale):
+    # Distinct matrices of norm about 1e-9 used to read as equal, since
+    # they were compared within an absolute 1e-8.
+    e = random_ensemble(3, 4, 7)
+    scaled = Ensemble(weights=e.weights, matrices=scale * e.matrices)
+    det = check("det_inequality", scaled)
+    assert det.details["all_matrices_equal"] is False
+    assert det.details["equality_condition_consistent"] is True
+    assert check("logdet_concavity", scaled).details["all_matrices_equal"] is False
+    constant = Ensemble(weights=[0.5, 0.5], matrices=[scaled.matrices[0]] * 2)
+    assert check("det_inequality", constant).details["all_matrices_equal"] is True
+    assert check("logdet_concavity", constant).details["all_matrices_equal"] is True
+
+
+def test_one_function_builds_every_check_report():
+    # Every verdict is decided where the report is built, so one builder
+    # keeps the rules for holds, margin and skipped in one place.
+    tree = ast.parse(inspect.getsource(checks_mod))
+    builders = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckReport"
+    }
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckReport"]
+    assert builders == {"_reports"} and len(calls) == 1
 
 
 def test_phi_geometric_mean_compressions():
@@ -825,7 +857,7 @@ def test_order_report_reports_the_failing_comparison_below_a_smaller_passing_mar
     # scale ~1.4e4, -1e-8 fails at scale 1 (loewner_tol 1e-9).
     eye = np.eye(2, dtype=complex)
     big = 1e4 * eye
-    (report,) = checks_mod._order_report(
+    (report,) = checks_mod._reports(
         "x", None, [{}], [{}],
         ("passing", [big + 1e-6 * eye], [big]), ("failing", [2e-8 * eye], [1e-8 * eye]),
     )
@@ -865,14 +897,14 @@ def test_stacked_order_report_equals_per_pair_loewner_leq_bitwise():
         assert {r.holds for r in singles} == {True, False}
         lhs, rhs = (np.stack(side) for side in zip(*pairs))
         assert [r for (r,) in _loewner_verdicts([(lhs, rhs)], tol)] == singles
-        (report,) = checks_mod._order_report(
+        (report,) = checks_mod._reports(
             "mixed", tol, [{}], [{}], *((f"k{i}", [a], [b]) for i, (a, b) in enumerate(pairs))
         )
         assert report.details == {f"k{i}": r.margin for i, r in enumerate(singles)}
         assert report.margin == min(r.margin for r in singles)
         assert report.holds is False
         # Each case of a group is judged on its own comparisons alone.
-        held, mixed = checks_mod._order_report(
+        held, mixed = checks_mod._reports(
             "held", tol, [{}] * 2, [{}] * 2, (None, lhs[[0, 2]], rhs[[0, 2]]),
             (None, lhs[[4, 1]], rhs[[4, 1]]),
         )
@@ -889,10 +921,10 @@ def test_order_report_fails_on_a_nan_slack(nan_at):
     bad = good.copy()
     bad[nan_at] = bad[nan_at[::-1]] = np.nan
     for lhs, rhs in ((bad, good), (good, bad)):
-        (report,) = checks_mod._order_report("x", None, [{}], [{}], ("k", [lhs], [rhs]))
+        (report,) = checks_mod._reports("x", None, [{}], [{}], ("k", [lhs], [rhs]))
         assert report.holds is False
         assert np.isnan(report.margin) and np.isnan(report.details["k"])
-        (paired,) = checks_mod._order_report(
+        (paired,) = checks_mod._reports(
             "x", None, [{}], [{}], (None, [good], [good]), (None, [lhs], [rhs])
         )
         assert paired.holds is False and np.isnan(paired.margin)

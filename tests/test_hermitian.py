@@ -152,6 +152,17 @@ def test_loewner_verdict_fails_a_negative_margin_at_an_overflowing_scale():
     assert ordered_pair.holds and ordered_pair.margin == 1e160
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9, 1e-12])
+def test_loewner_tolerance_has_no_absolute_floor(c):
+    # c I <= c/2 I is false at every scale. Under a tolerance of
+    # loewner_tol * max(1, ||A||_F, ||B||_F) its margin -c/2 passed below
+    # c = 2e-9, where the floor 1 made the tolerance an absolute 1e-9.
+    eye = np.eye(3)
+    refused = loewner_leq(c * eye, c / 2 * eye)
+    assert not refused.holds and refused.margin == -c / 2
+    assert loewner_leq(c / 2 * eye, c * eye).holds
+
+
 def test_log_det_identity_and_diag():
     assert _kernels.log_det(np.eye(4)) == pytest.approx(0.0, abs=1e-12)
     assert _kernels.log_det(np.diag([np.e, np.e**2])) == pytest.approx(3.0, rel=1e-12)

@@ -10,8 +10,14 @@ import pytest
 
 from wassmean.barycenter import Ensemble
 from wassmean.bures import bw_distance
-from wassmean.checks import check
-from wassmean.hermitian import require_spd, require_spd_pair, require_spd_stack
+from wassmean.checks import SuitePlan, check
+from wassmean.hermitian import (
+    _as_array,
+    require_positive,
+    require_spd,
+    require_spd_pair,
+    require_spd_stack,
+)
 from wassmean.io import ensemble_from_json_dict, matrix_from_json_dict
 from wassmean.means import validate_weights
 from wassmean.products import PositiveMapSpec
@@ -110,3 +116,34 @@ def test_a_bool_in_a_tall_isometry_is_named():
     with pytest.raises(ValueError) as info:
         PositiveMapSpec("isometry", [[1.0], [False]])
     assert str(info.value) == "isometry[1][0]: expected a number, got False"
+
+
+_HUGE = 10**400
+# Scalars an array takes as real entries, and scalars it refuses.
+_SCALARS = [0.5, 2, Decimal("0.5"), Fraction(1, 2), np.float32(0.5), np.int64(2), True,
+            np.True_, "0.5", 1j, np.complex128(0.5), None, _HUGE]
+
+
+@pytest.mark.parametrize("value", _SCALARS, ids=repr)
+def test_a_scalar_argument_is_a_number_exactly_when_an_array_entry_is(value):
+    # One rule: require_positive takes the real numbers that a real array
+    # takes as entries, and refuses the rest with its own message.
+    entry = _refusal(lambda: _as_array([value], "w", 1, real=True))
+    scalar = _refusal(lambda: require_positive(value, "tol"))
+    assert (entry is None) is (scalar is None)
+    if scalar is not None:
+        tail = "one too large for a float" if value is _HUGE else repr(value)
+        assert scalar == f"tol: expected a finite number, got {tail}"
+
+
+def test_a_decimal_tolerance_is_taken_as_a_float():
+    assert require_positive(Decimal("0.5"), "tol") == 0.5
+    assert type(require_positive(Fraction(1, 4), "tol")) is float
+    assert SuitePlan(tol=Decimal("1e-7")).tol == 1e-7
+
+
+@pytest.mark.parametrize("value", [2.0, Decimal(2), Fraction(2), np.float64(2), True, "2"],
+                         ids=repr)
+def test_an_integer_argument_still_requires_an_integral(value):
+    with pytest.raises(ValueError, match=r"^n: expected an integer, got "):
+        require_positive(value, "n", integer=True)

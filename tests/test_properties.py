@@ -15,7 +15,7 @@ invariant under A -> U A U*, and subject to the triangle inequality.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wassmean._kernels import _from_spectrum
@@ -23,6 +23,7 @@ from wassmean.barycenter import Ensemble, wasserstein_mean
 from wassmean.bures import bw_distance
 from wassmean.hermitian import (
     hermitianize,
+    loewner_leq,
     require_hermitian,
     require_spd,
 )
@@ -85,6 +86,31 @@ def test_validation_verdicts_do_not_change_under_power_of_two_scaling(directory,
     base = _verdicts(a, directory)
     assert len(set(base.values())) == 1, base
     assert _verdicts(2.0**k * a, directory) == base
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Hermitian A and B = A + D, m <= 4, D a Hermitian draw shifted by a
+    multiple of I, so that both verdicts of A <= B occur."""
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, d = (hermitianize(x + 1j * y) for x, y in rng.standard_normal((2, 2, m, m)))
+    return a, a + d + draw(st.floats(-3.0, 3.0)) * np.eye(m)
+
+
+@given(pair=hermitian_pairs(), k=st.integers(-60, 60))
+def test_loewner_verdict_and_relative_margin_do_not_change_under_power_of_two_scaling(pair, k):
+    # The tolerance is loewner_tol times the larger norm, with no absolute
+    # floor, so A <= B keeps its verdict at every scale. Margins within 1e-6
+    # of the threshold -loewner_tol * scale or of 0 are left out: there
+    # round-off decides.
+    a, b = pair
+    base = loewner_leq(a, b)
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    assume(abs(base.margin) > 1e-6 * scale)
+    scaled = loewner_leq(2.0**k * a, 2.0**k * b)
+    assert scaled.holds is base.holds
+    assert abs(scaled.margin * 2.0**-k - base.margin) <= 1e-12 * abs(base.margin)
 
 
 # ---------------------------------------------------------------------------

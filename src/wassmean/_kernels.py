@@ -1,6 +1,6 @@
 """Hot numeric kernels: spectral matrix functions, the two-variable geometric
-mean, the Bures-Wasserstein transport map and squared distance, and the
-barycenter fixed-point loop.
+mean, the Bures-Wasserstein transport map with the squared distance and the
+mean equation's residuals built on it, and the barycenter fixed-point loop.
 
 Every kernel works on stacks: an argument is one (m, m) matrix or an
 (n, m, m) stack, a second argument broadcasts against the first, and one
@@ -124,11 +124,15 @@ def bw_gap(a, b):
 
 
 def mean_equation_residual(x, mats, weights):
-    """Frobenius norm of I - sum_j w_j (A_j # x^{-1}), geometric means taken
-    directly (independent of the solver's congruence shortcut); one per x of a stack."""
-    xinv = spd_power(x, -1.0)
-    acc = weighted_sum(weights, geometric_mean(mats, xinv[..., None, :, :]))
-    return _fro(np.eye(x.shape[-1], dtype=np.complex128) - acc)
+    """(equation residual, self-map relative residual) of the mean equation per
+    x of a stack, through the transport maps T_j = A_j # x^{-1}, not the
+    solver's congruences. With x = L L*, N = sum_j w_j T_j L (``_transport``)
+    and L = x^{1/2} V for a unitary V: ||I - sum_j w_j T_j||_F = ||I - N L^{-1}||_F
+    and ||x - sum_j w_j (x^{1/2} A_j x^{1/2})^{1/2}||_F = ||L* (L - N)||_F."""
+    low, mid = _transport(x[..., None, :, :], mats)
+    up, acc = _adjoint(low[..., 0, :, :]), weighted_sum(weights, mid)
+    k = _adjoint(np.linalg.solve(up, _adjoint(acc)))
+    return _fro(np.eye(x.shape[-1]) - k), _fro(up @ (_adjoint(up) - acc)) / _fro(x)
 
 
 def wasserstein_solve(mats, weights, max_iter, tol):

@@ -24,12 +24,11 @@ per ensemble, its report or the error its solve raised. ``wasserstein_mean``
 is its one-ensemble case, so a batched report equals the single one bit for
 bit.
 
-The objective sum_j w_j d^2(x, A_j) and the residual are functions of a
-candidate x and the ensemble, not outputs of the solve: ``objective``
-weights ``_kernels.bw_gap``, the squared distance through the transport
-map, and ``residual`` is the certificate. A report holds what the solve
-computed: its best iterate, the iterations, its residual and whether it
-converged.
+The objective sum_j w_j d^2(x, A_j) and the residual, the certificate, are
+functions of a candidate x and the ensemble, not outputs of the solve; both
+go through the transport maps from x to the A_j (``_kernels._transport``).
+A report holds what the solve computed: its best iterate, the iterations,
+its residual and whether it converged.
 """
 
 from dataclasses import dataclass
@@ -208,10 +207,10 @@ def _require_candidate(x, ensemble):
 
 
 def residual(x, ensemble):
-    """||I - sum_j w_j (A_j # x^{-1})||_F, evaluated with direct geometric
-    means (a route independent of the solver's internal shortcut)."""
+    """||I - sum_j w_j (A_j # x^{-1})||_F, each A_j # x^{-1} the transport map
+    from x to A_j (a route independent of the solver's congruences)."""
     xm = _require_candidate(x, ensemble)
-    return float(_k.mean_equation_residual(xm, ensemble.matrices, ensemble.weights))
+    return float(_k.mean_equation_residual(xm, ensemble.matrices, ensemble.weights)[0])
 
 
 def objective(x, ensemble):

@@ -212,15 +212,11 @@ def _validated(stack):
 # ---------------------------------------------------------------------------
 
 def _fixed_point(tol, ensemble, solved):
-    """Both residual forms of the mean's defining equation at the solved mean."""
+    """Both residual forms of the mean equation at the solved mean, through the transport maps."""
     reports = [_report(s) for s in solved]
     # The solver's means are exactly Hermitian and positive definite.
-    means = np.array([r.mean for r in reports])
-    eq_res = _k.mean_equation_residual(means, ensemble.matrices, ensemble.weights).tolist()
-    root = _k.spd_power(means, 0.5)[:, None]
-    acc = _k.weighted_sum(ensemble.weights,
-                          _k._congruence_root(hermitianize(root @ ensemble.matrices @ root)))
-    fp_res = [frobenius(x - s) / frobenius(x) for x, s in zip(means, acc)]
+    eq_res, fp_res = (res.tolist() for res in _k.mean_equation_residual(
+        np.array([r.mean for r in reports]), ensemble.matrices, ensemble.weights))
     details, results = zip(*[
         ({"equation_residual": eq, "self_map_relative_residual": fp, "iterations": r.iterations,
           "converged": r.converged},

@@ -1,5 +1,7 @@
 """Weight validation, the two-variable geometric mean, the Kantorovich constant."""
 
+import math
+
 import numpy as np
 
 from . import _kernels as _k
@@ -38,9 +40,17 @@ def kantorovich(p, q):
     """Kantorovich constant (p+q)^2 / (4pq) for spectral bounds p <= q that
     meet ``require_positive``.
 
-    Equals (r+1)^2 / (4r) at r = q/p; 1 at r = 1, nondecreasing in r.
+    Equals (r+1)^2 / (4r) at r = q/p; 1 at r = 1, nondecreasing in r. Of
+    degree 0 in (p, q), it is evaluated with both scaled by the power of two
+    that puts q in [0.5, 1), so nothing overflows or underflows to 0 where
+    the value fits a float; where it does not, a ValueError says so.
     """
     p, q = require_positive(p, "p"), require_positive(q, "q")
     if p > q:
         raise ValueError(f"need p <= q, got p={p}, q={q}")
-    return (p + q) ** 2 / (4.0 * p * q)
+    scale = -math.frexp(q)[1]
+    ps, qs = math.ldexp(p, scale), math.ldexp(q, scale)
+    value = (ps + qs) ** 2 / (4.0 * ps * qs) if ps > 0.0 else math.inf
+    if value == math.inf:
+        raise ValueError(f"kantorovich constant of p={p}, q={q} exceeds the float range")
+    return value

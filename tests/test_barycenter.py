@@ -90,6 +90,29 @@ def test_residual_ranks_arithmetic_mean_behind_solution():
     assert residual(arith, e) > residual(report.mean, e)
 
 
+# Means of log-uniform ensembles, matrix j of case s drawn from seed
+# 1000 s + j, Dirichlet weights from default_rng(s). Against the 40-digit
+# residual, the transport route read 0.90-1.01x; the direct geometric means
+# it replaced read 35x, 47x, 116x and 11.5x, and the solver's own residual
+# under-reads the capped solve (0.21x).
+@pytest.mark.parametrize("m,n,lo,hi,dirichlet,s", [
+    (8, 6, 1e-3, 1e3, False, 0),
+    (8, 6, 1e-3, 1e3, False, 1),
+    (6, 5, 1e-4, 1e4, True, 0),
+    (4, 4, 1e-2, 1e2, True, 0),
+])
+def test_residual_matches_extended_precision_oracle(log_uniform, m, n, lo, hi, dirichlet, s):
+    pytest.importorskip("mpmath")
+    from _mp_oracle import mean_equation_residual
+
+    w = np.random.default_rng(s).dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    e = Ensemble(weights=w, matrices=[log_uniform(m, 1000 * s + j, lo, hi) for j in range(n)])
+    # A capped solve is certified at its best iterate, as a converged one is.
+    report = wasserstein_mean(e)
+    want = mean_equation_residual(report.mean, e.matrices, e.weights)
+    assert residual(report.mean, e) == pytest.approx(want, rel=0.25)
+
+
 @pytest.mark.parametrize("diagnostic", [residual, objective])
 def test_diagnostics_validate_the_candidate(diagnostic):
     e = _ensemble(5)

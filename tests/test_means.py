@@ -154,6 +154,16 @@ def test_kantorovich_refuses_an_infinite_bound_by_name():
         kantorovich(1.0, float("inf"))
 
 
+def test_kantorovich_is_scale_free_at_the_ends_of_the_float_range():
+    # 4pq underflowed to 0 (ZeroDivisionError) and (p + q)^2 overflowed
+    # (OverflowError) on these valid bounds.
+    assert kantorovich(1e-200, 1e-200) == 1.0
+    assert kantorovich(1e200, 1e200) == 1.0
+    assert kantorovich(1e-154, 1e154) == pytest.approx(2.5e307, rel=1e-15)
+    with pytest.raises(ValueError, match=r"^kantorovich constant of p=1e-170, q=1e\+170 exceeds"):
+        kantorovich(1e-170, 1e170)
+
+
 @pytest.mark.parametrize("weights,message", [
     (["0.5", "0.5"], "w[0]: expected a number, got '0.5'"),
     ([True, True], "w[0]: expected a number, got True"),

@@ -1,13 +1,15 @@
 """Seeded inputs, each described once, as its request: a ``_Draw`` (a Haar
 unitary, or a positive definite matrix of a spectrum range, from its own
-``default_rng(seed)`` stream) or an ``_Apply`` of a function to requests and
-constants. ``_build`` builds one request; the suite draws a whole window's
-requests in one ``_drawn`` call, with one batched QR and phase fold and one
-``_kernels._from_spectrum`` per dimension, so a batched input equals its lone
-generator's bit for bit. Each public generator checks its arguments and
+stream) or an ``_Apply`` of a function to requests and constants. ``_build``
+builds one request; the suite draws a whole window's requests in one
+``_drawn`` call, with one pass of uniforms, one batched QR and phase fold and
+one ``_kernels._from_spectrum`` per dimension, so a batched input equals its
+lone generator's bit for bit. Each public generator checks its arguments and
 returns ``_build`` of its request; a request is trusted. Generator output is
 positive definite by construction; ``hermitian._spectrum_clears_floor`` is
-the rule under which an ensemble of it is stored without validation.
+the rule under which an ensemble of it is stored without validation. Every
+draw reads ``_uniforms``, a counter-based stream with no state to build, keyed
+by the seed in its purpose's domain; outputs differ from wassmean 0.1.0's.
 """
 
 from collections.abc import Callable
@@ -19,6 +21,43 @@ from . import _kernels as _k
 from . import barycenter as bc
 from .hermitian import _real, require_positive
 from .products import PositiveMapSpec
+
+_MASK, _GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+# The key domains: a draw's Ginibre matrix then spectrum, commuting spectra, weights.
+_GINIBRE, _COMMUTING, _WEIGHTS = 1, 2, 3
+
+
+def _splitmix(z):
+    """SplitMix64's finalizer of z, a Python int below 2**64 or a uint64 array
+    (whose arithmetic wraps without warning)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def _key(purpose, seed):
+    """The stream key of a non-negative int seed in a purpose's domain: the
+    seed's 64-bit limbs, lowest first, folded through the mixer, so a seed of
+    any size keys its own stream and 2**64 does not alias 0."""
+    key = _splitmix(_splitmix(purpose) ^ seed & _MASK)
+    return _key(key, seed >> 64) if seed >> 64 else key
+
+
+def _uniforms(keys, count):
+    """(len(keys), count) uniforms in (0, 1]: number i of the stream of key k
+    is (top 53 bits of ``_splitmix(k + i gamma)`` + 1) / 2**53, a counter-based
+    generator (Salmon et al., SC 2011) on SplitMix64 (Steele et al., 2014)."""
+    i = np.arange(count, dtype=np.uint64) * _GAMMA
+    z = _splitmix(np.array(keys, dtype=np.uint64)[:, None] + i)
+    return ((z >> 11) + 1) * 2.0**-53
+
+
+def _normals(u):
+    """Box-Muller's standard normals r cos(t), then r sin(t), of the uniforms
+    (u1, u2), the last axis's halves: r = sqrt(-2 log u1), t = 2 pi u2."""
+    u1, u2 = np.split(u, 2, axis=-1)
+    r, t = np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(t), r * np.sin(t)], axis=-1)
 
 
 def _ginibre(z):
@@ -56,7 +95,7 @@ def _require_seed(seed, signed=False):
 
 
 class _Draw(NamedTuple):
-    """One draw of ``_seeded_draws``, from the stream ``default_rng(seed)``:
+    """One draw of ``_seeded_draws``, from the stream ``_key(_GINIBRE, seed)``:
     with no ``spectrum``, the Haar unitary of ``random_unitary``; with
     ``spectrum`` = (eig_lo, eig_hi), the matrix of ``random_spd``. Its fields
     are trusted: ``m`` a positive int and ``spectrum`` a range that
@@ -69,37 +108,33 @@ class _Draw(NamedTuple):
 
 def _seeded_draws(draws):
     """The array of each ``_Draw``, bit for bit what its lone generator
-    returns, with one batched QR and phase fold and one ``_from_spectrum``
-    for the ``random_spd`` draws per dimension. Each stream is drawn from in
-    the order of the lone generator: the Ginibre matrix, then the spectrum."""
+    returns, with one pass of uniforms, one batched QR and phase fold and one
+    ``_from_spectrum`` for the ``random_spd`` draws per dimension. A stream's
+    first 2 m^2 uniforms make the Ginibre matrix and its next m the spectrum."""
     groups = {}
     for i, d in enumerate(draws):
         groups.setdefault(d.m, []).append(i)
     out = [None] * len(draws)
     for m, rows in groups.items():
-        # One stream at a time: a window's hundreds of generators, all alive,
-        # would set the suite's memory peak.
-        normals, lam = np.empty((len(rows), 2, m, m)), {}
-        for j, i in enumerate(rows):
-            rng = np.random.default_rng(draws[i].seed)
-            normals[j] = rng.standard_normal((2, m, m))
-            if draws[i].spectrum is not None:
-                lam[j] = rng.uniform(*draws[i].spectrum, m)
-        units = _haar_unitaries(_ginibre(normals))
+        u = _uniforms([_key(_GINIBRE, draws[i].seed) for i in rows], 2 * m * m + m)
+        units = _haar_unitaries(_ginibre(_normals(u[:, : 2 * m * m]).reshape(-1, 2, m, m)))
         for j, i in enumerate(rows):
             out[i] = units[j]
-        if lam:
-            for j, a in zip(lam, _k._from_spectrum(units[list(lam)], np.stack(list(lam.values())))):
+        spd = [j for j, i in enumerate(rows) if draws[i].spectrum is not None]
+        if spd:
+            lo, hi = np.array([draws[rows[j]].spectrum for j in spd]).T[..., None]
+            lam = lo + (hi - lo) * u[spd, 2 * m * m :]
+            for j, a in zip(spd, _k._from_spectrum(units[spd], lam)):
                 out[rows[j]] = a
     return out
 
 
 def _commuting_stack(u, seed, count, eig_lo, eig_hi):
     """The (count, m, m) stack u diag(lambda_j) u* of the unitary u, with the
-    spectra lambda_j the rows of one (count, m) uniform draw in [eig_lo,
-    eig_hi] from ``default_rng(seed + 1)``."""
-    spectra = np.random.default_rng(seed + 1).uniform(eig_lo, eig_hi, (count, u.shape[0]))
-    return _k._from_spectrum(u, spectra)
+    spectra lambda_j the rows of count m uniforms in [eig_lo, eig_hi] from the
+    stream ``_key(_COMMUTING, seed)``."""
+    draws = _uniforms([_key(_COMMUTING, seed)], count * len(u)).reshape(count, -1)
+    return _k._from_spectrum(u, eig_lo + (eig_hi - eig_lo) * draws)
 
 
 class _Apply(NamedTuple):
@@ -143,8 +178,10 @@ def _build(request):
 
 
 def _mix(seed, salt):
-    # Distinct deterministic streams per (seed, salt) pair.
-    return (int(seed) * 1_000_003 + salt * 7919 + 12345) % (2**63)
+    # A non-negative stream seed per (seed, salt) pair, distinct for every
+    # int seed and for salts less than 1,000,003 apart.
+    z = 2 * int(seed)
+    return (z if z >= 0 else -z - 1) * 1_000_003 + salt * 7919 + 12345
 
 
 def _ensemble(m, n, seed, spectrum, commuting=False):
@@ -165,8 +202,7 @@ def _commuting(m, seed, count, spectrum):
 def _random_weights(n, seed):
     """Strictly positive normalized weights, deterministic per seed; trusted
     arguments only (a request's count and seed)."""
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, n)
+    w = 0.2 + 0.8 * _uniforms([_key(_WEIGHTS, seed)], n)[0]
     return w / w.sum()
 
 
@@ -203,8 +239,8 @@ def random_spd(m, seed, eig_lo, eig_hi):
 def random_commuting_spds(m, count, seed, eig_lo, eig_hi):
     """(count, m, m) stack of pairwise-commuting SPD matrices: one shared
     random eigenbasis, ``random_unitary(m, seed)``, and independent spectra
-    (the rows of one (count, m) uniform draw from ``default_rng(seed + 1)``).
-    Commutators vanish up to round-off."""
+    (the rows of count m uniforms from the seed's own commuting-spectra
+    stream). Commutators vanish up to round-off."""
     spectrum = _require_eig_range(eig_lo, eig_hi)
     count = require_positive(count, "count", integer=True)
     m = require_positive(m, "m", integer=True)

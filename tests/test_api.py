@@ -58,13 +58,14 @@ def test_star_import_binds_the_export_list():
     assert set(wassmean.__all__) <= set(namespace)
 
 
-def _loaded_after(code, *argv):
-    """The package modules that a fresh interpreter has loaded after running
-    ``code`` with ``sys.argv[1:]`` set to ``argv``; a non-zero exit fails."""
+def _loaded_after(code, *argv, package="wassmean"):
+    """The modules of ``package`` that a fresh interpreter has loaded after
+    running ``code`` with ``sys.argv[1:]`` set to ``argv``; a non-zero exit
+    fails."""
     probe = (
         "import json, sys\ntry:\n" + textwrap.indent(code, "    ") + "\n"
         "except SystemExit as exc:\n    if exc.code:\n        raise\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'wassmean')),"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r})),"
         " file=sys.stderr)\n"
     )
     done = subprocess.run([sys.executable, "-c", probe, *argv], cwd=ROOT, capture_output=True,
@@ -87,6 +88,21 @@ def test_the_mean_command_loads_neither_the_suite_nor_the_generators():
     )
     # runpy runs ``__main__.py`` as ``__main__``, not as wassmean.__main__.
     assert loaded == sorted(_GEOMETRY + ["wassmean.cli", "wassmean.io"])
+
+
+def test_the_suite_and_the_generators_never_load_numpy_random():
+    # Seeded draws come from ``seeded._uniforms``, a counter-based stream in
+    # plain numpy; loading numpy.random for them cost about 6 MB of memory.
+    code = (
+        "import os\nfrom wassmean import cli\nfrom wassmean.seeded import random_ensemble\n"
+        "assert cli.main(['verify', '--checks', 'all', '--seed-count', '2',"
+        " '--out', os.devnull]) == 0\n"
+        "assert cli.main(['generate', '--m', '3', '--n', '4', '--out', os.devnull]) == 0\n"
+        "random_ensemble(3, 4, 7)"
+    )
+    loaded = _loaded_after(code, package="numpy")
+    assert "numpy.linalg" in loaded
+    assert "numpy.random" not in loaded
 
 
 @pytest.mark.parametrize("name, module", [("run_suite", "checks"), ("random_spd", "seeded")])
@@ -267,8 +283,8 @@ def test_seeded_inputs_have_one_home():
     homes = {}
     for path in sorted((ROOT / "src" / "wassmean").glob("*.py")):
         text = path.read_text()
-        names = owned.findall(text) + re.findall(r"\bdefault_rng\b|\bnp\.random\b", text)
+        names = owned.findall(text) + re.findall(r"\b_uniforms\b|\bnp\.random\b", text)
         if names:
             homes[path.name] = set(names)
     assert list(homes) == ["seeded.py"]
-    assert {"_Draw", "_Apply", "_built", "default_rng", "random_ensemble"} <= homes["seeded.py"]
+    assert {"_Draw", "_Apply", "_built", "_uniforms", "random_ensemble"} <= homes["seeded.py"]

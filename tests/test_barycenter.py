@@ -308,13 +308,17 @@ def test_negative_congruence_eigenvalue_raises_breakdown(wide_spectrum_mats):
         wasserstein_mean(e)
 
 
-def test_batched_means_equal_single_solves(wide_spectrum_mats):
+def test_batched_means_equal_single_solves(wide_spectrum_mats, log_uniform):
     wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
     # At 12 iterations the 8x8 group holds a converged solve, the breakdown
-    # (at the last iterate) and a solve that runs out.
+    # (at the last iterate) and a solve that runs out: six log-uniform
+    # [1e-2, 1e2] matrices from the tests' own generator, whose mean takes
+    # 35 iterations.
+    slow = Ensemble(weights=np.full(6, 1.0 / 6.0),
+                    matrices=[log_uniform(8, 6 + j, 1e-2, 1e2) for j in range(6)])
     config = SolverConfig(max_iter=12)
     ensembles = [_ensemble(1), _ensemble(2, m=8, n=6), wide, _ensemble(3),
-                 _ensemble(4, n=2), _ensemble(7, m=8, n=6, lo=0.01, hi=100.0)]
+                 _ensemble(4, n=2), slow]
     reports = wasserstein_means(ensembles, config)
     assert isinstance(reports[2], SolverBreakdownError)
     for e, got in zip(ensembles, reports):

@@ -874,9 +874,10 @@ def test_default_plan_covers_registry_except_hook():
 
 def _slack_pairs():
     # Holding, failing, exactly tight and slightly-negative-within-tolerance
-    # comparisons of one shape.
+    # comparisons of one shape. b is a plus a positive definite matrix, so
+    # a <= b holds and b <= a fails whatever the seeded draws.
     a = random_spd(3, seed=1100, eig_lo=0.5, eig_hi=2.0)
-    b = random_spd(3, seed=1101, eig_lo=0.5, eig_hi=2.0)
+    b = a + random_spd(3, seed=1101, eig_lo=0.1, eig_hi=0.5)
     eye = np.eye(3, dtype=complex)
     return [
         (a, a + 0.5 * eye),

@@ -17,10 +17,15 @@ from wassmean.hermitian import (
     require_spd_stack,
 )
 from wassmean.seeded import (
+    _COMMUTING,
+    _GINIBRE,
     _Draw,
     _ginibre,
     _haar_unitaries,
+    _key,
+    _normals,
     _seeded_draws,
+    _uniforms,
     random_commuting_spds,
     random_spd,
     random_unitary,
@@ -195,15 +200,17 @@ def test_random_spd_respects_spectrum_range():
 
 
 def _reference_spd(m, seed, eig_lo, eig_hi):
-    # One matrix at a time: two normal draws, the QR of the Ginibre matrix with
-    # its R-diagonal phases folded in, then the uniform spectrum.
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(g)
+    # One matrix at a time from its own stream: the Box-Muller normals of its
+    # first 2 m^2 uniforms as the real, then imaginary parts of the Ginibre
+    # matrix, whose QR with the R-diagonal phases folded in is the eigenbasis;
+    # then the uniform spectrum from the next m.
+    u = _uniforms([_key(_GINIBRE, seed)], 2 * m * m + m)[0]
+    z = _normals(u[: 2 * m * m])
+    q, r = np.linalg.qr(z[: m * m].reshape(m, m) + 1j * z[m * m :].reshape(m, m))
     d = np.diagonal(r)
-    u = q * (d / np.abs(d))
-    lam = rng.uniform(eig_lo, eig_hi, m)
-    return hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T))
+    v = q * (d / np.abs(d))
+    lam = eig_lo + (eig_hi - eig_lo) * u[2 * m * m :]
+    return hermitianize(np.ascontiguousarray((v * lam) @ v.conj().T))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
@@ -261,13 +268,13 @@ def test_random_spd_refuses_each_bad_spectrum_edge_by_name():
 
 
 def _reference_commuting_spds(m, count, seed, eig_lo, eig_hi):
-    # One matrix at a time: each spectrum its own draw of m uniforms from the
-    # stream after the shared eigenbasis's seed.
+    # One matrix at a time: each spectrum the next m uniforms of the seed's
+    # commuting-spectra stream, the eigenbasis the seed's unitary.
     u = random_unitary(m, seed)
-    rng = np.random.default_rng(seed + 1)
+    draws = _uniforms([_key(_COMMUTING, seed)], count * m)[0]
     out = []
-    for _ in range(count):
-        lam = rng.uniform(eig_lo, eig_hi, m)
+    for j in range(count):
+        lam = eig_lo + (eig_hi - eig_lo) * draws[j * m : (j + 1) * m]
         out.append(hermitianize(np.ascontiguousarray((u * lam) @ u.conj().T)))
     return out
 

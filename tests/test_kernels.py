@@ -238,9 +238,12 @@ def _assert_batch_matches_singles(mats, weights, max_iter):
     return batch[3]
 
 
-# Well to badly conditioned 3x3 ensembles of four: at max_iter 6 the first
-# three converge on the last iterate allowed and the other two run out.
-MIXED_SPECTRA = ((0.5, 2.0, 0), (0.05, 20.0, 1), (0.5, 2.0, 2), (1e-3, 1e3, 3), (0.2, 5.0, 4))
+# Well and badly conditioned log-uniform 3x3 ensembles of four, drawn by the
+# tests' own generator so that no change to the package's seeding moves them:
+# the first three converge after 6, 5 and 6 iterations, the other two after
+# 15 each. At max_iter 6 two solves converge on the last iterate allowed and
+# the last two run out.
+MIXED_SPECTRA = ((0.5, 2.0, 0), (0.5, 2.0, 1), (0.5, 2.0, 2), (1e-2, 1e2, 3), (1e-2, 1e2, 4))
 
 
 @pytest.mark.parametrize("max_iter,statuses", [
@@ -248,9 +251,9 @@ MIXED_SPECTRA = ((0.5, 2.0, 0), (0.05, 20.0, 1), (0.5, 2.0, 2), (1e-3, 1e3, 3), 
     (6, [k.SOLVE_CONVERGED] * 3 + [k.SOLVE_MAX_ITER] * 2),
     (3, [k.SOLVE_MAX_ITER] * 5),
 ])
-def test_batched_solver_equals_single_solves_bitwise(max_iter, statuses):
+def test_batched_solver_equals_single_solves_bitwise(log_uniform, max_iter, statuses):
     mats = np.stack([
-        _stack(range(100 * seed, 100 * seed + 4), lo=lo, hi=hi)
+        np.stack([log_uniform(3, 100 * seed + j, lo, hi) for j in range(4)])
         for lo, hi, seed in MIXED_SPECTRA
     ])
     weights = np.stack([_case(3, 4, 0.5, 2.0, seed)[1] for seed in range(5)])

@@ -22,6 +22,9 @@ from wassmean.hermitian import (
     require_spd_stack,
 )
 from wassmean.seeded import (
+    _COMMUTING,
+    _GINIBRE,
+    _WEIGHTS,
     _Apply,
     _built,
     _commuting_stack,
@@ -29,9 +32,12 @@ from wassmean.seeded import (
     _drawn,
     _draws_of,
     _ensemble,
+    _key,
     _mix,
+    _normals,
     _random_weights,
     _seeded_draws,
+    _uniforms,
     random_commuting_spds,
     random_ensemble,
     random_isometry_map,
@@ -41,11 +47,11 @@ from wassmean.seeded import (
 
 
 def _reference_unitary(m, seed):
-    # The Haar draw alone: the QR of a complex Ginibre matrix, R's diagonal
+    # The Haar draw alone: the QR of the complex Ginibre matrix of the Box-
+    # Muller normals of the stream's first 2 m^2 uniforms, R's diagonal
     # phases folded into Q.
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(g)
+    z = _normals(_uniforms([_key(_GINIBRE, seed)], 2 * m * m)[0])
+    q, r = np.linalg.qr(z[: m * m].reshape(m, m) + 1j * z[m * m :].reshape(m, m))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -77,17 +83,15 @@ def _digest(a):
 
 
 # SHA-256 prefixes of each public generator's output on fixed seeds, recorded
-# before the draw requests were reduced to one matrix per stream; those of
-# random_isometry_map and _random_weights (then the public random_weights)
-# before they moved to ``seeded``.
+# when the draws moved to the counter-based stream of ``seeded._uniforms``.
 GENERATOR_DIGESTS = {
-    "random_unitary": "022f190b5bb2940b",
-    "random_spd": "e8e10b9af685f0b7",
-    "random_commuting_spds": "5051e149fe6e9f07",
-    "random_ensemble": "c1b392f270295ab7",
-    "random_ensemble_commuting": "f5fd5afbb5f1fd05",
-    "random_isometry_map": "899a59a49d252e40",
-    "_random_weights": "ce3ae58d2b633034",
+    "random_unitary": "e304f936d76fe017",
+    "random_spd": "931fc2150b21cb68",
+    "random_commuting_spds": "cefd21aa800bcfa5",
+    "random_ensemble": "ce5c250624f48c90",
+    "random_ensemble_commuting": "bc45b39f57af2a84",
+    "random_isometry_map": "0ae7ff9c4e463506",
+    "_random_weights": "184d1059546c28cf",
 }
 
 
@@ -140,6 +144,56 @@ def test_generators_take_integer_seeds_of_any_integer_type():
         else:
             with pytest.raises(ValueError, match=r"^seed: must be non-negative, got -1$"):
                 draw(-1)
+
+
+@pytest.mark.parametrize("name", _SEEDED)
+def test_a_seed_of_any_size_keys_its_own_stream(name):
+    # A seed past 2**64 does not fit a uint64: its limbs are folded into the
+    # key, so it draws, and 2**64 does not alias 0 (nor 2**63, random_ensemble's
+    # old modulus).
+    seeds = (0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**70, 2**128)
+    digests = {_digest(_SEEDED[name](seed)) for seed in seeds}
+    assert len(digests) == len(seeds)
+
+
+def test_no_two_purposes_read_the_same_numbers():
+    # The Ginibre matrix and spectrum of a draw, the spectra of a commuting
+    # stack and ensemble weights key their streams in separate domains: among
+    # the first 64 numbers of each stream of seeds 0-299, none repeats. On
+    # numpy's streams the commuting spectra of seed s read the stream of
+    # random_spd(m, s + 1), and weights of seed s the same uniforms as the
+    # spectra of a 1 x 1 commuting stack of seed s - 1.
+    raw = _uniforms([_key(p, s) for p in (_GINIBRE, _COMMUTING, _WEIGHTS) for s in range(300)], 64)
+    assert np.unique(raw).size == raw.size
+    for seed in range(1, 20):
+        w = _random_weights(6, seed)
+        lam = random_commuting_spds(1, 6, seed - 1, 0.2, 1.0).ravel().real
+        assert not np.allclose(w / w[0], lam / lam[0])
+
+
+def test_seeded_draws_have_their_laws():
+    # Uniforms lie in (0, 1]; Box-Muller normals have mean 0 and variance 1
+    # within 5 standard errors over 2e5 draws; unitaries are unitary; spectra
+    # lie in their range, up to the eigensolver's round-off; weights are
+    # positive and sum to 1.
+    u = _uniforms([_key(_GINIBRE, 0)], 200_000)
+    assert u.min() > 0.0 and u.max() <= 1.0
+    assert abs(u.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / u.size)
+    z = _normals(u)
+    assert abs(z.mean()) <= 5 * math.sqrt(1 / z.size)
+    assert abs(z.var() - 1.0) <= 5 * math.sqrt(2 / z.size)
+    for m in range(1, 9):
+        for seed in range(5):
+            q = random_unitary(m, seed)
+            assert np.abs(q.conj().T @ q - np.eye(m)).max() <= 1e-13
+    for lo, hi in ((0.5, 2.0), (1.0, 3.0), (1e-3, 1e3)):
+        spds = np.stack([random_spd(4, seed, lo, hi) for seed in range(50)])
+        for mats in (spds, random_commuting_spds(4, 50, 3, lo, hi)):
+            eigs = np.linalg.eigvalsh(mats)
+            assert eigs.min() >= lo - 1e-13 * hi and eigs.max() <= hi * (1 + 1e-13)
+    for n in (1, 2, 7, 100):
+        w = _random_weights(n, n)
+        assert w.min() > 0.0 and abs(w.sum() - 1.0) <= 1e-15 * n
 
 
 def _tally_calls(monkeypatch, module, attr, tally):

@@ -1,24 +1,15 @@
 """Machine verification of the mean's order, determinant, positive-map,
 tensor-product and Hadamard-product properties.
 
-Each check evaluates one inequality or identity on concrete inputs to a
-:class:`CheckReport`, which one builder, ``_reports``, makes and judges from
-the case's Loewner comparisons, scalar gaps, precondition, solves and error.
-
-A check is one entry of ``_CHECKS`` and one private core ``_<name>``: it
+A check is one entry of ``_CHECKS`` and one private core ``_<name>``, which
 evaluates a group of cases of one argument shape, stacked (``_evaluate``),
-to one report per case, and each report is bit for bit the case's alone
-(batched LAPACK, ``matmul`` and elementwise operations; order-changing
-reductions stay per case); ``check`` evaluates a group of one. The core
-trusts its inputs; a derived matrix that the positive definite floor could
-still reject (a Schur product, a congruence) keeps its one validation. The
-Hadamard checks follow from the Kronecker pairs through Ando's compression
-Z*(A (x) B)Z = A o B, each Kantorovich-type constant from the pairs' one K.
-
-``run_suite`` runs the cores on seeded random instances and on the known
-equality cases, which each entry of ``_CHECKS`` declares as data: requests
-in the vocabulary of ``seeded`` (``_Draw``, ``_Apply``), which defines and
-draws them; see there.
+to one :class:`CheckReport` per case, bit for bit the case's alone; one
+builder, ``_reports``, makes and judges every report. The core trusts its
+inputs; a derived matrix that the positive definite floor could still
+reject (a Schur product, a congruence) keeps its one validation. ``check``
+evaluates a group of one; ``run_suite`` runs the cores on seeded instances
+and on the known equality cases, which each entry declares as requests of
+``seeded`` (``_Draw``, ``_Apply``).
 """
 
 import inspect
@@ -74,10 +65,18 @@ class CheckReport:
     skipped: bool = False
 
     def to_json_dict(self):
-        # JSON has no Infinity or NaN, so an error report's -inf margin is null.
-        margin = float(self.margin)
-        return {**vars(self), "holds": bool(self.holds), "skipped": bool(self.skipped),
-                "margin": margin if math.isfinite(margin) else None}
+        # JSON has no Infinity or NaN: a non-finite number anywhere is null.
+        return _finite_or_null({**vars(self), "holds": bool(self.holds),
+                                "skipped": bool(self.skipped), "margin": float(self.margin)})
+
+
+def _finite_or_null(value):
+    """``value`` with each non-finite float in its dicts and lists made None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_finite_or_null, value))
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 class _Ensembles(NamedTuple):
@@ -98,42 +97,33 @@ class _Maps(NamedTuple):
     target_dim = property(lambda self: self.isometry.shape[-1])
 
     def compress(self, a):
-        """V* A V for each matrix A of each case's stack of an (S, n, s, s)
-        stack, by that case's isometry V, without validation."""
+        """V* A V for each A of each case's stack, by its isometry V, unvalidated."""
         v = self.isometry[:, None]
         return hermitianize(_k._adjoint(v) @ a @ v)
-
-
-class _Gap(NamedTuple):
-    """A scalar result, holding at ``margin >= -slack``; an error e within
-    bound b is the gap -e of slack b, a gap that must be positive has slack
-    -ulp(0). An unscored gap votes but sets no margin."""
-
-    margin: float
-    slack: float
-    scored: bool = True
 
 
 _Verdict = NamedTuple("_Verdict", [("holds", bool), ("margin", float)])
 
 
-def _judged(r):
-    """A result's verdict: a solve's is its convergence, unscored (margin None)."""
-    if isinstance(r, _Gap):
-        return _Verdict(r.margin >= -r.slack, r.margin if r.scored else None)
-    return _Verdict(r.converged, None) if isinstance(r, bc.SolverReport) else r
+def _gap(margin, slack, scored=True):
+    """A scalar result's verdict, holding at ``margin >= -slack``; an error e
+    within bound b is the gap -e of slack b, a gap that must be positive has
+    slack -ulp(0). An unscored gap votes but sets no margin (None)."""
+    return _Verdict(margin >= -slack, margin if scored else None)
 
 
 def _reports(name, tol, inputs, details, *comparisons, results=None, precondition=None):
     """Check ``name``'s report on each case of a group: the one place a
     ``CheckReport`` is built. ``inputs`` and ``details`` hold each case's
-    dict (or one for all), ``results`` each case's ``_judged`` results or
-    the error it raised. ``comparisons`` ``(key, lhs, rhs)`` and
-    ``precondition`` ``(reason, key, [(lhs, rhs), ...])`` hold stacks over
-    the cases; one ``_loewner_verdicts`` call judges every ``lhs <= rhs``.
+    dict (or one for all), ``results`` each case's verdicts (``_Verdict``s,
+    or the reports ``_aggregate`` folds) or the error it raised.
+    ``comparisons`` ``(key, lhs, rhs)`` and ``precondition`` ``(reason, key,
+    [(lhs, rhs), ...])`` hold stacks over the cases; one ``_loewner_verdicts``
+    call judges every ``lhs <= rhs``.
 
-    An error fails a case at margin -inf; a failed precondition skips it at
-    the ``_worst`` of its margins, listed under ``key`` beside ``reason``.
+    An error fails a case at margin -inf, its details only ``error`` = "Type:
+    message"; a failed precondition skips it at the ``_worst`` of its
+    margins, listed under ``key`` beside ``reason``.
     Else a case holds when all its verdicts do, at the ``_worst`` scored
     margin, each keyed comparison's margin in its details; with no verdict
     it is skipped at -inf. A skipped case does not hold."""
@@ -153,7 +143,7 @@ def _reports(name, tol, inputs, details, *comparisons, results=None, preconditio
         elif not all(r.holds for r in needs):
             margin, skipped = _worst(needs).margin, True
             case_details = {"reason": reason, key: [r.margin for r in needs]}
-        elif judged := judged + [_judged(r) for r in case_results]:
+        elif judged := judged + list(case_results):
             holds = all(r.holds for r in judged)
             margin = _worst([r for r in judged if r.margin is not None]).margin
         else:
@@ -220,7 +210,8 @@ def _fixed_point(tol, ensemble, solved):
     details, results = zip(*[
         ({"equation_residual": eq, "self_map_relative_residual": fp, "iterations": r.iterations,
           "converged": r.converged},
-         [_Gap(-eq, ToleranceConfig.residual_tol), _Gap(-fp, 1e-9, scored=False), r])
+         [_gap(-eq, ToleranceConfig.residual_tol), _gap(-fp, 1e-9, scored=False),
+          _Verdict(r.converged, None)])
         for r, eq, fp in zip(reports, eq_res, fp_res)])
     return _reports("fixed_point", tol, {"dim": ensemble.dim, "count": ensemble.size}, details,
                     results=results)
@@ -259,7 +250,7 @@ def _det_inequality(tol, ensemble, solved):
                                 for w in ensemble.weights.tolist()],
         [{"equality": gap <= 1e-9, "all_matrices_equal": same,
           "equality_condition_consistent": (gap <= 1e-9) == same} for gap, same in gaps],
-        results=[[_Gap(gap, tol.loewner_tol)] for gap, _ in gaps],
+        results=[[_gap(gap, tol.loewner_tol)] for gap, _ in gaps],
     )
 
 
@@ -270,7 +261,7 @@ def _logdet_concavity(tol, ensemble):
     return _reports(
         "logdet_concavity", tol, {"count": ensemble.size},
         [{"equality": gap <= 1e-10, "all_matrices_equal": same} for gap, same in gaps],
-        results=[[_Gap(gap, tol.loewner_tol)] for gap, _ in gaps],
+        results=[[_gap(gap, tol.loewner_tol)] for gap, _ in gaps],
     )
 
 
@@ -286,7 +277,8 @@ def _phi_geometric_mean(tol, a, b, phi):
 
 def _phi_wass(tol, ensemble, phi, solved):
     """Unital compressions of the mean and of its inverse both dominate
-    2I minus the compressed arithmetic mean of the inverses / originals."""
+    2I minus the compressed arithmetic mean of the inverses / originals.
+    No wrong mean of ``tests/test_mutants.py`` refutes it on the default plan."""
     eye_t = np.eye(phi.target_dim, dtype=np.complex128)
     mean = _means(solved)
     mix_inv = _k.weighted_sum(ensemble.weights, phi.compress(_k.spd_power(ensemble.matrices, -1.0)))
@@ -309,26 +301,19 @@ def _self_duality_gap(tol, ensemble, solved, solved_inverses):
     return _reports(
         "self_duality_gap", tol, {"dim": ensemble.dim, "count": ensemble.size},
         [{"gap": gap, "threshold": SELF_DUALITY_GAP} for gap in gaps],
-        results=[[_Gap(gap - SELF_DUALITY_GAP, -math.ulp(0.0))] for gap in gaps],
+        results=[[_gap(gap - SELF_DUALITY_GAP, -math.ulp(0.0))] for gap in gaps],
     )
 
 
-def _tensor_identity(tol, a, b, *solves):
+def _tensor_identity(tol, a, b, solved_a, solved_b, solved_t):
     """Kronecker product of two means equals the mean of the Kronecker-pair
-    ensemble, to a relative Frobenius error."""
-    def case(outcomes):
-        try:
-            mean_a, mean_b, mean_t = (_means([solved])[0] for solved in outcomes)
-        except RuntimeError as exc:  # a solve of the case did not converge
-            return {}, [exc]
-        product = _k.kron(mean_a, mean_b)
-        err = frobenius(product - mean_t) / frobenius(product)
-        return ({"relative_error": err, "tolerance": TENSOR_IDENTITY_RTOL},
-                [_Gap(-err, TENSOR_IDENTITY_RTOL)])
-
-    details, results = zip(*map(case, zip(*solves)))
+    ensemble, to a relative Frobenius error (a norm per case); an unconverged
+    solve raises, as in every check."""
+    products = _k.kron(_means(solved_a), _means(solved_b))
+    errors = [frobenius(p - t) / frobenius(p) for p, t in zip(products, _means(solved_t))]
     return _reports("tensor_identity", tol, {"dims": [a.dim, b.dim], "counts": [a.size, b.size]},
-                    details, results=results)
+                    [{"relative_error": e, "tolerance": TENSOR_IDENTITY_RTOL} for e in errors],
+                    results=[[_gap(-e, TENSOR_IDENTITY_RTOL)] for e in errors])
 
 
 def _tensor_arithmetic_bound(tol, a, b, solved_a, solved_b):
@@ -404,15 +389,16 @@ def _kantorovich_hadamard(tol, a, b, solved_a, solved_b):
     )
 
 
+def _inverse_norms(x):
+    """||x^-1||_op of each matrix of a stack; a singular x has no inverse: inf."""
+    return [1.0 / s if s > 0 else math.inf
+            for s in np.linalg.svd(x, compute_uv=False)[:, -1].tolist()]
+
+
 def _jensen_contraction(tol, a, x, p):
     """(x* a x)^p <= x* a^p x for 0 <= p <= 1 when the inverse of x is a
-    contraction."""
-    # A singular x has no inverse, so none that is a contraction.
-    inv_norm = [1.0 / s if s > 0 else math.inf
-                for s in np.linalg.svd(x, compute_uv=False)[:, -1].tolist()]
-    for norm in inv_norm:
-        if norm > 1.0 + 1e-12:
-            raise ValueError(f"inverse is not a contraction: ||x^-1||_op = {norm:.6f} > 1")
+    contraction, which ``_spd_factor_power`` requires of ``check``'s x."""
+    inv_norm = _inverse_norms(x)
     xh = _k._adjoint(x)
     # The congruence x* a x is validated as the power's argument. Each case's
     # spectra are raised to its own p as a Python float, as ``spd_power``
@@ -430,7 +416,8 @@ def _jensen_contraction(tol, a, x, p):
 def _sqrt_sum_lower_bound(tol, a, b, solved_a, solved_b):
     """When both solved means dominate the identity (else the case is
     skipped), the weighted sum of Hadamard-pair square roots dominates a
-    Kantorovich-type multiple of I."""
+    Kantorovich-type multiple of I. No wrong mean of ``tests/test_mutants.py``
+    refutes it on the default plan: only the precondition reads the means."""
     x, y = _means(solved_a), _means(solved_b)
     eye = np.broadcast_to(np.eye(a.dim, dtype=np.complex128), x.shape)
     # 1/sqrt(K) = 2 sqrt(alpha beta gamma delta) / (alpha gamma + beta delta).
@@ -494,6 +481,8 @@ def _spd_factor_power(a, x, p):
     if xm.shape != am.shape:
         m = len(am)
         raise ValueError(f"x: expected a {m}x{m} matrix, the dimension of a, got shape {xm.shape}")
+    if (norm := _inverse_norms(xm[None])[0]) > 1.0 + 1e-12:
+        raise ValueError(f"inverse is not a contraction: ||x^-1||_op = {norm:.6f} > 1")
     return am, xm, power
 
 
@@ -507,8 +496,9 @@ def _require_known(names, field=""):
 def check(name, *args, tol=None):
     """The report of check ``name`` on ``args``, named by its ``validate``,
     under the ``ToleranceConfig`` ``tol`` (None: the default), which a check
-    of a constant bound refuses. Wrong arguments are refused before its one
-    ``wasserstein_means`` call."""
+    of a constant bound refuses. Wrong arguments raise before its one
+    ``wasserstein_means`` call; after that nothing raises: a solve that broke
+    down or did not converge gives the error report of ``_evaluate``."""
     _require_known([name])
     entry = _CHECKS[name]
     params = inspect.signature(entry.validate).parameters
@@ -525,8 +515,9 @@ def _evaluate(name, tol, cases):
     """The reports of the core ``_<name>``, looked up at call time, on each
     ``(args, outcomes)`` case, in order: one call per group of cases whose
     arguments share their ``_shape``, on them stacked (``_stack``) and each
-    solve's outcomes as a list. If a group raises, each case is evaluated
-    alone, in order, so the first case that raises alone raises."""
+    solve's outcomes as a list. The checks' one failure rule: if a group
+    raises, each case is evaluated alone, and one that raises alone is its
+    own error report."""
     core = globals()[f"_{name}"]
     groups = {}
     for i, (args, _) in enumerate(cases):
@@ -537,16 +528,15 @@ def _evaluate(name, tol, cases):
             args, outcomes = zip(*[cases[i] for i in rows])
             stacked = [*map(_stack, zip(*args)), *map(list, zip(*outcomes))]
             reports.update(zip(rows, core(tol, *stacked)))
-    except Exception:
-        if len(groups) == len(cases):
-            raise
+    except Exception as exc:  # noqa: BLE001 - captured per case
+        if len(cases) == 1:
+            return _reports(name, None, {}, {}, results=[[exc]])
         return [_evaluate(name, tol, [case])[0] for case in cases]
     return [reports[i] for i in range(len(cases))]
 
 
 def _shape(arg):
-    """What a group's cases share in an argument: the shape of an array (a
-    scalar's is ()), of an ensemble's matrices, or a map's kind and shape."""
+    """What a group's cases share in an argument."""
     if isinstance(arg, bc.Ensemble):
         return arg.matrices.shape
     if isinstance(arg, PositiveMapSpec):
@@ -555,8 +545,7 @@ def _shape(arg):
 
 
 def _stack(column):
-    """A group's values of one argument as one: ensembles as ``_Ensembles``,
-    maps as ``_Maps``, arrays and scalars as one array."""
+    """A group's values of one argument as one."""
     if isinstance(column[0], bc.Ensemble):
         return _Ensembles(np.array([e.weights for e in column]),
                           np.array([e.matrices for e in column]))
@@ -570,9 +559,7 @@ def _stack(column):
 # ---------------------------------------------------------------------------
 
 def _plan_field(name, values, expected, valid):
-    """The plan field ``name`` as a tuple when it is a non-string iterable
-    whose items pass ``valid``; otherwise a ValueError that starts with the
-    field's name."""
+    """``values`` as a tuple, or a ValueError opened by the field's ``name``."""
     try:
         items = tuple(values)
     except TypeError:
@@ -641,8 +628,8 @@ class _Check:
     a request (``_Draw``, ``_Apply``), trusted, or a scalar. ``solves(*args)``
     lists the ensembles a built case needs solved, building the derived ones
     (Kronecker pairs, inverses); by default its ``Ensemble`` arguments.
-    ``finish(report, generic, equality)`` adds check-specific verdicts to the
-    aggregate report. ``validate`` (by default: one ``Ensemble``) names and
+    ``finish(report, generic, equality)`` adds check-specific verdicts to an
+    aggregate without error reports. ``validate`` (by default: one ``Ensemble``) names and
     validates the raw arguments of ``check``; ``takes_tol`` is False where
     the bound is a constant.
     """
@@ -656,10 +643,8 @@ class _Check:
 
 
 def _run_check(name, entry, built):
-    """Evaluate check ``name`` on each generic, then each equality case of
-    ``built`` = (plan, cases, solved): on its arguments and the outcomes
-    ``solved`` maps its ensembles to, grouped by ``_evaluate``; aggregate the
-    reports under the plan's tolerance."""
+    """Check ``name``'s aggregate report on ``built`` = (plan, cases, solved):
+    its generic, then equality cases, with their solves' outcomes."""
     plan, (generic, equality), solved = built
     cases = [(args, [solved[e] for e in ens]) for args, ens in generic + equality]
     reports = _evaluate(name, ToleranceConfig(loewner_tol=plan.tol), cases)
@@ -670,7 +655,8 @@ def _run_check(name, entry, built):
     elif equality:
         extra["equality_case_margins"] = [r.margin for r in equality]
     report = _aggregate(name, plan, generic + equality, extra)
-    entry.finish(report, generic, equality)
+    if not any("error" in r.details for r in reports):
+        entry.finish(report, generic, equality)
     return report
 
 
@@ -859,8 +845,11 @@ def run_suite(plan):
     declares its cases; one ``seeded._drawn`` call draws every matrix they
     take; the cases are built, and one ``bc.wasserstein_means`` call solves
     each distinct ensemble object they list; then each check's
-    ``CHECK_REGISTRY`` entry, looked up at call time, runs its core. An error
-    in any step fails only its check's report."""
+    ``CHECK_REGISTRY`` entry, looked up at call time, runs its core. A case
+    whose evaluation raises is its own error report (``_evaluate``), counted
+    among the check's instances. An error in declaring or building a check's
+    cases fails that check's whole report; the draw is one step for every
+    check, trusted, and not isolated."""
     state = [[name, None] for name in plan.checks]
     ensembles = _build_cases(state, plan)
     solved = dict(zip(ensembles, bc.wasserstein_means(ensembles)))

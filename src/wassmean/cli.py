@@ -3,7 +3,7 @@
 Subcommands: ``mean`` (barycenter of an ensemble file), ``distance`` and
 ``geodesic`` (between two matrix files), ``generate`` (seeded random ensemble
 files), ``verify`` (inequality suite). Exit codes: 0 success, 1 malformed
-input, 2 solver non-convergence, 3 verification failure.
+input or a usage error, 2 solver non-convergence, 3 verification failure.
 
 ``mean``, ``distance`` and ``geodesic`` load only the geometry, the solver and
 ``io``: ``verify`` imports the suite (``checks``) and ``generate`` the seeded
@@ -36,9 +36,9 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _write(args, doc, text):
+def _write(args, doc, text=None):
     """Write ``doc`` as canonical JSON, or for ``--format text`` ``text()``."""
-    text = dumps_canonical(doc) if args.format == "json" else text()
+    text = text() if text and args.format == "text" else dumps_canonical(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -97,8 +97,7 @@ def cmd_generate(args):
         args.m, args.n, args.seed,
         eig_lo=args.eig_lo, eig_hi=args.eig_hi, commuting=args.commuting,
     )
-    doc = ensemble_to_json_dict(ensemble)
-    _write(args, doc, lambda: dumps_canonical(doc))
+    _write(args, ensemble_to_json_dict(ensemble))
     return EXIT_OK
 
 
@@ -137,10 +136,11 @@ def cmd_verify(args):
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that calls ``arguments(self)`` the first time it
-    parses, so a command's arguments, and the modules their defaults come
-    from, load only when the command line selects that command."""
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit with ``EXIT_INPUT``, not argparse's 2
+    (solver non-convergence), and that calls ``arguments(self)``, if given,
+    the first time it parses, so a command's arguments, and the modules their
+    defaults come from, load only when the command line selects it."""
 
     def __init__(self, *, arguments=None, **kwargs):
         super().__init__(**kwargs)
@@ -152,10 +152,15 @@ class _Subcommand(argparse.ArgumentParser):
             arguments(self)
         return super().parse_known_args(args, namespace)
 
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
-def _add_output_flags(p):
-    p.add_argument("--format", choices=("json", "text"), default="json",
-                   help="output format (default: json)")
+
+def _add_output_flags(p, text=True):
+    if text:
+        p.add_argument("--format", choices=("json", "text"), default="json",
+                       help="output format (default: json)")
     p.add_argument("--out", default=None, help="write output to this path "
                    "instead of stdout")
 
@@ -173,7 +178,7 @@ def _generate_arguments(p_gen):
                        help="spectrum upper edge (default: %(default)s)")
     p_gen.add_argument("--commuting", action="store_true",
                        help="share one eigenbasis across the ensemble")
-    _add_output_flags(p_gen)
+    _add_output_flags(p_gen, text=False)
 
 
 def _verify_arguments(p_ver):
@@ -194,12 +199,12 @@ def _verify_arguments(p_ver):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wassmean",
         description="Bures-Wasserstein distances, geodesics, barycenters and "
         "Loewner-order inequality checks for positive definite matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_mean = sub.add_parser("mean", help="Wasserstein mean of an ensemble file")
     p_mean.add_argument("ensemble", help="ensemble JSON path")

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from wassmean import _kernels, barycenter, hermitian, seeded
+from _solves import ERRORS, SOLVING_CHECKS, fail_every_solve, failed
+
+from wassmean import _kernels, barycenter, cli, hermitian, seeded
 from wassmean import checks as checks_mod
 from wassmean.barycenter import Ensemble
 from wassmean.checks import (
@@ -195,36 +197,6 @@ def test_tensor_identity_at_dimension_cap():
     report = check("tensor_identity", a, b)
     assert report.holds
     assert report.details["relative_error"] <= 1e-6
-
-
-def test_tensor_identity_reports_non_convergence(monkeypatch):
-    solve_all = barycenter.wasserstein_means
-
-    def not_converged(ensembles, config=None):
-        return [dataclasses.replace(r, converged=False) for r in solve_all(ensembles, config)]
-
-    monkeypatch.setattr(barycenter, "wasserstein_means", not_converged)
-    report = check("tensor_identity", random_ensemble(2, 2, 15), random_ensemble(2, 2, 16))
-    (suite,) = run_suite(SuitePlan(checks=("tensor_identity",), seeds=(0, 2)))
-    for error in (report.details["error"], suite.details["worst_details"]["error"]):
-        assert "did not converge" in error
-    assert not report.holds and not suite.holds
-    assert report.margin == suite.margin == -np.inf
-
-
-def test_a_check_that_raised_reports_its_error_in_one_format(monkeypatch):
-    # tensor_identity wrote the bare message, the suite driver the exception's
-    # type and message.
-    solve_all = barycenter.wasserstein_means
-
-    def not_converged(ensembles, config=None):
-        return [dataclasses.replace(r, converged=False) for r in solve_all(ensembles, config)]
-
-    monkeypatch.setattr(barycenter, "wasserstein_means", not_converged)
-    report = check("tensor_identity", random_ensemble(2, 2, 15), random_ensemble(2, 2, 16))
-    (suite,) = run_suite(SuitePlan(checks=("tensor_identity",), seeds=(0, 2)))
-    for error in (report.details["error"], suite.details["worst_details"]["error"]):
-        assert error.startswith("RuntimeError: barycenter solve did not converge (residual ")
 
 
 def test_tensor_arithmetic_bound_cases():
@@ -594,8 +566,8 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
 
 def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide_spectrum_mats):
     # Both instances of the plan hold the one ensemble whose solve breaks
-    # down: the one solve of that ensemble stores its error, and the check
-    # raises it into its report.
+    # down: the one solve of that ensemble stores its error, and the core
+    # raises it into each instance's error report.
     wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
     solved = []
     solve = _kernels.wasserstein_solve
@@ -615,7 +587,8 @@ def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide
     (report,) = run_suite(SuitePlan(checks=("bounds",), seeds=(0, 2)))
     assert solved.count(True) == 1
     assert not report.holds
-    assert report.details["error"] == (
+    assert report.details["instances"] == 3
+    assert report.details["worst_details"]["error"] == (
         "SolverBreakdownError: iterate lost positive definiteness after 12 iterations "
         "(dimension 8, 6 matrices)"
     )
@@ -720,13 +693,13 @@ def test_suite_fails_only_the_check_whose_solve_raised_in_its_report(
     monkeypatch, wide_spectrum_mats
 ):
     # The breakdown of this wide-spectrum solve is stored as its outcome and
-    # raised in the core of bounds alone.
+    # raised in the core of bounds alone, into that instance's error report.
     wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
     monkeypatch.setitem(checks_mod._CHECKS, "bounds", dataclasses.replace(
         checks_mod._CHECKS["bounds"], instances=lambda plan: [(wide,)]
     ))
     bounds, det = run_suite(default_plan(checks=("bounds", "det_inequality")))
-    assert bounds.details["error"] == (
+    assert bounds.details["worst_details"]["error"] == (
         "SolverBreakdownError: iterate lost positive definiteness after 12 iterations "
         "(dimension 8, 6 matrices)"
     )
@@ -1133,43 +1106,79 @@ def test_grouped_evaluation_equals_each_case_alone_bitwise(monkeypatch, name, se
     assert calls < len(cases)
 
 
+@pytest.mark.parametrize("mode", ["unconverged", "breakdown"])
 @pytest.mark.parametrize("name", DEFAULT_CHECKS)
-def test_grouped_evaluation_of_unconverged_solves_equals_each_case_alone(monkeypatch, name):
-    # A check that refuses an unconverged mean raises the error of case 3,
-    # the first case that raises alone, also where case 4's group (of the
-    # even seeds) is evaluated first; tensor_identity reports each
-    # unconverged case as an error report.
+def test_grouped_evaluation_of_unconverged_solves_equals_each_case_alone(monkeypatch, name, mode):
+    # The solves of cases 3, 4 and 8 fail, also where case 4's group (of the
+    # even seeds) is evaluated first: each of those cases is its own error
+    # report, where fixed_point judges an unconverged solve itself.
     cases = [
-        (args, [dataclasses.replace(r, converged=False) if i in (3, 4, 8) else r for r in out])
+        (args, [failed(r, mode) if i in (3, 4, 8) else r for r in out])
         for i, (args, out) in enumerate(_window_cases(name, SuitePlan(checks=(name,))))
     ]
-    tol = ToleranceConfig(loewner_tol=1e-8)
-    try:
-        checks_mod._evaluate(name, tol, cases[3:4])
-    except RuntimeError as first:
-        with pytest.raises(RuntimeError) as err:
-            checks_mod._evaluate(name, tol, cases)
-        assert str(err.value) == str(first)
-        assert "did not converge" in str(first)
-        return
     grouped, alone, _ = _grouped_and_alone(monkeypatch, name, cases)
     assert grouped == alone
-    errors = [json.loads(r)["details"].get("error") for r in grouped]
-    assert (name == "tensor_identity") is (errors[3] is not None and errors[4] is not None)
+    reports = [json.loads(r) for r in grouped]
+    failing = [i for i in (3, 4, 8) if i < len(cases)] if name in SOLVING_CHECKS else []
+    errors = [i for i, r in enumerate(reports) if "error" in r["details"]]
+    if name == "fixed_point" and mode == "unconverged":
+        assert errors == [] and failing == [3, 4, 8]
+        assert [i for i, r in enumerate(reports) if not r["details"]["converged"]] == failing
+        assert not any(reports[i]["holds"] for i in failing)
+        return
+    assert errors == failing
+    for i in failing:
+        assert reports[i]["details"]["error"].startswith(ERRORS[mode])
+        assert (reports[i]["holds"], reports[i]["margin"]) == (False, None)
 
 
-def test_grouped_jensen_contraction_raises_the_first_non_contraction():
+@pytest.mark.parametrize("name, mode", [
+    (name, mode) for name in SOLVING_CHECKS for mode in ("unconverged", "breakdown")
+    if (name, mode) != ("fixed_point", "unconverged")  # it judges convergence itself
+])
+def test_a_failed_solve_is_the_error_report_of_its_case(monkeypatch, tmp_path, name, mode):
+    # check returns the case's error report, run_suite aggregates it with
+    # the check's other cases, and verify writes it as JSON.
+    plan = SuitePlan(checks=(name,), seeds=(0, 3))
+    cases = _window_cases(name, plan)
+    fail_every_solve(monkeypatch, mode)
+    report = check(name, *cases[0][0])
+    assert (report.holds, report.margin) == (False, -np.inf)
+    assert report.details["error"].startswith(ERRORS[mode])
+    (suite,) = run_suite(plan)
+    assert (suite.holds, suite.margin) == (False, -np.inf)
+    assert suite.details["instances"] == len(cases)
+    assert suite.details["worst_details"]["error"].startswith(ERRORS[mode])
+
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--checks", name, "--seed-count", "3", "--out", str(out)]) == 3
+    (written,) = json.loads(out.read_text(), parse_constant=refuse)
+    assert written["details"]["worst_details"]["error"].startswith(ERRORS[mode])
+
+
+def test_grouped_jensen_contraction_evaluates_a_non_contraction_as_alone(monkeypatch):
+    # check refuses a non-contraction before its core; the core trusts its
+    # inputs and records the norm.
     cases = _window_cases("jensen_contraction", SuitePlan(checks=("jensen_contraction",)))
     for i in (3, 4):
         (a, x, p), out = cases[i]
         cases[i] = ((a, 0.25 * x, p), out)
-    tol = ToleranceConfig(loewner_tol=1e-8)
-    with pytest.raises(ValueError) as first:
-        checks_mod._evaluate("jensen_contraction", tol, cases[3:4])
-    with pytest.raises(ValueError) as err:
-        checks_mod._evaluate("jensen_contraction", tol, cases)
-    assert str(err.value) == str(first.value)
-    assert str(first.value).startswith("inverse is not a contraction: ||x^-1||_op = ")
+    grouped, alone, _ = _grouped_and_alone(monkeypatch, "jensen_contraction", cases)
+    assert grouped == alone
+    norms = [json.loads(r)["details"]["inverse_operator_norm"] for r in grouped]
+    assert [i for i, norm in enumerate(norms) if norm > 1.0 + 1e-12] == [3, 4]
+
+
+def test_no_check_core_catches_an_error():
+    # The one failure rule lives in _evaluate.
+    tree = ast.parse(inspect.getsource(checks_mod))
+    cores = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+             and f.name[1:] in DEFAULT_CHECKS]
+    assert len(cores) == len(DEFAULT_CHECKS)
+    assert [f.name for f in cores if any(isinstance(n, ast.Try) for n in ast.walk(f))] == []
 
 
 def test_grouped_sqrt_sum_lower_bound_skips_each_case_alone(monkeypatch):

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _solves import SOLVING_CHECKS, fail_every_solve
+
 from wassmean import checks, cli
 from wassmean.barycenter import Ensemble, SolverConfig, objective, wasserstein_mean
 from wassmean.checks import DEFAULT_CHECKS, SuitePlan, default_plan
@@ -269,7 +271,9 @@ def test_verify_failing_check_exits_3(tmp_path, reversed_bound_check):
 
 def test_verify_writes_an_error_report_margin_as_null(tmp_path, monkeypatch, capsys):
     # An error report's margin is -inf; verify used to write it as -Infinity,
-    # which is not JSON. The text format still prints -inf.
+    # which is not JSON. Each case that raises is its own error report, so
+    # the equality case's margin in the details is null too. The text format
+    # still prints -inf.
     def raising(tol, *args):
         raise RuntimeError("boom")
 
@@ -281,9 +285,25 @@ def test_verify_writes_an_error_report_margin_as_null(tmp_path, monkeypatch, cap
     assert main(["verify", "--checks", "bounds", "--seed-count", "1", "--out", str(out)]) == 3
     (report,) = json.loads(out.read_text(), parse_constant=refuse)
     assert report["margin"] is None
-    assert report["details"] == {"error": "RuntimeError: boom"}
+    assert report["details"]["worst_details"] == {"error": "RuntimeError: boom"}
+    assert report["details"]["equality_case_margin"] is None
     assert main(["verify", "--checks", "bounds", "--seed-count", "1", "--format", "text"]) == 3
     assert "margin=-inf" in capsys.readouterr().out
+
+
+def test_verify_writes_every_non_finite_number_of_a_report_as_null(tmp_path, monkeypatch):
+    # With every solve unconverged, an equality case's -inf margin in the
+    # details stopped verify before it wrote anything, with exit 1.
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    fail_every_solve(monkeypatch, "unconverged")
+    out = tmp_path / "report.json"
+    argv = ["verify", "--checks", ",".join(SOLVING_CHECKS), "--seed-count", "3", "--out", str(out)]
+    assert main(argv) == 3
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert [r["check_name"] for r in doc] == list(SOLVING_CHECKS)
+    assert not any(r["holds"] for r in doc)
 
 
 def test_verify_default_plan_exits_0(tmp_path):
@@ -462,6 +482,40 @@ def test_lazily_added_arguments_show_the_library_defaults_in_help(command, defau
     assert info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert [d for d in defaults if d not in text] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "wassmean: error: the following arguments are required: command"),
+    (["bogus"], "wassmean: error: argument command: invalid choice: 'bogus'"),
+    (["verify", "--bogus"], "wassmean: error: unrecognized arguments: --bogus"),
+    (["mean"], "wassmean mean: error: the following arguments are required: ensemble"),
+    (["mean", "e.json", "--max-iter", "1.5"], "wassmean mean: error: argument --max-iter: "),
+    (["distance", "a.json"], "wassmean distance: error: the following arguments are required: b"),
+    (["geodesic", "a.json", "b.json"], "wassmean geodesic: error: the following arguments are "
+     "required: --t"),
+    (["generate", "--m", "abc", "--n", "2"], "wassmean generate: error: argument --m: invalid "
+     "int value: 'abc'"),
+    (["generate", "--m", "2", "--n", "2", "--format", "text"], "wassmean: error: unrecognized "
+     "arguments: --format text"),
+    (["verify", "--seed-count", "x"], "wassmean verify: error: argument --seed-count: "),
+])
+def test_usage_errors_exit_1_with_the_usage_on_stderr(argv, message, capsys):
+    # argparse's own exit code, 2, is the code of solver non-convergence.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wassmean")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", [[], ["mean"], ["distance"], ["geodesic"], ["generate"]])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wassmean")
 
 
 def test_verify_all_matches_golden_file_on_a_benchmark_window(capsys):

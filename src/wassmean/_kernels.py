@@ -9,11 +9,11 @@ once per stack rather than once per matrix. Kernels do no validation: they
 take C-contiguous complex128 arrays of already-symmetrized Hermitian matrices
 and return arrays of the broadcast shape.
 
-The barycenter loop takes a leading ensemble axis and nothing else: S
-ensembles of the same (n, m, m) shape iterate in one stack, each stopping at
-its own iterate, so a batch of tiny solves pays the per-call overhead once
-per iterate of the batch rather than once per iterate of each solve. A lone
-solve is a batch of one.
+The barycenter loop, in the Cholesky frame x = LL* of its iterate, takes a
+leading ensemble axis and nothing else: S ensembles of one (n, m, m) shape
+iterate in one stack, each stopping at its own iterate, so a batch of tiny
+solves pays the per-call overhead once per iterate of the batch rather than
+once per iterate of each solve. A lone solve is a batch of one.
 """
 
 import numpy as np
@@ -78,10 +78,13 @@ def log_det(a):
     return np.log(np.linalg.eigvalsh(a)).sum(axis=-1)
 
 
-def _roots(w, v):
-    """a^{1/2} and a^{-1/2} from the eigendecomposition (w, v) of a."""
-    sw = np.sqrt(w)
-    return _from_spectrum(v, sw), _from_spectrum(v, 1.0 / sw)
+def _cholesky_fails(a):
+    """Whether LAPACK refuses the Cholesky factor of the matrix a."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def _congruence_root(c):
@@ -97,7 +100,8 @@ def _congruence_root(c):
 def geometric_mean(a, b):
     """Geometric mean a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2} of SPD
     matrices, ``b`` broadcast against ``a``."""
-    rs, ris = _roots(*np.linalg.eigh(a))
+    w, v = np.linalg.eigh(a)
+    rs, ris = _from_spectrum(v, np.sqrt(w)), _from_spectrum(v, 1.0 / np.sqrt(w))
     mid = _congruence_root(hermitianize(ris @ b @ ris))
     return hermitianize(rs @ mid @ rs)
 
@@ -125,8 +129,9 @@ def bw_gap(a, b):
 
 def mean_equation_residual(x, mats, weights):
     """(equation residual, self-map relative residual) of the mean equation per
-    x of a stack, through the transport maps T_j = A_j # x^{-1}, not the
-    solver's congruences. With x = L L*, N = sum_j w_j T_j L (``_transport``)
+    x of a stack, through the transport maps T_j = A_j # x^{-1}: the solver's
+    congruences, each root mapped by L^{-*} before the weighted sum. With
+    x = L L*, N = sum_j w_j T_j L (``_transport``)
     and L = x^{1/2} V for a unitary V: ||I - sum_j w_j T_j||_F = ||I - N L^{-1}||_F
     and ||x - sum_j w_j (x^{1/2} A_j x^{1/2})^{1/2}||_F = ||L* (L - N)||_F."""
     low, mid = _transport(x[..., None, :, :], mats)
@@ -141,28 +146,30 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     of one.
 
     The loop starts from the weighted arithmetic mean, an upper bound of the
-    barycenter in the Loewner order. Per iterate x the map evaluates
-    s = sum_j w_j (x^{1/2} a_j x^{1/2})^{1/2} and
-    k = x^{-1/2} s x^{-1/2} = sum_j w_j (a_j # x^{-1}); the residual is
-    ||I - k||_F. One ``eigh`` of x and one batched ``eigh`` of the n
-    congruences x^{1/2} a_j x^{1/2} serve an iterate. The update is the
-    damped map x' = k x k, which converges globally. Summation order is the
-    matrix index order, fixed for determinism.
+    barycenter in the Loewner order. Per iterate x = L L* (Cholesky), two
+    products give the congruences L* a_j L, one batched ``eigh`` their roots,
+    and one (m, nm) (nm, m) product, the weights folded into the spectra,
+    s = sum_j w_j (L* a_j L)^{1/2}. With G = L^{-*} s, the residual is
+    ||I - k||_F for k = L^{-*} G* = sum_j w_j (a_j # x^{-1}), and the update
+    is the damped map x' = k x k = G G*, which converges globally. Summation
+    order is the matrix index order, fixed for determinism.
 
     Every ensemble stops at its own iterate: a finished one is written to the
     outputs and dropped from the working stack, and the others go on. Batched
-    ``eigh`` and ``matmul`` run the same per-matrix LAPACK and BLAS calls
-    whatever the batch, so each ensemble's outputs do not depend on its
-    batch-mates, bit for bit.
+    ``cholesky``, ``eigh``, ``solve`` and ``matmul`` run the same per-matrix
+    LAPACK and BLAS calls whatever the batch, so each ensemble's outputs do
+    not depend on its batch-mates, bit for bit.
 
     Returns arrays with one entry per ensemble: (best iterate, update steps
     taken, best residual, status) with status 0 converged / 1 iteration
-    budget exhausted / 2 loss of positivity (an iterate, or a congruence,
-    with an eigenvalue below zero).
+    budget exhausted / 2 loss of positivity (an iterate whose Cholesky
+    factorisation is refused, or a congruence with an eigenvalue below zero).
     """
-    count, _, m = mats.shape[:3]
+    count, n, m = mats.shape[:3]
     eye = np.eye(m, dtype=np.complex128)
     x = best_x = hermitianize(weighted_sum(weights, mats))
+    # [a_1 ... a_n] side by side: L* a_j L for every j is then two products.
+    wide = mats.swapaxes(1, 2).reshape(count, m, n * m)
     out_x = np.empty_like(x)
     out_iters = np.empty(count, dtype=np.intp)
     out_res = np.empty(count)
@@ -170,50 +177,53 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     # The working stack: the ensembles still iterating, ``rows`` their rows
     # in the outputs.
     rows = np.arange(count)
-    wb = weights[:, :, None, None]
     best_res = np.full(count, np.inf)
 
     def retire(done, status, it, *extra):
         """Write the flagged ensembles' best iterates to the outputs, drop
         them from the working stack, and return ``extra`` without their rows."""
-        nonlocal rows, mats, wb, x, best_x, best_res
+        nonlocal rows, wide, weights, x, best_x, best_res
         idx = rows[done]
         out_x[idx] = best_x[done]
         out_res[idx] = best_res[done]
         out_iters[idx] = it
         out_status[idx] = status
         keep = ~done
-        rows, mats, wb, x, best_x, best_res = (
-            a[keep] for a in (rows, mats, wb, x, best_x, best_res)
+        rows, wide, weights, x, best_x, best_res = (
+            a[keep] for a in (rows, wide, weights, x, best_x, best_res)
         )
         return [a[keep] for a in extra]
 
     for it in range(max_iter + 1):
-        w, v = np.linalg.eigh(x)
-        if w[:, 0].min() <= 0.0:
-            w, v = retire(w[:, 0] <= 0.0, SOLVE_BREAKDOWN, it, w, v)
+        try:
+            low = np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            retire(np.array([_cholesky_fails(a) for a in x]), SOLVE_BREAKDOWN, it)
             if not rows.size:
                 break
-        rs, ris = _roots(w, v)
-        cw, cv = np.linalg.eigh(hermitianize(rs[:, None] @ mats @ rs[:, None]))
+            low = np.linalg.cholesky(x)
+        up = _adjoint(low)
+        stacked = (up @ wide).reshape(-1, m, n, m).swapaxes(1, 2).reshape(-1, n * m, m)
+        cw, cv = np.linalg.eigh(hermitianize((stacked @ low).reshape(-1, n, m, m)))
         # Round-off can push a congruence eigenvalue below zero on badly
         # conditioned data; its square root would be NaN.
         if cw[..., 0].min() < 0.0:
-            ris, cw, cv = retire((cw[..., 0] < 0.0).any(axis=-1), SOLVE_BREAKDOWN, it, ris, cw, cv)
+            up, cw, cv = retire((cw[..., 0] < 0.0).any(axis=-1), SOLVE_BREAKDOWN, it, up, cw, cv)
             if not rows.size:
                 break
-        s = (wb * _from_spectrum(cv, np.sqrt(cw))).sum(axis=1)
-        k = hermitianize(ris @ s @ ris)
-        res = _fro(eye - k)
+        scaled = cv * (weights[..., None] * np.sqrt(cw))[..., None, :]
+        s = scaled.swapaxes(1, 2).reshape(-1, m, n * m) @ _adjoint(cv).reshape(-1, n * m, m)
+        g = np.linalg.solve(up, s)
+        res = _fro(eye - np.linalg.solve(up, _adjoint(g)))
         improved = res < best_res
         best_x = np.where(improved[:, None, None], x, best_x)
         best_res = np.where(improved, res, best_res)
         done = res <= tol
         if done.any():
-            (k,) = retire(done, SOLVE_CONVERGED, it, k)
+            (g,) = retire(done, SOLVE_CONVERGED, it, g)
         if it == max_iter:
             retire(np.ones(rows.size, dtype=bool), SOLVE_MAX_ITER, it)
         if not rows.size:
             break
-        x = hermitianize(k @ x @ k)
+        x = hermitianize(g @ _adjoint(g))
     return out_x, out_iters, out_res, out_status

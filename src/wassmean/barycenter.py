@@ -10,7 +10,8 @@ which is the least-squares barycenter for the Bures-Wasserstein distance.
 The solver iterates the damped self-map x' = k x k with
 k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, which the
 kernel computes from the ensemble itself, and stops on the Frobenius residual
-||I - k||_F.
+||I - k||_F, in the Cholesky frame x = L L*: k = L^{-*} S L^{-1} for
+S = sum_j w_j (L* A_j L)^{1/2}, and x' = L^{-*} S^2 L^{-1}.
 
 An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
 stack; the solver, the diagnostics and the order checks trust that stack and
@@ -208,7 +209,7 @@ def _require_candidate(x, ensemble):
 
 def residual(x, ensemble):
     """||I - sum_j w_j (A_j # x^{-1})||_F, each A_j # x^{-1} the transport map
-    from x to A_j (a route independent of the solver's congruences)."""
+    from x to A_j."""
     xm = _require_candidate(x, ensemble)
     return float(_k.mean_equation_residual(xm, ensemble.matrices, ensemble.weights)[0])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from wassmean import _kernels, checks
+from wassmean import Ensemble, _kernels, checks
 from wassmean.hermitian import hermitianize
 from wassmean.seeded import _ginibre, _haar_unitaries
 
@@ -57,11 +57,33 @@ def linalg_calls(monkeypatch):
 
 
 @pytest.fixture
-def wide_spectrum_mats(log_uniform):
-    """Six 8x8 log-uniform [1e-6, 1e6] matrices, matrix j drawn from
-    default_rng(j). Solving their equal-weight mean meets a congruence
-    eigenvalue of about -5e-7 at iterate 12: its square root would be NaN."""
-    return np.stack([log_uniform(8, j, 1e-6, 1e6) for j in range(6)])
+def breakdown_mats(log_uniform):
+    """Six 8x8 log-uniform [1e-8, 1e8] matrices, matrix j drawn from
+    default_rng(24 + j): kernel input, too badly conditioned for ``Ensemble``.
+    Solving their equal-weight mean meets a congruence eigenvalue below zero
+    at iterate 1: its square root would be NaN."""
+    return np.stack([log_uniform(8, 24 + j, 1e-8, 1e8) for j in range(6)])
+
+
+@pytest.fixture
+def breakdown_ensemble(monkeypatch, breakdown_mats, log_uniform):
+    """An equal-weight ensemble of six 8x8 log-uniform [1e-6, 1e6] matrices,
+    matrix j drawn from default_rng(24 + j), whose solve breaks down after 1
+    iteration. No ensemble that passes validation is known to break down, so
+    the solver kernel is rebound, for one test, to solve this ensemble's row
+    of a batch as ``breakdown_mats``; the other rows solve as before."""
+    e = Ensemble(weights=np.full(6, 1.0 / 6.0),
+                 matrices=[log_uniform(8, 24 + j, 1e-6, 1e6) for j in range(6)])
+    solve = _kernels.wasserstein_solve
+
+    def rebound(mats, weights, *args):
+        if mats.shape[1:] == e.matrices.shape:
+            hit = (mats == e.matrices).all(axis=(1, 2, 3))
+            mats = np.where(hit[:, None, None, None], breakdown_mats, mats)
+        return solve(mats, weights, *args)
+
+    monkeypatch.setattr(_kernels, "wasserstein_solve", rebound)
+    return e
 
 
 @pytest.fixture

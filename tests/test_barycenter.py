@@ -18,6 +18,7 @@ from wassmean.barycenter import (
 from wassmean.bures import bw_distance, geodesic
 from wassmean.checks import check
 from wassmean.hermitian import (
+    ToleranceConfig,
     frobenius,
     hermitianize,
     require_spd,
@@ -91,26 +92,78 @@ def test_residual_ranks_arithmetic_mean_behind_solution():
 
 
 # Means of log-uniform ensembles, matrix j of case s drawn from seed
-# 1000 s + j, Dirichlet weights from default_rng(s). Against the 40-digit
-# residual, the transport route read 0.90-1.01x; the direct geometric means
-# it replaced read 35x, 47x, 116x and 11.5x, and the solver's own residual
-# under-reads the capped solve (0.21x).
-@pytest.mark.parametrize("m,n,lo,hi,dirichlet,s", [
-    (8, 6, 1e-3, 1e3, False, 0),
-    (8, 6, 1e-3, 1e3, False, 1),
-    (6, 5, 1e-4, 1e4, True, 0),
-    (4, 4, 1e-2, 1e2, True, 0),
+# 1000 s + j, Dirichlet weights from default_rng(s). Each solve converges,
+# and its mean's 40-digit residual (7.9e-12 at most) is within the
+# certificate's tolerance. At a solved mean both read round-off, and their
+# ratio moves with any change to the solver's arithmetic, so the certificate
+# is compared with the oracle at the best iterate of a solve capped at
+# ``capped`` iterations, where both read about 1e-8: within 0.1% there. The
+# direct geometric means the certificate's route replaced read 35x, 47x,
+# 116x and 11.5x.
+@pytest.mark.parametrize("m,n,lo,hi,dirichlet,s,capped", [
+    (8, 6, 1e-3, 1e3, False, 0, 57),
+    (8, 6, 1e-3, 1e3, False, 1, 42),
+    (6, 5, 1e-4, 1e4, True, 0, 36),
+    (4, 4, 1e-2, 1e2, True, 0, 12),
 ])
-def test_residual_matches_extended_precision_oracle(log_uniform, m, n, lo, hi, dirichlet, s):
+def test_residual_matches_extended_precision_oracle(
+    log_uniform, m, n, lo, hi, dirichlet, s, capped
+):
     pytest.importorskip("mpmath")
     from _mp_oracle import mean_equation_residual
 
     w = np.random.default_rng(s).dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
     e = Ensemble(weights=w, matrices=[log_uniform(m, 1000 * s + j, lo, hi) for j in range(n)])
+    solved = wasserstein_mean(e)
+    assert solved.converged
+    assert mean_equation_residual(solved.mean, e.matrices, e.weights) <= ToleranceConfig().residual_tol
     # A capped solve is certified at its best iterate, as a converged one is.
+    x = wasserstein_mean(e, SolverConfig(max_iter=capped)).mean
+    want = mean_equation_residual(x, e.matrices, e.weights)
+    assert 3e-9 < want < 3e-8
+    assert residual(x, e) == pytest.approx(want, rel=0.25)
+
+
+def test_solver_stops_within_the_oracle_tolerance_on_a_wide_spectrum(log_uniform):
+    # m=3, n=16, equal weights, log-uniform [1e-4, 1e4]. Iterating on the
+    # x^{1/2} congruences, the solve stopped "converged" after 105
+    # iterations at a residual of 9.9e-12 while the 40-digit oracle read
+    # 1.92e-10; in the Cholesky frame it stops after 47 at 6.4e-12 and the
+    # oracle reads 1.5e-11.
+    pytest.importorskip("mpmath")
+    from _mp_oracle import mean_equation_residual
+
+    e = Ensemble(weights=np.full(16, 1.0 / 16.0),
+                 matrices=[log_uniform(3, 5000 + j, 1e-4, 1e4) for j in range(16)])
     report = wasserstein_mean(e)
-    want = mean_equation_residual(report.mean, e.matrices, e.weights)
-    assert residual(report.mean, e) == pytest.approx(want, rel=0.25)
+    assert report.converged
+    assert mean_equation_residual(report.mean, e.matrices, e.weights) <= ToleranceConfig().residual_tol
+
+
+def test_log_uniform_singleton_solves_stay_at_the_matrix(log_uniform):
+    # The singleton {A} has mean A, and its solve starts at A. On these 60
+    # log-uniform [1e-3, 1e3] matrices the x^{1/2} congruences left 34 solves
+    # unconverged and a mean up to 2.9e-11 from A; the Cholesky frame leaves
+    # 1 (item 3's stopping rule is to stop it) and 3.3e-14.
+    lones = [Ensemble(weights=[1.0], matrices=[log_uniform(4, s)]) for s in range(60)]
+    reports = wasserstein_means(lones)
+    assert sum(not r.converged for r in reports) <= 1
+    for e, r in zip(lones, reports):
+        a = e.matrices[0]
+        assert frobenius(r.mean - a) <= 1e-13 * frobenius(a)
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-3, 1e3), (1e-4, 1e4), (1e-5, 1e5)])
+def test_log_uniform_two_point_means_are_the_geodesic_midpoint(log_uniform, lo, hi):
+    # The equal-weight mean of {A, B} is geodesic(A, B, 0.5). Iterating on
+    # the x^{1/2} congruences, 10 of these 12 solves hit the iteration cap,
+    # one broke down and the others ended up to 4e-10 from the midpoint; in
+    # the Cholesky frame every one ends within 3.9e-13.
+    for s in range(4):
+        a, b = log_uniform(4, 2 * s, lo, hi), log_uniform(4, 2 * s + 1, lo, hi)
+        mean = wasserstein_mean(Ensemble(weights=[0.5, 0.5], matrices=[a, b])).mean
+        mid = geodesic(a, b, 0.5)
+        assert frobenius(mean - mid) <= 1e-12 * frobenius(mid)
 
 
 @pytest.mark.parametrize("diagnostic", [residual, objective])
@@ -302,16 +355,15 @@ def test_non_convergence_returns_best_iterate():
     assert np.linalg.eigvalsh(report.mean)[0] > 0
 
 
-def test_negative_congruence_eigenvalue_raises_breakdown(wide_spectrum_mats):
-    e = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
-    with pytest.raises(SolverBreakdownError, match="after 12 iterations"):
-        wasserstein_mean(e)
+def test_negative_congruence_eigenvalue_raises_breakdown(breakdown_ensemble):
+    with pytest.raises(SolverBreakdownError, match="after 1 iterations"):
+        wasserstein_mean(breakdown_ensemble)
 
 
-def test_batched_means_equal_single_solves(wide_spectrum_mats, log_uniform):
-    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+def test_batched_means_equal_single_solves(breakdown_ensemble, log_uniform):
+    wide = breakdown_ensemble
     # At 12 iterations the 8x8 group holds a converged solve, the breakdown
-    # (at the last iterate) and a solve that runs out: six log-uniform
+    # and a solve that runs out: six log-uniform
     # [1e-2, 1e2] matrices from the tests' own generator, whose mean takes
     # 35 iterations.
     slow = Ensemble(weights=np.full(6, 1.0 / 6.0),
@@ -332,13 +384,13 @@ def test_batched_means_equal_single_solves(wide_spectrum_mats, log_uniform):
     assert {r.converged for r in reports if isinstance(r, SolverReport)} == {True, False}
 
 
-def test_batched_means_return_a_breakdown_beside_its_group_mates(wide_spectrum_mats):
-    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+def test_batched_means_return_a_breakdown_beside_its_group_mates(breakdown_ensemble):
+    wide = breakdown_ensemble
     ensembles = [_ensemble(2, m=8, n=6), wide, _ensemble(5, m=8, n=6)]
     first, broken, last = wasserstein_means(ensembles)
     assert isinstance(broken, SolverBreakdownError)
     assert str(broken) == (
-        "iterate lost positive definiteness after 12 iterations (dimension 8, 6 matrices)"
+        "iterate lost positive definiteness after 1 iterations (dimension 8, 6 matrices)"
     )
     assert first.converged and last.converged
     with pytest.raises(SolverBreakdownError, match=re.escape(str(broken))):

@@ -512,18 +512,19 @@ def test_suite_calls_rebound_check_functions_once_per_group(monkeypatch):
 def test_suite_overhead_stays_per_group(monkeypatch, linalg_calls):
     # A timing-free guard on per-call overhead: the LAPACK calls, Loewner
     # verdict calls and stack validations of a default 10-seed window. Each
-    # case evaluated alone makes 289 eigh, 187 eigvalsh, 66 cholesky, 110
+    # case evaluated alone makes 230 eigh, 187 eigvalsh, 125 cholesky, 110
     # _loewner_verdicts and 55 _require_stack calls. Each fixed_point group
     # takes one cholesky and one eigh, for the transport maps of its residuals.
+    # The stacked solves take 59 cholesky and 59 eigh, one of each per iterate.
     counts = {"_loewner_verdicts": 0, "_require_stack": 0}
     for module, name in ((checks_mod, "_loewner_verdicts"), (hermitian, "_require_stack")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, _counting(counts, name, fn))
     assert all(r.holds for r in run_suite(default_plan(seeds=(0, 10))))
     names = [name for name, _ in linalg_calls]
-    assert names.count("eigh") <= 179
+    assert names.count("eigh") <= 118
     assert names.count("eigvalsh") <= 56
-    assert names.count("cholesky") <= 35
+    assert names.count("cholesky") <= 94
     assert counts["_loewner_verdicts"] <= 32
     assert counts["_require_stack"] <= 28
 
@@ -564,11 +565,11 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
     assert len(calls) == 11
 
 
-def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide_spectrum_mats):
+def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, breakdown_ensemble):
     # Both instances of the plan hold the one ensemble whose solve breaks
     # down: the one solve of that ensemble stores its error, and the core
     # raises it into each instance's error report.
-    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+    wide = breakdown_ensemble
     solved = []
     solve = _kernels.wasserstein_solve
 
@@ -589,7 +590,7 @@ def test_suite_raises_a_stored_breakdown_without_solving_again(monkeypatch, wide
     assert not report.holds
     assert report.details["instances"] == 3
     assert report.details["worst_details"]["error"] == (
-        "SolverBreakdownError: iterate lost positive definiteness after 12 iterations "
+        "SolverBreakdownError: iterate lost positive definiteness after 1 iterations "
         "(dimension 8, 6 matrices)"
     )
 
@@ -690,17 +691,17 @@ def test_suite_reports_case_generation_errors_in_the_check(monkeypatch):
 
 
 def test_suite_fails_only_the_check_whose_solve_raised_in_its_report(
-    monkeypatch, wide_spectrum_mats
+    monkeypatch, breakdown_ensemble
 ):
-    # The breakdown of this wide-spectrum solve is stored as its outcome and
-    # raised in the core of bounds alone, into that instance's error report.
-    wide = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
+    # The breakdown of this solve is stored as its outcome and raised in the
+    # core of bounds alone, into that instance's error report.
+    wide = breakdown_ensemble
     monkeypatch.setitem(checks_mod._CHECKS, "bounds", dataclasses.replace(
         checks_mod._CHECKS["bounds"], instances=lambda plan: [(wide,)]
     ))
     bounds, det = run_suite(default_plan(checks=("bounds", "det_inequality")))
     assert bounds.details["worst_details"]["error"] == (
-        "SolverBreakdownError: iterate lost positive definiteness after 12 iterations "
+        "SolverBreakdownError: iterate lost positive definiteness after 1 iterations "
         "(dimension 8, 6 matrices)"
     )
     assert not bounds.holds and det.holds

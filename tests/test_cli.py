@@ -528,16 +528,15 @@ def test_verify_all_matches_golden_file_on_a_benchmark_window(capsys):
 
 
 def test_mean_exits_2_when_an_iterate_loses_positive_definiteness(
-    tmp_path, capsys, wide_spectrum_mats
+    tmp_path, capsys, breakdown_ensemble
 ):
-    # The equal-weight mean of the wide-spectrum fixture meets a congruence
-    # eigenvalue below zero at iterate 12.
+    # The solve of the fixture's ensemble breaks down after 1 iteration; the
+    # file round trip keeps its matrices bit for bit.
     path = tmp_path / "wide.json"
-    ensemble = Ensemble(weights=np.full(6, 1.0 / 6.0), matrices=wide_spectrum_mats)
-    path.write_text(dumps_canonical(ensemble_to_json_dict(ensemble)))
+    path.write_text(dumps_canonical(ensemble_to_json_dict(breakdown_ensemble)))
     assert main(["mean", str(path)]) == cli.EXIT_NO_CONVERGENCE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: iterate lost positive definiteness after 12 iterations (dimension 8, 6 matrices)\n"
+        "error: iterate lost positive definiteness after 1 iterations (dimension 8, 6 matrices)\n"
     )

@@ -212,6 +212,15 @@ def test_single_matrix_kernels_match_loop_reference():
     assert k.bw_gap(a, b) == pytest.approx(want_gap, rel=1e-13)
 
 
+def test_solver_iterates_in_the_cholesky_frame(linalg_calls):
+    # Each iterate takes one Cholesky factor of x and one batched eigh of the
+    # congruences L* A_j L, and no eigh of x itself.
+    mats, w = _case(5, 16, 0.05, 20.0, 0)
+    iters, status = _solve_one(mats, w, 200, 1e-11)[1::2]
+    assert status == k.SOLVE_CONVERGED
+    assert linalg_calls == [("cholesky", (1, 5, 5)), ("eigh", (1, 16, 5, 5))] * (iters + 1)
+
+
 def test_solver_bitwise_deterministic():
     mats = _stack([10, 11])
     w = validate_weights([0.4, 0.6])
@@ -260,16 +269,16 @@ def test_batched_solver_equals_single_solves_bitwise(log_uniform, max_iter, stat
     assert list(_assert_batch_matches_singles(mats, weights, max_iter)) == statuses
 
 
-def test_negative_congruence_eigenvalue_is_a_breakdown(wide_spectrum_mats):
+def test_negative_congruence_eigenvalue_is_a_breakdown(breakdown_mats):
     w = np.full(6, 1.0 / 6.0)
-    _, iters, _, status = _solve_one(wide_spectrum_mats, w, 200, 1e-11)
+    _, iters, _, status = _solve_one(breakdown_mats, w, 200, 1e-11)
     assert status == k.SOLVE_BREAKDOWN
-    assert iters == 12
+    assert iters == 1
 
 
-def test_breakdown_in_a_batch_leaves_its_group_mates_intact(wide_spectrum_mats):
+def test_breakdown_in_a_batch_leaves_its_group_mates_intact(breakdown_mats):
     good = [_stack(range(10 * s, 10 * s + 6), m=8, lo=0.05, hi=20.0) for s in range(3)]
-    mats = np.stack([good[0], wide_spectrum_mats, good[1], good[2]])
+    mats = np.stack([good[0], breakdown_mats, good[1], good[2]])
     weights = np.full((4, 6), 1.0 / 6.0)
     statuses = _assert_batch_matches_singles(mats, weights, 200)
     assert list(statuses) == [k.SOLVE_CONVERGED, k.SOLVE_BREAKDOWN] + [k.SOLVE_CONVERGED] * 2

@@ -1,6 +1,6 @@
 """Hot numeric kernels: spectral matrix functions, the two-variable geometric
-mean, the Bures-Wasserstein transport map with the squared distance and the
-mean equation's residuals built on it, and the barycenter fixed-point loop.
+mean, the Bures-Wasserstein transport map with the squared distance built on
+it, and the barycenter loop, whose zero steps are the mean equation's residual.
 
 Every kernel works on stacks: an argument is one (m, m) matrix or an
 (n, m, m) stack, a second argument broadcasts against the first, and one
@@ -128,25 +128,27 @@ def bw_gap(a, b):
 
 
 def mean_equation_residual(x, mats, weights):
-    """(equation residual, self-map relative residual) of the mean equation per
-    x of a stack, through the transport maps T_j = A_j # x^{-1}: the solver's
-    congruences, each root mapped by L^{-*} before the weighted sum. With
-    x = L L*, N = sum_j w_j T_j L (``_transport``)
-    and L = x^{1/2} V for a unitary V: ||I - sum_j w_j T_j||_F = ||I - N L^{-1}||_F
-    and ||x - sum_j w_j (x^{1/2} A_j x^{1/2})^{1/2}||_F = ||L* (L - N)||_F."""
-    low, mid = _transport(x[..., None, :, :], mats)
-    up, acc = _adjoint(low[..., 0, :, :]), weighted_sum(weights, mid)
-    k = _adjoint(np.linalg.solve(up, _adjoint(acc)))
-    return _fro(np.eye(x.shape[-1]) - k), _fro(up @ (_adjoint(up) - acc)) / _fro(x)
+    """||I - sum_j w_j (A_j # x^{-1})||_F at x (m, m) of an (n, m, m) ensemble,
+    or per x of (S, m, m) and (S, n, m, m) stacks: zero steps of the solver
+    from x, so a converged solve's residual at its mean, bit for bit. Raises
+    ``ValueError`` where x or a congruence L* A_j L is not positive definite."""
+    lone = x.ndim == 2
+    x, mats, weights = (a[None] if lone else a for a in (x, mats, weights))
+    _, _, res, status = wasserstein_solve(mats, weights, 0, 0.0, x)
+    if (status == SOLVE_BREAKDOWN).any():
+        raise ValueError("mean equation residual: a candidate or a congruence L* A_j L "
+                         "is not positive definite")
+    return res[0] if lone else res
 
 
-def wasserstein_solve(mats, weights, max_iter, tol):
+def wasserstein_solve(mats, weights, max_iter, tol, start=None):
     """Fixed-point loop for the barycenters of S ensembles of one shape:
     ``mats`` (S, n, m, m) and ``weights`` (S, n); a lone ensemble is a batch
     of one.
 
-    The loop starts from the weighted arithmetic mean, an upper bound of the
-    barycenter in the Loewner order. Per iterate x = L L* (Cholesky), two
+    The loop starts from the Hermitian ``start`` (S, m, m), or if it is None
+    from the weighted arithmetic mean, an upper bound of the barycenter in
+    the Loewner order. Per iterate x = L L* (Cholesky), two
     products give the congruences L* a_j L, one batched ``eigh`` their roots,
     and one (m, nm) (nm, m) product, the weights folded into the spectra,
     s = sum_j w_j (L* a_j L)^{1/2}. With G = L^{-*} s, the residual is
@@ -167,7 +169,7 @@ def wasserstein_solve(mats, weights, max_iter, tol):
     """
     count, n, m = mats.shape[:3]
     eye = np.eye(m, dtype=np.complex128)
-    x = best_x = hermitianize(weighted_sum(weights, mats))
+    x = best_x = hermitianize(weighted_sum(weights, mats)) if start is None else start
     # [a_1 ... a_n] side by side: L* a_j L for every j is then two products.
     wide = mats.swapaxes(1, 2).reshape(count, m, n * m)
     out_x = np.empty_like(x)

@@ -8,10 +8,9 @@ The mean of (w, A_1..A_n) is the unique SPD solution X of
 
 which is the least-squares barycenter for the Bures-Wasserstein distance.
 The solver iterates the damped self-map x' = k x k with
-k = sum_j w_j (A_j # x^{-1}), starting from the arithmetic mean, which the
-kernel computes from the ensemble itself, and stops on the Frobenius residual
-||I - k||_F, in the Cholesky frame x = L L*: k = L^{-*} S L^{-1} for
-S = sum_j w_j (L* A_j L)^{1/2}, and x' = L^{-*} S^2 L^{-1}.
+k = sum_j w_j (A_j # x^{-1}) from the arithmetic mean, and stops on the
+Frobenius residual ||I - k||_F, in the Cholesky frame x = L L*:
+k = L^{-*} S L^{-1} for S = sum_j w_j (L* A_j L)^{1/2}, x' = L^{-*} S^2 L^{-1}.
 
 An ``Ensemble`` validates its matrices once, into a read-only (n, m, m)
 stack; the solver, the diagnostics and the order checks trust that stack and
@@ -25,11 +24,12 @@ per ensemble, its report or the error its solve raised. ``wasserstein_mean``
 is its one-ensemble case, so a batched report equals the single one bit for
 bit.
 
-The objective sum_j w_j d^2(x, A_j) and the residual, the certificate, are
-functions of a candidate x and the ensemble, not outputs of the solve; both
-go through the transport maps from x to the A_j (``_kernels._transport``).
-A report holds what the solve computed: its best iterate, the iterations,
-its residual and whether it converged.
+The objective sum_j w_j d^2(x, A_j), through the transport maps from x to
+the A_j (``_kernels._transport``), and the residual ||I - k||_F, the
+certificate, are functions of a candidate x, not outputs of the solve; the
+residual is zero steps of the solver started at x. A report holds what the
+solve computed: its best iterate, the iterations, its residual and whether
+it converged.
 """
 
 from dataclasses import dataclass
@@ -208,10 +208,10 @@ def _require_candidate(x, ensemble):
 
 
 def residual(x, ensemble):
-    """||I - sum_j w_j (A_j # x^{-1})||_F, each A_j # x^{-1} the transport map
-    from x to A_j."""
+    """||I - sum_j w_j (A_j # x^{-1})||_F: zero steps of the solver from x,
+    which raise ``ValueError`` where a congruence L* A_j L is indefinite."""
     xm = _require_candidate(x, ensemble)
-    return float(_k.mean_equation_residual(xm, ensemble.matrices, ensemble.weights)[0])
+    return float(_k.mean_equation_residual(xm, ensemble.matrices, ensemble.weights))
 
 
 def objective(x, ensemble):

@@ -105,11 +105,11 @@ class _Maps(NamedTuple):
 _Verdict = NamedTuple("_Verdict", [("holds", bool), ("margin", float)])
 
 
-def _gap(margin, slack, scored=True):
+def _gap(margin, slack):
     """A scalar result's verdict, holding at ``margin >= -slack``; an error e
     within bound b is the gap -e of slack b, a gap that must be positive has
-    slack -ulp(0). An unscored gap votes but sets no margin (None)."""
-    return _Verdict(margin >= -slack, margin if scored else None)
+    slack -ulp(0)."""
+    return _Verdict(margin >= -slack, margin)
 
 
 def _reports(name, tol, inputs, details, *comparisons, results=None, precondition=None):
@@ -202,17 +202,15 @@ def _validated(stack):
 # ---------------------------------------------------------------------------
 
 def _fixed_point(tol, ensemble, solved):
-    """Both residual forms of the mean equation at the solved mean, through the transport maps."""
+    """The mean equation's residual at the solved mean: zero steps of the
+    solver started there, so a converged solve's own residual, bit for bit."""
     reports = [_report(s) for s in solved]
-    # The solver's means are exactly Hermitian and positive definite.
-    eq_res, fp_res = (res.tolist() for res in _k.mean_equation_residual(
-        np.array([r.mean for r in reports]), ensemble.matrices, ensemble.weights))
+    means = np.array([r.mean for r in reports])  # exactly Hermitian, positive definite
+    eq_res = _k.mean_equation_residual(means, ensemble.matrices, ensemble.weights).tolist()
     details, results = zip(*[
-        ({"equation_residual": eq, "self_map_relative_residual": fp, "iterations": r.iterations,
-          "converged": r.converged},
-         [_gap(-eq, ToleranceConfig.residual_tol), _gap(-fp, 1e-9, scored=False),
-          _Verdict(r.converged, None)])
-        for r, eq, fp in zip(reports, eq_res, fp_res)])
+        ({"equation_residual": eq, "iterations": r.iterations, "converged": r.converged},
+         [_gap(-eq, ToleranceConfig.residual_tol), _Verdict(r.converged, None)])
+        for r, eq in zip(reports, eq_res)])
     return _reports("fixed_point", tol, {"dim": ensemble.dim, "count": ensemble.size}, details,
                     results=results)
 

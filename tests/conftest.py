@@ -71,7 +71,9 @@ def breakdown_ensemble(monkeypatch, breakdown_mats, log_uniform):
     matrix j drawn from default_rng(24 + j), whose solve breaks down after 1
     iteration. No ensemble that passes validation is known to break down, so
     the solver kernel is rebound, for one test, to solve this ensemble's row
-    of a batch as ``breakdown_mats``; the other rows solve as before."""
+    of a batch as ``breakdown_mats``; the other rows solve as before. The
+    certificate's zero-step solves pass through it too, and only one of this
+    ensemble, which has no mean to certify, would be changed."""
     e = Ensemble(weights=np.full(6, 1.0 / 6.0),
                  matrices=[log_uniform(8, 24 + j, 1e-6, 1e6) for j in range(6)])
     solve = _kernels.wasserstein_solve

@@ -91,6 +91,39 @@ def test_residual_ranks_arithmetic_mean_behind_solution():
     assert residual(arith, e) > residual(report.mean, e)
 
 
+CERTIFIED_SHAPES = ((2, 2), (3, 5), (5, 8), (8, 12))
+
+
+def test_certificate_is_a_converged_solves_residual_bitwise(monkeypatch, log_uniform):
+    # The certificate is zero steps of the solver started at the candidate,
+    # so at a converged solve's mean it reads the solve's own residual bit
+    # for bit, whether that solve ran alone or in a batch of its shape. The
+    # transport-map route it replaced equalled none of these 128 readings and
+    # was up to 70% off.
+    from wassmean.seeded import random_ensemble
+
+    ensembles = [random_ensemble(*CERTIFIED_SHAPES[s % 4], 7000 + s) for s in range(40)]
+    ensembles += [Ensemble(weights=np.full(n, 1.0 / n),
+                           matrices=[log_uniform(m, 1000 * s + j) for j in range(n)])
+                  for s, (m, n) in enumerate(CERTIFIED_SHAPES * 6)]
+    solved = [(e, r) for e, batched in zip(ensembles, wasserstein_means(ensembles))
+              for r in (batched, wasserstein_mean(e)) if r.converged]
+    assert len(solved) == 2 * len(ensembles)
+    calls = []
+    solve = _kernels.wasserstein_solve
+
+    def counted(mats, weights, max_iter, *args):
+        calls.append(max_iter)
+        return solve(mats, weights, max_iter, *args)
+
+    monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
+    monkeypatch.setattr(_kernels, "_transport", lambda *args: calls.append("transport"))
+    for e, report in solved:
+        calls.clear()
+        assert residual(report.mean, e) == report.residual
+        assert calls == [0]
+
+
 # Means of log-uniform ensembles, matrix j of case s drawn from seed
 # 1000 s + j, Dirichlet weights from default_rng(s). Each solve converges,
 # and its mean's 40-digit residual (7.9e-12 at most) is within the

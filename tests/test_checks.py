@@ -547,14 +547,16 @@ def test_suite_solves_each_seeded_ensemble_once(monkeypatch):
     calls = []
     solve = _kernels.wasserstein_solve
 
-    def counted(mats, weights, *args):
-        # One solver call per (n, m, m) shape, each content in one call.
+    def counted(mats, weights, max_iter, *args):
+        # One solver call per (n, m, m) shape, each content in one call; the
+        # certificate's calls take zero steps and solve nothing.
         n, m = mats.shape[-3:-1]
-        calls.append([
-            (w.tobytes(), a.tobytes())
-            for w, a in zip(weights.reshape(-1, n), mats.reshape(-1, n, m, m))
-        ])
-        return solve(mats, weights, *args)
+        if max_iter:
+            calls.append([
+                (w.tobytes(), a.tobytes())
+                for w, a in zip(weights.reshape(-1, n), mats.reshape(-1, n, m, m))
+            ])
+        return solve(mats, weights, max_iter, *args)
 
     monkeypatch.setattr(_kernels, "wasserstein_solve", counted)
     reports = run_suite(default_plan(seeds=(777, 787)))
@@ -818,8 +820,8 @@ def test_aggregate_reports_a_nan_instance_before_smaller_passing_margins():
 
 
 def test_aggregate_reports_the_failing_instance_below_a_smaller_passing_margin():
-    # fixed_point's verdict also needs convergence and the self-map residual,
-    # so its failing instance can have the larger margin.
+    # fixed_point's verdict also needs convergence, so its failing instance
+    # can have the larger margin.
     plan = SuitePlan(seeds=(0, 2))
     reports = [_instance(False, -1e-13, 0), _instance(True, -5e-12, 1)]
     report = checks_mod._aggregate("x", plan, reports, {})
@@ -1171,6 +1173,21 @@ def test_grouped_jensen_contraction_evaluates_a_non_contraction_as_alone(monkeyp
     assert grouped == alone
     norms = [json.loads(r)["details"]["inverse_operator_norm"] for r in grouped]
     assert [i for i, norm in enumerate(norms) if norm > 1.0 + 1e-12] == [3, 4]
+
+
+def test_a_certificate_that_loses_positivity_is_its_cases_error_report():
+    # The core trusts the solver's means. A mean that is not positive
+    # definite fails the kernel for its whole group; evaluated alone, that
+    # case is its own error report, and its group-mate holds as alone.
+    e = random_ensemble(2, 3, 0)
+    good = barycenter.wasserstein_mean(e)
+    bad = dataclasses.replace(good, mean=np.diag([1.0, -1.0]).astype(complex))
+    held, broken = checks_mod._evaluate("fixed_point", ToleranceConfig(), [((e,), [good]),
+                                                                           ((e,), [bad])])
+    assert held.to_json_dict() == check("fixed_point", e).to_json_dict() and held.holds
+    assert not broken.holds and broken.margin == -np.inf
+    assert broken.details == {"error": "ValueError: mean equation residual: a candidate or a "
+                                       "congruence L* A_j L is not positive definite"}
 
 
 def test_no_check_core_catches_an_error():

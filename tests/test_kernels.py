@@ -170,7 +170,7 @@ def test_gap_of_near_equal_pairs_is_never_negative(log_uniform):
 def test_stacked_residual_matches_loop_reference(m, n, lo, hi, seed):
     mats, w = _case(m, n, lo, hi, seed)
     x = random_spd(m, seed=seed + 50, eig_lo=lo, eig_hi=hi)
-    got = k.mean_equation_residual(x, mats, w)[0]
+    got = k.mean_equation_residual(x, mats, w)
     want = loop_residual(x, mats, w)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -305,6 +305,31 @@ def test_an_indefinite_start_retires_at_iterate_zero():
     assert list(statuses) == [k.SOLVE_BREAKDOWN, k.SOLVE_CONVERGED]
     _, iters, res, _ = k.wasserstein_solve(np.stack([bad, good]), weights, 200, 1e-11)
     assert iters[0] == 0 and np.isinf(res[0])
+
+
+NOT_POSITIVE = (r"^mean equation residual: a candidate or a congruence L\* A_j L "
+                r"is not positive definite$")
+
+
+def test_residual_of_a_candidate_that_loses_positivity_is_an_error(breakdown_mats):
+    # Zero steps of the solver from the candidate: where the solver would
+    # break down, the residual raises, and never reads inf or NaN. First the
+    # indefinite start of the test above, whose Cholesky factor is refused.
+    bad = np.stack([np.diag([1.0, -3.0]), np.eye(2)]).astype(complex)
+    w = np.full(2, 0.5)
+    with pytest.raises(ValueError, match=NOT_POSITIVE):
+        k.mean_equation_residual(k.hermitianize(k.weighted_sum(w, bad)), bad, w)
+    # Then the first iterate of the breakdown solve, positive definite, whose
+    # congruence L* A_1 L has an eigenvalue below zero.
+    w = np.full(6, 1.0 / 6.0)
+    low = np.linalg.cholesky(k.hermitianize(k.weighted_sum(w, breakdown_mats)))
+    roots = k.spd_power(k.hermitianize(k._adjoint(low) @ breakdown_mats @ low), 0.5)
+    g = np.linalg.solve(k._adjoint(low), k.weighted_sum(w, roots))
+    x = k.hermitianize(g @ k._adjoint(g))
+    low = np.linalg.cholesky(x)
+    assert np.linalg.eigvalsh(k.hermitianize(k._adjoint(low) @ breakdown_mats[0] @ low))[0] < 0
+    with pytest.raises(ValueError, match=NOT_POSITIVE):
+        k.mean_equation_residual(x, breakdown_mats, w)
 
 
 def test_kron_equals_np_kron_bitwise_on_broadcast_stacks():
